@@ -3,11 +3,11 @@
 Not paper figures — these track the wall-clock performance of the
 vectorized inner loops that make the simulation feasible at scale
 (DESIGN.md section 8 / the HPC guides: vectorize the per-record work,
-profile the rest).  Each benchmark also asserts the kernel's output so a
-"fast but wrong" regression cannot slip through.
+profile the rest).  Each benchmark sanity-checks the kernel's output;
+bitwise equivalence with the reference implementations is pinned in
+tier-1 (``tests/reference.py`` and the suites that import it).
 """
 
-import numpy as np
 import pytest
 
 from repro.data.generator import DatasetSpec, SyntheticNAMGenerator
@@ -39,7 +39,7 @@ def test_bin_epochs_100k(benchmark, batch):
 
 
 def test_grouped_summaries_100k(benchmark, batch):
-    keys = batch.bin_keys(4, TemporalResolution.DAY)
+    keys = batch.bin_ids(4, TemporalResolution.DAY)
 
     result = benchmark(grouped_summaries, keys, batch.attributes)
     total = sum(vec.count for vec in result.values())
@@ -61,17 +61,6 @@ def test_columnar_bin_summarize_100k(benchmark, batch):
         )
     )
     assert int(frame.counts.sum()) == len(batch)
-    # Fast-but-wrong guard: bitwise identical to the string-label path.
-    from repro.data.statistics import grouped_summaries_scalar
-    from repro.geo.binning import decode_bin_ids
-
-    scalar = grouped_summaries_scalar(
-        batch.bin_keys(4, TemporalResolution.DAY), batch.attributes
-    )
-    pairs = decode_bin_ids(frame.ids, 4, TemporalResolution.DAY)
-    assert {
-        f"{gh}@{key}": vec for (gh, key), vec in zip(pairs, frame.vectors())
-    } == {str(k): v for k, v in scalar.items()}
 
 
 def test_partition_into_blocks_100k(benchmark, batch):
@@ -87,24 +76,12 @@ def bench_graph():
 
 
 def test_eviction_scoring_vectorized_20k(benchmark, bench_graph):
-    from repro.core.eviction import rank_victims, rank_victims_scalar
+    from repro.core.eviction import rank_victims
 
     graph, tracker, _keys, now = bench_graph
     excess = len(graph) // 5
 
     victims = benchmark(rank_victims, graph, tracker.decay_rate, now, excess)
-    assert len(victims) == excess
-    # Fast-but-wrong guard: must match the scalar reference exactly.
-    assert victims == rank_victims_scalar(graph, tracker, now, excess)
-
-
-def test_eviction_scoring_scalar_20k(benchmark, bench_graph):
-    from repro.core.eviction import rank_victims_scalar
-
-    graph, tracker, _keys, now = bench_graph
-    excess = len(graph) // 5
-
-    victims = benchmark(rank_victims_scalar, graph, tracker, now, excess)
     assert len(victims) == excess
 
 

@@ -29,7 +29,6 @@ Version: {VERSION}
 Summary: STASH (CLUSTER 2019) reproduction: distributed in-memory cache for hierarchical spatiotemporal aggregation queries
 Requires-Python: >=3.10
 Requires-Dist: numpy>=1.24
-Requires-Dist: scipy>=1.10
 """
 
 _WHEEL = f"""Wheel-Version: 1.0

@@ -35,16 +35,17 @@ from typing import Any, Generator
 import numpy as np
 
 from repro.core.keys import CellKey
+from repro.data.block import partition_into_blocks
 from repro.data.observation import ObservationBatch
-from repro.data.statistics import SummaryVector, grouped_summaries
+from repro.data.statistics import SummaryFrame, SummaryVector
 from repro.faults.membership import rpc_ok
 from repro.geo.cover import covering_cells
-from repro.geo.geohash import encode_many
-from repro.geo.temporal import TemporalResolution, bin_epochs
+from repro.geo.temporal import TemporalResolution
 from repro.obs.tracer import Span
 from repro.query.model import AggregationQuery
 from repro.sim.engine import Event
 from repro.sim.network import Message
+from repro.storage.backend import frame_to_cells
 from repro.storage.node import StorageNode
 from repro.system import DistributedSystem
 
@@ -77,24 +78,13 @@ class EsShard:
         self.chunks: dict[tuple[str, str], ObservationBatch] = {}
 
     def add_chunked(self, batch: ObservationBatch) -> None:
-        if len(batch) == 0:
-            return
-        days = bin_epochs(batch.epochs, TemporalResolution.DAY)
-        tiles = encode_many(batch.lats, batch.lons, CHUNK_TILE_PRECISION)
-        labels = np.char.add(np.char.add(days, "|"), tiles)
-        order = np.argsort(labels, kind="stable")
-        sorted_labels = labels[order]
-        boundary = np.empty(len(batch), dtype=bool)
-        boundary[0] = True
-        boundary[1:] = sorted_labels[1:] != sorted_labels[:-1]
-        starts = np.flatnonzero(boundary)
-        ends = np.append(starts[1:], len(batch))
-        for start, end in zip(starts, ends):
-            day, tile = str(sorted_labels[start]).split("|", 1)
-            chunk = batch.select(order[start:end])
-            existing = self.chunks.get((day, tile))
-            self.chunks[(day, tile)] = (
-                chunk if existing is None else existing.concat(chunk)
+        for block_id, block in partition_into_blocks(
+            batch, CHUNK_TILE_PRECISION
+        ).items():
+            chunk_id = (block_id.day, block_id.geohash)
+            existing = self.chunks.get(chunk_id)
+            self.chunks[chunk_id] = (
+                block.batch if existing is None else existing.concat(block.batch)
             )
 
     def matching_chunks(
@@ -203,11 +193,15 @@ class ElasticNode(StorageNode):
                 records += len(sub)
                 if len(sub) == 0:
                     continue
-                keys = sub.bin_keys(
-                    query.resolution.spatial, query.resolution.temporal
+                frame = SummaryFrame.from_groups(
+                    sub.bin_ids(
+                        query.resolution.spatial, query.resolution.temporal
+                    ),
+                    sub.attributes,
                 )
-                for label, vec in grouped_summaries(keys, sub.attributes).items():
-                    cell_key = CellKey.parse(str(label))
+                for cell_key, vec in frame_to_cells(
+                    frame, query.resolution
+                ).items():
                     existing = out.get(cell_key)
                     out[cell_key] = vec if existing is None else existing.merge(vec)
         # Re-aggregation CPU over every matching document — paid on every

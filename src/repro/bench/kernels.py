@@ -9,11 +9,10 @@ per PR (the CI ``bench-smoke`` job) keeps a perf trajectory: a hot-path
 regression shows up as a kernel's seconds drifting upward between
 commits.
 
-Where a kernel has both a vectorized and a scalar implementation
-(eviction scoring, touch), both are timed and a ``speedup`` ratio is
-reported; the vectorized path must also produce *identical* results,
-which :mod:`tests.core.test_vectorized_freshness` and the assertions in
-``benchmarks/test_micro_kernels.py`` enforce.
+Every kernel times the production function and reports its ``seconds``
+only.  Equivalence with the reference implementations is tier-1's job
+(``tests/reference.py`` and the suites that import it), not a timing
+harness's.
 
 Run via::
 
@@ -23,27 +22,26 @@ Run via::
 from __future__ import annotations
 
 import json
-import platform
 import time
 from typing import Any, Callable
 
 import numpy as np
 
-from repro.config import FreshnessConfig
+from repro.config import FreshnessConfig, StashConfig
 from repro.core.cell import Cell
-from repro.core.eviction import rank_victims, rank_victims_scalar
+from repro.core.cluster import StashCluster
+from repro.core.eviction import rank_victims
 from repro.core.freshness import FreshnessTracker
 from repro.core.graph import StashGraph
 from repro.core.keys import CellKey
 from repro.core.planner import plan_query
-from repro.data.statistics import SummaryVector
-from repro.dht.partitioner import PrefixPartitioner
+from repro.data.generator import DatasetSpec, SyntheticNAMGenerator, small_test_dataset
+from repro.data.statistics import SummaryFrame, SummaryVector
 from repro.geo.geohash import GEOHASH_ALPHABET
 from repro.geo.resolution import ResolutionSpace
-from repro.geo.temporal import TimeKey
+from repro.geo.temporal import TemporalResolution, TimeKey
 
-#: Graph sizes (resident cells) the full harness sweeps.  50k is the
-#: size the acceptance gate reads the eviction-scoring speedup at.
+#: Graph sizes (resident cells) the full harness sweeps.
 DEFAULT_SIZES = (2_000, 10_000, 50_000)
 #: Reduced sweep for the CI smoke job.
 QUICK_SIZES = (2_000, 10_000)
@@ -111,39 +109,6 @@ def _time_best(fn: Callable[[], Any], repeats: int) -> float:
     return best
 
 
-def _touch_scalar(graph: StashGraph, keys: list[CellKey], amount: float,
-                  now: float, decay_rate: float) -> int:
-    """The pre-vectorization per-cell touch loop (baseline)."""
-    touched = 0
-    for key in keys:
-        cell = graph.get(key)
-        if cell is not None:
-            cell.touched(amount, now, decay_rate)
-            cell.access_count += 1
-            touched += 1
-    return touched
-
-
-def _group_by_owner_naive(partitioner, keys: list[CellKey]) -> dict:
-    """Owner resolution once per *cell* (the pre-PR planner)."""
-    grouped: dict[str, list[CellKey]] = {}
-    for key in keys:
-        grouped.setdefault(partitioner.node_for(key.geohash), []).append(key)
-    return grouped
-
-
-def _group_by_owner_memo(partitioner, keys: list[CellKey]) -> dict:
-    """Owner resolution once per *geohash* (the owner-grouped planner)."""
-    grouped: dict[str, list[CellKey]] = {}
-    memo: dict[str, str] = {}
-    for key in keys:
-        owner = memo.get(key.geohash)
-        if owner is None:
-            owner = memo[key.geohash] = partitioner.node_for(key.geohash)
-        grouped.setdefault(owner, []).append(key)
-    return grouped
-
-
 def run_kernels(
     sizes: tuple[int, ...] = DEFAULT_SIZES,
     repeats: int = 5,
@@ -154,17 +119,19 @@ def run_kernels(
     from repro.bench.reporting import report_meta
 
     report: dict[str, Any] = {
-        "schema": "stash-bench-kernels/v2",
+        "schema": "stash-bench-kernels/v3",
         "quick": quick,
         "sizes": list(sizes),
         "repeats": repeats,
         "seed": seed,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
         "meta": report_meta(seed),
         "kernels": {},
     }
     kernels: dict[str, dict[str, Any]] = report["kernels"]
+    # One real coordinator node (16-node prefix ring) for owner grouping.
+    cluster = StashCluster(small_test_dataset(num_records=500), StashConfig())
+    cluster.start()
+    coordinator = cluster.nodes[cluster.node_ids[0]]
 
     for size in sizes:
         graph, tracker, keys, now = build_bench_graph(size, seed=seed)
@@ -172,23 +139,12 @@ def run_kernels(
         excess = max(1, size // 5)
 
         # -- eviction scoring: rank the `excess` stalest cells ----------
-        vec = _time_best(
-            lambda: rank_victims(graph, tracker.decay_rate, now, excess), repeats
-        )
-        scalar = _time_best(
-            lambda: rank_victims_scalar(graph, tracker, now, excess), repeats
-        )
-        victims_vec = rank_victims(graph, tracker.decay_rate, now, excess)
-        victims_scalar = rank_victims_scalar(graph, tracker, now, excess)
-        if victims_vec != victims_scalar:
-            raise AssertionError(
-                f"vectorized victim set diverged from scalar at {size} cells"
-            )
         kernels.setdefault("eviction_scoring", {})[str(size)] = {
             "excess": excess,
-            "vectorized_s": vec,
-            "scalar_s": scalar,
-            "speedup": scalar / vec if vec > 0 else float("inf"),
+            "seconds": _time_best(
+                lambda: rank_victims(graph, tracker.decay_rate, now, excess),
+                repeats,
+            ),
         }
 
         # -- batched freshness touch over one footprint -----------------
@@ -198,18 +154,14 @@ def run_kernels(
         footprint = [keys[i] for i in sample.tolist()]
         f_inc = tracker.config.f_inc
         rate = tracker.decay_rate
-        vec = _time_best(
-            lambda: graph.touch_batch(footprint, f_inc, now, rate, count_access=True),
-            repeats,
-        )
-        scalar = _time_best(
-            lambda: _touch_scalar(graph, footprint, f_inc, now, rate), repeats
-        )
         kernels.setdefault("touch", {})[str(size)] = {
             "footprint_keys": len(footprint),
-            "vectorized_s": vec,
-            "scalar_s": scalar,
-            "speedup": scalar / vec if vec > 0 else float("inf"),
+            "seconds": _time_best(
+                lambda: graph.touch_batch(
+                    footprint, f_inc, now, rate, count_access=True
+                ),
+                repeats,
+            ),
         }
 
         # -- footprint planning over the graph (cache-hit path) ---------
@@ -221,78 +173,36 @@ def run_kernels(
             "seconds": plan_s,
         }
 
-        # -- owner grouping: per-cell vs per-geohash DHT resolution -----
-        partitioner = PrefixPartitioner([f"node-{i}" for i in range(16)], 2)
+        # -- owner grouping: the coordinator's per-geohash DHT resolution
         day_keys = [
             CellKey(key.geohash, _DAY.step(offset))
             for key in footprint
             for offset in range(6)
         ]
-        naive = _time_best(
-            lambda: _group_by_owner_naive(partitioner, day_keys), repeats
-        )
-        memo = _time_best(
-            lambda: _group_by_owner_memo(partitioner, day_keys), repeats
-        )
-        if _group_by_owner_memo(partitioner, day_keys) != _group_by_owner_naive(
-            partitioner, day_keys
-        ):
-            raise AssertionError("owner-grouped planning diverged from naive")
         kernels.setdefault("owner_grouping", {})[str(size)] = {
             "cells": len(day_keys),
-            "memoized_s": memo,
-            "naive_s": naive,
-            "speedup": naive / memo if memo > 0 else float("inf"),
+            "seconds": _time_best(
+                lambda: coordinator._group_by_owner(day_keys, {}), repeats
+            ),
         }
 
     # -- grouped aggregation (scan kernel, size-independent) ------------
-    from repro.data.generator import DatasetSpec, SyntheticNAMGenerator
-    from repro.data.statistics import SummaryFrame, grouped_summaries_scalar
-    from repro.geo.binning import decode_bin_ids
-    from repro.geo.temporal import TemporalResolution
-
     records = 20_000 if quick else 100_000
     spec = DatasetSpec(num_records=records, start_day=(2013, 2, 1), num_days=2)
     batch = SyntheticNAMGenerator(spec).generate()
     precision, resolution = 4, TemporalResolution.DAY
 
-    # Both lambdas time the FULL bin->summarize pipeline (encoding
-    # included): timing only the summarize half under-reports the real
-    # scan path, which is the bug that hid the string-binning cost.
-    vec = _time_best(
-        lambda: SummaryFrame.from_groups(
-            batch.bin_ids(precision, resolution), batch.attributes
-        ),
-        repeats,
-    )
-    scalar = _time_best(
-        lambda: grouped_summaries_scalar(
-            batch.bin_keys(precision, resolution), batch.attributes
-        ),
-        repeats,
-    )
-    frame = SummaryFrame.from_groups(
-        batch.bin_ids(precision, resolution), batch.attributes
-    )
-    columnar_cells = {
-        f"{gh}@{key}": vector
-        for (gh, key), vector in zip(
-            decode_bin_ids(frame.ids, precision, resolution), frame.vectors()
-        )
-    }
-    scalar_cells = grouped_summaries_scalar(
-        batch.bin_keys(precision, resolution), batch.attributes
-    )
-    if {str(k): v for k, v in scalar_cells.items()} != columnar_cells:
-        raise AssertionError(
-            f"columnar aggregation diverged from scalar at {records} records"
-        )
+    # Times the FULL bin->summarize pipeline (encoding included): timing
+    # only the summarize half under-reports the real scan path.
     kernels["grouped_aggregation"] = {
         str(records): {
             "records": records,
-            "vectorized_s": vec,
-            "scalar_s": scalar,
-            "speedup": scalar / vec if vec > 0 else float("inf"),
+            "seconds": _time_best(
+                lambda: SummaryFrame.from_groups(
+                    batch.bin_ids(precision, resolution), batch.attributes
+                ),
+                repeats,
+            ),
         }
     }
     return report
@@ -305,13 +215,9 @@ def format_report(report: dict[str, Any]) -> str:
     ]
     for kernel, by_size in report["kernels"].items():
         for size, entry in by_size.items():
-            parts = [f"{kernel:>20} @ {size:>7}"]
-            for field in ("vectorized_s", "scalar_s", "memoized_s", "naive_s", "seconds"):
-                if field in entry:
-                    parts.append(f"{field}={entry[field] * 1e3:9.3f} ms")
-            if "speedup" in entry:
-                parts.append(f"speedup={entry['speedup']:6.2f}x")
-            lines.append("  ".join(parts))
+            lines.append(
+                f"{kernel:>20} @ {size:>7}  {entry['seconds'] * 1e3:9.3f} ms"
+            )
     return "\n".join(lines)
 
 

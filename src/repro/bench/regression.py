@@ -32,8 +32,9 @@ NOISE_MARGIN = 1.25
 #: Timings below this are pure timer noise; never compared.
 MIN_SECONDS = 5e-5
 
-#: The timing fields a kernel entry may carry.
-_TIMING_FIELDS = ("vectorized_s", "scalar_s", "memoized_s", "naive_s", "seconds")
+#: The timing fields a kernel entry may carry (v3 reports: one per
+#: kernel, the production function's best-of-repeats wall time).
+_TIMING_FIELDS = ("seconds",)
 
 
 def meta_of(report: dict[str, Any]) -> dict[str, Any]:

@@ -923,7 +923,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     walls = [a["wall_latency_s"] for a in report["answers"]]
     print(
         f"served {report['queries']} queries over {report['transport']} "
-        f"({report['codec']} codec) on {report['nodes']} node processes"
+        f"on {report['nodes']} node processes"
     )
     if walls:
         print(

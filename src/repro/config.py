@@ -49,8 +49,6 @@ class CostModel:
     request_overhead: float = 5.0e-4
     #: Approximate serialized size of one cell on the wire (bytes).
     cell_wire_size: int = 256
-    #: Approximate serialized size of one raw record on disk (bytes).
-    record_disk_size: int = 64
 
     def disk_read_time(self, nbytes: int) -> float:
         """Simulated seconds to read ``nbytes`` (pre-scaling) from disk."""
@@ -72,8 +70,6 @@ class FreshnessConfig:
     dispersion_fraction: float = 0.35
     #: Exponential decay half-life of freshness (simulated seconds).
     half_life: float = 120.0
-    #: Whether to disperse freshness across temporal neighbors too.
-    disperse_temporal: bool = True
 
 
 @dataclass(frozen=True)
@@ -151,9 +147,6 @@ class ElasticConfig:
     #: but-not-identical queries mostly re-read disk.  Raise this to
     #: explore RAM-rich deployments.
     page_cache_blocks: int = 4
-    #: Fraction of scan CPU saved when a filter bitset is cached
-    #: (models the node query cache).
-    filter_cache_speedup: float = 0.1
 
 
 @dataclass(frozen=True)
@@ -365,12 +358,6 @@ class StashConfig:
     #: Enable roll-up recomputation of missing coarse cells from cached
     #: finer cells (paper V-B).  Off forces disk for every cache miss.
     enable_rollup: bool = True
-    #: Enable predictive prefetching (paper future-work extension).
-    enable_prefetch: bool = False
-    #: Use the columnar (integer bin-id + SummaryFrame) scan kernel.
-    #: Off takes the frozen scalar string-label path — the equivalence
-    #: baseline; both produce bitwise-identical summaries.
-    columnar_scan: bool = True
 
     def with_(self, **kwargs: Any) -> "StashConfig":
         """Return a copy with top-level fields replaced."""

@@ -6,7 +6,7 @@ aggregated summary statistics for one spatiotemporal bin, labeled by its
 replacement policy.  Edge information is not stored — it is computed from
 the key (see :mod:`repro.core.keys`).
 
-Freshness bookkeeping is *columnar*: while a cell is resident in a
+Freshness bookkeeping lives *in columns*: while a cell is resident in a
 :class:`~repro.core.graph.StashGraph`, its ``(freshness, last_touched,
 access_count)`` triple lives in per-level numpy arrays owned by the graph
 (see :class:`~repro.core.graph.FreshnessColumns`), so the hot paths —
@@ -68,7 +68,7 @@ class Cell:
             if not summary.attributes:
                 raise CacheError(f"cell {self.key} has no attributes")
 
-    # -- columnar attachment (managed by StashGraph) -----------------------
+    # -- column attachment (managed by StashGraph) -------------------------
 
     def _attach(self, columns) -> None:
         """Hand freshness bookkeeping to a graph's column store."""

@@ -105,9 +105,7 @@ class StashCluster(DistributedSystem):
         for key in footprint:
             needed.update(self.catalog.blocks_for_cell(key))
         blocks = [self.catalog.get_block(b) for b in sorted(needed)]
-        scanned, _stats = scan_blocks(
-            blocks, query, columnar=self.config.columnar_scan
-        )
+        scanned, _stats = scan_blocks(blocks, query)
         return {
             key: scanned.get(key, SummaryVector.empty(self.attribute_names))
             for key in footprint

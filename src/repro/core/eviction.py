@@ -7,16 +7,14 @@ as connected areas.
 
 Victim selection is vectorized: the graph's per-level freshness columns
 are scored with one ``exp`` over a dense array (:func:`rank_victims`),
-then only the boundary candidates pay the ``str(key)`` tie-break — the
-scalar path paid a Python-level score *and* a key stringification for
-every resident cell.  Both paths share ``np.exp`` so they produce
-byte-equal scores; :func:`rank_victims_scalar` keeps the scalar form as
-the equivalence oracle and benchmark baseline.
+then only the boundary candidates pay the ``str(key)`` tie-break.  The
+per-cell ranking it replaced lives on as the reference in
+``tests/reference.py``; ``tests/core/test_vectorized_freshness.py``
+pins the two to the same victim list.
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right
 
 import numpy as np
@@ -67,7 +65,7 @@ def rank_victims(
         need = excess - below.shape[0]
         at_cutoff = np.flatnonzero(scores == cutoff)
         if need < at_cutoff.shape[0]:
-            # Break score ties exactly as the scalar total order does:
+            # Break score ties by the (score, str(key)) total order:
             # ascending key string.
             tied = sorted(at_cutoff.tolist(), key=lambda i: str(key_at(i)))[:need]
         else:
@@ -78,24 +76,6 @@ def rank_victims(
         key=lambda item: (item[0], item[1]),
     )
     return [key for _, _, key in ranked]
-
-
-def rank_victims_scalar(
-    graph: StashGraph, tracker: FreshnessTracker, now: float, excess: int
-) -> list[CellKey]:
-    """Reference scalar ranking via ``tracker.score`` per cell.
-
-    The pre-vectorization implementation, kept as the equivalence oracle
-    for tests and the baseline the kernel benchmark compares against.
-    ``nsmallest`` over the (score, key) total order matches the sorted
-    prefix exactly (keys are unique).
-    """
-    ranked = heapq.nsmallest(
-        excess,
-        graph.cells(),
-        key=lambda cell: (tracker.score(cell, now), str(cell.key)),
-    )
-    return [cell.key for cell in ranked]
 
 
 class EvictionPolicy:

@@ -57,26 +57,6 @@ class FreshnessTracker:
         return cell.decayed_freshness(now, self.decay_rate)
 
 
-def neighborhood_ring(
-    footprint: list[CellKey],
-) -> list[CellKey]:
-    """The immediate spatiotemporal neighborhood of a footprint.
-
-    All lateral neighbors (8 spatial + 2 temporal) of footprint cells that
-    are not themselves in the footprint — the grey cells of paper Fig. 3.
-
-    General-purpose O(cells x 10) form; the query path uses
-    :func:`query_ring`, which exploits the footprint being a box cover.
-    """
-    members = set(footprint)
-    ring: dict[CellKey, None] = {}
-    for key in footprint:
-        for neighbor in key.lateral_neighbors():
-            if neighbor not in members and neighbor not in ring:
-                ring[neighbor] = None
-    return list(ring)
-
-
 def query_ring(query) -> list[CellKey]:
     """The neighborhood ring of a query footprint, via box geometry.
 
@@ -84,7 +64,8 @@ def query_ring(query) -> list[CellKey]:
     (contiguous temporal keys), its ring is the spatial perimeter ring
     crossed with the time keys, plus the cover crossed with the two
     adjacent time bins — O(perimeter + cover) instead of touching every
-    cell's 10 lateral neighbors.
+    cell's 10 lateral neighbors (the per-cell form is the reference in
+    ``tests/reference.py``).
     """
     from repro.geo.cover import covering_cells, expand_ring
 

@@ -10,7 +10,7 @@ Empty cells (zero observations) are stored explicitly: presence of a key
 what makes roll-up recomputation sound (a missing child might have
 unscanned data on disk; an empty child is known to have none).
 
-Freshness bookkeeping is stored *columnar*: each level carries a
+Freshness bookkeeping is stored *in columns*: each level carries a
 :class:`FreshnessColumns` block of dense numpy arrays ``(freshness,
 last_touch, access_count)`` aligned with a slot map, so the per-query
 freshness touch is one gather/scatter (:meth:`StashGraph.touch_batch`)
@@ -108,7 +108,7 @@ class StashGraph:
         self.name = name
         #: level -> {cell key -> cell}
         self._levels: dict[int, dict[CellKey, Cell]] = {}
-        #: level -> columnar freshness store, parallel to ``_levels``.
+        #: level -> freshness column store, parallel to ``_levels``.
         self._columns: dict[int, FreshnessColumns] = {}
         self.plm = PrecisionLevelMap()
 
@@ -210,7 +210,7 @@ class StashGraph:
     def cells_at_level(self, level: int) -> Iterator[Cell]:
         yield from self._levels.get(level, {}).values()
 
-    # -- columnar freshness kernels ----------------------------------------
+    # -- freshness column kernels ------------------------------------------
 
     def freshness_columns(self) -> Iterator[FreshnessColumns]:
         """The non-empty per-level column blocks (eviction scoring input)."""

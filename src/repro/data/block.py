@@ -16,9 +16,9 @@ import numpy as np
 
 from repro.data.observation import ObservationBatch
 from repro.errors import StorageError
-from repro.geo.binning import decode_bin_ids, supports_bin_ids
-from repro.geo.geohash import bbox as geohash_bbox, encode_many
-from repro.geo.temporal import TemporalResolution, TimeKey, bin_epochs
+from repro.geo.binning import decode_bin_ids
+from repro.geo.geohash import bbox as geohash_bbox
+from repro.geo.temporal import TemporalResolution, TimeKey
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -83,44 +83,28 @@ def partition_into_blocks(
     One grouped pass: compute per-record partition bin ids (packed
     uint64, see :mod:`repro.geo.binning`), sort once, and slice
     contiguous runs into per-block sub-batches.  Bin ids sort exactly
-    like the composite ``'<prefix>@<day>'`` string labels (ASCII-
-    ascending alphabet, chronological day codes), so block identity,
-    dict ordering, and per-block record order are unchanged from the
-    string path — which remains as the fallback for (precision, DAY)
-    pairs the packed scheme cannot represent.
+    like composite ``'<prefix>@<day>'`` labels (ASCII-ascending
+    alphabet, chronological day codes), so blocks come out in
+    (geohash, day) order with per-block record order preserved.
     """
     if partition_precision < 1:
         raise StorageError("partition_precision must be >= 1")
     n = len(batch)
     if n == 0:
         return {}
-    if supports_bin_ids(partition_precision, TemporalResolution.DAY):
-        labels = batch.bin_ids(partition_precision, TemporalResolution.DAY)
-    else:
-        prefixes = encode_many(batch.lats, batch.lons, partition_precision)
-        days = bin_epochs(batch.epochs, TemporalResolution.DAY)
-        labels = np.char.add(np.char.add(prefixes, "@"), days)
-
-    order = np.argsort(labels, kind="stable")
-    sorted_labels = labels[order]
+    ids = batch.bin_ids(partition_precision, TemporalResolution.DAY)
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
     boundary = np.empty(n, dtype=bool)
     boundary[0] = True
-    boundary[1:] = sorted_labels[1:] != sorted_labels[:-1]
+    boundary[1:] = sorted_ids[1:] != sorted_ids[:-1]
     starts = np.flatnonzero(boundary)
     ends = np.append(starts[1:], n)
-
-    if labels.dtype == np.uint64:
-        pairs = decode_bin_ids(
-            sorted_labels[starts], partition_precision, TemporalResolution.DAY
-        )
-        block_ids = [BlockId(geohash=gh, day=str(key)) for gh, key in pairs]
-    else:
-        block_ids = []
-        for start in starts:
-            geohash, day = str(sorted_labels[start]).split("@", 1)
-            block_ids.append(BlockId(geohash=geohash, day=day))
-
+    pairs = decode_bin_ids(
+        sorted_ids[starts], partition_precision, TemporalResolution.DAY
+    )
     out: dict[BlockId, Block] = {}
-    for block_id, start, end in zip(block_ids, starts, ends):
+    for (geohash, key), start, end in zip(pairs, starts, ends):
+        block_id = BlockId(geohash=geohash, day=str(key))
         out[block_id] = Block(block_id=block_id, batch=batch.select(order[start:end]))
     return out

@@ -15,8 +15,7 @@ import numpy as np
 from repro.errors import StatisticsError
 from repro.geo.bbox import BoundingBox
 from repro.geo.binning import bin_ids as _bin_ids
-from repro.geo.geohash import encode_many
-from repro.geo.temporal import TemporalResolution, TimeRange, bin_epochs
+from repro.geo.temporal import TemporalResolution, TimeRange
 
 #: The NAM-like attributes every synthetic observation carries.
 OBSERVATION_ATTRIBUTES = (
@@ -116,30 +115,15 @@ class ObservationBatch:
 
     # -- binning ------------------------------------------------------------
 
-    def bin_keys(
-        self, spatial_precision: int, temporal_resolution: TemporalResolution
-    ) -> np.ndarray:
-        """Per-record composite bin label '<geohash>@<timekey>'.
-
-        The composite string is the flat form of the paper's Cell index
-        key (spatiotemporal label); grouping records by it yields exactly
-        one group per non-empty cell.
-        """
-        if len(self) == 0:
-            return np.array([], dtype="U1")
-        spatial = encode_many(self.lats, self.lons, spatial_precision)
-        temporal = bin_epochs(self.epochs, temporal_resolution)
-        return np.char.add(np.char.add(spatial, "@"), temporal)
-
     def bin_ids(
         self, spatial_precision: int, temporal_resolution: TemporalResolution
     ) -> np.ndarray:
         """Per-record packed uint64 bin id (see :mod:`repro.geo.binning`).
 
-        The integer form of :meth:`bin_keys`: ids map 1:1 to the
-        composite labels and sort in the same order, but grouping them
-        is integer factorization instead of string sorting — the hot
-        form the columnar scan pipeline bins on.
+        The flat form of the paper's Cell index key (spatiotemporal
+        label): grouping records by it yields exactly one group per
+        non-empty cell, and ids sort like ``'<geohash>@<timekey>'``
+        labels would.
         """
         return _bin_ids(
             self.lats, self.lons, self.epochs, spatial_precision, temporal_resolution

@@ -245,22 +245,24 @@ class SummaryVector:
 
 
 class SummaryFrame:
-    """Columnar grouped summaries: many bins' statistics as parallel arrays.
+    """Grouped summaries: many bins' statistics as parallel arrays.
 
-    The columnar counterpart of ``dict[bin, SummaryVector]``: ``ids``
-    holds the sorted distinct bin ids (packed uint64 from
-    :mod:`repro.geo.binning`, or composite string labels on the fallback
-    path), ``counts`` the per-bin observation counts, and ``columns``
-    maps each attribute name to its ``(sums, sumsqs, mins, maxs)``
-    float64 arrays — all aligned with ``ids``.
+    The array form of ``dict[bin, SummaryVector]``: ``ids`` holds the
+    sorted distinct bin ids (packed uint64 from
+    :mod:`repro.geo.binning`), ``counts`` the per-bin observation
+    counts, and ``columns`` maps each attribute name to its
+    ``(sums, sumsqs, mins, maxs)`` float64 arrays — all aligned with
+    ``ids``.
 
     Frames are the unit the scan pipeline produces and merges: each
     block scan yields one frame, frames merge column-wise (concatenate +
     one stable regroup), and per-bin :class:`SummaryVector` objects are
     materialized lazily only at the query/response boundary.  Merging
-    accumulates partial sums left-to-right in frame order, exactly like
-    the scalar per-cell merge chain, so columnar results are bitwise
-    identical to the scalar path's.
+    sums each bin's partials in frame order; for two frames that is
+    bitwise what ``SummaryVector.merge`` gives
+    (``tests/data/test_summary_frame.py`` pins it), for more numpy's
+    ``reduceat`` may associate the partials differently, so sums agree
+    with a merge chain to rounding while counts and extrema are exact.
     """
 
     __slots__ = ("ids", "counts", "columns")
@@ -293,11 +295,10 @@ class SummaryFrame:
     ) -> "SummaryFrame":
         """Group raw values by key into a frame, fully vectorized.
 
-        ``group_keys`` is an array of per-record bin ids (uint64 or
-        string); ``arrays`` maps attribute names to same-length value
-        arrays.  One stable argsort plus ``np.*.reduceat`` segment
-        reductions per attribute — no per-record Python loop, and no
-        per-bin object construction.
+        ``group_keys`` is an array of per-record bin ids; ``arrays``
+        maps attribute names to same-length value arrays.  One stable
+        argsort plus ``np.*.reduceat`` segment reductions per attribute
+        — no per-record Python loop, and no per-bin object construction.
         """
         if not arrays:
             raise StatisticsError("grouped summaries need at least one attribute")
@@ -345,12 +346,11 @@ class SummaryFrame:
 
     @staticmethod
     def merge_all(frames: list["SummaryFrame"]) -> "SummaryFrame":
-        """Merge frames in list order (left-to-right partial summation).
+        """Merge frames in list order.
 
         Concatenates every column and regroups with one stable sort:
-        rows with equal ids stay in frame order, and ``reduceat``
-        accumulates them left to right — the same float summation order
-        as chaining scalar ``SummaryVector.merge`` calls.
+        rows with equal ids stay in frame order and ``reduceat`` sums
+        each run (see the class docstring for what that pins).
         """
         if not frames:
             raise StatisticsError("merge_all of no frames")
@@ -397,7 +397,7 @@ class SummaryFrame:
     def vectors(self) -> list[SummaryVector]:
         """Materialize one :class:`SummaryVector` per bin, aligned with ``ids``.
 
-        This is the lazy boundary: frames stay columnar through scan and
+        This is the lazy boundary: frames stay arrays through scan and
         merge; per-bin objects exist only once a response needs them.
         """
         # Convert the columns to Python lists once — per-element ndarray
@@ -432,76 +432,12 @@ def grouped_summaries(
 ) -> dict[str, SummaryVector]:
     """Group raw values by key and summarize each group, vectorized.
 
-    ``group_keys`` is an array of per-record bin labels (uint64 bin ids
-    or strings); ``arrays`` maps attribute names to same-length value
-    arrays.  Returns ``{key: SummaryVector}`` for each distinct key.
+    ``group_keys`` is an array of per-record bin ids; ``arrays`` maps
+    attribute names to same-length value arrays.  Returns
+    ``{key: SummaryVector}`` for each distinct key.
 
-    Thin wrapper over the columnar kernel: builds a
-    :class:`SummaryFrame` and materializes it immediately.  Hot paths
-    that merge scans (``scan_blocks``) keep the frame columnar instead
-    and materialize once at the end.  ``grouped_summaries_scalar`` is
-    the frozen pre-columnar implementation kept as the equivalence
-    baseline.
+    Thin wrapper: builds a :class:`SummaryFrame` and materializes it
+    immediately.  Paths that merge scans (``scan_blocks``) keep the
+    frame instead and materialize once at the end.
     """
     return SummaryFrame.from_groups(group_keys, arrays).materialize()
-
-
-def grouped_summaries_scalar(
-    group_keys: np.ndarray, arrays: dict[str, np.ndarray]
-) -> dict[str, SummaryVector]:
-    """Pre-columnar ``grouped_summaries``, frozen as the equivalence baseline.
-
-    Kept verbatim (like ``rank_victims``'s scalar twin) so tests and the
-    bench kernel can pin the columnar pipeline against the original
-    semantics.  Do not optimize this function.
-    """
-    group_keys = np.asarray(group_keys)
-    n = group_keys.size
-    for name, values in arrays.items():
-        if np.asarray(values).shape != (n,):
-            raise StatisticsError(
-                f"attribute {name!r} length mismatch with group keys"
-            )
-    if n == 0:
-        return {}
-    order = np.argsort(group_keys, kind="stable")
-    sorted_keys = group_keys[order]
-    # Segment boundaries: first index of each distinct key.
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    starts = np.flatnonzero(boundary)
-    uniq = sorted_keys[starts]
-    counts = np.diff(np.append(starts, n))
-
-    per_attr: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
-    for name, values in arrays.items():
-        v = np.asarray(values, dtype=np.float64)[order]
-        sums = np.add.reduceat(v, starts)
-        sq = np.add.reduceat(np.square(v), starts)
-        mins = np.minimum.reduceat(v, starts)
-        maxs = np.maximum.reduceat(v, starts)
-        per_attr[name] = (sums, sq, mins, maxs)
-
-    # Convert the per-attribute columns to Python lists once — per-element
-    # ndarray indexing in the loop below would dominate otherwise.
-    counts_list = counts.tolist()
-    columns = {
-        name: (vals[0].tolist(), vals[1].tolist(), vals[2].tolist(), vals[3].tolist())
-        for name, vals in per_attr.items()
-    }
-    labels = uniq.tolist()
-    out: dict[str, SummaryVector] = {}
-    for i, key in enumerate(labels):
-        summaries = {
-            name: AttributeSummary(
-                count=counts_list[i],
-                total=cols[0][i],
-                total_sq=cols[1][i],
-                minimum=cols[2][i],
-                maximum=cols[3][i],
-            )
-            for name, cols in columns.items()
-        }
-        out[key] = SummaryVector._trusted(summaries)
-    return out

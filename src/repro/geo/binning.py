@@ -1,4 +1,4 @@
-"""Integer bin ids for the columnar scan->bin->summary pipeline.
+"""Integer bin ids for the scan->bin->summary pipeline.
 
 A bin id packs one spatiotemporal cell into a single uint64::
 
@@ -14,16 +14,16 @@ cheaper factorization for the same bins.
 
 Ordering is preserved: the geohash alphabet is ASCII-ascending and ISO
 time labels sort chronologically, so sorting bin ids yields exactly the
-same group order as sorting the old composite string labels.  Per-group
-record order is therefore identical too, which keeps float summation
-order — and hence summary values — bitwise identical between the
-columnar and scalar paths.
+same group order as sorting composite string labels would
+(``tests/reference.py`` keeps the label builder so the suites can pin
+that).
 
 The packing needs ``5 * precision + TEMPORAL_CODE_BITS[resolution]``
-bits; :func:`supports_bin_ids` reports whether a (precision, resolution)
-pair fits in 64.  Callers fall back to the string labels when it does
-not (only spatial precisions beyond 8 — far finer than any resolution
-space in this system — are affected).
+bits, and a (precision, resolution) pair that needs more than 64 is
+outside what the scan layer supports: :func:`bin_ids` raises
+:class:`~repro.errors.TemporalError` for it.  Precision 8 fits at every
+temporal resolution, which is why
+:class:`~repro.geo.resolution.ResolutionSpace` stops there.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def bin_ids(
     """Vectorized spatiotemporal binning to packed uint64 bin ids.
 
     Raises :class:`~repro.errors.TemporalError` if the pair is
-    unsupported (see :func:`supports_bin_ids`) or any epoch falls
+    outside the packed domain (see :func:`supports_bin_ids`) or any epoch falls
     outside the representable temporal range (pre-1970 instants have
     negative temporal codes and cannot be packed).  Coordinate
     validation (non-finite / out-of-range) is inherited from

@@ -6,9 +6,9 @@ a base-32 string where each added character splits the cell 32 ways
 
 Hot paths (binning millions of observations) use the vectorized
 :func:`encode_many` (strings) or :func:`spatial_codes` (raw interleaved
-uint64 bit-codes, the integer form the columnar aggregation pipeline bins
-on); the scalar functions serve topology queries (neighbors, children,
-antipode) on individual cells.
+uint64 bit-codes, the integer form the scan pipeline bins on); the
+scalar functions serve topology queries (neighbors, children, antipode)
+on individual cells.
 
 Coordinate contract: every encoder — scalar and vectorized — rejects
 non-finite (NaN / ±inf) and out-of-range coordinates with
@@ -234,7 +234,7 @@ def spatial_codes(
     character, lon bit first), so codes order exactly like same-precision
     geohash strings and convert losslessly via
     :func:`codes_to_geohashes` / :func:`geohash_to_code`.  This is the
-    integer spatial key of the columnar aggregation pipeline: binning
+    integer spatial key of the scan pipeline: binning
     sorts these uint64 codes instead of strings.
 
     Non-finite (NaN / ±inf) or out-of-range coordinates raise

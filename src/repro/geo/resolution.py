@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ResolutionError
+from repro.geo.binning import supports_bin_ids
 from repro.geo.geohash import MAX_PRECISION
 from repro.geo.temporal import NUM_TEMPORAL_RESOLUTIONS, TemporalResolution
 
@@ -85,7 +86,10 @@ class ResolutionSpace:
     ----------
     min_spatial, max_spatial:
         Inclusive geohash precision range (the paper's experiments span
-        precisions 2 through 6).
+        precisions 2 through 6).  ``max_spatial`` may not exceed 8: the
+        scan layer bins on packed 64-bit ids (:mod:`repro.geo.binning`),
+        and precision 8 is the finest that fits at every temporal
+        resolution.
     """
 
     min_spatial: int = 1
@@ -95,6 +99,11 @@ class ResolutionSpace:
         if not 1 <= self.min_spatial <= self.max_spatial <= MAX_PRECISION:
             raise ResolutionError(
                 f"bad spatial range [{self.min_spatial}, {self.max_spatial}]"
+            )
+        if not supports_bin_ids(self.max_spatial, TemporalResolution.HOUR):
+            raise ResolutionError(
+                f"max_spatial {self.max_spatial} does not fit a 64-bit bin id "
+                "at HOUR; the scan layer supports precisions up to 8"
             )
 
     @property

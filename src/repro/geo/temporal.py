@@ -258,9 +258,9 @@ def bin_epochs(
 
     Maps an array of epoch seconds to fixed-width strings of the owning
     :class:`TimeKey` (its ``str`` form), e.g. '2013-03-15' at DAY.  The
-    columnar aggregation pipeline bins on the integer form instead
-    (:func:`bin_epoch_codes`); this string form remains the scalar
-    fallback and the human-readable label.
+    scan pipeline bins on the integer form instead
+    (:func:`bin_epoch_codes`); this string form is the human-readable
+    label.
     """
     epochs = np.asarray(epochs, dtype=np.float64)
     dt64 = epochs.astype("datetime64[s]")

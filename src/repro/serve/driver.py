@@ -31,7 +31,6 @@ from repro.query.model import AggregationQuery
 from repro.serve.cluster import ServeCluster
 from repro.system import CLIENT_ID
 from repro.transport.asyncio_net import AsyncioTransport
-from repro.transport.codec import codec_name
 
 #: Seconds between quiesce polls; consecutive clean rounds required.
 _QUIESCE_POLL = 0.02
@@ -99,6 +98,57 @@ async def _quiesce(
             await asyncio.sleep(_QUIESCE_POLL)
 
 
+async def connect_client(
+    addresses: dict[str, tuple[str, int]], config: StashConfig
+) -> AsyncioTransport:
+    """Dial a running cluster as the client peer.
+
+    Binds the client transport, learns the address map and pings every
+    node — one round trip per node proves every link dials and serves.
+    The caller owns the transport and ends it with ``aclose()``.
+    """
+    serve_cfg = config.serve
+    transport = AsyncioTransport(CLIENT_ID, time_scale=serve_cfg.time_scale)
+    await transport.start(serve_cfg.host, 0)
+    transport.network.register(CLIENT_ID)
+    transport.network.set_peers(addresses)
+    try:
+        for node_id in addresses:
+            await _rpc(
+                transport, node_id, "ping", {}, size=16,
+                timeout=serve_cfg.startup_timeout,
+            )
+    except BaseException:
+        await transport.aclose()
+        raise
+    return transport
+
+
+async def evaluate_serial(
+    transport: AsyncioTransport,
+    partitioner: PrefixPartitioner,
+    query: AggregationQuery,
+    config: StashConfig,
+) -> tuple[str, Any, float]:
+    """One query of a serial replay: route, ``evaluate``, quiesce.
+
+    Returns ``(coordinator, raw reply, wall seconds of the evaluate
+    round trip)``.  The quiesce barrier runs after the clock stops, so
+    background population has landed before the next query starts — the
+    byte-identity precondition.
+    """
+    timeout = config.serve.quiesce_timeout
+    coordinator = coordinator_for(partitioner, query)
+    started = time.monotonic()
+    reply = await _rpc(
+        transport, coordinator, "evaluate", {"query": query, "ctx": None},
+        size=512, timeout=timeout,
+    )
+    wall = time.monotonic() - started
+    await _quiesce(transport, partitioner.node_ids, timeout)
+    return coordinator, reply, wall
+
+
 async def _replay_socket(
     queries: Sequence[AggregationQuery],
     node_ids: Sequence[str],
@@ -106,37 +156,18 @@ async def _replay_socket(
     addresses: dict[str, tuple[str, int]],
     progress: Callable[[str], None] | None,
 ) -> list[dict[str, Any]]:
-    serve_cfg = config.serve
     partitioner = PrefixPartitioner(
         list(node_ids), config.cluster.partition_precision
     )
-    transport = AsyncioTransport(CLIENT_ID, time_scale=serve_cfg.time_scale)
-    await transport.start(serve_cfg.host, 0)
-    transport.network.register(CLIENT_ID)
-    transport.network.set_peers(addresses)
+    transport = await connect_client(addresses, config)
     answers: list[dict[str, Any]] = []
     try:
-        # Readiness: one ping per node proves every link dials and serves.
-        for node_id in node_ids:
-            await _rpc(
-                transport, node_id, "ping", {}, size=16,
-                timeout=serve_cfg.startup_timeout,
-            )
         for index, query in enumerate(queries):
-            coordinator = coordinator_for(partitioner, query)
-            started = time.monotonic()
-            reply = await _rpc(
-                transport,
-                coordinator,
-                "evaluate",
-                {"query": query, "ctx": None},
-                size=512,
-                timeout=serve_cfg.quiesce_timeout,
+            coordinator, reply, wall = await evaluate_serial(
+                transport, partitioner, query, config
             )
-            wall = time.monotonic() - started
             if not isinstance(reply, dict) or "cells" not in reply:
                 raise QueryError(f"malformed evaluate reply: {reply!r}")
-            await _quiesce(transport, node_ids, serve_cfg.quiesce_timeout)
             answers.append(
                 {
                     "index": index,
@@ -228,7 +259,6 @@ def run_serve(
         launcher.stop()
     report: dict[str, Any] = {
         "transport": "asyncio",
-        "codec": codec_name(),
         "nodes": len(launcher.node_ids),
         "queries": len(queries),
         "answers": [

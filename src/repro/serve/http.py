@@ -32,13 +32,13 @@ headers so bodies stay byte-comparable.
 
 from __future__ import annotations
 
+import asyncio
 import base64
 import binascii
 import hashlib
 import json
 import queue
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -46,12 +46,13 @@ from typing import Any, Sequence
 
 from repro.config import StashConfig
 from repro.data.observation import OBSERVATION_ATTRIBUTES
+from repro.dht.partitioner import PrefixPartitioner
 from repro.errors import ReproError
 from repro.geo.bbox import BoundingBox
-from repro.geo.geohash import MAX_PRECISION
-from repro.geo.resolution import Resolution
+from repro.geo.resolution import Resolution, ResolutionSpace
 from repro.geo.temporal import TemporalResolution, TimeRange
 from repro.query.model import AggregationQuery
+from repro.serve.driver import connect_client, evaluate_serial
 from repro.workload.trace import query_to_dict
 
 #: Query classes the facade accepts in a request's optional ``kind``
@@ -208,13 +209,17 @@ def _number(value: Any) -> float:
 
 
 def parse_query(
-    body: Any, attributes: Sequence[str] = OBSERVATION_ATTRIBUTES
+    body: Any,
+    attributes: Sequence[str] = OBSERVATION_ATTRIBUTES,
+    space: ResolutionSpace = ResolutionSpace(),
 ) -> AggregationQuery:
     """Trace-format query body -> AggregationQuery, with structured 4xxs.
 
     The accepted shape is exactly :func:`repro.workload.trace.query_to_dict`
     (plus an optional ``kind``), so any saved trace record is a valid
-    request body.
+    request body.  ``attributes`` and ``space`` are what the backend can
+    serve; a request outside either is a 400 here, not an error deep in
+    the engine.
     """
     if not isinstance(body, dict):
         raise HttpError(400, "invalid_json", "request body must be a JSON object")
@@ -250,12 +255,13 @@ def parse_query(
     if (
         isinstance(spatial, bool)
         or not isinstance(spatial, int)
-        or not 1 <= spatial <= MAX_PRECISION
+        or not space.min_spatial <= spatial <= space.max_spatial
     ):
         raise HttpError(
             400,
             "invalid_resolution",
-            f"spatial must be an integer in [1, {MAX_PRECISION}]",
+            f"spatial must be an integer in "
+            f"[{space.min_spatial}, {space.max_spatial}]",
         )
     temporal_name = body.get("temporal", "day")
     try:
@@ -445,11 +451,10 @@ class _Slot:
 class SocketBackend:
     """Facade over a live asyncio socket cluster (PR-8 client driver).
 
-    Owns a private event loop on a daemon thread; ``evaluate`` routes
-    the query to its coordinator with the same center-geohash rule as
-    the sim client, sends ``evaluate`` over TCP, then runs the 2-round
-    quiesce barrier — serially, under a lock, preserving the
-    byte-identity preconditions end to end.
+    Owns a private event loop on a daemon thread; ``evaluate`` runs the
+    driver's serial step (:func:`repro.serve.driver.evaluate_serial`:
+    route, ``evaluate`` over TCP, 2-round quiesce barrier) under a lock,
+    preserving the byte-identity preconditions end to end.
     """
 
     name = "socket"
@@ -460,73 +465,25 @@ class SocketBackend:
         addresses: dict[str, tuple[str, int]],
         config: StashConfig,
     ):
-        import asyncio
-
-        from repro.dht.partitioner import PrefixPartitioner
-        from repro.system import CLIENT_ID
-        from repro.transport.asyncio_net import AsyncioTransport
-
-        self.node_ids = list(node_ids)
         self.config = config
         self.partitioner = PrefixPartitioner(
-            self.node_ids, config.cluster.partition_precision
+            list(node_ids), config.cluster.partition_precision
         )
         self._lock = threading.Lock()
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(target=self._loop.run_forever, daemon=True)
         self._thread.start()
-
-        async def connect():
-            transport = AsyncioTransport(
-                CLIENT_ID, time_scale=config.serve.time_scale
-            )
-            await transport.start(config.serve.host, 0)
-            transport.network.register(CLIENT_ID)
-            transport.network.set_peers(addresses)
-            return transport
-
-        self.transport = self._call(connect())
-        from repro.serve.driver import _rpc
-
-        for node_id in self.node_ids:
-            self._call(
-                _rpc(
-                    self.transport, node_id, "ping", {}, 16,
-                    config.serve.startup_timeout,
-                )
-            )
-
-    @property
-    def recorder(self):
-        return None
+        self.transport = self._call(connect_client(addresses, config))
 
     def _call(self, coro):
-        import asyncio
-
         future = asyncio.run_coroutine_threadsafe(coro, self._loop)
         return future.result(timeout=self.config.serve.wall_clock_budget)
 
     def evaluate(self, query: AggregationQuery) -> BackendAnswer:
-        from repro.serve.driver import _quiesce, _rpc, coordinator_for
-
-        async def one():
-            coordinator = coordinator_for(self.partitioner, query)
-            started = time.monotonic()
-            reply = await _rpc(
-                self.transport,
-                coordinator,
-                "evaluate",
-                {"query": query, "ctx": None},
-                512,
-                self.config.serve.quiesce_timeout,
-            )
-            await _quiesce(
-                self.transport, self.node_ids, self.config.serve.quiesce_timeout
-            )
-            return reply, time.monotonic() - started
-
         with self._lock:
-            reply, wall = self._call(one())
+            _, reply, wall = self._call(
+                evaluate_serial(self.transport, self.partitioner, query, self.config)
+            )
         if not isinstance(reply, dict) or "cells" not in reply:
             raise HttpError(502, "bad_gateway", f"malformed evaluate reply: {reply!r}")
         return BackendAnswer(
@@ -537,22 +494,7 @@ class SocketBackend:
         )
 
     def close(self) -> None:
-        import asyncio
-
-        async def shutdown():
-            await self.transport.aclose()
-            # Reap per-link reader/writer tasks before the loop dies, or
-            # their coroutines get garbage-collected against a closed loop.
-            tasks = [
-                task
-                for task in asyncio.all_tasks()
-                if task is not asyncio.current_task()
-            ]
-            for task in tasks:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
-
-        self._call(shutdown())
+        self._call(self.transport.aclose())
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=10.0)
         self._loop.close()
@@ -627,6 +569,11 @@ class StashHttpServer:
         self.config = config or StashConfig()
         serve = self.config.serve
         self.attributes = tuple(attributes)
+        #: The resolutions the backend's engine serves; engines without a
+        #: graph (and socket clusters) run the default space.
+        self.space: ResolutionSpace = getattr(
+            getattr(backend, "system", None), "space", ResolutionSpace()
+        )
         self.default_limit = serve.http_default_limit
         self.max_limit = serve.http_max_limit
         self.cache = ResponseCache(serve.http_cache_entries)
@@ -712,6 +659,17 @@ class StashHttpServer:
         cached = self.cache.get(fingerprint)
         if cached is not None:
             return cached, "hit"
+        # The engine's footprint cap, checked before the engine: an
+        # oversized request is a 400, never an evaluation (so never a
+        # cache entry either).
+        cells = query.footprint_size()
+        if cells > query.MAX_FOOTPRINT_CELLS:
+            raise HttpError(
+                400,
+                "invalid_resolution",
+                f"query footprint of {cells} cells exceeds "
+                f"{query.MAX_FOOTPRINT_CELLS}; lower the resolution",
+            )
         answer = self.backend.evaluate(query)
         self.cache.put(fingerprint, answer)
         return answer, "miss"
@@ -724,12 +682,12 @@ class StashHttpServer:
         }
 
     def _aggregate(self, payload: Any) -> tuple[int, dict, dict]:
-        query = parse_query(payload, self.attributes)
+        query = parse_query(payload, self.attributes, self.space)
         answer, disposition = self._evaluate_cached(query)
         return 200, aggregate_body(query, answer), self._headers(answer, disposition)
 
     def _search(self, payload: Any) -> tuple[int, dict, dict]:
-        query = parse_query(payload, self.attributes)
+        query = parse_query(payload, self.attributes, self.space)
         limit, offset = parse_limit_offset(
             payload, self.default_limit, self.max_limit
         )
@@ -750,20 +708,18 @@ class StashHttpServer:
             raise HttpError(
                 400, "invalid_direction", "direction must be 'down' or 'up'"
             )
-        base = parse_query(payload["query"], self.attributes)
-        spatial = base.resolution.spatial + _DRILL_DELTA[direction]
-        if not 1 <= spatial <= MAX_PRECISION:
-            raise HttpError(
-                400,
-                "invalid_resolution",
-                f"drill {direction} leaves [1, {MAX_PRECISION}]",
-            )
-        query = AggregationQuery(
-            bbox=base.bbox,
-            time_range=base.time_range,
-            resolution=Resolution(spatial, base.resolution.temporal),
-            attributes=base.attributes,
-            kind="drill",
+        base = parse_query(payload["query"], self.attributes, self.space)
+        # Re-parsing the drilled body applies the edge's resolution rule
+        # to the new precision: a drill past either end of the space is
+        # the same 400 as asking for that precision outright.
+        query = parse_query(
+            {
+                **payload["query"],
+                "spatial": base.resolution.spatial + _DRILL_DELTA[direction],
+                "kind": "drill",
+            },
+            self.attributes,
+            self.space,
         )
         answer, disposition = self._evaluate_cached(query)
         return (

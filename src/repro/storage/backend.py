@@ -14,14 +14,11 @@ from dataclasses import dataclass
 from repro.core.keys import CellKey
 from repro.data.block import Block, BlockId, partition_into_blocks
 from repro.data.observation import ObservationBatch
-from repro.data.statistics import (
-    SummaryFrame,
-    SummaryVector,
-    grouped_summaries_scalar,
-)
+from repro.data.statistics import SummaryFrame, SummaryVector
 from repro.dht.partitioner import Partitioner
 from repro.errors import StorageError
-from repro.geo.binning import decode_bin_ids, supports_bin_ids
+from repro.geo.binning import decode_bin_ids
+from repro.geo.resolution import Resolution
 from repro.query.model import AggregationQuery
 
 
@@ -212,16 +209,35 @@ class StorageCatalog:
         return moved, len(self._block_index)
 
 
-def _scan_frame(
-    blocks: list[Block], query: AggregationQuery
-) -> tuple[SummaryFrame | None, int, ScanStats]:
-    """Columnar scan: one :class:`SummaryFrame` per block, merged in order.
+def frame_to_cells(
+    frame: SummaryFrame, resolution: Resolution
+) -> dict[CellKey, SummaryVector]:
+    """Materialize a frame of packed bin ids into per-cell summary vectors."""
+    pairs = decode_bin_ids(frame.ids, resolution.spatial, resolution.temporal)
+    return {
+        CellKey(geohash=gh, time_key=key): vector
+        for (gh, key), vector in zip(pairs, frame.vectors())
+    }
 
-    Returns ``(merged frame or None if nothing matched, spatial
-    precision, stats)``.  Per-block frames bin on packed uint64 ids
-    (:meth:`ObservationBatch.bin_ids`) and merge column-wise; no
-    per-cell objects are built here — callers materialize at the
-    query/response boundary.
+
+def scan_blocks(
+    blocks: list[Block], query: AggregationQuery
+) -> tuple[dict[CellKey, SummaryVector], ScanStats]:
+    """Aggregate raw blocks into query-resolution cells (full cell extents).
+
+    Every block is read in full (you cannot seek inside a block), records
+    are filtered to the query's *snapped* extent, then binned on packed
+    integer ids (:meth:`ObservationBatch.bin_ids`) and summarized with
+    one vectorized grouped pass per block.  Per-block
+    :class:`SummaryFrame` columns merge in block order and
+    :class:`SummaryVector` objects are materialized once at the end.  A
+    (precision, resolution) pair outside the packed-id domain raises
+    :class:`~repro.errors.TemporalError`
+    (:func:`repro.geo.binning.bin_ids`).
+
+    Scans never apply the query's attribute selection: cells cache
+    *every* attribute so they stay reusable by any later query, and
+    projection happens only on responses (``SummaryVector.project``).
     """
     snapped_box = query.snapped_bbox()
     snapped_time = query.snapped_time_range()
@@ -244,74 +260,9 @@ def _scan_frame(
     stats = ScanStats(
         blocks_read=len(blocks), bytes_read=bytes_read, records_scanned=records
     )
-    merged = SummaryFrame.merge_all(frames) if frames else None
-    return merged, precision, stats
-
-
-def _frame_to_cells(
-    frame: SummaryFrame | None, query: AggregationQuery
-) -> dict[CellKey, SummaryVector]:
-    """Materialize a merged scan frame into per-cell summary vectors."""
-    if frame is None:
-        return {}
-    pairs = decode_bin_ids(
-        frame.ids, query.resolution.spatial, query.resolution.temporal
-    )
-    return {
-        CellKey(geohash=gh, time_key=key): vector
-        for (gh, key), vector in zip(pairs, frame.vectors())
-    }
-
-
-def scan_blocks(
-    blocks: list[Block], query: AggregationQuery, *, columnar: bool = True
-) -> tuple[dict[CellKey, SummaryVector], ScanStats]:
-    """Aggregate raw blocks into query-resolution cells (full cell extents).
-
-    Every block is read in full (you cannot seek inside a block), records
-    are filtered to the query's *snapped* extent, then binned and
-    summarized with one vectorized grouped pass per block.
-
-    The default ``columnar`` path bins on packed integer ids and merges
-    per-block :class:`SummaryFrame` columns, materializing
-    :class:`SummaryVector` objects once at the end; ``columnar=False``
-    (or a resolution the packed id scheme cannot represent) takes the
-    frozen string-label scalar path — the equivalence baseline.  Both
-    produce bitwise-identical summaries: grouping order and float
-    summation order are the same.
-
-    Scans never apply the query's attribute selection: cells cache
-    *every* attribute so they stay reusable by any later query, and
-    projection happens only on responses (``SummaryVector.project``).
-    """
-    if columnar and supports_bin_ids(
-        query.resolution.spatial, query.resolution.temporal
-    ):
-        frame, _, stats = _scan_frame(blocks, query)
-        return _frame_to_cells(frame, query), stats
-
-    snapped_box = query.snapped_bbox()
-    snapped_time = query.snapped_time_range()
-    out: dict[CellKey, SummaryVector] = {}
-    bytes_read = 0
-    records = 0
-    for block in blocks:
-        bytes_read += block.nbytes
-        records += len(block)
-        batch = block.batch.filter_bbox(snapped_box).filter_time(snapped_time)
-        if len(batch) == 0:
-            continue
-        keys = batch.bin_keys(query.resolution.spatial, query.resolution.temporal)
-        for label, vector in grouped_summaries_scalar(
-            keys, batch.attributes
-        ).items():
-            cell_key = CellKey.parse(str(label))
-            existing = out.get(cell_key)
-            out[cell_key] = vector if existing is None else existing.merge(vector)
-    stats = ScanStats(
-        blocks_read=len(blocks), bytes_read=bytes_read, records_scanned=records
-    )
-    return out, stats
+    if not frames:
+        return {}, stats
+    return frame_to_cells(SummaryFrame.merge_all(frames), query.resolution), stats
 
 
 def ground_truth_cells(
@@ -331,25 +282,11 @@ def ground_truth_cells(
     )
     if len(sub) == 0:
         return {}
-    precision = query.resolution.spatial
-    resolution = query.resolution.temporal
-    if supports_bin_ids(precision, resolution):
-        frame = SummaryFrame.from_groups(
-            sub.bin_ids(precision, resolution), sub.attributes
-        )
-        pairs = decode_bin_ids(frame.ids, precision, resolution)
-        out = {
-            CellKey(geohash=gh, time_key=key): vector
-            for (gh, key), vector in zip(pairs, frame.vectors())
-        }
-    else:
-        keys = sub.bin_keys(precision, resolution)
-        out = {
-            CellKey.parse(str(label)): vector
-            for label, vector in grouped_summaries_scalar(
-                keys, sub.attributes
-            ).items()
-        }
+    frame = SummaryFrame.from_groups(
+        sub.bin_ids(query.resolution.spatial, query.resolution.temporal),
+        sub.attributes,
+    )
+    out = frame_to_cells(frame, query.resolution)
     if query.attributes is not None:
         out = {key: vec.project(list(query.attributes)) for key, vec in out.items()}
     if query.polygon is not None:

@@ -392,9 +392,7 @@ class StorageNode:
         blocks = self.local_blocks(block_ids)
         for block in blocks:
             yield self.disk.read(block.nbytes, parent=span if span else parent)
-        cells, stats = scan_blocks(
-            blocks, query, columnar=self.config.columnar_scan
-        )
+        cells, stats = scan_blocks(blocks, query)
         cpu = stats.records_scanned * self.cost.scan_cost_per_record
         if span is not None and cpu > 0:
             self.tracer.record(

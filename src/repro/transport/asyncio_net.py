@@ -27,7 +27,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import logging
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Coroutine, Generator, Iterable
 
 from repro.errors import NetworkError
 from repro.faults.membership import RPC_FAILED
@@ -36,7 +36,6 @@ from repro.obs.tracer import Span, Tracer
 from repro.sim.engine import AllOf, AnyOf, Event, Process, Timeout
 from repro.sim.network import Message
 from repro.sim.resources import Store
-from repro.transport import codec
 from repro.transport.base import Transport
 from repro.transport.framing import FrameDecoder, encode_frame
 
@@ -200,7 +199,7 @@ class RemoteReply:
 
 
 class _PeerLink:
-    """One outbound connection to a peer: connect task + FIFO frame queue."""
+    """One outbound connection to a peer: FIFO frame queue + reader task."""
 
     def __init__(self, peer_id: str, host: str, port: int):
         self.peer_id = peer_id
@@ -208,7 +207,6 @@ class _PeerLink:
         self.port = port
         self.outbox: asyncio.Queue[bytes] = asyncio.Queue()
         self.sent_ids: set[str] = set()
-        self.task: asyncio.Task | None = None
         self.reader_task: asyncio.Task | None = None
         self.writer: asyncio.StreamWriter | None = None
         self.dead = False
@@ -252,9 +250,11 @@ class AsyncioNetwork:
         self._controller: asyncio.Queue[tuple[Any, asyncio.StreamWriter]] = (
             asyncio.Queue()
         )
-        self._controller_task: asyncio.Task | None = None
         self._server: asyncio.base_events.Server | None = None
-        self._inbound_tasks: set[asyncio.Task] = set()
+        #: Every task this network started (controller, inbound handlers,
+        #: per-link connect/reader/writer loops, pending drains);
+        #: :meth:`close` cancels and awaits them all.
+        self._tasks: set[asyncio.Task] = set()
         self._drain_locks: dict[int, asyncio.Lock] = {}
         self._closed = False
         self.messages_sent = 0
@@ -342,7 +342,7 @@ class AsyncioNetwork:
     ) -> tuple[str, int]:
         """Listen for inbound peers; returns the bound (host, port)."""
         self._server = await asyncio.start_server(self._on_inbound, host, port)
-        self._controller_task = self._loop.create_task(self._run_controller())
+        self._spawn(self._run_controller())
         sockname = self._server.sockets[0].getsockname()
         return sockname[0], sockname[1]
 
@@ -351,8 +351,8 @@ class AsyncioNetwork:
     ) -> None:
         task = asyncio.current_task()
         if task is not None:
-            self._inbound_tasks.add(task)
-            task.add_done_callback(self._inbound_tasks.discard)
+            self._tasks.add(task)
+            task.add_done_callback(self._tasks.discard)
         try:
             await self._read_frames(reader, writer)
         except asyncio.CancelledError:
@@ -438,6 +438,13 @@ class AsyncioNetwork:
 
     # -- client side -------------------------------------------------------
 
+    def _spawn(self, coro: Coroutine[Any, Any, Any]) -> asyncio.Task:
+        """Start a task this network owns (see :meth:`close`)."""
+        task = self._loop.create_task(coro)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+        return task
+
     def _link_for(self, peer_id: str) -> _PeerLink:
         link = self._links.get(peer_id)
         if link is not None and not link.dead:
@@ -449,7 +456,7 @@ class AsyncioNetwork:
                 f"peer {self.peer_id} has no address for {peer_id!r}"
             ) from None
         link = _PeerLink(peer_id, host, port)
-        link.task = self._loop.create_task(self._run_link(link))
+        self._spawn(self._run_link(link))
         self._links[peer_id] = link
         return link
 
@@ -471,9 +478,7 @@ class AsyncioNetwork:
             # Replies to our outbound requests come back on this socket.
             # Reader EOF (the peer closed or died) must fail the link even
             # while the writer loop sits idle waiting for the next frame.
-            link.reader_task = self._loop.create_task(
-                self._read_frames(reader, writer)
-            )
+            link.reader_task = self._spawn(self._read_frames(reader, writer))
 
             async def _writer_loop() -> None:
                 while True:
@@ -481,7 +486,7 @@ class AsyncioNetwork:
                     writer.write(data)
                     await writer.drain()
 
-            write_task = self._loop.create_task(_writer_loop())
+            write_task = self._spawn(_writer_loop())
             done, pending = await asyncio.wait(
                 {link.reader_task, write_task},
                 return_when=asyncio.FIRST_COMPLETED,
@@ -538,7 +543,7 @@ class AsyncioNetwork:
                 except (ConnectionError, OSError):
                     pass
 
-        self._loop.create_task(_drain())
+        self._spawn(_drain())
 
     # -- transport ---------------------------------------------------------
 
@@ -670,8 +675,6 @@ class AsyncioNetwork:
             return
         self._closed = True
         for link in list(self._links.values()):
-            if link.task is not None:
-                link.task.cancel()
             self._fail_link(link)
         for wire_id, pending in sorted(self._pending.items()):
             if isinstance(pending, RemoteReply):
@@ -679,14 +682,16 @@ class AsyncioNetwork:
             if not pending.triggered:
                 pending.succeed(RPC_FAILED)
         self._pending.clear()
-        if self._controller_task is not None:
-            self._controller_task.cancel()
-        for task in list(self._inbound_tasks):
+        # Cancelling a link task lands on its ``asyncio.wait``, which
+        # skips the clean-up of the nested writer loop — so every task is
+        # tracked and cancelled here, not just the outermost ones.
+        tasks = list(self._tasks)
+        for task in tasks:
             task.cancel()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        await asyncio.sleep(0)  # let cancellations unwind
+        await asyncio.gather(*tasks, return_exceptions=True)
 
 
 class AsyncioTransport(Transport):

@@ -5,8 +5,7 @@ byte encoding.  The codec lowers a payload into a *tagged tree* — plain
 JSON-compatible structure where every non-JSON type (tuples, sets,
 ``CellKey``-keyed dicts, query/summary/geometry objects, RPC sentinels,
 exceptions) becomes a ``{"__t": tag, ...}`` node — then serializes the
-tree with msgpack when available, JSON otherwise (the container may not
-ship msgpack; the codec must not require it).
+tree as compact JSON.
 
 Faithfulness requirements, in equivalence-suite order of importance:
 
@@ -25,11 +24,6 @@ from __future__ import annotations
 import base64
 import json
 from typing import Any
-
-try:  # optional accelerator; JSON is the universal fallback
-    import msgpack  # type: ignore[import-not-found]
-except ImportError:  # pragma: no cover - environment-dependent
-    msgpack = None
 
 import numpy as np
 
@@ -221,23 +215,13 @@ def _lift(node: Any) -> Any:
 
 def encode(value: Any) -> bytes:
     """Serialize one payload value to bytes."""
-    tree = _lower(value)
-    if msgpack is not None:
-        return msgpack.packb(tree, use_bin_type=True)
     # separators: canonical compact form; allow_nan lets ±inf through
     # (AttributeSummary.empty() carries them by design).
-    return json.dumps(tree, separators=(",", ":"), allow_nan=True).encode("utf-8")
+    return json.dumps(
+        _lower(value), separators=(",", ":"), allow_nan=True
+    ).encode("utf-8")
 
 
 def decode(data: bytes) -> Any:
     """Inverse of :func:`encode`."""
-    if msgpack is not None:
-        tree = msgpack.unpackb(data, raw=False, strict_map_key=False)
-    else:
-        tree = json.loads(data.decode("utf-8"))
-    return _lift(tree)
-
-
-def codec_name() -> str:
-    """Which serializer backs the wire format in this process."""
-    return "msgpack" if msgpack is not None else "json"
+    return _lift(json.loads(data.decode("utf-8")))

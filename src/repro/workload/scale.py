@@ -3,7 +3,7 @@
 :mod:`repro.workload.sessions` builds gesture walks one query object at
 a time — fine for hundreds of users, hopeless for the million-user
 traffic the north star asks for.  This module synthesizes whole user
-populations *columnar*: every user's pan/zoom/drill session is a row in
+populations *as columns*: every user's pan/zoom/drill session is a row in
 a set of numpy arrays, advanced one gesture step at a time with
 vectorized state updates, so a million 8-step sessions cost a few dozen
 array operations instead of eight million Python calls.

@@ -10,6 +10,7 @@ from repro.geo.resolution import Resolution
 from repro.geo.temporal import TemporalResolution, TimeKey
 from repro.query.model import AggregationQuery
 from repro.storage.backend import ground_truth_cells
+from tests.reference import scan_blocks_reference
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +48,41 @@ class TestCorrectness:
         assert set(result.cells) == set(truth)
         for key, vec in result.cells.items():
             assert vec.approx_equal(truth[key])
+
+    def test_multi_shard_multi_day_cells_are_pinned(self, system, dataset):
+        """The shard scan bins on packed ids; the answer must be the one
+        the string-label reference scan gives — same cells, same order,
+        same bits (group order and float summation order preserved) —
+        and agree with the ground truth."""
+        query = AggregationQuery(
+            bbox=BoundingBox(28, 48, -120, -90),
+            time_range=TimeKey.of(2013, 2).epoch_range(),
+            resolution=Resolution(3, TemporalResolution.DAY),
+        )
+        result = system.run_query(query)
+
+        expected = {}
+        shards_hit = 0
+        for node_id in sorted(system.nodes):  # the coordinator's merge order
+            chunks = []
+            for shard in system.nodes[node_id].shards:
+                matching = [chunk for _, chunk in shard.matching_chunks(query)]
+                shards_hit += bool(matching)
+                chunks.extend(matching)
+            for key, vec in scan_blocks_reference(chunks, query).items():
+                existing = expected.get(key)
+                expected[key] = vec if existing is None else existing.merge(vec)
+        assert shards_hit > 12
+        assert len({key.time_key for key in expected}) > 1
+        assert result.cells == expected
+        assert list(result.cells) == list(expected)
+
+        # Against the single-pass oracle: keys, counts and extrema are
+        # exact; sums differ only by per-shard partial-sum rounding.
+        truth = ground_truth_cells(dataset, query)
+        assert set(result.cells) == set(truth)
+        for key, vec in result.cells.items():
+            assert vec.approx_equal(truth[key], rel=1e-12)
 
     def test_repeat_query_still_correct(self, system, dataset):
         query = make_query()

@@ -32,7 +32,7 @@ def fake_report(scale: float = 1.0, **meta_overrides) -> dict:
     }
     meta.update(meta_overrides)
     return {
-        "schema": "stash-bench-kernels/v2",
+        "schema": "stash-bench-kernels/v3",
         "quick": True,
         "sizes": [2_000],
         "repeats": 2,
@@ -40,12 +40,9 @@ def fake_report(scale: float = 1.0, **meta_overrides) -> dict:
         "meta": meta,
         "kernels": {
             "freshness": {
-                "2000": {
-                    "vectorized_s": 0.002 * scale,
-                    "scalar_s": 0.080 * scale,
-                    "speedup": 40.0,
-                }
+                "2000": {"footprint_keys": 512, "seconds": 0.002 * scale}
             },
+            "plan": {"2000": {"footprint_keys": 512, "seconds": 0.080 * scale}},
             "eviction": {"2000": {"seconds": 0.004 * scale}},
         },
     }
@@ -63,7 +60,7 @@ class TestCompareReports:
         assert verdict["status"] == "regression"
         assert verdict["regressions"] == 3
         regressed = [r["metric"] for r in verdict["rows"] if r.get("regressed")]
-        assert "freshness@2000/vectorized_s" in regressed
+        assert "freshness@2000/seconds" in regressed
         assert "eviction@2000/seconds" in regressed
 
     def test_env_mismatch_refused(self):
@@ -90,9 +87,7 @@ class TestCompareReports:
         rerun = copy.deepcopy(fresh)
         for by_size in rerun["kernels"].values():
             for entry in by_size.values():
-                for field in ("vectorized_s", "scalar_s", "seconds"):
-                    if field in entry:
-                        entry[field] *= 1.6
+                entry["seconds"] *= 1.6
         verdict = compare_reports(baseline, fresh, rerun=rerun)
         assert verdict["status"] == "ok"
         for row in verdict["rows"]:
@@ -115,8 +110,8 @@ class TestCompareReports:
     def test_flatten_metrics_names(self):
         metrics = flatten_metrics(fake_report())
         assert set(metrics) == {
-            "freshness@2000/vectorized_s",
-            "freshness@2000/scalar_s",
+            "freshness@2000/seconds",
+            "plan@2000/seconds",
             "eviction@2000/seconds",
         }
 
@@ -153,10 +148,7 @@ class TestBenchCheckCli:
         baseline = json.loads(real_baseline.read_text())
         for by_size in baseline["kernels"].values():
             for entry in by_size.values():
-                for field in ("vectorized_s", "scalar_s", "memoized_s",
-                              "naive_s", "seconds"):
-                    if isinstance(entry.get(field), float):
-                        entry[field] /= 8.0
+                entry["seconds"] /= 8.0
         doctored = tmp_path / "doctored.json"
         doctored.write_text(json.dumps(baseline))
         verdict_path = tmp_path / "verdict.json"
@@ -186,24 +178,28 @@ class TestBenchCheckCli:
         assert DEFAULT_THRESHOLD == 1.5
 
     def test_grouped_aggregation_metrics_are_covered(self, real_baseline):
-        """The columnar scan kernel is part of the regression surface:
-        both its vectorized and scalar timings flatten into compared
-        metrics (quick mode runs 20k records)."""
+        """The scan kernel is part of the regression surface, and only
+        production-function timings are: every flattened metric is a
+        ``seconds`` field (quick mode runs 20k records)."""
         baseline = json.loads(real_baseline.read_text())
+        assert baseline["schema"] == "stash-bench-kernels/v3"
         metrics = flatten_metrics(baseline)
-        assert "grouped_aggregation@20000/vectorized_s" in metrics
-        assert "grouped_aggregation@20000/scalar_s" in metrics
+        assert "grouped_aggregation@20000/seconds" in metrics
+        assert all(name.endswith("/seconds") for name in metrics)
+        for by_size in baseline["kernels"].values():
+            for entry in by_size.values():
+                assert not {"scalar_s", "naive_s", "speedup"} & set(entry)
 
     def test_grouped_aggregation_regression_exits_one(
         self, real_baseline, tmp_path, capsys
     ):
-        """A slowdown in the columnar kernel alone must fail the check."""
+        """A slowdown in the scan kernel alone must fail the check."""
         baseline = json.loads(real_baseline.read_text())
         entry = baseline["kernels"]["grouped_aggregation"]["20000"]
-        entry["vectorized_s"] /= 16.0
+        entry["seconds"] /= 16.0
         doctored = tmp_path / "agg-doctored.json"
         doctored.write_text(json.dumps(baseline))
         code = main(["bench", "check", "--baseline", str(doctored)])
         assert code == 1
         out = capsys.readouterr().out
-        assert "grouped_aggregation@20000/vectorized_s" in out
+        assert "grouped_aggregation@20000/seconds" in out

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.config import EvictionConfig, FreshnessConfig
 from repro.core.cell import Cell
 from repro.core.eviction import EvictionPolicy
-from repro.core.freshness import FreshnessTracker, neighborhood_ring, query_ring
+from repro.core.freshness import FreshnessTracker, query_ring
 from repro.core.graph import StashGraph
 from repro.core.keys import CellKey
 from repro.data.block import BlockId
@@ -16,6 +16,7 @@ from repro.errors import CacheError
 from repro.geo import geohash as gh
 from repro.geo.resolution import ResolutionSpace
 from repro.geo.temporal import TimeKey
+from tests.reference import neighborhood_ring
 
 SPACE = ResolutionSpace(1, 8)
 DAY = TimeKey.of(2013, 2, 2)

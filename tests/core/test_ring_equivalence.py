@@ -2,8 +2,8 @@
 
 :func:`repro.core.freshness.query_ring` computes the dispersion ring
 from box geometry in O(perimeter + cover); it must produce exactly the
-same cell set as the general O(cells x 10) :func:`neighborhood_ring`
-for every rectangular query, including the degenerate shapes the query
+same cell set as the general O(cells x 10) reference
+(:func:`tests.reference.neighborhood_ring`) for every rectangular query, including the degenerate shapes the query
 path actually emits (single-cell covers, single time bins, time ranges
 that end exactly on bin boundaries).
 """
@@ -11,12 +11,13 @@ that end exactly on bin boundaries).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.freshness import neighborhood_ring, query_ring
+from repro.core.freshness import query_ring
 from repro.geo import geohash as gh
 from repro.geo.bbox import BoundingBox
 from repro.geo.resolution import Resolution
 from repro.geo.temporal import TemporalResolution, TimeKey, TimeRange
 from repro.query.model import AggregationQuery
+from tests.reference import neighborhood_ring
 
 DAY = TimeKey.of(2013, 2, 2)
 

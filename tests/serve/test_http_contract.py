@@ -261,6 +261,25 @@ BAD_REQUESTS = [
         {"query": {**QUERY, "spatial": 1}, "direction": "up"},
         "invalid_resolution",
     ),
+    # Well-formed, but outside what the backend can serve: past the
+    # cluster's ResolutionSpace (1..8) ...
+    ("/aggregate", {**QUERY, "spatial": 9}, "invalid_resolution"),
+    ("/aggregate", {**QUERY, "spatial": 12}, "invalid_resolution"),
+    ("/search", {**QUERY, "spatial": 9}, "invalid_resolution"),
+    ("/drill", {"query": {**QUERY, "spatial": 9}}, "invalid_resolution"),
+    (
+        "/drill",
+        {"query": {**QUERY, "spatial": 8}, "direction": "down"},
+        "invalid_resolution",
+    ),
+    # ... or inside it with a footprint past the engine's cell cap.
+    ("/aggregate", {**QUERY, "spatial": 8}, "invalid_resolution"),
+    ("/search", {**QUERY, "spatial": 8}, "invalid_resolution"),
+    (
+        "/drill",
+        {"query": {**QUERY, "spatial": 7}, "direction": "down"},
+        "invalid_resolution",
+    ),
 ]
 
 
@@ -276,6 +295,54 @@ class TestStructuredErrors:
         assert set(reply) == {"code", "error"}
         assert reply["code"] == code
         assert isinstance(reply["error"], str) and reply["error"]
+
+    def test_unservable_resolution_never_reaches_backend_or_cache(self, server):
+        entries = server.cache.stats()["entries"]
+        for _ in range(2):
+            status, reply, headers = http_post(
+                server.url, "/aggregate", {**QUERY, "spatial": 8}
+            )
+            assert (status, reply["code"]) == (400, "invalid_resolution")
+            assert "X-Cache" not in headers
+        assert server.cache.stats()["entries"] == entries
+
+    @pytest.mark.parametrize("engine", ["basic", "elastic"])
+    def test_unservable_resolution_on_engines_without_a_graph(self, engine):
+        """Engines that hold no ResolutionSpace serve the default one."""
+        scale = BenchScale.unit()
+        backend = SimBackend(
+            make_system(engine, bench_dataset(scale), bench_config(scale))
+        )
+        with StashHttpServer(backend) as running:
+            for spatial in (9, 8):
+                status, reply, _ = http_post(
+                    running.url, "/aggregate", {**QUERY, "spatial": spatial}
+                )
+                assert (status, reply["code"]) == (400, "invalid_resolution")
+                assert reply["error"]
+        backend.close()
+
+    def test_facade_adopts_a_narrower_cluster_space(self):
+        from repro.core.cluster import StashCluster
+        from repro.geo.resolution import ResolutionSpace
+
+        scale = BenchScale.unit()
+        cluster = StashCluster(
+            bench_dataset(scale), bench_config(scale), space=ResolutionSpace(2, 4)
+        )
+        with StashHttpServer(SimBackend(cluster)) as running:
+            for body in (
+                {**QUERY, "spatial": 5},
+                {**QUERY, "spatial": 1},
+            ):
+                status, reply, _ = http_post(running.url, "/aggregate", body)
+                assert (status, reply["code"]) == (400, "invalid_resolution")
+            status, reply, _ = http_post(
+                running.url, "/drill", {"query": {**QUERY, "spatial": 4}}
+            )
+            assert (status, reply["code"]) == (400, "invalid_resolution")
+            status, _, _ = http_post(running.url, "/aggregate", {**QUERY, "spatial": 4})
+            assert status == 200
 
     def test_body_that_is_not_json(self, url):
         status, reply, _ = http_post(url, "/aggregate", None, raw=b"{nope")

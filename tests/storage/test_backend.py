@@ -7,12 +7,13 @@ from repro.data.block import BlockId
 from repro.data.generator import small_test_dataset
 from repro.data.statistics import SummaryVector
 from repro.dht.partitioner import PrefixPartitioner
-from repro.errors import StorageError
+from repro.errors import StorageError, TemporalError
 from repro.geo.bbox import BoundingBox
 from repro.geo.resolution import Resolution
 from repro.geo.temporal import TemporalResolution, TimeKey
 from repro.query.model import AggregationQuery
 from repro.storage.backend import StorageCatalog, ground_truth_cells, scan_blocks
+from tests.reference import scan_blocks_reference
 
 NODES = [f"node-{i}" for i in range(6)]
 
@@ -146,16 +147,37 @@ class TestScanKernel:
             assert vec.approx_equal(cells[key].project(["temperature"]))
 
     def test_scan_columnar_matches_scalar(self, catalog):
-        """The columnar (bin-id + SummaryFrame) scan is bitwise identical
-        to the frozen scalar string-label path, cell order included."""
+        """The bin-id + SummaryFrame scan is bitwise identical to the
+        frozen string-label reference scan, cell order included."""
         query = make_query()
         block_ids = catalog.blocks_for_query(query)
         blocks = [catalog.get_block(b) for b in block_ids]
-        columnar, stats_c = scan_blocks(blocks, query, columnar=True)
-        scalar, stats_s = scan_blocks(blocks, query, columnar=False)
-        assert columnar == scalar
-        assert list(columnar) == list(scalar)
-        assert stats_c == stats_s
+        cells, stats = scan_blocks(blocks, query)
+        reference = scan_blocks_reference([b.batch for b in blocks], query)
+        assert cells == reference
+        assert list(cells) == list(reference)
+        assert stats.records_scanned == sum(len(b) for b in blocks)
+
+    def test_pair_outside_packed_domain_raises(self, catalog, batch):
+        """Precision 9 at DAY needs 65 bits: the scan layer says so with
+        a TemporalError naming the bit budget — there is no string-label
+        detour behind it any more."""
+        lat, lon, epoch = (
+            float(column[0]) for column in (batch.lats, batch.lons, batch.epochs)
+        )
+        query = AggregationQuery(
+            bbox=BoundingBox(lat - 1e-6, lat + 1e-6, lon - 1e-6, lon + 1e-6),
+            time_range=TimeKey.from_epoch(
+                epoch, TemporalResolution.DAY
+            ).epoch_range(),
+            resolution=Resolution(9, TemporalResolution.DAY),
+        )
+        blocks = [catalog.get_block(b) for b in catalog.blocks_for_query(query)]
+        assert blocks
+        with pytest.raises(TemporalError, match=r"65 bits .* max is 64"):
+            scan_blocks(blocks, query)
+        with pytest.raises(TemporalError, match=r"65 bits .* max is 64"):
+            ground_truth_cells(batch, query)
 
     def test_ground_truth_no_matches(self, batch):
         query = make_query(day=(2013, 6, 6))  # outside February dataset

@@ -325,3 +325,27 @@ class TestSocketRpc:
             return received
 
         assert asyncio.run(main()) == [{"view": 1}]
+
+
+class TestTaskLifetime:
+    def test_aclose_leaves_no_tasks_behind(self):
+        """Every task a transport started — the per-link connect task,
+        the reader, the writer loop nested in it, pending drains, the
+        controller and inbound handlers — is gone once ``aclose``
+        returns; callers need no ``all_tasks()`` reaping of their own."""
+
+        async def main():
+            peers = await _make_peers("peer-a", "peer-b")
+            _echo_service(peers["peer-b"])
+            client = peers["peer-a"]
+            reply = client.network.request(
+                "peer-a", "peer-b", "echo", {"x": 1}, size=16
+            )
+            await asyncio.wait_for(client.engine.as_future(reply), timeout=10)
+            busy = len(asyncio.all_tasks())
+            await _close_all(peers)
+            return busy, asyncio.all_tasks() - {asyncio.current_task()}
+
+        busy, leftover = asyncio.run(main())
+        assert busy > 1  # the RPC really did start link tasks
+        assert leftover == set()

@@ -19,7 +19,6 @@ from repro.query.model import AggregationQuery
 from repro.transport.codec import (
     CodecError,
     RemoteRpcError,
-    codec_name,
     decode,
     encode,
 )
@@ -170,10 +169,6 @@ class TestRpcSemantics:
             "completeness": 1.0,
         }
         assert roundtrip(payload) == payload
-
-
-def test_codec_name_reports_backend():
-    assert codec_name() in ("msgpack", "json")
 
 
 def test_network_error_roundtrip():
