@@ -55,8 +55,7 @@ class BasicNode(StorageNode):
         partials: list[dict[CellKey, SummaryVector]] = (
             yield self.sim.all_of(events)
         ) if events else []
-        merged: dict[CellKey, SummaryVector] = {}
-        merges = 0
+        answered: list[dict[CellKey, SummaryVector]] = []
         blocks_unread = 0
         legs_failed = 0
         for nblocks, cells in zip(leg_blocks, partials):
@@ -67,36 +66,9 @@ class BasicNode(StorageNode):
                 blocks_unread += nblocks
                 self.counters.increment("scan_legs_failed")
                 continue
-            for key, vec in cells.items():
-                existing = merged.get(key)
-                if existing is None:
-                    merged[key] = vec
-                else:
-                    merged[key] = existing.merge(vec)
-                    merges += 1
-        if merges:
-            cpu = merges * self.cost.cell_merge_cost
-            if self.tracer.enabled:
-                self.tracer.record(
-                    "merge:partials",
-                    "compute",
-                    self.sim.now,
-                    self.sim.now + cpu,
-                    parent=message.span,
-                    node=self.node_id,
-                    attrs={"merges": merges},
-                )
-            yield self.sim.timeout(cpu)
-        if query.polygon is not None:
-            # Scans cover the polygon's bounding box; keep only the cells
-            # of the polygonal footprint.
-            wanted = set(query.footprint())
-            merged = {k: v for k, v in merged.items() if k in wanted}
-        if query.attributes is not None:
-            # Scans aggregate every attribute; the selection is applied
-            # here at the response boundary.
-            selection = list(query.attributes)
-            merged = {k: v.project(selection) for k, v in merged.items()}
+            answered.append(cells)
+        merged = yield from self._merge_partials(answered, message.span)
+        merged = self._shape_response_cells(query, merged)
         response = {
             "cells": merged,
             "provenance": {

@@ -269,8 +269,7 @@ class ElasticNode(StorageNode):
                     )
                 )
         partials = yield self.sim.all_of(events)
-        merged: dict[CellKey, SummaryVector] = {}
-        merges = 0
+        answered: list[dict[CellKey, SummaryVector]] = []
         from_cache = from_disk = blocks_read = 0
         legs_failed = 0
         for partial in partials:
@@ -286,34 +285,10 @@ class ElasticNode(StorageNode):
             else:
                 from_disk += stats["cells"]
             blocks_read += stats["chunks_read"]
-            for cell_key, vec in partial["cells"].items():
-                existing = merged.get(cell_key)
-                if existing is None:
-                    merged[cell_key] = vec
-                else:
-                    merged[cell_key] = existing.merge(vec)
-                    merges += 1
-        if merges:
-            cpu = merges * self.cost.cell_merge_cost
-            if self.tracer.enabled:
-                self.tracer.record(
-                    "merge:partials",
-                    "compute",
-                    self.sim.now,
-                    self.sim.now + cpu,
-                    parent=message.span,
-                    node=self.node_id,
-                    attrs={"merges": merges},
-                )
-            yield self.sim.timeout(cpu)
-        if query.polygon is not None:
-            wanted = set(query.footprint())
-            merged = {k: v for k, v in merged.items() if k in wanted}
-        if query.attributes is not None:
-            # Shard scans (and the request cache) hold every attribute;
-            # the selection is applied here at the response boundary.
-            selection = list(query.attributes)
-            merged = {k: v.project(selection) for k, v in merged.items()}
+            answered.append(partial["cells"])
+        merged = yield from self._merge_partials(answered, message.span)
+        # Shard scans (and the request cache) hold every attribute.
+        merged = self._shape_response_cells(query, merged)
         response = {
             "cells": merged,
             "provenance": {

@@ -158,7 +158,7 @@ class StashCluster(DistributedSystem):
     def submit_cells(self, query: AggregationQuery, keys: list[CellKey]):
         """Submit a partial query for an explicit cell-key list."""
         self.start()
-        return self.sim.process(self._client_cells_request(query, keys))
+        return self.sim.process(self.client.request(query, keys))
 
     def run_cells(self, query: AggregationQuery, keys: list[CellKey]):
         """Resolve exactly ``keys`` (all within ``query``'s extent).
@@ -170,50 +170,6 @@ class StashCluster(DistributedSystem):
         the cells it is missing.
         """
         return self.sim.run(until=self.submit_cells(query, keys))
-
-    def _client_cells_request(self, query: AggregationQuery, keys: list[CellKey]):
-        from repro.query.model import QueryResult
-        from repro.system import CLIENT_ID
-
-        started = self.sim.now
-        coordinator = self.coordinator_for(query)
-        root = self.tracer.begin(
-            "query:cells", "compute", node=CLIENT_ID, query_id=query.query_id
-        )
-        ctx = self.recorder.context(query.query_id)
-        reply = yield self.network.request(
-            CLIENT_ID,
-            coordinator,
-            "evaluate_cells",
-            {"query": query, "cells": keys, "ctx": ctx},
-            size=256 + 32 * len(keys),
-            parent=root,
-        )
-        latency = self.sim.now - started
-        self.latencies.record(latency)
-        self.timeline.record_completion(self.sim.now)
-        self.recorder.record_query(
-            kind=query.kind,
-            coordinator=coordinator,
-            latency=latency,
-            completeness=float(reply.get("completeness", 1.0)),
-            ctx=ctx,
-        )
-        attribution = None
-        if root is not None:
-            self.tracer.end(root)
-            from repro.obs.critical_path import attribute_span
-
-            attribution = attribute_span(root)
-            self.attributions.record(attribution)
-        return QueryResult(
-            query=query,
-            cells=reply["cells"],
-            latency=latency,
-            provenance=reply.get("provenance", {}),
-            attribution=attribution,
-            completeness=float(reply.get("completeness", 1.0)),
-        )
 
     def flush_caches(self) -> int:
         """Drop every cached cell — local graphs, guest graphs, cliques.

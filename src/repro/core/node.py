@@ -1028,9 +1028,8 @@ class StashNode(StorageNode):
                 )
         partials = (yield self.sim.all_of(events)) if events else []
 
-        scanned: dict[CellKey, SummaryVector] = {}
+        answered: list[dict[CellKey, SummaryVector]] = []
         unread_blocks: set[BlockId] = set()
-        merges = 0
         for (node_id, ids), cells in zip(scan_legs, partials):
             if not rpc_ok(cells):
                 # Blocks on a dead node are unreadable until it restarts;
@@ -1045,26 +1044,8 @@ class StashNode(StorageNode):
                 )
                 unread_blocks.update(ids)
                 continue
-            for key, vec in cells.items():
-                existing = scanned.get(key)
-                if existing is None:
-                    scanned[key] = vec
-                else:
-                    scanned[key] = existing.merge(vec)
-                    merges += 1
-        if merges:
-            cpu = merges * self.cost.cell_merge_cost
-            if self.tracer.enabled:
-                self.tracer.record(
-                    "merge:partials",
-                    "compute",
-                    self.sim.now,
-                    self.sim.now + cpu,
-                    parent=parent,
-                    node=self.node_id,
-                    attrs={"merges": merges},
-                )
-            yield self.sim.timeout(cpu)
+            answered.append(cells)
+        scanned = yield from self._merge_partials(answered, parent)
 
         new_cells: dict[CellKey, SummaryVector] = {}
         unresolved: list[CellKey] = []

@@ -9,16 +9,10 @@ of either backend.
 """
 
 from repro.serve.driver import run_serve
-from repro.serve.http import (
-    BatchingSimBackend,
-    SimBackend,
-    SocketBackend,
-    StashHttpServer,
-)
+from repro.serve.http import SimBackend, SocketBackend, StashHttpServer
 
 __all__ = [
     "run_serve",
-    "BatchingSimBackend",
     "SimBackend",
     "SocketBackend",
     "StashHttpServer",

@@ -1,9 +1,9 @@
 """Client driver: replay a workload over sockets, cross-check the sim twin.
 
 The driver is the serve-mode analogue of
-:meth:`repro.system.DistributedSystem.run_serial`: it routes each query
-to its coordinator (same center-geohash rule), sends ``evaluate`` over
-the asyncio transport, and waits for the answer.  Between queries it
+:meth:`repro.system.DistributedSystem.run_serial`: it runs the same
+:class:`~repro.system.QueryClient` the simulator runs, over the asyncio
+transport's engine and network.  Between queries it
 runs a **quiesce barrier** — polling every node's ``stats`` endpoint
 until the whole cluster reports idle twice in a row — so background
 population lands before the next query, exactly like the sim twin's
@@ -25,27 +25,32 @@ from typing import Any, Callable, Sequence
 from repro.config import StashConfig
 from repro.data.generator import DatasetSpec, SyntheticNAMGenerator
 from repro.dht.partitioner import PrefixPartitioner
-from repro.errors import NetworkError, QueryError
-from repro.faults.membership import rpc_ok
-from repro.query.model import AggregationQuery
+from repro.errors import NetworkError
+from repro.faults.membership import ClusterMembership, rpc_ok
+from repro.obs.recorder import FlightRecorder
+from repro.obs.tracer import Tracer
+from repro.query.model import AggregationQuery, QueryResult
 from repro.serve.cluster import ServeCluster
-from repro.system import CLIENT_ID
+from repro.system import CLIENT_ID, QueryClient, coordinator_for
 from repro.transport.asyncio_net import AsyncioTransport
+
+__all__ = ["coordinator_for", "connect_client", "evaluate_serial", "run_serve"]
 
 #: Seconds between quiesce polls; consecutive clean rounds required.
 _QUIESCE_POLL = 0.02
 _QUIESCE_ROUNDS = 2
 
 
-def coordinator_for(
-    partitioner: PrefixPartitioner, query: AggregationQuery
-) -> str:
-    """Client-side routing: same center-geohash rule as the sim client."""
-    from repro.geo.geohash import encode
-
-    lat, lon = query.bbox.center
-    code = encode(lat, lon, partitioner.partition_precision)
-    return partitioner.node_for(code)
+async def _await(
+    transport: AsyncioTransport, event: Any, what: str, timeout: float
+) -> Any:
+    """An engine event's value, under the wall-clock guard."""
+    try:
+        return await asyncio.wait_for(
+            transport.engine.as_future(event), timeout=timeout
+        )
+    except asyncio.TimeoutError:
+        raise NetworkError(f"{what} took longer than {timeout}s wall") from None
 
 
 async def _rpc(
@@ -57,14 +62,7 @@ async def _rpc(
     timeout: float,
 ) -> Any:
     reply = transport.network.request(CLIENT_ID, recipient, kind, payload, size=size)
-    try:
-        value = await asyncio.wait_for(
-            transport.engine.as_future(reply), timeout=timeout
-        )
-    except asyncio.TimeoutError:
-        raise NetworkError(
-            f"{kind} RPC to {recipient} took longer than {timeout}s wall"
-        ) from None
+    value = await _await(transport, reply, f"{kind} RPC to {recipient}", timeout)
     if not rpc_ok(value):
         raise NetworkError(f"{kind} RPC to {recipient} failed: {value!r}")
     return value
@@ -99,19 +97,37 @@ async def _quiesce(
 
 
 async def connect_client(
-    addresses: dict[str, tuple[str, int]], config: StashConfig
-) -> AsyncioTransport:
+    node_ids: Sequence[str],
+    addresses: dict[str, tuple[str, int]],
+    config: StashConfig,
+) -> tuple[AsyncioTransport, QueryClient]:
     """Dial a running cluster as the client peer.
 
     Binds the client transport, learns the address map and pings every
-    node — one round trip per node proves every link dials and serves.
-    The caller owns the transport and ends it with ``aclose()``.
+    node — one round trip per node proves every link dials and serves —
+    then puts a :class:`~repro.system.QueryClient` on the transport's
+    engine and network, with the membership view ``build_node`` gives
+    every socket node.  The caller owns the transport and ends it with
+    ``aclose()``.
     """
     serve_cfg = config.serve
     transport = AsyncioTransport(CLIENT_ID, time_scale=serve_cfg.time_scale)
     await transport.start(serve_cfg.host, 0)
-    transport.network.register(CLIENT_ID)
-    transport.network.set_peers(addresses)
+    obs = config.observability
+    network = transport.network
+    network.tracer = Tracer(
+        transport.engine, enabled=obs.trace, max_spans=obs.max_spans
+    )
+    network.recorder = FlightRecorder(
+        transport.engine, enabled=obs.flight_recorder, slo_targets=obs.slo_targets
+    )
+    partitioner = PrefixPartitioner(
+        list(node_ids), config.cluster.partition_precision
+    )
+    client = QueryClient(
+        transport.engine, network, ClusterMembership(partitioner), config
+    )
+    network.set_peers(addresses)
     try:
         for node_id in addresses:
             await _rpc(
@@ -121,32 +137,32 @@ async def connect_client(
     except BaseException:
         await transport.aclose()
         raise
-    return transport
+    return transport, client
 
 
 async def evaluate_serial(
     transport: AsyncioTransport,
-    partitioner: PrefixPartitioner,
+    client: QueryClient,
     query: AggregationQuery,
-    config: StashConfig,
-) -> tuple[str, Any, float]:
-    """One query of a serial replay: route, ``evaluate``, quiesce.
+) -> tuple[QueryResult, float]:
+    """One query of a serial replay: the client's request, then quiesce.
 
-    Returns ``(coordinator, raw reply, wall seconds of the evaluate
-    round trip)``.  The quiesce barrier runs after the clock stops, so
-    background population has landed before the next query starts — the
-    byte-identity precondition.
+    Returns ``(result, wall seconds of the request)``.  The quiesce
+    barrier runs after the clock stops, so background population has
+    landed before the next query starts — the byte-identity
+    precondition.
     """
-    timeout = config.serve.quiesce_timeout
-    coordinator = coordinator_for(partitioner, query)
+    timeout = client.config.serve.quiesce_timeout
     started = time.monotonic()
-    reply = await _rpc(
-        transport, coordinator, "evaluate", {"query": query, "ctx": None},
-        size=512, timeout=timeout,
+    result = await _await(
+        transport,
+        transport.engine.process(client.request(query)),
+        f"query {query.query_id}",
+        timeout,
     )
     wall = time.monotonic() - started
-    await _quiesce(transport, partitioner.node_ids, timeout)
-    return coordinator, reply, wall
+    await _quiesce(transport, client.membership.live_nodes(), timeout)
+    return result, wall
 
 
 async def _replay_socket(
@@ -155,33 +171,19 @@ async def _replay_socket(
     config: StashConfig,
     addresses: dict[str, tuple[str, int]],
     progress: Callable[[str], None] | None,
-) -> list[dict[str, Any]]:
-    partitioner = PrefixPartitioner(
-        list(node_ids), config.cluster.partition_precision
-    )
-    transport = await connect_client(addresses, config)
-    answers: list[dict[str, Any]] = []
+) -> list[tuple[str, QueryResult, float]]:
+    """``(coordinator, result, wall seconds)`` per query, in order."""
+    transport, client = await connect_client(node_ids, addresses, config)
+    answers = []
     try:
         for index, query in enumerate(queries):
-            coordinator, reply, wall = await evaluate_serial(
-                transport, partitioner, query, config
-            )
-            if not isinstance(reply, dict) or "cells" not in reply:
-                raise QueryError(f"malformed evaluate reply: {reply!r}")
-            answers.append(
-                {
-                    "index": index,
-                    "coordinator": coordinator,
-                    "cells": reply["cells"],
-                    "completeness": float(reply.get("completeness", 1.0)),
-                    "provenance": reply.get("provenance", {}),
-                    "wall_latency_s": wall,
-                }
-            )
+            coordinator = client.coordinator_for(query)
+            result, wall = await evaluate_serial(transport, client, query)
+            answers.append((coordinator, result, wall))
             if progress is not None:
                 progress(
                     f"query {index + 1}/{len(queries)} via {coordinator}: "
-                    f"{len(reply['cells'])} cells in {wall * 1e3:.1f} ms wall"
+                    f"{len(result.cells)} cells in {wall * 1e3:.1f} ms wall"
                 )
     finally:
         await transport.aclose()
@@ -192,7 +194,7 @@ def _sim_twin_answers(
     queries: Sequence[AggregationQuery],
     dataset: DatasetSpec,
     config: StashConfig,
-) -> list[Any]:
+) -> list[QueryResult]:
     """The oracle: same dataset, same queries, discrete-event transport."""
     from repro.core.cluster import StashCluster
 
@@ -205,10 +207,10 @@ def _sim_twin_answers(
     return results
 
 
-def _diff_answer(socket_answer: dict[str, Any], sim_result: Any) -> list[str]:
+def _diff_answer(socket_result: QueryResult, sim_result: QueryResult) -> list[str]:
     """Byte-identity check for one query; returns divergence descriptions."""
     problems: list[str] = []
-    socket_cells = socket_answer["cells"]
+    socket_cells = socket_result.cells
     sim_cells = sim_result.cells
     missing = sim_cells.keys() - socket_cells.keys()
     extra = socket_cells.keys() - sim_cells.keys()
@@ -220,9 +222,9 @@ def _diff_answer(socket_answer: dict[str, Any], sim_result: Any) -> list[str]:
         if socket_cells[key] != sim_cells[key]:
             problems.append(f"summary mismatch at {key}")
             break  # one example is enough; the report stays readable
-    if socket_answer["completeness"] != sim_result.completeness:
+    if socket_result.completeness != sim_result.completeness:
         problems.append(
-            f"completeness {socket_answer['completeness']} "
+            f"completeness {socket_result.completeness} "
             f"!= sim {sim_result.completeness}"
         )
     return problems
@@ -263,13 +265,13 @@ def run_serve(
         "queries": len(queries),
         "answers": [
             {
-                "index": a["index"],
-                "coordinator": a["coordinator"],
-                "cells": len(a["cells"]),
-                "completeness": a["completeness"],
-                "wall_latency_s": a["wall_latency_s"],
+                "index": index,
+                "coordinator": coordinator,
+                "cells": len(result.cells),
+                "completeness": result.completeness,
+                "wall_latency_s": wall,
             }
-            for a in answers
+            for index, (coordinator, result, wall) in enumerate(answers)
         ],
         "sim_checked": bool(check_sim),
         "divergences": [],
@@ -277,11 +279,11 @@ def run_serve(
     }
     if check_sim:
         sim_results = _sim_twin_answers(queries, dataset, config)
-        for answer, sim_result in zip(answers, sim_results):
-            for problem in _diff_answer(answer, sim_result):
-                report["divergences"].append(
-                    {"index": answer["index"], "problem": problem}
-                )
+        for index, ((_, result, _), sim_result) in enumerate(
+            zip(answers, sim_results)
+        ):
+            for problem in _diff_answer(result, sim_result):
+                report["divergences"].append({"index": index, "problem": problem})
         report["ok"] = not report["divergences"]
         if progress is not None:
             progress(

@@ -13,14 +13,15 @@ search/aggregation service:
   spatial precision finer (``direction: down``) or coarser (``up``).
 
 The facade is backend-agnostic: :class:`SimBackend` serves straight
-from a simulated cluster (serial ``run_query`` + ``drain`` — the
-byte-identity preconditions of docs/serving.md), :class:`SocketBackend`
-drives a real :class:`~repro.transport.asyncio_net.AsyncioTransport`
-cluster through the PR-8 client driver, and
-:class:`BatchingSimBackend` admits genuinely concurrent HTTP traffic
-into one simulation (the overload/stress regime).  Whatever the
-backend, the response **body bytes** for a query must equal the sim
-twin's serialization of the same answer — the equivalence suite in
+from a simulated cluster (serial requests run ``run_query`` + ``drain``
+— the byte-identity preconditions of docs/serving.md; overlapping ones
+race inside the one simulation) and :class:`SocketBackend` drives a
+real :class:`~repro.transport.asyncio_net.AsyncioTransport` cluster
+through the serve driver.  Both return the
+:class:`~repro.query.model.QueryResult` the one
+:class:`~repro.system.QueryClient` produced.  Under serial traffic the
+response **body bytes** for a query must equal the sim twin's
+serialization of the same answer — the equivalence suite in
 ``tests/serve/test_equivalence.py`` holds the facade to that.
 
 Two deliberate caching rules (mirroring docs/fault-model.md): answers
@@ -37,21 +38,18 @@ import base64
 import binascii
 import hashlib
 import json
-import queue
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from collections import OrderedDict, deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
 from repro.config import StashConfig
 from repro.data.observation import OBSERVATION_ATTRIBUTES
-from repro.dht.partitioner import PrefixPartitioner
 from repro.errors import ReproError
 from repro.geo.bbox import BoundingBox
 from repro.geo.resolution import Resolution, ResolutionSpace
 from repro.geo.temporal import TemporalResolution, TimeRange
-from repro.query.model import AggregationQuery
+from repro.query.model import AggregationQuery, QueryResult
 from repro.serve.driver import connect_client, evaluate_serial
 from repro.workload.trace import query_to_dict
 
@@ -60,6 +58,10 @@ from repro.workload.trace import query_to_dict
 QUERY_KINDS = ("pan", "zoom", "drill", "other")
 
 _DRILL_DELTA = {"down": 1, "up": -1}
+
+#: Largest request body the edge will read; the largest legal body is a
+#: few hundred bytes.  A larger declared length is a 413, never a read.
+MAX_BODY_BYTES = 1 << 20
 
 
 class HttpError(ReproError):
@@ -114,7 +116,7 @@ def merged_summary(cells: dict) -> dict[str, dict[str, float]]:
     return SummaryVector.merge_all(ordered).to_json_dict()
 
 
-def aggregate_body(query: AggregationQuery, answer: "BackendAnswer") -> dict:
+def aggregate_body(query: AggregationQuery, answer: QueryResult) -> dict:
     """The /aggregate response body (also the twin's comparison form)."""
     return {
         "type": "aggregation",
@@ -129,7 +131,7 @@ def aggregate_body(query: AggregationQuery, answer: "BackendAnswer") -> dict:
 
 def search_body(
     query: AggregationQuery,
-    answer: "BackendAnswer",
+    answer: QueryResult,
     limit: int,
     offset: int,
 ) -> dict:
@@ -155,7 +157,7 @@ def search_body(
 
 
 def drill_body(
-    query: AggregationQuery, answer: "BackendAnswer", direction: str
+    query: AggregationQuery, answer: QueryResult, direction: str
 ) -> dict:
     body = aggregate_body(query, answer)
     body["type"] = "drill"
@@ -315,23 +317,21 @@ def parse_limit_offset(body: dict, default_limit: int, max_limit: int) -> tuple[
 # backends
 
 
-@dataclass
-class BackendAnswer:
-    """One evaluated query, backend-independent."""
-
-    cells: dict
-    completeness: float
-    provenance: dict
-    #: Wall (socket) or simulated (sim) seconds — volatile, header-only.
-    latency_s: float
-
-
 class SimBackend:
-    """Serial facade over a simulated cluster (the byte-identity regime).
+    """Facade over a simulated cluster, serial or racing as traffic is.
 
-    One query at a time under a lock, each followed by ``drain()`` — the
-    HTTP analogue of the serve driver's quiesce barrier, so cache state
-    evolves exactly as in a serial sim replay.
+    A handler thread appends its query to the pending list and takes the
+    lock; whichever thread holds the lock evaluates everything pending
+    and hands the answers back.  A lone request therefore runs inline on
+    its own thread — ``run_query`` then ``drain()``, the HTTP analogue
+    of the serve driver's quiesce barrier, so under serial traffic cache
+    state evolves exactly as in a serial sim replay (the byte-identity
+    regime).  Requests that arrive while one is being evaluated go into
+    the simulator together (``run_concurrent``) and genuinely race there
+    — queueing delay builds up, admission shedding and the circuit
+    breaker fire, degraded answers flow back; byte-identity to a serial
+    twin is *not* promised for them, only honest completeness.  The
+    simulator itself stays single-threaded throughout.
     """
 
     name = "sim"
@@ -339,122 +339,53 @@ class SimBackend:
     def __init__(self, system: Any):
         self.system = system
         self._lock = threading.Lock()
+        #: (query, slot) pairs; a slot receives its QueryResult or the
+        #: exception the evaluation raised.  deque append/popleft are
+        #: atomic, and only the lock holder pops.
+        self._pending: "deque[tuple[AggregationQuery, list]]" = deque()
 
     @property
     def recorder(self):
         return getattr(self.system, "recorder", None)
 
-    def evaluate(self, query: AggregationQuery) -> BackendAnswer:
+    def evaluate(self, query: AggregationQuery) -> QueryResult:
+        slot: list = []
+        self._pending.append((query, slot))
         with self._lock:
-            result = self.system.run_query(query)
+            if not slot:
+                self._evaluate_pending()
+        outcome = slot[0]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    def _evaluate_pending(self) -> None:
+        batch = []
+        while self._pending:
+            batch.append(self._pending.popleft())
+        queries = [query for query, _ in batch]
+        try:
+            if len(queries) == 1:
+                outcomes: list = [self.system.run_query(queries[0])]
+            else:
+                outcomes = self.system.run_concurrent(queries)
             self.system.drain()
-        return BackendAnswer(
-            cells=result.cells,
-            completeness=result.completeness,
-            provenance=dict(result.provenance),
-            latency_s=result.latency,
-        )
+        except Exception as exc:  # each waiting handler re-raises it
+            outcomes = [exc] * len(batch)
+        for (_, slot), outcome in zip(batch, outcomes):
+            slot.append(outcome)
 
     def close(self) -> None:
         pass
 
 
-class BatchingSimBackend:
-    """Concurrent facade over one simulation (the overload regime).
-
-    HTTP handler threads enqueue queries; a single driver thread gathers
-    whatever is pending and submits the whole batch into the simulator
-    at once (``run_concurrent``), so requests genuinely race inside the
-    sim — queueing delay builds up, admission shedding and the circuit
-    breaker fire, degraded answers flow back — while the simulator
-    itself stays single-threaded.  Byte-identity to a serial twin is
-    explicitly *not* promised here; this backend exists for the stress
-    and overload paths.
-    """
-
-    name = "sim-batch"
-
-    def __init__(self, system: Any, max_batch: int = 64, poll_s: float = 0.002):
-        self.system = system
-        self.max_batch = max_batch
-        self.poll_s = poll_s
-        self._queue: "queue.Queue[tuple[AggregationQuery, _Slot] | None]" = queue.Queue()
-        self._stopped = False
-        self._thread = threading.Thread(target=self._drive, daemon=True)
-        self._thread.start()
-
-    @property
-    def recorder(self):
-        return getattr(self.system, "recorder", None)
-
-    def evaluate(self, query: AggregationQuery) -> BackendAnswer:
-        if self._stopped:
-            raise HttpError(503, "unavailable", "backend is shut down")
-        slot = _Slot()
-        self._queue.put((query, slot))
-        slot.done.wait()
-        if slot.error is not None:
-            raise slot.error
-        return slot.answer  # type: ignore[return-value]
-
-    def _drive(self) -> None:
-        while True:
-            try:
-                first = self._queue.get(timeout=self.poll_s)
-            except queue.Empty:
-                if self._stopped:
-                    return
-                continue
-            if first is None:
-                return
-            batch = [first]
-            while len(batch) < self.max_batch:
-                try:
-                    item = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if item is None:
-                    self._stopped = True
-                    break
-                batch.append(item)
-            queries = [q for q, _ in batch]
-            try:
-                results = self.system.run_concurrent(queries)
-                self.system.drain()
-            except Exception as exc:  # pragma: no cover - defensive
-                for _, slot in batch:
-                    slot.error = HttpError(500, "internal", str(exc))
-                    slot.done.set()
-                continue
-            for (_, slot), result in zip(batch, results):
-                slot.answer = BackendAnswer(
-                    cells=result.cells,
-                    completeness=result.completeness,
-                    provenance=dict(result.provenance),
-                    latency_s=result.latency,
-                )
-                slot.done.set()
-
-    def close(self) -> None:
-        self._stopped = True
-        self._queue.put(None)
-        self._thread.join(timeout=30.0)
-
-
-@dataclass
-class _Slot:
-    done: threading.Event = field(default_factory=threading.Event)
-    answer: BackendAnswer | None = None
-    error: Exception | None = None
-
-
 class SocketBackend:
-    """Facade over a live asyncio socket cluster (PR-8 client driver).
+    """Facade over a live asyncio socket cluster.
 
     Owns a private event loop on a daemon thread; ``evaluate`` runs the
     driver's serial step (:func:`repro.serve.driver.evaluate_serial`:
-    route, ``evaluate`` over TCP, 2-round quiesce barrier) under a lock,
-    preserving the byte-identity preconditions end to end.
+    the client's request over TCP, then the 2-round quiesce barrier)
+    under a lock, preserving the byte-identity preconditions end to end.
     """
 
     name = "socket"
@@ -466,32 +397,33 @@ class SocketBackend:
         config: StashConfig,
     ):
         self.config = config
-        self.partitioner = PrefixPartitioner(
-            list(node_ids), config.cluster.partition_precision
-        )
         self._lock = threading.Lock()
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(target=self._loop.run_forever, daemon=True)
         self._thread.start()
-        self.transport = self._call(connect_client(addresses, config))
+        self.transport, self.client = self._call(
+            connect_client(node_ids, addresses, config)
+        )
+
+    @property
+    def recorder(self):
+        return self.client.recorder
 
     def _call(self, coro):
         future = asyncio.run_coroutine_threadsafe(coro, self._loop)
         return future.result(timeout=self.config.serve.wall_clock_budget)
 
-    def evaluate(self, query: AggregationQuery) -> BackendAnswer:
-        with self._lock:
-            _, reply, wall = self._call(
-                evaluate_serial(self.transport, self.partitioner, query, self.config)
-            )
-        if not isinstance(reply, dict) or "cells" not in reply:
-            raise HttpError(502, "bad_gateway", f"malformed evaluate reply: {reply!r}")
-        return BackendAnswer(
-            cells=reply["cells"],
-            completeness=float(reply.get("completeness", 1.0)),
-            provenance=dict(reply.get("provenance", {})),
-            latency_s=wall,
-        )
+    def evaluate(self, query: AggregationQuery) -> QueryResult:
+        try:
+            with self._lock:
+                result, wall = self._call(
+                    evaluate_serial(self.transport, self.client, query)
+                )
+        except ReproError as exc:
+            raise HttpError(502, "bad_gateway", str(exc)) from exc
+        # On sockets ``X-Latency-S`` is wall seconds, not engine time.
+        result.latency = wall
+        return result
 
     def close(self) -> None:
         self._call(self.transport.aclose())
@@ -515,13 +447,13 @@ class ResponseCache:
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._entries: "OrderedDict[str, BackendAnswer]" = OrderedDict()
+        self._entries: "OrderedDict[str, QueryResult]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.degraded_skipped = 0
 
-    def get(self, key: str) -> BackendAnswer | None:
+    def get(self, key: str) -> QueryResult | None:
         with self._lock:
             answer = self._entries.get(key)
             if answer is None:
@@ -531,7 +463,7 @@ class ResponseCache:
             self.hits += 1
             return answer
 
-    def put(self, key: str, answer: BackendAnswer) -> None:
+    def put(self, key: str, answer: QueryResult) -> None:
         if answer.completeness < 1.0:
             with self._lock:
                 self.degraded_skipped += 1
@@ -579,9 +511,7 @@ class StashHttpServer:
         self.cache = ResponseCache(serve.http_cache_entries)
         self.requests: dict[str, int] = {}
         self._requests_lock = threading.Lock()
-        self._httpd = ThreadingHTTPServer(
-            (serve.http_host, serve.http_port), _Handler
-        )
+        self._httpd = _Server((serve.http_host, serve.http_port), _Handler)
         self._httpd.app = self  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
 
@@ -654,7 +584,7 @@ class StashHttpServer:
 
     def _evaluate_cached(
         self, query: AggregationQuery
-    ) -> tuple[BackendAnswer, str]:
+    ) -> tuple[QueryResult, str]:
         fingerprint = query_fingerprint(query)
         cached = self.cache.get(fingerprint)
         if cached is not None:
@@ -675,10 +605,10 @@ class StashHttpServer:
         return answer, "miss"
 
     @staticmethod
-    def _headers(answer: BackendAnswer, disposition: str) -> dict[str, str]:
+    def _headers(answer: QueryResult, disposition: str) -> dict[str, str]:
         return {
             "X-Cache": disposition,
-            "X-Latency-S": f"{answer.latency_s:.6f}",
+            "X-Latency-S": f"{answer.latency:.6f}",
         }
 
     def _aggregate(self, payload: Any) -> tuple[int, dict, dict]:
@@ -759,9 +689,18 @@ class StashHttpServer:
         }
 
 
+class _Server(ThreadingHTTPServer):
+    #: Accept backlog.  The stdlib default of 5 resets connections when
+    #: a burst of clients connects at once.
+    request_queue_size = 128
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "stash-http/1"
+    #: Seconds a handler thread waits on a silent connection (a body
+    #: shorter than declared, an idle keep-alive) before giving it up.
+    timeout = 30.0
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass  # the facade keeps its own counters; stderr stays quiet
@@ -776,16 +715,45 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(data)
 
+    def _refuse_body(self, status: int, code: str, message: str) -> NoReturn:
+        # The body stays unread, so this connection cannot carry another
+        # request.
+        self.close_connection = True
+        raise HttpError(status, code, message)
+
+    def _read_body(self) -> bytes:
+        declared = self.headers.get("Content-Length") or "0"
+        # isdigit admits only an unsigned decimal: no sign, no blanks.
+        if not (declared.isascii() and declared.isdigit()):
+            self._refuse_body(
+                400, "invalid_length", "Content-Length must be a non-negative integer"
+            )
+        # int() itself refuses a digit string thousands long.
+        if (
+            len(declared.lstrip("0")) > len(str(MAX_BODY_BYTES))
+            or int(declared) > MAX_BODY_BYTES
+        ):
+            self._refuse_body(
+                413,
+                "payload_too_large",
+                f"declared request body exceeds {MAX_BODY_BYTES} bytes",
+            )
+        length = int(declared)
+        return self.rfile.read(length) if length else b""
+
     def _dispatch(self, method: str) -> None:
         app: StashHttpServer = self.server.app  # type: ignore[attr-defined]
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else b""
         try:
+            body = self._read_body()
             status, payload, extra = app.handle(method, self.path, body)
         except HttpError as exc:
             status = exc.status
             payload = {"code": exc.code, "error": str(exc)}
-            extra = {}
+            extra = {"Connection": "close"} if self.close_connection else {}
+        except TimeoutError:
+            # A body shorter than its declared length: the stdlib request
+            # loop drops the connection, which frees this thread.
+            raise
         except Exception as exc:  # pragma: no cover - defensive
             status = 500
             payload = {"code": "internal", "error": f"{type(exc).__name__}: {exc}"}

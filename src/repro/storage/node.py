@@ -410,6 +410,61 @@ class StorageNode:
         self.tracer.end(span)
         return cells
 
+    # -- coordinator-side merge and response shaping -----------------------
+
+    def _merge_partials(
+        self,
+        partials: list[dict[CellKey, SummaryVector]],
+        parent: Span | None,
+    ) -> Generator[Event, Any, dict[CellKey, SummaryVector]]:
+        """Merge per-leg cell dicts in leg order, charging merge CPU.
+
+        Callers pass only the legs that answered; how a failed leg is
+        accounted differs per engine and stays with the caller.
+        """
+        merged: dict[CellKey, SummaryVector] = {}
+        merges = 0
+        for cells in partials:
+            for key, vec in cells.items():
+                existing = merged.get(key)
+                if existing is None:
+                    merged[key] = vec
+                else:
+                    merged[key] = existing.merge(vec)
+                    merges += 1
+        if merges:
+            cpu = merges * self.cost.cell_merge_cost
+            if self.tracer.enabled:
+                self.tracer.record(
+                    "merge:partials",
+                    "compute",
+                    self.sim.now,
+                    self.sim.now + cpu,
+                    parent=parent,
+                    node=self.node_id,
+                    attrs={"merges": merges},
+                )
+            yield self.sim.timeout(cpu)
+        return merged
+
+    @staticmethod
+    def _shape_response_cells(
+        query: AggregationQuery, cells: dict[CellKey, SummaryVector]
+    ) -> dict[CellKey, SummaryVector]:
+        """Polygon filter, then attribute projection, at the response boundary.
+
+        Scans cover the polygon's bounding box and aggregate every
+        attribute (cached cells must serve any later query), so both
+        selections are applied to the answer, never to what is stored.
+        """
+        if query.polygon is not None:
+            wanted = set(query.footprint())
+            cells = {k: v for k, v in cells.items() if k in wanted}
+        if query.attributes is not None:
+            selection = list(query.attributes)
+            cells = {k: v.project(selection) for k, v in cells.items()}
+        return cells
+
     # -- liveness / introspection RPCs (serve quiesce barrier) -------------
 
     def _handle_ping(self, message: Message) -> Generator[Event, Any, None]:

@@ -1,10 +1,16 @@
-"""Shared scaffolding for simulated distributed systems.
+"""The query client and the simulated cluster it drives.
 
-:class:`DistributedSystem` builds the pieces every variant needs — the
-simulator, the DHT partitioner, the ingested storage catalog, the network
-with a registered client endpoint, and the metric collectors — and
-provides the client-side submit/run API.  Subclasses
-(:class:`~repro.baselines.basic.BasicSystem`,
+:class:`QueryClient` is the client half of the protocol — route a query
+to its coordinator, send ``evaluate`` (or ``evaluate_cells``), turn the
+reply into a :class:`~repro.query.model.QueryResult` — written, like
+:class:`~repro.storage.node.StorageNode`, against an engine, a network
+and a membership view, so the one implementation serves the simulator
+and the socket transport alike.
+
+:class:`DistributedSystem` builds the pieces every simulated variant
+needs — the simulator, the DHT partitioner, the ingested storage
+catalog, the network, the client — and provides the submit/run API.
+Subclasses (:class:`~repro.baselines.basic.BasicSystem`,
 :class:`~repro.core.cluster.StashCluster`,
 :class:`~repro.baselines.elastic.ElasticSystem`) create their node types
 and register their protocol handlers.
@@ -18,8 +24,9 @@ from typing import Any, Generator
 import numpy as np
 
 from repro.config import DEFAULT_CONFIG, StashConfig
+from repro.core.keys import CellKey
 from repro.data.observation import ObservationBatch
-from repro.dht.partitioner import PrefixPartitioner, _stable_hash
+from repro.dht.partitioner import Partitioner, PrefixPartitioner, _stable_hash
 from repro.errors import QueryError
 from repro.faults.gossip import (
     GossipAgent,
@@ -28,10 +35,11 @@ from repro.faults.gossip import (
     view_divergence,
 )
 from repro.faults.membership import ClusterMembership
+from repro.geo.geohash import encode
 from repro.obs.critical_path import attribute_span
-from repro.obs.recorder import FlightRecorder
+from repro.obs.recorder import FlightRecorder, QueryContext
 from repro.obs.registry import MetricsRegistry
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Span, Tracer
 from repro.query.model import PROVENANCE_KEYS, AggregationQuery, QueryResult
 from repro.sim.engine import Event, Process, Simulator
 from repro.sim.metrics import (
@@ -40,12 +48,220 @@ from repro.sim.metrics import (
     LatencyCollector,
     ThroughputTimeline,
 )
+from repro.sim.network import Network
 from repro.storage.backend import StorageCatalog
-from repro.transport.base import Transport
-from repro.transport.sim_local import SimTransport
 
 #: Network id of the (single, aggregate) client endpoint.
 CLIENT_ID = "client"
+
+
+def coordinator_for(partitioner: Partitioner, query: AggregationQuery) -> str:
+    """The node a client request is sent to.
+
+    Requests land on the owner of the query's center geohash, mirroring
+    geospatial request routing: interest concentrated on one region
+    queues up on one node (the hotspot precondition of section VII).
+    """
+    lat, lon = query.bbox.center
+    return partitioner.node_for(encode(lat, lon, partitioner.partition_precision))
+
+
+class QueryClient:
+    """The client half of the protocol, on any engine/network pair.
+
+    Owns the request's tracer root span and recorder context, the
+    timeout/retry/failover loop (when ``faults.active``) and the latency
+    collectors.  ``membership`` is the client's liveness view — the base
+    partitioner verbatim until a node is declared dead, then the
+    repaired ring.
+    """
+
+    def __init__(
+        self,
+        sim: Any,
+        network: Any,
+        membership: "ClusterMembership | GossipMembership",
+        config: StashConfig,
+    ):
+        self.sim = sim
+        self.network = network
+        self.membership = membership
+        self.config = config
+        self.tracer: Tracer = network.tracer
+        self.recorder: FlightRecorder = network.recorder
+        network.register(CLIENT_ID)
+        self.latencies = LatencyCollector()
+        self.timeline = ThroughputTimeline()
+        self.attributions = AttributionCollector()
+        self.fault_counters = CounterSet()
+        self._backoff_rng = np.random.default_rng(
+            [config.cluster.seed, 65_537, _stable_hash(CLIENT_ID) % 2**31]
+        )
+
+    def coordinator_for(self, query: AggregationQuery) -> str:
+        """:func:`coordinator_for` under the client's membership view."""
+        return coordinator_for(self.membership.partitioner, query)
+
+    def _send(
+        self,
+        coordinator: str,
+        query: AggregationQuery,
+        cells: list[CellKey] | None,
+        ctx: QueryContext | None,
+        root: Span | None,
+    ) -> Event:
+        """The one place ``evaluate`` / ``evaluate_cells`` are built."""
+        if cells is None:
+            kind, size = "evaluate", 512
+            payload = {"query": query, "ctx": ctx}
+        else:
+            kind, size = "evaluate_cells", 256 + 32 * len(cells)
+            payload = {"query": query, "cells": cells, "ctx": ctx}
+        return self.network.request(
+            CLIENT_ID, coordinator, kind, payload, size=size, parent=root
+        )
+
+    def request(
+        self, query: AggregationQuery, cells: list[CellKey] | None = None
+    ) -> Generator[Event, Any, QueryResult]:
+        """One client request: the whole query, or exactly ``cells``.
+
+        With ``cells`` the coordinator resolves that explicit key list
+        (all within ``query``'s extent) — the partial fetch of a
+        front-end mini graph; requested keys absent from the result are
+        known-empty.
+        """
+        started = self.sim.now
+        root = self.tracer.begin(
+            "query" if cells is None else "query:cells",
+            "compute",
+            node=CLIENT_ID,
+            query_id=query.query_id,
+        )
+        ctx = self.recorder.context(query.query_id)
+        if self.config.faults.active:
+            reply, ctx, coordinator = yield from self._send_with_retry(
+                query, cells, root, ctx
+            )
+        else:
+            # coordinator_for is a pure routing lookup (no events, no
+            # randomness), so hoisting it for the recorder is free.
+            coordinator = self.coordinator_for(query)
+            reply = yield self._send(coordinator, query, cells, ctx, root)
+        latency = self.sim.now - started
+        self.latencies.record(latency)
+        self.timeline.record_completion(self.sim.now)
+        failed = reply is None
+        if reply is None:
+            # Every coordinator attempt failed: an explicit empty answer
+            # (completeness 0) beats a hung client or a crashed run.  The
+            # reply still carries the full provenance vocabulary so
+            # downstream consumers (conformance harness, metrics) never
+            # see a partial counter set.
+            reply = {
+                "cells": {},
+                "provenance": {key: 0 for key in PROVENANCE_KEYS},
+                "completeness": 0.0,
+            }
+        if not isinstance(reply, dict) or "cells" not in reply:
+            raise QueryError(f"malformed evaluate reply: {reply!r}")
+        completeness = float(reply.get("completeness", 1.0))
+        if ctx is not None and completeness < 1.0 and not failed:
+            self.recorder.record_event(
+                "degraded_answer",
+                ctx,
+                node=coordinator,
+                detail={"completeness": completeness},
+            )
+        self.recorder.record_query(
+            kind=query.kind,
+            coordinator=coordinator,
+            latency=latency,
+            completeness=completeness,
+            ctx=ctx,
+            failed=failed,
+        )
+        attribution = None
+        if root is not None:
+            self.tracer.end(root)
+            attribution = attribute_span(root)
+            self.attributions.record(attribution)
+        return QueryResult(
+            query=query,
+            cells=reply["cells"],
+            latency=latency,
+            provenance=reply.get("provenance", {}),
+            attribution=attribution,
+            completeness=completeness,
+        )
+
+    def _send_with_retry(
+        self,
+        query: AggregationQuery,
+        cells: list[CellKey] | None,
+        root: Span | None,
+        ctx: QueryContext | None,
+    ) -> Generator[Event, Any, Any]:
+        """:meth:`_send` under timeout, backoff, and re-routing.
+
+        Each attempt re-resolves the coordinator through the membership
+        view, so once a dead coordinator is declared the retry lands on
+        the repaired ring's owner.  Returns ``(reply, ctx, coordinator)``
+        for the final attempt — reply is None when every attempt timed
+        out, and ctx carries that attempt's number so the recorder keys
+        the outcome to the attempt that actually produced it.
+        """
+        faults = self.config.faults
+        attempts = faults.max_retries + 1
+        coordinator = self.coordinator_for(query)
+        attempt_ctx = ctx
+        for attempt in range(attempts):
+            coordinator = self.coordinator_for(query)
+            if ctx is not None:
+                attempt_ctx = ctx.with_(attempt=attempt)
+            started = self.sim.now
+            reply_event = self._send(coordinator, query, cells, attempt_ctx, root)
+            index, value = yield self.sim.any_of(
+                [reply_event, self.sim.timeout(faults.evaluate_timeout)]
+            )
+            if index == 0:
+                return value, attempt_ctx, coordinator
+            self.fault_counters.increment("client_timeouts")
+            self.recorder.record_event(
+                "client_timeout", attempt_ctx, node=coordinator
+            )
+            if self.tracer.enabled:
+                self.tracer.record(
+                    "timeout:evaluate",
+                    "network",
+                    started,
+                    self.sim.now,
+                    parent=root,
+                    node=CLIENT_ID,
+                    attrs={"to": coordinator, "attempt": attempt},
+                )
+            if (
+                self.membership.is_live(coordinator)
+                and len(self.membership.live_nodes()) > 1
+            ):
+                self.membership.declare_dead(coordinator)
+                self.fault_counters.increment("coordinators_declared_dead")
+                self.recorder.record_event(
+                    "coordinator_declared_dead", attempt_ctx, node=coordinator
+                )
+            if attempt + 1 < attempts:
+                backoff = faults.backoff_delay(attempt, self._backoff_rng)
+                self.fault_counters.increment("client_retries")
+                self.recorder.record_event(
+                    "client_retry",
+                    attempt_ctx,
+                    node=coordinator,
+                    detail={"backoff_s": backoff},
+                )
+                yield self.sim.timeout(backoff)
+        self.fault_counters.increment("client_gave_up")
+        self.recorder.record_event("client_gave_up", attempt_ctx, node=coordinator)
+        return None, attempt_ctx, coordinator
 
 
 class DistributedSystem(ABC):
@@ -56,16 +272,9 @@ class DistributedSystem(ABC):
         dataset: ObservationBatch,
         config: StashConfig = DEFAULT_CONFIG,
         sim: Simulator | None = None,
-        transport: Transport | None = None,
     ):
         self.config = config
-        # The transport is the runtime seam: the same node logic runs on
-        # the discrete-event simulator (default, deterministic) or on a
-        # caller-provided backend such as the asyncio socket transport.
-        if transport is None:
-            transport = SimTransport(config.cost, sim=sim)
-        self.transport = transport
-        self.sim = transport.engine
+        self.sim = sim if sim is not None else Simulator()
         self.node_ids = [f"node-{i}" for i in range(config.cluster.num_nodes)]
         self.partitioner = PrefixPartitioner(
             self.node_ids, config.cluster.partition_precision
@@ -80,16 +289,12 @@ class DistributedSystem(ABC):
                     pid, self.partitioner, config.gossip, participants
                 )
             # The client's view plays the role the shared object used to:
-            # it is what ``coordinator_for`` routes through and what the
-            # CLI / gauges report.
+            # it is what the client routes through and what the CLI /
+            # gauges report.
             self.membership: Any = self.memberships[CLIENT_ID]
         else:
             self.membership = ClusterMembership(self.partitioner)
-        self.fault_counters = CounterSet()
         self.fault_injector: Any = None
-        self._backoff_rng = np.random.default_rng(
-            [config.cluster.seed, 65_537, _stable_hash(CLIENT_ID) % 2**31]
-        )
         self.catalog = StorageCatalog(
             self.partitioner, block_precision=config.cluster.block_precision
         )
@@ -100,15 +305,17 @@ class DistributedSystem(ABC):
         self.recorder = FlightRecorder(
             self.sim, enabled=obs.flight_recorder, slo_targets=obs.slo_targets
         )
-        self.network = transport.network
-        # The fabric predates the observability objects (the transport may
-        # have been built by the caller), so inject them after the fact.
-        self.network.tracer = self.tracer
-        self.network.recorder = self.recorder
-        self.network.register(CLIENT_ID)
-        self.latencies = LatencyCollector()
-        self.timeline = ThroughputTimeline()
-        self.attributions = AttributionCollector()
+        self.network = Network(
+            self.sim, config.cost, tracer=self.tracer, recorder=self.recorder
+        )
+        self.client = QueryClient(self.sim, self.network, self.membership, config)
+        # Routing and the request collectors live on the client; the
+        # system exposes them under its own names.
+        self.coordinator_for = self.client.coordinator_for
+        self.latencies = self.client.latencies
+        self.timeline = self.client.timeline
+        self.attributions = self.client.attributions
+        self.fault_counters = self.client.fault_counters
         self.metrics = MetricsRegistry(self.sim)
         self.nodes: dict[str, Any] = {}
         self._nodes_started = False
@@ -289,171 +496,12 @@ class DistributedSystem(ABC):
         total = served + missed
         return served / total if total else 0.0
 
-    # -- routing --------------------------------------------------------------
-
-    def coordinator_for(self, query: AggregationQuery) -> str:
-        """The node a client request is sent to.
-
-        Requests land on the owner of the query's center geohash, mirroring
-        geospatial request routing: interest concentrated on one region
-        queues up on one node (the hotspot precondition of section VII).
-        Routed through the membership view, which is the base partitioner
-        verbatim until a node is declared dead, then the repaired ring.
-        """
-        from repro.geo.geohash import encode
-
-        lat, lon = query.bbox.center
-        code = encode(lat, lon, self.partitioner.partition_precision)
-        return self.membership.node_for(code)
-
     # -- client API -------------------------------------------------------------
 
     def submit(self, query: AggregationQuery) -> Process:
         """Submit one query; returns a process event yielding QueryResult."""
         self.start()
-        return self.sim.process(self._client_request(query))
-
-    def _client_request(
-        self, query: AggregationQuery
-    ) -> Generator[Event, Any, QueryResult]:
-        started = self.sim.now
-        root = self.tracer.begin(
-            "query", "compute", node=CLIENT_ID, query_id=query.query_id
-        )
-        ctx = self.recorder.context(query.query_id)
-        if self.config.faults.active:
-            reply, ctx, coordinator = yield from self._evaluate_with_retry(
-                query, root, ctx
-            )
-        else:
-            # coordinator_for is a pure routing lookup (no events, no
-            # randomness), so hoisting it for the recorder is free.
-            coordinator = self.coordinator_for(query)
-            reply = yield self.network.request(
-                CLIENT_ID,
-                coordinator,
-                "evaluate",
-                {"query": query, "ctx": ctx},
-                size=512,
-                parent=root,
-            )
-        latency = self.sim.now - started
-        self.latencies.record(latency)
-        self.timeline.record_completion(self.sim.now)
-        failed = reply is None
-        if reply is None:
-            # Every coordinator attempt failed: an explicit empty answer
-            # (completeness 0) beats a hung client or a crashed run.  The
-            # reply still carries the full provenance vocabulary so
-            # downstream consumers (conformance harness, metrics) never
-            # see a partial counter set.
-            reply = {
-                "cells": {},
-                "provenance": {key: 0 for key in PROVENANCE_KEYS},
-                "completeness": 0.0,
-            }
-        if not isinstance(reply, dict) or "cells" not in reply:
-            raise QueryError(f"malformed evaluate reply: {reply!r}")
-        completeness = float(reply.get("completeness", 1.0))
-        if ctx is not None and completeness < 1.0 and not failed:
-            self.recorder.record_event(
-                "degraded_answer",
-                ctx,
-                node=coordinator,
-                detail={"completeness": completeness},
-            )
-        self.recorder.record_query(
-            kind=query.kind,
-            coordinator=coordinator,
-            latency=latency,
-            completeness=completeness,
-            ctx=ctx,
-            failed=failed,
-        )
-        attribution = None
-        if root is not None:
-            self.tracer.end(root)
-            attribution = attribute_span(root)
-            self.attributions.record(attribution)
-        return QueryResult(
-            query=query,
-            cells=reply["cells"],
-            latency=latency,
-            provenance=reply.get("provenance", {}),
-            attribution=attribution,
-            completeness=completeness,
-        )
-
-    def _evaluate_with_retry(
-        self, query: AggregationQuery, root, ctx=None
-    ) -> Generator[Event, Any, Any]:
-        """Client-side evaluate with timeout, backoff, and re-routing.
-
-        Each attempt re-resolves the coordinator through the membership
-        view, so once a dead coordinator is declared the retry lands on
-        the repaired ring's owner.  Returns ``(reply, ctx, coordinator)``
-        for the final attempt — reply is None when every attempt timed
-        out, and ctx carries that attempt's number so the recorder keys
-        the outcome to the attempt that actually produced it.
-        """
-        faults = self.config.faults
-        attempts = faults.max_retries + 1
-        coordinator = self.coordinator_for(query)
-        attempt_ctx = ctx
-        for attempt in range(attempts):
-            coordinator = self.coordinator_for(query)
-            if ctx is not None:
-                attempt_ctx = ctx.with_(attempt=attempt)
-            started = self.sim.now
-            reply_event = self.network.request(
-                CLIENT_ID,
-                coordinator,
-                "evaluate",
-                {"query": query, "ctx": attempt_ctx},
-                size=512,
-                parent=root,
-            )
-            index, value = yield self.sim.any_of(
-                [reply_event, self.sim.timeout(faults.evaluate_timeout)]
-            )
-            if index == 0:
-                return value, attempt_ctx, coordinator
-            self.fault_counters.increment("client_timeouts")
-            self.recorder.record_event(
-                "client_timeout", attempt_ctx, node=coordinator
-            )
-            if self.tracer.enabled:
-                self.tracer.record(
-                    "timeout:evaluate",
-                    "network",
-                    started,
-                    self.sim.now,
-                    parent=root,
-                    node=CLIENT_ID,
-                    attrs={"to": coordinator, "attempt": attempt},
-                )
-            if (
-                self.membership.is_live(coordinator)
-                and len(self.membership.live_nodes()) > 1
-            ):
-                self.membership.declare_dead(coordinator)
-                self.fault_counters.increment("coordinators_declared_dead")
-                self.recorder.record_event(
-                    "coordinator_declared_dead", attempt_ctx, node=coordinator
-                )
-            if attempt + 1 < attempts:
-                backoff = faults.backoff_delay(attempt, self._backoff_rng)
-                self.fault_counters.increment("client_retries")
-                self.recorder.record_event(
-                    "client_retry",
-                    attempt_ctx,
-                    node=coordinator,
-                    detail={"backoff_s": backoff},
-                )
-                yield self.sim.timeout(backoff)
-        self.fault_counters.increment("client_gave_up")
-        self.recorder.record_event("client_gave_up", attempt_ctx, node=coordinator)
-        return None, attempt_ctx, coordinator
+        return self.sim.process(self.client.request(query))
 
     def run_query(self, query: AggregationQuery) -> QueryResult:
         """Submit one query and run the simulation to its completion."""

@@ -1,11 +1,9 @@
-"""Transport backends: the seam between node logic and its runtime.
+"""The socket runtime behind the engine/network seam.
 
-``repro.transport.base`` defines the interface; ``sim_local`` wraps the
-discrete-event simulator (the deterministic oracle-checked twin) and
-``asyncio_net`` runs the identical node code on real sockets.  See
+Node and client logic is written against two duck-typed handles — an
+engine (the :class:`~repro.sim.engine.Simulator` surface) and a network
+(the :class:`~repro.sim.network.Network` surface).  The simulator pair
+lives in :mod:`repro.sim`; ``asyncio_net`` provides the same pair on
+real sockets, with ``codec`` and ``framing`` as its wire format.  See
 ``docs/serving.md``.
 """
-
-from repro.transport.base import Transport
-
-__all__ = ["Transport"]

@@ -1,4 +1,4 @@
-"""Real-socket transport: the asyncio backend of the Transport seam.
+"""Real-socket transport: the asyncio side of the engine/network seam.
 
 Two pieces, mirroring the sim pair:
 
@@ -36,7 +36,6 @@ from repro.obs.tracer import Span, Tracer
 from repro.sim.engine import AllOf, AnyOf, Event, Process, Timeout
 from repro.sim.network import Message
 from repro.sim.resources import Store
-from repro.transport.base import Transport
 from repro.transport.framing import FrameDecoder, encode_frame
 
 log = logging.getLogger(__name__)
@@ -694,10 +693,8 @@ class AsyncioNetwork:
         await asyncio.gather(*tasks, return_exceptions=True)
 
 
-class AsyncioTransport(Transport):
+class AsyncioTransport:
     """Engine + network + lifecycle for one socket-backed peer process."""
-
-    name = "asyncio"
 
     def __init__(
         self,
@@ -724,15 +721,6 @@ class AsyncioTransport(Transport):
         self, host: str = "127.0.0.1", port: int = 0
     ) -> tuple[str, int]:
         return await self._network.start_server(host, port)
-
-    def close(self) -> None:
-        """Synchronous close; prefer :meth:`aclose` inside a running loop."""
-        loop = self._engine._loop
-        if loop.is_running():
-            loop.create_task(self._network.close())
-        elif not loop.is_closed():
-            loop.run_until_complete(self._network.close())
-        self._engine.close()
 
     async def aclose(self) -> None:
         # Network first: failing in-flight RPCs to RPC_FAILED still needs

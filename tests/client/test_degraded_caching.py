@@ -1,22 +1,31 @@
 """Client-graph cache-correctness regressions.
 
-Two fixes pinned here:
+Three fixes pinned here:
 
 * a degraded (completeness < 1) server reply omits the cells it could not
   resolve — the client mini graph must *not* cache those keys as
   known-empty, or every later client-local answer silently drops data;
 * the client mini graph must adopt the cluster's configured resolution
   space, not a hardcoded default, so client-side drill/roll level
-  arithmetic matches the server's.
+  arithmetic matches the server's;
+* a partial (``run_cells``) request retries and degrades under a fault
+  schedule exactly like a whole one, so a session with a client graph
+  survives a crashed coordinator.
 """
 
 import numpy as np
 
 from repro.client.session import ExplorationSession
-from repro.config import ClusterConfig, StashConfig
+from repro.config import (
+    ClusterConfig,
+    FaultConfig,
+    ObservabilityConfig,
+    StashConfig,
+)
 from repro.core.cluster import StashCluster
 from repro.data.generator import small_test_dataset
 from repro.data.statistics import SummaryVector
+from repro.faults.schedule import FaultEvent
 from repro.geo.bbox import BoundingBox
 from repro.geo.resolution import Resolution, ResolutionSpace
 from repro.geo.temporal import TemporalResolution, TimeKey
@@ -112,6 +121,66 @@ class TestDegradedAnswerCaching:
         result = session.refresh()
         assert result.degraded
         assert 0.0 < result.completeness < 1.0
+
+
+class TestPartialRequestsUnderACrashedCoordinator:
+    """``run_cells`` shares the whole-query client path: timeout, retry
+    onto the repaired ring, degraded answer — never a dry simulation."""
+
+    @staticmethod
+    def faulted_cluster():
+        dataset = small_test_dataset(num_records=5_000, num_days=2)
+        nodes = ClusterConfig(num_nodes=4)
+        probe = StashCluster(dataset, StashConfig(cluster=nodes))
+        query = make_session(probe, cache=0).current_query()
+        config = StashConfig(
+            cluster=nodes,
+            faults=FaultConfig(
+                enabled=True,
+                schedule=(
+                    FaultEvent(
+                        kind="crash", at=0.0, node=probe.coordinator_for(query)
+                    ),
+                ),
+                rpc_timeout=0.2,
+                evaluate_timeout=1.0,
+                max_retries=1,
+                backoff_base=0.05,
+            ),
+            observability=ObservabilityConfig(flight_recorder=True),
+        )
+        return StashCluster(dataset, config), query
+
+    def test_run_cells_degrades_like_run_query(self):
+        cluster, query = self.faulted_cluster()
+        whole = cluster.run_query(query)
+        cluster, query = self.faulted_cluster()
+        partial = cluster.run_cells(query, query.footprint())
+        assert partial.degraded and 0.0 < partial.completeness < 1.0
+        assert partial.completeness == whole.completeness
+        assert partial.cells == whole.cells and partial.cells
+        assert cluster.fault_counters.get("client_retries") == 1
+
+    def test_run_cells_records_exactly_one_terminal_outcome(self):
+        cluster, query = self.faulted_cluster()
+        cluster.run_cells(query, query.footprint())
+        report = cluster.recorder.report()
+        assert report["queries"] == 1
+        assert report["outcomes"] == {"ok": 0, "degraded": 1, "failed": 0}
+
+    def test_session_over_the_real_cluster_skips_unresolved_keys(self):
+        cluster, _ = self.faulted_cluster()
+        session = make_session(cluster)
+        result = session.refresh()
+        assert result.degraded and result.cells
+        footprint = session.current_query().footprint()
+        # A degraded reply cannot tell an unresolved key from an empty
+        # one, so every key it omits stays out of the client graph.
+        cached = {k for k in footprint if session._graph.contains(k)}
+        assert cached == set(result.cells)
+        skipped = session.stats.degraded_cells_skipped
+        assert skipped == len(footprint) - len(cached)
+        assert skipped >= result.provenance["cells_unresolved"] > 0
 
 
 class TestClientResolutionSpace:

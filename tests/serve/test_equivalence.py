@@ -12,18 +12,22 @@ import threading
 
 import pytest
 
-from repro.config import ClusterConfig, FaultConfig, ServeConfig, StashConfig
+from repro.config import (
+    ClusterConfig,
+    FaultConfig,
+    ObservabilityConfig,
+    ServeConfig,
+    StashConfig,
+)
 from repro.core.cluster import StashCluster
 from repro.data.generator import DatasetSpec, SyntheticNAMGenerator
-from repro.dht.partitioner import PrefixPartitioner
 from repro.faults.schedule import FaultEvent
 from repro.geo.bbox import BoundingBox
 from repro.geo.resolution import Resolution
 from repro.geo.temporal import TemporalResolution, TimeKey
 from repro.query.model import AggregationQuery
-from repro.serve.driver import _quiesce, _rpc, coordinator_for
+from repro.serve.driver import connect_client, evaluate_serial
 from repro.serve.http import (
-    BackendAnswer,
     SimBackend,
     SocketBackend,
     StashHttpServer,
@@ -32,7 +36,7 @@ from repro.serve.http import (
     query_fingerprint,
 )
 from repro.serve.server import NodeSpec, build_node
-from repro.system import CLIENT_ID
+from repro.system import CLIENT_ID, QueryClient
 from repro.transport.asyncio_net import AsyncioTransport
 from repro.workload.trace import query_to_dict
 
@@ -74,60 +78,28 @@ def _socket_answers(queries):
     transport, wired through 127.0.0.1 — the full wire path (framing,
     codec, controller) without multiprocessing overhead."""
 
-    async def main():
-        transports = {}
-        addresses = {}
-        for index, node_id in enumerate(NODE_IDS):
-            transport = AsyncioTransport(
-                node_id, time_scale=CONFIG.serve.time_scale
-            )
-            addresses[node_id] = await transport.start()
-            node = build_node(
-                NodeSpec(
-                    node_index=index,
-                    node_ids=NODE_IDS,
-                    dataset=SPEC,
-                    config=CONFIG,
-                ),
-                transport,
-            )
-            node.start()
-            transports[node_id] = transport
-        client = AsyncioTransport(CLIENT_ID, time_scale=CONFIG.serve.time_scale)
-        addresses[CLIENT_ID] = await client.start()
-        client.network.register(CLIENT_ID)
-        client.network.set_peers(addresses)
-        for transport in transports.values():
-            transport.network.set_peers(addresses)
-        partitioner = PrefixPartitioner(
-            list(NODE_IDS), CONFIG.cluster.partition_precision
-        )
-        answers = []
+    async def main(addresses):
+        transport, client = await connect_client(NODE_IDS, addresses, CONFIG)
+        assert type(client) is QueryClient
         try:
-            for query in queries:
-                coordinator = coordinator_for(partitioner, query)
-                reply = await _rpc(
-                    client,
-                    coordinator,
-                    "evaluate",
-                    {"query": query, "ctx": None},
-                    size=512,
-                    timeout=60,
-                )
-                await _quiesce(client, NODE_IDS, timeout=60)
-                answers.append(reply)
+            return [
+                (await evaluate_serial(transport, client, query))[0]
+                for query in queries
+            ]
         finally:
-            await client.aclose()
-            for transport in transports.values():
-                await transport.aclose()
-        return answers
+            await transport.aclose()
 
-    return asyncio.run(main())
+    cluster = _InProcessSocketCluster()
+    try:
+        return asyncio.run(main(cluster.addresses))
+    finally:
+        cluster.close()
 
 
 def _sim_answers(queries):
     dataset = SyntheticNAMGenerator(SPEC).generate()
     cluster = StashCluster(dataset, CONFIG)
+    assert type(cluster.client) is QueryClient  # the same client, on the sim
     results = []
     for query in queries:
         results.append(cluster.run_query(query))
@@ -142,37 +114,37 @@ class TestByteIdentity:
         return _socket_answers(queries), _sim_answers(queries)
 
     def test_nonempty_workload(self, answers):
-        socket_answers, _ = answers
-        assert any(len(a["cells"]) > 0 for a in socket_answers)
+        socket_results, _ = answers
+        assert any(len(r.cells) > 0 for r in socket_results)
 
     def test_identical_key_sets(self, answers):
-        socket_answers, sim_results = answers
-        for socket_reply, sim_result in zip(socket_answers, sim_results):
-            assert set(socket_reply["cells"]) == set(sim_result.cells)
+        socket_results, sim_results = answers
+        for socket_result, sim_result in zip(socket_results, sim_results):
+            assert set(socket_result.cells) == set(sim_result.cells)
 
     def test_byte_identical_summaries(self, answers):
-        socket_answers, sim_results = answers
-        for socket_reply, sim_result in zip(socket_answers, sim_results):
+        socket_results, sim_results = answers
+        for socket_result, sim_result in zip(socket_results, sim_results):
             for key, summary in sim_result.cells.items():
                 # SummaryVector.__eq__ is exact float equality.
-                assert socket_reply["cells"][key] == summary, key
+                assert socket_result.cells[key] == summary, key
 
     def test_identical_completeness(self, answers):
-        socket_answers, sim_results = answers
-        for socket_reply, sim_result in zip(socket_answers, sim_results):
-            assert (
-                float(socket_reply.get("completeness", 1.0))
-                == sim_result.completeness
-                == 1.0
-            )
+        socket_results, sim_results = answers
+        for socket_result, sim_result in zip(socket_results, sim_results):
+            assert socket_result.completeness == sim_result.completeness == 1.0
+
+    def test_identical_provenance(self, answers):
+        socket_results, sim_results = answers
+        for socket_result, sim_result in zip(socket_results, sim_results):
+            assert socket_result.provenance == sim_result.provenance
 
     def test_repeat_query_served_from_cache(self, answers):
-        socket_answers, _ = answers
-        first, repeat = socket_answers[0], socket_answers[1]
-        assert repeat["cells"] == first["cells"]
-        provenance = repeat.get("provenance", {})
-        assert provenance.get("cells_from_cache", 0) > 0
-        assert provenance.get("cells_from_disk", 0) == 0
+        socket_results, _ = answers
+        first, repeat = socket_results[0], socket_results[1]
+        assert repeat.cells == first.cells
+        assert repeat.provenance.get("cells_from_cache", 0) > 0
+        assert repeat.provenance.get("cells_from_disk", 0) == 0
 
 
 class TestMultiprocessServe:
@@ -228,20 +200,14 @@ def _twin_http_bodies(queries, config=CONFIG, spec=SPEC):
     re-evaluated every time)."""
     dataset = SyntheticNAMGenerator(spec).generate()
     cluster = StashCluster(dataset, config)
-    cached: dict[str, BackendAnswer] = {}
+    cached = {}
     bodies = []
     for query in queries:
         fingerprint = query_fingerprint(query)
         answer = cached.get(fingerprint)
         if answer is None:
-            result = cluster.run_query(query)
+            answer = cluster.run_query(query)
             cluster.drain()
-            answer = BackendAnswer(
-                cells=result.cells,
-                completeness=result.completeness,
-                provenance=dict(result.provenance),
-                latency_s=result.latency,
-            )
             if answer.completeness >= 1.0:
                 cached[fingerprint] = answer
         bodies.append(canonical_json(aggregate_body(query, answer)))
@@ -285,11 +251,13 @@ class TestHttpByteIdentity:
 
 
 class _InProcessSocketCluster:
-    """The `_socket_answers` wiring, kept alive on a background loop so a
-    SocketBackend (which owns its own loop and client transport) can dial
-    the nodes while HTTP requests flow."""
+    """Every node in-process on its own transport, kept alive on a
+    background loop so a client on another loop (``_socket_answers``, or
+    a SocketBackend with its own loop and client transport) can dial
+    the nodes."""
 
-    def __init__(self):
+    def __init__(self, config=CONFIG):
+        self.config = config
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(target=self._loop.run_forever, daemon=True)
         self._thread.start()
@@ -302,7 +270,7 @@ class _InProcessSocketCluster:
         addresses = {}
         for index, node_id in enumerate(NODE_IDS):
             transport = AsyncioTransport(
-                node_id, time_scale=CONFIG.serve.time_scale
+                node_id, time_scale=self.config.serve.time_scale
             )
             addresses[node_id] = await transport.start()
             node = build_node(
@@ -310,7 +278,7 @@ class _InProcessSocketCluster:
                     node_index=index,
                     node_ids=NODE_IDS,
                     dataset=SPEC,
-                    config=CONFIG,
+                    config=self.config,
                 ),
                 transport,
             )
@@ -350,6 +318,38 @@ class TestHttpSocketByteIdentity:
         twin = _twin_http_bodies(_workload())
         for index, (got, expected) in enumerate(zip(raw, twin)):
             assert got == expected, f"query {index} diverged"
+        assert dispositions == ["miss", "hit", "miss", "miss"]
+
+
+class TestSocketStatsCarryTheRecorder:
+    """The socket client is the sim's client, so its flight recorder
+    comes with it: ``GET /stats`` accounts for every evaluated query."""
+
+    def test_outcomes_sum_to_queries_and_equal_cache_misses(self):
+        config = StashConfig(
+            cluster=ClusterConfig(num_nodes=2),
+            serve=ServeConfig(time_scale=0.02),
+            observability=ObservabilityConfig(flight_recorder=True),
+        )
+        cluster = _InProcessSocketCluster(config)
+        backend = None
+        try:
+            backend = SocketBackend(NODE_IDS, cluster.addresses, config)
+            with StashHttpServer(backend, config) as server:
+                raw, dispositions = _replay_over_http(server)
+                stats = http_get(server.url, "/stats")[1]
+        finally:
+            if backend is not None:
+                backend.close()
+            cluster.close()
+        recorder = stats["recorder"]
+        assert recorder is not None
+        assert recorder["queries"] == stats["cache"]["misses"] == 3
+        assert sum(recorder["outcomes"].values()) == recorder["queries"]
+        assert recorder["outcomes"]["ok"] == 3
+        # The recorder is passive: bodies still match the twin's.
+        twin = _twin_http_bodies(_workload(), config=config)
+        assert raw == twin
         assert dispositions == ["miss", "hit", "miss", "miss"]
 
 

@@ -7,19 +7,24 @@ as executable contract.
 """
 
 import json
+import sys
+import threading
 
 import pytest
 
 from repro.bench.harness import BenchScale, bench_config, bench_dataset, make_system
 from repro.query.model import PROVENANCE_KEYS
 from repro.serve.http import (
+    MAX_BODY_BYTES,
     SimBackend,
     StashHttpServer,
+    _Handler,
+    canonical_json,
     decode_token,
     encode_token,
 )
 
-from tests.serve._http import http_get, http_post
+from tests.serve._http import http_get, http_post, http_raw, raw_post
 
 #: A viewport with a few hundred result cells — enough pages to matter.
 QUERY = {
@@ -283,7 +288,50 @@ BAD_REQUESTS = [
 ]
 
 
+#: Declared body lengths the edge must refuse: (Content-Length value,
+#: status, code).  Sent on a raw socket — no client library emits them.
+BAD_LENGTHS = [
+    ("abc", 400, "invalid_length"),
+    ("-5", 400, "invalid_length"),
+    ("+5", 400, "invalid_length"),
+    ("5 5", 400, "invalid_length"),
+    ("1_0", 400, "invalid_length"),
+    ("2000000", 413, "payload_too_large"),
+    (str(MAX_BODY_BYTES + 1), 413, "payload_too_large"),
+    ("9" * 5000, 413, "payload_too_large"),
+]
+
+
 class TestStructuredErrors:
+    @pytest.mark.parametrize("length,expected_status,code", BAD_LENGTHS)
+    def test_bad_content_length_is_a_structured_error(
+        self, url, length, expected_status, code
+    ):
+        request = raw_post("/aggregate", b"", content_length=length)
+        status, raw, headers = http_raw(url, request, timeout=10.0)
+        assert status == expected_status
+        reply = json.loads(raw)
+        assert raw == canonical_json(reply)
+        assert set(reply) == {"code", "error"}
+        assert reply["code"] == code
+        # The unread body makes the connection unusable; the server says so.
+        assert headers["Connection"] == "close"
+        assert http_get(url, "/healthz")[0] == 200
+
+    def test_largest_allowed_length_is_read_not_refused(self, url):
+        body = b" " * (MAX_BODY_BYTES - 2) + b"{}"
+        status, raw, _ = http_raw(url, raw_post("/aggregate", body), timeout=30.0)
+        assert (status, json.loads(raw)["code"]) == (400, "invalid_bbox")
+
+    def test_stalled_body_frees_its_handler_thread(self, url, monkeypatch):
+        """A body shorter than declared must not pin a thread forever."""
+        monkeypatch.setattr(_Handler, "timeout", 0.3)
+        request = raw_post("/aggregate", b"{", content_length="100")
+        status, raw, _ = http_raw(url, request, timeout=10.0)
+        # The read timed out and the server dropped the connection.
+        assert (status, raw) == (None, b"")
+        assert http_get(url, "/healthz")[0] == 200
+
     @pytest.mark.parametrize(
         "path,body,code",
         BAD_REQUESTS,
@@ -406,3 +454,93 @@ class TestCacheHeaders:
     def test_latency_header_present(self, url):
         _, _, headers = http_post(url, "/aggregate", QUERY)
         assert float(headers["X-Latency-S"]) >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# the sim backend's concurrency policy: no thread of its own
+
+
+class TestSimBackendThreading:
+    @pytest.fixture()
+    def system(self):
+        scale = BenchScale.unit()
+        return make_system("stash", bench_dataset(scale), bench_config(scale))
+
+    def test_starts_no_thread(self, system):
+        before = threading.active_count()
+        backend = SimBackend(system)
+        assert threading.active_count() == before
+        backend.close()
+        assert threading.active_count() == before
+
+    def test_lone_request_runs_inline_as_run_query_then_drain(self, system, monkeypatch):
+        from repro.serve.http import parse_query
+
+        calls = []
+        run_query, drain = system.run_query, system.drain
+        monkeypatch.setattr(
+            system,
+            "run_query",
+            lambda q: calls.append(("run_query", threading.get_ident())) or run_query(q),
+        )
+        monkeypatch.setattr(
+            system,
+            "drain",
+            lambda: calls.append(("drain", threading.get_ident())) or drain(),
+        )
+        monkeypatch.setattr(
+            system, "run_concurrent", lambda qs: pytest.fail("lone request was batched")
+        )
+        backend = SimBackend(system)
+        query = parse_query(QUERY)
+        result = backend.evaluate(query)
+        me = threading.get_ident()
+        assert calls == [("run_query", me), ("drain", me)]
+        assert result.query is query and result.completeness == 1.0
+
+    def test_overlapping_requests_each_get_their_own_answer(self, system):
+        """More threads than cores, a short switch interval: a lost or
+        crossed hand-off would leave a thread hanging or holding another
+        thread's result."""
+        from repro.serve.http import parse_query
+
+        backend = SimBackend(system)
+        mismatches, errors = [], []
+
+        def one_user(user: int) -> None:
+            try:
+                for step in range(6):
+                    spatial = 2 + (user + step) % 2
+                    query = parse_query({**QUERY, "spatial": spatial})
+                    result = backend.evaluate(query)
+                    if result.query is not query:
+                        mismatches.append((user, step))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=one_user, args=(u,)) for u in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not [t for t in threads if t.is_alive()]
+        assert not errors and not mismatches
+        assert not backend._pending
+
+    def test_evaluation_error_reaches_every_waiting_request(self, system, monkeypatch):
+        from repro.errors import QueryError
+        from repro.serve.http import parse_query
+
+        def boom(_query):
+            raise QueryError("boom")
+
+        monkeypatch.setattr(system, "run_query", boom)
+        backend = SimBackend(system)
+        with pytest.raises(QueryError, match="boom"):
+            backend.evaluate(parse_query(QUERY))
+        assert not backend._pending and not backend._lock.locked()

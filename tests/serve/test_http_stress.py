@@ -1,12 +1,14 @@
 """Closed-loop overload flood through the HTTP facade.
 
-The batching backend races whole batches inside the simulator while
+Overlapping requests race inside the simulator, batch by batch, while
 admission control sheds and the circuit breaker fires.  The contract
 under stress is narrow but absolute: the flood terminates, every
 request gets an answer with honest completeness, and the flight
 recorder accounts for every evaluated query exactly once.
 """
 
+import json
+import socket
 import threading
 
 import pytest
@@ -20,11 +22,11 @@ from repro.config import (
 )
 from repro.core.cluster import StashCluster
 from repro.data.generator import small_test_dataset
-from repro.serve.http import BatchingSimBackend, StashHttpServer
+from repro.serve.http import SimBackend, StashHttpServer
 from repro.workload.scale import ScaleWorkloadSpec, SessionTable
 from repro.workload.trace import query_to_dict
 
-from tests.serve._http import http_get, http_post
+from tests.serve._http import http_get, http_post, raw_post
 
 NUM_USERS = 16
 SESSION_LENGTH = 6
@@ -46,7 +48,7 @@ def flood():
         observability=ObservabilityConfig(flight_recorder=True),
     )
     system = StashCluster(small_test_dataset(num_records=6_000), config)
-    backend = BatchingSimBackend(system, max_batch=32)
+    backend = SimBackend(system)
     table = SessionTable.synthesize(
         ScaleWorkloadSpec(
             num_users=NUM_USERS, session_length=SESSION_LENGTH, seed=21
@@ -96,8 +98,7 @@ class TestFloodTerminates:
     def test_every_evaluation_reached_the_simulator(self, flood):
         system, _, stats = flood
         # Duplicate viewports (users sharing a hotspot) are absorbed by
-        # the facade cache; everything else went through the batching
-        # driver into the simulator.
+        # the facade cache; everything else went into the simulator.
         assert system.recorder.queries == stats["cache"]["misses"]
         assert system.recorder.queries > 0
 
@@ -140,3 +141,45 @@ class TestExactlyOnceAccounting:
             + report["outcomes"]["failed"]
             == report["queries"]
         )
+
+
+class TestConnectionBurst:
+    def test_64_connections_opened_before_any_request(self):
+        """A burst far past the stdlib's default accept backlog of 5:
+        every connection is held open, unsent, until all 64 exist."""
+        system = StashCluster(
+            small_test_dataset(num_records=2_000),
+            StashConfig(cluster=ClusterConfig(num_nodes=2)),
+        )
+        backend = SimBackend(system)
+        request = raw_post(
+            "/aggregate",
+            json.dumps(
+                {
+                    "bbox": [25.0, 50.0, -130.0, -70.0],
+                    "time": [1359763200, 1359849600],
+                    "spatial": 3,
+                    "temporal": "day",
+                }
+            ).encode(),
+        )
+        answers = []
+        with StashHttpServer(backend) as server:
+            connections = [
+                socket.create_connection(server.address, timeout=60.0)
+                for _ in range(64)
+            ]
+            try:
+                for conn in connections:
+                    conn.sendall(request)
+                for conn in connections:
+                    chunks = []
+                    while chunk := conn.recv(65536):
+                        chunks.append(chunk)
+                    answers.append(b"".join(chunks))
+            finally:
+                for conn in connections:
+                    conn.close()
+        backend.close()
+        assert len(answers) == 64
+        assert all(a.startswith(b"HTTP/1.1 200 ") for a in answers)
