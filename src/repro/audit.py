@@ -60,7 +60,7 @@ def _audit_graph(node, graph, findings: list[str], is_local: bool) -> None:
                 f"{graph.name}: cell {cell.key} not tracked at level {level}"
             )
         if is_local:
-            owner = node.partitioner.node_for(cell.key.geohash)
+            owner = node.membership.base.node_for(cell.key.geohash)
             if owner != node.node_id:
                 findings.append(
                     f"{graph.name}: cell {cell.key} owned by {owner}, "

@@ -101,7 +101,7 @@ class BasicSystem(DistributedSystem):
                 self.catalog,
                 node_id,
                 self.config,
-                membership=self.membership_for(node_id),
+                membership=self.memberships[node_id],
             )
             for node_id in self.node_ids
         }

@@ -342,7 +342,7 @@ class ElasticSystem(DistributedSystem):
                 self.catalog,
                 node_id,
                 self.config,
-                membership=self.membership_for(node_id),
+                membership=self.memberships[node_id],
                 shards=by_node[node_id],
             )
             for node_id in self.node_ids

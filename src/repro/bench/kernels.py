@@ -21,7 +21,6 @@ Run via::
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Any, Callable
 
@@ -219,9 +218,3 @@ def format_report(report: dict[str, Any]) -> str:
                 f"{kernel:>20} @ {size:>7}  {entry['seconds'] * 1e3:9.3f} ms"
             )
     return "\n".join(lines)
-
-
-def write_report(report: dict[str, Any], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -54,6 +54,13 @@ def report_meta(seed: int) -> dict:
     }
 
 
+def write_json(payload: object, path: str) -> None:
+    """The one JSON report writer: indented, key-sorted, newline-ended."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def save_result(result: ExperimentResult, directory: pathlib.Path | None = None) -> pathlib.Path:
     """Persist a result; returns the table path."""
     directory = RESULTS_DIR if directory is None else directory

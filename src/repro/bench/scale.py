@@ -24,7 +24,6 @@ Run via::
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from typing import Any
@@ -234,9 +233,3 @@ def format_scale_report(report: dict[str, Any]) -> str:
         f"({gen['queries_per_s']:,.0f} q/s)"
     )
     return "\n".join(lines)
-
-
-def write_scale_report(report: dict[str, Any], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")

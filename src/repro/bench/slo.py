@@ -20,7 +20,6 @@ Run via::
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from repro.bench.harness import BenchScale, bench_config, bench_dataset, make_system
@@ -160,9 +159,3 @@ def format_slo_report(report: dict[str, Any]) -> str:
             )
         lines.append(f"  slo {entry['class']:>6}: {status:<10} {detail}")
     return "\n".join(lines)
-
-
-def write_slo_report(report: dict[str, Any], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -353,6 +353,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_json(payload: object, path: str, what: str = "report") -> bool:
+    """Write a JSON report; an unwritable path is the CLI error, not a traceback."""
+    from repro.bench.reporting import write_json
+
+    try:
+        write_json(payload, path)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    print(f"wrote {what} to {path}")
+    return True
+
+
 def _cmd_dataset(args: argparse.Namespace) -> int:
     from repro.data.generator import DatasetSpec, SyntheticNAMGenerator
 
@@ -654,7 +667,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_slo(args: argparse.Namespace) -> int:
-    from repro.bench.slo import format_slo_report, run_slo, write_slo_report
+    from repro.bench.slo import format_slo_report, run_slo
 
     if args.requests <= 0:
         print(f"error: --requests must be positive, got {args.requests}",
@@ -663,13 +676,8 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     scale = BenchScale.unit().with_(seed=args.seed)
     report = run_slo(engine=args.engine, scale=scale, requests=args.requests)
     print(format_slo_report(report))
-    if args.output != "-":
-        try:
-            write_slo_report(report, args.output)
-        except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote report to {args.output}")
+    if args.output != "-" and not _write_json(report, args.output):
+        return 2
     return 0
 
 
@@ -703,15 +711,8 @@ def _cmd_bench_check(args: argparse.Namespace) -> int:
     threshold = DEFAULT_THRESHOLD if args.threshold is None else args.threshold
     verdict = compare_reports(baseline, fresh, rerun=rerun, threshold=threshold)
     print(format_check(verdict))
-    if args.json:
-        try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(verdict, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote verdict to {args.json}")
+    if args.json and not _write_json(verdict, args.json, "verdict"):
+        return 2
     if verdict["status"] == "env-mismatch":
         return 2
     return 1 if verdict["status"] == "regression" else 0
@@ -729,7 +730,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         QUICK_SIZES,
         format_report,
         run_kernels,
-        write_report,
     )
 
     if args.sizes:
@@ -752,19 +752,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         sizes=sizes, repeats=args.repeats, seed=args.seed, quick=args.quick
     )
     print(format_report(report))
-    if args.output != "-":
-        try:
-            write_report(report, args.output)
-        except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote report to {args.output}")
+    if args.output != "-" and not _write_json(report, args.output):
+        return 2
     return 0
 
 
 def _cmd_bench_churn(args: argparse.Namespace) -> int:
-    import json
-
     from repro.bench.churn import churn_recovery
     from repro.bench.reporting import ascii_chart
 
@@ -788,14 +781,8 @@ def _cmd_bench_churn(args: argparse.Namespace) -> int:
             "series": result.series,
             "meta": result.meta,
         }
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
+        if not _write_json(payload, args.output):
             return 2
-        print(f"wrote report to {args.output}")
     return 0
 
 
@@ -806,7 +793,6 @@ def _cmd_bench_scale(args: argparse.Namespace) -> int:
         ScaleSweep,
         format_scale_report,
         run_scale,
-        write_scale_report,
     )
 
     sweep = ScaleSweep.quick() if args.quick else ScaleSweep.default()
@@ -831,13 +817,8 @@ def _cmd_bench_scale(args: argparse.Namespace) -> int:
     )
     print()
     print(format_scale_report(report))
-    if args.output != "-":
-        try:
-            write_scale_report(report, args.output)
-        except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote report to {args.output}")
+    if args.output != "-" and not _write_json(report, args.output):
+        return 2
     return 0
 
 
@@ -863,16 +844,8 @@ def _cmd_conform(args: argparse.Namespace) -> int:
     )
     print()
     print(report.format())
-    if args.json:
-        import json
-
-        try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        except OSError as exc:
-            print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote report to {args.json}")
+    if args.json and not _write_json(report.to_json_dict(), args.json):
+        return 2
     return 0 if report.ok else 1
 
 
@@ -936,17 +909,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"({len(report['divergences'])} divergences)")
         for divergence in report["divergences"][:10]:
             print(f"    query {divergence['index']}: {divergence['problem']}")
-    if args.json:
-        import json
-
-        try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote report to {args.json}")
+    if args.json and not _write_json(report, args.json):
+        return 2
     return 0 if report["ok"] else 1
 
 
@@ -1023,12 +987,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         f"{args.interval}s of simulated time"
     )
     print(system.metrics.format_table())
-    if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(system.metrics.to_dict(), fh, indent=2, sort_keys=True)
-        print(f"wrote series to {args.json}")
+    if args.json and not _write_json(system.metrics.to_dict(), args.json, "series"):
+        return 2
     return 0
 
 

@@ -106,9 +106,6 @@ class ReplicationConfig:
     guest_ttl: float = 120.0
     #: Routing-table entries older than this are purged (simulated s).
     routing_ttl: float = 180.0
-    #: Max random fallback probes around the antipode when the antipode
-    #: node declines a distress request.
-    max_candidate_probes: int = 8
     #: Capacity of a helper node's guest graph (cells).
     guest_capacity: int = 100_000
 
@@ -242,11 +239,11 @@ class GossipConfig:
     via periodic push-gossip rounds over the simulated network.  With no
     faults injected all views agree with the static partition map, so
     routing — and therefore every simulated result — is byte-identical
-    to the shared-membership baseline.
+    to the shared-view wiring.
     """
 
-    #: Master switch.  Off keeps the instantaneous shared
-    #: ``ClusterMembership`` of PR 2.
+    #: Off: the client and every node hold one shared view (zero-hop,
+    #: instantaneous).  On: one view per participant plus gossip agents.
     enabled: bool = False
     #: Seconds of simulated time between push-gossip rounds.
     interval: float = 0.25
@@ -257,20 +254,12 @@ class GossipConfig:
     #: A SUSPECT peer with still no progress for this much longer is
     #: confirmed DEAD (total silence budget = suspect_after + dead_after).
     dead_after: float = 1.0
-    #: Serialized bytes per view entry in a gossip digest.
-    wire_size_per_entry: int = 32
     #: On a confirmed death, survivors promote / re-disperse guest
     #: replicas covering the dead node's range (anti-entropy repair).
     repair: bool = True
     #: On a rejoin, survivors stream the rejoining node's hot cells back
     #: (handoff) instead of letting it cold-start.
     handoff: bool = True
-    #: Cap on cells one survivor promotes or ships per death/rejoin.
-    max_repair_cells: int = 5_000
-    #: NOT_OWNER re-route rounds per fetch leg before the coordinator
-    #: forces the final recipient to serve (block placement is static, so
-    #: a forced serve is always correct, merely non-local).
-    max_redirects: int = 2
 
 
 @dataclass(frozen=True)

@@ -50,20 +50,19 @@ class StashCluster(DistributedSystem):
                 self.catalog,
                 node_id,
                 self.config,
-                partitioner=self.partitioner,
                 space=self.space,
                 attribute_names=self.attribute_names,
                 node_index=index,
-                membership=self.membership_for(node_id),
+                membership=self.memberships[node_id],
             )
             self.nodes[node_id] = node
             node.start()
-            if self.memberships:
-                # Anti-entropy hooks: when *this node's own view* confirms
-                # a death (or sees a rejoin), it repairs / hands back.
-                view = self.memberships[node_id]
-                view.on_dead.append(node.on_peer_confirmed_dead)
-                view.on_alive.append(node.on_peer_rejoined)
+            # Anti-entropy hooks: when *this node's own view* confirms a
+            # death (or sees a rejoin), it repairs / hands back (the
+            # callbacks are inert unless ``gossip.repair`` / ``handoff``).
+            view = self.memberships[node_id]
+            view.on_dead.append(node.on_peer_confirmed_dead)
+            view.on_alive.append(node.on_peer_rejoined)
 
     # -- cache state inspection ------------------------------------------------
 

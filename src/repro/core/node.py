@@ -28,7 +28,7 @@ from repro.core.keys import CellKey
 from repro.core.planner import plan_query
 from repro.data.block import BlockId
 from repro.data.statistics import SummaryVector
-from repro.dht.partitioner import Partitioner
+from repro.faults.gossip import WIRE_SIZE_PER_ENTRY
 from repro.faults.membership import RPC_SHED, rpc_ok
 from repro.geo.resolution import ResolutionSpace
 from repro.obs.recorder import QueryContext
@@ -40,6 +40,13 @@ from repro.replication.routing import RoutingTable
 from repro.sim.engine import Event
 from repro.sim.network import Message
 from repro.storage.node import StorageNode
+
+#: Cap on cells one survivor promotes or ships per death/rejoin.
+MAX_REPAIR_CELLS = 5_000
+#: NOT_OWNER re-route rounds per fetch leg before the coordinator forces
+#: the final recipient to serve (block placement is static, so a forced
+#: serve is always correct, merely non-local).
+MAX_REDIRECTS = 2
 
 
 class GuestCliqueRegistry:
@@ -131,14 +138,12 @@ class StashNode(StorageNode):
         catalog,
         node_id: str,
         config: StashConfig,
-        partitioner: Partitioner,
         space: ResolutionSpace,
         attribute_names: list[str],
         node_index: int = 0,
         membership=None,
     ):
         super().__init__(sim, network, catalog, node_id, config, membership=membership)
-        self.partitioner = partitioner
         self.space = space
         self.attribute_names = list(attribute_names)
         self.graph = StashGraph(space, name=f"local:{node_id}")
@@ -155,7 +160,7 @@ class StashNode(StorageNode):
         self._last_handoff = -float("inf")
         self.handoffs_completed = 0
         #: Set iff epidemic membership is on (then ``self.membership`` is
-        #: this node's own :class:`GossipMembership` view).
+        #: this node's own view, not one shared with the cluster).
         self._gossip = config.gossip if config.gossip.enabled else None
 
         self.register_handler("evaluate", self._handle_evaluate)
@@ -174,9 +179,7 @@ class StashNode(StorageNode):
 
     def _owner_of(self, geohash: str) -> str:
         """Cell/block owner under the current (possibly repaired) ring."""
-        if self.membership is not None:
-            return self.membership.node_for(geohash)
-        return self.partitioner.node_for(geohash)
+        return self.membership.node_for(geohash)
 
     def _group_by_owner(
         self, keys: list[CellKey], owner_memo: dict[str, str]
@@ -199,7 +202,7 @@ class StashNode(StorageNode):
         return grouped
 
     def _peer_live(self, node_id: str) -> bool:
-        return self.membership is None or self.membership.is_live(node_id)
+        return self.membership.is_live(node_id)
 
     def crash(self) -> None:
         """Lose queues and every in-memory cache (fault injection)."""
@@ -246,10 +249,9 @@ class StashNode(StorageNode):
                     continue
                 candidates = antipode_candidates(
                     clique.root.geohash,
-                    self.partitioner,
+                    self.membership.base,
                     exclude=self.node_id,
                     rng=self.rng,
-                    max_probes=repl.max_candidate_probes,
                 )
                 helper = None
                 for candidate in candidates:
@@ -465,7 +467,7 @@ class StashNode(StorageNode):
                 self.network.respond(
                     message,
                     {"not_owner": digest},
-                    size=len(digest) * self._gossip.wire_size_per_entry,
+                    size=len(digest) * WIRE_SIZE_PER_ENTRY,
                 )
                 return
         response = yield from self._fetch_cells_impl(
@@ -563,23 +565,21 @@ class StashNode(StorageNode):
     def _repair_after_death(self, peer: str) -> Generator[Event, Any, None]:
         """Promote / re-disperse guest cells covering a dead node's range.
 
-        Base ownership (``partitioner``) identifies the dead node's
+        Base ownership (``membership.base``) identifies the dead node's
         cells; our repaired view says where they live now.  Cells this
         node now owns are promoted into the local graph; the rest are
         shipped to their new owners as ``repair`` batches.  Guest copies
         stay behind (the TTL purge collects them) so a lost repair never
         loses data that was replicated.
         """
-        gossip = self._gossip
-        assert gossip is not None
         promote: list[tuple[CellKey, SummaryVector, frozenset[BlockId]]] = []
         ship: dict[str, list[tuple[CellKey, SummaryVector, frozenset[BlockId]]]] = {}
         count = 0
         for cell in list(self.guest.cells()):
-            if count >= gossip.max_repair_cells:
+            if count >= MAX_REPAIR_CELLS:
                 break
             key = cell.key
-            if self.partitioner.node_for(key.geohash) != peer:
+            if self.membership.base.node_for(key.geohash) != peer:
                 continue
             new_owner = self.membership.node_for(key.geohash)
             if new_owner == peer:
@@ -625,14 +625,12 @@ class StashNode(StorageNode):
         peer's PLM bitmaps rebuild consistently — then drop our copy so
         ownership is single-homed again.
         """
-        gossip = self._gossip
-        assert gossip is not None
         batch: list[tuple[CellKey, SummaryVector, frozenset[BlockId]]] = []
         for cell in list(self.graph.cells()):
-            if len(batch) >= gossip.max_repair_cells:
+            if len(batch) >= MAX_REPAIR_CELLS:
                 break
             key = cell.key
-            if self.partitioner.node_for(key.geohash) != peer:
+            if self.membership.base.node_for(key.geohash) != peer:
                 continue
             blocks = self.graph.plm.blocks_of(self.graph.level_of(key), key)
             batch.append((key, cell.summary, blocks))
@@ -885,20 +883,18 @@ class StashNode(StorageNode):
         A ``NOT_OWNER`` reply carries the responder's membership view;
         we merge it into our own (fresher evidence wins per peer), split
         the leg's keys by owner under the updated view, and recurse.
-        Depth is bounded by ``gossip.max_redirects``; the final round is
+        Depth is bounded by ``MAX_REDIRECTS``; the final round is
         sent with ``force`` — block placement is static, so a forced
         serve is always *correct*, merely non-local.  Returns a normal
         fetch response dict, or an RPC sentinel for a whole-leg failure.
         """
-        gossip = self._gossip
-        assert gossip is not None
         ctx: QueryContext | None = payload.get("ctx")
         if owner == self.node_id:
             response = yield self.sim.process(
                 self._fetch_cells_impl(payload, parent=parent)
             )
             return response
-        if depth >= gossip.max_redirects:
+        if depth >= MAX_REDIRECTS:
             payload = dict(payload, force=True)
             self.recorder.record_event(
                 "force_serve",

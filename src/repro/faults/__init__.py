@@ -6,12 +6,13 @@ the discrete-event simulator:
 
 * :mod:`repro.faults.schedule` — declarative fault schedules (crash,
   restart, link drop/delay, disk slowdown) validated up front;
-* :mod:`repro.faults.membership` — the cluster's shared zero-hop view of
-  which nodes are live, with DHT ring repair via
-  ``Partitioner.without_node`` when a node is declared dead;
-* :mod:`repro.faults.gossip` — per-node epidemic membership: versioned
-  liveness views, SWIM-style alive/suspect/dead aging, and periodic
-  push-gossip rounds (enabled via ``GossipConfig``);
+* :mod:`repro.faults.membership` — the one liveness view type
+  (versioned records, SWIM-style alive/suspect/dead merge and aging)
+  with DHT ring repair via ``Partitioner.without_nodes`` when a node is
+  declared dead; shared by the whole cluster it is the zero-hop view;
+* :mod:`repro.faults.gossip` — the per-participant wiring: one view
+  each plus the agents running periodic push-gossip rounds (enabled
+  via ``GossipConfig``);
 * :mod:`repro.faults.overload` — per-node admission control (load
   shedding) and a circuit breaker for sustained overload;
 * :mod:`repro.faults.injector` — the process that drives a schedule
@@ -27,24 +28,24 @@ layer is inert: no extra simulation events are created, so existing
 experiments are bit-identical to runs without this package.
 """
 
-from repro.faults.gossip import GossipAgent, GossipMembership, PeerState
+from repro.faults.gossip import GossipAgent
 from repro.faults.injector import FaultInjector
 from repro.faults.membership import (
     RPC_FAILED,
     RPC_SHED,
-    ClusterMembership,
+    Membership,
+    PeerState,
     rpc_ok,
 )
 from repro.faults.overload import OverloadGuard
 from repro.faults.schedule import FaultEvent, FaultSchedule
 
 __all__ = [
-    "ClusterMembership",
     "FaultEvent",
     "FaultInjector",
     "FaultSchedule",
     "GossipAgent",
-    "GossipMembership",
+    "Membership",
     "OverloadGuard",
     "PeerState",
     "RPC_FAILED",

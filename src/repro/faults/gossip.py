@@ -1,27 +1,10 @@
-"""Epidemic (gossip) membership: per-node liveness views that converge.
+"""Epidemic (gossip) membership: the agents that make views converge.
 
-PR 2 modeled liveness as one instantaneously shared ``ClusterMembership``
-— "the shared object *is* the gossip".  This module replaces that with
-the real thing: every participant (each storage node, plus the client)
-keeps its **own** versioned view of the cluster, and views converge by
-periodic push-gossip rounds carried as simulated network messages.
-
-The failure-detection design follows SWIM / Dynamo-style stores:
-
-* Each participant's record of a peer is ``(incarnation, heartbeat,
-  state)``.  A node's own heartbeat counter advances every gossip round;
-  its incarnation advances only when it must refute a rumor of its own
-  death (or when it rejoins after a crash).
-* Merge precedence: a higher incarnation wins outright.  Within one
-  incarnation, DEAD is sticky (only an incarnation bump resurrects) and
-  otherwise a larger heartbeat is fresh liveness evidence.
-* A peer whose heartbeat makes no progress for ``suspect_after`` seconds
-  becomes SUSPECT; after ``dead_after`` more seconds of silence it is
-  confirmed DEAD, the ring is repaired around it
-  (``Partitioner.without_nodes``), and confirmed-death callbacks fire
-  (anti-entropy cache repair hangs off these).
-* A participant that sees *itself* rumored SUSPECT/DEAD bumps its own
-  incarnation — the refutation then spreads epidemically.
+With ``gossip.enabled`` every participant (each storage node, plus the
+client) keeps its **own** :class:`~repro.faults.membership.Membership`
+view, and a :class:`GossipAgent` per participant makes the views
+converge by periodic push-gossip rounds carried as network messages
+(the merge / aging state machine itself lives on the view).
 
 With push fanout ``f`` over ``n`` participants a new rumor reaches the
 whole cluster in ``O(log_f n)`` rounds with high probability, so the
@@ -36,267 +19,15 @@ sequence numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from repro.config import CostModel, GossipConfig
-from repro.dht.partitioner import Partitioner
-from repro.errors import FaultError
+from repro.faults.membership import Membership
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 
-
-class PeerState:
-    """Liveness states of the SWIM-style failure detector."""
-
-    ALIVE = 0
-    SUSPECT = 1
-    DEAD = 2
-
-    NAMES = {ALIVE: "alive", SUSPECT: "suspect", DEAD: "dead"}
-
-
-@dataclass
-class PeerRecord:
-    """One participant's knowledge about one peer."""
-
-    #: Epoch of the peer's identity; bumped by the peer itself on
-    #: refutation or rejoin.  Higher incarnation always wins a merge.
-    incarnation: int = 0
-    #: Liveness counter within the incarnation; the peer advances it
-    #: every gossip round while alive.
-    heartbeat: int = 0
-    state: int = PeerState.ALIVE
-    #: Local simulated time when liveness evidence last advanced.  Not
-    #: gossiped — each view ages peers against its own clock.
-    updated_at: float = 0.0
-
-
-class GossipMembership:
-    """One participant's versioned view of cluster liveness.
-
-    Exposes the same routing surface as
-    :class:`repro.faults.membership.ClusterMembership` (``partitioner``,
-    ``node_for``, ``is_live``, ``live_nodes``, ``dead_nodes``,
-    ``declare_dead``, ``revive``, ``failovers``) so nodes and the client
-    are agnostic to which membership implementation they hold — plus the
-    gossip surface (``digest``/``merge``/``heartbeat``/``age``).
-    """
-
-    def __init__(
-        self,
-        owner_id: str,
-        partitioner: Partitioner,
-        config: GossipConfig,
-        participants: list[str] | None = None,
-    ):
-        self.owner_id = owner_id
-        self._base = partitioner
-        self.config = config
-        if participants is None:
-            participants = list(partitioner.node_ids)
-            if owner_id not in participants:
-                participants.append(owner_id)
-        if owner_id not in participants:
-            raise FaultError(f"owner {owner_id!r} not among participants")
-        self.participants = list(participants)
-        self._records: dict[str, PeerRecord] = {}
-        self._view: Partitioner = partitioner
-        self._view_dirty = False
-        #: Monotone count of not-dead -> dead transitions in *this* view.
-        self.failovers = 0
-        #: Fired with the peer id when a storage node is confirmed dead
-        #: (any evidence source: aging, direct declaration, or merge).
-        self.on_dead: list[Callable[[str], None]] = []
-        #: Fired with the peer id when a dead storage node is seen alive
-        #: again (a rejoin at a higher incarnation).
-        self.on_alive: list[Callable[[str], None]] = []
-        self.reset(0.0)
-
-    # -- routing surface (ClusterMembership-compatible) --------------------
-
-    @property
-    def partitioner(self) -> Partitioner:
-        """The current (possibly repaired) partition map under this view."""
-        if self._view_dirty:
-            self._rebuild_view()
-        return self._view
-
-    def is_live(self, node_id: str) -> bool:
-        record = self._records.get(node_id)
-        return record is None or record.state != PeerState.DEAD
-
-    def live_nodes(self) -> list[str]:
-        return [n for n in self._base.node_ids if self.is_live(n)]
-
-    def dead_nodes(self) -> list[str]:
-        return sorted(
-            n for n in self._base.node_ids if not self.is_live(n)
-        )
-
-    def suspect_nodes(self) -> list[str]:
-        return sorted(
-            n
-            for n in self._base.node_ids
-            if self._records[n].state == PeerState.SUSPECT
-        )
-
-    def node_for(self, geohash: str) -> str:
-        """Owner of a geohash under this view's repaired ring."""
-        if self._view_dirty:
-            self._rebuild_view()
-        return self._view.node_for(geohash)
-
-    def declare_dead(self, node_id: str) -> bool:
-        """Direct evidence (retries exhausted): mark the peer dead *here*.
-
-        Unlike the shared membership this only changes the local view;
-        the declaration spreads to other views via gossip.  Mirrors
-        ``ClusterMembership.declare_dead`` semantics: True on the first
-        declaration, False if already dead, ``FaultError`` for unknown
-        nodes or when it would kill the last live node.
-        """
-        if node_id not in self._base.node_ids:
-            raise FaultError(f"unknown node {node_id!r}")
-        record = self._records[node_id]
-        if record.state == PeerState.DEAD:
-            return False
-        if len(self.live_nodes()) <= 1:
-            raise FaultError(
-                f"refusing to declare last live node {node_id!r} dead"
-            )
-        self._transition(node_id, record, PeerState.DEAD)
-        return True
-
-    def revive(self, node_id: str) -> bool:
-        """Direct evidence that a node is back (e.g. it answered an RPC)."""
-        if node_id not in self._base.node_ids:
-            raise FaultError(f"unknown node {node_id!r}")
-        record = self._records[node_id]
-        if record.state != PeerState.DEAD:
-            return False
-        record.incarnation += 1  # model the rejoin epoch this implies
-        record.heartbeat = 0
-        self._transition(node_id, record, PeerState.ALIVE)
-        return True
-
-    # -- gossip surface ----------------------------------------------------
-
-    def digest(self) -> dict[str, tuple[int, int, int]]:
-        """Immutable snapshot of this view, suitable for the wire."""
-        return {
-            peer: (r.incarnation, r.heartbeat, r.state)
-            for peer, r in self._records.items()
-        }
-
-    def heartbeat(self, now: float) -> None:
-        """Advance the owner's own liveness counter (once per round)."""
-        record = self._records[self.owner_id]
-        record.heartbeat += 1
-        record.updated_at = now
-
-    def merge(self, digest: dict[str, tuple[int, int, int]], now: float) -> None:
-        """Fold a received digest into this view (push-gossip receive)."""
-        for peer, entry in digest.items():
-            record = self._records.get(peer)
-            if record is None:
-                continue  # outside this view's universe
-            incarnation, heartbeat, state = entry
-            if peer == self.owner_id:
-                self._merge_self(record, incarnation, state, now)
-                continue
-            if incarnation > record.incarnation:
-                record.incarnation = incarnation
-                record.heartbeat = heartbeat
-                record.updated_at = now
-                self._transition(peer, record, state)
-            elif incarnation == record.incarnation:
-                if record.state == PeerState.DEAD:
-                    continue  # sticky: stale pre-death rumors can't revive
-                if state == PeerState.DEAD:
-                    self._transition(peer, record, PeerState.DEAD)
-                elif heartbeat > record.heartbeat:
-                    record.heartbeat = heartbeat
-                    record.updated_at = now
-                    self._transition(peer, record, PeerState.ALIVE)
-
-    def age(self, now: float) -> None:
-        """Apply the suspect -> dead clock to every peer (one sweep)."""
-        cfg = self.config
-        for peer, record in self._records.items():
-            if peer == self.owner_id or record.state == PeerState.DEAD:
-                continue
-            silence = now - record.updated_at
-            if record.state == PeerState.ALIVE:
-                if silence > cfg.suspect_after:
-                    self._transition(peer, record, PeerState.SUSPECT)
-            elif silence > cfg.suspect_after + cfg.dead_after:
-                if (
-                    peer in self._base.node_ids
-                    and len(self.live_nodes()) <= 1
-                ):
-                    continue  # never age out the last live node
-                self._transition(peer, record, PeerState.DEAD)
-
-    def reset(self, now: float) -> None:
-        """Forget everything (crash): a fresh view assuming peers alive."""
-        self._records = {
-            peer: PeerRecord(updated_at=now) for peer in self.participants
-        }
-        self._view = self._base
-        self._view_dirty = False
-
-    def rejoin(self, incarnation: int, now: float) -> None:
-        """Come back after a crash under a strictly newer incarnation."""
-        record = self._records[self.owner_id]
-        record.incarnation = max(incarnation, record.incarnation + 1)
-        record.heartbeat = 1
-        record.state = PeerState.ALIVE
-        record.updated_at = now
-
-    # -- internals ---------------------------------------------------------
-
-    def _merge_self(
-        self, record: PeerRecord, incarnation: int, state: int, now: float
-    ) -> None:
-        """Handle a rumor about *ourselves*; refute suspicion/death."""
-        if incarnation >= record.incarnation and state != PeerState.ALIVE:
-            record.incarnation = incarnation + 1
-            record.heartbeat += 1
-            record.state = PeerState.ALIVE
-            record.updated_at = now
-        elif incarnation > record.incarnation:
-            record.incarnation = incarnation
-            record.updated_at = now
-
-    def _transition(self, peer: str, record: PeerRecord, state: int) -> None:
-        if record.state == state:
-            return
-        was_dead = record.state == PeerState.DEAD
-        record.state = state
-        is_node = peer in self._base.node_ids
-        if state == PeerState.DEAD and is_node:
-            self.failovers += 1
-            self._view_dirty = True
-            for callback in self.on_dead:
-                callback(peer)
-        elif was_dead and is_node:
-            self._view_dirty = True
-            if state == PeerState.ALIVE:
-                for callback in self.on_alive:
-                    callback(peer)
-
-    def _rebuild_view(self) -> None:
-        dead = {n for n in self._base.node_ids if not self.is_live(n)}
-        if len(dead) >= len(self._base.node_ids):
-            # Total blackout under this view; keep routing over the base
-            # map rather than over nothing (requests fail fast anyway).
-            self._view = self._base
-        else:
-            self._view = self._base.without_nodes(dead)
-        self._view_dirty = False
+#: Serialized bytes per view entry in a gossip digest.
+WIRE_SIZE_PER_ENTRY = 32
 
 
 class GossipAgent:
@@ -322,7 +53,7 @@ class GossipAgent:
         self,
         sim: Simulator,
         network: Network,
-        membership: GossipMembership,
+        membership: Membership,
         config: GossipConfig,
         cost: CostModel,
         agent_index: int,
@@ -385,7 +116,7 @@ class GossipAgent:
         fanout = min(self.config.fanout, len(self._peers))
         picks = self.rng.choice(len(self._peers), size=fanout, replace=False)
         digest = self.membership.digest()
-        size = len(digest) * self.config.wire_size_per_entry
+        size = len(digest) * WIRE_SIZE_PER_ENTRY
         for index in sorted(int(i) for i in picks):
             self.network.send(
                 self.endpoint,
@@ -404,7 +135,7 @@ class GossipAgent:
             self.merges += 1
 
 
-def view_divergence(views: list[GossipMembership]) -> int:
+def view_divergence(views: list[Membership]) -> int:
     """Pairwise liveness disagreement across views (a convergence gauge).
 
     For each storage node, counts the pairs of views that disagree on
@@ -414,12 +145,12 @@ def view_divergence(views: list[GossipMembership]) -> int:
     if not views:
         return 0
     total = 0
-    for node_id in views[0]._base.node_ids:
+    for node_id in views[0].base.node_ids:
         dead = sum(1 for v in views if not v.is_live(node_id))
         total += dead * (len(views) - dead)
     return total
 
 
-def suspect_count(views: list[GossipMembership]) -> int:
+def suspect_count(views: list[Membership]) -> int:
     """Total SUSPECT entries across views (failure-detector churn gauge)."""
     return sum(len(v.suspect_nodes()) for v in views)

@@ -5,7 +5,7 @@ The injector translates schedule entries into simulator state changes:
 * ``crash``    — take the node off the network (messages to/from it are
   dropped), wipe its volatile state (queues, in-memory caches), and
   strand its in-flight work.  Peers discover the death through RPC
-  timeouts and repair the ring via the shared membership.
+  timeouts (or gossip silence) and repair the ring in their view.
 * ``restart``  — put the node back on the network with a cold cache,
   spin up fresh worker pools, and revive it in the membership so the
   ring routes to it again.
@@ -98,15 +98,14 @@ class FaultInjector:
         node = self.system.nodes[node_id]
         node.restart()
         self.system.network.set_down(node_id, False)
+        # The node knows it is back.  Whoever shares its view (everyone,
+        # in the zero-hop wiring) sees that at once and the original map
+        # is restored for its keys; views of their own learn it from the
+        # rejoin below, and survivors hand the node's cells back.
+        self.system.memberships[node_id].revive(node_id)
         agent = self.system.gossip_agents.get(node_id)
         if agent is not None:
-            # Rejoin under a fresh incarnation; liveness spreads
-            # epidemically and survivors hand the node's cells back.
             agent.rejoin()
-        else:
-            # Zero-hop "announcement": every peer sees the node live again
-            # and the original partition map is restored for its keys.
-            self.system.membership.revive(node_id)
         self.system.fault_counters.increment("node_restarts")
         self._log(f"restart {node_id}")
 

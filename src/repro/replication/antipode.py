@@ -15,13 +15,17 @@ import numpy as np
 from repro.dht.partitioner import Partitioner
 from repro.geo import geohash as gh
 
+#: Max random fallback probes around the antipode when the antipode
+#: node declines a distress request.
+MAX_CANDIDATE_PROBES = 8
+
 
 def antipode_candidates(
     root_geohash: str,
     partitioner: Partitioner,
     exclude: str,
     rng: np.random.Generator,
-    max_probes: int,
+    max_probes: int = MAX_CANDIDATE_PROBES,
 ) -> list[str]:
     """Ordered candidate helper nodes for a clique.
 

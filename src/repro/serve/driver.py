@@ -26,7 +26,7 @@ from repro.config import StashConfig
 from repro.data.generator import DatasetSpec, SyntheticNAMGenerator
 from repro.dht.partitioner import PrefixPartitioner
 from repro.errors import NetworkError
-from repro.faults.membership import ClusterMembership, rpc_ok
+from repro.faults.membership import Membership, rpc_ok
 from repro.obs.recorder import FlightRecorder
 from repro.obs.tracer import Tracer
 from repro.query.model import AggregationQuery, QueryResult
@@ -125,7 +125,7 @@ async def connect_client(
         list(node_ids), config.cluster.partition_precision
     )
     client = QueryClient(
-        transport.engine, network, ClusterMembership(partitioner), config
+        transport.engine, network, Membership(partitioner), config
     )
     network.set_peers(addresses)
     try:

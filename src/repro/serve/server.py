@@ -28,7 +28,7 @@ from repro.config import StashConfig
 from repro.core.node import StashNode
 from repro.data.generator import DatasetSpec, SyntheticNAMGenerator
 from repro.dht.partitioner import PrefixPartitioner
-from repro.faults.membership import ClusterMembership
+from repro.faults.membership import Membership
 from repro.geo.resolution import ResolutionSpace
 from repro.storage.backend import StorageCatalog
 from repro.transport.asyncio_net import AsyncioTransport
@@ -69,11 +69,10 @@ def build_node(spec: NodeSpec, transport: AsyncioTransport) -> StashNode:
         catalog,
         spec.node_id,
         spec.config,
-        partitioner=partitioner,
         space=ResolutionSpace(1, 8),
         attribute_names=dataset.attribute_names,
         node_index=spec.node_index,
-        membership=ClusterMembership(partitioner),
+        membership=Membership(partitioner),
     )
 
 

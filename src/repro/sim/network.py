@@ -3,7 +3,8 @@
 Every registered node owns an inbox :class:`~repro.sim.resources.Store`.
 ``send`` delivers a message after latency + size/bandwidth; ``request``
 layers a reply event on top so server code can ``respond`` and the caller
-sees a round trip with both directions paying network cost.
+sees a round trip with both directions paying network cost.  The socket
+fabric subclasses :class:`Network` and replaces only the delivery hooks.
 
 Message payloads are passed by reference (the simulation runs in one
 address space); the *cost* of the transfer is what the byte size models.
@@ -44,12 +45,19 @@ class Message:
 
 
 class Network:
-    """The cluster fabric: registry of node inboxes + cost accounting."""
+    """The cluster fabric: endpoints, accounting, fault rules and RPC.
+
+    Everything up to "this message survived the fault rules" is written
+    here once; getting it to the recipient is the two delivery hooks at
+    the bottom.  This class delivers in simulated time from the cost
+    model; :class:`repro.transport.asyncio_net.AsyncioNetwork` overrides
+    the hooks to deliver over sockets.
+    """
 
     def __init__(
         self,
         sim: Simulator,
-        cost: CostModel,
+        cost: CostModel | None,
         tracer: Tracer | None = None,
         recorder: FlightRecorder | None = None,
     ):
@@ -79,7 +87,7 @@ class Network:
         ] = []
         self.messages_dropped = 0
 
-    # -- membership --------------------------------------------------------
+    # -- endpoints ---------------------------------------------------------
 
     def register(self, node_id: str) -> Store:
         """Create (or return) the inbox for a node."""
@@ -105,7 +113,8 @@ class Network:
 
     def set_down(self, node_id: str, down: bool = True) -> None:
         """Mark a node crashed: messages to/from it are silently dropped."""
-        self.inbox(node_id)  # validate
+        if node_id not in self.node_ids:
+            raise NetworkError(f"unknown node {node_id!r}")
         if down:
             self._down.add(node_id)
         else:
@@ -187,8 +196,7 @@ class Network:
         reply_to: Event | None = None,
         parent: Span | None = None,
     ) -> Message:
-        """Fire-and-forget delivery after the link cost elapses."""
-        inbox = self.inbox(recipient)
+        """Fire-and-forget: account, apply the fault rules, then deliver."""
         message = Message(
             sender=sender,
             recipient=recipient,
@@ -207,27 +215,10 @@ class Network:
             # recover via timeout/retry (see StorageNode.request_resilient).
             self.messages_dropped += 1
             return message
-        delay = 0.0 if sender == recipient else self.cost.network_time(size)
-        if self._delay_rules:
-            delay += self._extra_delay(sender, recipient)
         if self.tracer.enabled:
             message.span = parent
-            if delay > 0.0:
-                self.tracer.record(
-                    f"net:{kind}",
-                    "network",
-                    self.sim.now,
-                    self.sim.now + delay,
-                    parent=parent,
-                    node=sender,
-                    attrs={"to": recipient, "bytes": size},
-                )
-
-        def deliver(_event: Event) -> None:
-            message.delivered_at = self.sim.now
-            inbox.put(message)
-
-        self.sim.timeout(delay).add_callback(deliver)
+        extra = self._extra_delay(sender, recipient) if self._delay_rules else 0.0
+        self._deliver(message, extra, parent)
         return message
 
     def request(
@@ -265,9 +256,23 @@ class Network:
         """Server-side completion of an RPC; reply pays the return link."""
         if message.reply_to is None:
             raise NetworkError(f"message {message.msg_id} expects no reply")
-        reply_event = message.reply_to
         self.messages_sent += 1
         self.bytes_sent += size
+        self._reply(message, value, size, None)
+
+    def respond_error(self, message: Message, exception: BaseException) -> None:
+        """Fail the caller's reply event after the return-link latency."""
+        if message.reply_to is None:
+            raise NetworkError(f"message {message.msg_id} expects no reply")
+        self._reply(message, None, 0, exception)
+
+    def _reply(
+        self,
+        message: Message,
+        value: Any,
+        size: int,
+        exception: BaseException | None,
+    ) -> None:
         if (self._down or self._drop_rules) and self._should_drop(
             message.recipient, message.sender
         ):
@@ -275,11 +280,54 @@ class Network:
             # the reply vanishes and the caller's event never fires.
             self.messages_dropped += 1
             return
+        self._deliver_reply(message, value, size, exception)
+
+    # -- delivery hooks (the only part a fabric implements) ------------------
+
+    def _deliver(
+        self, message: Message, extra_delay: float, parent: Span | None
+    ) -> None:
+        """Enqueue at the recipient after the cost-model link time."""
+        inbox = self.inbox(message.recipient)
+        delay = extra_delay
+        if message.sender != message.recipient:
+            delay += self.cost.network_time(message.size)
+        if self.tracer.enabled and delay > 0.0:
+            self.tracer.record(
+                f"net:{message.kind}",
+                "network",
+                self.sim.now,
+                self.sim.now + delay,
+                parent=parent,
+                node=message.sender,
+                attrs={"to": message.recipient, "bytes": message.size},
+            )
+
+        def deliver(_event: Event) -> None:
+            message.delivered_at = self.sim.now
+            inbox.put(message)
+
+        self.sim.timeout(delay).add_callback(deliver)
+
+    def _deliver_reply(
+        self,
+        message: Message,
+        value: Any,
+        size: int,
+        exception: BaseException | None,
+    ) -> None:
+        """Resolve the caller's reply event after the return-link time."""
+        reply_event = message.reply_to
         delay = (
             0.0
             if message.sender == message.recipient
             else self.cost.network_time(size)
         )
+        if exception is not None:
+            self.sim.timeout(delay).add_callback(
+                lambda _ev: reply_event.fail(exception)
+            )
+            return
         if self._delay_rules:
             delay += self._extra_delay(message.recipient, message.sender)
         if self.tracer.enabled and delay > 0.0:
@@ -293,20 +341,3 @@ class Network:
                 attrs={"to": message.sender, "bytes": size},
             )
         self.sim.timeout(delay).add_callback(lambda _ev: reply_event.succeed(value))
-
-    def respond_error(self, message: Message, exception: BaseException) -> None:
-        """Fail the caller's reply event after the return-link latency."""
-        if message.reply_to is None:
-            raise NetworkError(f"message {message.msg_id} expects no reply")
-        reply_event = message.reply_to
-        if (self._down or self._drop_rules) and self._should_drop(
-            message.recipient, message.sender
-        ):
-            self.messages_dropped += 1
-            return
-        delay = (
-            0.0
-            if message.sender == message.recipient
-            else self.cost.network_time(0)
-        )
-        self.sim.timeout(delay).add_callback(lambda _ev: reply_event.fail(exception))

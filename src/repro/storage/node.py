@@ -19,8 +19,7 @@ from repro.data.block import Block, BlockId
 from repro.data.statistics import SummaryVector
 from repro.dht.partitioner import _stable_hash
 from repro.errors import StorageError
-from repro.faults.gossip import GossipMembership
-from repro.faults.membership import RPC_FAILED, RPC_SHED, ClusterMembership
+from repro.faults.membership import RPC_FAILED, RPC_SHED, Membership
 from repro.faults.overload import OverloadGuard
 from repro.obs.recorder import QueryContext
 from repro.obs.tracer import Span
@@ -52,7 +51,7 @@ class StorageNode:
         catalog: StorageCatalog,
         node_id: str,
         config: StashConfig,
-        membership: "ClusterMembership | GossipMembership | None" = None,
+        membership: Membership | None = None,
     ):
         self.sim = sim
         self.network = network
@@ -60,7 +59,9 @@ class StorageNode:
         self.node_id = node_id
         self.config = config
         self.cost = config.cost
-        self.membership = membership
+        #: The liveness view this node routes through; a node built on
+        #: its own gets a private one over the catalog's partition map.
+        self.membership = membership or Membership(catalog.partitioner)
         self.overload = (
             OverloadGuard(config.overload) if config.overload.enabled else None
         )
@@ -247,7 +248,7 @@ class StorageNode:
         for a death declaration.  Callers must compare with ``is``
         (the sentinels raise on truth-testing).
         """
-        if self.membership is None or not self.config.faults.active:
+        if not self.config.faults.active:
             return self.network.request(
                 self.node_id, recipient, kind, payload, size=size, parent=parent
             )
@@ -266,7 +267,6 @@ class StorageNode:
     ) -> Generator[Event, Any, Any]:
         faults = self.config.faults
         membership = self.membership
-        assert membership is not None
         attempts = faults.max_retries + 1
         for attempt in range(attempts):
             if not membership.is_live(recipient):

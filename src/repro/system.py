@@ -28,13 +28,8 @@ from repro.core.keys import CellKey
 from repro.data.observation import ObservationBatch
 from repro.dht.partitioner import Partitioner, PrefixPartitioner, _stable_hash
 from repro.errors import QueryError
-from repro.faults.gossip import (
-    GossipAgent,
-    GossipMembership,
-    suspect_count,
-    view_divergence,
-)
-from repro.faults.membership import ClusterMembership
+from repro.faults.gossip import GossipAgent, suspect_count, view_divergence
+from repro.faults.membership import Membership
 from repro.geo.geohash import encode
 from repro.obs.critical_path import attribute_span
 from repro.obs.recorder import FlightRecorder, QueryContext
@@ -80,7 +75,7 @@ class QueryClient:
         self,
         sim: Any,
         network: Any,
-        membership: "ClusterMembership | GossipMembership",
+        membership: Membership,
         config: StashConfig,
     ):
         self.sim = sim
@@ -279,21 +274,24 @@ class DistributedSystem(ABC):
         self.partitioner = PrefixPartitioner(
             self.node_ids, config.cluster.partition_precision
         )
-        #: Per-participant liveness views under gossip; empty otherwise.
-        self.memberships: dict[str, GossipMembership] = {}
-        self.gossip_agents: dict[str, GossipAgent] = {}
+        participants = self.node_ids + [CLIENT_ID]
+        #: Every participant's liveness view.  Under gossip each has its
+        #: own (converging through ``gossip_agents``); otherwise they all
+        #: hold the one shared instance, which *is* the zero-hop gossip.
+        self.memberships: dict[str, Membership]
         if config.gossip.enabled:
-            participants = self.node_ids + [CLIENT_ID]
-            for pid in participants:
-                self.memberships[pid] = GossipMembership(
-                    pid, self.partitioner, config.gossip, participants
-                )
-            # The client's view plays the role the shared object used to:
-            # it is what the client routes through and what the CLI /
-            # gauges report.
-            self.membership: Any = self.memberships[CLIENT_ID]
+            self.memberships = {
+                pid: Membership(self.partitioner, pid, config.gossip, participants)
+                for pid in participants
+            }
         else:
-            self.membership = ClusterMembership(self.partitioner)
+            self.memberships = dict.fromkeys(
+                participants, Membership(self.partitioner)
+            )
+        self.gossip_agents: dict[str, GossipAgent] = {}
+        #: The client's view: what the client routes through and what
+        #: the CLI / gauges report.
+        self.membership = self.memberships[CLIENT_ID]
         self.fault_injector: Any = None
         self.catalog = StorageCatalog(
             self.partitioner, block_precision=config.cluster.block_precision
@@ -326,16 +324,6 @@ class DistributedSystem(ABC):
     def _start_nodes(self) -> None:
         """Create and start this system's node processes."""
 
-    def membership_for(self, node_id: str):
-        """The liveness view a node should route through.
-
-        Under gossip every node gets its *own* view; otherwise all nodes
-        share the single :class:`ClusterMembership`.
-        """
-        if self.memberships:
-            return self.memberships[node_id]
-        return self.membership
-
     def _start_gossip(self) -> None:
         """Spawn one gossip agent per participant (deterministic order)."""
         cfg = self.config.gossip
@@ -357,7 +345,7 @@ class DistributedSystem(ABC):
         if not self._nodes_started:
             self._start_nodes()
             self._nodes_started = True
-            if self.memberships:
+            if self.config.gossip.enabled:
                 self._start_gossip()
             self._register_default_gauges()
             if self.config.faults.schedule:
@@ -419,7 +407,7 @@ class DistributedSystem(ABC):
             "cluster.degraded_answers",
             self._fault_counter_total("degraded_answers"),
         )
-        if self.memberships:
+        if self.gossip_agents:
             node_views = [self.memberships[n] for n in self.node_ids]
             self.metrics.gauge(
                 "gossip.view_divergence",

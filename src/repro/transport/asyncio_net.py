@@ -9,11 +9,11 @@ Two pieces, mirroring the sim pair:
   so mapping ``_schedule`` onto ``loop.call_later`` runs every node
   generator — coordinator fan-out, retry/backoff loops, gossip rounds —
   unchanged on wall-clock time.
-* :class:`AsyncioNetwork` — a :class:`~repro.sim.network.Network`
-  duck-type that routes local endpoints through in-process inboxes and
-  remote endpoints over TCP: one lazily-connected outbound link per
-  peer, a reader task per connection feeding a controller queue, and
-  length-prefixed codec frames on the wire.
+* :class:`AsyncioNetwork` — the :class:`~repro.sim.network.Network`
+  whose two delivery hooks route local endpoints through in-process
+  inboxes and remote endpoints over TCP: one lazily-connected outbound
+  link per peer, a reader task per connection feeding a controller
+  queue, and length-prefixed codec frames on the wire.
 
 RPC failure semantics map onto the existing machinery: a dropped
 connection resolves every RPC in flight on it to :data:`RPC_FAILED`
@@ -25,7 +25,6 @@ timeout/retry loop, which runs on real timers here.
 from __future__ import annotations
 
 import asyncio
-import itertools
 import logging
 from typing import Any, Callable, Coroutine, Generator, Iterable
 
@@ -34,8 +33,7 @@ from repro.faults.membership import RPC_FAILED
 from repro.obs.recorder import FlightRecorder
 from repro.obs.tracer import Span, Tracer
 from repro.sim.engine import AllOf, AnyOf, Event, Process, Timeout
-from repro.sim.network import Message
-from repro.sim.resources import Store
+from repro.sim.network import Message, Network
 from repro.transport.framing import FrameDecoder, encode_frame
 
 log = logging.getLogger(__name__)
@@ -162,13 +160,13 @@ class AsyncioEngine:
 class RemoteReply:
     """The reply obligation of an RPC that arrived over a socket.
 
-    Duck-types the slice of :class:`Event` the node code touches on a
-    request's ``reply_to`` — ``triggered`` (checked by the dispatch
-    error path) — while the actual resolution writes a reply frame back
-    on the originating connection.  Forwarding it (the coordinator's
-    evaluate -> evaluate_guest reroute) re-registers it as the pending
-    entry of the follow-up RPC, so the helper's answer is relayed
-    straight back to the original caller.
+    Duck-types the slice of :class:`Event` a request's ``reply_to`` is
+    used through — ``triggered``, ``succeed``, ``fail`` — while the
+    actual resolution writes a reply frame back on the originating
+    connection.  Forwarding it (the coordinator's evaluate ->
+    evaluate_guest reroute) re-registers it as the pending entry of the
+    follow-up RPC, so the helper's answer is relayed straight back to
+    the original caller.
     """
 
     __slots__ = ("network", "writer", "msg_id", "triggered")
@@ -184,13 +182,13 @@ class RemoteReply:
         self.msg_id = msg_id
         self.triggered = False
 
-    def resolve(self, value: Any, size: int = 0) -> None:
+    def succeed(self, value: Any) -> None:
         self.triggered = True
         self.network._write_frame(
             self.writer, {"t": "reply", "id": self.msg_id, "value": value}
         )
 
-    def resolve_error(self, exception: BaseException) -> None:
+    def fail(self, exception: BaseException) -> None:
         self.triggered = True
         self.network._write_frame(
             self.writer, {"t": "err", "id": self.msg_id, "exc": exception}
@@ -211,17 +209,19 @@ class _PeerLink:
         self.dead = False
 
 
-class AsyncioNetwork:
-    """Network-compatible fabric over TCP for one peer process.
+class AsyncioNetwork(Network):
+    """The fabric over TCP for one peer process.
 
     A *peer* is one OS process (a storage node or the client driver); its
     *endpoints* are the inboxes it registers locally (``nodeX`` plus
-    ``gossip:nodeX``).  Endpoint ids map to peers exactly as the sim's
-    fault rules map them: an auxiliary ``gossip:X`` endpoint lives on
-    peer ``X``.
-    """
+    ``gossip:nodeX``).  Endpoint ids map to peers exactly as the fault
+    rules map them (``_fault_id``): an auxiliary ``gossip:X`` endpoint
+    lives on peer ``X``.
 
-    transport_name = "asyncio"
+    Endpoints, message identity, accounting, fault rules, tracing and
+    the RPC envelope are :class:`Network`'s; this class only delivers —
+    to a local inbox directly, to a remote one as a frame.
+    """
 
     def __init__(
         self,
@@ -230,18 +230,10 @@ class AsyncioNetwork:
         tracer: Tracer | None = None,
         recorder: FlightRecorder | None = None,
     ):
-        self.sim = engine
-        self.engine = engine
+        # No cost model: link time is whatever the real wire takes.
+        super().__init__(engine, None, tracer=tracer, recorder=recorder)
         self.peer_id = peer_id
-        self.tracer = tracer if tracer is not None else Tracer(engine, enabled=False)
-        self.recorder = (
-            recorder
-            if recorder is not None
-            else FlightRecorder(engine, enabled=False)
-        )
         self._loop = engine._loop
-        self._inboxes: dict[str, Store] = {}
-        self._ids = itertools.count()
         self._peers: dict[str, tuple[str, int]] = {}
         self._links: dict[str, _PeerLink] = {}
         #: In-flight RPCs: wire msg id -> local Event | forwarded RemoteReply.
@@ -256,29 +248,12 @@ class AsyncioNetwork:
         self._tasks: set[asyncio.Task] = set()
         self._drain_locks: dict[int, asyncio.Lock] = {}
         self._closed = False
-        self.messages_sent = 0
-        self.bytes_sent = 0
-        self.messages_dropped = 0
-        #: Local fault-injection state (parity with the sim fabric, so
-        #: injector-style tests can run against sockets too).
-        self._down: set[str] = set()
-        self._drop_rules: list[tuple[float, float, str | None, str | None]] = []
 
-    # -- membership --------------------------------------------------------
-
-    def register(self, node_id: str) -> Store:
-        if node_id not in self._inboxes:
-            self._inboxes[node_id] = Store(self.sim, name=f"inbox:{node_id}")
-        return self._inboxes[node_id]
-
-    def inbox(self, node_id: str) -> Store:
-        try:
-            return self._inboxes[node_id]
-        except KeyError:
-            raise NetworkError(f"unknown node {node_id!r}") from None
+    # -- endpoints ---------------------------------------------------------
 
     @property
     def node_ids(self) -> list[str]:
+        """Local endpoints plus every peer in the address map."""
         return sorted(set(self._inboxes) | set(self._peers))
 
     def queue_depth(self, node_id: str) -> int:
@@ -292,47 +267,6 @@ class AsyncioNetwork:
         for peer_id, (host, port) in addresses.items():
             if peer_id != self.peer_id:
                 self._peers[peer_id] = (host, port)
-
-    @staticmethod
-    def _peer_of(endpoint: str) -> str:
-        if endpoint.startswith("gossip:"):
-            return endpoint.partition(":")[2]
-        return endpoint
-
-    # -- fault hooks (parity with the sim fabric) --------------------------
-
-    def set_down(self, node_id: str, down: bool = True) -> None:
-        if down:
-            self._down.add(node_id)
-        else:
-            self._down.discard(node_id)
-
-    def is_down(self, node_id: str) -> bool:
-        return node_id in self._down
-
-    def add_drop_rule(
-        self,
-        start: float,
-        until: float,
-        src: str | None = None,
-        dst: str | None = None,
-    ) -> None:
-        self._drop_rules.append((start, until, src, dst))
-
-    def _should_drop(self, sender: str, recipient: str) -> bool:
-        sender = self._peer_of(sender)
-        recipient = self._peer_of(recipient)
-        if sender in self._down or recipient in self._down:
-            return True
-        now = self.sim.now
-        for start, until, src, dst in self._drop_rules:
-            if (
-                start <= now < until
-                and (src is None or src == sender)
-                and (dst is None or dst == recipient)
-            ):
-                return True
-        return False
 
     # -- server side -------------------------------------------------------
 
@@ -419,15 +353,9 @@ class AsyncioNetwork:
                 return
             for link in self._links.values():
                 link.sent_ids.discard(frame["id"])
-            if isinstance(pending, RemoteReply):
-                # Forwarded obligation: relay the answer to the origin.
-                if kind == "reply":
-                    pending.resolve(frame["value"])
-                else:
-                    pending.resolve_error(frame["exc"])
-                return
             if pending.triggered:
                 return  # resolved by a racing drop/close
+            # A forwarded RemoteReply relays the answer to the origin.
             if kind == "reply":
                 pending.succeed(frame["value"])
             else:
@@ -516,11 +444,7 @@ class AsyncioNetwork:
             del self._links[link.peer_id]
         for msg_id in sorted(link.sent_ids):
             pending = self._pending.pop(msg_id, None)
-            if pending is None:
-                continue
-            if isinstance(pending, RemoteReply):
-                pending.resolve(RPC_FAILED)
-            elif not pending.triggered:
+            if pending is not None and not pending.triggered:
                 # The sentinel, not an exception: exactly what the
                 # retry/backoff machinery yields for a hopeless peer.
                 pending.succeed(RPC_FAILED)
@@ -544,128 +468,73 @@ class AsyncioNetwork:
 
         self._spawn(_drain())
 
-    # -- transport ---------------------------------------------------------
+    # -- delivery hooks ----------------------------------------------------
 
-    def send(
-        self,
-        sender: str,
-        recipient: str,
-        kind: str,
-        payload: Any,
-        size: int = 0,
-        reply_to: "Event | RemoteReply | None" = None,
-        parent: Span | None = None,
-    ) -> Message:
-        message = Message(
-            sender=sender,
-            recipient=recipient,
-            kind=kind,
-            payload=payload,
-            size=size,
-            msg_id=next(self._ids),
-            reply_to=reply_to,  # type: ignore[arg-type]
-        )
-        self.messages_sent += 1
-        self.bytes_sent += size
-        if (self._down or self._drop_rules) and self._should_drop(
-            sender, recipient
-        ):
-            self.messages_dropped += 1
-            return message
-        if recipient in self._inboxes:
+    def _after(self, extra_delay: float, action: Callable[[], None]) -> None:
+        """Run ``action`` now, or behind a delay rule's extra latency."""
+        if extra_delay > 0.0:
+            self.sim.timeout(extra_delay).add_callback(lambda _ev: action())
+        else:
+            action()
+
+    def _deliver(
+        self, message: Message, extra_delay: float, parent: Span | None
+    ) -> None:
+        self._after(extra_delay, lambda: self._transmit(message))
+
+    def _transmit(self, message: Message) -> None:
+        store = self._inboxes.get(message.recipient)
+        if store is not None:
             # Local endpoint: same-process delivery, no wire.
             message.delivered_at = self.sim.now
-            self._inboxes[recipient].put(message)
-            return message
-        peer = self._peer_of(recipient)
+            store.put(message)
+            return
+        reply_to = message.reply_to
         wire_id: str | None = None
         if reply_to is not None:
             wire_id = f"{self.peer_id}/{message.msg_id}"
             self._pending[wire_id] = reply_to
         frame = {
             "t": "msg",
-            "sender": sender,
-            "recipient": recipient,
-            "kind": kind,
-            "payload": payload,
-            "size": size,
+            "sender": message.sender,
+            "recipient": message.recipient,
+            "kind": message.kind,
+            "payload": message.payload,
+            "size": message.size,
             "id": wire_id,
         }
         try:
-            link = self._link_for(peer)
+            link = self._link_for(self._fault_id(message.recipient))
         except NetworkError:
             # Unroutable peer: behave like a dropped message; the
             # caller's timeout/retry machinery takes it from here.
             if wire_id is not None:
-                self._pending.pop(wire_id, None)
-                if isinstance(reply_to, RemoteReply):
-                    reply_to.resolve(RPC_FAILED)
-                elif not reply_to.triggered:
+                del self._pending[wire_id]
+                if not reply_to.triggered:
                     reply_to.succeed(RPC_FAILED)
             self.messages_dropped += 1
-            return message
+            return
         if wire_id is not None:
             link.sent_ids.add(wire_id)
         link.outbox.put_nowait(encode_frame(frame))
-        return message
 
-    def request(
+    def _deliver_reply(
         self,
-        sender: str,
-        recipient: str,
-        kind: str,
-        payload: Any,
-        size: int = 0,
-        parent: Span | None = None,
-    ) -> Event:
-        reply = Event(self.sim)
-        rpc = self.tracer.begin(
-            f"rpc:{kind}",
-            "network",
-            parent=parent,
-            node=sender,
-            attrs={"to": recipient},
-        )
-        self.send(
-            sender,
-            recipient,
-            kind,
-            payload,
-            size=size,
-            reply_to=reply,
-            parent=rpc if rpc is not None else parent,
-        )
-        if rpc is not None:
-            reply.add_callback(lambda _ev: self.tracer.end(rpc))
-        return reply
-
-    def respond(self, message: Message, value: Any, size: int = 0) -> None:
-        if message.reply_to is None:
-            raise NetworkError(f"message {message.msg_id} expects no reply")
-        self.messages_sent += 1
-        self.bytes_sent += size
-        if (self._down or self._drop_rules) and self._should_drop(
-            message.recipient, message.sender
-        ):
-            self.messages_dropped += 1
+        message: Message,
+        value: Any,
+        size: int,
+        exception: BaseException | None,
+    ) -> None:
+        reply_to = message.reply_to  # local Event, or RemoteReply -> frame
+        if exception is not None:
+            reply_to.fail(exception)  # as in the sim: delay rules skip errors
             return
-        if isinstance(message.reply_to, RemoteReply):
-            message.reply_to.resolve(value, size=size)
-        else:
-            message.reply_to.succeed(value)
-
-    def respond_error(self, message: Message, exception: BaseException) -> None:
-        if message.reply_to is None:
-            raise NetworkError(f"message {message.msg_id} expects no reply")
-        if (self._down or self._drop_rules) and self._should_drop(
-            message.recipient, message.sender
-        ):
-            self.messages_dropped += 1
-            return
-        if isinstance(message.reply_to, RemoteReply):
-            message.reply_to.resolve_error(exception)
-        else:
-            message.reply_to.fail(exception)
+        extra = (
+            self._extra_delay(message.recipient, message.sender)
+            if self._delay_rules
+            else 0.0
+        )
+        self._after(extra, lambda: reply_to.succeed(value))
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -10,13 +10,13 @@ import json
 import pytest
 
 from repro.bench.harness import BenchScale
+from repro.bench.reporting import write_json
 from repro.bench.scale import (
     ENGINES,
     SCHEMA,
     ScaleSweep,
     format_scale_report,
     run_scale,
-    write_scale_report,
 )
 
 TINY = ScaleSweep(
@@ -90,7 +90,7 @@ class TestDeterminismAndOutput:
 
     def test_write_and_format_round_trip(self, report, tmp_path):
         path = tmp_path / "BENCH_scale.json"
-        write_scale_report(report, str(path))
+        write_json(report, str(path))
         loaded = json.loads(path.read_text())
         assert loaded["schema"] == SCHEMA
         assert len(loaded["runs"]) == len(report["runs"])

@@ -1,17 +1,12 @@
-"""GossipMembership: SWIM-style merge/refutation/aging state machine."""
+"""Membership as a per-participant view: SWIM-style merge/refutation/aging."""
 
 import pytest
 
 from repro.config import GossipConfig
 from repro.dht.partitioner import PrefixPartitioner
 from repro.errors import FaultError
-from repro.faults.gossip import (
-    GossipMembership,
-    PeerState,
-    suspect_count,
-    view_divergence,
-)
-from repro.faults.membership import ClusterMembership
+from repro.faults.gossip import suspect_count, view_divergence
+from repro.faults.membership import Membership, PeerState
 
 NODES = [f"node-{i}" for i in range(4)]
 HASHES = ["9q8y", "dr5r", "c2b2", "u4pr", "9z6m", "gcpv"]
@@ -19,21 +14,25 @@ CFG = GossipConfig(enabled=True, suspect_after=1.0, dead_after=1.0)
 
 
 def make_view(owner="node-0", participants=None):
-    return GossipMembership(
-        owner, PrefixPartitioner(NODES, 2), CFG, participants=participants
+    return Membership(
+        PrefixPartitioner(NODES, 2), owner, CFG, participants=participants
     )
 
 
 class TestRoutingSurface:
+    # A shared-instance wiring (``Membership(partitioner)``, no owner) and
+    # a per-participant wiring route identically before and after a death.
+
     def test_matches_cluster_membership_before_any_death(self):
         view = make_view()
-        shared = ClusterMembership(PrefixPartitioner(NODES, 2))
+        shared = Membership(PrefixPartitioner(NODES, 2))
         for code in HASHES:
             assert view.node_for(code) == shared.node_for(code)
 
     def test_matches_cluster_membership_after_death(self):
         view = make_view()
-        shared = ClusterMembership(PrefixPartitioner(NODES, 2))
+        shared = Membership(PrefixPartitioner(NODES, 2))
+        assert shared.owner_id is None and view.owner_id == "node-0"
         assert view.declare_dead("node-2")
         assert shared.declare_dead("node-2")
         assert view.dead_nodes() == shared.dead_nodes() == ["node-2"]
@@ -66,7 +65,7 @@ class TestRoutingSurface:
     def test_client_participant_does_not_route(self):
         view = make_view("client", participants=NODES + ["client"])
         assert view.live_nodes() == NODES
-        assert "client" not in view._base.node_ids
+        assert "client" not in view.base.node_ids
 
 
 class TestMerge:

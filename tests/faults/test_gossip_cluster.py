@@ -64,6 +64,47 @@ def cluster(dataset, gossip=None, faults=None, schedule=None, nodes=4):
     return StashCluster(dataset, config)
 
 
+class TestOneViewTwoWirings:
+    """``gossip.enabled`` picks how many instances, never which class."""
+
+    def test_disabled_is_one_shared_instance_and_no_agents(self, dataset):
+        system = cluster(dataset, nodes=4)
+        system.start()
+        views = [system.membership, system.client.membership]
+        views += [system.memberships[n] for n in system.node_ids]
+        views += [node.membership for node in system.nodes.values()]
+        assert len({id(view) for view in views}) == 1
+        assert sorted(system.memberships) == sorted(system.node_ids + ["client"])
+        assert system.gossip_agents == {}
+        assert not any(e.startswith("gossip:") for e in system.network.node_ids)
+
+    def test_enabled_is_one_view_per_participant(self, dataset):
+        system = cluster(dataset, gossip=FAST_GOSSIP, nodes=4)
+        system.start()
+        assert len({id(view) for view in system.memberships.values()}) == 4 + 1
+        assert {type(view) for view in system.memberships.values()} == {
+            type(cluster(dataset).membership)
+        }
+        for node_id, node in system.nodes.items():
+            assert node.membership is system.memberships[node_id]
+            assert node.membership.owner_id == node_id
+        assert system.client.membership is system.memberships["client"]
+        assert sorted(system.gossip_agents) == sorted(system.memberships)
+        assert f"gossip:{system.node_ids[0]}" in system.network.node_ids
+
+    def test_shared_view_crash_restart_restores_the_base_map(self, dataset):
+        # With one shared instance the restarted node's revive *is* the
+        # cluster-wide announcement (no agent, no rejoin round).
+        schedule = FaultSchedule.crash_restart("node-1", 0.1, 0.6)
+        system = cluster(dataset, schedule=schedule)
+        system.start()
+        system.membership.declare_dead("node-1")
+        assert system.nodes["node-0"].membership.dead_nodes() == ["node-1"]
+        system.sim.run(until=1.0)
+        assert system.membership.dead_nodes() == []
+        assert system.membership.partitioner is system.partitioner
+
+
 class TestByteIdentity:
     def test_gossip_without_faults_is_invisible(self, dataset):
         """Gossip on + empty schedule == shared-membership baseline.

@@ -1,17 +1,17 @@
-"""ClusterMembership: shared liveness view + DHT ring repair."""
+"""Membership: the liveness view + DHT ring repair (shared-instance use)."""
 
 import pytest
 
 from repro.dht.partitioner import ConsistentHashPartitioner, PrefixPartitioner
 from repro.errors import FaultError, StorageError
-from repro.faults.membership import RPC_FAILED, RPC_SHED, ClusterMembership, rpc_ok
+from repro.faults.membership import RPC_FAILED, RPC_SHED, Membership, rpc_ok
 
 NODES = [f"node-{i}" for i in range(4)]
 HASHES = ["9q8y", "dr5r", "c2b2", "u4pr", "9z6m", "gcpv"]
 
 
 def make_membership(partitioner_cls=PrefixPartitioner):
-    return ClusterMembership(partitioner_cls(NODES, 2))
+    return Membership(partitioner_cls(NODES, 2))
 
 
 class TestRpcSentinels:

@@ -133,3 +133,18 @@ class TestWorkerPools:
         assert "evaluate" in COORDINATOR_KINDS
         assert "scan" not in COORDINATOR_KINDS
         assert "fetch_cells" not in COORDINATOR_KINDS
+
+
+class TestMembershipView:
+    def test_node_built_without_a_view_gets_its_own(self, rig):
+        """``membership is None`` is not a reachable state."""
+        from repro.faults.membership import Membership
+
+        _sim, _network, catalog, nodes = rig
+        views = [node.membership for node in nodes.values()]
+        assert all(type(view) is Membership for view in views)
+        assert len({id(view) for view in views}) == len(nodes)  # private each
+        for view in views:
+            assert view.base is catalog.partitioner
+            assert view.partitioner is catalog.partitioner
+            assert view.live_nodes() == NODES

@@ -116,7 +116,7 @@ class TestCorruptionDetected:
         wrong = next(
             node
             for node in cluster.nodes.values()
-            if node.partitioner.node_for(cell.key.geohash) != node.node_id
+            if node.membership.base.node_for(cell.key.geohash) != node.node_id
         )
         wrong.graph.insert(Cell(key=cell.key, summary=cell.summary))
         with pytest.raises(AuditError, match="owned by"):
@@ -136,7 +136,7 @@ class TestCorruptionDetected:
         cluster = self._warm_cluster()
         node = self._any_node_with_cells(cluster)
         key = CellKey(
-            node.partitioner.partition_key("9q8y7") + "8y7"[:0] or "9q8y7",
+            node.membership.base.partition_key("9q8y7") + "8y7"[:0] or "9q8y7",
             TimeKey.of(2013, 2, 2),
         )
         # Insert a cell without telling the PLM.

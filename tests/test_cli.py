@@ -243,3 +243,28 @@ class TestSloCommand:
         code = main(["slo", "--requests", "6", "--output", "-"])
         assert code == 0
         assert "wrote report" not in capsys.readouterr().out
+
+    def test_unwritable_output_is_exit_2(self, capsys):
+        code = main(["slo", "--requests", "6", "--output", "/nonexistent/x.json"])
+        assert code == 2
+        assert "error: cannot write /nonexistent/x.json" in capsys.readouterr().err
+
+
+class TestMetricsCommand:
+    ARGS = ["metrics", "--requests", "2", "--records", "2000", "--nodes", "2"]
+
+    def test_json_series_end_with_a_newline(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "series.json"
+        assert main(self.ARGS + ["--json", str(path)]) == 0
+        assert f"wrote series to {path}" in capsys.readouterr().out
+        text = path.read_text()
+        assert text.endswith("}\n")
+        json.loads(text)
+
+    def test_unwritable_json_is_exit_2_not_a_traceback(self, capsys):
+        # Every report writer goes through the one guarded write_json.
+        code = main(self.ARGS + ["--json", "/nonexistent/x.json"])
+        assert code == 2
+        assert "error: cannot write /nonexistent/x.json" in capsys.readouterr().err
