@@ -77,6 +77,8 @@ def try_rollup(
         )
         if finer is None or not space.contains(finer):
             continue
+        if not graph.level_size(space.level_of(finer)):
+            continue  # nothing resident at the finer level: no child can be
         children = key.children(axis)
         if not children:
             continue

@@ -67,15 +67,9 @@ def query_ring(query) -> list[CellKey]:
     cell's 10 lateral neighbors (the per-cell form is the reference in
     ``tests/reference.py``).
     """
-    from repro.geo.cover import covering_cells, expand_ring
-
-    precision = query.resolution.spatial
-    snapped = query.snapped_bbox()
-    spatial_cover = covering_cells(snapped, precision)
-    spatial_ring = expand_ring(snapped, precision)
-    time_keys = query.time_range.covering_keys(query.resolution.temporal)
-    ring = [CellKey(g, t) for g in spatial_ring for t in time_keys]
+    time_keys = query.time_keys()
+    ring = [CellKey(g, t) for g in query.grid_cover().ring() for t in time_keys]
     before = time_keys[0].step(-1)
     after = time_keys[-1].step(1)
-    ring.extend(CellKey(g, t) for g in spatial_cover for t in (before, after))
+    ring.extend(CellKey(g, t) for g in query.box_cells() for t in (before, after))
     return ring

@@ -29,8 +29,9 @@ from repro.core.cell import Cell
 from repro.core.keys import CellKey
 from repro.core.plm import PrecisionLevelMap
 from repro.data.block import BlockId
-from repro.errors import CacheError
+from repro.errors import CacheError, ResolutionError
 from repro.geo.resolution import ResolutionSpace
+from repro.geo.temporal import NUM_TEMPORAL_RESOLUTIONS
 
 #: Initial slot capacity of a level's column block.
 _MIN_CAPACITY = 64
@@ -120,10 +121,21 @@ class StashGraph:
     def level_sizes(self) -> dict[int, int]:
         return {level: len(cells) for level, cells in self._levels.items() if cells}
 
+    def level_size(self, level: int) -> int:
+        """Number of resident cells at one level."""
+        return len(self._levels.get(level, ()))
+
     # -- membership --------------------------------------------------------
 
     def level_of(self, key: CellKey) -> int:
-        return self.space.level_of(key.resolution)
+        """``space.level_of(key.resolution)``, read off the key's two lengths."""
+        space = self.space
+        spatial = len(key.geohash)
+        if not space.min_spatial <= spatial <= space.max_spatial:
+            raise ResolutionError(f"{key.resolution} outside space {space}")
+        return (spatial - space.min_spatial) * NUM_TEMPORAL_RESOLUTIONS + (
+            len(key.time_key.components) - 1
+        )
 
     def contains(self, key: CellKey) -> bool:
         return key in self._levels.get(self.level_of(key), ())
@@ -252,7 +264,7 @@ class StashGraph:
         for level, slots in slots_by_level.items():
             columns = self._columns[level]
             idx = np.asarray(slots, dtype=np.intp)
-            if idx.size > 1:
+            if len(set(slots)) < len(slots):
                 idx, counts = np.unique(idx, return_counts=True)
                 increments = amount * counts
             else:

@@ -43,6 +43,10 @@ class Partitioner(ABC):
             raise StorageError("partition_precision must be >= 1")
         self.node_ids = list(node_ids)
         self.partition_precision = partition_precision
+        #: The partition map itself, prefix -> owner, filled on first use.
+        #: A partitioner never changes (ring repair builds a new one), so
+        #: an entry is never wrong.
+        self._owners: dict[str, str] = {}
 
     def partition_key(self, geohash: str) -> str:
         """The coarse prefix that determines ownership."""
@@ -56,7 +60,11 @@ class Partitioner(ABC):
 
     def node_for(self, geohash: str) -> str:
         """Owner node of any geohash (cell or block)."""
-        return self.node_for_partition(self.partition_key(geohash))
+        prefix = self.partition_key(geohash)
+        owner = self._owners.get(prefix)
+        if owner is None:
+            owner = self._owners[prefix] = self.node_for_partition(prefix)
+        return owner
 
     def without_node(self, node_id: str) -> "Partitioner":
         """A new partition map with one node removed (ring repair).

@@ -3,99 +3,144 @@
 The front-end's Query_Polygon is a lat/lon rectangle; evaluating it at a
 spatial resolution means touching every geohash cell of that precision
 that overlaps the rectangle (paper section IV-D).  This module computes
-that cover with integer grid arithmetic — no per-cell geometry tests.
+that cover with integer grid arithmetic — no per-cell geometry tests:
+a :class:`GridCover` is five integers, and the cover's size, snapped
+bounds, cells and neighborhood ring are all read off them.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import GeohashError
 from repro.geo.bbox import BoundingBox
-from repro.geo.geohash import _bit_counts, _check_precision, _from_indices_many
+from repro.geo.geohash import (
+    _bit_counts,
+    _check_precision,
+    _interleave_many,
+    cell_dimensions,
+    codes_to_geohashes,
+)
 
 
-def _index_ranges(
-    box: BoundingBox, precision: int
-) -> tuple[int, int, int, int]:
-    """Inclusive (lat_lo, lat_hi, lon_lo, lon_hi) grid index ranges."""
-    lon_bits, lat_bits = _bit_counts(precision)
-    n_lat, n_lon = 1 << lat_bits, 1 << lon_bits
-    lat_lo = int((box.south + 90.0) / 180.0 * n_lat)
-    lon_lo = int((box.west + 180.0) / 360.0 * n_lon)
-    # North/east edges are exclusive: a box ending exactly on a cell
-    # boundary does not include the next cell.
-    lat_hi = int(np.nextafter((box.north + 90.0) / 180.0 * n_lat, -np.inf))
-    lon_hi = int(np.nextafter((box.east + 180.0) / 360.0 * n_lon, -np.inf))
-    lat_lo = max(0, min(lat_lo, n_lat - 1))
-    lon_lo = max(0, min(lon_lo, n_lon - 1))
-    lat_hi = max(lat_lo, min(lat_hi, n_lat - 1))
-    lon_hi = max(lon_lo, min(lon_hi, n_lon - 1))
-    return lat_lo, lat_hi, lon_lo, lon_hi
+@dataclass(frozen=True, slots=True)
+class GridCover:
+    """The cells of one precision overlapping a box, as grid index ranges.
+
+    Rows count from the south pole, columns from the antimeridian; both
+    ranges are inclusive.
+    """
+
+    precision: int
+    lat_lo: int
+    lat_hi: int
+    lon_lo: int
+    lon_hi: int
+
+    @staticmethod
+    def of(box: BoundingBox, precision: int) -> "GridCover":
+        """The cover of ``box`` at ``precision``, clamped to the grid."""
+        _check_precision(precision)
+        lon_bits, lat_bits = _bit_counts(precision)
+        n_lat, n_lon = 1 << lat_bits, 1 << lon_bits
+        lat_lo = int((box.south + 90.0) / 180.0 * n_lat)
+        lon_lo = int((box.west + 180.0) / 360.0 * n_lon)
+        # North/east edges are exclusive: a box ending exactly on a cell
+        # boundary does not include the next cell.
+        lat_hi = int(math.nextafter((box.north + 90.0) / 180.0 * n_lat, -math.inf))
+        lon_hi = int(math.nextafter((box.east + 180.0) / 360.0 * n_lon, -math.inf))
+        lat_lo = max(0, min(lat_lo, n_lat - 1))
+        lon_lo = max(0, min(lon_lo, n_lon - 1))
+        return GridCover(
+            precision,
+            lat_lo,
+            max(lat_lo, min(lat_hi, n_lat - 1)),
+            lon_lo,
+            max(lon_lo, min(lon_hi, n_lon - 1)),
+        )
+
+    @property
+    def count(self) -> int:
+        """Number of cells in the cover, without materializing them."""
+        return (self.lat_hi - self.lat_lo + 1) * (self.lon_hi - self.lon_lo + 1)
+
+    def within(self, max_cells: int | None) -> "GridCover":
+        """This cover, or :class:`GeohashError` if it exceeds ``max_cells``.
+
+        Guards against accidentally materializing a continental cover at
+        a street-level precision; nothing is allocated before the check.
+        """
+        if max_cells is not None and self.count > max_cells:
+            raise GeohashError(
+                f"cover of {self.count} cells exceeds max_cells={max_cells}; "
+                "lower the precision or shrink the box"
+            )
+        return self
+
+    def bounds(self) -> BoundingBox:
+        """The box snapped outward to cell boundaries.
+
+        Bit for bit the union of the first and last cell's
+        :func:`~repro.geo.geohash.bbox`, without building either cell.
+        """
+        height, width = cell_dimensions(self.precision)
+        return BoundingBox(
+            south=-90.0 + self.lat_lo * height,
+            north=min(90.0, (-90.0 + self.lat_hi * height) + height),
+            west=-180.0 + self.lon_lo * width,
+            east=min(180.0, (-180.0 + self.lon_hi * width) + width),
+        )
+
+    def codes(self) -> np.ndarray:
+        """The cells' bit-codes, row-major (south-to-north, west-to-east)."""
+        rows = np.arange(self.lat_lo, self.lat_hi + 1, dtype=np.intp)
+        cols = np.arange(self.lon_lo, self.lon_hi + 1, dtype=np.intp)
+        return _interleave_many(rows[:, None], cols, self.precision).ravel()
+
+    def cells(self) -> list[str]:
+        """The cells' geohash strings, in :meth:`codes` order."""
+        return codes_to_geohashes(self.codes(), self.precision).tolist()
+
+    def ring(self) -> list[str]:
+        """The one-cell-wide ring of cells just outside the cover.
+
+        This is the "immediate spatiotemporal neighborhood" that receives
+        dispersed freshness when a region is accessed (paper Fig. 3, grey
+        cells).  The grid does not wrap: rows past a pole and columns past
+        the antimeridian are skipped, exactly as :meth:`of` clamps covers
+        there.  (Wrapping here used to seed freshness on cells no query
+        footprint could ever produce.)
+        """
+        lon_bits, lat_bits = _bit_counts(self.precision)
+        full = range(max(0, self.lon_lo - 1), min(1 << lon_bits, self.lon_hi + 2))
+        sides = [col for col in (self.lon_lo - 1, self.lon_hi + 1) if col in full]
+        rows: list[int] = []
+        cols: list[int] = []
+        for row in range(max(0, self.lat_lo - 1), min(1 << lat_bits, self.lat_hi + 2)):
+            row_cols = sides if self.lat_lo <= row <= self.lat_hi else full
+            rows += [row] * len(row_cols)
+            cols += row_cols
+        codes = _interleave_many(
+            np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), self.precision
+        )
+        return codes_to_geohashes(codes, self.precision).tolist()
 
 
 def covering_count(box: BoundingBox, precision: int) -> int:
     """Number of cells in the cover, without materializing them."""
-    _check_precision(precision)
-    lat_lo, lat_hi, lon_lo, lon_hi = _index_ranges(box, precision)
-    return (lat_hi - lat_lo + 1) * (lon_hi - lon_lo + 1)
+    return GridCover.of(box, precision).count
 
 
 def covering_cells(
     box: BoundingBox, precision: int, max_cells: int | None = None
 ) -> list[str]:
-    """All geohash cells at ``precision`` overlapping ``box``.
-
-    Cells are returned in row-major (south-to-north, west-to-east) order.
-    ``max_cells`` guards against accidentally materializing a continental
-    cover at a street-level precision.
-    """
-    _check_precision(precision)
-    lat_lo, lat_hi, lon_lo, lon_hi = _index_ranges(box, precision)
-    count = (lat_hi - lat_lo + 1) * (lon_hi - lon_lo + 1)
-    if max_cells is not None and count > max_cells:
-        raise GeohashError(
-            f"cover of {count} cells exceeds max_cells={max_cells}; "
-            "lower the precision or shrink the box"
-        )
-    lat_idx, lon_idx = np.meshgrid(
-        np.arange(lat_lo, lat_hi + 1, dtype=np.uint64),
-        np.arange(lon_lo, lon_hi + 1, dtype=np.uint64),
-        indexing="ij",
-    )
-    hashes = _from_indices_many(lat_idx.ravel(), lon_idx.ravel(), precision)
-    return hashes.tolist()
+    """All geohash cells at ``precision`` overlapping ``box``, row-major."""
+    return GridCover.of(box, precision).within(max_cells).cells()
 
 
 def expand_ring(box: BoundingBox, precision: int) -> list[str]:
-    """The one-cell-wide ring of cells just outside ``box``'s cover.
-
-    This is the "immediate spatiotemporal neighborhood" that receives
-    dispersed freshness when a region is accessed (paper Fig. 3, grey
-    cells).
-
-    The grid does not wrap: columns past the antimeridian are skipped,
-    exactly as :func:`covering_cells`/:func:`_index_ranges` clamp query
-    covers at the seam.  (Wrapping here used to seed freshness on cells
-    no query footprint could ever produce.)
-    """
-    _check_precision(precision)
-    lon_bits, lat_bits = _bit_counts(precision)
-    n_lat, n_lon = 1 << lat_bits, 1 << lon_bits
-    lat_lo, lat_hi, lon_lo, lon_hi = _index_ranges(box, precision)
-    ring: list[tuple[int, int]] = []
-    for row in range(lat_lo - 1, lat_hi + 2):
-        if not 0 <= row < n_lat:
-            continue
-        if row in (lat_lo - 1, lat_hi + 1):
-            cols = range(lon_lo - 1, lon_hi + 2)
-        else:
-            cols = (lon_lo - 1, lon_hi + 1)
-        for col in cols:
-            if 0 <= col < n_lon:
-                ring.append((row, col))
-    if not ring:
-        return []
-    rows = np.asarray([r for r, _ in ring], dtype=np.uint64)
-    cols = np.asarray([c for _, c in ring], dtype=np.uint64)
-    return _from_indices_many(rows, cols, precision).tolist()
+    """The one-cell-wide ring of cells just outside ``box``'s cover."""
+    return GridCover.of(box, precision).ring()

@@ -8,7 +8,10 @@ Hot paths (binning millions of observations) use the vectorized
 :func:`encode_many` (strings) or :func:`spatial_codes` (raw interleaved
 uint64 bit-codes, the integer form the scan pipeline bins on); the
 scalar functions serve topology queries (neighbors, children, antipode)
-on individual cells.
+on individual cells.  Both interleave the two bin indices through one
+byte-spread table (:data:`_SPREAD`): a byte of index becomes 16 bits of
+code in one lookup, so an axis costs one gather up to precision 3 (8
+bits), two up to 6, four at 12 — whatever the array length.
 
 Coordinate contract: every encoder — scalar and vectorized — rejects
 non-finite (NaN / ±inf) and out-of-range coordinates with
@@ -32,6 +35,15 @@ _CHAR_TO_VAL = {c: i for i, c in enumerate(GEOHASH_ALPHABET)}
 
 #: Maximum precision supported (60 bits fits comfortably in uint64).
 MAX_PRECISION = 12
+
+#: Byte -> its 8 bits moved to the even positions of 16 (a zero after
+#: each), as Python ints for the scalar path and uint64 for the gathers.
+_SPREAD = tuple(
+    sum(((byte >> bit) & 1) << (2 * bit) for bit in range(8)) for byte in range(256)
+)
+_SPREAD_U64 = np.array(_SPREAD, dtype=np.uint64)
+#: The inverse: 16 bits with the odd positions clear -> the byte.
+_COMPACT = {spread: byte for byte, spread in enumerate(_SPREAD)}
 
 
 def _bit_counts(precision: int) -> tuple[int, int]:
@@ -77,17 +89,36 @@ def encode(lat: float, lon: float, precision: int) -> str:
     return _from_indices(lat_idx, lon_idx, precision)
 
 
+def _spread(table, idx, bits: int):
+    """``idx`` (below ``2 ** bits``) with a zero bit after each of its bits.
+
+    One table lookup per byte of index, most significant first; works on
+    a Python int with :data:`_SPREAD` and on an integer array with
+    :data:`_SPREAD_U64`.
+    """
+    shift = (bits - 1) & ~7
+    out = table[idx >> shift]
+    while shift:
+        shift -= 8
+        out = (out << 16) | table[(idx >> shift) & 0xFF]
+    return out
+
+
+def _compact(code: int, bits: int) -> int:
+    """Inverse of :func:`_spread`: the ``bits`` even-position bits of ``code``."""
+    return sum(
+        _COMPACT[(code >> (2 * shift)) & 0x5555] << shift for shift in range(0, bits, 8)
+    )
+
+
 def _from_indices(lat_idx: int, lon_idx: int, precision: int) -> str:
     """Build the geohash string from integer lat/lon bin indices."""
     lon_bits, lat_bits = _bit_counts(precision)
-    interleaved = 0
-    # Even bit positions (from MSB, position 0) come from longitude.
-    for i in range(lon_bits):
-        bit = (lon_idx >> (lon_bits - 1 - i)) & 1
-        interleaved |= bit << (5 * precision - 1 - 2 * i)
-    for i in range(lat_bits):
-        bit = (lat_idx >> (lat_bits - 1 - i)) & 1
-        interleaved |= bit << (5 * precision - 2 - 2 * i)
+    lon = _spread(_SPREAD, lon_idx, lon_bits)
+    lat = _spread(_SPREAD, lat_idx, lat_bits)
+    # The code's first bit is longitude, so its last is longitude exactly
+    # when the bit count (5 per character) is odd.
+    interleaved = (lon | lat << 1) if precision & 1 else (lon << 1 | lat)
     chars = []
     for i in range(precision):
         shift = 5 * (precision - 1 - i)
@@ -99,21 +130,13 @@ def _to_indices(geohash: str) -> tuple[int, int]:
     """(lat_idx, lon_idx) integer bin indices of a geohash cell."""
     precision = len(geohash)
     _check_precision(precision)
-    interleaved = 0
-    for ch in geohash:
-        try:
-            interleaved = (interleaved << 5) | _CHAR_TO_VAL[ch]
-        except KeyError:
-            raise GeohashError(f"invalid geohash character {ch!r} in {geohash!r}")
+    interleaved = geohash_to_code(geohash)
     lon_bits, lat_bits = _bit_counts(precision)
-    lat_idx = lon_idx = 0
-    for i in range(lon_bits):
-        bit = (interleaved >> (5 * precision - 1 - 2 * i)) & 1
-        lon_idx = (lon_idx << 1) | bit
-    for i in range(lat_bits):
-        bit = (interleaved >> (5 * precision - 2 - 2 * i)) & 1
-        lat_idx = (lat_idx << 1) | bit
-    return lat_idx, lon_idx
+    odd = precision & 1
+    return (
+        _compact(interleaved >> odd, lat_bits),
+        _compact(interleaved >> (1 - odd), lon_bits),
+    )
 
 
 def decode(geohash: str) -> tuple[float, float]:
@@ -218,9 +241,10 @@ def encode_many(
     Returns an array of fixed-width unicode geohash strings.  Non-finite
     (NaN / ±inf) coordinates raise :class:`GeohashError` — the range
     check alone would not catch NaN (all its comparisons are False) and
-    ``astype(np.uint64)`` on NaN produces garbage codes.  Everything is
-    integer bit arithmetic on uint64 arrays (no Python-level per-point
-    loop — the loops are over *bit positions*, at most 60).
+    an integer cast of NaN produces garbage codes.  Everything is array
+    arithmetic (no Python-level per-point loop): two bin-index columns,
+    a table-driven interleave (:func:`_interleave_many`), one base-32
+    slice per character.
     """
     return codes_to_geohashes(spatial_codes(lats, lons, precision), precision)
 
@@ -257,11 +281,11 @@ def spatial_codes(
             raise GeohashError("coordinates out of range in spatial encoding")
     lon_bits, lat_bits = _bit_counts(precision)
     lat_idx = np.minimum(
-        ((lats + 90.0) / 180.0 * (1 << lat_bits)).astype(np.uint64),
+        ((lats + 90.0) / 180.0 * (1 << lat_bits)).astype(np.intp),
         (1 << lat_bits) - 1,
     )
     lon_idx = np.minimum(
-        ((lons + 180.0) / 360.0 * (1 << lon_bits)).astype(np.uint64),
+        ((lons + 180.0) / 360.0 * (1 << lon_bits)).astype(np.intp),
         (1 << lon_bits) - 1,
     )
     return _interleave_many(lat_idx, lon_idx, precision)
@@ -270,17 +294,15 @@ def spatial_codes(
 def _interleave_many(
     lat_idx: np.ndarray, lon_idx: np.ndarray, precision: int
 ) -> np.ndarray:
-    """Interleave integer bin indices into uint64 geohash bit-codes."""
+    """Interleave integer bin indices into uint64 geohash bit-codes.
+
+    The two index arrays only need to broadcast against each other: a
+    column of rows against a row of columns yields the whole grid.
+    """
     lon_bits, lat_bits = _bit_counts(precision)
-    total = 5 * precision
-    interleaved = np.zeros(lat_idx.shape, dtype=np.uint64)
-    for i in range(lon_bits):
-        bit = (lon_idx >> np.uint64(lon_bits - 1 - i)) & np.uint64(1)
-        interleaved |= bit << np.uint64(total - 1 - 2 * i)
-    for i in range(lat_bits):
-        bit = (lat_idx >> np.uint64(lat_bits - 1 - i)) & np.uint64(1)
-        interleaved |= bit << np.uint64(total - 2 - 2 * i)
-    return interleaved
+    lon = _spread(_SPREAD_U64, lon_idx, lon_bits)
+    lat = _spread(_SPREAD_U64, lat_idx, lat_bits)
+    return (lon | lat << 1) if precision & 1 else (lon << 1 | lat)
 
 
 def codes_to_geohashes(codes: np.ndarray, precision: int) -> np.ndarray:
@@ -309,12 +331,3 @@ def geohash_to_code(geohash: str) -> int:
                 f"invalid geohash character {ch!r} in {geohash!r}"
             ) from None
     return code
-
-
-def _from_indices_many(
-    lat_idx: np.ndarray, lon_idx: np.ndarray, precision: int
-) -> np.ndarray:
-    """Vectorized counterpart of :func:`_from_indices`."""
-    return codes_to_geohashes(
-        _interleave_many(lat_idx, lon_idx, precision), precision
-    )

@@ -11,16 +11,16 @@ temporal_resolution) bins.  The result is one
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 from repro.core.keys import CellKey
 from repro.data.statistics import SummaryVector
 from repro.errors import QueryError
 from repro.geo.bbox import BoundingBox
-from repro.geo.cover import covering_cells, covering_count
+from repro.geo.cover import GridCover
 from repro.geo.resolution import Resolution
-from repro.geo.temporal import TimeRange
+from repro.geo.temporal import TimeKey, TimeRange
 
 _query_ids = itertools.count()
 
@@ -39,6 +39,18 @@ PROVENANCE_KEYS = (
     "disk_blocks_read",
     "rerouted",
 )
+
+
+@dataclass(slots=True)
+class _Footprint:
+    """What a query's extent and resolution determine, each derived once."""
+
+    #: Grid cover of the query *box* (a polygon thins ``spatial`` only).
+    cover: GridCover
+    time_keys: list[TimeKey]
+    #: The footprint's spatial cells and the footprint, once asked for.
+    spatial: list[str] | None = None
+    cells: list[CellKey] | None = None
 
 
 @dataclass(frozen=True)
@@ -61,11 +73,12 @@ class AggregationQuery:
     #: tagged query answers identically to an untagged twin.
     kind: str = field(default="other", compare=False)
     query_id: int = field(default_factory=lambda: next(_query_ids))
-    #: Memoized :meth:`footprint` result.  A query object crosses several
-    #: evaluation sites (client session, coordinator, guest helper) that
-    #: each need the same cell cover; materializing it once removes the
-    #: dominant repeated planning cost.  Excluded from eq/hash/repr.
-    _footprint_cache: "list[CellKey] | None" = field(
+    #: Memoized cover, time keys and :meth:`footprint`.  A query object
+    #: crosses several evaluation sites (client session, coordinator,
+    #: guest helper, scan) that each need the same cover or something
+    #: read off it; deriving it once removes the dominant repeated
+    #: planning cost.  Excluded from eq/hash/repr.
+    _footprint_cache: "_Footprint | None" = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -88,29 +101,56 @@ class AggregationQuery:
             polygon=polygon,
         )
 
+    def _derived(self) -> _Footprint:
+        memo = self._footprint_cache
+        if memo is None:
+            memo = _Footprint(
+                GridCover.of(self.bbox, self.resolution.spatial),
+                self.time_range.covering_keys(self.resolution.temporal),
+            )
+            object.__setattr__(self, "_footprint_cache", memo)
+        return memo
+
+    def grid_cover(self) -> GridCover:
+        """Grid cover of the query box at the query's spatial precision."""
+        return self._derived().cover
+
+    def time_keys(self) -> list[TimeKey]:
+        """The temporal bins the query's time range overlaps, in order."""
+        return self._derived().time_keys
+
     def footprint_size(self) -> int:
         """Number of cells this query touches.
 
         For rectangles this is pure arithmetic; a polygon requires
         materializing its cover once.
         """
-        temporal = len(self.time_range.covering_keys(self.resolution.temporal))
-        if self.polygon is None:
-            spatial = covering_count(self.bbox, self.resolution.spatial)
-        else:
-            spatial = len(self._spatial_cover())
-        return spatial * temporal
+        memo = self._derived()
+        spatial = (
+            memo.cover.count if self.polygon is None else len(self._spatial_cover())
+        )
+        return spatial * len(memo.time_keys)
 
     def _spatial_cover(self) -> list[str]:
-        if self.polygon is None:
-            return covering_cells(
-                self.bbox, self.resolution.spatial, max_cells=self.MAX_FOOTPRINT_CELLS
-            )
-        from repro.geo.polygon import covering_cells_polygon
+        memo = self._derived()
+        if memo.spatial is None:
+            if self.polygon is None:
+                memo.spatial = memo.cover.within(self.MAX_FOOTPRINT_CELLS).cells()
+            else:
+                from repro.geo.polygon import covering_cells_polygon
 
-        return covering_cells_polygon(
-            self.polygon, self.resolution.spatial, max_cells=self.MAX_FOOTPRINT_CELLS
-        )
+                memo.spatial = covering_cells_polygon(
+                    self.polygon,
+                    self.resolution.spatial,
+                    max_cells=self.MAX_FOOTPRINT_CELLS,
+                )
+        return memo.spatial
+
+    def box_cells(self) -> list[str]:
+        """Cells of :meth:`grid_cover`: the footprint's, unless a polygon thins it."""
+        if self.polygon is None:
+            return self._spatial_cover()
+        return self.grid_cover().cells()
 
     def footprint(self) -> list[CellKey]:
         """Every cell key the query's extent covers at its resolution.
@@ -124,36 +164,25 @@ class AggregationQuery:
         one query object, so it is computed once and shared.  Callers must
         treat the returned list as read-only.
         """
-        if self._footprint_cache is not None:
-            return self._footprint_cache
-        temporal = self.time_range.covering_keys(self.resolution.temporal)
-        if self.polygon is None:
-            # Rectangles: the cover size is pure arithmetic, so reject
-            # oversized footprints before materializing anything.
-            bounding_size = covering_count(
-                self.bbox, self.resolution.spatial
-            ) * len(temporal)
-            if bounding_size > self.MAX_FOOTPRINT_CELLS:
+        memo = self._derived()
+        if memo.cells is None:
+            # A rectangle's size is pure arithmetic, so it is rejected
+            # before anything is materialized; a polygon's is that of its
+            # *filtered* cover (the bbox cover wildly overestimates a thin
+            # lasso), itself capped inside covering_cells_polygon.
+            size = self.footprint_size()
+            if size > self.MAX_FOOTPRINT_CELLS:
+                shape = "query" if self.polygon is None else "polygon"
                 raise QueryError(
-                    f"query footprint of {bounding_size} cells exceeds "
+                    f"{shape} footprint of {size} cells exceeds "
                     f"{self.MAX_FOOTPRINT_CELLS}; lower the resolution"
                 )
-        spatial = self._spatial_cover()
-        if self.polygon is not None:
-            # Polygons: the bbox cover wildly overestimates a thin lasso,
-            # so the cap applies to the *filtered* footprint (the spatial
-            # cover itself is capped inside covering_cells_polygon).
-            footprint_size = len(spatial) * len(temporal)
-            if footprint_size > self.MAX_FOOTPRINT_CELLS:
-                raise QueryError(
-                    f"polygon footprint of {footprint_size} cells exceeds "
-                    f"{self.MAX_FOOTPRINT_CELLS}; lower the resolution"
-                )
-        footprint = [
-            CellKey(geohash=s, time_key=t) for s in spatial for t in temporal
-        ]
-        object.__setattr__(self, "_footprint_cache", footprint)
-        return footprint
+            memo.cells = [
+                CellKey(geohash=s, time_key=t)
+                for s in self._spatial_cover()
+                for t in memo.time_keys
+            ]
+        return memo.cells
 
     def snapped_bbox(self) -> BoundingBox:
         """The query box snapped outward to cell boundaries.
@@ -161,20 +190,13 @@ class AggregationQuery:
         Cached cells are aggregates over *full* cell extents (that is what
         makes them reusable across queries, paper section V-B), so query
         semantics snap the requested rectangle to the covering cells'
-        union.
+        union — arithmetic on the cover, no cell is materialized.
         """
-        cells = covering_cells(
-            self.bbox, self.resolution.spatial, max_cells=self.MAX_FOOTPRINT_CELLS
-        )
-        from repro.geo.geohash import bbox as geohash_bbox
-
-        first, last = geohash_bbox(cells[0]), geohash_bbox(cells[-1])
-        return first.union_bounds(last)
+        return self.grid_cover().within(self.MAX_FOOTPRINT_CELLS).bounds()
 
     def snapped_time_range(self) -> TimeRange:
         """The query time range snapped outward to temporal bin boundaries."""
-        keys = self.time_range.covering_keys(self.resolution.temporal)
-        return TimeRange.from_keys(keys)
+        return TimeRange.from_keys(self.time_keys())
 
     # -- navigation helpers (OLAP operators, paper section V-B) ------------
 
@@ -243,39 +265,24 @@ class AggregationQuery:
         """
         if self.polygon is not None:
             return []
-        from repro.geo.geohash import bbox as geohash_bbox
-
-        cover = self._spatial_cover()
-        if len(cover) < 2:
-            return []
-        boxes = {cell: geohash_bbox(cell) for cell in cover}
-        wests = sorted({box.west for box in boxes.values()})
-        souths = sorted({box.south for box in boxes.values()})
-        if len(wests) >= 2:
-            boundary = wests[len(wests) // 2]
-            low = [c for c in cover if boxes[c].west < boundary]
-            high = [c for c in cover if boxes[c].west >= boundary]
-        elif len(souths) >= 2:
-            boundary = souths[len(souths) // 2]
-            low = [c for c in cover if boxes[c].south < boundary]
-            high = [c for c in cover if boxes[c].south >= boundary]
+        cover = self.grid_cover()
+        if cover.lon_lo < cover.lon_hi:
+            middle = cover.lon_lo + (cover.lon_hi - cover.lon_lo + 1) // 2
+            halves = [replace(cover, lon_hi=middle - 1), replace(cover, lon_lo=middle)]
+        elif cover.lat_lo < cover.lat_hi:
+            middle = cover.lat_lo + (cover.lat_hi - cover.lat_lo + 1) // 2
+            halves = [replace(cover, lat_hi=middle - 1), replace(cover, lat_lo=middle)]
         else:
             return []
-        out = []
-        for cells in (low, high):
-            south = min(boxes[c].south for c in cells)
-            north = max(boxes[c].north for c in cells)
-            west = min(boxes[c].west for c in cells)
-            east = max(boxes[c].east for c in cells)
-            out.append(
-                AggregationQuery(
-                    bbox=BoundingBox(south, north, west, east),
-                    time_range=self.time_range,
-                    resolution=self.resolution,
-                    attributes=self.attributes,
-                )
+        return [
+            AggregationQuery(
+                bbox=half.bounds(),
+                time_range=self.time_range,
+                resolution=self.resolution,
+                attributes=self.attributes,
             )
-        return out
+            for half in halves
+        ]
 
     def split_temporal(self) -> list["AggregationQuery"]:
         """Partition this query into two halves along a temporal bin edge.
@@ -283,7 +290,7 @@ class AggregationQuery:
         Complements :meth:`split_spatial`; returns ``[]`` when the time
         range covers a single bin.
         """
-        keys = self.time_range.covering_keys(self.resolution.temporal)
+        keys = self.time_keys()
         if len(keys) < 2:
             return []
         mid = len(keys) // 2

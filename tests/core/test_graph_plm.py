@@ -12,11 +12,12 @@ from repro.core.graph import StashGraph
 from repro.core.keys import CellKey
 from repro.data.block import BlockId
 from repro.data.statistics import SummaryVector
-from repro.errors import CacheError
+from repro.errors import CacheError, ResolutionError
 from repro.geo import geohash as gh
 from repro.geo.resolution import ResolutionSpace
 from repro.geo.temporal import TimeKey
 from tests.reference import neighborhood_ring
+from tests.strategies import time_keys
 
 SPACE = ResolutionSpace(1, 8)
 DAY = TimeKey.of(2013, 2, 2)
@@ -32,6 +33,50 @@ def make_cell(geohash: str, day: TimeKey = DAY, value: float = 1.0) -> Cell:
 
 def empty_cell(geohash: str, day: TimeKey = DAY) -> Cell:
     return Cell(key=CellKey(geohash, day), summary=SummaryVector.empty(ATTRS))
+
+
+class TestLevelArithmetic:
+    """``StashGraph.level_of`` reads the level off the key's two lengths;
+    ``ResolutionSpace.level_of`` is the definition it must agree with."""
+
+    NARROW = ResolutionSpace(2, 6)
+
+    @given(st.integers(2, 6), time_keys())
+    def test_matches_the_space_for_every_resolution(self, precision, time_key):
+        graph = StashGraph(self.NARROW)
+        key = CellKey("9q8y7x"[:precision], time_key)
+        assert graph.level_of(key) == self.NARROW.level_of(key.resolution)
+
+    def test_covers_every_level_once(self):
+        graph = StashGraph(self.NARROW)
+        keys = [
+            CellKey("9q8y7x"[:precision], TimeKey((2013, 2, 2, 5)[:depth]))
+            for precision in range(2, 7)
+            for depth in range(1, 5)
+        ]
+        assert sorted(map(graph.level_of, keys)) == list(range(self.NARROW.num_levels))
+
+    @pytest.mark.parametrize("geohash", ["9", "9q8y7x2", "9q8y7x2w3", "9q8y7x2w3bcde"])
+    def test_same_error_outside_the_space(self, geohash):
+        """Including precision 13, which ``Resolution`` itself refuses."""
+        graph = StashGraph(self.NARROW)
+        key = CellKey(geohash, DAY)
+        with pytest.raises(ResolutionError) as expected:
+            self.NARROW.level_of(key.resolution)
+        for probe in (graph.level_of, graph.get, graph.contains):
+            with pytest.raises(ResolutionError) as got:
+                probe(key)
+            assert str(got.value) == str(expected.value)
+
+    def test_level_size_counts_residents(self):
+        graph = StashGraph(SPACE)
+        level = graph.level_of(CellKey("9q8y7", DAY))
+        assert graph.level_size(level) == 0
+        graph.insert(make_cell("9q8y7"))
+        graph.insert(make_cell("9q8y"))
+        assert graph.level_size(level) == 1
+        graph.remove(CellKey("9q8y7", DAY))
+        assert graph.level_size(level) == 0
 
 
 class TestGraphBasics:

@@ -94,6 +94,24 @@ class TestRollup:
         result = try_rollup(graph, CellKey("9q8y", DAY), ATTRS)
         assert result.backing_blocks == frozenset({BlockId("9q", "2013-02-02")})
 
+    def test_empty_finer_levels_cost_no_child_keys(self, monkeypatch):
+        """A just-flushed graph has no finer level at all: the miss path
+        must learn that from the level sizes, not by building 32 + 24
+        child keys per missing cell to fail on the first lookup."""
+
+        def no_children(self, axis="spatial"):
+            raise AssertionError(f"materialized the {axis} children of {self}")
+
+        monkeypatch.setattr(CellKey, "children", no_children)
+        graph = StashGraph(SPACE)
+        assert try_rollup(graph, CellKey("9q8y", DAY), ATTRS) is None
+        # Residents at the key's own level (or coarser) change nothing.
+        graph.upsert(cell_with("9q8z", DAY, [1.0]))
+        graph.upsert(cell_with("9q8", DAY, [1.0]))
+        assert try_rollup(graph, CellKey("9q8y", DAY), ATTRS) is None
+        plan = plan_query(graph, [CellKey("9q8y", DAY)], ATTRS)
+        assert (plan.lookups, plan.merges, plan.missing) == (1, 0, [CellKey("9q8y", DAY)])
+
     def test_rollup_outside_space(self):
         # Children precision (9) would exceed the space's max (8).
         narrow = ResolutionSpace(1, 8)

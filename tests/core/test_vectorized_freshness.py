@@ -138,6 +138,27 @@ class TestTouchBatchEquivalence:
         assert cell.freshness == pytest.approx(twin.freshness, rel=1e-12)
         assert cell.access_count == 3
 
+    def test_unsorted_batch_with_one_duplicate(self):
+        """Distinct slots skip the sort/unique step; a single repeat anywhere
+        in the batch must bring it back for the whole level."""
+        graph, tracker, keys, now = make_graph()
+        level = [key for key in keys if len(key.geohash) == 5]
+        batch = level[::-1][:9] + [level[-3]]
+        before = {key: graph.get(key).freshness for key in level}
+        decay = {
+            key: np.exp(-tracker.decay_rate * (now - graph.get(key).last_touched))
+            for key in level
+        }
+        assert graph.touch_batch(batch, 2.0, now, tracker.decay_rate, True) == 10
+        for key in level:
+            times = batch.count(key)
+            cell = graph.get(key)
+            if times:
+                assert cell.freshness == before[key] * decay[key] + 2.0 * times
+                assert cell.last_touched == now
+            else:
+                assert cell.freshness == before[key]
+
     def test_missing_keys_are_skipped(self):
         graph = StashGraph(SPACE)
         resident = CellKey("9q8y", DAY)

@@ -1,0 +1,110 @@
+"""Work counts on the read path: how often one query rebuilds its cover.
+
+Timings live in ``benchmarks/e2e``; these are the exact counts behind
+them.  A query's cover, snapped box, ring and time keys are all derived
+from one :class:`~repro.geo.cover.GridCover` held by the query object,
+and owners come from the partitioner's materialized map — so a fresh
+rectangle query interleaves bin indices twice (cover, ring) and a
+region seen before hashes nothing.
+"""
+
+import pytest
+
+from repro.config import ClusterConfig, StashConfig
+from repro.core.cluster import StashCluster
+from repro.data.generator import small_test_dataset
+from repro.dht import partitioner as partitioner_module
+from repro.geo import cover as cover_module
+from repro.geo import geohash as geohash_module
+from repro.geo import polygon as polygon_module
+from repro.geo.bbox import BoundingBox
+from repro.geo.polygon import Polygon
+from repro.geo.resolution import Resolution
+from repro.geo.temporal import TemporalResolution, TimeKey
+from repro.query.model import AggregationQuery
+from repro.storage.backend import ground_truth_cells
+
+
+def rectangle() -> AggregationQuery:
+    return AggregationQuery(
+        bbox=BoundingBox(30, 45, -115, -95),
+        time_range=TimeKey.of(2013, 2, 2).epoch_range(),
+        resolution=Resolution(3, TemporalResolution.DAY),
+    )
+
+
+def counted(monkeypatch, module, name: str, also=()) -> list:
+    """Replace ``module.name`` (and same-named imports in ``also``) with a
+    wrapper that appends to the returned list on every call."""
+    calls: list = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    for other in also:
+        if hasattr(other, name):
+            monkeypatch.setattr(other, name, wrapper)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    return small_test_dataset(num_records=6_000)
+
+
+class TestFreshRectangleQuery:
+    def test_two_interleaves_then_no_hashing(self, dataset, monkeypatch):
+        cluster = StashCluster(dataset, StashConfig(cluster=ClusterConfig(num_nodes=4)))
+        cluster.warm([rectangle()])
+        interleaves = counted(
+            monkeypatch, geohash_module, "_interleave_many", also=[cover_module]
+        )
+        hashes = counted(monkeypatch, partitioner_module, "_stable_hash")
+
+        first = rectangle()
+        result = cluster.run_query(first)
+        cluster.drain()
+        assert result.provenance["cells_from_cache"] == len(first.footprint())
+        assert len(interleaves) <= 2  # the cover and its ring; was 4
+
+        del interleaves[:], hashes[:]
+        second = rectangle()
+        result = cluster.run_query(second)
+        cluster.drain()
+        assert len(interleaves) <= 2
+        assert hashes == []  # every prefix is in the partition map by now
+        truth = ground_truth_cells(dataset, second)
+        assert set(result.cells) == set(truth)
+
+    def test_snapping_materializes_no_cell(self, monkeypatch):
+        interleaves = counted(
+            monkeypatch, geohash_module, "_interleave_many", also=[cover_module]
+        )
+        query = rectangle()
+        box = query.snapped_bbox()
+        assert box.contains_box(query.bbox)
+        assert query.footprint_size() == 165 and query.snapped_time_range()
+        assert interleaves == []
+        assert len(query.footprint()) == 165 and query.snapped_bbox() == box
+        assert len(interleaves) == 1
+        assert query.clone()._footprint_cache is None  # a clone derives afresh
+
+
+class TestPolygonQuery:
+    def test_one_polygon_cover_per_query_object(self, monkeypatch):
+        """``serve/http.py`` calls ``footprint_size()`` then the engine
+        calls ``footprint()``: that used to filter the lasso twice."""
+        covers = counted(monkeypatch, polygon_module, "covering_cells_polygon")
+        query = AggregationQuery.for_polygon(
+            Polygon.of((28.0, -115.0), (45.0, -115.0), (28.0, -95.0)),
+            time_range=TimeKey.of(2013, 2, 2).epoch_range(),
+            resolution=Resolution(3, TemporalResolution.DAY),
+        )
+        size = query.footprint_size()
+        assert len(query.footprint()) == size == query.footprint_size()
+        assert len(covers) == 1
+        query.clone().footprint()
+        assert len(covers) == 2

@@ -1,14 +1,21 @@
 """Tests for repro.geo.cover (query footprints)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core.keys import CellKey
 from repro.errors import GeohashError
+from repro.geo import cover as cover_module
 from repro.geo import geohash as gh
 from repro.geo.bbox import BoundingBox
-from repro.geo.cover import covering_cells, covering_count, expand_ring
-from tests.strategies import small_boxes
+from repro.geo.cover import GridCover, covering_cells, covering_count, expand_ring
+from repro.geo.temporal import TimeKey
+from tests.reference import neighborhood_ring
+from tests.strategies import boxes, small_boxes
+
+#: Precisions at which any box's cover stays small enough to materialize.
+coarse = st.integers(1, 3)
 
 
 class TestCoveringCells:
@@ -122,3 +129,93 @@ class TestExpandRing:
         wider = BoundingBox(55, 85, 150, 180)
         reachable = set(covering_cells(wider, 2))
         assert set(expand_ring(box, 2)) <= reachable
+
+
+class TestGridCover:
+    """The cover as a value: everything below is read off five integers."""
+
+    @given(boxes(), coarse)
+    @settings(max_examples=80)
+    def test_cells_are_row_major_cell_centres(self, box, precision):
+        cover = GridCover.of(box, precision)
+        cells = cover.cells()
+        assert cover.count == len(cells) == covering_count(box, precision)
+        assert cells == covering_cells(box, precision)
+        height, width = gh.cell_dimensions(precision)
+        centres = [
+            (-90.0 + (row + 0.5) * height, -180.0 + (col + 0.5) * width)
+            for row in range(cover.lat_lo, cover.lat_hi + 1)
+            for col in range(cover.lon_lo, cover.lon_hi + 1)
+        ]
+        assert cells == [gh.encode(lat, lon, precision) for lat, lon in centres]
+        assert cover.codes().tolist() == [gh.geohash_to_code(c) for c in cells]
+
+    @given(boxes(), coarse)
+    @settings(max_examples=80)
+    def test_bounds_are_the_corner_cells_union_bit_for_bit(self, box, precision):
+        cover = GridCover.of(box, precision)
+        cells = cover.cells()
+        expected = gh.bbox(cells[0]).union_bounds(gh.bbox(cells[-1]))
+        got = cover.bounds()
+        assert [v.hex() for v in (got.south, got.north, got.west, got.east)] == [
+            v.hex()
+            for v in (expected.south, expected.north, expected.west, expected.east)
+        ]
+
+    @given(boxes(), st.integers(1, 12))
+    @settings(max_examples=120)
+    def test_snapping_is_idempotent(self, box, precision):
+        """``query_ring`` takes the ring of the *unsnapped* box's cover;
+        the parent took it of the snapped box's.  Same cover."""
+        cover = GridCover.of(box, precision)
+        assert GridCover.of(cover.bounds(), precision) == cover
+
+    @given(small_boxes(), st.integers(2, 4))
+    @settings(max_examples=40)
+    def test_ring_is_the_spatial_neighborhood(self, box, precision):
+        day = TimeKey.of(2013, 2, 2)
+        cover = GridCover.of(box, precision)
+        # The reference's lateral neighbors wrap at the seam; the ring clamps
+        # (next test), so compare where no neighbor crosses it.
+        assume(0 < cover.lon_lo and cover.lon_hi < (1 << gh._bit_counts(precision)[0]) - 1)
+        footprint = [CellKey(cell, day) for cell in cover.cells()]
+        expected = {
+            key.geohash for key in neighborhood_ring(footprint) if key.time_key == day
+        }
+        ring = cover.ring()
+        assert len(ring) == len(set(ring))
+        assert set(ring) == expected
+        assert ring == expand_ring(box, precision)
+
+    def test_ring_clamps_at_the_poles_and_the_seam(self):
+        """The north-east corner of the grid: the ring is the row below
+        and the column to the west, nothing wrapped to the far side."""
+        precision = 2
+        height, width = gh.cell_dimensions(precision)
+        corner = BoundingBox(90 - 2 * height, 90.0, 180 - 3 * width, 180.0)
+        cover = GridCover.of(corner, precision)
+        lon_bits, lat_bits = gh._bit_counts(precision)
+        assert (cover.lat_hi, cover.lon_hi) == ((1 << lat_bits) - 1, (1 << lon_bits) - 1)
+        ring = cover.ring()
+        assert len(ring) == (3 + 1) + 2
+        for cell in ring:
+            row, col = gh._to_indices(cell)
+            assert row == cover.lat_lo - 1 or col == cover.lon_lo - 1
+        south_west = GridCover.of(BoundingBox(-90.0, -89.0, -180.0, -179.0), precision)
+        assert [gh._to_indices(c) for c in south_west.ring()] == [(0, 1), (1, 0), (1, 1)]
+        assert GridCover.of(BoundingBox.global_box(), 1).ring() == []
+
+    def test_guard_raises_before_anything_is_allocated(self, monkeypatch):
+        def no_cells(*args):
+            raise AssertionError("materialized a guarded cover")
+
+        monkeypatch.setattr(cover_module, "_interleave_many", no_cells)
+        globe = BoundingBox.global_box()
+        with pytest.raises(GeohashError, match="exceeds max_cells=100"):
+            covering_cells(globe, 8, max_cells=100)
+        cover = GridCover.of(globe, 12)
+        assert cover.count == 1 << 60
+        with pytest.raises(GeohashError):
+            cover.within(2_000_000)
+        assert cover.within(None) is cover
+        assert cover.bounds() == globe

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import GeohashError
 from repro.geo import geohash as gh
+from tests.reference import interleave_reference
 from tests.strategies import geohashes, lats, lons, precisions
 
 
@@ -193,6 +194,72 @@ class TestVectorized:
         out = gh.encode_many(la, lo, 4)
         assert out.shape == (2, 2)
         assert out[0, 0] == gh.encode(0.0, 0.0, 4)
+
+
+class TestSpreadTable:
+    """The byte-spread table against the per-bit loop it replaced."""
+
+    @staticmethod
+    def indices(precision: int, count: int = 200, seed: int = 0):
+        """Random (lat, lon) bin indices plus both extremes of each axis."""
+        lon_bits, lat_bits = gh._bit_counts(precision)
+        rng = np.random.default_rng([seed, precision])
+        top_lat, top_lon = (1 << lat_bits) - 1, (1 << lon_bits) - 1
+        la = np.append(rng.integers(0, top_lat + 1, count), [0, top_lat, 0, top_lat])
+        lo = np.append(rng.integers(0, top_lon + 1, count), [0, top_lon, top_lon, 0])
+        return la.astype(np.uint64), lo.astype(np.uint64)
+
+    def test_table_is_the_even_bit_spread(self):
+        assert len(gh._SPREAD) == 256
+        for byte, spread in enumerate(gh._SPREAD):
+            assert spread == int("".join("0" + b for b in f"{byte:08b}"), 2)
+            assert gh._COMPACT[spread] == byte
+        assert gh._SPREAD_U64.dtype == np.uint64
+        assert gh._SPREAD_U64.tolist() == list(gh._SPREAD)
+
+    @pytest.mark.parametrize("precision", range(1, gh.MAX_PRECISION + 1))
+    def test_vector_interleave_matches_the_bit_loop(self, precision):
+        la, lo = self.indices(precision)
+        expected = interleave_reference(la, lo, precision)
+        for dtype in (np.uint64, np.intp):
+            got = gh._interleave_many(la.astype(dtype), lo.astype(dtype), precision)
+            assert got.dtype == np.uint64
+            assert got.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("precision", range(1, gh.MAX_PRECISION + 1))
+    def test_scalar_paths_match_the_bit_loop_and_invert(self, precision):
+        la, lo = self.indices(precision, count=50, seed=1)
+        strings = gh.codes_to_geohashes(
+            interleave_reference(la, lo, precision), precision
+        ).tolist()
+        for row, col, text in zip(la.tolist(), lo.tolist(), strings):
+            assert gh._from_indices(row, col, precision) == text
+            assert gh._to_indices(text) == (row, col)
+
+    @pytest.mark.parametrize("precision", [1, 3, 4, 6, 7, 12])
+    def test_a_column_against_a_row_is_the_grid(self, precision):
+        la, lo = self.indices(precision, count=5, seed=2)
+        grid = gh._interleave_many(la[:, None], lo, precision)
+        rows, cols = np.meshgrid(la, lo, indexing="ij")
+        assert grid.shape == (la.size, lo.size)
+        assert grid.tolist() == interleave_reference(rows, cols, precision).tolist()
+
+
+class TestVectorScalarEdges:
+    """``encode_many`` equals ``encode`` point for point on the values
+    where clamping and rounding can disagree: the closed top edges, both
+    zeros, and the floats just inside each edge."""
+
+    LATS = [-90.0, np.nextafter(-90.0, 0.0), -0.0, 0.0, np.nextafter(90.0, 0.0), 90.0]
+    LONS = [-180.0, np.nextafter(-180.0, 0.0), -0.0, 0.0, np.nextafter(180.0, 0.0), 180.0]
+
+    @pytest.mark.parametrize("precision", range(1, gh.MAX_PRECISION + 1))
+    def test_edges(self, precision):
+        la, lo = (a.ravel() for a in np.meshgrid(self.LATS, self.LONS, indexing="ij"))
+        vec = gh.encode_many(la, lo, precision).tolist()
+        assert vec == [gh.encode(a, b, precision) for a, b in zip(la.tolist(), lo.tolist())]
+        # The closed top edges land in the last row/column, not past it.
+        assert gh.encode(90.0, 180.0, precision) == "z" * precision
 
 
 class TestNonFiniteRejection:

@@ -15,7 +15,11 @@ keeps its oracle:
 * ``rank_victims_scalar`` pins ``repro.core.eviction.rank_victims``
   (tests/core/test_vectorized_freshness.py);
 * ``neighborhood_ring`` pins ``repro.core.freshness.query_ring``
-  (tests/core/test_ring_equivalence.py, tests/core/test_graph_plm.py).
+  (tests/core/test_ring_equivalence.py, tests/core/test_graph_plm.py) and
+  ``repro.geo.cover.GridCover.ring`` (tests/geo/test_cover.py);
+* ``interleave_reference`` pins the byte-spread table behind
+  ``repro.geo.geohash._interleave_many`` / ``_from_indices`` /
+  ``_to_indices`` (tests/geo/test_geohash.py).
 
 These are safety code: slow on purpose, simple enough to audit by eye.
 A speed-up here defeats the point — the mutation-check procedure in
@@ -33,6 +37,24 @@ from repro.data.statistics import AttributeSummary, SummaryVector
 from repro.errors import StatisticsError
 from repro.geo.geohash import encode_many
 from repro.geo.temporal import bin_epochs
+
+
+def interleave_reference(
+    lat_idx: np.ndarray, lon_idx: np.ndarray, precision: int
+) -> np.ndarray:
+    """Interleave integer bin indices into uint64 geohash bit-codes, one
+    bit position at a time.  (Was ``geohash._interleave_many``.)"""
+    total = 5 * precision
+    lon_bits, lat_bits = (total + 1) // 2, total // 2
+    interleaved = np.zeros(lat_idx.shape, dtype=np.uint64)
+    # Even bit positions (from MSB, position 0) come from longitude.
+    for i in range(lon_bits):
+        bit = (lon_idx >> np.uint64(lon_bits - 1 - i)) & np.uint64(1)
+        interleaved |= bit << np.uint64(total - 1 - 2 * i)
+    for i in range(lat_bits):
+        bit = (lat_idx >> np.uint64(lat_bits - 1 - i)) & np.uint64(1)
+        interleaved |= bit << np.uint64(total - 2 - 2 * i)
+    return interleaved
 
 
 def bin_labels(batch, spatial_precision, temporal_resolution) -> np.ndarray:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dht import partitioner as partitioner_module
 from repro.dht.partitioner import ConsistentHashPartitioner, PrefixPartitioner
 from repro.errors import StorageError
 from repro.geo.geohash import GEOHASH_ALPHABET
@@ -98,3 +99,48 @@ class TestConsistentHashPartitioner:
     def test_bad_virtual_nodes(self):
         with pytest.raises(StorageError):
             ConsistentHashPartitioner(NODES, 2, virtual_nodes=0)
+
+
+PARTITIONERS = [
+    lambda: PrefixPartitioner(NODES, 2),
+    lambda: PrefixPartitioner(NODES, 3),
+    lambda: ConsistentHashPartitioner(NODES, 2, virtual_nodes=16),
+]
+
+
+class TestMaterializedPartitionMap:
+    """``node_for`` reads a per-instance prefix -> owner map filled on
+    first use; ``node_for_partition`` stays the definition."""
+
+    @pytest.mark.parametrize("build", PARTITIONERS)
+    @given(codes=st.lists(st.text(GEOHASH_ALPHABET, min_size=1, max_size=6), max_size=20))
+    @settings(max_examples=40)
+    def test_node_for_is_the_partition_owner(self, build, codes):
+        part = build()
+        for code in codes + codes:  # a miss, then a hit, per prefix
+            assert part.node_for(code) == part.node_for_partition(part.partition_key(code))
+        assert set(part._owners) == {part.partition_key(code) for code in codes}
+
+    @pytest.mark.parametrize("build", PARTITIONERS)
+    def test_known_prefixes_are_not_hashed_again(self, build, monkeypatch):
+        part = build()
+        first = [part.node_for(code) for code in ("9q8y7", "9q", "dr5r", "9")]
+        hashed = []
+        real = partitioner_module._stable_hash
+        monkeypatch.setattr(
+            partitioner_module, "_stable_hash", lambda text: hashed.append(text) or real(text)
+        )
+        assert [part.node_for(code) for code in ("9q8zz", "9q", "dr5", "9")] == first
+        assert hashed == []
+        part.node_for("u4pr")
+        assert hashed == ["u4p"[: part.partition_precision]]
+
+    @pytest.mark.parametrize("build", PARTITIONERS)
+    def test_ring_repair_starts_from_an_empty_map(self, build):
+        part = build()
+        owner = part.node_for("9q8y")
+        repaired = part.without_node(owner)
+        assert repaired._owners == {} and part._owners != {}
+        assert repaired.node_for("9q8y") != owner
+        assert part.node_for("9q8y") == owner  # the old map is untouched
+        assert part.without_nodes({owner, NODES[0]})._owners == {}
