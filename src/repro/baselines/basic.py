@@ -16,7 +16,7 @@ from repro.faults.membership import rpc_ok
 from repro.query.model import AggregationQuery
 from repro.sim.engine import Event
 from repro.sim.network import Message
-from repro.storage.node import StorageNode
+from repro.storage.node import Reply, StorageNode
 from repro.system import DistributedSystem
 
 
@@ -27,43 +27,31 @@ class BasicNode(StorageNode):
         super().__init__(*args, **kwargs)
         self.register_handler("evaluate", self._handle_evaluate)
 
-    def _handle_evaluate(self, message: Message) -> Generator[Event, Any, None]:
+    def _handle_evaluate(self, message: Message) -> Generator[Event, Any, Reply]:
         yield self.sim.timeout(self.cost.request_overhead)
         query: AggregationQuery = message.payload["query"]
         block_ids = self.catalog.blocks_for_query(query)
-        plan = self.catalog.blocks_by_node(block_ids)
-        events = []
-        leg_blocks: list[int] = []
-        for node_id, ids in sorted(plan.items()):
-            if node_id == self.node_id:
-                events.append(
-                    self.sim.process(
-                        self.scan_locally(query, ids, parent=message.span)
-                    )
-                )
-            else:
-                events.append(
-                    self.request_resilient(
-                        node_id,
-                        "scan",
-                        {"query": query, "block_ids": ids},
-                        size=1_024,
-                        parent=message.span,
-                    )
-                )
-            leg_blocks.append(len(ids))
-        partials: list[dict[CellKey, SummaryVector]] = (
-            yield self.sim.all_of(events)
-        ) if events else []
+        plan = sorted(self.catalog.blocks_by_node(block_ids).items())
+        partials: list[dict[CellKey, SummaryVector]] = yield from self._scatter(
+            "scan",
+            [
+                (node_id, {"query": query, "block_ids": ids}, 1_024)
+                for node_id, ids in plan
+            ],
+            lambda leg: self.scan_locally(
+                query, leg["block_ids"], parent=message.span
+            ),
+            parent=message.span,
+        )
         answered: list[dict[CellKey, SummaryVector]] = []
         blocks_unread = 0
         legs_failed = 0
-        for nblocks, cells in zip(leg_blocks, partials):
+        for (_node_id, ids), cells in zip(plan, partials):
             if not rpc_ok(cells):
                 # The peer holding these blocks is gone: degrade rather
                 # than hang — its cells are simply missing from the answer.
                 legs_failed += 1
-                blocks_unread += nblocks
+                blocks_unread += len(ids)
                 self.counters.increment("scan_legs_failed")
                 continue
             answered.append(cells)
@@ -83,11 +71,7 @@ class BasicNode(StorageNode):
             response["provenance"]["scan_legs_failed"] = legs_failed
             response["completeness"] = 1.0 - blocks_unread / max(1, len(block_ids))
             self.counters.increment("degraded_answers")
-        self.network.respond(
-            message,
-            response,
-            size=len(merged) * self.cost.cell_wire_size,
-        )
+        return self._cells_reply(response, merged)
 
 
 class BasicSystem(DistributedSystem):

@@ -46,7 +46,7 @@ from repro.query.model import AggregationQuery
 from repro.sim.engine import Event
 from repro.sim.network import Message
 from repro.storage.backend import frame_to_cells
-from repro.storage.node import StorageNode
+from repro.storage.node import Reply, StorageNode
 from repro.system import DistributedSystem
 
 #: Geo tile precision used for shard chunking (ES BKD leaves, roughly).
@@ -233,42 +233,30 @@ class ElasticNode(StorageNode):
             },
         }
 
-    def _handle_es_scan(self, message: Message) -> Generator[Event, Any, None]:
+    def _handle_es_scan(self, message: Message) -> Generator[Event, Any, Reply]:
         yield self.sim.timeout(self.cost.request_overhead)
         query: AggregationQuery = message.payload["query"]
         response = yield self.sim.process(
             self._scan_shards(query, parent=message.span)
         )
-        self.network.respond(
-            message,
-            response,
-            size=len(response["cells"]) * self.cost.cell_wire_size,
-        )
+        return self._cells_reply(response, response["cells"])
 
     # -- coordination --------------------------------------------------------
 
-    def _handle_evaluate(self, message: Message) -> Generator[Event, Any, None]:
+    def _handle_evaluate(self, message: Message) -> Generator[Event, Any, Reply]:
         yield self.sim.timeout(self.cost.request_overhead)
         query: AggregationQuery = message.payload["query"]
-        events = []
-        for node_id in sorted(self.network.node_ids):
-            if node_id == self.node_id:
-                events.append(
-                    self.sim.process(
-                        self._scan_shards(query, parent=message.span)
-                    )
-                )
-            elif node_id.startswith("node-"):
-                events.append(
-                    self.request_resilient(
-                        node_id,
-                        "es_scan",
-                        {"query": query},
-                        size=512,
-                        parent=message.span,
-                    )
-                )
-        partials = yield self.sim.all_of(events)
+        legs = [
+            (node_id, {"query": query}, 512)
+            for node_id in sorted(self.network.node_ids)
+            if node_id == self.node_id or node_id.startswith("node-")
+        ]
+        partials = yield from self._scatter(
+            "es_scan",
+            legs,
+            lambda _leg: self._scan_shards(query, parent=message.span),
+            parent=message.span,
+        )
         answered: list[dict[CellKey, SummaryVector]] = []
         from_cache = from_disk = blocks_read = 0
         legs_failed = 0
@@ -303,13 +291,9 @@ class ElasticNode(StorageNode):
             # Shards are hash-routed, so a lost node leg loses an
             # (approximately) proportional slice of every query.
             response["provenance"]["scan_legs_failed"] = legs_failed
-            response["completeness"] = 1.0 - legs_failed / max(1, len(events))
+            response["completeness"] = 1.0 - legs_failed / max(1, len(legs))
             self.counters.increment("degraded_answers")
-        self.network.respond(
-            message,
-            response,
-            size=len(merged) * self.cost.cell_wire_size,
-        )
+        return self._cells_reply(response, merged)
 
 
 class ElasticSystem(DistributedSystem):

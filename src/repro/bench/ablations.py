@@ -30,15 +30,6 @@ from repro.workload.hotspot import hotspot_workload
 from repro.workload.queries import QuerySize, random_query
 
 
-def _clone(query: AggregationQuery) -> AggregationQuery:
-    return AggregationQuery(
-        bbox=query.bbox,
-        time_range=query.time_range,
-        resolution=query.resolution,
-        attributes=query.attributes,
-    )
-
-
 def ablation_rollup(scale: BenchScale) -> ExperimentResult:
     """Roll-up on/off: a coarse query after the fine level is warm."""
     result = ExperimentResult(
@@ -65,7 +56,7 @@ def ablation_rollup(scale: BenchScale) -> ExperimentResult:
             resolution=fine.resolution,
         )
         stash.warm([warm])
-        outcome = stash.run_query(_clone(coarse))
+        outcome = stash.run_query(coarse.clone())
         label = "rollup_on" if enabled else "rollup_off"
         result.add("latency_s", label, outcome.latency)
         result.add(
@@ -117,7 +108,7 @@ def ablation_dispersion(scale: BenchScale) -> ExperimentResult:
     # Calibrate per-node capacity: the busiest node should hold a bit
     # less than its share of the wide region, so churn forces evictions.
     probe = make_system("stash", dataset, bench_config(scale))
-    probe.warm([_clone(wide)])
+    probe.warm([wide.clone()])
     peak = max(len(node.graph) for node in probe.nodes.values())
     capacity = max(64, int(peak * 0.85))
 
@@ -130,11 +121,11 @@ def ablation_dispersion(scale: BenchScale) -> ExperimentResult:
             eviction=EvictionConfig(max_cells=capacity, safe_fraction=0.8),
         )
         stash = make_system("stash", dataset, config)
-        stash.warm([_clone(wide)])
+        stash.warm([wide.clone()])
         for _ in range(3):
-            stash.warm([_clone(center)])
+            stash.warm([center.clone()])
             for query in churn:
-                stash.warm([_clone(query)])
+                stash.warm([query.clone()])
         # Pan by exactly one cell: the new row is the center's dispersed
         # halo — resident iff dispersion kept it fresh through the churn.
         outward = center.panned(cell_height, cell_width)
@@ -178,9 +169,9 @@ def ablation_reroute_probability(scale: BenchScale) -> ExperimentResult:
             enable_replication=probability > 0.0,
         )
         system = make_system("stash", dataset, config)
-        system.warm([_clone(q) for q in queries])
+        system.warm([q.clone() for q in queries])
         start = system.sim.now
-        system.run_concurrent([_clone(q) for q in queries])
+        system.run_concurrent([q.clone() for q in queries])
         duration = system.timeline.total_duration() - start
         result.add("throughput_qps", f"p={probability}", len(queries) / duration)
     return result
@@ -218,7 +209,7 @@ def ablation_cache_capacity(scale: BenchScale) -> ExperimentResult:
         for q in queries
     ]
     # Two passes over the interleaved centers: the second pass revisits.
-    stream = queries + [_clone(q) for q in queries]
+    stream = queries + [q.clone() for q in queries]
     for capacity in (100, 400, 1_600, 50_000):
         config = bench_config(scale).with_(
             eviction=EvictionConfig(max_cells=capacity, safe_fraction=0.8)
@@ -226,7 +217,7 @@ def ablation_cache_capacity(scale: BenchScale) -> ExperimentResult:
         stash = make_system("stash", dataset, config)
         latencies = []
         for query in stream:
-            latencies.append(stash.run_query(_clone(query)).latency)
+            latencies.append(stash.run_query(query.clone()).latency)
             stash.drain()
         counts = stash.counters_total()
         hits = counts.get("cells_served_from_cache", 0)
@@ -269,7 +260,7 @@ def experiment_realistic_sessions(scale: BenchScale) -> ExperimentResult:
         system = make_system(kind, dataset, config)
         latencies = []
         for query in stream:
-            latencies.append(system.run_query(_clone(query)).latency)
+            latencies.append(system.run_query(query.clone()).latency)
             if hasattr(system, "drain"):
                 system.drain()
         values = np.asarray(latencies)
@@ -318,7 +309,7 @@ def ablation_cluster_scaling(scale: BenchScale) -> ExperimentResult:
         config = bench_config(scale.with_(num_nodes=num_nodes))
         for kind in ("basic", "stash"):
             system = make_system(kind, dataset, config)
-            system.run_concurrent([_clone(q) for q in queries])
+            system.run_concurrent([q.clone() for q in queries])
             qps = len(queries) / system.timeline.total_duration()
             result.add(kind, f"{num_nodes} nodes", qps)
     return result

@@ -54,7 +54,6 @@ from repro.config import (
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultSchedule
-from repro.query.model import AggregationQuery
 
 #: Gossip timings for bench scales: detection (suspect + dead silence)
 #: completes well inside the outage window at ARRIVAL_RATE.
@@ -74,16 +73,6 @@ REPLICATION = ReplicationConfig(
 )
 
 OVERLOAD = OverloadConfig(enabled=True, queue_limit=16)
-
-
-def _clone(query: AggregationQuery) -> AggregationQuery:
-    """Same extent, fresh query id (a distinct client request)."""
-    return AggregationQuery(
-        bbox=query.bbox,
-        time_range=query.time_range,
-        resolution=query.resolution,
-        attributes=query.attributes,
-    )
 
 
 def _variant_config(scale: BenchScale, repair: bool):
@@ -110,7 +99,7 @@ def _overload_burst(result: ExperimentResult, system, queries) -> None:
         for n in system.nodes.values()
         if n.overload is not None
     )
-    flood = [_clone(q) for q in queries for _ in range(3)]
+    flood = [q.clone() for q in queries for _ in range(3)]
     results = system.run_concurrent(flood)
     system.drain()
     _phase_stats(result, "overload:burst", results)
@@ -162,8 +151,8 @@ def churn_recovery(scale: BenchScale) -> ExperimentResult:
         # Warm the caches, then drive the whole workload concurrently:
         # the burst queues up on the hot node, trips hotspot detection,
         # and disperses its cliques to helpers' guest graphs.
-        system.warm([_clone(q) for q in queries])
-        system.run_concurrent([_clone(q) for q in queries])
+        system.warm([q.clone() for q in queries])
+        system.run_concurrent([q.clone() for q in queries])
         system.drain()
         guest_cells = system.total_guest_cells()
 

@@ -20,6 +20,7 @@ from repro.bench.harness import (
     make_system,
 )
 from repro.data.generator import NAM_DOMAIN
+from repro.dht.partitioner import _stable_hash
 from repro.geo.resolution import Resolution
 from repro.geo.temporal import TemporalResolution
 from repro.query.model import AggregationQuery
@@ -35,16 +36,6 @@ def _query_for(scale: BenchScale, size: QuerySize, salt: int) -> AggregationQuer
     rng = scale.rng(salt)
     return random_query(
         rng, size, NAM_DOMAIN, day=scale.day, resolution=scale.resolution
-    )
-
-
-def _clone(query: AggregationQuery) -> AggregationQuery:
-    """Same extent, fresh query id (a distinct client request)."""
-    return AggregationQuery(
-        bbox=query.bbox,
-        time_range=query.time_range,
-        resolution=query.resolution,
-        attributes=query.attributes,
     )
 
 
@@ -66,17 +57,17 @@ def fig6a_latency_by_query_size(scale: BenchScale) -> ExperimentResult:
         basic_lat = stash_cold_lat = stash_hot_lat = 0.0
         for repeat in range(scale.repeats):
             query = _query_for(scale, size, salt=101 * repeat)
-            basic_result = basic.run_query(_clone(query))
+            basic_result = basic.run_query(query.clone())
             basic_lat += basic_result.latency
             per_series["basic"].append(basic_result)
             # Worst case: a fresh, empty STASH graph.
             stash = make_system("stash", dataset, config)
-            cold_result = stash.run_query(_clone(query))
+            cold_result = stash.run_query(query.clone())
             stash_cold_lat += cold_result.latency
             per_series["stash_cold"].append(cold_result)
             stash.drain()
             # Best case: every relevant cell already in memory.
-            hot_result = stash.run_query(_clone(query))
+            hot_result = stash.run_query(query.clone())
             stash_hot_lat += hot_result.latency
             per_series["stash_hot"].append(hot_result)
         label = size.value
@@ -110,7 +101,7 @@ def fig6b_throughput(scale: BenchScale) -> ExperimentResult:
     centers = max(1, scale.throughput_requests // pans_per_center)
     for size in (QuerySize.STATE, QuerySize.COUNTY, QuerySize.CITY):
         queries = pan_cloud(
-            scale.rng(salt=hash(size.value) % 1000),
+            scale.rng(salt=_stable_hash(size.value) % 1000),
             size,
             NAM_DOMAIN,
             num_centers=centers,
@@ -128,7 +119,7 @@ def fig6b_throughput(scale: BenchScale) -> ExperimentResult:
         ]
         for kind in ("basic", "stash"):
             system = make_system(kind, dataset, config)
-            system.run_concurrent([_clone(q) for q in queries])
+            system.run_concurrent([q.clone() for q in queries])
             qps = len(queries) / system.timeline.total_duration()
             result.add(kind, size.value, qps)
         result.meta[f"improvement_{size.value}"] = (
@@ -204,9 +195,9 @@ def fig6d_hotspot(scale: BenchScale) -> ExperimentResult:
         # Both variants are *warm* STASH deployments: the experiment
         # isolates the queueing effect of the hotspot, as in the paper
         # (Fig. 6d compares STASH with vs without dynamic replication).
-        system.warm([_clone(q) for q in queries])
+        system.warm([q.clone() for q in queries])
         hotspot_start = system.sim.now
-        system.run_concurrent([_clone(q) for q in queries])
+        system.run_concurrent([q.clone() for q in queries])
         label = "replication" if kind == "stash" else "no_replication"
         completions = system.timeline.completions
         phase = completions[completions >= hotspot_start] - hotspot_start
@@ -253,8 +244,8 @@ def fig7ab_iterative_dicing(
     stash = make_system("stash", dataset, config)
     for index, query in enumerate(steps, start=1):
         label = f"q{index}"
-        result.add("basic", label, basic.run_query(_clone(query)).latency)
-        stash_result = stash.run_query(_clone(query))
+        result.add("basic", label, basic.run_query(query.clone()).latency)
+        stash_result = stash.run_query(query.clone())
         stash.drain()  # population between user actions
         result.add("stash", label, stash_result.latency)
     stash_rows = result.series["stash"]
@@ -284,8 +275,8 @@ def fig7c_panning(scale: BenchScale) -> ExperimentResult:
         stash = make_system("stash", dataset, config)
         basic_total = stash_total = 0.0
         for index, query in enumerate(sequence):
-            basic_result = basic.run_query(_clone(query))
-            stash_result = stash.run_query(_clone(query))
+            basic_result = basic.run_query(query.clone())
+            stash_result = stash.run_query(query.clone())
             stash.drain()
             if index > 0:  # the 8 pans; the first query is the warm-up
                 basic_total += basic_result.latency
@@ -329,14 +320,14 @@ def fig7de_zoom(scale: BenchScale, direction: str) -> ExperimentResult:
     basic = make_system("basic", dataset, config)
     for query in steps:
         label = f"s{query.resolution.spatial}"
-        result.add("basic", label, basic.run_query(_clone(query)).latency)
+        result.add("basic", label, basic.run_query(query.clone()).latency)
     for fraction in (0.5, 0.75, 1.0):
         series = f"stash{int(fraction * 100)}%"
         stash = make_system("stash", dataset, config)
         for query in steps:
-            stash.preload_fraction(_clone(query), fraction, seed=scale.seed)
+            stash.preload_fraction(query.clone(), fraction, seed=scale.seed)
         for query in steps:
-            stash_result = stash.run_query(_clone(query))
+            stash_result = stash.run_query(query.clone())
             stash.drain()
             result.add(series, f"s{query.resolution.spatial}", stash_result.latency)
     basic_avg = sum(result.series["basic"].values()) / len(result.series["basic"])
@@ -367,11 +358,11 @@ def fig8a_es_panning(scale: BenchScale) -> ExperimentResult:
     elastic_results: list = []
     for index, query in enumerate(sequence, start=1):
         label = f"q{index}"
-        stash_result = stash.run_query(_clone(query))
+        stash_result = stash.run_query(query.clone())
         stash.drain()
         stash_results.append(stash_result)
         result.add("stash", label, stash_result.latency)
-        elastic_result = elastic.run_query(_clone(query))
+        elastic_result = elastic.run_query(query.clone())
         elastic_results.append(elastic_result)
         result.add("elastic", label, elastic_result.latency)
     for series, series_results in (("stash", stash_results), ("elastic", elastic_results)):
@@ -409,10 +400,10 @@ def fig8bc_es_dicing(scale: BenchScale, ascending: bool) -> ExperimentResult:
     elastic = make_system("elastic", dataset, config)
     for index, query in enumerate(steps, start=1):
         label = f"q{index}"
-        stash_result = stash.run_query(_clone(query))
+        stash_result = stash.run_query(query.clone())
         stash.drain()
         result.add("stash", label, stash_result.latency)
-        result.add("elastic", label, elastic.run_query(_clone(query)).latency)
+        result.add("elastic", label, elastic.run_query(query.clone()).latency)
     stash_rows = result.series["stash"]
     es_rows = result.series["elastic"]
     result.meta["stash_q2_over_q1"] = stash_rows["q2"] / stash_rows["q1"]

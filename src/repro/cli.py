@@ -48,6 +48,38 @@ def _experiment_registry() -> dict[str, Callable[[BenchScale], ExperimentResult]
     }
 
 
+def _add_engine(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--engine", choices=("stash", "basic", "elastic"), default="stash"
+    )
+
+
+def _add_workload(
+    parser: argparse.ArgumentParser, requests: int, workload: str = "pan-cloud"
+) -> None:
+    """The generated-workload flags (see :func:`_generate_workload`)."""
+    parser.add_argument(
+        "--workload", choices=("pan-cloud", "hotspot", "zipf"), default=workload
+    )
+    parser.add_argument(
+        "--size", choices=("country", "state", "county", "city"), default="county"
+    )
+    parser.add_argument("--requests", type=int, default=requests)
+    parser.add_argument("--seed", type=int, default=42)
+
+
+def _add_cluster(
+    parser: argparse.ArgumentParser,
+    records: int = 50_000,
+    days: int = 3,
+    nodes: int = 16,
+) -> None:
+    """The dataset-and-cluster size flags (see :func:`_build_system`)."""
+    parser.add_argument("--records", type=int, default=records)
+    parser.add_argument("--days", type=int, default=days)
+    parser.add_argument("--nodes", type=int, default=nodes)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -61,7 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ds.add_argument("--seed", type=int, default=42)
 
     qp = sub.add_parser("query", help="run one aggregation query")
-    qp.add_argument("--engine", choices=("stash", "basic", "elastic"), default="stash")
+    _add_engine(qp)
+    _add_cluster(qp)
     qp.add_argument(
         "--box",
         default="37,41,-109,-102",
@@ -74,10 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("year", "month", "day", "hour"),
         default="day",
     )
-    qp.add_argument("--records", type=int, default=50_000)
-    qp.add_argument("--days", type=int, default=3)
     qp.add_argument("--seed", type=int, default=42)
-    qp.add_argument("--nodes", type=int, default=16)
     qp.add_argument("--repeat", type=int, default=2, help="run N times (shows caching)")
     qp.add_argument("--heatmap", metavar="ATTR", help="render an ASCII heatmap")
     qp.add_argument("--json", action="store_true", help="print the JSON response")
@@ -95,38 +125,20 @@ def _build_parser() -> argparse.ArgumentParser:
     tr_sub = tr.add_subparsers(dest="trace_command", required=True)
     rec = tr_sub.add_parser("record", help="generate a workload and save it")
     rec.add_argument("path", help="output JSONL file")
-    rec.add_argument(
-        "--workload", choices=("pan-cloud", "hotspot", "zipf"), default="pan-cloud"
-    )
-    rec.add_argument(
-        "--size", choices=("country", "state", "county", "city"), default="county"
-    )
-    rec.add_argument("--requests", type=int, default=100)
-    rec.add_argument("--seed", type=int, default=42)
+    _add_workload(rec, requests=100)
     rep = tr_sub.add_parser("replay", help="replay a trace against an engine")
     rep.add_argument("path", help="input JSONL file")
-    rep.add_argument("--engine", choices=("stash", "basic", "elastic"), default="stash")
-    rep.add_argument("--records", type=int, default=50_000)
-    rep.add_argument("--days", type=int, default=3)
-    rep.add_argument("--nodes", type=int, default=16)
+    _add_engine(rep)
+    _add_cluster(rep)
     rep.add_argument("--concurrent", action="store_true")
     exp = tr_sub.add_parser(
         "export",
         help="run a workload with tracing on; export a Chrome/Perfetto trace",
     )
     exp.add_argument("output", help="output trace JSON (load in ui.perfetto.dev)")
-    exp.add_argument("--engine", choices=("stash", "basic", "elastic"), default="stash")
-    exp.add_argument(
-        "--workload", choices=("pan-cloud", "hotspot", "zipf"), default="pan-cloud"
-    )
-    exp.add_argument(
-        "--size", choices=("country", "state", "county", "city"), default="county"
-    )
-    exp.add_argument("--requests", type=int, default=20)
-    exp.add_argument("--records", type=int, default=50_000)
-    exp.add_argument("--days", type=int, default=3)
-    exp.add_argument("--nodes", type=int, default=16)
-    exp.add_argument("--seed", type=int, default=42)
+    _add_engine(exp)
+    _add_workload(exp, requests=20)
+    _add_cluster(exp)
     exp.add_argument("--concurrent", action="store_true")
 
     fa = sub.add_parser(
@@ -139,20 +151,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "run", help="run a workload open-loop under a fault schedule"
     )
     frun.add_argument("path", help="fault schedule JSON file")
-    frun.add_argument(
-        "--engine", choices=("stash", "basic", "elastic"), default="stash"
-    )
-    frun.add_argument(
-        "--workload", choices=("pan-cloud", "hotspot", "zipf"), default="hotspot"
-    )
-    frun.add_argument(
-        "--size", choices=("country", "state", "county", "city"), default="county"
-    )
-    frun.add_argument("--requests", type=int, default=60)
-    frun.add_argument("--records", type=int, default=50_000)
-    frun.add_argument("--days", type=int, default=3)
-    frun.add_argument("--nodes", type=int, default=16)
-    frun.add_argument("--seed", type=int, default=42)
+    _add_engine(frun)
+    _add_workload(frun, requests=60, workload="hotspot")
+    _add_cluster(frun)
     frun.add_argument(
         "--rate", type=float, default=2.0, help="arrivals per simulated second"
     )
@@ -234,18 +235,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "explain",
         help="replay one query with the flight recorder on; print its waterfall",
     )
-    ep.add_argument("--engine", choices=("stash", "basic", "elastic"), default="stash")
-    ep.add_argument(
-        "--workload", choices=("pan-cloud", "hotspot", "zipf"), default="pan-cloud"
-    )
-    ep.add_argument(
-        "--size", choices=("country", "state", "county", "city"), default="county"
-    )
-    ep.add_argument("--requests", type=int, default=20)
-    ep.add_argument("--records", type=int, default=50_000)
-    ep.add_argument("--days", type=int, default=3)
-    ep.add_argument("--nodes", type=int, default=16)
-    ep.add_argument("--seed", type=int, default=42)
+    _add_engine(ep)
+    _add_workload(ep, requests=20)
+    _add_cluster(ep)
     ep.add_argument(
         "--query", type=int, default=-1,
         help="workload index to explain (default: the slowest query)",
@@ -259,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "slo",
         help="run a session gesture mix; report per-class latency SLOs",
     )
-    sl.add_argument("--engine", choices=("stash", "basic", "elastic"), default="stash")
+    _add_engine(sl)
     sl.add_argument("--requests", type=int, default=60)
     sl.add_argument("--seed", type=int, default=42)
     sl.add_argument(
@@ -289,17 +281,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the cluster on real asyncio sockets; check vs the sim twin",
     )
-    sv.add_argument("--nodes", type=int, default=3)
-    sv.add_argument(
-        "--workload", choices=("pan-cloud", "hotspot", "zipf"), default="pan-cloud"
-    )
-    sv.add_argument(
-        "--size", choices=("country", "state", "county", "city"), default="county"
-    )
-    sv.add_argument("--requests", type=int, default=6)
-    sv.add_argument("--records", type=int, default=20_000)
-    sv.add_argument("--days", type=int, default=2)
-    sv.add_argument("--seed", type=int, default=42)
+    _add_workload(sv, requests=6)
+    _add_cluster(sv, records=20_000, days=2, nodes=3)
     sv.add_argument(
         "--time-scale", type=float, default=None,
         help="wall seconds per simulated second (default from ServeConfig)",
@@ -334,18 +317,9 @@ def _build_parser() -> argparse.ArgumentParser:
     mt = sub.add_parser(
         "metrics", help="run a workload with periodic metric sampling"
     )
-    mt.add_argument("--engine", choices=("stash", "basic", "elastic"), default="stash")
-    mt.add_argument(
-        "--workload", choices=("pan-cloud", "hotspot", "zipf"), default="pan-cloud"
-    )
-    mt.add_argument(
-        "--size", choices=("country", "state", "county", "city"), default="county"
-    )
-    mt.add_argument("--requests", type=int, default=20)
-    mt.add_argument("--records", type=int, default=50_000)
-    mt.add_argument("--days", type=int, default=3)
-    mt.add_argument("--nodes", type=int, default=16)
-    mt.add_argument("--seed", type=int, default=42)
+    _add_engine(mt)
+    _add_workload(mt, requests=20)
+    _add_cluster(mt)
     mt.add_argument(
         "--interval", type=float, default=0.25, help="sample period (simulated s)"
     )
@@ -390,8 +364,6 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    from repro.config import ClusterConfig, StashConfig
-    from repro.data.generator import DatasetSpec, SyntheticNAMGenerator
     from repro.geo.bbox import BoundingBox
     from repro.geo.resolution import Resolution
     from repro.geo.temporal import TemporalResolution, TimeKey
@@ -403,18 +375,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print(f"error: --box must be south,north,west,east, got {args.box!r}",
               file=sys.stderr)
         return 2
-    spec = DatasetSpec(
-        num_records=args.records,
-        start_day=(2013, 2, 1),
-        num_days=args.days,
-        seed=args.seed,
-    )
-    dataset = SyntheticNAMGenerator(spec).generate()
-    config = StashConfig(cluster=ClusterConfig(num_nodes=args.nodes))
-
-    from repro.bench.harness import make_system
-
-    system = make_system(args.engine, dataset, config)
+    system = _build_system(args, dataset_seed=args.seed)
     query = AggregationQuery(
         bbox=BoundingBox(south, north, west, east),
         time_range=TimeKey.parse(args.day).epoch_range(),
@@ -424,10 +385,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     )
     result = None
     for attempt in range(1, max(1, args.repeat) + 1):
-        clone = AggregationQuery(
-            bbox=query.bbox, time_range=query.time_range, resolution=query.resolution
-        )
-        result = system.run_query(clone)
+        result = system.run_query(query.clone())
         if hasattr(system, "drain"):
             system.drain()
         print(
@@ -491,19 +449,24 @@ def _generate_workload(workload: str, size_name: str, requests: int, seed: int):
     return zipf_region_workload(rng, NAM_DOMAIN, requests, size=size)
 
 
-def _build_workload_system(args: argparse.Namespace, observability):
-    """Dataset + system for the observability commands."""
+def _build_system(args: argparse.Namespace, dataset_seed: int = 42, **sections):
+    """The ``--engine`` system over a ``--records/--days`` dataset on ``--nodes``.
+
+    ``sections`` are the :class:`~repro.config.StashConfig` sections a
+    command sets besides the cluster size (``observability=``, ``faults=``).
+    """
     from repro.bench.harness import make_system
     from repro.config import ClusterConfig, StashConfig
     from repro.data.generator import DatasetSpec, SyntheticNAMGenerator
 
     spec = DatasetSpec(
-        num_records=args.records, start_day=(2013, 2, 1), num_days=args.days
+        num_records=args.records,
+        start_day=(2013, 2, 1),
+        num_days=args.days,
+        seed=dataset_seed,
     )
     dataset = SyntheticNAMGenerator(spec).generate()
-    config = StashConfig(
-        cluster=ClusterConfig(num_nodes=args.nodes), observability=observability
-    )
+    config = StashConfig(cluster=ClusterConfig(num_nodes=args.nodes), **sections)
     return make_system(args.engine, dataset, config)
 
 
@@ -525,7 +488,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         queries = _generate_workload(
             args.workload, args.size, args.requests, args.seed
         )
-        system = _build_workload_system(args, ObservabilityConfig(trace=True))
+        system = _build_system(args, observability=ObservabilityConfig(trace=True))
         results = replay_trace(system, queries, concurrent=args.concurrent)
         system.drain()
         try:
@@ -548,10 +511,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     # replay
     queries = load_trace(args.path)
-    from repro.config import ObservabilityConfig
     from repro.stats import percentile
 
-    system = _build_workload_system(args, ObservabilityConfig())
+    system = _build_system(args)
     results = replay_trace(system, queries, concurrent=args.concurrent)
     latencies = [r.latency for r in results]
     total = system.timeline.total_duration()
@@ -585,16 +547,11 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         return 0
 
     # run
-    from repro.config import ClusterConfig, FaultConfig, StashConfig
-    from repro.data.generator import DatasetSpec, SyntheticNAMGenerator
+    from repro.config import FaultConfig
 
     queries = _generate_workload(args.workload, args.size, args.requests, args.seed)
-    spec = DatasetSpec(
-        num_records=args.records, start_day=(2013, 2, 1), num_days=args.days
-    )
-    dataset = SyntheticNAMGenerator(spec).generate()
-    config = StashConfig(
-        cluster=ClusterConfig(num_nodes=args.nodes),
+    system = _build_system(
+        args,
         faults=FaultConfig(
             enabled=True,
             rpc_timeout=args.rpc_timeout,
@@ -602,9 +559,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             schedule=tuple(schedule),
         ),
     )
-    from repro.bench.harness import make_system
-
-    system = make_system(args.engine, dataset, config)
     try:
         results = system.run_open_loop(queries, args.rate, seed=args.seed)
     except FaultError as exc:
@@ -636,8 +590,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.workload.trace import replay_trace
 
     queries = _generate_workload(args.workload, args.size, args.requests, args.seed)
-    system = _build_workload_system(
-        args, ObservabilityConfig(trace=True, flight_recorder=True)
+    system = _build_system(
+        args, observability=ObservabilityConfig(trace=True, flight_recorder=True)
     )
     results = replay_trace(system, queries)
     system.drain()
@@ -977,8 +931,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     queries = _generate_workload(args.workload, args.size, args.requests, args.seed)
-    system = _build_workload_system(
-        args, ObservabilityConfig(sample_interval=args.interval)
+    system = _build_system(
+        args, observability=ObservabilityConfig(sample_interval=args.interval)
     )
     results = replay_trace(system, queries)
     system.drain()

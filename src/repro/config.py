@@ -161,9 +161,6 @@ class ObservabilityConfig:
     #: Sample registered gauges every this many simulated seconds
     #: (0 disables the periodic sampler).
     sample_interval: float = 0.0
-    #: Hard cap on retained spans; beyond it new spans are dropped and
-    #: the tracer is marked truncated.
-    max_spans: int = 2_000_000
     #: Enable the query flight recorder: per-query trace contexts carried
     #: through every RPC/retry/redirect leg, mergeable latency histograms
     #: (per query class, per node, cluster-wide), and outcome/SLO
@@ -303,12 +300,6 @@ class ServeConfig:
     #: discrete-event world, e.g. a 5 s RPC timeout) onto loop timers
     #: without making daemon work spin hot.
     time_scale: float = 0.05
-    #: Wall-clock seconds the driver waits for one quiesce barrier
-    #: (all nodes idle) before giving up on the run.
-    quiesce_timeout: float = 30.0
-    #: Wall-clock seconds a child node server may take to bind + report
-    #: ready before the launcher declares the run stuck.
-    startup_timeout: float = 30.0
     #: Hard wall-clock budget for one whole ``repro serve`` run; the
     #: launcher kills the cluster when it is exceeded (CI guard).
     wall_clock_budget: float = 300.0
@@ -316,15 +307,6 @@ class ServeConfig:
     #: facade binds ``http_host``; port 0 asks the OS for a free port.
     http_host: str = "127.0.0.1"
     http_port: int = 0
-    #: ``/search`` page size when the request names none, and the hard
-    #: cap a request may ask for (limits > cap are a 400, not a clamp —
-    #: silent clamping hides client bugs).
-    http_default_limit: int = 100
-    http_max_limit: int = 1000
-    #: Entries in the facade's complete-answer response cache (LRU).
-    #: Degraded answers (completeness < 1) are never cached, mirroring
-    #: the client-side rule in docs/fault-model.md.
-    http_cache_entries: int = 256
 
 
 @dataclass(frozen=True)

@@ -73,12 +73,11 @@ class StashCluster(DistributedSystem):
         return sum(len(node.guest) for node in self.nodes.values())
 
     def counters_total(self) -> dict[str, int]:
-        """Cluster-wide sum of per-node counters."""
-        out: dict[str, int] = {}
-        for node in self.nodes.values():
-            for name, value in node.counters.as_dict().items():
-                out[name] = out.get(name, 0) + value
-        return out
+        """Cluster-wide sum of per-node counters, by name (first-seen order)."""
+        names = dict.fromkeys(
+            name for node in self.nodes.values() for name in node.counters.counts
+        )
+        return {name: self.node_counter_total(name) for name in names}
 
     def owner_node(self, key: CellKey) -> StashNode:
         return self.nodes[self.partitioner.node_for(key.geohash)]

@@ -15,7 +15,8 @@ Each node plays three roles (paper sections IV-VII):
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from functools import partial
+from typing import Any, Generator, Iterable
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from repro.replication.clique import top_cliques
 from repro.replication.routing import RoutingTable
 from repro.sim.engine import Event
 from repro.sim.network import Message
-from repro.storage.node import StorageNode
+from repro.storage.node import Reply, StorageNode
 
 #: Cap on cells one survivor promotes or ships per death/rejoin.
 MAX_REPAIR_CELLS = 5_000
@@ -47,6 +48,10 @@ MAX_REPAIR_CELLS = 5_000
 #: the final recipient to serve (block placement is static, so a forced
 #: serve is always correct, merely non-local).
 MAX_REDIRECTS = 2
+
+#: A cell as it ships between nodes: key, summary, backing-block set (the
+#: receiver's PLM bitmaps rebuild from the latter).
+ShippedCell = tuple[CellKey, SummaryVector, frozenset[BlockId]]
 
 
 class GuestCliqueRegistry:
@@ -170,22 +175,23 @@ class StashNode(StorageNode):
         self.register_handler("populate", self._handle_populate)
         self.register_handler("distress", self._handle_distress)
         self.register_handler("replicate", self._handle_replicate)
-        self.register_handler("repair", self._handle_repair)
-        self.register_handler("handoff", self._handle_handoff)
+        self.register_handler(
+            "repair", partial(self._absorb_cells, counter="repair_cells_received")
+        )
+        self.register_handler(
+            "handoff", partial(self._absorb_cells, counter="handoff_cells_received")
+        )
 
     # ------------------------------------------------------------------
     # fault-aware routing and lifecycle
     # ------------------------------------------------------------------
 
-    def _owner_of(self, geohash: str) -> str:
-        """Cell/block owner under the current (possibly repaired) ring."""
-        return self.membership.node_for(geohash)
-
     def _group_by_owner(
-        self, keys: list[CellKey], owner_memo: dict[str, str]
+        self, keys: Iterable[CellKey], owner_memo: dict[str, str]
     ) -> dict[str, list[CellKey]]:
         """Group cell keys by owning node, resolving each geohash once.
 
+        Owners are read from the current (possibly repaired) ring.
         Ownership depends only on the geohash, and a footprint is a
         (spatial cover x time keys) product, so resolving per *geohash*
         instead of per cell cuts DHT lookups by the temporal width.  The
@@ -197,9 +203,13 @@ class StashNode(StorageNode):
             geohash = key.geohash
             owner = owner_memo.get(geohash)
             if owner is None:
-                owner = owner_memo[geohash] = self._owner_of(geohash)
+                owner = owner_memo[geohash] = self.membership.node_for(geohash)
             grouped.setdefault(owner, []).append(key)
         return grouped
+
+    def _owns_all(self, keys: list[CellKey]) -> bool:
+        """Whether this node owns every key under its own current view."""
+        return set(self._group_by_owner(keys, {})) <= {self.node_id}
 
     def _peer_live(self, node_id: str) -> bool:
         return self.membership.is_live(node_id)
@@ -212,6 +222,36 @@ class StashNode(StorageNode):
         self.guest_cliques.clear()
         self.routing.clear()
         self._handoff_in_progress = False
+
+    # ------------------------------------------------------------------
+    # shipping cells between nodes (handoff, repair, rejoin)
+    # ------------------------------------------------------------------
+
+    @staticmethod
+    def _export_cell(graph: StashGraph, cell: Cell) -> ShippedCell:
+        """A resident cell of ``graph`` as the triple that ships it."""
+        key = cell.key
+        return key, cell.summary, graph.plm.blocks_of(graph.level_of(key), key)
+
+    def _adopt_cells(
+        self, cells: list[ShippedCell], counter: str
+    ) -> Generator[Event, Any, None]:
+        """Insert shipped cells into the local graph: charge, touch, count, evict."""
+        inserted = [
+            key
+            for key, summary, blocks in cells
+            if self.graph.upsert(Cell(key=key, summary=summary), blocks)
+        ]
+        yield self.sim.timeout(len(inserted) * self.cost.cell_insert_cost)
+        self.tracker.touch_cells(self.graph, inserted, self.sim.now)
+        self.counters.increment(counter, len(inserted))
+        self._enforce_capacity()
+
+    def _enforce_capacity(self) -> None:
+        """Evict down to the configured capacity after an insert batch."""
+        evicted = self.eviction.enforce(self.graph, self.tracker, self.sim.now)
+        if evicted:
+            self.counters.increment("cells_evicted", len(evicted))
 
     # ------------------------------------------------------------------
     # hotspot detection (event-driven, paper VII-B-1)
@@ -277,8 +317,7 @@ class StashNode(StorageNode):
                     cell = self.graph.get(key)
                     if cell is None:  # evicted mid-handoff
                         continue
-                    blocks = self.graph.plm.blocks_of(self.graph.level_of(key), key)
-                    payload_cells.append((key, cell.summary, blocks))
+                    payload_cells.append(self._export_cell(self.graph, cell))
                 if not payload_cells:
                     continue
                 ok = yield self.request_resilient(
@@ -313,7 +352,7 @@ class StashNode(StorageNode):
                     self.guest.remove(key)
             self.counters.increment("guest_cliques_purged")
 
-    def _handle_distress(self, message: Message) -> Generator[Event, Any, None]:
+    def _handle_distress(self, message: Message) -> Generator[Event, Any, Reply]:
         """Accept iff not hotspotted and the guest graph has room."""
         self._purge_guest()
         ncells = message.payload["ncells"]
@@ -323,16 +362,13 @@ class StashNode(StorageNode):
             and len(self.guest) + ncells <= repl.guest_capacity
         )
         yield self.sim.timeout(self.cost.cell_lookup_cost)
-        self.network.respond(message, bool(accept), size=16)
+        return bool(accept), 16
 
-    def _handle_replicate(self, message: Message) -> Generator[Event, Any, None]:
+    def _handle_replicate(self, message: Message) -> Generator[Event, Any, Reply]:
         root: CellKey = message.payload["root"]
-        cells: list[tuple[CellKey, SummaryVector, frozenset[BlockId]]] = (
-            message.payload["cells"]
-        )
+        cells: list[ShippedCell] = message.payload["cells"]
         if len(self.guest) + len(cells) > self.config.replication.guest_capacity:
-            self.network.respond(message, False, size=16)
-            return
+            return False, 16
         inserted = []
         for key, summary, blocks in cells:
             if self.guest.upsert(Cell(key=key, summary=summary), blocks):
@@ -348,9 +384,9 @@ class StashNode(StorageNode):
             if self.guest.contains(key):
                 self.guest.remove(key)
         self.counters.increment("guest_cells_accepted", len(inserted))
-        self.network.respond(message, True, size=16)
+        return True, 16
 
-    def _handle_evaluate_guest(self, message: Message) -> Generator[Event, Any, None]:
+    def _handle_evaluate_guest(self, message: Message) -> Generator[Event, Any, Reply]:
         """Serve a rerouted query from the guest graph (paper VII-C)."""
         yield self.sim.timeout(self.cost.request_overhead)
         query: AggregationQuery = message.payload["query"]
@@ -368,38 +404,26 @@ class StashNode(StorageNode):
                 query, footprint, parent=message.span, ctx=message.payload.get("ctx")
             )
             response["provenance"]["rerouted"] = 1
-            self.network.respond(
-                message,
-                response,
-                size=len(response["cells"]) * self.cost.cell_wire_size,
-            )
-            return
+            return self._cells_reply(response, response["cells"])
         self.guest_cliques.touch_covering(set(footprint), self.sim.now)
-        cells = {k: v for k, v in plan.cached.items() if not v.is_empty}
-        # Match _evaluate_core's response contract exactly: the attribute
-        # projection applies to every answer path (a rerouted query must
-        # not return wider attribute sets than the same query served
-        # directly), and the reply carries an explicit completeness.
-        if query.attributes is not None:
-            cells = {
-                key: vec.project(query.attributes) for key, vec in cells.items()
-            }
+        # Match _evaluate_core's response contract exactly: the same
+        # answer shaping (a rerouted query must not return wider attribute
+        # sets than the same query served directly), and the reply
+        # carries an explicit completeness.
+        cells = self._answer_cells(query, plan.cached)
         self.counters.increment("guest_queries_served")
-        self.network.respond(
-            message,
-            {
-                "cells": cells,
-                "provenance": {
-                    "rerouted": 1,
-                    "cells_from_cache": len(plan.cached),
-                    "cells_from_rollup": 0,
-                    "cells_from_disk": 0,
-                    "disk_blocks_read": 0,
-                },
-                "completeness": 1.0,
+        response = {
+            "cells": cells,
+            "provenance": {
+                "rerouted": 1,
+                "cells_from_cache": len(plan.cached),
+                "cells_from_rollup": 0,
+                "cells_from_disk": 0,
+                "disk_blocks_read": 0,
             },
-            size=len(cells) * self.cost.cell_wire_size,
-        )
+            "completeness": 1.0,
+        }
+        return self._cells_reply(response, cells)
 
     # ------------------------------------------------------------------
     # owner-side cache handlers
@@ -453,7 +477,7 @@ class StashNode(StorageNode):
             "stats": {"cached": len(plan.cached), "rollup": len(plan.rollup)},
         }
 
-    def _handle_fetch_cells(self, message: Message) -> Generator[Event, Any, None]:
+    def _handle_fetch_cells(self, message: Message) -> Generator[Event, Any, Reply]:
         yield self.sim.timeout(self.cost.request_overhead)
         if self._gossip is not None and not message.payload.get("force"):
             # Misroute tolerance: under diverging views a coordinator may
@@ -464,32 +488,11 @@ class StashNode(StorageNode):
             if not self._owns_all(message.payload["cells"]):
                 self.counters.increment("fetch_not_owner")
                 digest = self.membership.digest()
-                self.network.respond(
-                    message,
-                    {"not_owner": digest},
-                    size=len(digest) * WIRE_SIZE_PER_ENTRY,
-                )
-                return
+                return {"not_owner": digest}, len(digest) * WIRE_SIZE_PER_ENTRY
         response = yield from self._fetch_cells_impl(
             message.payload, parent=message.span
         )
-        self.network.respond(
-            message,
-            response,
-            size=len(response["found"]) * self.cost.cell_wire_size,
-        )
-
-    def _owns_all(self, keys: list[CellKey]) -> bool:
-        """Whether this node owns every key under its own current view."""
-        seen: set[str] = set()
-        for key in keys:
-            geohash = key.geohash
-            if geohash in seen:
-                continue
-            seen.add(geohash)
-            if self.membership.node_for(geohash) != self.node_id:
-                return False
-        return True
+        return self._cells_reply(response, response["found"])
 
     def _handle_populate(self, message: Message) -> Generator[Event, Any, None]:
         """Background cache population (paper VIII-C-2: separate thread)."""
@@ -498,16 +501,8 @@ class StashNode(StorageNode):
         if self._gossip is not None:
             # Misdirected population (diverging views): caching cells we
             # don't own would strand them where no fetch will ever look.
-            owned_memo: dict[str, bool] = {}
-            kept: dict[CellKey, SummaryVector] = {}
-            for key, summary in cells.items():
-                owned = owned_memo.get(key.geohash)
-                if owned is None:
-                    owned = owned_memo[key.geohash] = (
-                        self.membership.node_for(key.geohash) == self.node_id
-                    )
-                if owned:
-                    kept[key] = summary
+            owned = self._group_by_owner(cells, {}).get(self.node_id, [])
+            kept = {key: cells[key] for key in owned}
             if len(kept) != len(cells):
                 self.counters.increment(
                     "populate_misdirected", len(cells) - len(kept)
@@ -530,12 +525,9 @@ class StashNode(StorageNode):
                 attrs={"cells": inserted},
             )
         yield self.sim.timeout(cpu)
-        now = self.sim.now
-        self.tracker.touch_cells(self.graph, list(cells), now)
+        self.tracker.touch_cells(self.graph, list(cells), self.sim.now)
         self.counters.increment("cells_populated", inserted)
-        evicted = self.eviction.enforce(self.graph, self.tracker, now)
-        if evicted:
-            self.counters.increment("cells_evicted", len(evicted))
+        self._enforce_capacity()
 
     # ------------------------------------------------------------------
     # anti-entropy repair and rejoin handoff (gossip mode)
@@ -572,8 +564,8 @@ class StashNode(StorageNode):
         stay behind (the TTL purge collects them) so a lost repair never
         loses data that was replicated.
         """
-        promote: list[tuple[CellKey, SummaryVector, frozenset[BlockId]]] = []
-        ship: dict[str, list[tuple[CellKey, SummaryVector, frozenset[BlockId]]]] = {}
+        promote: list[ShippedCell] = []
+        ship: dict[str, list[ShippedCell]] = {}
         count = 0
         for cell in list(self.guest.cells()):
             if count >= MAX_REPAIR_CELLS:
@@ -584,26 +576,14 @@ class StashNode(StorageNode):
             new_owner = self.membership.node_for(key.geohash)
             if new_owner == peer:
                 continue
-            blocks = self.guest.plm.blocks_of(self.guest.level_of(key), key)
-            entry = (key, cell.summary, blocks)
+            entry = self._export_cell(self.guest, cell)
             if new_owner == self.node_id:
                 promote.append(entry)
             else:
                 ship.setdefault(new_owner, []).append(entry)
             count += 1
         if promote:
-            inserted = [
-                key
-                for key, summary, blocks in promote
-                if self.graph.upsert(Cell(key=key, summary=summary), blocks)
-            ]
-            yield self.sim.timeout(len(inserted) * self.cost.cell_insert_cost)
-            now = self.sim.now
-            self.tracker.touch_cells(self.graph, inserted, now)
-            self.counters.increment("repair_cells_promoted", len(inserted))
-            evicted = self.eviction.enforce(self.graph, self.tracker, now)
-            if evicted:
-                self.counters.increment("cells_evicted", len(evicted))
+            yield from self._adopt_cells(promote, "repair_cells_promoted")
         for owner, batch in sorted(ship.items()):
             if not self._peer_live(owner):
                 continue
@@ -625,15 +605,13 @@ class StashNode(StorageNode):
         peer's PLM bitmaps rebuild consistently — then drop our copy so
         ownership is single-homed again.
         """
-        batch: list[tuple[CellKey, SummaryVector, frozenset[BlockId]]] = []
+        batch: list[ShippedCell] = []
         for cell in list(self.graph.cells()):
             if len(batch) >= MAX_REPAIR_CELLS:
                 break
-            key = cell.key
-            if self.membership.base.node_for(key.geohash) != peer:
+            if self.membership.base.node_for(cell.key.geohash) != peer:
                 continue
-            blocks = self.graph.plm.blocks_of(self.graph.level_of(key), key)
-            batch.append((key, cell.summary, blocks))
+            batch.append(self._export_cell(self.graph, cell))
         if not batch:
             return
         ack = yield self.request_resilient(
@@ -650,37 +628,17 @@ class StashNode(StorageNode):
 
     def _absorb_cells(
         self, message: Message, counter: str
-    ) -> Generator[Event, Any, None]:
-        """Insert shipped (key, summary, blocks) triples into the graph."""
+    ) -> Generator[Event, Any, Reply]:
+        """``repair`` / ``handoff``: adopt the triples a peer shipped us."""
         yield self.sim.timeout(self.cost.request_overhead)
-        cells: list[tuple[CellKey, SummaryVector, frozenset[BlockId]]] = (
-            message.payload["cells"]
-        )
-        inserted = [
-            key
-            for key, summary, blocks in cells
-            if self.graph.upsert(Cell(key=key, summary=summary), blocks)
-        ]
-        yield self.sim.timeout(len(inserted) * self.cost.cell_insert_cost)
-        now = self.sim.now
-        self.tracker.touch_cells(self.graph, inserted, now)
-        self.counters.increment(counter, len(inserted))
-        evicted = self.eviction.enforce(self.graph, self.tracker, now)
-        if evicted:
-            self.counters.increment("cells_evicted", len(evicted))
-        self.network.respond(message, True, size=16)
-
-    def _handle_repair(self, message: Message) -> Generator[Event, Any, None]:
-        yield from self._absorb_cells(message, "repair_cells_received")
-
-    def _handle_handoff(self, message: Message) -> Generator[Event, Any, None]:
-        yield from self._absorb_cells(message, "handoff_cells_received")
+        yield from self._adopt_cells(message.payload["cells"], counter)
+        return True, 16
 
     # ------------------------------------------------------------------
     # coordinator role
     # ------------------------------------------------------------------
 
-    def _handle_evaluate(self, message: Message) -> Generator[Event, Any, None]:
+    def _handle_evaluate(self, message: Message) -> Generator[Event, Any, Reply]:
         query: AggregationQuery = message.payload["query"]
         ctx: QueryContext | None = message.payload.get("ctx")
         footprint = query.footprint()
@@ -711,18 +669,14 @@ class StashNode(StorageNode):
                     reply_to=message.reply_to,
                     parent=message.span,
                 )
-                return
+                return None  # forwarded: the helper answers the client
         yield self.sim.timeout(self.cost.request_overhead)
         response = yield from self._evaluate_core(
             query, footprint, parent=message.span, ctx=ctx
         )
-        self.network.respond(
-            message,
-            response,
-            size=len(response["cells"]) * self.cost.cell_wire_size,
-        )
+        return self._cells_reply(response, response["cells"])
 
-    def _handle_evaluate_cells(self, message: Message) -> Generator[Event, Any, None]:
+    def _handle_evaluate_cells(self, message: Message) -> Generator[Event, Any, Reply]:
         """Partial evaluation: resolve an explicit cell-key list.
 
         Used by front-end mini STASH graphs (paper future work IX-A): a
@@ -736,11 +690,7 @@ class StashNode(StorageNode):
             query, keys, parent=message.span, ctx=message.payload.get("ctx")
         )
         self.counters.increment("partial_evaluations")
-        self.network.respond(
-            message,
-            response,
-            size=len(response["cells"]) * self.cost.cell_wire_size,
-        )
+        return self._cells_reply(response, response["cells"])
 
     def _evaluate_core(
         self,
@@ -756,69 +706,31 @@ class StashNode(StorageNode):
         blocks are unreachable are *excluded* from the answer, which then
         carries ``completeness < 1.0`` (degraded, never hung).
         """
-        ring = query_ring(query)
-        owner_memo: dict[str, str] = {}
-        cells_by_owner = self._group_by_owner(footprint, owner_memo)
-        ring_by_owner = self._group_by_owner(ring, owner_memo)
-
-        events = []
-        legs: list[str] = []
-        for owner in sorted(cells_by_owner):
-            leg_ctx = None if ctx is None else ctx.with_(leg=owner)
-            payload = {
-                "query": query,
-                "cells": cells_by_owner[owner],
-                "ring": ring_by_owner.get(owner, []),
-                "ctx": leg_ctx,
-            }
-            legs.append(owner)
-            if self._gossip is not None:
-                events.append(
-                    self.sim.process(
-                        self._fetch_leg(owner, payload, parent, depth=0)
-                    )
-                )
-            elif owner == self.node_id:
-                events.append(
-                    self.sim.process(self._fetch_cells_impl(payload, parent=parent))
-                )
-            else:
-                events.append(
-                    self.request_resilient(
-                        owner,
-                        "fetch_cells",
-                        payload,
-                        size=len(payload["cells"]) * 32,
-                        parent=parent,
-                        ctx=leg_ctx,
-                    )
-                )
-        responses = yield self.sim.all_of(events)
-
-        found: dict[CellKey, SummaryVector] = {}
-        missing: list[CellKey] = []
-        from_cache = from_rollup = 0
-        for owner, response in zip(legs, responses):
-            if not rpc_ok(response):
-                # Owner unreachable (or shedding): treat its whole key
-                # share as cache misses and try the disk path instead.
-                self.counters.increment("fetch_legs_failed")
-                self.recorder.record_event(
-                    "fetch_leg_shed" if response is RPC_SHED else "fetch_leg_failed",
-                    None if ctx is None else ctx.with_(leg=owner),
-                    node=self.node_id,
-                    detail={"owner": owner, "cells": len(cells_by_owner[owner])},
-                )
-                missing.extend(cells_by_owner[owner])
-                continue
-            found.update(response["found"])
-            missing.extend(response["missing"])
-            from_cache += response["stats"]["cached"]
-            from_rollup += response["stats"]["rollup"]
-
+        payloads = self._fetch_payloads(query, footprint, query_ring(query), ctx)
+        if self._gossip is not None:
+            replies = yield self.sim.all_of(
+                [
+                    self.sim.process(self._fetch_leg(owner, payload, parent, depth=0))
+                    for owner, payload in payloads.items()
+                ]
+            )
+        else:
+            replies = yield from self._scatter(
+                "fetch_cells",
+                [
+                    (owner, payload, len(payload["cells"]) * 32)
+                    for owner, payload in payloads.items()
+                ],
+                lambda payload: self._fetch_cells_impl(payload, parent=parent),
+                parent=parent,
+                ctx=ctx,
+            )
+        fetched = self._fold_fetch_replies(payloads, replies)
+        found: dict[CellKey, SummaryVector] = fetched["found"]
+        missing: list[CellKey] = fetched["missing"]
         provenance = {
-            "cells_from_cache": from_cache,
-            "cells_from_rollup": from_rollup,
+            "cells_from_cache": fetched["stats"]["cached"],
+            "cells_from_rollup": fetched["stats"]["rollup"],
             "cells_from_disk": 0,
             "disk_blocks_read": 0,
             "rerouted": 0,
@@ -846,11 +758,7 @@ class StashNode(StorageNode):
             )
             found.update(new_cells)
 
-        cells = {key: vec for key, vec in found.items() if not vec.is_empty}
-        if query.attributes is not None:
-            cells = {
-                key: vec.project(query.attributes) for key, vec in cells.items()
-            }
+        cells = self._answer_cells(query, found)
         completeness = 1.0
         if unresolved:
             self.counters.increment("degraded_answers")
@@ -870,6 +778,74 @@ class StashNode(StorageNode):
             "provenance": provenance,
             "completeness": completeness,
         }
+
+    def _fetch_payloads(
+        self,
+        query: AggregationQuery,
+        cells: list[CellKey],
+        ring: list[CellKey],
+        ctx: QueryContext | None,
+        depth: int = 0,
+    ) -> dict[str, dict[str, Any]]:
+        """Per-owner ``fetch_cells`` payloads for ``cells``, in owner order.
+
+        Each owner gets its share of the keys, its share of the dispersion
+        ``ring``, and the context of its leg (at re-route ``depth``).
+        """
+        owner_memo: dict[str, str] = {}
+        cells_by_owner = self._group_by_owner(cells, owner_memo)
+        ring_by_owner = self._group_by_owner(ring, owner_memo)
+        return {
+            owner: {
+                "query": query,
+                "cells": cells_by_owner[owner],
+                "ring": ring_by_owner.get(owner, []),
+                "ctx": None
+                if ctx is None
+                else ctx.with_(leg=owner, redirect_depth=depth),
+            }
+            for owner in sorted(cells_by_owner)
+        }
+
+    def _fold_fetch_replies(
+        self, payloads: dict[str, dict[str, Any]], replies: list[Any]
+    ) -> dict[str, Any]:
+        """Fold per-owner fetch replies, in leg order, into one fetch response."""
+        folded: dict[str, Any] = {
+            "found": {},
+            "missing": [],
+            "stats": {"cached": 0, "rollup": 0},
+        }
+        for (owner, payload), reply in zip(payloads.items(), replies):
+            if not rpc_ok(reply):
+                # Owner unreachable (or shedding): treat its whole key
+                # share as cache misses and try the disk path instead.
+                self.counters.increment("fetch_legs_failed")
+                self.recorder.record_event(
+                    "fetch_leg_shed" if reply is RPC_SHED else "fetch_leg_failed",
+                    payload["ctx"],
+                    node=self.node_id,
+                    detail={"owner": owner, "cells": len(payload["cells"])},
+                )
+                folded["missing"].extend(payload["cells"])
+                continue
+            folded["found"].update(reply["found"])
+            folded["missing"].extend(reply["missing"])
+            folded["stats"]["cached"] += reply["stats"]["cached"]
+            folded["stats"]["rollup"] += reply["stats"]["rollup"]
+        return folded
+
+    @staticmethod
+    def _answer_cells(
+        query: AggregationQuery, cells: dict[CellKey, SummaryVector]
+    ) -> dict[CellKey, SummaryVector]:
+        """The cells an answer carries: known-empty dropped, attributes projected."""
+        cells = {key: vec for key, vec in cells.items() if not vec.is_empty}
+        if query.attributes is not None:
+            cells = {
+                key: vec.project(query.attributes) for key, vec in cells.items()
+            }
+        return cells
 
     def _fetch_leg(
         self,
@@ -920,55 +896,16 @@ class StashNode(StorageNode):
             detail={"from": owner, "depth": depth},
         )
         self.membership.merge(reply["not_owner"], self.sim.now)
-        owner_memo: dict[str, str] = {}
-        cells_by_owner = self._group_by_owner(payload["cells"], owner_memo)
-        ring_by_owner = self._group_by_owner(
-            payload.get("ring", []), owner_memo
+        payloads = self._fetch_payloads(
+            payload["query"], payload["cells"], payload.get("ring", []), ctx, depth + 1
         )
-        sub_owners = sorted(cells_by_owner)
         subs = yield self.sim.all_of(
             [
-                self.sim.process(
-                    self._fetch_leg(
-                        sub,
-                        {
-                            "query": payload["query"],
-                            "cells": cells_by_owner[sub],
-                            "ring": ring_by_owner.get(sub, []),
-                            "ctx": None
-                            if ctx is None
-                            else ctx.with_(leg=sub, redirect_depth=depth + 1),
-                        },
-                        parent,
-                        depth + 1,
-                    )
-                )
-                for sub in sub_owners
+                self.sim.process(self._fetch_leg(sub, sub_payload, parent, depth + 1))
+                for sub, sub_payload in payloads.items()
             ]
         )
-        combined: dict[str, Any] = {
-            "found": {},
-            "missing": [],
-            "stats": {"cached": 0, "rollup": 0},
-        }
-        for sub, response in zip(sub_owners, subs):
-            if not rpc_ok(response):
-                self.counters.increment("fetch_legs_failed")
-                self.recorder.record_event(
-                    "fetch_leg_shed" if response is RPC_SHED else "fetch_leg_failed",
-                    None
-                    if ctx is None
-                    else ctx.with_(leg=sub, redirect_depth=depth + 1),
-                    node=self.node_id,
-                    detail={"owner": sub, "cells": len(cells_by_owner[sub])},
-                )
-                combined["missing"].extend(cells_by_owner[sub])
-                continue
-            combined["found"].update(response["found"])
-            combined["missing"].extend(response["missing"])
-            combined["stats"]["cached"] += response["stats"]["cached"]
-            combined["stats"]["rollup"] += response["stats"]["rollup"]
-        return combined
+        return self._fold_fetch_replies(payloads, subs)
 
     def _resolve_missing(
         self,
@@ -1002,27 +939,17 @@ class StashNode(StorageNode):
         for key in missing:
             needed.update(self.catalog.blocks_for_cell(key))
         block_ids = sorted(needed)
-        plan = self.catalog.blocks_by_node(block_ids)
-        events = []
-        scan_legs: list[tuple[str, list[BlockId]]] = []
-        for node_id, ids in sorted(plan.items()):
-            scan_legs.append((node_id, ids))
-            if node_id == self.node_id:
-                events.append(
-                    self.sim.process(self.scan_locally(query, ids, parent=parent))
-                )
-            else:
-                events.append(
-                    self.request_resilient(
-                        node_id,
-                        "scan",
-                        {"query": query, "block_ids": ids, "ctx": ctx},
-                        size=1_024,
-                        parent=parent,
-                        ctx=None if ctx is None else ctx.with_(leg=node_id),
-                    )
-                )
-        partials = (yield self.sim.all_of(events)) if events else []
+        scan_legs = sorted(self.catalog.blocks_by_node(block_ids).items())
+        partials = yield from self._scatter(
+            "scan",
+            [
+                (node_id, {"query": query, "block_ids": ids, "ctx": ctx}, 1_024)
+                for node_id, ids in scan_legs
+            ],
+            lambda leg: self.scan_locally(query, leg["block_ids"], parent=parent),
+            parent=parent,
+            ctx=ctx,
+        )
 
         answered: list[dict[CellKey, SummaryVector]] = []
         unread_blocks: set[BlockId] = set()
@@ -1065,20 +992,13 @@ class StashNode(StorageNode):
         # in the paper; here separate service-pool messages).  Unresolved
         # cells are never populated: caching an incomplete summary would
         # poison every later query with a silently wrong "complete" cell.
-        by_owner: dict[str, dict[CellKey, SummaryVector]] = {}
-        owner_memo: dict[str, str] = {}
-        for key, vec in new_cells.items():
-            owner = owner_memo.get(key.geohash)
-            if owner is None:
-                owner = owner_memo[key.geohash] = self._owner_of(key.geohash)
-            by_owner.setdefault(owner, {})[key] = vec
-        for owner, cells in sorted(by_owner.items()):
+        for owner, keys in sorted(self._group_by_owner(new_cells, {}).items()):
             self.network.send(
                 self.node_id,
                 owner,
                 "populate",
-                {"cells": cells},
-                size=len(cells) * self.cost.cell_wire_size,
+                {"cells": {key: new_cells[key] for key in keys}},
+                size=len(keys) * self.cost.cell_wire_size,
                 parent=parent,
             )
         return new_cells, unresolved

@@ -9,6 +9,28 @@ snapshot never perturbs the simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
+
+
+def cache_hit_rate(counter_total: Callable[[str], int]) -> float:
+    """Cells served from memory over all cell resolutions so far.
+
+    The one definition behind :meth:`ClusterSnapshot.cache_hit_rate` and
+    the ``cluster.hit_rate`` gauge: cache, roll-up and (elastic) request
+    cache serves against populated cells and request-cache misses, each
+    read through ``counter_total(name)`` — a counter summed over nodes.
+    """
+    served = (
+        counter_total("cells_served_from_cache")
+        + counter_total("cells_served_from_rollup")
+        + counter_total("request_cache_hits")
+    )
+    total = (
+        served
+        + counter_total("cells_populated")
+        + counter_total("request_cache_misses")
+    )
+    return served / total if total else 0.0
 
 
 @dataclass(frozen=True)
@@ -46,13 +68,8 @@ class ClusterSnapshot:
         return sum(node.counters.get(name, 0) for node in self.nodes)
 
     def cache_hit_rate(self) -> float:
-        """Fraction of served cells that came from cache or roll-up."""
-        hits = self.counter_total("cells_served_from_cache") + self.counter_total(
-            "cells_served_from_rollup"
-        )
-        misses = self.counter_total("cells_populated")
-        total = hits + misses
-        return hits / total if total else 0.0
+        """Fraction of served cells that came from memory (:func:`cache_hit_rate`)."""
+        return cache_hit_rate(self.counter_total)
 
     def imbalance(self) -> float:
         """Max/mean ratio of per-node cached cells (1.0 = perfectly even)."""

@@ -103,10 +103,15 @@ class Span:
         )
 
 
+#: Hard cap on retained spans; beyond it new spans are dropped and the
+#: tracer is marked truncated.
+MAX_SPANS = 2_000_000
+
+
 class Tracer:
     """Collects spans against one simulator's clock."""
 
-    def __init__(self, sim, enabled: bool = False, max_spans: int = 2_000_000):
+    def __init__(self, sim, enabled: bool = False, max_spans: int = MAX_SPANS):
         self.sim = sim
         self.enabled = enabled
         self.max_spans = max_spans

@@ -20,6 +20,10 @@ from repro.data.generator import DatasetSpec
 from repro.errors import NetworkError
 from repro.serve.server import NodeSpec, serve_node_entry
 
+#: Wall-clock seconds a node server may take to bind and report ready (or
+#: to answer the client's first ping) before the run is declared stuck.
+STARTUP_TIMEOUT = 30.0
+
 
 class ServeCluster:
     """Supervise one node-server process per cluster node."""
@@ -76,7 +80,7 @@ class ServeCluster:
             self._procs.append(proc)
             self._conns.append(parent_conn)
         for conn in self._conns:
-            message = self._recv(conn, self.config.serve.startup_timeout, "startup")
+            message = self._recv(conn, STARTUP_TIMEOUT, "startup")
             if message[0] != "ready":
                 self.terminate()
                 raise NetworkError(f"node server failed to start: {message!r}")
@@ -89,7 +93,7 @@ class ServeCluster:
         for conn in self._conns:
             conn.send(("peers", addresses))
         for conn in self._conns:
-            message = self._recv(conn, self.config.serve.startup_timeout, "peer setup")
+            message = self._recv(conn, STARTUP_TIMEOUT, "peer setup")
             if message[0] != "serving":
                 self.terminate()
                 raise NetworkError(f"node server failed peer setup: {message!r}")

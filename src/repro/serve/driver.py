@@ -30,7 +30,7 @@ from repro.faults.membership import Membership, rpc_ok
 from repro.obs.recorder import FlightRecorder
 from repro.obs.tracer import Tracer
 from repro.query.model import AggregationQuery, QueryResult
-from repro.serve.cluster import ServeCluster
+from repro.serve.cluster import STARTUP_TIMEOUT, ServeCluster
 from repro.system import CLIENT_ID, QueryClient, coordinator_for
 from repro.transport.asyncio_net import AsyncioTransport
 
@@ -39,6 +39,9 @@ __all__ = ["coordinator_for", "connect_client", "evaluate_serial", "run_serve"]
 #: Seconds between quiesce polls; consecutive clean rounds required.
 _QUIESCE_POLL = 0.02
 _QUIESCE_ROUNDS = 2
+#: Wall-clock seconds the driver waits for one query, and for one quiesce
+#: barrier (all nodes idle), before giving up on the run.
+QUIESCE_TIMEOUT = 30.0
 
 
 async def _await(
@@ -115,9 +118,7 @@ async def connect_client(
     await transport.start(serve_cfg.host, 0)
     obs = config.observability
     network = transport.network
-    network.tracer = Tracer(
-        transport.engine, enabled=obs.trace, max_spans=obs.max_spans
-    )
+    network.tracer = Tracer(transport.engine, enabled=obs.trace)
     network.recorder = FlightRecorder(
         transport.engine, enabled=obs.flight_recorder, slo_targets=obs.slo_targets
     )
@@ -132,7 +133,7 @@ async def connect_client(
         for node_id in addresses:
             await _rpc(
                 transport, node_id, "ping", {}, size=16,
-                timeout=serve_cfg.startup_timeout,
+                timeout=STARTUP_TIMEOUT,
             )
     except BaseException:
         await transport.aclose()
@@ -152,16 +153,15 @@ async def evaluate_serial(
     landed before the next query starts — the byte-identity
     precondition.
     """
-    timeout = client.config.serve.quiesce_timeout
     started = time.monotonic()
     result = await _await(
         transport,
         transport.engine.process(client.request(query)),
         f"query {query.query_id}",
-        timeout,
+        QUIESCE_TIMEOUT,
     )
     wall = time.monotonic() - started
-    await _quiesce(transport, client.membership.live_nodes(), timeout)
+    await _quiesce(transport, client.membership.live_nodes(), QUIESCE_TIMEOUT)
     return result, wall
 
 

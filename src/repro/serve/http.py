@@ -26,7 +26,7 @@ serialization of the same answer — the equivalence suite in
 
 Two deliberate caching rules (mirroring docs/fault-model.md): answers
 with ``completeness < 1`` are **never** cached, and limits above
-``http_max_limit`` are a 400, not a silent clamp.  Volatile data
+``MAX_LIMIT`` are a 400, not a silent clamp.  Volatile data
 (latency, cache disposition) travels in ``X-Latency-S`` / ``X-Cache``
 headers so bodies stay byte-comparable.
 """
@@ -62,6 +62,15 @@ _DRILL_DELTA = {"down": 1, "up": -1}
 #: Largest request body the edge will read; the largest legal body is a
 #: few hundred bytes.  A larger declared length is a 413, never a read.
 MAX_BODY_BYTES = 1 << 20
+#: ``/search`` page size when the request names none, and the hard cap a
+#: request may ask for (a limit above the cap is a 400, not a clamp —
+#: silent clamping hides client bugs).
+DEFAULT_LIMIT = 100
+MAX_LIMIT = 1000
+#: Entries in the complete-answer response cache (LRU).  Degraded answers
+#: (completeness < 1) are never cached, mirroring the client-side rule in
+#: docs/fault-model.md.
+CACHE_ENTRIES = 256
 
 
 class HttpError(ReproError):
@@ -506,9 +515,9 @@ class StashHttpServer:
         self.space: ResolutionSpace = getattr(
             getattr(backend, "system", None), "space", ResolutionSpace()
         )
-        self.default_limit = serve.http_default_limit
-        self.max_limit = serve.http_max_limit
-        self.cache = ResponseCache(serve.http_cache_entries)
+        self.default_limit = DEFAULT_LIMIT
+        self.max_limit = MAX_LIMIT
+        self.cache = ResponseCache(CACHE_ENTRIES)
         self.requests: dict[str, int] = {}
         self._requests_lock = threading.Lock()
         self._httpd = _Server((serve.http_host, serve.http_port), _Handler)

@@ -9,7 +9,7 @@ STASH node subclasses this with cache-aware handlers.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator
+from typing import Any, Callable, Generator, Sized
 
 import numpy as np
 
@@ -31,8 +31,12 @@ from repro.sim.network import Message, Network
 from repro.sim.resources import Store
 from repro.storage.backend import StorageCatalog, scan_blocks
 
+#: What a handler returns: ``(value, wire_size)`` for the node to send as
+#: the reply, or ``None`` for a one-way or forwarded message (and for a
+#: handler that already called ``network.respond`` itself).
+Reply = tuple[Any, int] | None
 #: Handler signature: generator process consuming a message.
-Handler = Callable[[Message], Generator[Event, Any, None]]
+Handler = Callable[[Message], Generator[Event, Any, Reply]]
 
 #: Message kinds handled by the coordinator pool.  Everything else goes to
 #: the service pool.  Keeping the pools separate prevents distributed
@@ -207,7 +211,7 @@ class StorageNode:
                 message.span = hspan
         self._inflight += 1
         try:
-            yield self.sim.process(handler(message))
+            yield self.sim.process(self._answer(handler, message))
         except Exception as exc:
             # A failing request must not kill the worker: surface the
             # error to the caller when a reply is expected, otherwise
@@ -220,6 +224,25 @@ class StorageNode:
         finally:
             self._inflight -= 1
             self.tracer.end(hspan)
+
+    def _answer(
+        self, handler: Handler, message: Message
+    ) -> Generator[Event, Any, None]:
+        """Run a handler and send what it returns — the one reply site.
+
+        The send happens inside the handler's own process, at the instant
+        the handler returns: sending from ``_dispatch`` after the process
+        event fired would put one more event between a handler's last
+        yield and its reply, reordering same-timestamp events.
+        """
+        reply = yield from handler(message)
+        if reply is not None:
+            value, size = reply
+            self.network.respond(message, value, size=size)
+
+    def _cells_reply(self, value: Any, cells: Sized) -> tuple[Any, int]:
+        """A reply whose wire size is that of the cells it carries."""
+        return value, len(cells) * self.cost.cell_wire_size
 
     def register_handler(self, kind: str, handler: Handler) -> None:
         self._handlers[kind] = handler
@@ -353,6 +376,40 @@ class StorageNode:
         )
         return RPC_FAILED
 
+    def _scatter(
+        self,
+        kind: str,
+        legs: list[tuple[str, Any, int]],
+        local: Callable[[Any], Generator[Event, Any, Any]],
+        parent: Span | None = None,
+        ctx: QueryContext | None = None,
+    ) -> Generator[Event, Any, list[Any]]:
+        """Fan ``kind`` out over ``(node, payload, size)`` legs; replies in leg order.
+
+        A leg addressed to this node runs ``local(payload)`` as a process
+        and never crosses the network; every other leg is a
+        :meth:`request_resilient` under ``ctx`` with its ``leg`` set.  A
+        leg that failed comes back as its RPC sentinel — what that costs
+        the answer differs per engine and stays with the caller.
+        """
+        events = [
+            self.sim.process(local(payload))
+            if node_id == self.node_id
+            else self.request_resilient(
+                node_id,
+                kind,
+                payload,
+                size=size,
+                parent=parent,
+                ctx=None if ctx is None else ctx.with_(leg=node_id),
+            )
+            for node_id, payload, size in legs
+        ]
+        if not events:
+            return []
+        replies = yield self.sim.all_of(events)
+        return replies
+
     # -- introspection ---------------------------------------------------------
 
     @property
@@ -467,12 +524,12 @@ class StorageNode:
 
     # -- liveness / introspection RPCs (serve quiesce barrier) -------------
 
-    def _handle_ping(self, message: Message) -> Generator[Event, Any, None]:
+    def _handle_ping(self, message: Message) -> Generator[Event, Any, Reply]:
         """Liveness probe: answers as soon as a service worker is free."""
         yield self.sim.timeout(0.0)
-        self.network.respond(message, {"node": self.node_id, "ok": True}, size=16)
+        return {"node": self.node_id, "ok": True}, 16
 
-    def _handle_stats(self, message: Message) -> Generator[Event, Any, None]:
+    def _handle_stats(self, message: Message) -> Generator[Event, Any, Reply]:
         """Idleness snapshot for an external driver.
 
         ``inflight`` excludes this stats request itself, so a fully idle
@@ -480,25 +537,19 @@ class StorageNode:
         driver's quiesce barrier between replayed queries.
         """
         yield self.sim.timeout(0.0)
-        self.network.respond(
-            message,
-            {
-                "node": self.node_id,
-                "pending": self.pending_requests,
-                "service_queue": len(self._service_queue),
-                "inflight": self._inflight - 1,
-                "handled": self.counters.get("handled:evaluate"),
-            },
-            size=64,
-        )
+        return {
+            "node": self.node_id,
+            "pending": self.pending_requests,
+            "service_queue": len(self._service_queue),
+            "inflight": self._inflight - 1,
+            "handled": self.counters.get("handled:evaluate"),
+        }, 64
 
-    def _handle_scan(self, message: Message) -> Generator[Event, Any, None]:
+    def _handle_scan(self, message: Message) -> Generator[Event, Any, Reply]:
         yield self.sim.timeout(self.cost.request_overhead)
         query: AggregationQuery = message.payload["query"]
         block_ids: list[BlockId] = message.payload["block_ids"]
         cells = yield self.sim.process(
             self.scan_locally(query, block_ids, parent=message.span)
         )
-        self.network.respond(
-            message, cells, size=len(cells) * self.cost.cell_wire_size
-        )
+        return self._cells_reply(cells, cells)

@@ -31,6 +31,7 @@ from repro.errors import QueryError
 from repro.faults.gossip import GossipAgent, suspect_count, view_divergence
 from repro.faults.membership import Membership
 from repro.geo.geohash import encode
+from repro.monitor import cache_hit_rate
 from repro.obs.critical_path import attribute_span
 from repro.obs.recorder import FlightRecorder, QueryContext
 from repro.obs.registry import MetricsRegistry
@@ -299,7 +300,7 @@ class DistributedSystem(ABC):
         self.catalog.ingest(dataset)
         self.attribute_names = dataset.attribute_names
         obs = config.observability
-        self.tracer = Tracer(self.sim, enabled=obs.trace, max_spans=obs.max_spans)
+        self.tracer = Tracer(self.sim, enabled=obs.trace)
         self.recorder = FlightRecorder(
             self.sim, enabled=obs.flight_recorder, slo_targets=obs.slo_targets
         )
@@ -390,7 +391,9 @@ class DistributedSystem(ABC):
         self.metrics.gauge(
             "network.messages_sent", lambda: float(self.network.messages_sent)
         )
-        self.metrics.gauge("cluster.hit_rate", self._hit_rate)
+        self.metrics.gauge(
+            "cluster.hit_rate", lambda: cache_hit_rate(self.node_counter_total)
+        )
         self.metrics.gauge(
             "cluster.live_nodes",
             lambda: float(len(self.membership.live_nodes())),
@@ -456,33 +459,15 @@ class DistributedSystem(ABC):
                 open_count += 1
         return float(open_count)
 
+    def node_counter_total(self, name: str) -> int:
+        """One counter summed over the nodes."""
+        return sum(node.counters.get(name) for node in self.nodes.values())
+
     def _fault_counter_total(self, name: str):
         """A gauge callable summing one counter across nodes + client."""
-
-        def total() -> float:
-            value = self.fault_counters.get(name)
-            for node in self.nodes.values():
-                counters = getattr(node, "counters", None)
-                if counters is not None:
-                    value += counters.get(name)
-            return float(value)
-
-        return total
-
-    def _hit_rate(self) -> float:
-        """Cache + roll-up serves over all cell resolutions so far."""
-        served = missed = 0
-        for node in self.nodes.values():
-            counters = getattr(node, "counters", None)
-            if counters is None:
-                continue
-            served += counters.get("cells_served_from_cache")
-            served += counters.get("cells_served_from_rollup")
-            served += counters.get("request_cache_hits")
-            missed += counters.get("cells_populated")
-            missed += counters.get("request_cache_misses")
-        total = served + missed
-        return served / total if total else 0.0
+        return lambda: float(
+            self.fault_counters.get(name) + self.node_counter_total(name)
+        )
 
     # -- client API -------------------------------------------------------------
 

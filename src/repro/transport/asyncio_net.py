@@ -34,7 +34,8 @@ from repro.obs.recorder import FlightRecorder
 from repro.obs.tracer import Span, Tracer
 from repro.sim.engine import AllOf, AnyOf, Event, Process, Timeout
 from repro.sim.network import Message, Network
-from repro.transport.framing import FrameDecoder, encode_frame
+from repro.transport.codec import CodecError
+from repro.transport.framing import FrameDecoder, FramingError, encode_frame
 
 log = logging.getLogger(__name__)
 
@@ -296,7 +297,13 @@ class AsyncioNetwork(Network):
     async def _read_frames(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """Per-connection reader: frames -> controller queue."""
+        """Per-connection reader: frames -> controller queue.
+
+        Returns when the stream ends — or carries something that is not a
+        frame: the caller then closes the connection (an inbound peer is
+        dropped, a dialed link fails its in-flight RPCs), so a malformed
+        stream costs its sender the connection and this peer nothing.
+        """
         decoder = FrameDecoder()
         while True:
             try:
@@ -305,7 +312,17 @@ class AsyncioNetwork(Network):
                 return
             if not chunk:
                 return
-            for frame in decoder.feed(chunk):
+            try:
+                frames = decoder.feed(chunk)
+            except (FramingError, CodecError) as exc:
+                log.warning(
+                    "peer %s: closing connection to %s: %s",
+                    self.peer_id,
+                    writer.get_extra_info("peername"),
+                    exc,
+                )
+                return
+            for frame in frames:
                 await self._controller.put((frame, writer))
 
     async def _run_controller(self) -> None:

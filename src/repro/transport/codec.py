@@ -42,7 +42,7 @@ from repro.query.model import AggregationQuery
 
 
 class CodecError(ReproError):
-    """Payload contains a type the wire codec cannot carry."""
+    """A payload the wire codec cannot carry, or bytes it cannot lift."""
 
 
 class RemoteRpcError(ReproError):
@@ -223,5 +223,18 @@ def encode(value: Any) -> bytes:
 
 
 def decode(data: bytes) -> Any:
-    """Inverse of :func:`encode`."""
-    return _lift(json.loads(data.decode("utf-8")))
+    """Inverse of :func:`encode`.
+
+    The bytes come from a peer: whatever is wrong with them — not UTF-8,
+    not JSON, a tagged node missing a field or holding the wrong type, a
+    value its class refuses, nesting past the recursion limit — is a
+    :class:`CodecError`, never the underlying exception.
+    """
+    try:
+        return _lift(json.loads(data.decode("utf-8")))
+    except CodecError:
+        raise
+    except (ValueError, LookupError, TypeError, ReproError, RecursionError) as exc:
+        raise CodecError(
+            f"malformed wire payload: {type(exc).__name__}: {exc}"
+        ) from exc

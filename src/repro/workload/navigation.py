@@ -96,7 +96,6 @@ def pan_cloud(
     num_centers: int,
     pans_per_center: int,
     pan_fraction: float = 0.1,
-    make_query=None,
 ) -> list[AggregationQuery]:
     """The Fig. 6b throughput workload.
 
@@ -107,17 +106,13 @@ def pan_cloud(
     """
     from repro.workload.queries import random_query
 
-    if make_query is None:
-        def make_query(box):
-            q = random_query(rng, size, domain)
-            return AggregationQuery(
-                bbox=box, time_range=q.time_range, resolution=q.resolution
-            )
-
     out: list[AggregationQuery] = []
     for _ in range(num_centers):
         box = random_box(rng, size, domain)
-        query = make_query(box)
+        q = random_query(rng, size, domain)
+        query = AggregationQuery(
+            bbox=box, time_range=q.time_range, resolution=q.resolution
+        )
         out.append(query)
         for _ in range(pans_per_center - 1):
             dlat_sign, dlon_sign = COMPASS[int(rng.integers(0, 8))]

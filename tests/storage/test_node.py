@@ -148,3 +148,110 @@ class TestMembershipView:
             assert view.base is catalog.partitioner
             assert view.partitioner is catalog.partitioner
             assert view.live_nodes() == NODES
+
+
+class TestHandlerReplies:
+    """A handler returns its reply; the node sends it, once."""
+
+    def test_returned_reply_answers_the_caller_at_its_declared_size(self, rig):
+        sim, network, _catalog, nodes = rig
+
+        def handler(message):
+            yield sim.timeout(0.0)
+            return {"ok": message.payload}, 8
+
+        nodes[NODES[0]].register_handler("probe", handler)
+        before = network.bytes_sent
+        reply = network.request("client", NODES[0], "probe", 1, size=100)
+        assert sim.run(until=reply) == {"ok": 1}
+        assert network.bytes_sent - before == 100 + 8
+
+    def test_handler_that_responds_itself_is_answered_exactly_once(self, rig):
+        sim, network, _catalog, nodes = rig
+
+        def handler(message):
+            yield sim.timeout(0.0)
+            network.respond(message, "mine", size=8)
+
+        nodes[NODES[0]].register_handler("probe", handler)
+        before = network.messages_sent
+        reply = network.request("client", NODES[0], "probe", {})
+        assert sim.run(until=reply) == "mine"
+        sim.run()  # a second reply would re-trigger the event and raise here
+        assert network.messages_sent - before == 2  # the request, one reply
+
+    def test_one_way_message_with_no_reply_sends_nothing_back(self, rig):
+        sim, network, _catalog, nodes = rig
+        seen = []
+
+        def handler(message):
+            yield sim.timeout(0.0)
+            seen.append(message.payload)
+
+        nodes[NODES[0]].register_handler("note", handler)
+        before = network.messages_sent
+        network.send("client", NODES[0], "note", "fyi")
+        sim.run()
+        assert seen == ["fyi"]
+        assert network.messages_sent - before == 1
+
+
+class TestScatter:
+    """``_scatter``: legs in, replies in leg order out."""
+
+    IDS = ["node-0", "node-1", "node-2"]
+
+    def _rig(self, faults=False):
+        from repro.config import FaultConfig
+
+        sim = Simulator()
+        config = StashConfig(
+            cluster=ClusterConfig(num_nodes=3, workers_per_node=2),
+            faults=FaultConfig(enabled=faults, rpc_timeout=0.5, max_retries=0),
+        )
+        catalog = StorageCatalog(PrefixPartitioner(self.IDS, 2), block_precision=3)
+        network = Network(sim, config.cost)
+        nodes = [StorageNode(sim, network, catalog, n, config) for n in self.IDS]
+        for node in nodes:
+            def where(message, node=node):
+                # Slower on later nodes, so arrival order != leg order.
+                yield sim.timeout(0.1 * (3 - self.IDS.index(node.node_id)))
+                return (node.node_id, message.payload), 8
+
+            node.register_handler("where", where)
+            node.start()
+        return sim, network, nodes[1]
+
+    def _scatter(self, sim, node, legs):
+        def local(payload):
+            yield sim.timeout(0.05)
+            return ("local", payload)
+
+        return sim.run(
+            until=sim.process(node._scatter("where", legs, local))
+        )
+
+    def test_replies_in_leg_order_and_local_leg_off_the_network(self):
+        sim, network, node = self._rig()
+        legs = [(n, f"p{i}", 16) for i, n in enumerate(self.IDS)]
+        replies = self._scatter(sim, node, legs)
+        assert replies == [("node-0", "p0"), ("local", "p1"), ("node-2", "p2")]
+        # Two remote legs, a request and a reply each; nothing for node-1.
+        assert network.messages_sent == 4
+        assert node.counters.get("handled:where") == 0
+
+    def test_no_legs_is_an_empty_list(self):
+        sim, network, node = self._rig()
+        assert self._scatter(sim, node, []) == []
+        assert network.messages_sent == 0
+
+    def test_leg_to_a_downed_node_is_the_rpc_sentinel(self):
+        from repro.faults.membership import RPC_FAILED
+
+        sim, network, node = self._rig(faults=True)
+        network.set_down("node-2")
+        legs = [(n, f"p{i}", 16) for i, n in enumerate(self.IDS)]
+        replies = self._scatter(sim, node, legs)
+        assert replies[:2] == [("node-0", "p0"), ("local", "p1")]
+        assert replies[2] is RPC_FAILED
+        assert not node.membership.is_live("node-2")

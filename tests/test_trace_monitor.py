@@ -175,3 +175,28 @@ class TestMonitor:
         snap = snapshot(cluster)
         assert snap.total_guest_cells == 0
         assert snap.imbalance() >= 1.0
+
+    @pytest.mark.parametrize("engine", ["stash", "basic", "elastic"])
+    def test_snapshot_and_gauge_agree_on_the_hit_rate(self, dataset, engine):
+        """One definition: ``cache_hit_rate()`` == the ``cluster.hit_rate`` gauge.
+
+        Three identical requests: the elastic request cache answers the
+        last two (2/3), which the snapshot used to ignore (0.0); STASH
+        serves repeats from its cells; basic caches nothing.
+        """
+        from repro.bench.harness import make_system
+
+        system = make_system(
+            engine, dataset, StashConfig(cluster=ClusterConfig(num_nodes=4))
+        )
+        query = sample_queries(1)[0]
+        for _ in range(3):
+            system.run_query(query.clone())
+            system.drain()
+        system.metrics.sample()
+        gauge = system.metrics.series["cluster.hit_rate"].last()
+        assert snapshot(system).cache_hit_rate() == gauge
+        if engine == "basic":
+            assert gauge == 0.0
+        else:
+            assert gauge == pytest.approx(2 / 3)

@@ -6,6 +6,8 @@ run in parallel.
 """
 
 import asyncio
+import logging
+import struct
 import time
 
 import pytest
@@ -349,3 +351,51 @@ class TestTaskLifetime:
         busy, leftover = asyncio.run(main())
         assert busy > 1  # the RPC really did start link tasks
         assert leftover == set()
+
+
+class TestHostileFrames:
+    """Bytes a peer controls: a stream that is not frames costs its sender
+    the connection — one warning, no exception on the loop — and the node
+    keeps answering everyone else."""
+
+    HOSTILE = {
+        "non-utf8 body": struct.pack(">I", 5) + b"\xff\xfe\x00ab",
+        "oversized header": struct.pack(">I", 2**31),
+        "json that is no codec tree": struct.pack(">I", 18) + b'{"__t": "cellkey"}',
+    }
+
+    def test_malformed_inbound_stream_is_closed_not_raised(self, caplog):
+        async def main():
+            loop_errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: loop_errors.append(context)
+            )
+            peers = await _make_peers("peer-a", "peer-b")
+            _echo_service(peers["peer-b"])
+            host, port = peers["peer-a"].network._peers["peer-b"]
+            closed = {}
+            for name, data in self.HOSTILE.items():
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(data)
+                await writer.drain()
+                # EOF: the node hung up on us.
+                closed[name] = await asyncio.wait_for(reader.read(), timeout=10)
+                writer.close()
+                await writer.wait_closed()
+            reply = peers["peer-a"].network.request(
+                "peer-a", "peer-b", "echo", "still serving", size=8
+            )
+            value = await asyncio.wait_for(
+                peers["peer-a"].engine.as_future(reply), timeout=10
+            )
+            await _close_all(peers)
+            return closed, value, loop_errors
+
+        with caplog.at_level(logging.WARNING, logger="repro.transport.asyncio_net"):
+            closed, value, loop_errors = asyncio.run(main())
+        assert closed == dict.fromkeys(self.HOSTILE, b"")
+        assert value == {"echo": "still serving"}
+        assert loop_errors == []
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == len(self.HOSTILE)
+        assert all("peer-b" in w and "127.0.0.1" in w for w in warnings)

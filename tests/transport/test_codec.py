@@ -174,3 +174,26 @@ class TestRpcSemantics:
 def test_network_error_roundtrip():
     result = roundtrip(NetworkError("link down"))
     assert isinstance(result, NetworkError)
+
+
+#: Bytes a peer could send that are not an encoded payload, by what the
+#: lifting would otherwise die of.
+MALFORMED = {
+    "not utf-8 (UnicodeDecodeError)": b"\xff\xfe\x00ab",
+    "not json (JSONDecodeError)": b'{"__t": ',
+    "plain dict, no tag": b'{"t": "cellkey"}',
+    "unknown tag": b'{"__t": "nope"}',
+    "tag missing its field (KeyError)": b'{"__t": "cellkey"}',
+    "field of the wrong type (TypeError)": b'{"__t": "map", "i": 7}',
+    "wrong arity (ValueError)": b'{"__t": "bbox", "b": [1, 2, 3]}',
+    "short list (IndexError)": b'{"__t": "svec", "a": [["t", [1, 2]]]}',
+    "bad base64 padding": b'{"__t": "bytes", "b": "abc"}',
+    "value its class refuses": b'{"__t": "tres", "v": 99}',
+    "nesting past the recursion limit": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("data", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_bytes_decode_to_codec_error(data):
+    with pytest.raises(CodecError):
+        decode(data)
