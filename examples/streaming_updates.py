@@ -1,11 +1,13 @@
 #!/usr/bin/env python
-"""Streaming updates: live ingest with PLM-driven cache invalidation.
+"""Streaming updates: live ingest with extent-driven cache invalidation.
 
 Simulates a live sensor feed: a dashboard keeps watching one region
 while new observation batches stream into the cluster.  After each
-ingest, every cached cell whose extent was touched is invalidated (the
-paper's section IV-D PLM update path), so the next refresh recomputes a
-fresh — and *correct* — summary; untouched regions keep their cache.
+ingest, every cached cell whose extent nests with a touched block is
+invalidated (the paper's section IV-D update path, found by the cell's
+label rather than the PLM's block sets, so cells cached as empty go
+too), and the next refresh recomputes a fresh — and *correct* —
+summary; untouched regions keep their cache.
 
 Run with::
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.config import DEFAULT_CONFIG, StashConfig
 from repro.core.cell import Cell
+from repro.core.graph import stale_extents
 from repro.core.keys import CellKey
 from repro.core.node import StashNode
 from repro.data.block import BlockId
@@ -210,43 +211,21 @@ class StashCluster(DistributedSystem):
         Invalidation is by *extent*, not just the PLM's reverse index: a
         brand-new block may fall inside a cell that was cached as empty
         (its PLM block set does not mention the block yet), and that cell
-        is stale too.  Cost: O(cached cells x touched days) — updates are
-        rare relative to queries.
+        is stale too.  A touched block finds those cells by truncating
+        its own label (:func:`~repro.core.graph.stale_extents`), so the
+        cost is one table of ``block_precision x 3`` labels per touched
+        block, built once per ingest, plus one set probe per resident
+        cell (local and guest) — independent of how many blocks the
+        batch touched.
 
         Returns (blocks touched, cached cells invalidated).
         """
         self.start()
         touched = self.catalog.ingest(batch)
-        by_day: dict[str, set[str]] = {}
-        for block_id in touched:
-            by_day.setdefault(block_id.day, set()).add(block_id.geohash)
-        day_ranges = {
-            day: BlockId(geohash="0", day=day).time_key.epoch_range()
-            for day in by_day
-        }
-
-        def overlaps(cell_key: CellKey) -> bool:
-            for day, prefixes in by_day.items():
-                day_range = day_ranges[day]
-                cell_range = cell_key.time_range
-                if not (
-                    cell_range.start <= day_range.start < cell_range.end
-                    or day_range.start <= cell_range.start < day_range.end
-                ):
-                    continue
-                geohash = cell_key.geohash
-                for prefix in prefixes:
-                    if prefix.startswith(geohash) or geohash.startswith(prefix):
-                        return True
-            return False
-
+        precision = self.catalog.block_precision
+        extents = stale_extents(touched, precision)
         invalidated = 0
         for node in self.nodes.values():
             for graph in (node.graph, node.guest):
-                stale = [
-                    cell.key for cell in graph.cells() if overlaps(cell.key)
-                ]
-                for key in stale:
-                    graph.remove(key)
-                invalidated += len(stale)
+                invalidated += len(graph.invalidate_extents(extents, precision))
         return len(touched), invalidated

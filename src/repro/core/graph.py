@@ -31,7 +31,7 @@ from repro.core.plm import PrecisionLevelMap
 from repro.data.block import BlockId
 from repro.errors import CacheError, ResolutionError
 from repro.geo.resolution import ResolutionSpace
-from repro.geo.temporal import NUM_TEMPORAL_RESOLUTIONS
+from repro.geo.temporal import NUM_TEMPORAL_RESOLUTIONS, TimeKey
 
 #: Initial slot capacity of a level's column block.
 _MIN_CAPACITY = 64
@@ -289,3 +289,52 @@ class StashGraph:
         for key in stale:
             self.remove(key)
         return sorted(stale, key=str)
+
+    def invalidate_extents(
+        self, extents: set[tuple[str, tuple[int, ...]]], block_precision: int
+    ) -> list[CellKey]:
+        """Drop every cell whose extent nests with a touched block's.
+
+        ``extents`` is :func:`stale_extents` of the touched blocks.  A
+        cell and a block overlap exactly when their labels agree once
+        both are cut to the shorter one, per axis, so each resident key
+        is cut to the block's lengths and probed once — by extent rather
+        than by the PLM's reverse index, because a cell cached as empty
+        has no block set to find it through.  Returns the keys removed.
+        """
+        stale = [
+            key
+            for cells in self._levels.values()
+            for key in cells
+            if (key.geohash[:block_precision], key.time_key.components[:3]) in extents
+        ]
+        for key in stale:
+            self.remove(key)
+        return stale
+
+
+def stale_extents(
+    touched: list[BlockId], block_precision: int
+) -> set[tuple[str, tuple[int, ...]]]:
+    """Every (geohash prefix, year[/month[/day]]) label enclosing a block.
+
+    Geohash cells and calendar bins nest, so the labels of the cells
+    that contain a ``block_precision``-character, one-day block are the
+    truncations of its own label: ``block_precision x 3`` per block,
+    built per distinct day (a batch touches many blocks on few days).
+    The probe set of :meth:`StashGraph.invalidate_extents`.
+    """
+    by_day: dict[str, set[str]] = {}
+    for block_id in touched:
+        by_day.setdefault(block_id.day, set()).add(block_id.geohash)
+    extents: set[tuple[str, tuple[int, ...]]] = set()
+    for day, geohashes in by_day.items():
+        components = TimeKey.parse(day).components
+        bins = [components[:n] for n in (1, 2, 3)]
+        prefixes = {
+            geohash[:length]
+            for geohash in geohashes
+            for length in range(1, block_precision + 1)
+        }
+        extents.update((prefix, bin_) for prefix in prefixes for bin_ in bins)
+    return extents

@@ -55,6 +55,8 @@ class StorageCatalog:
         self._block_index: dict[BlockId, str] = {}
         #: day -> sorted list of block geohashes (prefix range queries).
         self._day_index: dict[str, list[str]] = {}
+        #: The attribute schema every block shares; fixed by the first ingest.
+        self._attribute_names: list[str] | None = None
 
     # -- ingest ------------------------------------------------------------
 
@@ -65,10 +67,24 @@ class StorageCatalog:
         batches (streaming append).  Returns the ids of every block
         created *or modified* — the set a caching layer must invalidate
         (paper IV-D: the PLM tracks up-to-date cells across updates).
+
+        A batch whose attribute names differ from the catalog's is
+        refused with :class:`~repro.errors.StorageError` before anything
+        is placed: one block with another schema would fail every later
+        scan that merges it, and a mismatch found half-way through the
+        loop would leave blocks a caching layer was never told about.
         """
         import bisect
 
+        names = batch.attribute_names
+        if len(batch) and self._attribute_names not in (None, names):
+            raise StorageError(
+                f"batch attributes {names} do not match the catalog's "
+                f"{self._attribute_names}"
+            )
         blocks = partition_into_blocks(batch, self.block_precision)
+        if blocks:
+            self._attribute_names = names
         touched: list[BlockId] = []
         for block_id, block in blocks.items():
             node = self.partitioner.node_for(block_id.geohash)

@@ -1,18 +1,23 @@
-"""Work counts on the read path: how often one query rebuilds its cover.
+"""Work counts on the read path: how often one query rebuilds its cover —
+and on the write path: how much calendar arithmetic one live ingest does.
 
 Timings live in ``benchmarks/e2e``; these are the exact counts behind
 them.  A query's cover, snapped box, ring and time keys are all derived
 from one :class:`~repro.geo.cover.GridCover` held by the query object,
 and owners come from the partitioner's materialized map — so a fresh
 rectangle query interleaves bin indices twice (cover, ring) and a
-region seen before hashes nothing.
+region seen before hashes nothing.  A live ingest finds its stale cells
+by comparing labels, so it builds no ``TimeRange`` per cached cell.
 """
 
+import numpy as np
 import pytest
 
 from repro.config import ClusterConfig, StashConfig
 from repro.core.cluster import StashCluster
+from repro.core.keys import CellKey
 from repro.data.generator import small_test_dataset
+from repro.data.observation import OBSERVATION_ATTRIBUTES, ObservationBatch
 from repro.dht import partitioner as partitioner_module
 from repro.geo import cover as cover_module
 from repro.geo import geohash as geohash_module
@@ -20,7 +25,7 @@ from repro.geo import polygon as polygon_module
 from repro.geo.bbox import BoundingBox
 from repro.geo.polygon import Polygon
 from repro.geo.resolution import Resolution
-from repro.geo.temporal import TemporalResolution, TimeKey
+from repro.geo.temporal import TemporalResolution, TimeKey, TimeRange
 from repro.query.model import AggregationQuery
 from repro.storage.backend import ground_truth_cells
 
@@ -108,3 +113,63 @@ class TestPolygonQuery:
         assert len(covers) == 1
         query.clone().footprint()
         assert len(covers) == 2
+
+
+class TestLiveIngest:
+    """One ``ingest_live``: cached cells x touched days ``epoch_range``
+    calls before extent invalidation went by label; none after."""
+
+    DAYS = TimeRange(
+        TimeKey.of(2013, 2, 2).epoch_range().start,
+        TimeKey.of(2013, 2, 3).epoch_range().end,
+    )
+
+    def scattered_batch(self, seed: int) -> ObservationBatch:
+        """400 records across the dataset's domain on both cached days."""
+        rng = np.random.default_rng(seed)
+        n = 400
+        return ObservationBatch(
+            lats=rng.uniform(15.0, 60.0, n),
+            lons=rng.uniform(-150.0, -50.0, n),
+            epochs=rng.uniform(self.DAYS.start, self.DAYS.end - 1, n),
+            attributes={name: rng.uniform(0, 1, n) for name in OBSERVATION_ATTRIBUTES},
+        )
+
+    def calendar_calls(self, dataset, monkeypatch, temporal) -> tuple[int, int]:
+        """(cells cached, ``epoch_range`` calls made by one ``ingest_live``)
+        with a p3 cover of two days cached; ``time_range`` is never read."""
+        cluster = StashCluster(dataset, StashConfig(cluster=ClusterConfig(num_nodes=4)))
+        cluster.warm(
+            [
+                AggregationQuery(
+                    bbox=BoundingBox(30, 45, -115, -95),
+                    time_range=self.DAYS,
+                    resolution=Resolution(3, temporal),
+                )
+            ]
+        )
+        cached = cluster.total_cached_cells()
+        reads: list[str] = []
+        with monkeypatch.context() as patch:
+            calls = counted(patch, TimeKey, "epoch_range")
+            patch.setattr(
+                CellKey,
+                "time_range",
+                property(lambda key: reads.append("time_range") or key.time_key.epoch_range()),
+            )
+            blocks, invalidated = cluster.ingest_live(self.scattered_batch(seed=11))
+        assert blocks >= 100 and invalidated > 0
+        assert reads == []
+        return cached, len(calls)
+
+    def test_calendar_work_is_per_touched_day_not_per_cached_cell(
+        self, dataset, monkeypatch
+    ):
+        cells, calls = self.calendar_calls(dataset, monkeypatch, TemporalResolution.DAY)
+        assert cells >= 300
+        assert calls <= 2  # at most one per touched day; was cells x days
+        more_cells, more_calls = self.calendar_calls(
+            dataset, monkeypatch, TemporalResolution.HOUR
+        )
+        assert more_cells >= 2 * cells
+        assert more_calls <= calls

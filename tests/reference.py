@@ -19,7 +19,11 @@ keeps its oracle:
   ``repro.geo.cover.GridCover.ring`` (tests/geo/test_cover.py);
 * ``interleave_reference`` pins the byte-spread table behind
   ``repro.geo.geohash._interleave_many`` / ``_from_indices`` /
-  ``_to_indices`` (tests/geo/test_geohash.py).
+  ``_to_indices`` (tests/geo/test_geohash.py);
+* ``extent_overlaps_reference`` pins
+  ``repro.core.graph.StashGraph.invalidate_extents`` /
+  ``stale_extents`` (tests/core/test_invalidate_extents.py,
+  tests/core/test_live_ingest.py).
 
 These are safety code: slow on purpose, simple enough to audit by eye.
 A speed-up here defeats the point — the mutation-check procedure in
@@ -179,3 +183,26 @@ def neighborhood_ring(footprint: list[CellKey]) -> list[CellKey]:
             if neighbor not in members and neighbor not in ring:
                 ring[neighbor] = None
     return list(ring)
+
+
+def extent_overlaps_reference(cell_key: CellKey, touched_blocks) -> bool:
+    """Does a cached cell's extent overlap any touched storage block?
+
+    Temporal overlap by comparing ``epoch_range`` intervals, spatial
+    overlap by a prefix test in both directions (the cell encloses the
+    block, or the block encloses the cell).  (Was the ``overlaps``
+    closure of ``StashCluster.ingest_live``.)
+    """
+    cell_range = cell_key.time_key.epoch_range()
+    geohash = cell_key.geohash
+    for block_id in touched_blocks:
+        day_range = block_id.time_key.epoch_range()
+        if not (
+            cell_range.start <= day_range.start < cell_range.end
+            or day_range.start <= cell_range.start < day_range.end
+        ):
+            continue
+        prefix = block_id.geohash
+        if prefix.startswith(geohash) or geohash.startswith(prefix):
+            return True
+    return False

@@ -11,6 +11,7 @@ query is usually non-empty.
 from hypothesis import strategies as st
 
 from repro.core.keys import CellKey
+from repro.data.block import BlockId
 from repro.geo import geohash as gh
 from repro.geo.bbox import BoundingBox
 from repro.geo.resolution import Resolution, ResolutionSpace
@@ -23,11 +24,18 @@ lons = st.floats(-180, 180, allow_nan=False)
 precisions = st.integers(1, 8)
 
 
-def geohashes(min_precision: int = 1, max_precision: int = 8):
-    """Valid geohash strings within a precision range."""
-    return st.text(
-        gh.GEOHASH_ALPHABET, min_size=min_precision, max_size=max_precision
-    )
+def geohashes(
+    min_precision: int = 1,
+    max_precision: int = 8,
+    alphabet: str = gh.GEOHASH_ALPHABET,
+):
+    """Valid geohash strings within a precision range.
+
+    A two- or three-character ``alphabet`` makes independently drawn
+    labels nest (one a prefix of the other) often enough to test
+    containment; the full alphabet almost never does.
+    """
+    return st.text(alphabet, min_size=min_precision, max_size=max_precision)
 
 
 def boxes(min_size: float = 1e-3) -> "st.SearchStrategy[BoundingBox]":
@@ -97,6 +105,39 @@ def time_keys(
         return TimeKey(parts)
 
     return _key()
+
+
+#: The days either side of a year boundary and of a month boundary, and
+#: the day after — where "which bin encloses which" is easiest to get wrong.
+BOUNDARY_DAYS = (
+    (2012, 12, 31),
+    (2013, 1, 1),
+    (2013, 1, 31),
+    (2013, 2, 1),
+    (2013, 2, 2),
+)
+
+
+def boundary_time_keys() -> "st.SearchStrategy[TimeKey]":
+    """Time keys of every resolution on :data:`BOUNDARY_DAYS`, at the
+    first, a middle and the last hour of the day."""
+    return st.builds(
+        lambda day, hour, length: TimeKey((*day, hour)[:length]),
+        st.sampled_from(BOUNDARY_DAYS),
+        st.sampled_from((0, 12, 23)),
+        st.integers(1, 4),
+    )
+
+
+def block_ids(
+    precision: int, alphabet: str = gh.GEOHASH_ALPHABET
+) -> "st.SearchStrategy[BlockId]":
+    """Storage block ids at one block precision on :data:`BOUNDARY_DAYS`."""
+    return st.builds(
+        BlockId,
+        geohashes(precision, precision, alphabet),
+        st.sampled_from(BOUNDARY_DAYS).map(lambda day: str(TimeKey(day))),
+    )
 
 
 def cell_keys(
