@@ -10,6 +10,7 @@ one day.  The paper's deployment used 2-character prefixes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +47,10 @@ class Block:
     def __len__(self) -> int:
         return len(self.batch)
 
-    @property
+    @functools.cached_property
     def nbytes(self) -> int:
-        """Raw byte size driving simulated disk-read cost."""
+        """Raw byte size driving simulated disk-read cost (the batch is
+        immutable, so its arrays are summed once per block)."""
         return self.batch.nbytes
 
     def validate(self) -> None:

@@ -92,26 +92,28 @@ class ObservationBatch:
         return self.select(mask)
 
     def concat(self, other: "ObservationBatch") -> "ObservationBatch":
-        if set(self.attributes) != set(other.attributes):
-            raise StatisticsError("cannot concat batches with different attributes")
-        return ObservationBatch(
-            np.concatenate([self.lats, other.lats]),
-            np.concatenate([self.lons, other.lons]),
-            np.concatenate([self.epochs, other.epochs]),
-            {
-                name: np.concatenate([v, other.attributes[name]])
-                for name, v in self.attributes.items()
-            },
-        )
+        return ObservationBatch.concat_all([self, other])
 
     @staticmethod
     def concat_all(batches: list["ObservationBatch"]) -> "ObservationBatch":
+        """Batches end to end, in list order: one concatenate per column."""
         if not batches:
             return ObservationBatch.empty()
-        out = batches[0]
-        for batch in batches[1:]:
-            out = out.concat(batch)
-        return out
+        first = batches[0]
+        if len(batches) == 1:
+            return first
+        names = set(first.attributes)
+        if any(set(batch.attributes) != names for batch in batches[1:]):
+            raise StatisticsError("cannot concat batches with different attributes")
+        return ObservationBatch(
+            np.concatenate([batch.lats for batch in batches]),
+            np.concatenate([batch.lons for batch in batches]),
+            np.concatenate([batch.epochs for batch in batches]),
+            {
+                name: np.concatenate([batch.attributes[name] for batch in batches])
+                for name in first.attributes
+            },
+        )
 
     # -- binning ------------------------------------------------------------
 

@@ -244,6 +244,24 @@ class SummaryVector:
         return out
 
 
+#: The reduction that folds each summary column, in column order
+#: ``(sums, sumsqs, mins, maxs)``.
+_COLUMN_FOLDS = (np.add, np.add, np.minimum, np.maximum)
+
+
+def _run_starts(
+    sorted_keys: np.ndarray, sorted_parts: np.ndarray | None = None
+) -> np.ndarray:
+    """First index of each run of equal keys in a sorted array — of equal
+    (key, part) pairs when the keys' part numbers are given."""
+    boundary = np.empty(sorted_keys.size, dtype=bool)
+    boundary[:1] = True
+    boundary[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    if sorted_parts is not None:
+        boundary[1:] |= sorted_parts[1:] != sorted_parts[:-1]
+    return np.flatnonzero(boundary)
+
+
 class SummaryFrame:
     """Grouped summaries: many bins' statistics as parallel arrays.
 
@@ -254,12 +272,14 @@ class SummaryFrame:
     ``(sums, sumsqs, mins, maxs)`` float64 arrays — all aligned with
     ``ids``.
 
-    Frames are the unit the scan pipeline produces and merges: each
-    block scan yields one frame, frames merge column-wise (concatenate +
-    one stable regroup), and per-bin :class:`SummaryVector` objects are
+    Frames are the unit the scan pipeline produces and merges: one scan
+    leg groups all of its blocks' records in one pass
+    (:meth:`partials`: one row per bin and source block, so an id
+    repeats once per block that holds it), :meth:`merge_all` folds the
+    rows of equal id, and per-bin :class:`SummaryVector` objects are
     materialized lazily only at the query/response boundary.  Merging
-    sums each bin's partials in frame order; for two frames that is
-    bitwise what ``SummaryVector.merge`` gives
+    sums each bin's partials in frame order and then row order; for two
+    partials that is bitwise what ``SummaryVector.merge`` gives
     (``tests/data/test_summary_frame.py`` pins it), for more numpy's
     ``reduceat`` may associate the partials differently, so sums agree
     with a merge chain to rounding while counts and extrema are exact.
@@ -300,6 +320,28 @@ class SummaryFrame:
         argsort plus ``np.*.reduceat`` segment reductions per attribute
         — no per-record Python loop, and no per-bin object construction.
         """
+        return SummaryFrame.partials(group_keys, arrays)
+
+    @staticmethod
+    def partials(
+        group_keys: np.ndarray,
+        arrays: dict[str, np.ndarray],
+        parts: np.ndarray | None = None,
+    ) -> "SummaryFrame":
+        """Group raw values by (key, source part): the fused-scan kernel.
+
+        ``parts`` is a non-decreasing per-record part number — the
+        records of part 0, then part 1, ... as a scan leg concatenates
+        its blocks.  The stable sort on the key leaves each key's
+        records in part order and then in position order, so cutting
+        segments where the key *or* the part changes reduces exactly
+        the values, in exactly the order, that grouping each part on
+        its own would.  The result holds one row per (key, part), ids
+        non-decreasing with a key's rows in part order — the rows the
+        per-part frames would stack up to — and :meth:`merge_all` folds
+        them.  Without ``parts`` every key is one row
+        (:meth:`from_groups`).
+        """
         if not arrays:
             raise StatisticsError("grouped summaries need at least one attribute")
         group_keys = np.asarray(group_keys)
@@ -320,12 +362,8 @@ class SummaryFrame:
             )
         order = np.argsort(group_keys, kind="stable")
         sorted_keys = group_keys[order]
-        # Segment boundaries: first index of each distinct key.
-        boundary = np.empty(n, dtype=bool)
-        boundary[0] = True
-        boundary[1:] = sorted_keys[1:] != sorted_keys[:-1]
-        starts = np.flatnonzero(boundary)
-        uniq = sorted_keys[starts]
+        # Segment boundaries: first index of each distinct (key, part).
+        starts = _run_starts(sorted_keys, None if parts is None else parts[order])
         counts = np.diff(np.append(starts, n))
 
         columns: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -336,7 +374,7 @@ class SummaryFrame:
             mins = np.minimum.reduceat(v, starts)
             maxs = np.maximum.reduceat(v, starts)
             columns[name] = (sums, sq, mins, maxs)
-        return SummaryFrame(ids=uniq, counts=counts, columns=columns)
+        return SummaryFrame(ids=sorted_keys[starts], counts=counts, columns=columns)
 
     # -- monoid ------------------------------------------------------------
 
@@ -348,14 +386,15 @@ class SummaryFrame:
     def merge_all(frames: list["SummaryFrame"]) -> "SummaryFrame":
         """Merge frames in list order.
 
-        Concatenates every column and regroups with one stable sort:
-        rows with equal ids stay in frame order and ``reduceat`` sums
-        each run (see the class docstring for what that pins).
+        Stacks every column and regroups with one stable sort: rows
+        with equal ids — from different frames, or the per-part rows of
+        one :meth:`partials` frame — stay in frame order and then row
+        order, and ``reduceat`` folds each run (see the class docstring
+        for what that pins).  One frame is already in id order and is
+        returned as it is when no id repeats.
         """
         if not frames:
             raise StatisticsError("merge_all of no frames")
-        if len(frames) == 1:
-            return frames[0]
         names = set(frames[0].columns)
         for frame in frames[1:]:
             if set(frame.columns) != names:
@@ -363,34 +402,29 @@ class SummaryFrame:
                     f"attribute mismatch: {frames[0].attributes} "
                     f"vs {frame.attributes}"
                 )
-        ids = np.concatenate([f.ids for f in frames])
-        n = ids.size
-        order = np.argsort(ids, kind="stable")
-        sorted_ids = ids[order]
-        boundary = np.empty(n, dtype=bool)
-        boundary[0] = True
-        boundary[1:] = sorted_ids[1:] != sorted_ids[:-1]
-        starts = np.flatnonzero(boundary)
-        counts = np.add.reduceat(
-            np.concatenate([f.counts for f in frames])[order], starts
-        )
-        columns: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
-        for name in frames[0].columns:
-            parts = [f.columns[name] for f in frames]
-            sums = np.add.reduceat(
-                np.concatenate([p[0] for p in parts])[order], starts
+        if len(frames) == 1:
+            ids, order = frames[0].ids, slice(None)
+            starts = _run_starts(ids)
+            if starts.size == ids.size:
+                return frames[0]
+        else:
+            ids = np.concatenate([f.ids for f in frames])
+            order = np.argsort(ids, kind="stable")
+            ids = ids[order]
+            starts = _run_starts(ids)
+
+        def fold(ufunc: np.ufunc, column: list[np.ndarray]) -> np.ndarray:
+            return ufunc.reduceat(np.concatenate(column)[order], starts)
+
+        counts = fold(np.add, [f.counts for f in frames])
+        columns = {
+            name: tuple(
+                fold(ufunc, [f.columns[name][i] for f in frames])
+                for i, ufunc in enumerate(_COLUMN_FOLDS)
             )
-            sq = np.add.reduceat(
-                np.concatenate([p[1] for p in parts])[order], starts
-            )
-            mins = np.minimum.reduceat(
-                np.concatenate([p[2] for p in parts])[order], starts
-            )
-            maxs = np.maximum.reduceat(
-                np.concatenate([p[3] for p in parts])[order], starts
-            )
-            columns[name] = (sums, sq, mins, maxs)
-        return SummaryFrame(ids=sorted_ids[starts], counts=counts, columns=columns)
+            for name in frames[0].columns
+        }
+        return SummaryFrame(ids=ids[starts], counts=counts, columns=columns)
 
     # -- materialization -----------------------------------------------------
 

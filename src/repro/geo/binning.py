@@ -28,8 +28,6 @@ temporal resolution, which is why
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from repro.errors import TemporalError
@@ -106,12 +104,7 @@ def decode_bin_ids(
     bits = np.uint64(TEMPORAL_CODE_BITS[resolution])
     geohashes = codes_to_geohashes(ids >> bits, precision)
     mask = np.uint64((1 << TEMPORAL_CODE_BITS[resolution]) - 1)
-    temporal = (ids & mask).astype(np.int64)
-    # Scans see few unique temporal bins; memoize the TimeKey objects.
-    key_of = functools.lru_cache(maxsize=None)(
-        lambda code: time_key_of_code(code, resolution)
-    )
-    return [
-        (str(gh), key_of(int(code)))
-        for gh, code in zip(geohashes.tolist(), temporal.tolist())
-    ]
+    codes = (ids & mask).astype(np.int64).tolist()
+    # Scans see few distinct temporal bins: decode each code once.
+    key_of = {code: time_key_of_code(code, resolution) for code in set(codes)}
+    return [(gh, key_of[code]) for gh, code in zip(geohashes.tolist(), codes)]

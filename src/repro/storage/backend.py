@@ -9,7 +9,12 @@ oracle used throughout the test suite for result verification.
 
 from __future__ import annotations
 
+import bisect
+import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.core.keys import CellKey
 from repro.data.block import Block, BlockId, partition_into_blocks
@@ -19,7 +24,15 @@ from repro.dht.partitioner import Partitioner
 from repro.errors import StorageError
 from repro.geo.binning import decode_bin_ids
 from repro.geo.resolution import Resolution
+from repro.geo.temporal import TemporalResolution, TimeKey
 from repro.query.model import AggregationQuery
+
+#: Records one fused scan pass holds at once.  A leg with more is cut
+#: into consecutive block runs (:func:`scan_blocks`), which bounds the
+#: concatenated transient (~150 bytes a record across the seven columns,
+#: their filtered copy, the ids and the sort: ~10 MB) without a setting
+#: to tune — the answer does not depend on where the cuts fall.
+SCAN_RUN_RECORDS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -29,6 +42,25 @@ class ScanStats:
     blocks_read: int
     bytes_read: int
     records_scanned: int
+
+
+@functools.lru_cache(maxsize=1024)
+def _day_labels(time_key: TimeKey) -> tuple[str, ...]:
+    """Labels of the days whose blocks back a time key (``BlockId.day``).
+
+    A pure function of the key, memoized because a footprint's dozens of
+    cells share one to three time keys and every one of them asks.
+    """
+    resolution = time_key.resolution
+    if resolution == TemporalResolution.HOUR:
+        days = [time_key.parent()]
+    elif resolution == TemporalResolution.DAY:
+        days = [time_key]
+    elif resolution == TemporalResolution.MONTH:
+        days = time_key.children()
+    else:  # YEAR
+        days = [day for month in time_key.children() for day in month.children()]
+    return tuple(str(day) for day in days)
 
 
 class StorageCatalog:
@@ -74,8 +106,6 @@ class StorageCatalog:
         scan that merges it, and a mismatch found half-way through the
         loop would leave blocks a caching layer was never told about.
         """
-        import bisect
-
         names = batch.attribute_names
         if len(batch) and self._attribute_names not in (None, names):
             raise StorageError(
@@ -132,7 +162,6 @@ class StorageCatalog:
     def blocks_for_query(self, query: AggregationQuery) -> list[BlockId]:
         """Existing blocks whose extent overlaps the (snapped) query."""
         from repro.geo.cover import covering_cells
-        from repro.geo.temporal import TemporalResolution
 
         prefixes = set(
             covering_cells(query.snapped_bbox(), self.block_precision)
@@ -153,26 +182,9 @@ class StorageCatalog:
         geohash extends the cell's (found via a prefix range scan on the
         per-day index).
         """
-        import bisect
-
-        from repro.geo.temporal import TemporalResolution
-
-        time_key = key.time_key
-        if time_key.resolution in (TemporalResolution.DAY, TemporalResolution.HOUR):
-            days = [
-                time_key
-                if time_key.resolution == TemporalResolution.DAY
-                else time_key.parent()
-            ]
-        elif time_key.resolution == TemporalResolution.MONTH:
-            days = time_key.children()
-        else:  # YEAR
-            days = [day for month in time_key.children() for day in month.children()]
-
         out: list[BlockId] = []
         geohash = key.geohash
-        for day_key in days:
-            day = str(day_key)
+        for day in _day_labels(key.time_key):
             day_list = self._day_index.get(day)
             if not day_list:
                 continue
@@ -236,45 +248,83 @@ def frame_to_cells(
     }
 
 
+def _in_snapped_extent(batch: ObservationBatch, query: AggregationQuery) -> np.ndarray:
+    """Mask of the records inside the query's snapped box and time range
+    (closed-open on every axis)."""
+    box = query.snapped_bbox()
+    time_range = query.snapped_time_range()
+    return (
+        (batch.lats >= box.south)
+        & (batch.lats < box.north)
+        & (batch.lons >= box.west)
+        & (batch.lons < box.east)
+        & (batch.epochs >= time_range.start)
+        & (batch.epochs < time_range.end)
+    )
+
+
+def _run_bounds(sizes: list[int]) -> Iterator[tuple[int, int]]:
+    """Cut blocks of these sizes into consecutive ``[start, stop)`` runs of
+    at most :data:`SCAN_RUN_RECORDS` records (a larger block is a run of
+    its own)."""
+    start = records = 0
+    for stop, size in enumerate(sizes):
+        if stop > start and records + size > SCAN_RUN_RECORDS:
+            yield start, stop
+            start, records = stop, 0
+        records += size
+    if sizes:
+        yield start, len(sizes)
+
+
 def scan_blocks(
     blocks: list[Block], query: AggregationQuery
 ) -> tuple[dict[CellKey, SummaryVector], ScanStats]:
     """Aggregate raw blocks into query-resolution cells (full cell extents).
 
-    Every block is read in full (you cannot seek inside a block), records
-    are filtered to the query's *snapped* extent, then binned on packed
-    integer ids (:meth:`ObservationBatch.bin_ids`) and summarized with
-    one vectorized grouped pass per block.  Per-block
-    :class:`SummaryFrame` columns merge in block order and
+    Every block is read in full (you cannot seek inside a block).  The
+    leg's blocks are concatenated in block order and scanned in one
+    fused pass: one mask filters the records to the query's *snapped*
+    extent, one :meth:`ObservationBatch.bin_ids` call bins them on
+    packed integer ids, and :meth:`SummaryFrame.partials` groups them by
+    (id, source block) with one stable sort; :meth:`SummaryFrame.merge_all`
+    then folds each cell's per-block partials in block order — bit for
+    bit what grouping every block on its own and merging the frames
+    gives (``tests/storage/test_fused_scan.py``).
     :class:`SummaryVector` objects are materialized once at the end.  A
-    (precision, resolution) pair outside the packed-id domain raises
-    :class:`~repro.errors.TemporalError`
-    (:func:`repro.geo.binning.bin_ids`).
+    leg above :data:`SCAN_RUN_RECORDS` is scanned run by run and its
+    partial rows are folded together, which is the same fold over the
+    same rows.  A (precision, resolution) pair outside the packed-id
+    domain raises :class:`~repro.errors.TemporalError`
+    (:func:`repro.geo.binning.bin_ids`); blocks whose attribute names
+    differ raise :class:`~repro.errors.StatisticsError`.
 
     Scans never apply the query's attribute selection: cells cache
     *every* attribute so they stay reusable by any later query, and
     projection happens only on responses (``SummaryVector.project``).
     """
-    snapped_box = query.snapped_bbox()
-    snapped_time = query.snapped_time_range()
     precision = query.resolution.spatial
     resolution = query.resolution.temporal
+    sizes = [len(block) for block in blocks]
     frames: list[SummaryFrame] = []
-    bytes_read = 0
-    records = 0
-    for block in blocks:
-        bytes_read += block.nbytes
-        records += len(block)
-        batch = block.batch.filter_bbox(snapped_box).filter_time(snapped_time)
-        if len(batch) == 0:
+    for start, stop in _run_bounds(sizes):
+        batch = ObservationBatch.concat_all(
+            [block.batch for block in blocks[start:stop]]
+        )
+        mask = _in_snapped_extent(batch, query)
+        kept = batch.select(mask)
+        if len(kept) == 0:
             continue
+        source = np.repeat(np.arange(stop - start), sizes[start:stop])
         frames.append(
-            SummaryFrame.from_groups(
-                batch.bin_ids(precision, resolution), batch.attributes
+            SummaryFrame.partials(
+                kept.bin_ids(precision, resolution), kept.attributes, source[mask]
             )
         )
     stats = ScanStats(
-        blocks_read=len(blocks), bytes_read=bytes_read, records_scanned=records
+        blocks_read=len(blocks),
+        bytes_read=sum(block.nbytes for block in blocks),
+        records_scanned=sum(sizes),
     )
     if not frames:
         return {}, stats
@@ -293,9 +343,7 @@ def ground_truth_cells(
     apply the query's attribute selection (and polygon footprint) to
     what it returns.
     """
-    sub = batch.filter_bbox(query.snapped_bbox()).filter_time(
-        query.snapped_time_range()
-    )
+    sub = batch.select(_in_snapped_extent(batch, query))
     if len(sub) == 0:
         return {}
     frame = SummaryFrame.from_groups(

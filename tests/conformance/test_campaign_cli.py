@@ -74,15 +74,18 @@ class TestMutationCheck:
 
     def test_corrupt_scan_merge_diverges(self, monkeypatch):
         """The cross-block scan merge is a separate code path; corrupting
-        it must be caught by the plain cold-cache axis.  Since the
-        columnar pipeline, that path is ``SummaryFrame.merge_all``."""
+        it must be caught by the plain cold-cache axis.  Since the fused
+        scan, one leg's per-block partial rows arrive in a single frame
+        and ``SummaryFrame.merge_all`` folds the rows of equal id — so
+        the corruption hits wherever rows were folded, not wherever
+        several frames came in."""
         from repro.data.statistics import SummaryFrame
 
         real = SummaryFrame.merge_all
 
         def corrupted(frames):
             merged = real(frames)
-            if len(frames) > 1:
+            if len(merged) < sum(len(frame) for frame in frames):
                 merged = SummaryFrame(
                     merged.ids,
                     merged.counts,

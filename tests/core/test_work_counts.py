@@ -7,7 +7,10 @@ from one :class:`~repro.geo.cover.GridCover` held by the query object,
 and owners come from the partitioner's materialized map — so a fresh
 rectangle query interleaves bin indices twice (cover, ring) and a
 region seen before hashes nothing.  A live ingest finds its stale cells
-by comparing labels, so it builds no ``TimeRange`` per cached cell.
+by comparing labels, so it builds no ``TimeRange`` per cached cell.  A
+cache miss scans each leg's blocks in one fused pass — one ``bin_ids``
+call and two batches per leg, not per block — and asks the calendar for
+a time key's day labels once, not once per cell per lookup.
 """
 
 import numpy as np
@@ -16,9 +19,11 @@ import pytest
 from repro.config import ClusterConfig, StashConfig
 from repro.core.cluster import StashCluster
 from repro.core.keys import CellKey
+from repro.data.block import Block, BlockId
 from repro.data.generator import small_test_dataset
 from repro.data.observation import OBSERVATION_ATTRIBUTES, ObservationBatch
 from repro.dht import partitioner as partitioner_module
+from repro.geo import binning as binning_module
 from repro.geo import cover as cover_module
 from repro.geo import geohash as geohash_module
 from repro.geo import polygon as polygon_module
@@ -27,6 +32,8 @@ from repro.geo.polygon import Polygon
 from repro.geo.resolution import Resolution
 from repro.geo.temporal import TemporalResolution, TimeKey, TimeRange
 from repro.query.model import AggregationQuery
+from repro.storage import backend as backend_module
+from repro.storage import node as storage_node_module
 from repro.storage.backend import ground_truth_cells
 
 
@@ -173,3 +180,75 @@ class TestLiveIngest:
         )
         assert more_cells >= 2 * cells
         assert more_calls <= calls
+
+
+class TestColdScan:
+    """One rectangle query against flushed caches: every cell is a miss."""
+
+    @pytest.fixture()
+    def cold_cluster(self, dataset):
+        cluster = StashCluster(dataset, StashConfig(cluster=ClusterConfig(num_nodes=4)))
+        cluster.warm([rectangle()])
+        cluster.flush_caches()
+        return cluster
+
+    def test_one_bin_ids_call_and_two_batches_per_scan_leg(
+        self, cold_cluster, dataset, monkeypatch
+    ):
+        legs: list[int] = []
+        real_scan = storage_node_module.scan_blocks
+
+        def scan(blocks, query):
+            legs.append(len(blocks))
+            return real_scan(blocks, query)
+
+        monkeypatch.setattr(storage_node_module, "scan_blocks", scan)
+        binned = counted(monkeypatch, ObservationBatch, "bin_ids")
+        batches = counted(monkeypatch, ObservationBatch, "__post_init__")
+
+        query = rectangle()
+        result = cold_cluster.run_query(query)
+        cold_cluster.drain()
+        assert result.provenance["cells_from_disk"] == len(query.footprint())
+        assert len(legs) >= 2 and sum(legs) >= 3 * len(legs)  # several blocks a leg
+        assert len(binned) <= len(legs)  # was one per block
+        # The leg's concatenation and its filtered copy; was two per block.
+        assert len(batches) <= 2 * len(legs)
+        assert set(result.cells) == set(ground_truth_cells(dataset, query))
+
+    def test_day_labels_rendered_once_per_time_key(self, cold_cluster, monkeypatch):
+        """Coordinator (``_resolve_missing``) and owners (``_handle_populate``)
+        both look up every missing cell's blocks; the cells share one day."""
+        backend_module._day_labels.cache_clear()
+        rendered = counted(monkeypatch, TimeKey, "__str__")
+        lookups = counted(monkeypatch, type(cold_cluster.catalog), "blocks_for_cell")
+        query = rectangle()
+        cells = len(query.footprint())
+        assert cells >= 20 and len({key.time_key for key in query.footprint()}) == 1
+        cold_cluster.run_query(query)
+        cold_cluster.drain()
+        assert len(lookups) >= 2 * cells
+        assert len(rendered) <= 1  # was one per lookup
+
+    def test_block_sums_its_arrays_once(self, dataset, monkeypatch):
+        sums: list[str] = []
+        real = ObservationBatch.nbytes.fget
+        monkeypatch.setattr(
+            ObservationBatch,
+            "nbytes",
+            property(lambda batch: sums.append("nbytes") or real(batch)),
+        )
+        block = Block(block_id=BlockId(geohash="9w", day="2013-02-02"), batch=dataset)
+        assert [block.nbytes for _ in range(5)] == [real(dataset)] * 5
+        assert sums == ["nbytes"]
+        # An append makes a new Block (``StorageCatalog.ingest``), which sums afresh.
+        grown = Block(block_id=block.block_id, batch=dataset.concat(dataset))
+        assert grown.nbytes == 2 * block.nbytes and len(sums) == 2
+
+    def test_decode_bin_ids_decodes_each_temporal_code_once(self, dataset, monkeypatch):
+        decoded = counted(monkeypatch, binning_module, "time_key_of_code")
+        ids = dataset.bin_ids(3, TemporalResolution.DAY)
+        pairs = binning_module.decode_bin_ids(ids, 3, TemporalResolution.DAY)
+        days = {key for _, key in pairs}
+        assert len(pairs) == len(dataset) and 2 <= len(days) <= 31
+        assert len(decoded) == len(days)

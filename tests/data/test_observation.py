@@ -95,6 +95,56 @@ class TestConcat:
     def test_concat_all_empty_list(self):
         assert len(ObservationBatch.concat_all([])) == 0
 
+    def pieces(self, batch) -> list[ObservationBatch]:
+        """Mixed sizes, empty pieces first, in the middle and last."""
+        idx = np.arange(len(batch))
+        edges = [0, 0, 1, 400, 400, 403, 1_500, len(batch), len(batch)]
+        return [batch.select(idx[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+
+    def test_concat_all_equals_the_pairwise_chain(self, batch):
+        pieces = self.pieces(batch)
+        combined = ObservationBatch.concat_all(pieces)
+        chained = pieces[0]
+        for piece in pieces[1:]:
+            chained = chained.concat(piece)
+        for got, want, whole in zip(
+            (combined.lats, combined.lons, combined.epochs),
+            (chained.lats, chained.lons, chained.epochs),
+            (batch.lats, batch.lons, batch.epochs),
+        ):
+            assert got.tobytes() == want.tobytes() == whole.tobytes()
+        assert list(combined.attributes) == list(batch.attributes)
+        for name, values in batch.attributes.items():
+            assert combined.attributes[name].tobytes() == values.tobytes()
+            assert chained.attributes[name].tobytes() == values.tobytes()
+        assert not combined.lats.flags.writeable
+        assert ObservationBatch.concat_all([batch]) is batch
+
+    def test_concat_all_attribute_mismatch(self, batch):
+        odd = ObservationBatch(np.zeros(1), np.zeros(1), np.zeros(1), {"y": np.zeros(1)})
+        with pytest.raises(StatisticsError, match="different attributes"):
+            ObservationBatch.concat_all([batch, batch, odd])
+        with pytest.raises(StatisticsError, match="different attributes"):
+            ObservationBatch.concat_all([odd, batch])
+
+    def test_concat_all_copies_each_column_once(self, batch, monkeypatch):
+        """One ``np.concatenate`` per column however many batches: the
+        chain copied everything accumulated so far for every batch
+        (7 x (batches - 1) calls, quadratic bytes)."""
+        pieces = self.pieces(batch) * 10
+        calls: list[int] = []
+        real = np.concatenate
+
+        def concatenate(arrays, *args, **kwargs):
+            calls.append(len(arrays))
+            return real(arrays, *args, **kwargs)
+
+        monkeypatch.setattr(np, "concatenate", concatenate)
+        combined = ObservationBatch.concat_all(pieces)
+        monkeypatch.undo()
+        assert len(combined) == 10 * len(batch)
+        assert calls == [len(pieces)] * (3 + len(batch.attributes))
+
 
 class TestBinKeys:
     def test_bin_keys_format(self, batch):

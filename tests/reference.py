@@ -12,6 +12,9 @@ keeps its oracle:
 * ``scan_blocks_reference`` pins ``repro.storage.backend.scan_blocks``
   (tests/storage/test_backend.py) and the elastic shard scan
   (tests/baselines/test_elastic.py);
+* ``scan_blocks_per_block`` pins the fused scan — ``scan_blocks`` with
+  ``SummaryFrame.partials`` / ``merge_all`` — to the per-block scan it
+  replaced, bit for bit (tests/storage/test_fused_scan.py);
 * ``rank_victims_scalar`` pins ``repro.core.eviction.rank_victims``
   (tests/core/test_vectorized_freshness.py);
 * ``neighborhood_ring`` pins ``repro.core.freshness.query_ring``
@@ -152,6 +155,52 @@ def scan_blocks_reference(batches, query) -> dict[CellKey, SummaryVector]:
             cell_key = CellKey.parse(str(label))
             existing = out.get(cell_key)
             out[cell_key] = vector if existing is None else existing.merge(vector)
+    return out
+
+
+def scan_blocks_per_block(batches, query) -> dict[CellKey, SummaryVector]:
+    """The per-block scan: group every batch on its own, then fold each
+    cell's per-batch partials with one ``reduceat`` over the run, in
+    batch order.
+
+    That fold is the association ``SummaryFrame.merge_all`` gave the
+    per-block frames — numpy's pairwise one from nine partials up, so
+    *not* the merge chain of :func:`scan_blocks_reference`.  (Was the
+    loop in ``scan_blocks``: ``from_groups`` per block, then
+    ``merge_all``.)
+    """
+    snapped_box = query.snapped_bbox()
+    snapped_time = query.snapped_time_range()
+    partials: dict[str, list[SummaryVector]] = {}
+    for batch in batches:
+        batch = batch.filter_bbox(snapped_box).filter_time(snapped_time)
+        if len(batch) == 0:
+            continue
+        keys = bin_labels(batch, query.resolution.spatial, query.resolution.temporal)
+        for label, vector in grouped_summaries_scalar(
+            keys, batch.attributes
+        ).items():
+            partials.setdefault(str(label), []).append(vector)
+
+    def fold(ufunc, vectors, name, field) -> float:
+        column = np.array([getattr(vector[name], field) for vector in vectors])
+        return float(ufunc.reduceat(column, [0])[0])
+
+    out: dict[CellKey, SummaryVector] = {}
+    for label in sorted(partials):
+        vectors = partials[label]
+        out[CellKey.parse(label)] = SummaryVector(
+            {
+                name: AttributeSummary(
+                    count=sum(vector[name].count for vector in vectors),
+                    total=fold(np.add, vectors, name, "total"),
+                    total_sq=fold(np.add, vectors, name, "total_sq"),
+                    minimum=fold(np.minimum, vectors, name, "minimum"),
+                    maximum=fold(np.maximum, vectors, name, "maximum"),
+                )
+                for name in vectors[0].attributes
+            }
+        )
     return out
 
 

@@ -8,10 +8,12 @@ test datasets actually cover (February 2013, the NAM domain), so a drawn
 query is usually non-empty.
 """
 
+import numpy as np
 from hypothesis import strategies as st
 
 from repro.core.keys import CellKey
 from repro.data.block import BlockId
+from repro.data.observation import ObservationBatch
 from repro.geo import geohash as gh
 from repro.geo.bbox import BoundingBox
 from repro.geo.resolution import Resolution, ResolutionSpace
@@ -211,3 +213,47 @@ def queries(
         )
 
     return _query()
+
+
+#: Values that make a summation order or a lost sign visible.
+AWKWARD_VALUES = (0.0, -0.0, 1.0, 0.1, -0.1, 1e15, -1e15, 3.0)
+
+
+def crowded_records(
+    records: int, seed: int, attributes: tuple[str, ...] = ("a", "b")
+) -> ObservationBatch:
+    """``records`` seeded observations crowded into a few degrees of the
+    NAM domain on 2013-02-01..04, so that cells hold many records.
+
+    Attribute values mix wide magnitudes with repeats and both zeros
+    (:data:`AWKWARD_VALUES`): regrouping the same records in another
+    order then changes the low bits of a sum.
+    """
+    rng = np.random.default_rng(seed)
+    start = TimeKey.of(2013, 2, 1).epoch_range().start
+    return ObservationBatch(
+        lats=rng.uniform(30.0, 34.0, records),
+        lons=rng.uniform(-110.0, -104.0, records),
+        epochs=start + rng.uniform(0.0, 4 * 86_400.0 - 1.0, records),
+        attributes={
+            name: np.where(
+                rng.random(records) < 0.4,
+                rng.choice(AWKWARD_VALUES, records),
+                rng.normal(size=records) * 10.0 ** rng.integers(-3, 9, records),
+            )
+            for name in attributes
+        },
+    )
+
+
+def record_batches(
+    max_records: int = 300, attributes: tuple[str, ...] = ("a", "b")
+) -> "st.SearchStrategy[ObservationBatch]":
+    """:func:`crowded_records` of a drawn size and seed (hypothesis picks
+    the two integers; the arrays come from numpy)."""
+    return st.builds(
+        crowded_records,
+        st.integers(0, max_records),
+        st.integers(0, 2**32 - 1),
+        st.just(attributes),
+    )
