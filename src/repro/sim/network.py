@@ -109,6 +109,14 @@ class Network:
         """Pending messages at a node — the hotspot-detection signal."""
         return len(self.inbox(node_id))
 
+    def transport_stats(self) -> dict[str, int]:
+        """The fabric's counters, as the node ``stats`` RPC reports them."""
+        return {
+            "messages_sent": self.messages_sent,
+            "bytes_sent": self.bytes_sent,
+            "messages_dropped": self.messages_dropped,
+        }
+
     # -- fault hooks -------------------------------------------------------
 
     def set_down(self, node_id: str, down: bool = True) -> None:

@@ -543,6 +543,7 @@ class StorageNode:
             "service_queue": len(self._service_queue),
             "inflight": self._inflight - 1,
             "handled": self.counters.get("handled:evaluate"),
+            "transport": self.network.transport_stats(),
         }, 64
 
     def _handle_scan(self, message: Message) -> Generator[Event, Any, Reply]:

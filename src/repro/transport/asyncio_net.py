@@ -5,15 +5,17 @@ Two pieces, mirroring the sim pair:
 * :class:`AsyncioEngine` — a :class:`~repro.sim.engine.Simulator`
   duck-type backed by the asyncio event loop.  It reuses the sim's
   :class:`Event`/:class:`Timeout`/:class:`Process` classes verbatim:
-  those classes only ever call ``sim._schedule`` and read ``sim.now``,
-  so mapping ``_schedule`` onto ``loop.call_later`` runs every node
-  generator — coordinator fan-out, retry/backoff loops, gossip rounds —
-  unchanged on wall-clock time.
+  those classes only ever call ``sim._schedule`` and read ``sim.now``.
+  An event that is due now joins one FIFO queue drained by a single
+  loop callback, so a burst of ``succeed`` -> resume -> ``put`` runs to
+  completion in one loop turn; only a real wall delay costs a timer.
 * :class:`AsyncioNetwork` — the :class:`~repro.sim.network.Network`
   whose two delivery hooks route local endpoints through in-process
-  inboxes and remote endpoints over TCP: one lazily-connected outbound
-  link per peer, a reader task per connection feeding a controller
-  queue, and length-prefixed codec frames on the wire.
+  inboxes and remote endpoints over TCP: one protocol object per
+  connection (a lazily dialed link per peer, one per accepted socket),
+  length-prefixed codec frames on the wire.  A received chunk is
+  decoded, dispatched and run to completion inside its own
+  ``data_received``; a frame is written straight to its transport.
 
 RPC failure semantics map onto the existing machinery: a dropped
 connection resolves every RPC in flight on it to :data:`RPC_FAILED`
@@ -26,7 +28,9 @@ from __future__ import annotations
 
 import asyncio
 import logging
-from typing import Any, Callable, Coroutine, Generator, Iterable
+import time
+from collections import deque
+from typing import Any, Callable, Generator, Iterable
 
 from repro.errors import NetworkError
 from repro.faults.membership import RPC_FAILED
@@ -44,6 +48,13 @@ log = logging.getLogger(__name__)
 #: slow accept loops, not absent peers.
 _CONNECT_ATTEMPTS = 40
 _CONNECT_RETRY_DELAY = 0.05
+
+#: A wall delay below the loop clock's resolution is "now" — the rule
+#: asyncio's own ``_run_once`` applies to its timer heap.
+_CLOCK_RESOLUTION = time.get_clock_info("monotonic").resolution
+#: Events fired per drain before the loop gets a turn for I/O, so a
+#: process that reschedules itself forever cannot starve the sockets.
+_DRAIN_BATCH = 512
 
 
 class AsyncioEngine:
@@ -71,12 +82,20 @@ class AsyncioEngine:
         self._loop = loop
         self.time_scale = time_scale
         self._t0 = self._loop.time()
-        self._handles: set[asyncio.TimerHandle] = set()
+        #: Events due now, in schedule order (the sim's ``(time, seq)``
+        #: tie-break for same-instant events).
+        self._due: deque[Event] = deque()
+        #: True while a drain is running or already on the loop's ready
+        #: queue: scheduling then needs no wake-up of its own.
+        self._drain_pending = False
         self._closed = False
         #: Failures nobody waited on (the sim raises these from ``step``;
         #: a live loop can only record and report them).
         self.unhandled: list[BaseException] = []
         self.tick_hooks: list[Callable[[float], None]] = []
+        #: Wall-side work counts: events fired, loop timers armed.
+        self.events_fired = 0
+        self.timers_armed = 0
 
     # -- Simulator surface ------------------------------------------------
 
@@ -104,22 +123,51 @@ class AsyncioEngine:
 
     def _schedule(self, event: Event, delay: float, daemon: bool = False) -> None:
         if self._closed:
-            return  # shutting down: timers must not resurrect work
-        # Event has __slots__, so the handle rides in a closure instead.
-        handle: asyncio.TimerHandle | None = None
+            return  # shutting down: nothing may resurrect work
+        wall = delay * self.time_scale
+        if wall < _CLOCK_RESOLUTION:
+            self._due.append(event)
+            if not self._drain_pending:
+                self._drain_pending = True
+                self._loop.call_soon(self.run_due)
+        else:
+            self.timers_armed += 1
+            self._loop.call_later(wall, self._fire, event)
 
-        def fire() -> None:
-            self._handles.discard(handle)
-            self._fire(event)
+    def run_due(self, source: Callable[..., None] | None = None, *args: Any) -> None:
+        """One engine turn: fire what is due, in schedule order.
 
-        handle = self._loop.call_later(delay * self.time_scale, fire)
-        self._handles.add(handle)
+        An I/O callback passes itself as ``source`` so that whatever it
+        makes due runs to completion inside the same loop callback.  The
+        turn is bounded: past ``_DRAIN_BATCH`` events the rest waits for
+        the next loop turn, behind any socket that became ready.
+        """
+        # An I/O turn that finds a drain already on the loop's ready queue
+        # leaves the pending state (and any leftovers) to that drain.
+        queued_behind = source is not None and self._drain_pending
+        self._drain_pending = True
+        try:
+            if source is not None:
+                source(*args)
+            due = self._due
+            budget = _DRAIN_BATCH
+            while due and budget:
+                budget -= 1
+                self._fire(due.popleft())
+        finally:
+            if not queued_behind:
+                self._drain_pending = bool(self._due)
+                if self._due:
+                    self._loop.call_soon(self.run_due)
 
     def _fire(self, event: Event) -> None:
         """The asyncio analogue of ``Simulator.step`` for one event."""
+        if self._closed:
+            return  # a timer that outlived close()
         callbacks, event.callbacks = event.callbacks, None
         if callbacks is None:  # already processed (defensive)
             return
+        self.events_fired += 1
         if event._exception is not None and not callbacks:
             # The sim raises here; a live loop records and keeps serving.
             self.unhandled.append(event._exception)
@@ -136,9 +184,7 @@ class AsyncioEngine:
 
     def close(self) -> None:
         self._closed = True
-        for handle in self._handles:
-            handle.cancel()
-        self._handles.clear()
+        self._due.clear()
 
     # -- asyncio bridge ----------------------------------------------------
 
@@ -158,6 +204,51 @@ class AsyncioEngine:
         return future
 
 
+class _Connection(asyncio.Protocol):
+    """One TCP connection, dialed (``peer_id`` set) or accepted.
+
+    Frames sent while a dialed link is still connecting wait in its
+    ordered ``backlog`` and are flushed by ``connection_made``.
+    """
+
+    def __init__(self, network: "AsyncioNetwork", peer_id: str | None = None):
+        self.network = network
+        self.peer_id = peer_id
+        self.transport: asyncio.Transport | None = None
+        self.backlog: list[bytes] = []
+        self.decoder = FrameDecoder()
+        #: Wire ids of the RPCs in flight on this (dialed) connection.
+        self.sent_ids: set[str] = set()
+        #: The dial-with-retries task of a dialed link (kept referenced).
+        self.dial: asyncio.Task | None = None
+        self.dead = False
+
+    @property
+    def peername(self) -> Any:
+        return self.transport and self.transport.get_extra_info("peername")
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+        self.network._connections.add(self)
+        if self.dead:  # failed (or closed) while it was dialing
+            transport.close()
+            return
+        for data in self.backlog:
+            transport.write(data)  # type: ignore[attr-defined]
+        self.backlog.clear()
+
+    def data_received(self, data: bytes) -> None:
+        self.network.sim.run_due(self.network._on_data, self, data)
+
+    def eof_received(self) -> None:
+        if self.decoder.pending_bytes:
+            self.network._reject(self, "stream ended inside a frame")
+        # Returning None lets the transport close itself.
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.network._connection_lost(self)
+
+
 class RemoteReply:
     """The reply obligation of an RPC that arrived over a socket.
 
@@ -170,44 +261,24 @@ class RemoteReply:
     the original caller.
     """
 
-    __slots__ = ("network", "writer", "msg_id", "triggered")
+    __slots__ = ("connection", "msg_id", "triggered")
 
-    def __init__(
-        self,
-        network: "AsyncioNetwork",
-        writer: asyncio.StreamWriter,
-        msg_id: str,
-    ):
-        self.network = network
-        self.writer = writer
+    def __init__(self, connection: _Connection, msg_id: str):
+        self.connection = connection
         self.msg_id = msg_id
         self.triggered = False
 
     def succeed(self, value: Any) -> None:
         self.triggered = True
-        self.network._write_frame(
-            self.writer, {"t": "reply", "id": self.msg_id, "value": value}
+        self.connection.network._send_frame(
+            self.connection, {"t": "reply", "id": self.msg_id, "value": value}
         )
 
     def fail(self, exception: BaseException) -> None:
         self.triggered = True
-        self.network._write_frame(
-            self.writer, {"t": "err", "id": self.msg_id, "exc": exception}
+        self.connection.network._send_frame(
+            self.connection, {"t": "err", "id": self.msg_id, "exc": exception}
         )
-
-
-class _PeerLink:
-    """One outbound connection to a peer: FIFO frame queue + reader task."""
-
-    def __init__(self, peer_id: str, host: str, port: int):
-        self.peer_id = peer_id
-        self.host = host
-        self.port = port
-        self.outbox: asyncio.Queue[bytes] = asyncio.Queue()
-        self.sent_ids: set[str] = set()
-        self.reader_task: asyncio.Task | None = None
-        self.writer: asyncio.StreamWriter | None = None
-        self.dead = False
 
 
 class AsyncioNetwork(Network):
@@ -236,19 +307,21 @@ class AsyncioNetwork(Network):
         self.peer_id = peer_id
         self._loop = engine._loop
         self._peers: dict[str, tuple[str, int]] = {}
-        self._links: dict[str, _PeerLink] = {}
+        #: The live dialed link per peer.
+        self._links: dict[str, _Connection] = {}
+        #: Every connection with an open transport, dialed or accepted.
+        self._connections: set[_Connection] = set()
         #: In-flight RPCs: wire msg id -> local Event | forwarded RemoteReply.
         self._pending: dict[str, "Event | RemoteReply"] = {}
-        self._controller: asyncio.Queue[tuple[Any, asyncio.StreamWriter]] = (
-            asyncio.Queue()
-        )
         self._server: asyncio.base_events.Server | None = None
-        #: Every task this network started (controller, inbound handlers,
-        #: per-link connect/reader/writer loops, pending drains);
-        #: :meth:`close` cancels and awaits them all.
-        self._tasks: set[asyncio.Task] = set()
-        self._drain_locks: dict[int, asyncio.Lock] = {}
+        #: Set by :meth:`close` while it waits for ``_connections`` to empty.
+        self._all_lost: asyncio.Future[None] | None = None
         self._closed = False
+        #: Wall-side work counts: frames and bytes over the sockets.
+        self.frames_in = 0
+        self.frames_out = 0
+        self.wire_bytes_in = 0
+        self.wire_bytes_out = 0
 
     # -- endpoints ---------------------------------------------------------
 
@@ -269,72 +342,51 @@ class AsyncioNetwork(Network):
             if peer_id != self.peer_id:
                 self._peers[peer_id] = (host, port)
 
-    # -- server side -------------------------------------------------------
+    def transport_stats(self) -> dict[str, int]:
+        stats = super().transport_stats()
+        stats.update(
+            events_fired=self.sim.events_fired,
+            timers_armed=self.sim.timers_armed,
+            frames_in=self.frames_in,
+            frames_out=self.frames_out,
+            wire_bytes_in=self.wire_bytes_in,
+            wire_bytes_out=self.wire_bytes_out,
+        )
+        return stats
 
-    async def start_server(
-        self, host: str = "127.0.0.1", port: int = 0
-    ) -> tuple[str, int]:
+    # -- inbound -----------------------------------------------------------
+
+    async def start_server(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
         """Listen for inbound peers; returns the bound (host, port)."""
-        self._server = await asyncio.start_server(self._on_inbound, host, port)
-        self._spawn(self._run_controller())
+        self._server = await self._loop.create_server(lambda: _Connection(self), host, port)
         sockname = self._server.sockets[0].getsockname()
         return sockname[0], sockname[1]
 
-    async def _on_inbound(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
+    def _on_data(self, connection: _Connection, data: bytes) -> None:
+        """Every frame a chunk completes, dispatched in arrival order."""
+        self.wire_bytes_in += len(data)
         try:
-            await self._read_frames(reader, writer)
-        except asyncio.CancelledError:
-            pass  # close() cancelling us is a clean shutdown, not an error
-        finally:
-            writer.close()
-
-    async def _read_frames(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Per-connection reader: frames -> controller queue.
-
-        Returns when the stream ends — or carries something that is not a
-        frame: the caller then closes the connection (an inbound peer is
-        dropped, a dialed link fails its in-flight RPCs), so a malformed
-        stream costs its sender the connection and this peer nothing.
-        """
-        decoder = FrameDecoder()
-        while True:
+            frames = connection.decoder.feed(data)
+        except (FramingError, CodecError) as exc:
+            self._reject(connection, exc)
+            return
+        self.frames_in += len(frames)
+        for frame in frames:
             try:
-                chunk = await reader.read(65536)
-            except (ConnectionError, asyncio.IncompleteReadError):
-                return
-            if not chunk:
-                return
-            try:
-                frames = decoder.feed(chunk)
-            except (FramingError, CodecError) as exc:
-                log.warning(
-                    "peer %s: closing connection to %s: %s",
-                    self.peer_id,
-                    writer.get_extra_info("peername"),
-                    exc,
-                )
-                return
-            for frame in frames:
-                await self._controller.put((frame, writer))
-
-    async def _run_controller(self) -> None:
-        """Single dispatcher: every inbound frame, in arrival order."""
-        while True:
-            frame, writer = await self._controller.get()
-            try:
-                self._dispatch_frame(frame, writer)
+                self._dispatch_frame(frame, connection)
             except Exception:  # noqa: BLE001 - a bad frame must not stop serving
                 log.exception("failed to dispatch frame %r", frame)
 
-    def _dispatch_frame(self, frame: dict, writer: asyncio.StreamWriter) -> None:
+    def _reject(self, connection: _Connection, reason: object) -> None:
+        """A stream that carries something that is not a frame costs its
+        sender the connection (an inbound peer is dropped, a dialed link
+        fails its in-flight RPCs) and this peer nothing."""
+        log.warning(
+            "peer %s: closing connection to %s: %s", self.peer_id, connection.peername, reason
+        )
+        self._fail_link(connection)
+
+    def _dispatch_frame(self, frame: dict, connection: _Connection) -> None:
         kind = frame.get("t")
         if kind == "msg":
             recipient = frame["recipient"]
@@ -346,32 +398,29 @@ class AsyncioNetwork(Network):
                     recipient,
                 )
                 return
-            reply_to: RemoteReply | None = None
-            if frame.get("id") is not None:
-                reply_to = RemoteReply(self, writer, frame["id"])
+            wire_id = frame.get("id")  # None: one-way, nobody awaits a reply
+            reply_to = None if wire_id is None else RemoteReply(connection, wire_id)
             message = Message(
                 sender=frame["sender"],
                 recipient=recipient,
                 kind=frame["kind"],
                 payload=frame["payload"],
                 size=frame.get("size", 0),
-                msg_id=frame.get("id") if frame.get("id") is not None else -1,
+                msg_id=-1 if wire_id is None else wire_id,
                 reply_to=reply_to,  # type: ignore[arg-type]
                 delivered_at=self.sim.now,
             )
             store.put(message)
             return
         if kind in ("reply", "err"):
+            # A reply comes back on the link its request went out on.
+            connection.sent_ids.discard(frame["id"])
             pending = self._pending.pop(frame["id"], None)
-            if pending is None:
-                # Late reply after a timeout/drop resolution: ignore, the
+            if pending is None or pending.triggered:
+                # Late reply after a timeout/drop/close resolution: the
                 # caller has already moved on (same as a late sim reply
                 # racing a fired timeout).
                 return
-            for link in self._links.values():
-                link.sent_ids.discard(frame["id"])
-            if pending.triggered:
-                return  # resolved by a racing drop/close
             # A forwarded RemoteReply relays the answer to the origin.
             if kind == "reply":
                 pending.succeed(frame["value"])
@@ -380,110 +429,68 @@ class AsyncioNetwork(Network):
             return
         log.warning("unknown frame type %r", kind)
 
-    # -- client side -------------------------------------------------------
+    # -- outbound ----------------------------------------------------------
 
-    def _spawn(self, coro: Coroutine[Any, Any, Any]) -> asyncio.Task:
-        """Start a task this network owns (see :meth:`close`)."""
-        task = self._loop.create_task(coro)
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-        return task
-
-    def _link_for(self, peer_id: str) -> _PeerLink:
+    def _link_for(self, peer_id: str) -> _Connection:
         link = self._links.get(peer_id)
-        if link is not None and not link.dead:
+        if link is not None:
             return link
         try:
             host, port = self._peers[peer_id]
         except KeyError:
-            raise NetworkError(
-                f"peer {self.peer_id} has no address for {peer_id!r}"
-            ) from None
-        link = _PeerLink(peer_id, host, port)
-        self._spawn(self._run_link(link))
-        self._links[peer_id] = link
+            raise NetworkError(f"peer {self.peer_id} has no address for {peer_id!r}") from None
+        link = self._links[peer_id] = _Connection(self, peer_id)
+        link.dial = self._loop.create_task(self._dial(link, host, port))
         return link
 
-    async def _run_link(self, link: _PeerLink) -> None:
-        try:
-            reader = writer = None
-            for attempt in range(_CONNECT_ATTEMPTS):
-                try:
-                    reader, writer = await asyncio.open_connection(
-                        link.host, link.port
-                    )
-                    break
-                except ConnectionError:
-                    if attempt + 1 == _CONNECT_ATTEMPTS:
-                        raise
-                    await asyncio.sleep(_CONNECT_RETRY_DELAY)
-            assert reader is not None and writer is not None
-            link.writer = writer
-            # Replies to our outbound requests come back on this socket.
-            # Reader EOF (the peer closed or died) must fail the link even
-            # while the writer loop sits idle waiting for the next frame.
-            link.reader_task = self._spawn(self._read_frames(reader, writer))
+    async def _dial(self, link: _Connection, host: str, port: int) -> None:
+        for attempt in range(_CONNECT_ATTEMPTS):
+            if attempt:
+                await asyncio.sleep(_CONNECT_RETRY_DELAY)
+            try:
+                await self._loop.create_connection(lambda: link, host, port)
+                return
+            except ConnectionError:
+                continue
+            except OSError:
+                break
+        self._fail_link(link)
 
-            async def _writer_loop() -> None:
-                while True:
-                    data = await link.outbox.get()
-                    writer.write(data)
-                    await writer.drain()
-
-            write_task = self._spawn(_writer_loop())
-            done, pending = await asyncio.wait(
-                {link.reader_task, write_task},
-                return_when=asyncio.FIRST_COMPLETED,
-            )
-            for task in pending:
-                task.cancel()
-            for task in done:
-                exc = task.exception()
-                if exc is not None and not isinstance(
-                    exc, (ConnectionError, OSError, asyncio.CancelledError)
-                ):
-                    raise exc
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            self._fail_link(link)
-
-    def _fail_link(self, link: _PeerLink) -> None:
-        """Connection gone: every RPC in flight on it becomes RPC_FAILED."""
-        if link.dead:
+    def _send_frame(self, connection: _Connection, frame: dict) -> None:
+        """One frame, one ``transport.write`` (or the dialing link's backlog)."""
+        transport = connection.transport
+        if transport is not None and transport.is_closing():
             return
-        link.dead = True
-        if link.reader_task is not None:
-            link.reader_task.cancel()
-        if link.writer is not None:
-            link.writer.close()
-        if self._links.get(link.peer_id) is link:
-            del self._links[link.peer_id]
-        for msg_id in sorted(link.sent_ids):
+        data = encode_frame(frame)
+        self.frames_out += 1
+        self.wire_bytes_out += len(data)
+        if transport is None:
+            connection.backlog.append(data)
+        else:
+            transport.write(data)
+
+    def _fail_link(self, connection: _Connection) -> None:
+        """Connection gone: every RPC in flight on it becomes RPC_FAILED."""
+        if connection.dead:
+            return
+        connection.dead = True
+        if connection.transport is not None:
+            connection.transport.close()
+        if self._links.get(connection.peer_id) is connection:
+            del self._links[connection.peer_id]
+        for msg_id in sorted(connection.sent_ids):
             pending = self._pending.pop(msg_id, None)
             if pending is not None and not pending.triggered:
                 # The sentinel, not an exception: exactly what the
                 # retry/backoff machinery yields for a hopeless peer.
                 pending.succeed(RPC_FAILED)
 
-    def _write_frame(self, writer: asyncio.StreamWriter, frame: dict) -> None:
-        """Ordered sync write + lazily chained drain on one connection."""
-        if writer.is_closing():
-            return
-        try:
-            writer.write(encode_frame(frame))
-        except (ConnectionError, OSError):  # pragma: no cover - race on close
-            return
-        lock = self._drain_locks.setdefault(id(writer), asyncio.Lock())
-
-        async def _drain() -> None:
-            async with lock:
-                try:
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    pass
-
-        self._spawn(_drain())
+    def _connection_lost(self, connection: _Connection) -> None:
+        self._connections.discard(connection)
+        self._fail_link(connection)
+        if self._all_lost is not None and not self._connections:
+            self._all_lost.set_result(None)
+            self._all_lost = None
 
     # -- delivery hooks ----------------------------------------------------
 
@@ -507,33 +514,32 @@ class AsyncioNetwork(Network):
             store.put(message)
             return
         reply_to = message.reply_to
-        wire_id: str | None = None
-        if reply_to is not None:
-            wire_id = f"{self.peer_id}/{message.msg_id}"
-            self._pending[wire_id] = reply_to
-        frame = {
-            "t": "msg",
-            "sender": message.sender,
-            "recipient": message.recipient,
-            "kind": message.kind,
-            "payload": message.payload,
-            "size": message.size,
-            "id": wire_id,
-        }
         try:
             link = self._link_for(self._fault_id(message.recipient))
         except NetworkError:
             # Unroutable peer: behave like a dropped message; the
             # caller's timeout/retry machinery takes it from here.
-            if wire_id is not None:
-                del self._pending[wire_id]
-                if not reply_to.triggered:
-                    reply_to.succeed(RPC_FAILED)
+            if reply_to is not None and not reply_to.triggered:
+                reply_to.succeed(RPC_FAILED)
             self.messages_dropped += 1
             return
-        if wire_id is not None:
+        wire_id: str | None = None
+        if reply_to is not None:
+            wire_id = f"{self.peer_id}/{message.msg_id}"
+            self._pending[wire_id] = reply_to
             link.sent_ids.add(wire_id)
-        link.outbox.put_nowait(encode_frame(frame))
+        self._send_frame(
+            link,
+            {
+                "t": "msg",
+                "sender": message.sender,
+                "recipient": message.recipient,
+                "kind": message.kind,
+                "payload": message.payload,
+                "size": message.size,
+                "id": wire_id,
+            },
+        )
 
     def _deliver_reply(
         self,
@@ -556,27 +562,28 @@ class AsyncioNetwork(Network):
     # -- lifecycle ---------------------------------------------------------
 
     async def close(self) -> None:
+        """Stop listening, drop every connection, fail what is in flight.
+
+        Returns once every ``connection_lost`` has run: no task, transport
+        or socket of this network outlives it.
+        """
         if self._closed:
             return
         self._closed = True
-        for link in list(self._links.values()):
-            self._fail_link(link)
-        for wire_id, pending in sorted(self._pending.items()):
-            if isinstance(pending, RemoteReply):
-                continue
-            if not pending.triggered:
-                pending.succeed(RPC_FAILED)
-        self._pending.clear()
-        # Cancelling a link task lands on its ``asyncio.wait``, which
-        # skips the clean-up of the nested writer loop — so every task is
-        # tracked and cancelled here, not just the outermost ones.
-        tasks = list(self._tasks)
-        for task in tasks:
-            task.cancel()
         if self._server is not None:
             self._server.close()
+        dials = [link.dial for link in self._links.values()]
+        for task in dials:
+            task.cancel()  # a no-op on a link that is already connected
+        # Every pending RPC is in flight on one of the links.
+        for connection in [*self._links.values(), *self._connections]:
+            self._fail_link(connection)
+        await asyncio.gather(*dials, return_exceptions=True)
+        if self._connections:
+            self._all_lost = self._loop.create_future()
+            await self._all_lost
+        if self._server is not None:
             await self._server.wait_closed()
-        await asyncio.gather(*tasks, return_exceptions=True)
 
 
 class AsyncioTransport:
@@ -590,26 +597,17 @@ class AsyncioTransport:
         tracer: Tracer | None = None,
         recorder: FlightRecorder | None = None,
     ):
-        self._engine = AsyncioEngine(loop=loop, time_scale=time_scale)
-        self._network = AsyncioNetwork(
-            self._engine, peer_id, tracer=tracer, recorder=recorder
+        self.engine = AsyncioEngine(loop=loop, time_scale=time_scale)
+        self.network = AsyncioNetwork(
+            self.engine, peer_id, tracer=tracer, recorder=recorder
         )
 
-    @property
-    def engine(self) -> AsyncioEngine:
-        return self._engine
-
-    @property
-    def network(self) -> AsyncioNetwork:
-        return self._network
-
-    async def start(
-        self, host: str = "127.0.0.1", port: int = 0
-    ) -> tuple[str, int]:
-        return await self._network.start_server(host, port)
+    async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
+        return await self.network.start_server(host, port)
 
     async def aclose(self) -> None:
         # Network first: failing in-flight RPCs to RPC_FAILED still needs
         # the engine to deliver the resolution callbacks.
-        await self._network.close()
-        self._engine.close()
+        await self.network.close()
+        self.engine.run_due()
+        self.engine.close()

@@ -45,23 +45,30 @@ class FrameDecoder:
 
     def feed(self, data: bytes) -> list[Any]:
         """Absorb a chunk; return every frame it completed (maybe none)."""
-        self._buffer.extend(data)
+        buffer = self._buffer
+        buffer += data
         out: list[Any] = []
-        while True:
-            if len(self._buffer) < _HEADER.size:
-                return out
-            (length,) = _HEADER.unpack_from(self._buffer)
-            if length > MAX_FRAME_BYTES:
-                raise FramingError(
-                    f"frame header claims {length} bytes "
-                    f"(max {MAX_FRAME_BYTES}); corrupt stream?"
-                )
-            end = _HEADER.size + length
-            if len(self._buffer) < end:
-                return out
-            body = bytes(self._buffer[_HEADER.size : end])
-            del self._buffer[:end]
-            out.append(codec.decode(body))
+        offset = 0
+        try:
+            # Frames are cut by offset out of one view — one copy per body,
+            # one ``del`` per call however many frames the chunk held.
+            with memoryview(buffer) as view:
+                size = len(view)
+                while size - offset >= _HEADER.size:
+                    (length,) = _HEADER.unpack_from(view, offset)
+                    if length > MAX_FRAME_BYTES:
+                        raise FramingError(
+                            f"frame header claims {length} bytes "
+                            f"(max {MAX_FRAME_BYTES}); corrupt stream?"
+                        )
+                    start = offset + _HEADER.size
+                    if size - start < length:
+                        break
+                    offset = start + length
+                    out.append(codec.decode(bytes(view[start:offset])))
+        finally:
+            del buffer[:offset]
+        return out
 
     @property
     def pending_bytes(self) -> int:

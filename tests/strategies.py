@@ -257,3 +257,65 @@ def record_batches(
         st.integers(0, 2**32 - 1),
         st.just(attributes),
     )
+
+
+#: Shared events / stores an engine program's steps may name.
+ENGINE_PROGRAM_EVENTS = 4
+ENGINE_PROGRAM_STORES = 2
+
+
+def engine_programs() -> "st.SearchStrategy[list[list[tuple]]]":
+    """Zero-delay generator programs for the sim / asyncio engine pair.
+
+    A program is a list of process bodies; a body is a list of steps over
+    a few shared events and stores: ``("succeed", e)``, ``("wait", e)``,
+    ``("put", s, value)``, ``("get", s)``, ``("sleep",)`` (a
+    ``timeout(0)``), ``("all_of", [e...])``, ``("any_of", [e...])`` and
+    ``("spawn", body, join)``.  Nothing guarantees progress — a body may
+    wait on an event nobody succeeds — so an interpreter runs a program
+    until the engine goes quiet, not until every process returns.
+    """
+    events = st.integers(0, ENGINE_PROGRAM_EVENTS - 1)
+    stores = st.integers(0, ENGINE_PROGRAM_STORES - 1)
+    step = st.one_of(
+        st.tuples(st.just("succeed"), events),
+        st.tuples(st.just("wait"), events),
+        st.tuples(st.just("put"), stores, st.integers(0, 9)),
+        st.tuples(st.just("get"), stores),
+        st.tuples(st.just("sleep")),
+        st.tuples(st.just("all_of"), st.lists(events, max_size=3)),
+        st.tuples(st.just("any_of"), st.lists(events, min_size=1, max_size=3)),
+    )
+    body = st.recursive(
+        st.lists(step, max_size=6),
+        lambda children: st.lists(
+            st.one_of(step, st.tuples(st.just("spawn"), children, st.booleans())),
+            max_size=6,
+        ),
+        max_leaves=12,
+    )
+    return st.lists(body, min_size=1, max_size=4)
+
+
+def wire_values() -> "st.SearchStrategy":
+    """Plain values the codec carries unchanged (no NaN: it breaks ``==``)."""
+    return st.recursive(
+        st.none()
+        | st.booleans()
+        | st.integers(-(2**40), 2**40)
+        | st.floats(allow_nan=False)
+        | st.text(max_size=12),
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(st.text(max_size=6), children, max_size=4),
+        max_leaves=10,
+    )
+
+
+def chunkings(data: bytes) -> "st.SearchStrategy[list[bytes]]":
+    """Every way to cut ``data`` into consecutive non-empty chunks."""
+
+    def cut(cuts: set[int]) -> list[bytes]:
+        edges = [0, *sorted(cuts), len(data)]
+        return [data[a:b] for a, b in zip(edges, edges[1:]) if data[a:b]]
+
+    return st.sets(st.integers(1, max(1, len(data) - 1)), max_size=40).map(cut)

@@ -3,13 +3,18 @@
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.transport.codec import CodecError
 from repro.transport.framing import (
     MAX_FRAME_BYTES,
     FrameDecoder,
     FramingError,
     encode_frame,
 )
+
+from tests import strategies
 
 
 def test_single_frame_roundtrip():
@@ -73,3 +78,27 @@ def test_oversized_body_rejected_on_encode(monkeypatch):
     monkeypatch.setattr(framing, "MAX_FRAME_BYTES", 8)
     with pytest.raises(FramingError, match="exceeds"):
         framing.encode_frame("a much longer payload than eight bytes")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_any_chunking_yields_the_same_frames(data):
+    """Byte-at-a-time, split headers, many frames per chunk: the decoder
+    cuts by offset inside one buffer and must not care."""
+    payloads = data.draw(st.lists(strategies.wire_values(), max_size=6))
+    stream = b"".join(encode_frame(payload) for payload in payloads)
+    decoder = FrameDecoder()
+    out = []
+    for chunk in data.draw(strategies.chunkings(stream)):
+        out.extend(decoder.feed(chunk))
+    assert out == payloads
+    assert decoder.pending_bytes == 0
+
+
+def test_error_consumes_the_frames_before_it():
+    """A bad frame raises out of ``feed``; what the same call had already
+    cut is gone from the buffer (the caller drops the connection)."""
+    decoder = FrameDecoder()
+    with pytest.raises(CodecError):
+        decoder.feed(encode_frame("ok") + struct.pack(">I", 2) + b"\xff\xfe" + b"tail")
+    assert decoder.pending_bytes == len(b"tail")
