@@ -82,7 +82,6 @@ def _audit_cell_values(
     from repro.data.statistics import SummaryVector
     from repro.storage.backend import scan_blocks
     from repro.query.model import AggregationQuery
-    from repro.geo.temporal import TimeRange
 
     cells = list(graph.cells())
     if not cells:

@@ -21,12 +21,10 @@ from repro.bench.harness import (
 )
 from repro.data.generator import NAM_DOMAIN
 from repro.dht.partitioner import _stable_hash
-from repro.geo.resolution import Resolution
-from repro.geo.temporal import TemporalResolution
 from repro.query.model import AggregationQuery
 from repro.workload.hotspot import hotspot_workload
 from repro.workload.navigation import dicing_sequence, pan_cloud, pan_sequence, zoom_sequence
-from repro.workload.queries import QuerySize, random_box, random_query
+from repro.workload.queries import QuerySize, random_query
 
 #: Query-size groups in figure order.
 SIZES = [QuerySize.COUNTRY, QuerySize.STATE, QuerySize.COUNTY, QuerySize.CITY]

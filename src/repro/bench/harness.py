@@ -29,7 +29,7 @@ from repro.config import (
     StashConfig,
 )
 from repro.core.cluster import StashCluster
-from repro.data.generator import NAM_DOMAIN, DatasetSpec, SyntheticNAMGenerator
+from repro.data.generator import DatasetSpec, SyntheticNAMGenerator
 from repro.data.observation import ObservationBatch
 from repro.errors import WorkloadError
 from repro.geo.resolution import Resolution

@@ -1,9 +1,9 @@
 """HTTP query facade: STAC-style search/aggregation over the query seam.
 
-A thin stdlib HTTP layer (``http.server.ThreadingHTTPServer``, no new
-dependencies) in front of the same coordinator/transport seam every
-other entry point uses.  Three POST endpoints in the style of a STAC
-search/aggregation service:
+A thin HTTP/1.1 layer (a stdlib ``socketserver`` accept loop and this
+module's own request reader — no new dependencies) in front of the same
+coordinator/transport seam every other entry point uses.  Three POST
+endpoints in the style of a STAC search/aggregation service:
 
 * ``POST /aggregate`` — viewport statistics: the merged summary over
   every cell the query touches, plus completeness and provenance;
@@ -38,9 +38,16 @@ import base64
 import binascii
 import hashlib
 import json
+import logging
+import os
+import queue
+import re
+import socket
+import socketserver
 import threading
+import time
 from collections import OrderedDict, deque
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from typing import Any, NoReturn, Sequence
 
 from repro.config import StashConfig
@@ -62,6 +69,15 @@ _DRILL_DELTA = {"down": 1, "up": -1}
 #: Largest request body the edge will read; the largest legal body is a
 #: few hundred bytes.  A larger declared length is a 413, never a read.
 MAX_BODY_BYTES = 1 << 20
+#: Longest request line (414 past it) or header line (431), terminator
+#: included, and the most header lines one request may carry (431).
+MAX_LINE_BYTES = 1 << 16
+MAX_HEADERS = 100
+#: Seconds a handler thread that has finished a connection waits for the
+#: next one before it exits: longer than a back-to-back client's gap,
+#: far shorter than anything a person or a probe does, so a serial
+#: client is served by one warm thread and an idle server holds none.
+HANDLER_LINGER_S = 0.005
 #: ``/search`` page size when the request names none, and the hard cap a
 #: request may ask for (a limit above the cap is a 400, not a clamp —
 #: silent clamping hides client bugs).
@@ -520,8 +536,7 @@ class StashHttpServer:
         self.cache = ResponseCache(CACHE_ENTRIES)
         self.requests: dict[str, int] = {}
         self._requests_lock = threading.Lock()
-        self._httpd = _Server((serve.http_host, serve.http_port), _Handler)
-        self._httpd.app = self  # type: ignore[attr-defined]
+        self._httpd = _Server((serve.http_host, serve.http_port), _Handler, self)
         self._thread: threading.Thread | None = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -545,6 +560,7 @@ class StashHttpServer:
         return self
 
     def stop(self) -> None:
+        """Stop accepting, then return once every handler thread has exited."""
         self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:
@@ -694,35 +710,311 @@ class StashHttpServer:
             "backend": self.backend.name,
             "requests": requests,
             "cache": self.cache.stats(),
+            "edge": self._httpd.edge_stats(),
             "recorder": recorder.report() if recorder is not None else None,
         }
 
 
-class _Server(ThreadingHTTPServer):
+# ---------------------------------------------------------------------------
+# the edge: accept loop, handler threads, HTTP/1.1 request reader
+
+#: One JSON line per request at INFO (WARNING for a request slower than
+#: its class's SLO bound); silent at the default level.
+_ACCESS_LOG = logging.getLogger("repro.serve.access")
+
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+_METHODS = frozenset(("GET", "POST", "PUT", "DELETE"))
+_VERSIONS = ("HTTP/1.0", "HTTP/1.1")
+#: Most bytes one ``recv`` asks for, so what a connection has buffered
+#: never exceeds one capped line (or one body) plus this.
+_RECV_BYTES = 1 << 16
+#: ``name: value``: an RFC 7230 token, a colon, a value free of NUL and
+#: bare CR/LF, then CRLF.  A continuation (obs-fold) line starts with a
+#: blank and so has no token.
+_HEADER_LINE = re.compile(rb"([!#$%&'*+\-.^_`|~0-9A-Za-z]+):([^\x00\r\n]*)\r\n")
+_REQUEST_ID = re.compile(r"[A-Za-z0-9._-]{1,64}")
+_DAYS = "Mon Tue Wed Thu Fri Sat Sun".split()
+_MONTHS = "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split()
+
+
+class _Server(socketserver.TCPServer):
+    """The accept loop, and handler threads that linger, then leave.
+
+    An accepted connection goes to an idle handler thread if there is
+    one and to a new thread only if there is none; a handler that has
+    finished a connection waits ``HANDLER_LINGER_S`` on the hand-off
+    queue and exits if nothing arrives.  ``_idle`` counts the handlers
+    that are waiting (or about to) and not yet spoken for: the acceptor
+    takes one off it *before* it enqueues, so every queued connection
+    has a waiting handler of its own and a burst gets one thread per
+    open connection.  A server nobody is talking to holds no handler
+    thread at all.
+    """
+
+    allow_reuse_address = True
     #: Accept backlog.  The stdlib default of 5 resets connections when
     #: a burst of clients connects at once.
     request_queue_size = 128
 
+    def __init__(self, address: tuple[str, int], handler: type, app: StashHttpServer):
+        self.app = app
+        self._lock = threading.Lock()
+        #: Not a ``SimpleQueue``: with two consumers waiting, its timed
+        #: ``get`` can outlast the timeout for good (CPython 3.11 re-arms
+        #: the wait with a negative, i.e. infinite, remainder).
+        self._handoff: "queue.Queue[tuple[socket.socket, Any]]" = queue.Queue()
+        self._idle = 0
+        self._handlers: set[threading.Thread] = set()
+        #: Accepted connections not yet finished with, served or queued.
+        self._open: set[socket.socket] = set()
+        self.connections = 0
+        self.requests = 0
+        self.threads_started = 0
+        self._id_prefix = os.urandom(4).hex()
+        self._date = (0, "")
+        super().__init__(address, handler)
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = "stash-http/1"
-    #: Seconds a handler thread waits on a silent connection (a body
-    #: shorter than declared, an idle keep-alive) before giving it up.
+    def process_request(self, request: socket.socket, client_address: Any) -> None:
+        with self._lock:
+            self.connections += 1
+            self._open.add(request)
+            claimed = self._idle > 0
+            if claimed:
+                self._idle -= 1
+            else:
+                self.threads_started += 1
+                thread = threading.Thread(
+                    target=self._serve_connections,
+                    args=(request, client_address),
+                    name=f"stash-http-handler-{self.threads_started}",
+                    daemon=True,
+                )
+                self._handlers.add(thread)
+        if claimed:
+            self._handoff.put((request, client_address))
+        else:
+            thread.start()
+
+    def _serve_connections(self, request: socket.socket, client_address: Any) -> None:
+        while True:
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            # Forgotten before it is closed: server_close() only ever
+            # touches a connection that is still open.
+            with self._lock:
+                self._open.discard(request)
+                self._idle += 1
+            self.shutdown_request(request)
+            handed = self._await_handoff()
+            if handed is None:
+                return
+            request, client_address = handed
+
+    def _await_handoff(self) -> tuple[socket.socket, Any] | None:
+        """The next connection for this idle handler; None once it has left."""
+        while True:
+            try:
+                return self._handoff.get(timeout=HANDLER_LINGER_S)
+            except queue.Empty:
+                with self._lock:
+                    if self._idle:  # nobody has claimed this handler: leave
+                        self._idle -= 1
+                        self._handlers.discard(threading.current_thread())
+                        return None
+                # Every idle slot is spoken for, so a connection is on its
+                # way to one of the handlers waiting here: go round again,
+                # still with the linger — another handler gone idle
+                # meanwhile may be the one that takes it.
+
+    def server_close(self) -> None:
+        """Close the listener, wake every handler and join it.
+
+        Called once the accept loop has ended, so no handler is claimed
+        or started from here on.  Shutting down the read side ends a
+        keep-alive wait at once and still lets a request in flight send
+        its answer.  A handler left alive would keep its frame's
+        reference to the server, backend and cluster behind it.
+        """
+        super().server_close()
+        with self._lock:
+            handlers = list(self._handlers)
+            for connection in self._open:
+                try:
+                    connection.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass  # reset by its peer already
+        for thread in handlers:
+            thread.join()
+
+    def mint_id(self) -> str:
+        """Count a request; the id it carries unless its client sent one."""
+        with self._lock:
+            self.requests += 1
+            return f"{self._id_prefix}-{self.requests:x}"
+
+    def http_date(self) -> str:
+        """RFC 7231 IMF-fixdate for now, formatted once per second."""
+        now = int(time.time())
+        second, text = self._date
+        if second != now:
+            year, month, day, hour, minute, sec, weekday, *_ = time.gmtime(now)
+            text = (
+                f"{_DAYS[weekday]}, {day:02d} {_MONTHS[month - 1]} {year:04d} "
+                f"{hour:02d}:{minute:02d}:{sec:02d} GMT"
+            )
+            self._date = (now, text)
+        return text
+
+    def edge_stats(self) -> dict[str, int]:
+        with self._lock:
+            return {
+                "connections": self.connections,
+                "requests": self.requests,
+                "threads_started": self.threads_started,
+                "threads_live": len(self._handlers),
+            }
+
+
+class _Handler(socketserver.BaseRequestHandler):
+    """One connection: read a request, answer it in one write, repeat."""
+
+    #: Seconds a handler thread waits on a silent keep-alive connection,
+    #: and — counted again from a request's first byte — the budget for
+    #: the whole request to arrive, however slowly it is dripped.
     timeout = 30.0
 
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass  # the facade keeps its own counters; stderr stays quiet
+    def setup(self) -> None:
+        self._buffer = bytearray()
 
-    def _respond(self, status: int, body: dict, extra: dict[str, str]) -> None:
-        data = canonical_json(body)
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        for name, value in extra.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
+    def handle(self) -> None:
+        try:
+            while self._await_request() and self._serve_request():
+                pass
+        except OSError:
+            pass  # a silent, reset or vanished peer: drop it, free the thread
+
+    # -- bounded reads -----------------------------------------------------
+
+    def _fill(self, limit: int = _RECV_BYTES) -> bool:
+        """One ``recv`` into the buffer within the deadline; False at EOF."""
+        remaining = self._deadline - time.monotonic()
+        if remaining <= 0.0:
+            raise TimeoutError("request incomplete at its deadline")
+        self.request.settimeout(remaining)
+        chunk = self.request.recv(limit)
+        self._buffer += chunk
+        return bool(chunk)
+
+    def _await_request(self) -> bool:
+        """Wait for a request's first bytes; False if the peer closed instead."""
+        self._deadline = time.monotonic() + self.timeout
+        if not self._buffer:
+            if not self._fill():
+                return False
+            self._deadline = time.monotonic() + self.timeout
+        return True
+
+    def _readline(self, status: int, code: str, what: str) -> bytes:
+        """The next head line, terminator included (a partial one at EOF)."""
+        buffer = self._buffer
+        end = buffer.find(b"\n") + 1
+        while not end and len(buffer) < MAX_LINE_BYTES:
+            searched = len(buffer)
+            if not self._fill():
+                end = searched  # EOF: the caller refuses a line cut short
+                break
+            end = buffer.find(b"\n", searched) + 1
+        if end > MAX_LINE_BYTES or (not end and len(buffer) >= MAX_LINE_BYTES):
+            raise HttpError(status, code, f"{what} exceeds {MAX_LINE_BYTES} bytes")
+        line = bytes(buffer[:end])
+        del buffer[:end]
+        self._received += end
+        return line
+
+    def _read(self, length: int) -> bytes:
+        """``length`` body bytes (fewer only if the peer closed early)."""
+        buffer = self._buffer
+        while len(buffer) < length and self._fill(
+            min(_RECV_BYTES, length - len(buffer))
+        ):
+            pass
+        body = bytes(buffer[:length])
+        del buffer[:length]
+        self._received += len(body)
+        return body
+
+    def _send(self, data: bytes) -> None:
+        self.request.settimeout(self.timeout)
+        self.request.sendall(data)
+
+    # -- one request -------------------------------------------------------
+
+    def _read_head(self) -> dict[str, str]:
+        """Request line and headers (names lower-cased) -> the header dict.
+
+        Sets ``method`` and ``target`` as soon as they are known, a
+        well-formed client ``request_id`` in place of the minted one, and
+        ``close_connection`` once the whole head is sound.
+        """
+        line = self._readline(414, "uri_too_long", "request line")
+        try:
+            method, target, version = line.decode("ascii").split()
+        except ValueError:  # wrong token count, or not ASCII
+            raise HttpError(
+                400, "bad_request", "request line must be 'METHOD target HTTP/1.x'"
+            ) from None
+        if not line.endswith(b"\r\n") or not target.isprintable():
+            raise HttpError(400, "bad_request", "malformed request line")
+        if version not in _VERSIONS:
+            raise HttpError(400, "bad_request", f"unsupported version {version}")
+        if method not in _METHODS:
+            raise HttpError(501, "not_implemented", f"unsupported method {method}")
+        if target.startswith("//"):
+            target = "/" + target.lstrip("/")
+        self.method, self.target = method, target
+        headers: dict[str, str] = {}
+        for _ in range(MAX_HEADERS + 1):
+            line = self._readline(431, "headers_too_large", "header line")
+            if line == b"\r\n":
+                break
+            match = _HEADER_LINE.fullmatch(line)
+            if match is None:
+                raise HttpError(400, "bad_request", "malformed header line")
+            name = match[1].decode("ascii").lower()
+            value = match[2].strip(b" \t").decode("latin-1")
+            if name not in headers:
+                headers[name] = value
+            elif name != "content-length":
+                headers[name] += ", " + value
+            elif headers[name] != value:
+                raise HttpError(
+                    400, "invalid_length", "conflicting Content-Length headers"
+                )
+        else:
+            raise HttpError(
+                431, "headers_too_large", f"more than {MAX_HEADERS} header lines"
+            )
+        supplied = headers.get("x-request-id", "")
+        if _REQUEST_ID.fullmatch(supplied):
+            self.request_id = supplied
+        if "transfer-encoding" in headers:
+            # The body's extent is unknowable without decoding it, so it
+            # is never read and the connection cannot carry on.
+            raise HttpError(
+                501, "not_implemented", "Transfer-Encoding is not supported"
+            )
+        tokens = [t.strip() for t in headers.get("connection", "").lower().split(",")]
+        if "close" in tokens:
+            self.close_connection = True
+        elif "keep-alive" in tokens:
+            self.close_connection = False
+        else:
+            self.close_connection = version == "HTTP/1.0"
+        if version == "HTTP/1.0":
+            headers.pop("expect", None)  # RFC 7231 5.1.1: ignored on 1.0
+        return headers
 
     def _refuse_body(self, status: int, code: str, message: str) -> NoReturn:
         # The body stays unread, so this connection cannot carry another
@@ -730,8 +1022,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.close_connection = True
         raise HttpError(status, code, message)
 
-    def _read_body(self) -> bytes:
-        declared = self.headers.get("Content-Length") or "0"
+    def _read_body(self, headers: dict[str, str]) -> bytes:
+        declared = headers.get("content-length") or "0"
         # isdigit admits only an unsigned decimal: no sign, no blanks.
         if not (declared.isascii() and declared.isdigit()):
             self._refuse_body(
@@ -748,35 +1040,76 @@ class _Handler(BaseHTTPRequestHandler):
                 f"declared request body exceeds {MAX_BODY_BYTES} bytes",
             )
         length = int(declared)
-        return self.rfile.read(length) if length else b""
+        if not length:
+            return b""
+        if headers.get("expect", "").lower() == "100-continue":
+            self._send(b"HTTP/1.1 100 Continue\r\n\r\n")
+        return self._read(length)
 
-    def _dispatch(self, method: str) -> None:
-        app: StashHttpServer = self.server.app  # type: ignore[attr-defined]
+    def _serve_request(self) -> bool:
+        """Read, route and answer one request; True to keep the connection."""
+        started = time.perf_counter()
+        server: _Server = self.server  # type: ignore[assignment]
+        self.method = self.target = None
+        self.request_id = server.mint_id()
+        self.close_connection = True  # until a sound head says otherwise
+        self._received = 0
+        body = b""
         try:
-            body = self._read_body()
-            status, payload, extra = app.handle(method, self.path, body)
+            headers = self._read_head()
+            body = self._read_body(headers)
+            status, payload, extra = server.app.handle(self.method, self.target, body)
         except HttpError as exc:
             status = exc.status
             payload = {"code": exc.code, "error": str(exc)}
             extra = {"Connection": "close"} if self.close_connection else {}
-        except TimeoutError:
-            # A body shorter than its declared length: the stdlib request
-            # loop drops the connection, which frees this thread.
+        except OSError:
+            # A request that never finished arriving: handle() drops the
+            # connection, which frees this thread.
             raise
         except Exception as exc:  # pragma: no cover - defensive
             status = 500
             payload = {"code": "internal", "error": f"{type(exc).__name__}: {exc}"}
             extra = {}
-        self._respond(status, payload, extra)
+        data = canonical_json(payload)
+        lines = "".join(f"{name}: {value}\r\n" for name, value in extra.items())
+        response = (
+            f"HTTP/1.1 {status} {_REASONS.get(status, '')}\r\n"
+            f"Server: stash-http/1\r\nDate: {server.http_date()}\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n"
+            f"{lines}X-Request-Id: {self.request_id}\r\n\r\n"
+        ).encode("latin-1") + data
+        self._send(response)
+        if _ACCESS_LOG.isEnabledFor(logging.INFO):
+            wall_s = time.perf_counter() - started
+            record = {
+                "id": self.request_id,
+                "method": self.method,
+                "route": self.target,
+                "status": status,
+                "ms": round(1e3 * wall_s, 3),
+                "bytes_in": self._received,
+                "bytes_out": len(response),
+                "cache": extra.get("X-Cache"),
+            }
+            if "completeness" in payload:
+                record["completeness"] = payload["completeness"]
+            level = logging.WARNING if self._over_slo(wall_s, body) else logging.INFO
+            _ACCESS_LOG.log(level, "%s", canonical_json(record).decode())
+        return not self.close_connection
 
-    def do_GET(self) -> None:  # noqa: N802
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._dispatch("POST")
-
-    def do_PUT(self) -> None:  # noqa: N802
-        self._dispatch("PUT")
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        self._dispatch("DELETE")
+    def _over_slo(self, wall_s: float, body: bytes) -> bool:
+        """Did this request outlast its query class's configured bound?"""
+        targets = self.server.app.config.observability.slo_targets  # type: ignore[attr-defined]
+        exceeded = {cls for cls, _percentile, seconds in targets if wall_s > seconds}
+        if not exceeded or "*" in exceeded:
+            return bool(exceeded)
+        # Only a request already past some class's bound pays for a
+        # second look at its body.
+        if self.target == "/drill":
+            return "drill" in exceeded
+        try:
+            kind = json.loads(body).get("kind", "other")
+        except (ValueError, AttributeError):
+            return False
+        return kind in exceeded

@@ -16,7 +16,7 @@ from repro.errors import WorkloadError
 from repro.geo.bbox import BoundingBox
 from repro.query.model import AggregationQuery
 from repro.workload.navigation import COMPASS
-from repro.workload.queries import QuerySize, random_box, random_query
+from repro.workload.queries import QuerySize, random_query
 
 
 def hotspot_workload(

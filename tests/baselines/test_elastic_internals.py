@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.baselines.elastic import CHUNK_TILE_PRECISION, EsShard
 from repro.data.generator import small_test_dataset

@@ -180,8 +180,6 @@ class TestRelationSensitivity:
 @pytest.mark.parametrize("axis", ["spatial", "temporal"])
 def test_degraded_results_skip_relations(axis):
     """Relations never fire on explicit partial answers (no false alarms)."""
-    from repro.oracle.metamorphic import RelationFailure  # noqa: F401 (doc link)
-
     cluster = fresh_cluster()
     query = q(BOXES[0], precision=2)
 

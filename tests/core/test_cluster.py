@@ -6,7 +6,6 @@ from repro.config import (
     ClusterConfig,
     EvictionConfig,
     FreshnessConfig,
-    ReplicationConfig,
     StashConfig,
 )
 from repro.core.cluster import StashCluster

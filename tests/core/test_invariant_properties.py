@@ -2,7 +2,6 @@
 random examples exercise better than hand-picked ones."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -2,7 +2,6 @@
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.keys import CellKey
 from repro.data.block import BlockId

@@ -1,6 +1,5 @@
 """Tests for block partitioning."""
 
-import numpy as np
 import pytest
 
 from repro.data.block import Block, BlockId, partition_into_blocks

@@ -2,7 +2,6 @@
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.errors import ResolutionError
 from repro.geo.resolution import Resolution, ResolutionSpace

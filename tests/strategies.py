@@ -319,3 +319,37 @@ def chunkings(data: bytes) -> "st.SearchStrategy[list[bytes]]":
         return [data[a:b] for a, b in zip(edges, edges[1:]) if data[a:b]]
 
     return st.sets(st.integers(1, max(1, len(data) - 1)), max_size=40).map(cut)
+
+
+def hostile_http_requests(valid: bytes) -> "st.SearchStrategy[bytes]":
+    """Bytes to throw at an HTTP edge as a request: pure noise, noise
+    behind a plausible request line, and ``valid`` after a few drawn
+    edits (overwrite, insert, delete, truncate) — the near-misses that
+    reach further into a parser than noise does."""
+    spans = st.tuples(
+        st.integers(0, len(valid)),
+        st.sampled_from(("overwrite", "insert", "delete", "truncate")),
+        st.binary(min_size=1, max_size=6)
+        | st.sampled_from((b"\r\n", b"\n", b"\x00", b" ", b":", b"\r\n\r\n", b"\xff")),
+    )
+
+    def edit(edits: list[tuple[int, str, bytes]]) -> bytes:
+        data = valid
+        for at, how, patch in edits:
+            at = min(at, len(data))
+            if how == "overwrite":
+                data = data[:at] + patch + data[at + len(patch):]
+            elif how == "insert":
+                data = data[:at] + patch + data[at:]
+            elif how == "delete":
+                data = data[:at] + data[at + len(patch):]
+            else:
+                data = data[:at]
+        return data
+
+    noise = st.binary(max_size=400)
+    return st.one_of(
+        noise,
+        noise.map(lambda tail: b"POST /aggregate HTTP/1.1\r\n" + tail),
+        st.lists(spans, min_size=1, max_size=4).map(edit),
+    )
