@@ -45,7 +45,7 @@ def run(dataset, queries, enable_replication: bool):
     cluster.warm([q.panned(0, 0) for q in queries])
     start = cluster.sim.now
     cluster.run_concurrent([q.panned(0, 0) for q in queries])
-    completions = cluster.timeline.completions
+    completions = np.asarray(cluster.metrics.series["query"].times)
     phase = completions[completions >= start] - start
     return cluster, phase
 

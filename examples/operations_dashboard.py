@@ -2,12 +2,13 @@
 """Operations view: watch a STASH cluster under a realistic mixed load.
 
 Replays a recorded Zipf-skewed query trace (the kind of skew the paper's
-section V-A cites) against a STASH cluster, taking monitoring snapshots
+section V-A cites) against a STASH cluster, reading the gauges of its
+metrics registry (``cluster.metrics``, a ``repro.obs.MetricsRegistry``)
 between waves: cache occupancy and balance, hit rate climbing as the
 collective cache builds, hotspot/replication activity, and disk traffic
-tapering off.  The cluster also runs the periodic time-series sampler
-(``repro.obs.MetricsRegistry``), so the run ends with how the hit rate
-and queue depths *evolved*, not just where they landed.
+tapering off.  The registry also samples every gauge periodically, so
+the run ends with how the hit rate and queue depths *evolved*, not just
+where they landed.
 
 Run with::
 
@@ -31,9 +32,36 @@ from repro import (
     TimeKey,
 )
 from repro.config import ObservabilityConfig
-from repro.monitor import snapshot
 from repro.workload.hotspot import zipf_region_workload
 from repro.workload.trace import load_trace, replay_trace, save_trace
+
+
+def format_gauges(cluster: StashCluster) -> str:
+    """The per-node table an operator watches, read from the gauges."""
+    gauges = cluster.metrics.snapshot()["gauges"]
+    lines = [
+        f"cluster @ t={cluster.sim.now:.3f}s  "
+        f"queries={len(cluster.metrics.series['query'])}  "
+        f"msgs={gauges['network.messages_sent']:.0f}  "
+        f"bytes={gauges['network.bytes_sent']:,.0f}",
+        f"{'node':>10} {'cells':>8} {'guest':>7} {'pending':>8} {'disk rd':>8}",
+    ]
+    cells, guests = [], []
+    for node_id in sorted(cluster.nodes):
+        cells.append(gauges[f"{node_id}.cache_cells"])
+        guests.append(gauges[f"{node_id}.guest_cells"])
+        lines.append(
+            f"{node_id:>10} {cells[-1]:>8.0f} {guests[-1]:>7.0f} "
+            f"{gauges[f'{node_id}.queue_depth']:>8.0f} "
+            f"{gauges[f'{node_id}.disk_reads']:>8.0f}"
+        )
+    mean = sum(cells) / len(cells)
+    lines.append(
+        f"hit rate: {gauges['cluster.hit_rate']:.1%}   "
+        f"imbalance: {max(cells) / mean if mean else 0.0:.2f}   "
+        f"guest total: {sum(guests):.0f}"
+    )
+    return "\n".join(lines)
 
 
 def main() -> None:
@@ -69,9 +97,8 @@ def main() -> None:
         chunk = trace[wave * 100 : (wave + 1) * 100]
         replay_trace(cluster, chunk, concurrent=True)
         cluster.drain()
-        snap = snapshot(cluster)
         print(f"--- after wave {wave + 1} ({len(chunk)} queries) ---")
-        print(snap.format_table())
+        print(format_gauges(cluster))
         counts = cluster.counters_total()
         print(
             f"rollup serves: {counts.get('cells_served_from_rollup', 0):,}   "
@@ -80,11 +107,10 @@ def main() -> None:
             f"rerouted: {counts.get('queries_rerouted', 0)}\n"
         )
 
-    final = snapshot(cluster)
-    print(f"final hit rate: {final.cache_hit_rate():.1%} "
+    print(f"final hit rate: {cluster.cache_hit_rate():.1%} "
           f"(rises as the collective cache builds)")
 
-    # The registry's time series show the trajectory between snapshots.
+    # The registry's time series show the trajectory between waves.
     hit = cluster.metrics.series["cluster.hit_rate"]
     if len(hit):
         print(

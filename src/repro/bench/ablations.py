@@ -172,7 +172,7 @@ def ablation_reroute_probability(scale: BenchScale) -> ExperimentResult:
         system.warm([q.clone() for q in queries])
         start = system.sim.now
         system.run_concurrent([q.clone() for q in queries])
-        duration = system.timeline.total_duration() - start
+        duration = system.metrics.series["query"].duration() - start
         result.add("throughput_qps", f"p={probability}", len(queries) / duration)
     return result
 
@@ -310,7 +310,7 @@ def ablation_cluster_scaling(scale: BenchScale) -> ExperimentResult:
         for kind in ("basic", "stash"):
             system = make_system(kind, dataset, config)
             system.run_concurrent([q.clone() for q in queries])
-            qps = len(queries) / system.timeline.total_duration()
+            qps = len(queries) / system.metrics.series["query"].duration()
             result.add(kind, f"{num_nodes} nodes", qps)
     return result
 

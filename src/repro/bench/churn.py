@@ -179,7 +179,7 @@ def churn_recovery(scale: BenchScale) -> ExperimentResult:
         after_hit[variant] = result.series["hit_rate"][f"{variant}:after-early"]
 
         counts = system.counters_total()
-        fault_counts = system.fault_counters.as_dict()
+        fault_counts = dict(system.fault_counters)
         result.meta[f"{variant}_completed"] = len(results)
         result.meta[f"{variant}_hung"] = n - len(results)
         result.meta[f"{variant}_guest_cells_seeded"] = guest_cells

@@ -11,6 +11,8 @@ measured numbers next to the paper's.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.bench.harness import (
     BenchScale,
     ExperimentResult,
@@ -118,7 +120,7 @@ def fig6b_throughput(scale: BenchScale) -> ExperimentResult:
         for kind in ("basic", "stash"):
             system = make_system(kind, dataset, config)
             system.run_concurrent([q.clone() for q in queries])
-            qps = len(queries) / system.timeline.total_duration()
+            qps = len(queries) / system.metrics.series["query"].duration()
             result.add(kind, size.value, qps)
         result.meta[f"improvement_{size.value}"] = (
             result.series["stash"][size.value] / result.series["basic"][size.value]
@@ -197,13 +199,11 @@ def fig6d_hotspot(scale: BenchScale) -> ExperimentResult:
         hotspot_start = system.sim.now
         system.run_concurrent([q.clone() for q in queries])
         label = "replication" if kind == "stash" else "no_replication"
-        completions = system.timeline.completions
+        completions = np.asarray(system.metrics.series["query"].times)
         phase = completions[completions >= hotspot_start] - hotspot_start
         duration = float(phase.max())
         result.add("total_duration_s", label, duration)
         result.add("throughput_qps", label, len(queries) / duration)
-        import numpy as np
-
         bin_width = max(duration / 20.0, 1e-9)
         nbins = int(np.floor(phase.max() / bin_width)) + 1
         idx = np.minimum((phase / bin_width).astype(np.int64), nbins - 1)

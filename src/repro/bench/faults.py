@@ -141,7 +141,7 @@ def fault_crash_recovery(scale: BenchScale) -> ExperimentResult:
     _phase_stats(result, "after", results[restart_index:])
 
     counts = system.counters_total()
-    fault_counts = system.fault_counters.as_dict()
+    fault_counts = dict(system.fault_counters)
     result.meta.update(
         {
             "crashed_node": target,

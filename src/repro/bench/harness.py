@@ -117,14 +117,12 @@ def attribution_fractions_of(results: list) -> dict[str, float]:
     Empty dict when no result carries an attribution (tracing off).
     """
     from repro.obs.critical_path import attribution_fractions
-    from repro.sim.metrics import AttributionCollector
 
-    collector = AttributionCollector()
+    totals: dict[str, float] = {}
     for result in results:
-        collector.record(result.attribution)
-    if not len(collector):
-        return {}
-    return attribution_fractions(collector.totals())
+        for category, seconds in (result.attribution or {}).items():
+            totals[category] = totals.get(category, 0.0) + seconds
+    return attribution_fractions(totals) if totals else {}
 
 
 def make_system(kind: str, dataset: ObservationBatch, config: StashConfig):

@@ -119,7 +119,7 @@ def _run_combo(
         system, table, users=users, think_time=sweep.think_time_s
     )
     wall = time.perf_counter() - started
-    makespan = system.timeline.total_duration()
+    makespan = system.metrics.series["query"].duration()
     by_class: dict[str, list[float]] = {}
     for result in results:
         by_class.setdefault(result.query.kind, []).append(result.latency)

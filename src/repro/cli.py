@@ -483,7 +483,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     if args.trace_command == "export":
         from repro.config import ObservabilityConfig
-        from repro.obs import attribution_fractions, write_chrome_trace
+        from repro.bench.harness import attribution_fractions_of
+        from repro.obs import write_chrome_trace
 
         queries = _generate_workload(
             args.workload, args.size, args.requests, args.seed
@@ -502,7 +503,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         )
         if system.tracer.truncated:
             print("warning: span cap hit; trace is truncated")
-        fractions = attribution_fractions(system.attributions.totals())
+        fractions = attribution_fractions_of(results)
         if any(fractions.values()):
             print("critical-path latency attribution:")
             for category, fraction in sorted(fractions.items()):
@@ -516,7 +517,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     system = _build_system(args)
     results = replay_trace(system, queries, concurrent=args.concurrent)
     latencies = [r.latency for r in results]
-    total = system.timeline.total_duration()
+    total = system.metrics.series["query"].duration()
     print(f"replayed {len(results)} queries on {args.engine}")
     print(f"  mean latency: {sum(latencies) / len(latencies) * 1e3:9.3f} ms")
     print(f"  p95 latency:  {percentile(latencies, 95.0) * 1e3:9.3f} ms")

@@ -76,7 +76,7 @@ class StashCluster(DistributedSystem):
     def counters_total(self) -> dict[str, int]:
         """Cluster-wide sum of per-node counters, by name (first-seen order)."""
         names = dict.fromkeys(
-            name for node in self.nodes.values() for name in node.counters.counts
+            name for node in self.nodes.values() for name in node.counters
         )
         return {name: self.node_counter_total(name) for name in names}
 

@@ -153,6 +153,12 @@ class StashNode(StorageNode):
         self.attribute_names = list(attribute_names)
         self.graph = StashGraph(space, name=f"local:{node_id}")
         self.guest = StashGraph(space, name=f"guest:{node_id}")
+        max_cells = config.eviction.max_cells
+        self.metrics.gauge("cache_cells", lambda: float(len(self.graph)))
+        self.metrics.gauge(
+            "freshness_pressure", lambda: len(self.graph) / max_cells
+        )
+        self.metrics.gauge("guest_cells", lambda: float(len(self.guest)))
         self.guest_cliques = GuestCliqueRegistry()
         self.tracker = FreshnessTracker(config.freshness)
         self.eviction = EvictionPolicy(config.eviction)

@@ -8,8 +8,9 @@ reports into (see ``docs/observability.md``):
 - :mod:`repro.obs.critical_path` — critical-path analysis attributing
   each query's end-to-end latency to queueing / network / disk / compute;
 - :mod:`repro.obs.export` — Chrome/Perfetto ``trace_event`` JSON export;
-- :mod:`repro.obs.registry` — a time-series metrics registry sampling
-  gauges on a fixed simulated-time grid;
+- :mod:`repro.obs.registry` — the metrics registry, one per participant:
+  counters, latency histograms, gauges sampled on a fixed simulated-time
+  grid, with an exact cross-participant merge;
 - :mod:`repro.obs.histogram` — mergeable log-bucketed latency
   histograms (an exact monoid: merge across nodes or runs loses
   nothing);

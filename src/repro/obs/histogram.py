@@ -32,9 +32,9 @@ NUM_BUCKETS = (MAX_EXP - MIN_EXP) + 2
 
 
 def bucket_index(value: float) -> int:
-    """The bucket a (non-negative) latency falls into."""
-    if value < 0.0:
-        raise ValueError(f"negative latency {value}")
+    """The bucket a (finite, non-negative) latency falls into."""
+    if not 0.0 <= value < math.inf:  # also false for NaN
+        raise ValueError(f"latency must be finite and non-negative, got {value}")
     if value < 2.0**MIN_EXP:
         return 0
     if value >= 2.0**MAX_EXP:
@@ -197,8 +197,23 @@ class LatencyHistogram:
                 f"expected [{MIN_EXP}, {MAX_EXP}]"
             )
         out = cls()
-        for index, count in data.get("buckets", {}).items():
-            out.counts[int(index)] = int(count)
-        out.count = int(data.get("count", sum(out.counts)))
-        out.total = float(data.get("total_s", 0.0))
+        for key, count in data.get("buckets", {}).items():
+            index = int(key)
+            if not 0 <= index < NUM_BUCKETS:
+                raise ValueError(f"histogram bucket index {key!r} out of range")
+            if type(count) is not int or count < 0:
+                raise ValueError(f"histogram bucket {key} holds count {count!r}")
+            out.counts[index] = count
+        out.count = sum(out.counts)
+        if data.get("count", out.count) != out.count:
+            raise ValueError(
+                f"histogram count {data['count']!r} is not the sum of its "
+                f"buckets ({out.count})"
+            )
+        total = data.get("total_s", 0.0)
+        if type(total) not in (int, float) or not 0.0 <= total < math.inf:
+            raise ValueError(
+                f"histogram total_s {total!r} is not a finite non-negative number"
+            )
+        out.total = float(total)
         return out

@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.obs.histogram import LatencyHistogram
+from repro.obs.registry import MetricsRegistry
 
 #: The terminal states one query attempt can land in.
 OUTCOMES = ("ok", "degraded", "failed")
@@ -108,7 +109,10 @@ class FlightRecorder:
         self.slo_targets: tuple = tuple(slo_targets)
         self.max_events = max_events
         self.truncated = False
-        self.histograms: dict[str, LatencyHistogram] = {}
+        #: The registry of the participant this recorder belongs to (the
+        #: client's): its histograms are the recorder's.
+        self.metrics = MetricsRegistry(sim)
+        self.histograms: dict[str, LatencyHistogram] = self.metrics.histograms
         self.events: list[OutcomeEvent] = []
         self.outcome_counts: dict[str, int] = {}
         self.slo_violations = 0
@@ -184,7 +188,7 @@ class FlightRecorder:
         self._terminal_seen.add(key)
         self.queries += 1
         for hkey in (CLUSTER_KEY, f"class.{kind}", f"node.{coordinator}"):
-            self._histogram(hkey).observe(latency)
+            self.metrics.observe(hkey, latency)
         if failed:
             outcome = "failed"
         elif completeness < 1.0:
@@ -205,12 +209,6 @@ class FlightRecorder:
                 break
 
     # -- histograms --------------------------------------------------------
-
-    def _histogram(self, key: str) -> LatencyHistogram:
-        histogram = self.histograms.get(key)
-        if histogram is None:
-            histogram = self.histograms[key] = LatencyHistogram()
-        return histogram
 
     def class_histograms(self) -> dict[str, LatencyHistogram]:
         return {

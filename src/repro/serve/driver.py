@@ -28,13 +28,17 @@ from repro.dht.partitioner import PrefixPartitioner
 from repro.errors import NetworkError
 from repro.faults.membership import Membership, rpc_ok
 from repro.obs.recorder import FlightRecorder
+from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.query.model import AggregationQuery, QueryResult
 from repro.serve.cluster import STARTUP_TIMEOUT, ServeCluster
 from repro.system import CLIENT_ID, QueryClient, coordinator_for
 from repro.transport.asyncio_net import AsyncioTransport
 
-__all__ = ["coordinator_for", "connect_client", "evaluate_serial", "run_serve"]
+__all__ = [
+    "coordinator_for", "connect_client", "evaluate_serial", "cluster_metrics",
+    "run_serve",
+]
 
 #: Seconds between quiesce polls; consecutive clean rounds required.
 _QUIESCE_POLL = 0.02
@@ -97,6 +101,20 @@ async def _quiesce(
         clean = clean + 1 if idle else 0
         if clean < _QUIESCE_ROUNDS:
             await asyncio.sleep(_QUIESCE_POLL)
+
+
+async def cluster_metrics(
+    transport: AsyncioTransport, node_ids: Sequence[str]
+) -> dict[str, Any]:
+    """The exact merge of every node's registry: one ``stats`` RPC each."""
+    return MetricsRegistry.merge(
+        [
+            await _rpc(
+                transport, node_id, "stats", {}, size=16, timeout=QUIESCE_TIMEOUT
+            )
+            for node_id in node_ids
+        ]
+    )
 
 
 async def connect_client(

@@ -56,8 +56,9 @@ from repro.errors import ReproError
 from repro.geo.bbox import BoundingBox
 from repro.geo.resolution import Resolution, ResolutionSpace
 from repro.geo.temporal import TemporalResolution, TimeRange
+from repro.obs.registry import MetricsRegistry
 from repro.query.model import AggregationQuery, QueryResult
-from repro.serve.driver import connect_client, evaluate_serial
+from repro.serve.driver import cluster_metrics, connect_client, evaluate_serial
 from repro.workload.trace import query_to_dict
 
 #: Query classes the facade accepts in a request's optional ``kind``
@@ -400,6 +401,13 @@ class SimBackend:
         for (_, slot), outcome in zip(batch, outcomes):
             slot.append(outcome)
 
+    def cluster_metrics(self) -> dict[str, Any]:
+        """The nodes' registries merged, between evaluations."""
+        with self._lock:
+            return MetricsRegistry.merge(
+                node.metrics.snapshot() for node in self.system.nodes.values()
+            )
+
     def close(self) -> None:
         pass
 
@@ -449,6 +457,23 @@ class SocketBackend:
         # On sockets ``X-Latency-S`` is wall seconds, not engine time.
         result.latency = wall
         return result
+
+    def cluster_metrics(self) -> dict[str, Any]:
+        """The live nodes' registries merged: one ``stats`` RPC per node.
+
+        A node that cannot be reached, or answers with something that is
+        not a snapshot (``ValueError`` from a malformed histogram), is a
+        ``502 bad_gateway`` like a failed evaluation.
+        """
+        try:
+            with self._lock:
+                return self._call(
+                    cluster_metrics(
+                        self.transport, self.client.membership.live_nodes()
+                    )
+                )
+        except (ReproError, ValueError, KeyError, TypeError) as exc:
+            raise HttpError(502, "bad_gateway", str(exc)) from exc
 
     def close(self) -> None:
         self._call(self.transport.aclose())
@@ -695,7 +720,7 @@ class StashHttpServer:
             "endpoints": {
                 "GET /": "this description",
                 "GET /healthz": "liveness",
-                "GET /stats": "request counters, cache, flight recorder",
+                "GET /stats": "request counters, cache, flight recorder, node metrics",
                 "POST /aggregate": "merged viewport statistics",
                 "POST /search": "paginated cell listing (limit/offset/next_token)",
                 "POST /drill": "re-evaluate one precision finer (down) or coarser (up)",
@@ -712,6 +737,7 @@ class StashHttpServer:
             "cache": self.cache.stats(),
             "edge": self._httpd.edge_stats(),
             "recorder": recorder.report() if recorder is not None else None,
+            "cluster": self.backend.cluster_metrics(),
         }
 
 

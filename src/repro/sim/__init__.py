@@ -22,7 +22,6 @@ from repro.sim.engine import (
 from repro.sim.resources import Resource, Store
 from repro.sim.network import Message, Network
 from repro.sim.disk import Disk
-from repro.sim.metrics import LatencyCollector, ThroughputTimeline, CounterSet
 
 __all__ = [
     "AllOf",
@@ -36,7 +35,4 @@ __all__ = [
     "Message",
     "Network",
     "Disk",
-    "LatencyCollector",
-    "ThroughputTimeline",
-    "CounterSet",
 ]

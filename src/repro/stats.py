@@ -1,7 +1,7 @@
 """Shared statistical primitives used across the repository.
 
 Before this module existed every consumer computed percentiles its own
-way — ``np.percentile`` in :mod:`repro.sim.metrics`, ``np.quantile`` in
+way — ``np.percentile`` in the simulator's latency collector, ``np.quantile`` in
 :mod:`repro.bench.faults`, and hand-rolled ``sorted[int(0.95 * n)]``
 indexing in the CLI — three subtly different interpolation rules.  Every
 percentile the repository reports now goes through :func:`percentile`,

@@ -22,11 +22,11 @@ from repro.errors import StorageError
 from repro.faults.membership import RPC_FAILED, RPC_SHED, Membership
 from repro.faults.overload import OverloadGuard
 from repro.obs.recorder import QueryContext
+from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import Span
 from repro.query.model import AggregationQuery
 from repro.sim.disk import Disk
 from repro.sim.engine import Event, Simulator
-from repro.sim.metrics import CounterSet
 from repro.sim.network import Message, Network
 from repro.sim.resources import Store
 from repro.storage.backend import StorageCatalog, scan_blocks
@@ -78,7 +78,12 @@ class StorageNode:
         self.tracer = network.tracer
         self.recorder = network.recorder
         self.disk = Disk(sim, self.cost, node_id, tracer=network.tracer)
-        self.counters = CounterSet()
+        #: Everything this node counts or gauges; ``stats`` answers with
+        #: its snapshot, the system mounts the gauges as ``node-N.<name>``.
+        self.metrics = MetricsRegistry(sim)
+        self.counters = self.metrics.counters
+        self.metrics.gauge("queue_depth", lambda: float(self.pending_requests))
+        self.metrics.gauge("disk_reads", lambda: float(self.disk.reads))
         self._coord_queue = Store(sim, name=f"coord:{node_id}")
         self._service_queue = Store(sim, name=f"service:{node_id}")
         self._handlers: dict[str, Handler] = {
@@ -530,11 +535,12 @@ class StorageNode:
         return {"node": self.node_id, "ok": True}, 16
 
     def _handle_stats(self, message: Message) -> Generator[Event, Any, Reply]:
-        """Idleness snapshot for an external driver.
+        """Idleness keys for an external driver, then the registry snapshot.
 
         ``inflight`` excludes this stats request itself, so a fully idle
         node reports ``pending == 0 and inflight == 0`` — the serve
-        driver's quiesce barrier between replayed queries.
+        driver's quiesce barrier between replayed queries.  ``counters``
+        / ``gauges`` / ``histograms`` are :meth:`MetricsRegistry.snapshot`.
         """
         yield self.sim.timeout(0.0)
         return {
@@ -544,6 +550,7 @@ class StorageNode:
             "inflight": self._inflight - 1,
             "handled": self.counters.get("handled:evaluate"),
             "transport": self.network.transport_stats(),
+            **self.metrics.snapshot(),
         }, 64
 
     def _handle_scan(self, message: Message) -> Generator[Event, Any, Reply]:

@@ -31,19 +31,11 @@ from repro.errors import QueryError
 from repro.faults.gossip import GossipAgent, suspect_count, view_divergence
 from repro.faults.membership import Membership
 from repro.geo.geohash import encode
-from repro.monitor import cache_hit_rate
 from repro.obs.critical_path import attribute_span
 from repro.obs.recorder import FlightRecorder, QueryContext
-from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import Span, Tracer
 from repro.query.model import PROVENANCE_KEYS, AggregationQuery, QueryResult
 from repro.sim.engine import Event, Process, Simulator
-from repro.sim.metrics import (
-    AttributionCollector,
-    CounterSet,
-    LatencyCollector,
-    ThroughputTimeline,
-)
 from repro.sim.network import Network
 from repro.storage.backend import StorageCatalog
 
@@ -66,10 +58,12 @@ class QueryClient:
     """The client half of the protocol, on any engine/network pair.
 
     Owns the request's tracer root span and recorder context, the
-    timeout/retry/failover loop (when ``faults.active``) and the latency
-    collectors.  ``membership`` is the client's liveness view — the base
-    partitioner verbatim until a node is declared dead, then the
-    repaired ring.
+    timeout/retry/failover loop (when ``faults.active``) and the
+    client's registry (``metrics``: the recorder's, so its histograms,
+    the fault counters and the ``query`` series of ``(completion time,
+    latency)`` points sit side by side).  ``membership`` is the client's
+    liveness view — the base partitioner verbatim until a node is
+    declared dead, then the repaired ring.
     """
 
     def __init__(
@@ -86,10 +80,9 @@ class QueryClient:
         self.tracer: Tracer = network.tracer
         self.recorder: FlightRecorder = network.recorder
         network.register(CLIENT_ID)
-        self.latencies = LatencyCollector()
-        self.timeline = ThroughputTimeline()
-        self.attributions = AttributionCollector()
-        self.fault_counters = CounterSet()
+        self.metrics = self.recorder.metrics
+        #: Nothing but the client's fault counters is counted here.
+        self.fault_counters = self.metrics.counters
         self._backoff_rng = np.random.default_rng(
             [config.cluster.seed, 65_537, _stable_hash(CLIENT_ID) % 2**31]
         )
@@ -145,8 +138,7 @@ class QueryClient:
             coordinator = self.coordinator_for(query)
             reply = yield self._send(coordinator, query, cells, ctx, root)
         latency = self.sim.now - started
-        self.latencies.record(latency)
-        self.timeline.record_completion(self.sim.now)
+        self.metrics.record("query", latency)
         failed = reply is None
         if reply is None:
             # Every coordinator attempt failed: an explicit empty answer
@@ -181,7 +173,6 @@ class QueryClient:
         if root is not None:
             self.tracer.end(root)
             attribution = attribute_span(root)
-            self.attributions.record(attribution)
         return QueryResult(
             query=query,
             cells=reply["cells"],
@@ -308,14 +299,11 @@ class DistributedSystem(ABC):
             self.sim, config.cost, tracer=self.tracer, recorder=self.recorder
         )
         self.client = QueryClient(self.sim, self.network, self.membership, config)
-        # Routing and the request collectors live on the client; the
+        # Routing and the client's registry live on the client; the
         # system exposes them under its own names.
         self.coordinator_for = self.client.coordinator_for
-        self.latencies = self.client.latencies
-        self.timeline = self.client.timeline
-        self.attributions = self.client.attributions
+        self.metrics = self.client.metrics
         self.fault_counters = self.client.fault_counters
-        self.metrics = MetricsRegistry(self.sim)
         self.nodes: dict[str, Any] = {}
         self._nodes_started = False
 
@@ -362,38 +350,17 @@ class DistributedSystem(ABC):
                 self.metrics.start(interval)
 
     def _register_default_gauges(self) -> None:
-        """Standard per-node and cluster-wide time series (repro.obs)."""
+        """Each node's own gauges under its id, then the cluster-wide ones."""
         for node_id, node in sorted(self.nodes.items()):
-            self.metrics.gauge(
-                f"{node_id}.queue_depth", lambda n=node: float(n.pending_requests)
-            )
-            self.metrics.gauge(
-                f"{node_id}.disk_reads", lambda n=node: float(n.disk.reads)
-            )
-            graph = getattr(node, "graph", None)
-            if graph is not None:
-                max_cells = self.config.eviction.max_cells
-                self.metrics.gauge(
-                    f"{node_id}.cache_cells", lambda g=graph: float(len(g))
-                )
-                self.metrics.gauge(
-                    f"{node_id}.freshness_pressure",
-                    lambda g=graph, m=max_cells: len(g) / m,
-                )
-            guest = getattr(node, "guest", None)
-            if guest is not None:
-                self.metrics.gauge(
-                    f"{node_id}.guest_cells", lambda g=guest: float(len(g))
-                )
+            for name, fn in node.metrics.gauges.items():
+                self.metrics.gauge(f"{node_id}.{name}", fn)
         self.metrics.gauge(
             "network.bytes_sent", lambda: float(self.network.bytes_sent)
         )
         self.metrics.gauge(
             "network.messages_sent", lambda: float(self.network.messages_sent)
         )
-        self.metrics.gauge(
-            "cluster.hit_rate", lambda: cache_hit_rate(self.node_counter_total)
-        )
+        self.metrics.gauge("cluster.hit_rate", self.cache_hit_rate)
         self.metrics.gauge(
             "cluster.live_nodes",
             lambda: float(len(self.membership.live_nodes())),
@@ -420,18 +387,10 @@ class DistributedSystem(ABC):
                 "gossip.suspects",
                 lambda v=node_views: float(suspect_count(v)),
             )
-            self.metrics.gauge(
-                "gossip.repair_cells_promoted",
-                self._fault_counter_total("repair_cells_promoted"),
-            )
-            self.metrics.gauge(
-                "gossip.repair_cells_shipped",
-                self._fault_counter_total("repair_cells_shipped"),
-            )
-            self.metrics.gauge(
-                "gossip.handoff_cells_streamed",
-                self._fault_counter_total("handoff_cells_streamed"),
-            )
+            for name in (
+                "repair_cells_promoted", "repair_cells_shipped", "handoff_cells_streamed"
+            ):
+                self.metrics.gauge(f"gossip.{name}", self._fault_counter_total(name))
         if self.config.overload.enabled:
             self.metrics.gauge(
                 "cluster.requests_shed",
@@ -452,16 +411,28 @@ class DistributedSystem(ABC):
 
     def _breakers_open(self) -> float:
         now = self.sim.now
-        open_count = 0
-        for node in self.nodes.values():
-            guard = getattr(node, "overload", None)
-            if guard is not None and guard.breaker_open(now):
-                open_count += 1
-        return float(open_count)
+        return float(
+            sum(node.overload.breaker_open(now) for node in self.nodes.values())
+        )
 
     def node_counter_total(self, name: str) -> int:
         """One counter summed over the nodes."""
         return sum(node.counters.get(name) for node in self.nodes.values())
+
+    def cache_hit_rate(self) -> float:
+        """Cells served from memory over all cell resolutions so far: cache,
+        roll-up and (elastic) request-cache serves against populated cells
+        and request-cache misses.  The ``cluster.hit_rate`` gauge."""
+        total = self.node_counter_total
+        served = (
+            total("cells_served_from_cache")
+            + total("cells_served_from_rollup")
+            + total("request_cache_hits")
+        )
+        resolved = (
+            served + total("cells_populated") + total("request_cache_misses")
+        )
+        return served / resolved if resolved else 0.0
 
     def _fault_counter_total(self, name: str):
         """A gauge callable summing one counter across nodes + client."""

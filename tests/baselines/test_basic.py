@@ -44,8 +44,9 @@ class TestBasicSystem:
     def test_latency_positive_and_recorded(self, system):
         result = system.run_query(make_query())
         assert result.latency > 0
-        assert len(system.latencies) == 1
-        assert len(system.timeline) == 1
+        series = system.metrics.series["query"]
+        assert series.values == [result.latency]
+        assert series.times == [system.sim.now]
 
     def test_no_reuse_between_queries(self, system):
         query = make_query()

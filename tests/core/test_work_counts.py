@@ -10,7 +10,9 @@ region seen before hashes nothing.  A live ingest finds its stale cells
 by comparing labels, so it builds no ``TimeRange`` per cached cell.  A
 cache miss scans each leg's blocks in one fused pass — one ``bin_ids``
 call and two batches per leg, not per block — and asks the calendar for
-a time key's day labels once, not once per cell per lookup.
+a time key's day labels once, not once per cell per lookup.  A
+completed query costs the metrics registry one ``record`` call that
+builds nothing.
 """
 
 import numpy as np
@@ -31,6 +33,7 @@ from repro.geo.bbox import BoundingBox
 from repro.geo.polygon import Polygon
 from repro.geo.resolution import Resolution
 from repro.geo.temporal import TemporalResolution, TimeKey, TimeRange
+from repro.obs import registry as registry_module
 from repro.query.model import AggregationQuery
 from repro.storage import backend as backend_module
 from repro.storage import node as storage_node_module
@@ -252,3 +255,64 @@ class TestColdScan:
         days = {key for _, key in pairs}
         assert len(pairs) == len(dataset) and 2 <= len(days) <= 31
         assert len(decoded) == len(days)
+
+
+class TestMetricsRegistryOnTheReadPath:
+    """One registry call per completed query, and nothing built for it:
+    the ``query`` series exists after the first query and the recorder's
+    histograms only when the recorder is on."""
+
+    def test_warm_query_appends_one_point_and_constructs_nothing(
+        self, dataset, monkeypatch
+    ):
+        cluster = StashCluster(dataset, StashConfig(cluster=ClusterConfig(num_nodes=4)))
+        cluster.warm([rectangle()])
+        series_built = counted(monkeypatch, registry_module, "TimeSeries")
+        histograms_built = counted(monkeypatch, registry_module, "LatencyHistogram")
+        records = counted(monkeypatch, cluster.metrics, "record")
+        series = cluster.metrics.series["query"]
+        before = len(series)
+
+        result = cluster.run_query(rectangle())
+        cluster.drain()
+
+        assert records == ["record"]
+        assert series_built == [] and histograms_built == []
+        assert cluster.metrics.series["query"] is series
+        assert len(series) == before + 1
+        assert series.values[-1] == result.latency
+        assert series.times[-1] == series.duration() <= cluster.sim.now
+        assert cluster.metrics.histograms == {}  # recorder off
+        assert cluster.fault_counters == {}  # nothing but fault counters lives there
+
+    def test_socket_node_declares_the_gauges_of_its_sim_twin(self):
+        import asyncio
+
+        from repro.data.generator import DatasetSpec, SyntheticNAMGenerator
+        from repro.serve.server import NodeSpec, build_node
+        from repro.transport.asyncio_net import AsyncioTransport
+
+        spec = DatasetSpec(num_records=2_000, start_day=(2013, 2, 1), num_days=1, seed=3)
+        config = StashConfig(cluster=ClusterConfig(num_nodes=2))
+        loop = asyncio.new_event_loop()
+        try:
+            transport = AsyncioTransport("node-0", loop=loop)
+            node = build_node(
+                NodeSpec(0, ("node-0", "node-1"), spec, config), transport
+            )
+            socket_gauges = node.metrics.snapshot()["gauges"]
+            transport.engine.close()
+        finally:
+            loop.close()
+        twin = StashCluster(SyntheticNAMGenerator(spec).generate(), config)
+        twin.start()
+        twin_gauges = twin.nodes["node-0"].metrics.snapshot()["gauges"]
+        assert list(socket_gauges) == list(twin_gauges) == [
+            "queue_depth", "disk_reads", "cache_cells", "freshness_pressure",
+            "guest_cells",
+        ]
+        assert socket_gauges == twin_gauges  # both idle and cold: all zero
+        # ... and the system mounts exactly those under the node's id.
+        assert [n for n in twin.metrics.gauges if n.startswith("node-0.")] == [
+            f"node-0.{name}" for name in twin_gauges
+        ]

@@ -38,6 +38,14 @@ class TestBuckets:
         with pytest.raises(ValueError):
             bucket_index(-1e-9)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected_and_leaves_no_trace(self, value):
+        h = hist_of([0.5])
+        with pytest.raises(ValueError):
+            h.observe(value)
+        assert h.count == 1 and h.total == 0.5 and h.mean() == 0.5
+        assert sum(h.counts) == 1
+
     @given(latencies)
     def test_value_lies_within_its_bucket(self, value):
         lo, hi = bucket_bounds(bucket_index(value))
@@ -128,6 +136,34 @@ class TestSerialization:
         data["min_exp"] = MIN_EXP - 1
         with pytest.raises(ValueError, match="layout mismatch"):
             LatencyHistogram.from_dict(data)
+
+    #: What a peer can put on the wire in place of ``to_dict()``; each
+    #: was accepted (or an ``IndexError``) before from_dict validated.
+    MALFORMED = {
+        "negative index": {"buckets": {"-1": 3}},
+        "index past the overflow bucket": {"buckets": {"99": 1}},
+        "index not a number": {"buckets": {"three": 1}},
+        "negative count": {"buckets": {"3": -7}},
+        "fractional count": {"buckets": {"3": 1.5}},
+        "boolean count": {"buckets": {"3": True}},
+        "count above its buckets": {"buckets": {"3": 1}, "count": 5},
+        "count below its buckets": {"buckets": {"3": 2}, "count": 1},
+        "negative total": {"buckets": {"3": 1}, "total_s": -0.5},
+        "NaN total": {"buckets": {"3": 1}, "total_s": float("nan")},
+        "infinite total": {"buckets": {"3": 1}, "total_s": float("inf")},
+        "total not a number": {"buckets": {"3": 1}, "total_s": "1.0"},
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_dict_rejected(self, case):
+        data = {"min_exp": MIN_EXP, "max_exp": MAX_EXP, **self.MALFORMED[case]}
+        with pytest.raises(ValueError):
+            LatencyHistogram.from_dict(data)
+
+    def test_count_and_total_may_be_omitted(self):
+        data = {"min_exp": MIN_EXP, "max_exp": MAX_EXP, "buckets": {"3": 2}}
+        h = LatencyHistogram.from_dict(data)
+        assert h.count == 2 and h.total == 0.0
 
     def test_sparse_form(self):
         data = hist_of([0.25, 0.25]).to_dict()

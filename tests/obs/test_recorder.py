@@ -232,8 +232,9 @@ class TestHistograms:
         assert [entry["class"] for entry in report] == ["pan", "*"]
         assert all(entry["status"] == "met" for entry in report)
         assert system.recorder.slo_violations == 0
-        gauges = set(system.metrics._gauges)
-        assert {"recorder.queries", "recorder.slo_violations"} <= gauges
+        gauges = system.metrics.snapshot()["gauges"]
+        assert gauges["recorder.queries"] == system.recorder.queries == 1
+        assert gauges["recorder.slo_violations"] == 0
 
     def test_tight_slo_counts_violations(self, dataset):
         config = StashConfig(

@@ -93,7 +93,7 @@ class TestHotspotHandling:
             queries = hotspot_queries(150)
             cluster.warm(queries[:2])
             cluster.run_concurrent(queries)
-            return cluster.timeline.total_duration()
+            return cluster.metrics.series["query"].duration()
 
         with_repl = run(True)
         without_repl = run(False)

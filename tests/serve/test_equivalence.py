@@ -25,6 +25,7 @@ from repro.faults.schedule import FaultEvent
 from repro.geo.bbox import BoundingBox
 from repro.geo.resolution import Resolution
 from repro.geo.temporal import TemporalResolution, TimeKey
+from repro.obs.registry import MetricsRegistry
 from repro.query.model import AggregationQuery
 from repro.serve.driver import connect_client, evaluate_serial
 from repro.serve.http import (
@@ -267,6 +268,7 @@ class _InProcessSocketCluster:
 
     async def _start(self):
         self.transports = {}
+        self.nodes = {}
         addresses = {}
         for index, node_id in enumerate(NODE_IDS):
             transport = AsyncioTransport(
@@ -283,6 +285,7 @@ class _InProcessSocketCluster:
                 transport,
             )
             node.start()
+            self.nodes[node_id] = node
             self.transports[node_id] = transport
         for transport in self.transports.values():
             transport.network.set_peers(addresses)
@@ -351,6 +354,112 @@ class TestSocketStatsCarryTheRecorder:
         twin = _twin_http_bodies(_workload(), config=config)
         assert raw == twin
         assert dispositions == ["miss", "hit", "miss", "miss"]
+
+
+class TestClusterMetricsAcrossBackends:
+    """``/stats["cluster"]`` is the exact merge of the nodes' registries:
+    in-process for the sim backend, one ``stats`` RPC per node over TCP
+    for the socket backend.  After the same replay the two agree with a
+    plain sim twin's ``counters_total()`` and per-node gauge sums; the
+    socket nodes additionally count the introspection RPCs themselves
+    (the quiesce barrier's ``stats`` polls, the dial-time ``ping``)."""
+
+    INTROSPECTION = {"handled:stats", "handled:ping"}
+
+    @pytest.fixture(scope="class")
+    def views(self):
+        dataset = SyntheticNAMGenerator(SPEC).generate()
+        sim_backend = SimBackend(StashCluster(dataset, CONFIG))
+        with StashHttpServer(sim_backend, CONFIG) as server:
+            _replay_over_http(server)
+            sim_view = http_get(server.url, "/stats")[1]["cluster"]
+        sim_backend.close()
+        cluster = _InProcessSocketCluster()
+        backend = None
+        try:
+            backend = SocketBackend(NODE_IDS, cluster.addresses, CONFIG)
+            with StashHttpServer(backend, CONFIG) as server:
+                _replay_over_http(server)
+                socket_view = http_get(server.url, "/stats")[1]["cluster"]
+        finally:
+            if backend is not None:
+                backend.close()
+            cluster.close()
+        # The twin: the three queries the facade evaluated (the repeat is
+        # a response-cache hit), straight into a simulated cluster.
+        twin = StashCluster(dataset, CONFIG)
+        evaluated = _workload()
+        del evaluated[1]
+        for query in evaluated:
+            twin.run_query(query)
+            twin.drain()
+        return sim_view, socket_view, twin
+
+    def test_sim_backend_counters_are_the_twins(self, views):
+        sim_view, _, twin = views
+        assert sim_view["counters"] == twin.counters_total()
+        assert sim_view["counters"]["handled:evaluate"] == 3
+        assert sim_view["histograms"] == {}
+
+    def test_socket_counters_differ_only_by_the_introspection_rpcs(self, views):
+        _, socket_view, twin = views
+        counters = socket_view["counters"]
+        assert set(counters) - set(twin.counters_total()) == self.INTROSPECTION
+        assert {
+            name: count
+            for name, count in counters.items()
+            if name not in self.INTROSPECTION
+        } == twin.counters_total()
+        assert counters["handled:ping"] == len(NODE_IDS)
+        assert counters["handled:stats"] >= 2 * 2 * 3  # 2 rounds x 2 nodes x 3 queries
+
+    def test_merged_gauges_are_the_twins_per_node_sums(self, views):
+        sim_view, socket_view, twin = views
+        expected = MetricsRegistry.merge(
+            node.metrics.snapshot() for node in twin.nodes.values()
+        )["gauges"]
+        assert set(expected) == {
+            "queue_depth", "disk_reads", "cache_cells", "freshness_pressure",
+            "guest_cells",
+        }
+        assert expected["cache_cells"] == twin.total_cached_cells() > 0
+        assert expected["disk_reads"] == sum(
+            node.disk.reads for node in twin.nodes.values()
+        ) > 0
+        assert sim_view["gauges"] == expected
+        assert socket_view["gauges"] == expected
+
+
+class TestHostileNodeSnapshot:
+    """A node answering ``stats`` with a histogram no ``to_dict`` could
+    have produced is the gateway's problem, not a merged lie: the
+    ``ValueError`` from ``LatencyHistogram.from_dict`` becomes ``502
+    bad_gateway``, and the facade keeps serving."""
+
+    def test_malformed_histogram_over_the_wire_is_a_502(self):
+        cluster = _InProcessSocketCluster()
+        backend = None
+        try:
+            backend = SocketBackend(NODE_IDS, cluster.addresses, CONFIG)
+            with StashHttpServer(backend, CONFIG) as server:
+                assert http_get(server.url, "/stats")[0] == 200
+                node = cluster.nodes["node-1"]
+                honest = node.metrics.snapshot
+                node.metrics.snapshot = lambda: {
+                    **honest(),
+                    "histograms": {
+                        "cluster": {"min_exp": -20, "max_exp": 12, "buckets": {"-1": 3}}
+                    },
+                }
+                status, body, _ = http_get(server.url, "/stats")
+                assert (status, body["code"]) == (502, "bad_gateway")
+                assert "out of range" in body["error"]
+                node.metrics.snapshot = honest
+                assert http_get(server.url, "/stats")[0] == 200
+        finally:
+            if backend is not None:
+                backend.close()
+            cluster.close()
 
 
 class TestDegradedThroughHttp:

@@ -311,6 +311,32 @@ def wire_values() -> "st.SearchStrategy":
     )
 
 
+def metric_operations(
+    max_registries: int = 4,
+) -> "st.SearchStrategy[tuple[int, list[tuple[int, str, str, float]]]]":
+    """``(k, [(registry index, kind, name, value), ...])``: counter
+    increments and histogram observations dealt over ``k`` >= 1
+    registries.  Few names, so the same counter or histogram is usually
+    written from several registries; latencies span underflow to
+    overflow buckets."""
+    counter_ops = st.tuples(
+        st.just("counter"), st.sampled_from(("hits", "reads", "handled:scan")),
+        st.integers(0, 1000),
+    )
+    histogram_ops = st.tuples(
+        st.just("histogram"), st.sampled_from(("cluster", "class.pan", "node.node-0")),
+        st.floats(0.0, 1e5, allow_nan=False),
+    )
+
+    @st.composite
+    def _dealt(draw):
+        k = draw(st.integers(1, max_registries))
+        ops = draw(st.lists(counter_ops | histogram_ops, max_size=40))
+        return k, [(draw(st.integers(0, k - 1)), *op) for op in ops]
+
+    return _dealt()
+
+
 def chunkings(data: bytes) -> "st.SearchStrategy[list[bytes]]":
     """Every way to cut ``data`` into consecutive non-empty chunks."""
 

@@ -13,7 +13,6 @@ from repro.core.cluster import StashCluster
 from repro.data.generator import NAM_DOMAIN, small_test_dataset
 from repro.geo.resolution import Resolution
 from repro.geo.temporal import TemporalResolution, TimeKey
-from repro.monitor import snapshot
 from repro.query.model import PROVENANCE_KEYS
 from repro.workload.queries import QuerySize, random_query
 from repro.workload.trace import replay_trace
@@ -148,9 +147,11 @@ class TestMonitorIsPassive:
         cluster = StashCluster(
             dataset, StashConfig(cluster=ClusterConfig(num_nodes=4))
         )
-        snap = snapshot(cluster)
+        snap = cluster.metrics.snapshot()
         assert cluster._nodes_started is False
-        assert len(snap.nodes) == 0
+        assert snap == {"counters": {}, "gauges": {}, "histograms": {}}
+        assert cluster.cache_hit_rate() == 0.0
+        assert cluster.nodes == {}
 
 
 class TestMetricsSampling:

@@ -79,7 +79,7 @@ class TestOpenLoopArrivals:
         system = BasicSystem(dataset, StashConfig(cluster=ClusterConfig(num_nodes=4)))
         queries = [make_query().panned(0.1 * i, 0) for i in range(20)]
         system.run_open_loop(queries, rate=50.0, seed=2)
-        completions = system.timeline.completions
+        completions = system.metrics.series["query"].times
         # Mean inter-arrival 20ms: the stream spans a real interval,
         # unlike run_concurrent where everything lands at t~0.
         assert completions[-1] - completions[0] > 0.1
@@ -91,7 +91,9 @@ class TestOpenLoopArrivals:
         relaxed.run_open_loop([q.panned(0, 0) for q in queries], rate=5.0, seed=3)
         slammed = BasicSystem(dataset, config)
         slammed.run_open_loop([q.panned(0, 0) for q in queries], rate=5_000.0, seed=3)
-        assert slammed.latencies.mean() > relaxed.latencies.mean() * 2
+        slammed_mean = np.mean(slammed.metrics.series["query"].values)
+        relaxed_mean = np.mean(relaxed.metrics.series["query"].values)
+        assert slammed_mean > relaxed_mean * 2
 
     def test_bad_rate(self, dataset):
         system = BasicSystem(dataset, StashConfig(cluster=ClusterConfig(num_nodes=4)))

@@ -65,8 +65,9 @@ class TestClientAPI:
         queries = [make_query(center_lon=lon) for lon in (-110, -100, -90)]
         results = system.run_serial(queries)
         assert len(results) == 3
-        assert len(system.latencies) == 3
-        assert len(system.timeline) == 3
+        series = system.metrics.series["query"]
+        assert series.values == [r.latency for r in results]
+        assert len(series.times) == 3
 
     def test_run_concurrent_returns_in_submission_order(self, system):
         queries = [make_query(center_lon=lon) for lon in (-110, -100, -90)]

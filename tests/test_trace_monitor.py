@@ -1,4 +1,4 @@
-"""Tests for trace record/replay and cluster monitoring."""
+"""Tests for trace record/replay and cluster monitoring (the gauges)."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.data.generator import NAM_DOMAIN, small_test_dataset
 from repro.errors import WorkloadError
 from repro.geo.resolution import Resolution
 from repro.geo.temporal import TemporalResolution, TimeKey
-from repro.monitor import snapshot
 from repro.workload.queries import QuerySize, random_query
 from repro.workload.trace import (
     load_trace,
@@ -23,6 +22,11 @@ from repro.workload.trace import (
 @pytest.fixture(scope="module")
 def dataset():
     return small_test_dataset(num_records=5_000)
+
+
+def gauges(cluster) -> dict[str, float]:
+    """Every gauge of the system's registry, read now."""
+    return cluster.metrics.snapshot()["gauges"]
 
 
 def sample_queries(n=5):
@@ -127,12 +131,14 @@ class TestMonitor:
         )
         replay_trace(cluster, sample_queries(3))
         cluster.drain()
-        snap = snapshot(cluster)
-        assert snap.sim_time > 0
-        assert len(snap.nodes) == 4
-        assert snap.queries_completed == 3
-        assert snap.total_cached_cells == cluster.total_cached_cells()
-        assert snap.messages_sent > 0
+        snap = gauges(cluster)
+        assert cluster.sim.now > 0
+        per_node = [name for name in snap if name.endswith(".cache_cells")]
+        assert per_node == [f"node-{i}.cache_cells" for i in range(4)]
+        assert len(cluster.metrics.series["query"]) == 3
+        assert sum(snap[name] for name in per_node) == cluster.total_cached_cells()
+        assert snap["network.messages_sent"] == cluster.network.messages_sent > 0
+        assert snap["network.bytes_sent"] == cluster.network.bytes_sent
 
     def test_hit_rate_progression(self, dataset):
         cluster = StashCluster(
@@ -141,10 +147,10 @@ class TestMonitor:
         queries = sample_queries(2)
         replay_trace(cluster, queries)
         cluster.drain()
-        cold_rate = snapshot(cluster).cache_hit_rate()
+        cold_rate = gauges(cluster)["cluster.hit_rate"]
         replay_trace(cluster, [q.panned(0, 0) for q in queries])
         cluster.drain()
-        warm_rate = snapshot(cluster).cache_hit_rate()
+        warm_rate = gauges(cluster)["cluster.hit_rate"]
         assert warm_rate > cold_rate
 
     def test_format_table(self, dataset):
@@ -152,9 +158,10 @@ class TestMonitor:
             dataset, StashConfig(cluster=ClusterConfig(num_nodes=4))
         )
         replay_trace(cluster, sample_queries(1))
-        table = snapshot(cluster).format_table()
-        assert "node-0" in table
-        assert "hit rate" in table
+        cluster.metrics.sample()
+        table = cluster.metrics.format_table()
+        assert "node-0.cache_cells" in table
+        assert "cluster.hit_rate" in table
 
     def test_snapshot_is_side_effect_free(self, dataset):
         cluster = StashCluster(
@@ -163,8 +170,10 @@ class TestMonitor:
         replay_trace(cluster, sample_queries(2))
         cluster.drain()
         before = cluster.sim.now
-        snapshot(cluster)
+        first = cluster.metrics.snapshot()
         assert cluster.sim.now == before
+        assert cluster.metrics.snapshot() == first
+        assert all(len(s) == 0 for n, s in cluster.metrics.series.items() if n != "query")
 
     def test_imbalance_and_guest_zero_without_hotspot(self, dataset):
         cluster = StashCluster(
@@ -172,17 +181,18 @@ class TestMonitor:
         )
         replay_trace(cluster, sample_queries(2))
         cluster.drain()
-        snap = snapshot(cluster)
-        assert snap.total_guest_cells == 0
-        assert snap.imbalance() >= 1.0
+        snap = gauges(cluster)
+        assert sum(v for n, v in snap.items() if n.endswith(".guest_cells")) == 0
+        cells = [v for n, v in snap.items() if n.endswith(".cache_cells")]
+        assert max(cells) / (sum(cells) / len(cells)) >= 1.0
 
     @pytest.mark.parametrize("engine", ["stash", "basic", "elastic"])
     def test_snapshot_and_gauge_agree_on_the_hit_rate(self, dataset, engine):
-        """One definition: ``cache_hit_rate()`` == the ``cluster.hit_rate`` gauge.
+        """One definition: the ``cluster.hit_rate`` gauge *is* ``cache_hit_rate()``.
 
         Three identical requests: the elastic request cache answers the
-        last two (2/3), which the snapshot used to ignore (0.0); STASH
-        serves repeats from its cells; basic caches nothing.
+        last two (2/3), which a second read path once ignored (0.0);
+        STASH serves repeats from its cells; basic caches nothing.
         """
         from repro.bench.harness import make_system
 
@@ -195,7 +205,7 @@ class TestMonitor:
             system.drain()
         system.metrics.sample()
         gauge = system.metrics.series["cluster.hit_rate"].last()
-        assert snapshot(system).cache_hit_rate() == gauge
+        assert system.cache_hit_rate() == gauge == gauges(system)["cluster.hit_rate"]
         if engine == "basic":
             assert gauge == 0.0
         else:

@@ -21,7 +21,7 @@ from repro.errors import NetworkError, StorageError
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.sim.engine import Simulator
-from repro.sim.metrics import CounterSet
+from repro.obs.registry import Counters
 from repro.sim.network import Network
 from tests.transport.test_asyncio_net import _close_all, _make_peers
 
@@ -284,7 +284,7 @@ def test_delay_rule_adds_its_extra(fabric):
             network=net,
             sim=net.sim,
             nodes={"a": None, "b": None},
-            fault_counters=CounterSet(),
+            fault_counters=Counters(),
         )
         FaultInjector(system, schedule).install()
     value, delayed = _call(fabric, "a", "b", payload="late")

@@ -207,7 +207,18 @@ class TestWarmEvaluateOverSockets:
 
     def test_stats_rpc_reports_the_transport_counters(self, measured):
         stats = measured["node_stats"]
-        assert {"pending", "service_queue", "inflight", "handled"} <= set(stats)
+        # The idleness keys the quiesce barrier reads, then the node's
+        # registry snapshot.
+        assert set(stats) == {
+            "node", "pending", "service_queue", "inflight", "handled", "transport",
+            "counters", "gauges", "histograms",
+        }
+        assert stats["handled"] == stats["counters"]["handled:evaluate"] > 0
+        assert set(stats["gauges"]) == {
+            "queue_depth", "disk_reads", "cache_cells", "freshness_pressure",
+            "guest_cells",
+        }
+        assert stats["histograms"] == {}
         transport = stats["transport"]
         assert set(transport) == {
             "messages_sent",
