@@ -249,19 +249,26 @@ class StashGraph:
         Returns the number of touches applied (absent keys are skipped —
         only resident cells carry freshness).
         """
+        # A key list is runs of one resolution (a footprint, a ring), and
+        # a key's level is its two lengths: resolve it once per run.
         slots_by_level: dict[int, list[int]] = {}
-        touched = 0
+        shape = None
         for key in keys:
-            level = self.level_of(key)
-            columns = self._columns.get(level)
-            if columns is None:
-                continue
-            slot = columns.slot_of.get(key)
-            if slot is None:
-                continue
-            slots_by_level.setdefault(level, []).append(slot)
-            touched += 1
+            key_shape = (len(key.geohash), len(key.time_key.components))
+            if key_shape != shape:
+                shape = key_shape
+                level = self.level_of(key)
+                columns = self._columns.get(level)
+                slot_of = {} if columns is None else columns.slot_of
+                slots = slots_by_level.setdefault(level, [])
+            slot = slot_of.get(key)
+            if slot is not None:
+                slots.append(slot)
+        touched = 0
         for level, slots in slots_by_level.items():
+            if not slots:
+                continue
+            touched += len(slots)
             columns = self._columns[level]
             idx = np.asarray(slots, dtype=np.intp)
             if len(set(slots)) < len(slots):

@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import TemporalError
-from repro.geo.geohash import codes_to_geohashes, spatial_codes
+from repro.geo.geohash import label_of_code, spatial_codes
 from repro.geo.temporal import (
     TemporalResolution,
     TimeKey,
@@ -100,11 +100,15 @@ def decode_bin_ids(
     :class:`~repro.core.keys.CellKey` objects from the pairs — this
     module stays below ``core`` in the import graph.
     """
-    ids = np.asarray(ids, dtype=np.uint64)
-    bits = np.uint64(TEMPORAL_CODE_BITS[resolution])
-    geohashes = codes_to_geohashes(ids >> bits, precision)
-    mask = np.uint64((1 << TEMPORAL_CODE_BITS[resolution]) - 1)
-    codes = (ids & mask).astype(np.int64).tolist()
+    bits = TEMPORAL_CODE_BITS[resolution]
+    mask = (1 << bits) - 1
     # Scans see few distinct temporal bins: decode each code once.
-    key_of = {code: time_key_of_code(code, resolution) for code in set(codes)}
-    return [(gh, key_of[code]) for gh, code in zip(geohashes.tolist(), codes)]
+    key_of: dict[int, TimeKey] = {}
+    pairs = []
+    for bin_id in np.asarray(ids, dtype=np.uint64).tolist():
+        code = bin_id & mask
+        key = key_of.get(code)
+        if key is None:
+            key = key_of[code] = time_key_of_code(code, resolution)
+        pairs.append((label_of_code(bin_id >> bits, precision), key))
+    return pairs

@@ -13,16 +13,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import GeohashError
 from repro.geo.bbox import BoundingBox
 from repro.geo.geohash import (
+    _SPREAD,
     _bit_counts,
     _check_precision,
-    _interleave_many,
+    _spread,
     cell_dimensions,
-    codes_to_geohashes,
+    label_of_code,
 )
 
 
@@ -94,15 +93,34 @@ class GridCover:
             east=min(180.0, (-180.0 + self.lon_hi * width) + width),
         )
 
-    def codes(self) -> np.ndarray:
-        """The cells' bit-codes, row-major (south-to-north, west-to-east)."""
-        rows = np.arange(self.lat_lo, self.lat_hi + 1, dtype=np.intp)
-        cols = np.arange(self.lon_lo, self.lon_hi + 1, dtype=np.intp)
-        return _interleave_many(rows[:, None], cols, self.precision).ravel()
+    def _shares(self, rows: range, cols: range) -> tuple[list[int], list[int]]:
+        """Each row's and each column's share of its cells' bit-codes.
+
+        A cell's code is its row's share OR its column's, so a cover
+        spreads every index once — rows + columns, not rows x columns.
+        """
+        lon_bits, lat_bits = _bit_counts(self.precision)
+        # The code's last bit is longitude exactly when its length is odd.
+        odd = self.precision & 1
+        return (
+            [_spread(_SPREAD, row, lat_bits) << odd for row in rows],
+            [_spread(_SPREAD, col, lon_bits) << (1 - odd) for col in cols],
+        )
 
     def cells(self) -> list[str]:
-        """The cells' geohash strings, in :meth:`codes` order."""
-        return codes_to_geohashes(self.codes(), self.precision).tolist()
+        """The cells' geohash strings, row-major (south-to-north, west-to-east).
+
+        Plain integer arithmetic, one :func:`label_of_code` per cell: the
+        covers the read path names hold a handful of cells (median 2 on
+        the benchmark's sessions), where an array pipeline's fixed cost
+        is the whole cost.  It breaks even near 100 cells and takes 2.4x
+        the array form at 5 000 (docs/performance.md, "Labels by table").
+        """
+        rows, cols = self._shares(
+            range(self.lat_lo, self.lat_hi + 1), range(self.lon_lo, self.lon_hi + 1)
+        )
+        precision = self.precision
+        return [label_of_code(row | col, precision) for row in rows for col in cols]
 
     def ring(self) -> list[str]:
         """The one-cell-wide ring of cells just outside the cover.
@@ -115,18 +133,21 @@ class GridCover:
         footprint could ever produce.)
         """
         lon_bits, lat_bits = _bit_counts(self.precision)
-        full = range(max(0, self.lon_lo - 1), min(1 << lon_bits, self.lon_hi + 2))
-        sides = [col for col in (self.lon_lo - 1, self.lon_hi + 1) if col in full]
-        rows: list[int] = []
-        cols: list[int] = []
-        for row in range(max(0, self.lat_lo - 1), min(1 << lat_bits, self.lat_hi + 2)):
-            row_cols = sides if self.lat_lo <= row <= self.lat_hi else full
-            rows += [row] * len(row_cols)
-            cols += row_cols
-        codes = _interleave_many(
-            np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), self.precision
+        first_row = max(0, self.lat_lo - 1)
+        first_col = max(0, self.lon_lo - 1)
+        rows, full = self._shares(
+            range(first_row, min(1 << lat_bits, self.lat_hi + 2)),
+            range(first_col, min(1 << lon_bits, self.lon_hi + 2)),
         )
-        return codes_to_geohashes(codes, self.precision).tolist()
+        # Beside the cover's own rows only the flanking columns are ring.
+        sides = full[: self.lon_lo - first_col] + full[self.lon_hi + 1 - first_col :]
+        inside = range(self.lat_lo - first_row, self.lat_hi + 1 - first_row)
+        precision = self.precision
+        return [
+            label_of_code(row | col, precision)
+            for i, row in enumerate(rows)
+            for col in (sides if i in inside else full)
+        ]
 
 
 def covering_count(box: BoundingBox, precision: int) -> int:

@@ -32,6 +32,8 @@ from repro.geo.bbox import BoundingBox
 #: Canonical geohash base-32 alphabet (no a, i, l, o).
 GEOHASH_ALPHABET = "0123456789bcdefghjkmnpqrstuvwxyz"
 _CHAR_TO_VAL = {c: i for i, c in enumerate(GEOHASH_ALPHABET)}
+#: Ten bits of bit-code -> the two characters that spell them.
+_PAIRS = tuple(a + b for a in GEOHASH_ALPHABET for b in GEOHASH_ALPHABET)
 
 #: Maximum precision supported (60 bits fits comfortably in uint64).
 MAX_PRECISION = 12
@@ -119,11 +121,7 @@ def _from_indices(lat_idx: int, lon_idx: int, precision: int) -> str:
     # The code's first bit is longitude, so its last is longitude exactly
     # when the bit count (5 per character) is odd.
     interleaved = (lon | lat << 1) if precision & 1 else (lon << 1 | lat)
-    chars = []
-    for i in range(precision):
-        shift = 5 * (precision - 1 - i)
-        chars.append(GEOHASH_ALPHABET[(interleaved >> shift) & 0x1F])
-    return "".join(chars)
+    return label_of_code(interleaved, precision)
 
 
 def _to_indices(geohash: str) -> tuple[int, int]:
@@ -318,6 +316,31 @@ def codes_to_geohashes(codes: np.ndarray, precision: int) -> np.ndarray:
             ((codes >> shift_amt) & np.uint64(0x1F)).astype(np.intp)
         ]
     return out_bytes.view(f"S{precision}").reshape(codes.shape).astype(f"U{precision}")
+
+
+def label_of_code(code: int, precision: int) -> str:
+    """The geohash string of one interleaved bit-code.
+
+    The scalar inverse of :func:`geohash_to_code`, and for one code what
+    :func:`codes_to_geohashes` is for an array: a geohash is its code
+    read five bits at a time, here ten (two characters) per lookup in
+    :data:`_PAIRS`.  A code outside ``[0, 32 ** precision)`` raises
+    :class:`GeohashError`.
+    """
+    shift = 5 * precision
+    # One test on the way through: a code too wide or negative (which
+    # shifts down to -1) leaves bits above its 5 * precision.
+    if not 1 <= precision <= MAX_PRECISION or code >> shift:
+        _check_precision(precision)
+        raise GeohashError(f"bit-code {code} is not a precision-{precision} cell")
+    label = ""
+    if precision & 1:
+        shift -= 5
+        label = GEOHASH_ALPHABET[code >> shift]
+    while shift:
+        shift -= 10
+        label += _PAIRS[(code >> shift) & 0x3FF]
+    return label
 
 
 def geohash_to_code(geohash: str) -> int:

@@ -7,7 +7,10 @@ the two temporal lateral neighbors (paper Fig. 1b).
 
 All instants are POSIX epoch seconds (UTC).  Vectorized binning of
 timestamp arrays uses numpy datetime64 arithmetic — no per-record Python
-loop.
+loop.  One key's calendar arithmetic goes through its *bin code* — the
+bin's index since 1970 at its own resolution, the integer
+:func:`bin_epoch_codes` yields — and proleptic-Gregorian day ordinals:
+stepping is ``code + n``, an extent is a day count times 86 400.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import calendar
 import datetime as _dt
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +53,40 @@ class TemporalResolution(enum.IntEnum):
 NUM_TEMPORAL_RESOLUTIONS = len(TemporalResolution)
 
 
-def _utc(*args: int) -> _dt.datetime:
-    return _dt.datetime(*args, tzinfo=_dt.timezone.utc)
+_DAY_SECONDS = 86_400
+_HOUR_SECONDS = 3_600
+_EPOCH_ORDINAL = _dt.date(1970, 1, 1).toordinal()
+#: The instants a :class:`TimeKey` can name: years 1 to 9999, as seconds.
+_CALENDAR_START = (_dt.date.min.toordinal() - _EPOCH_ORDINAL) * _DAY_SECONDS
+_CALENDAR_END = (_dt.date.max.toordinal() + 1 - _EPOCH_ORDINAL) * _DAY_SECONDS
+
+
+def _whole_seconds(instant: float, rounding=int) -> int:
+    try:
+        return rounding(instant)
+    except (OverflowError, ValueError) as exc:  # +-inf, NaN
+        raise TemporalError(f"instant {instant} is not finite") from exc
+
+
+def _bin_code(seconds: int, resolution: "TemporalResolution") -> int:
+    """Index since 1970 of the ``resolution`` bin holding a whole second.
+
+    The scalar :func:`bin_epoch_codes`; :class:`TemporalError` outside
+    the calendar.
+    """
+    if not _CALENDAR_START <= seconds < _CALENDAR_END:
+        raise TemporalError(
+            f"instant {seconds} s is outside the calendar (years 1 to 9999)"
+        )
+    if resolution == TemporalResolution.HOUR:
+        return seconds // _HOUR_SECONDS
+    days = seconds // _DAY_SECONDS
+    if resolution == TemporalResolution.DAY:
+        return days
+    day = _dt.date.fromordinal(_EPOCH_ORDINAL + days)
+    if resolution == TemporalResolution.MONTH:
+        return (day.year - 1970) * 12 + day.month - 1
+    return day.year - 1970
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -72,8 +108,8 @@ class TimeKey:
         day = self.components[2] if n > 2 else 1
         hour = self.components[3] if n > 3 else 0
         try:
-            _utc(year, month, day, hour)
-        except ValueError as exc:
+            _dt.datetime(year, month, day, hour)
+        except (ValueError, OverflowError) as exc:
             raise TemporalError(f"invalid TimeKey {self.components}: {exc}") from exc
 
     # -- construction ---------------------------------------------------
@@ -100,11 +136,12 @@ class TimeKey:
         Sub-second fractions are truncated (not rounded): the finest bin
         is an hour, and truncation keeps the scalar path consistent with
         the vectorized :func:`bin_epochs` (datetime64 truncates too) even
-        for instants a float ULP below a bin boundary.
+        for instants a float ULP below a bin boundary.  An instant outside
+        years 1 to 9999 is a :class:`TemporalError`.
         """
-        dt = _dt.datetime.fromtimestamp(int(epoch_seconds), tz=_dt.timezone.utc)
-        parts = (dt.year, dt.month, dt.day, dt.hour)
-        return TimeKey(parts[: resolution + 1])
+        return time_key_of_code(
+            _bin_code(_whole_seconds(epoch_seconds), resolution), resolution
+        )
 
     # -- identity ---------------------------------------------------------
 
@@ -128,31 +165,37 @@ class TimeKey:
 
     # -- extent -----------------------------------------------------------
 
-    def start_datetime(self) -> _dt.datetime:
-        year = self.components[0]
-        month = self.components[1] if len(self.components) > 1 else 1
-        day = self.components[2] if len(self.components) > 2 else 1
-        hour = self.components[3] if len(self.components) > 3 else 0
-        return _utc(year, month, day, hour)
-
-    def end_datetime(self) -> _dt.datetime:
-        """Exclusive end instant of the bin."""
-        res = self.resolution
+    def _code(self) -> int:
+        """This bin's index since 1970 at its own resolution."""
         c = self.components
-        if res == TemporalResolution.YEAR:
-            return _utc(c[0] + 1, 1, 1)
-        if res == TemporalResolution.MONTH:
-            year, month = c[0], c[1]
-            return _utc(year + 1, 1, 1) if month == 12 else _utc(year, month + 1, 1)
-        if res == TemporalResolution.DAY:
-            return self.start_datetime() + _dt.timedelta(days=1)
-        return self.start_datetime() + _dt.timedelta(hours=1)
+        n = len(c)
+        if n == 1:
+            return c[0] - 1970
+        if n == 2:
+            return (c[0] - 1970) * 12 + c[1] - 1
+        days = _dt.date(c[0], c[1], c[2]).toordinal() - _EPOCH_ORDINAL
+        return days if n == 3 else days * 24 + c[3]
 
     def epoch_range(self) -> "TimeRange":
         """The bin's [start, end) extent in epoch seconds."""
-        return TimeRange(
-            self.start_datetime().timestamp(), self.end_datetime().timestamp()
-        )
+        c = self.components
+        n = len(c)
+        if n >= 3:
+            unit = _DAY_SECONDS if n == 3 else _HOUR_SECONDS
+            start = self._code() * unit
+            end = start + unit
+        else:
+            # A year or month ends a day count after it starts — not at
+            # the next one's first day, which year 9999 does not have.
+            month = c[1] if n == 2 else 1
+            days = (
+                calendar.monthrange(c[0], month)[1]
+                if n == 2
+                else 365 + calendar.isleap(c[0])
+            )
+            start = (_dt.date(c[0], month, 1).toordinal() - _EPOCH_ORDINAL) * _DAY_SECONDS
+            end = start + days * _DAY_SECONDS
+        return TimeRange(float(start), float(end))
 
     # -- hierarchy ----------------------------------------------------------
 
@@ -186,17 +229,7 @@ class TimeKey:
 
     def step(self, n: int = 1) -> "TimeKey":
         """The bin ``n`` steps later (negative = earlier) at this resolution."""
-        res = self.resolution
-        c = self.components
-        if res == TemporalResolution.YEAR:
-            return TimeKey((c[0] + n,))
-        if res == TemporalResolution.MONTH:
-            total = c[0] * 12 + (c[1] - 1) + n
-            return TimeKey((total // 12, total % 12 + 1))
-        delta = _dt.timedelta(days=n) if res == TemporalResolution.DAY else _dt.timedelta(hours=n)
-        dt = self.start_datetime() + delta
-        parts = (dt.year, dt.month, dt.day, dt.hour)
-        return TimeKey(parts[: res + 1])
+        return time_key_of_code(self._code() + n, self.resolution)
 
     def neighbors(self) -> list["TimeKey"]:
         """The two adjacent bins (paper: temporal lateral edges)."""
@@ -229,14 +262,28 @@ class TimeRange:
             return None
         return TimeRange(max(self.start, other.start), min(self.end, other.end))
 
+    def _bin_codes(self, resolution: TemporalResolution) -> range:
+        """Codes of the bins :meth:`covering_keys` names.
+
+        From the bin of ``start`` (truncated, as :meth:`TimeKey.from_epoch`
+        does) to the bin of the last whole second before ``end``; never
+        empty, though truncation can lift a negative fractional start
+        past that second.
+        """
+        first = _bin_code(_whole_seconds(self.start), resolution)
+        last = _bin_code(_whole_seconds(self.end, math.ceil) - 1, resolution)
+        return range(first, max(first, last) + 1)
+
+    def key_count(self, resolution: TemporalResolution) -> int:
+        """``len(self.covering_keys(resolution))``, without building a key.
+
+        :class:`TemporalError` if the range leaves the calendar.
+        """
+        return len(self._bin_codes(resolution))
+
     def covering_keys(self, resolution: TemporalResolution) -> list[TimeKey]:
         """All bins at ``resolution`` overlapping this range, in order."""
-        key = TimeKey.from_epoch(self.start, resolution)
-        out = [key]
-        while key.epoch_range().end < self.end:
-            key = key.step(1)
-            out.append(key)
-        return out
+        return [time_key_of_code(code, resolution) for code in self._bin_codes(resolution)]
 
     @staticmethod
     def from_keys(keys: list[TimeKey]) -> "TimeRange":
@@ -292,8 +339,16 @@ def bin_epoch_codes(
 
 def time_key_of_code(code: int, resolution: TemporalResolution) -> TimeKey:
     """Inverse of :func:`bin_epoch_codes` for one integer bin code."""
-    unit = _DT64_UNITS[resolution.name]
-    seconds = int(
-        np.datetime64(int(code), unit).astype("datetime64[s]").astype(np.int64)
-    )
-    return TimeKey.from_epoch(float(seconds), resolution)
+    if resolution == TemporalResolution.YEAR:
+        return TimeKey((1970 + code,))
+    if resolution == TemporalResolution.MONTH:
+        years, month = divmod(code, 12)
+        return TimeKey((1970 + years, month + 1))
+    days, hour = (code, 0) if resolution == TemporalResolution.DAY else divmod(code, 24)
+    try:
+        day = _dt.date.fromordinal(_EPOCH_ORDINAL + days)
+    except (ValueError, OverflowError) as exc:
+        raise TemporalError(
+            f"{resolution.name} bin {code} is outside the calendar: {exc}"
+        ) from exc
+    return TimeKey((day.year, day.month, day.day, hour)[: resolution + 1])

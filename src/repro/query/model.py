@@ -47,8 +47,11 @@ class _Footprint:
 
     #: Grid cover of the query *box* (a polygon thins ``spatial`` only).
     cover: GridCover
-    time_keys: list[TimeKey]
-    #: The footprint's spatial cells and the footprint, once asked for.
+    #: How many temporal bins the time range overlaps.
+    time_key_count: int
+    #: Those bins, the footprint's spatial cells and the footprint, once
+    #: asked for.
+    time_keys: list[TimeKey] | None = None
     spatial: list[str] | None = None
     cells: list[CellKey] | None = None
 
@@ -106,7 +109,7 @@ class AggregationQuery:
         if memo is None:
             memo = _Footprint(
                 GridCover.of(self.bbox, self.resolution.spatial),
-                self.time_range.covering_keys(self.resolution.temporal),
+                self.time_range.key_count(self.resolution.temporal),
             )
             object.__setattr__(self, "_footprint_cache", memo)
         return memo
@@ -117,19 +120,23 @@ class AggregationQuery:
 
     def time_keys(self) -> list[TimeKey]:
         """The temporal bins the query's time range overlaps, in order."""
-        return self._derived().time_keys
+        memo = self._derived()
+        if memo.time_keys is None:
+            memo.time_keys = self.time_range.covering_keys(self.resolution.temporal)
+        return memo.time_keys
 
     def footprint_size(self) -> int:
         """Number of cells this query touches.
 
-        For rectangles this is pure arithmetic; a polygon requires
+        For rectangles this is pure arithmetic — no cell and no time key
+        is built, however long the time range; a polygon requires
         materializing its cover once.
         """
         memo = self._derived()
         spatial = (
             memo.cover.count if self.polygon is None else len(self._spatial_cover())
         )
-        return spatial * len(memo.time_keys)
+        return spatial * memo.time_key_count
 
     def _spatial_cover(self) -> list[str]:
         memo = self._derived()
@@ -177,10 +184,11 @@ class AggregationQuery:
                     f"{shape} footprint of {size} cells exceeds "
                     f"{self.MAX_FOOTPRINT_CELLS}; lower the resolution"
                 )
+            time_keys = self.time_keys()
             memo.cells = [
                 CellKey(geohash=s, time_key=t)
                 for s in self._spatial_cover()
-                for t in memo.time_keys
+                for t in time_keys
             ]
         return memo.cells
 

@@ -52,7 +52,7 @@ from typing import Any, NoReturn, Sequence
 
 from repro.config import StashConfig
 from repro.data.observation import OBSERVATION_ATTRIBUTES
-from repro.errors import ReproError
+from repro.errors import ReproError, TemporalError
 from repro.geo.bbox import BoundingBox
 from repro.geo.resolution import Resolution, ResolutionSpace
 from repro.geo.temporal import TemporalResolution, TimeRange
@@ -233,7 +233,10 @@ def decode_token(token: str, fingerprint: str) -> int:
 def _number(value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{value!r} is not a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer hundreds of digits long
+        raise ValueError(f"{value!r} is out of range") from None
 
 
 def parse_query(
@@ -318,9 +321,24 @@ def parse_query(
         raise HttpError(
             400, "invalid_kind", f"kind must be one of {', '.join(QUERY_KINDS)}"
         )
+    # Counted, not built: a range of a million hours is refused in the
+    # time it takes to divide, and one the calendar cannot name (before
+    # year 1, after 9999, infinite) never reaches the engine.
+    time_range = TimeRange(start, end)
+    try:
+        bins = time_range.key_count(temporal)
+    except TemporalError as exc:
+        raise HttpError(400, "invalid_time", str(exc)) from None
+    if bins > AggregationQuery.MAX_FOOTPRINT_CELLS:
+        raise HttpError(
+            400,
+            "invalid_time",
+            f"time range covers {bins} {temporal.name.lower()} bins, over the "
+            f"{AggregationQuery.MAX_FOOTPRINT_CELLS}-cell footprint cap",
+        )
     return AggregationQuery(
         bbox=BoundingBox(south, north, west, east),
-        time_range=TimeRange(start, end),
+        time_range=time_range,
         resolution=Resolution(spatial, temporal),
         attributes=tuple(requested) if requested else None,
         kind=kind,
@@ -1081,19 +1099,22 @@ class _Handler(socketserver.BaseRequestHandler):
         self.close_connection = True  # until a sound head says otherwise
         self._received = 0
         body = b""
+        arrived = False
         try:
             headers = self._read_head()
             body = self._read_body(headers)
+            arrived = True
             status, payload, extra = server.app.handle(self.method, self.target, body)
         except HttpError as exc:
             status = exc.status
             payload = {"code": exc.code, "error": str(exc)}
             extra = {"Connection": "close"} if self.close_connection else {}
-        except OSError:
-            # A request that never finished arriving: handle() drops the
-            # connection, which frees this thread.
-            raise
-        except Exception as exc:  # pragma: no cover - defensive
+        except Exception as exc:
+            if isinstance(exc, OSError) and not arrived:
+                # A request that never finished arriving: handle() drops
+                # the connection, which frees this thread.  (An OSError
+                # out of the application is its bug, and is answered.)
+                raise
             status = 500
             payload = {"code": "internal", "error": f"{type(exc).__name__}: {exc}"}
             extra = {}

@@ -79,6 +79,8 @@ def _lower(value: Any) -> Any:
     if isinstance(value, list):
         return [_lower(v) for v in value]
     if isinstance(value, tuple):
+        if isinstance(value, AttributeSummary):  # a NamedTuple: not a "tup"
+            return {"__t": "asum", "v": list(value)}
         return {"__t": "tup", "i": [_lower(v) for v in value]}
     if isinstance(value, frozenset):
         return {"__t": "fset", "i": sorted((_lower(v) for v in value), key=repr)}
@@ -101,11 +103,6 @@ def _lower(value: Any) -> Any:
         return {"__t": "poly", "v": [[lat, lon] for lat, lon in value.vertices]}
     if isinstance(value, Resolution):
         return {"__t": "res", "s": value.spatial, "t": int(value.temporal)}
-    if isinstance(value, AttributeSummary):
-        return {
-            "__t": "asum",
-            "v": [value.count, value.total, value.total_sq, value.minimum, value.maximum],
-        }
     if isinstance(value, SummaryVector):
         return {
             "__t": "svec",
@@ -234,7 +231,15 @@ def decode(data: bytes) -> Any:
         return _lift(json.loads(data.decode("utf-8")))
     except CodecError:
         raise
-    except (ValueError, LookupError, TypeError, ReproError, RecursionError) as exc:
+    except (
+        ValueError,
+        LookupError,
+        TypeError,
+        AttributeError,  # a number where a method-bearing string was due
+        OverflowError,  # an integer no C field can hold
+        ReproError,
+        RecursionError,
+    ) as exc:
         raise CodecError(
             f"malformed wire payload: {type(exc).__name__}: {exc}"
         ) from exc

@@ -5,8 +5,10 @@ Timings live in ``benchmarks/e2e``; these are the exact counts behind
 them.  A query's cover, snapped box, ring and time keys are all derived
 from one :class:`~repro.geo.cover.GridCover` held by the query object,
 and owners come from the partitioner's materialized map — so a fresh
-rectangle query interleaves bin indices twice (cover, ring) and a
-region seen before hashes nothing.  A live ingest finds its stale cells
+rectangle query spreads each row and column index of its cover and its
+ring once, labels each cell from a table (no array is built), and a
+region seen before hashes nothing.  A freshness touch resolves a level
+once per run of same-resolution keys.  A live ingest finds its stale cells
 by comparing labels, so it builds no ``TimeRange`` per cached cell.  A
 cache miss scans each leg's blocks in one fused pass — one ``bin_ids``
 call and two batches per leg, not per block — and asks the calendar for
@@ -20,11 +22,15 @@ import pytest
 
 from repro.config import ClusterConfig, StashConfig
 from repro.core.cluster import StashCluster
+from repro.core.freshness import query_ring
+from repro.core.graph import StashGraph
 from repro.core.keys import CellKey
 from repro.data.block import Block, BlockId
 from repro.data.generator import small_test_dataset
 from repro.data.observation import OBSERVATION_ATTRIBUTES, ObservationBatch
+from repro.data.statistics import SummaryFrame
 from repro.dht import partitioner as partitioner_module
+from repro.errors import QueryError
 from repro.geo import binning as binning_module
 from repro.geo import cover as cover_module
 from repro.geo import geohash as geohash_module
@@ -38,6 +44,7 @@ from repro.query.model import AggregationQuery
 from repro.storage import backend as backend_module
 from repro.storage import node as storage_node_module
 from repro.storage.backend import ground_truth_cells
+from tests.reference import bin_labels
 
 
 def rectangle() -> AggregationQuery:
@@ -83,13 +90,13 @@ class TestFreshRectangleQuery:
         result = cluster.run_query(first)
         cluster.drain()
         assert result.provenance["cells_from_cache"] == len(first.footprint())
-        assert len(interleaves) <= 2  # the cover and its ring; was 4
+        assert interleaves == []  # was 2 (the cover and its ring), and 4 before
 
-        del interleaves[:], hashes[:]
+        del hashes[:]
         second = rectangle()
         result = cluster.run_query(second)
         cluster.drain()
-        assert len(interleaves) <= 2
+        assert interleaves == []
         assert hashes == []  # every prefix is in the partition map by now
         truth = ground_truth_cells(dataset, second)
         assert set(result.cells) == set(truth)
@@ -98,14 +105,75 @@ class TestFreshRectangleQuery:
         interleaves = counted(
             monkeypatch, geohash_module, "_interleave_many", also=[cover_module]
         )
+        labels = counted(monkeypatch, cover_module, "label_of_code")
         query = rectangle()
         box = query.snapped_bbox()
         assert box.contains_box(query.bbox)
         assert query.footprint_size() == 165 and query.snapped_time_range()
-        assert interleaves == []
+        assert interleaves == [] and labels == []
         assert len(query.footprint()) == 165 and query.snapped_bbox() == box
-        assert len(interleaves) == 1
+        assert len(interleaves) == 0 and len(labels) == 165  # was 1 array interleave
         assert query.clone()._footprint_cache is None  # a clone derives afresh
+
+    def test_cover_and_ring_spread_rows_plus_columns_and_build_no_array(
+        self, monkeypatch
+    ):
+        """11 rows x 15 columns: 26 spreads for the cover and 30 for its
+        ring, not 165 + 56; no array interleave or array labelling (2 + 2
+        at the parent)."""
+        interleaves = counted(
+            monkeypatch, geohash_module, "_interleave_many", also=[cover_module]
+        )
+        array_labels = counted(
+            monkeypatch, geohash_module, "codes_to_geohashes", also=[cover_module]
+        )
+        spreads = counted(monkeypatch, cover_module, "_spread")
+        query = rectangle()
+        cover = query.grid_cover()
+        rows = cover.lat_hi - cover.lat_lo + 1
+        cols = cover.lon_hi - cover.lon_lo + 1
+        assert (rows, cols) == (11, 15)
+        assert len(query.footprint()) == rows * cols
+        assert len(spreads) == rows + cols
+        del spreads[:]
+        ring = query_ring(query)
+        assert len(ring) == 2 * (rows + cols) + 4 + 2 * rows * cols
+        assert len(spreads) == (rows + 2) + (cols + 2)
+        assert interleaves == [] and array_labels == []
+
+    def test_time_keys_are_counted_before_they_are_built(self, monkeypatch):
+        """Ten years of hours over one cell column: the size is read off
+        two divisions, and the cap refuses before a key exists."""
+        built = counted(monkeypatch, TimeKey, "__post_init__")
+        decade = TimeRange(0.0, 3.2e8)
+        query = AggregationQuery(
+            bbox=BoundingBox(30, 45, -115, -95),
+            time_range=decade,
+            resolution=Resolution(3, TemporalResolution.HOUR),
+        )
+        assert query.footprint_size() == 165 * 88_889
+        with pytest.raises(QueryError, match="exceeds"):
+            query.footprint()
+        assert built == []
+
+
+class TestTouchBatch:
+    def test_one_level_lookup_per_run_of_one_resolution(self, dataset, monkeypatch):
+        cluster = StashCluster(dataset, StashConfig(cluster=ClusterConfig(num_nodes=1)))
+        query = rectangle()
+        cluster.warm([query])
+        graph = next(iter(cluster.nodes.values())).graph
+        footprint = query.footprint()
+        coarser = [CellKey(key.geohash[:2], key.time_key) for key in footprint[:3]]
+        lookups = counted(monkeypatch, StashGraph, "level_of")
+        assert graph.touch_batch(footprint, 1.0, 5.0, 0.1) == len(footprint) == 165
+        assert len(lookups) == 1  # was one per key
+        del lookups[:]
+        # Three runs (two resolutions, one of them twice): three lookups,
+        # and the absent coarser keys touch nothing.
+        mixed = footprint[:4] + coarser + footprint[4:8]
+        assert graph.touch_batch(mixed, 1.0, 6.0, 0.1) == 8
+        assert len(lookups) == 3
 
 
 class TestPolygonQuery:
@@ -255,6 +323,25 @@ class TestColdScan:
         days = {key for _, key in pairs}
         assert len(pairs) == len(dataset) and 2 <= len(days) <= 31
         assert len(decoded) == len(days)
+
+    def test_frame_to_cells_labels_each_id_from_the_table(self, dataset, monkeypatch):
+        """A scan leg's frame: one table label per id and no array built
+        for them (``codes_to_geohashes`` ran six numpy calls a character)."""
+        array_labels = counted(
+            monkeypatch, geohash_module, "codes_to_geohashes", also=[binning_module]
+        )
+        labels = counted(monkeypatch, binning_module, "label_of_code")
+        resolution = Resolution(3, TemporalResolution.DAY)
+        frame = SummaryFrame.from_groups(
+            dataset.bin_ids(resolution.spatial, resolution.temporal), dataset.attributes
+        )
+        cells = backend_module.frame_to_cells(frame, resolution)
+        assert len(cells) == len(frame.ids) >= 100
+        assert len(labels) == len(frame.ids) and array_labels == []
+        assert set(cells) == {
+            CellKey.parse(str(label))
+            for label in bin_labels(dataset, resolution.spatial, resolution.temporal)
+        }
 
 
 class TestMetricsRegistryOnTheReadPath:

@@ -11,8 +11,13 @@ from repro.geo import geohash as gh
 from repro.geo.bbox import BoundingBox
 from repro.geo.cover import GridCover, covering_cells, covering_count, expand_ring
 from repro.geo.temporal import TimeKey
-from tests.reference import neighborhood_ring
-from tests.strategies import boxes, small_boxes
+from tests.reference import (
+    cover_cells_reference,
+    cover_codes_reference,
+    cover_ring_reference,
+    neighborhood_ring,
+)
+from tests.strategies import boxes, grid_covers, small_boxes
 
 #: Precisions at which any box's cover stays small enough to materialize.
 coarse = st.integers(1, 3)
@@ -148,7 +153,17 @@ class TestGridCover:
             for col in range(cover.lon_lo, cover.lon_hi + 1)
         ]
         assert cells == [gh.encode(lat, lon, precision) for lat, lon in centres]
-        assert cover.codes().tolist() == [gh.geohash_to_code(c) for c in cells]
+        assert cover_codes_reference(cover).tolist() == [
+            gh.geohash_to_code(c) for c in cells
+        ]
+
+    @given(grid_covers())
+    @settings(max_examples=300)
+    def test_cells_and_ring_equal_the_array_twin(self, cover):
+        """Every precision; covers flush against a pole or the
+        antimeridian; one-cell-wide and one-cell-tall strips."""
+        assert cover.cells() == cover_cells_reference(cover)
+        assert cover.ring() == cover_ring_reference(cover)
 
     @given(boxes(), coarse)
     @settings(max_examples=80)
@@ -209,7 +224,8 @@ class TestGridCover:
         def no_cells(*args):
             raise AssertionError("materialized a guarded cover")
 
-        monkeypatch.setattr(cover_module, "_interleave_many", no_cells)
+        monkeypatch.setattr(cover_module, "_spread", no_cells)
+        monkeypatch.setattr(cover_module, "label_of_code", no_cells)
         globe = BoundingBox.global_box()
         with pytest.raises(GeohashError, match="exceeds max_cells=100"):
             covering_cells(globe, 8, max_cells=100)

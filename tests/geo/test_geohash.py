@@ -245,6 +245,34 @@ class TestSpreadTable:
         assert grid.tolist() == interleave_reference(rows, cols, precision).tolist()
 
 
+class TestLabelOfCode:
+    """One code to one string by the two-character table."""
+
+    def test_table_spells_every_ten_bits(self):
+        assert len(gh._PAIRS) == 1024
+        for value, pair in enumerate(gh._PAIRS):
+            assert pair == gh.GEOHASH_ALPHABET[value >> 5] + gh.GEOHASH_ALPHABET[value & 31]
+
+    @given(st.integers(1, gh.MAX_PRECISION).flatmap(
+        lambda p: st.tuples(st.integers(0, 32**p - 1) | st.sampled_from((0, 32**p - 1)), st.just(p))
+    ))
+    @settings(max_examples=300)
+    def test_equals_the_array_form_and_round_trips(self, drawn):
+        code, precision = drawn
+        label = gh.label_of_code(code, precision)
+        assert label == gh.codes_to_geohashes(np.array([code]), precision)[0]
+        assert len(label) == precision and gh.geohash_to_code(label) == code
+
+    @pytest.mark.parametrize("precision", (1, 2, 5, 12))
+    def test_rejects_a_code_outside_the_precision(self, precision):
+        for code in (-1, 32**precision, 1 << 64):
+            with pytest.raises(GeohashError, match="bit-code"):
+                gh.label_of_code(code, precision)
+        for bad in (0, gh.MAX_PRECISION + 1):
+            with pytest.raises(GeohashError, match="precision"):
+                gh.label_of_code(0, bad)
+
+
 class TestVectorScalarEdges:
     """``encode_many`` equals ``encode`` point for point on the values
     where clamping and rounding can disagree: the closed top edges, both

@@ -13,8 +13,18 @@ from repro.geo.temporal import (
     TemporalResolution,
     TimeKey,
     TimeRange,
+    bin_epoch_codes,
     bin_epochs,
+    time_key_of_code,
 )
+from tests.reference import (
+    covering_keys_reference,
+    epoch_range_reference,
+    from_epoch_reference,
+    step_reference,
+    time_key_of_code_reference,
+)
+from tests.strategies import calendar_time_keys
 
 resolutions = st.sampled_from(list(TemporalResolution))
 epochs_2013 = st.floats(
@@ -196,3 +206,108 @@ class TestVectorizedBinning:
         assert codes.dtype == np.int64
         for code, label in zip(codes.tolist(), labels.tolist()):
             assert str(time_key_of_code(code, res)) == str(label)
+
+
+class TestOrdinalArithmetic:
+    """Day ordinals and bin codes against the ``datetime`` /
+    ``timedelta`` / ``datetime64`` arithmetic they replaced
+    (``tests/reference.py``), value for value."""
+
+    @given(calendar_time_keys())
+    @settings(max_examples=300)
+    def test_epoch_range_equals_datetime_subtraction(self, key):
+        got = key.epoch_range()
+        assert (got.start.hex(), got.end.hex()) == tuple(
+            v.hex() for v in epoch_range_reference(key)
+        )
+        assert type(got.start) is type(got.end) is float
+
+    @given(calendar_time_keys(), st.integers(-40, 40) | st.sampled_from((-1, 1, 24, 366)))
+    @settings(max_examples=300)
+    def test_step_equals_timedelta(self, key, n):
+        if not 400 < key.components[0] < 9600:  # room to step either way
+            key = TimeKey((2012,) + key.components[1:])  # leap, for a 29th
+        assert key.step(n) == step_reference(key, n)
+        assert key.step(n).step(-n) == key
+
+    @given(
+        st.sampled_from(list(TemporalResolution)).flatmap(
+            lambda res: st.tuples(
+                st.integers(-(10 ** (2 + res)), 10 ** (3 + res)) | st.integers(-2, 2),
+                st.just(res),
+            )
+        )
+    )
+    @settings(max_examples=300)
+    def test_time_key_of_code_equals_datetime64(self, drawn):
+        code, res = drawn
+        key = time_key_of_code(code, res)
+        assert key == time_key_of_code_reference(code, res)
+        start = key.epoch_range().start
+        assert bin_epoch_codes(np.array([start]), res).tolist() == [code]
+        assert TimeKey.from_epoch(start, res) == from_epoch_reference(start, res) == key
+
+    @given(
+        calendar_time_keys(),
+        st.floats(-3.0, 3.0),
+        st.floats(1e-3, 5.0) | st.sampled_from((3600.0, 86400.0, 40 * 86400.0)),
+        resolutions,
+    )
+    @settings(max_examples=300)
+    def test_covering_keys_equal_the_stepping_loop_and_its_count(
+        self, key, offset, length, res
+    ):
+        """Ranges starting a fraction either side of a bin edge — before
+        1970 truncation rounds a fractional start *up* — and ending on,
+        just before and just after one."""
+        start = key.epoch_range().start + offset
+        time_range = TimeRange(start, start + length)
+        keys = time_range.covering_keys(res)
+        assert keys == covering_keys_reference(time_range, res)
+        assert time_range.key_count(res) == len(keys)
+
+    def test_counting_builds_no_key(self, monkeypatch):
+        built = []
+        real = TimeKey.__post_init__
+        monkeypatch.setattr(
+            TimeKey, "__post_init__", lambda key: built.append(key) or real(key)
+        )
+        assert TimeRange(0.0, 3e9).key_count(TemporalResolution.HOUR) == 833_334
+        assert TimeRange(0.0, 3e9).key_count(TemporalResolution.YEAR) == 96
+        assert built == []
+
+    def test_the_calendar_ends_are_nameable(self):
+        """Year 9999 has an end though no year follows it."""
+        last = TimeKey.of(9999, 12, 31, 23)
+        end = last.epoch_range().end
+        for length in range(1, 5):
+            key = TimeKey(last.components[:length])
+            assert key.epoch_range().end == end
+            with pytest.raises(TemporalError):
+                key.step(1)
+        first = TimeKey.of(1, 1, 1, 0)
+        assert TimeKey.from_epoch(first.epoch_range().start, TemporalResolution.HOUR) == first
+        with pytest.raises(TemporalError):
+            first.step(-1)
+        whole = TimeRange(first.epoch_range().start, end)
+        assert whole.key_count(TemporalResolution.YEAR) == 9999
+
+    @pytest.mark.parametrize(
+        "instant", [-1e18, 1e18, 2.6e11, float("inf"), float("-inf"), float("nan")]
+    )
+    def test_an_instant_outside_the_calendar_is_a_temporal_error(self, instant):
+        """Was ``OSError`` / ``OverflowError`` / ``ValueError``, by platform."""
+        for res in TemporalResolution:
+            with pytest.raises(TemporalError):
+                TimeKey.from_epoch(instant, res)
+        if instant > 0:
+            for res in TemporalResolution:
+                with pytest.raises(TemporalError):
+                    TimeRange(0.0, instant).key_count(res)
+                with pytest.raises(TemporalError):
+                    TimeRange(0.0, instant).covering_keys(res)
+        for res in TemporalResolution:
+            with pytest.raises(TemporalError):
+                time_key_of_code(10**12, res)
+            with pytest.raises(TemporalError):
+                time_key_of_code(-(10**12), res)

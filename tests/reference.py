@@ -23,6 +23,16 @@ keeps its oracle:
 * ``interleave_reference`` pins the byte-spread table behind
   ``repro.geo.geohash._interleave_many`` / ``_from_indices`` /
   ``_to_indices`` (tests/geo/test_geohash.py);
+* ``cover_codes_reference`` / ``cover_cells_reference`` /
+  ``cover_ring_reference`` pin ``repro.geo.cover.GridCover.cells`` /
+  ``ring`` and, through ``codes_to_geohashes``,
+  ``repro.geo.geohash.label_of_code`` (tests/geo/test_cover.py,
+  tests/geo/test_geohash.py);
+* ``epoch_range_reference`` / ``step_reference`` /
+  ``from_epoch_reference`` / ``time_key_of_code_reference`` /
+  ``covering_keys_reference`` pin the
+  ordinal calendar arithmetic of ``repro.geo.temporal`` to ``datetime``
+  (tests/geo/test_temporal.py);
 * ``extent_overlaps_reference`` pins
   ``repro.core.graph.StashGraph.invalidate_extents`` /
   ``stale_extents`` (tests/core/test_invalidate_extents.py,
@@ -35,6 +45,7 @@ docs/testing.md relies on them sharing no logic with production.
 
 from __future__ import annotations
 
+import datetime as dt
 import heapq
 
 import numpy as np
@@ -42,8 +53,8 @@ import numpy as np
 from repro.core.keys import CellKey
 from repro.data.statistics import AttributeSummary, SummaryVector
 from repro.errors import StatisticsError
-from repro.geo.geohash import encode_many
-from repro.geo.temporal import bin_epochs
+from repro.geo.geohash import codes_to_geohashes, encode_many
+from repro.geo.temporal import TemporalResolution, TimeKey, TimeRange, bin_epochs
 
 
 def interleave_reference(
@@ -62,6 +73,108 @@ def interleave_reference(
         bit = (lat_idx >> np.uint64(lat_bits - 1 - i)) & np.uint64(1)
         interleaved |= bit << np.uint64(total - 2 - 2 * i)
     return interleaved
+
+
+def cover_codes_reference(cover) -> np.ndarray:
+    """A cover's bit-codes, row-major: every (row, column) pair of the
+    grid interleaved as arrays.  (Was ``GridCover.codes``.)"""
+    rows = np.arange(cover.lat_lo, cover.lat_hi + 1, dtype=np.uint64)
+    cols = np.arange(cover.lon_lo, cover.lon_hi + 1, dtype=np.uint64)
+    grid_rows, grid_cols = np.meshgrid(rows, cols, indexing="ij")
+    return interleave_reference(grid_rows, grid_cols, cover.precision).ravel()
+
+
+def cover_cells_reference(cover) -> list[str]:
+    """A cover's geohash strings through the array pipeline.  (Was
+    ``GridCover.cells``.)"""
+    return codes_to_geohashes(cover_codes_reference(cover), cover.precision).tolist()
+
+
+def cover_ring_reference(cover) -> list[str]:
+    """The ring just outside a cover: one (row, column) index pair per
+    ring cell, interleaved and labelled as arrays.  (Was
+    ``GridCover.ring``.)"""
+    total = 5 * cover.precision
+    lon_bits, lat_bits = (total + 1) // 2, total // 2
+    full = range(max(0, cover.lon_lo - 1), min(1 << lon_bits, cover.lon_hi + 2))
+    sides = [col for col in (cover.lon_lo - 1, cover.lon_hi + 1) if col in full]
+    rows: list[int] = []
+    cols: list[int] = []
+    for row in range(max(0, cover.lat_lo - 1), min(1 << lat_bits, cover.lat_hi + 2)):
+        row_cols = sides if cover.lat_lo <= row <= cover.lat_hi else full
+        rows += [row] * len(row_cols)
+        cols += row_cols
+    codes = interleave_reference(
+        np.array(rows, dtype=np.uint64), np.array(cols, dtype=np.uint64), cover.precision
+    )
+    return codes_to_geohashes(codes, cover.precision).tolist()
+
+
+def _utc(*args: int) -> dt.datetime:
+    return dt.datetime(*args, tzinfo=dt.timezone.utc)
+
+
+def _start_datetime(key: TimeKey) -> dt.datetime:
+    return _utc(*(key.components + (1, 1)[len(key.components) - 1 :]))
+
+
+def epoch_range_reference(key: TimeKey) -> tuple[float, float]:
+    """A bin's [start, end) by ``datetime`` subtraction.  (Was
+    ``TimeKey.start_datetime`` / ``end_datetime`` / ``epoch_range``.)"""
+    res = key.resolution
+    c = key.components
+    start = _start_datetime(key)
+    if res == TemporalResolution.YEAR:
+        end = _utc(c[0] + 1, 1, 1)
+    elif res == TemporalResolution.MONTH:
+        end = _utc(c[0] + 1, 1, 1) if c[1] == 12 else _utc(c[0], c[1] + 1, 1)
+    elif res == TemporalResolution.DAY:
+        end = start + dt.timedelta(days=1)
+    else:
+        end = start + dt.timedelta(hours=1)
+    return start.timestamp(), end.timestamp()
+
+
+def step_reference(key: TimeKey, n: int) -> TimeKey:
+    """The bin ``n`` steps on, by ``timedelta``.  (Was ``TimeKey.step``.)"""
+    res = key.resolution
+    c = key.components
+    if res == TemporalResolution.YEAR:
+        return TimeKey((c[0] + n,))
+    if res == TemporalResolution.MONTH:
+        total = c[0] * 12 + (c[1] - 1) + n
+        return TimeKey((total // 12, total % 12 + 1))
+    delta = dt.timedelta(days=n) if res == TemporalResolution.DAY else dt.timedelta(hours=n)
+    moved = _start_datetime(key) + delta
+    return TimeKey((moved.year, moved.month, moved.day, moved.hour)[: res + 1])
+
+
+def from_epoch_reference(epoch_seconds: float, resolution: TemporalResolution) -> TimeKey:
+    """The bin holding an instant, by ``datetime.fromtimestamp``.  (Was
+    ``TimeKey.from_epoch``.)"""
+    at = dt.datetime.fromtimestamp(int(epoch_seconds), tz=dt.timezone.utc)
+    return TimeKey((at.year, at.month, at.day, at.hour)[: resolution + 1])
+
+
+def time_key_of_code_reference(code: int, resolution: TemporalResolution) -> TimeKey:
+    """One bin code through ``np.datetime64``.  (Was
+    ``temporal.time_key_of_code``.)"""
+    unit = {"YEAR": "Y", "MONTH": "M", "DAY": "D", "HOUR": "h"}[resolution.name]
+    seconds = int(np.datetime64(int(code), unit).astype("datetime64[s]").astype(np.int64))
+    return from_epoch_reference(float(seconds), resolution)
+
+
+def covering_keys_reference(
+    time_range: TimeRange, resolution: TemporalResolution
+) -> list[TimeKey]:
+    """Step from the first bin until one reaches the range's end.  (Was
+    ``TimeRange.covering_keys``.)"""
+    key = from_epoch_reference(time_range.start, resolution)
+    out = [key]
+    while epoch_range_reference(key)[1] < time_range.end:
+        key = step_reference(key, 1)
+        out.append(key)
+    return out
 
 
 def bin_labels(batch, spatial_precision, temporal_resolution) -> np.ndarray:

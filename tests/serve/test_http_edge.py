@@ -20,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.config import ObservabilityConfig
+from repro.geo.temporal import TimeKey
 from repro.serve import http as edge
 from repro.serve.http import (
     MAX_BODY_BYTES,
@@ -411,6 +412,69 @@ class TestArbitraryBytes:
     def test_afterwards_the_server_is_idle_and_healthy(self, server):
         assert handlers_gone(server)
         assert http_get(server.url, "/healthz")[0] == 200
+
+
+# ---------------------------------------------------------------------------
+# hostile time ranges
+
+
+#: Bodies whose time range the engine must never walk.  At the parent:
+#: 6.8 s building 833 334 keys before the cap said no; a 31 s spin ended
+#: by an ``OverflowError``; ``ValueError: year 10000 is out of range``;
+#: an ``OSError`` from ``fromtimestamp`` that dropped the connection.
+HOSTILE_TIMES = {
+    "a-million-hours": ({"time": [0, 3e9], "temporal": "hour"}, "invalid_resolution"),
+    "past-the-calendar-by-days": ({"time": [0, 1e18], "temporal": "day"}, "invalid_time"),
+    "into-year-10000": ({"time": [2.5e11, 2.6e11], "temporal": "year"}, "invalid_time"),
+    "before-year-1": ({"time": [-1e18, 0]}, "invalid_time"),
+    "over-the-cap-alone": ({"time": [-6e10, 2e11], "temporal": "hour"}, "invalid_time"),
+    "a-400-digit-integer": ({"time": [0, 10**400]}, "invalid_time"),
+}
+
+
+class TestHostileTimeRanges:
+    @pytest.mark.parametrize("name", HOSTILE_TIMES)
+    def test_refused_fast_with_no_time_key_built(self, server, name, monkeypatch):
+        overrides, code = HOSTILE_TIMES[name]
+        built = []
+        real = TimeKey.__post_init__
+        monkeypatch.setattr(
+            TimeKey, "__post_init__", lambda key: built.append(key) or real(key)
+        )
+        took = []
+        for _ in range(3):  # the quickest of three: a busy machine is not a spin
+            started = time.perf_counter()
+            status, reply, _headers = http_post(
+                server.url, "/aggregate", {**QUERY, **overrides}
+            )
+            took.append(time.perf_counter() - started)
+            assert (status, reply["code"]) == (400, code), reply
+            assert set(reply) == {"code", "error"}
+        assert min(took) < 0.1
+        assert built == []
+        assert http_get(server.url, "/healthz")[0] == 200
+
+    def test_every_route_refuses_them(self, url):
+        body = {**QUERY, "time": [-1e18, 0]}
+        assert http_post(url, "/search", body)[1]["code"] == "invalid_time"
+        drill = http_post(url, "/drill", {"query": body, "direction": "down"})
+        assert (drill[0], drill[1]["code"]) == (400, "invalid_time")
+
+    def test_an_os_error_from_the_application_is_answered_not_dropped(
+        self, server, monkeypatch
+    ):
+        """Only a failed *read* means the request never arrived."""
+
+        def broken(method, path, body):
+            raise OSError(75, "Value too large for defined data type")
+
+        monkeypatch.setattr(server, "handle", broken)
+        (status, _headers, body, _raw), = parse_responses(
+            raw_exchange(server.url, [CLOSING_POST])
+        )
+        reply = json.loads(body)
+        assert (status, reply["code"]) == (500, "internal")
+        assert "OSError" in reply["error"]
 
 
 # ---------------------------------------------------------------------------

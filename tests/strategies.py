@@ -8,6 +8,8 @@ test datasets actually cover (February 2013, the NAM domain), so a drawn
 query is usually non-empty.
 """
 
+import calendar
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -16,6 +18,7 @@ from repro.data.block import BlockId
 from repro.data.observation import ObservationBatch
 from repro.geo import geohash as gh
 from repro.geo.bbox import BoundingBox
+from repro.geo.cover import GridCover
 from repro.geo.resolution import Resolution, ResolutionSpace
 from repro.geo.temporal import TemporalResolution, TimeKey, TimeRange
 from repro.query.model import AggregationQuery
@@ -69,6 +72,27 @@ def small_boxes() -> "st.SearchStrategy[BoundingBox]":
     return _box()
 
 
+def grid_covers(max_side: int = 12) -> "st.SearchStrategy[GridCover]":
+    """Covers of every precision, up to ``max_side`` cells a side, drawn
+    as index ranges: as often as not flush against a pole or the
+    antimeridian, and often one cell wide or tall (1 x n, n x 1)."""
+
+    @st.composite
+    def _cover(draw):
+        precision = draw(st.integers(1, gh.MAX_PRECISION))
+        lon_bits, lat_bits = gh._bit_counts(precision)
+
+        def axis(bits: int) -> tuple[int, int]:
+            cells = 1 << bits
+            side = min(cells, draw(st.sampled_from((1, 1, 2, 3, max_side))))
+            lo = draw(st.sampled_from((0, cells - side)) | st.integers(0, cells - side))
+            return lo, lo + side - 1
+
+        return GridCover(precision, *axis(lat_bits), *axis(lon_bits))
+
+    return _cover()
+
+
 def resolutions(
     min_spatial: int = 1, max_spatial: int = 8
 ) -> "st.SearchStrategy[Resolution]":
@@ -105,6 +129,29 @@ def time_keys(
         hour = draw(st.integers(0, 23))
         parts = (year, month, day, hour)[: res + 1]
         return TimeKey(parts)
+
+    return _key()
+
+
+def calendar_time_keys() -> "st.SearchStrategy[TimeKey]":
+    """Time keys of every resolution across the whole calendar, leaning
+    on where stepping carries: month ends, leap days, year boundaries,
+    hours 0 and 23, and the years either side of 1970."""
+    edge_days = st.sampled_from(
+        [(12, 31), (1, 1), (1, 31), (2, 28), (2, 29), (3, 1), (4, 30), (6, 15)]
+    )
+    years = st.sampled_from((1600, 1900, 1969, 1970, 2000, 2012, 2013, 2100)) | (
+        st.integers(2, 9998)
+    )
+
+    @st.composite
+    def _key(draw):
+        year = draw(years)
+        month, day = draw(edge_days | st.tuples(st.integers(1, 12), st.integers(1, 28)))
+        if (month, day) == (2, 29) and not calendar.isleap(year):
+            day = 28
+        hour = draw(st.sampled_from((0, 23)) | st.integers(0, 23))
+        return TimeKey((year, month, day, hour)[: draw(st.integers(1, 4))])
 
     return _key()
 
