@@ -10,7 +10,7 @@ storing pointers to all its neighborhood Cells" (section IV-D).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from repro.data.block import BlockId
 from repro.errors import CacheError
@@ -20,12 +20,15 @@ from repro.geo.bbox import BoundingBox
 from repro.geo.temporal import TemporalResolution, TimeKey, TimeRange
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class CellKey:
-    """Identity of one STASH Cell."""
+class CellKey(namedtuple("CellKey", "geohash time_key")):
+    """Identity of one STASH Cell.
 
-    geohash: str
-    time_key: TimeKey
+    A tuple, so graph, PLM and freshness probes hash and compare it in C.
+    The constructor trusts its geohash (it is the hot path); text from
+    outside the process goes through :meth:`parse`, which checks it.
+    """
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.geohash}@{self.time_key}"
@@ -36,6 +39,9 @@ class CellKey:
             geohash, time_text = text.split("@", 1)
         except ValueError:
             raise CacheError(f"cannot parse CellKey from {text!r}") from None
+        # strip() leaves nothing exactly when every character is in the alphabet.
+        if not 1 <= len(geohash) <= gh.MAX_PRECISION or geohash.strip(gh.GEOHASH_ALPHABET):
+            raise CacheError(f"malformed geohash {geohash!r} in CellKey {text!r}")
         return CellKey(geohash=geohash, time_key=TimeKey.parse(time_text))
 
     # -- identity ----------------------------------------------------------

@@ -11,6 +11,7 @@ one day.  The paper's deployment used 2-character prefixes.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,12 +23,12 @@ from repro.geo.geohash import bbox as geohash_bbox
 from repro.geo.temporal import TemporalResolution, TimeKey
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class BlockId:
-    """Identity of one storage block: coarse geohash cell + day."""
+class BlockId(namedtuple("BlockId", "geohash day")):
+    """Identity of one storage block: coarse geohash cell + day (the
+    :class:`TimeKey` string form, e.g. '2013-02-02'); a tuple, so it
+    hashes, compares and orders in C."""
 
-    geohash: str
-    day: str  # TimeKey string form, e.g. '2013-02-02'
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.geohash}@{self.day}"

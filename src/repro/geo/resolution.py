@@ -10,6 +10,7 @@ spatial precision range and performs that arithmetic.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 from repro.errors import ResolutionError
@@ -18,16 +19,16 @@ from repro.geo.geohash import MAX_PRECISION
 from repro.geo.temporal import NUM_TEMPORAL_RESOLUTIONS, TemporalResolution
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Resolution:
-    """A (spatial geohash precision, temporal resolution) pair."""
+class Resolution(namedtuple("Resolution", "spatial temporal")):
+    """A (spatial geohash precision, temporal resolution) pair; a tuple,
+    so it hashes, compares and orders in C."""
 
-    spatial: int
-    temporal: TemporalResolution
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.spatial <= MAX_PRECISION:
-            raise ResolutionError(f"spatial precision {self.spatial} out of range")
+    def __new__(cls, spatial: int, temporal: TemporalResolution) -> "Resolution":
+        if not 1 <= spatial <= MAX_PRECISION:
+            raise ResolutionError(f"spatial precision {spatial} out of range")
+        return tuple.__new__(cls, (spatial, temporal))
 
     def __str__(self) -> str:
         return f"s{self.spatial}/{self.temporal.name.lower()}"

@@ -19,6 +19,7 @@ import calendar
 import datetime as _dt
 import enum
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,28 +90,29 @@ def _bin_code(seconds: int, resolution: "TemporalResolution") -> int:
     return day.year - 1970
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class TimeKey:
+class TimeKey(namedtuple("TimeKey", "components")):
     """One bin of the temporal hierarchy.
 
     ``components`` holds (year,), (year, month), (year, month, day) or
-    (year, month, day, hour); its length determines the resolution.
+    (year, month, day, hour); its length determines the resolution.  A
+    tuple, so hashing, equality and ordering run in C.
     """
 
-    components: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = len(self.components)
+    def __new__(cls, components: tuple[int, ...]) -> "TimeKey":
+        n = len(components)
         if not 1 <= n <= 4:
             raise TemporalError(f"TimeKey needs 1-4 components, got {n}")
-        year = self.components[0]
-        month = self.components[1] if n > 1 else 1
-        day = self.components[2] if n > 2 else 1
-        hour = self.components[3] if n > 3 else 0
+        year = components[0]
+        month = components[1] if n > 1 else 1
+        day = components[2] if n > 2 else 1
+        hour = components[3] if n > 3 else 0
         try:
             _dt.datetime(year, month, day, hour)
         except (ValueError, OverflowError) as exc:
-            raise TemporalError(f"invalid TimeKey {self.components}: {exc}") from exc
+            raise TemporalError(f"invalid TimeKey {components}: {exc}") from exc
+        return tuple.__new__(cls, (components,))
 
     # -- construction ---------------------------------------------------
 

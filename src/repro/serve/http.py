@@ -510,34 +510,35 @@ class ResponseCache:
     Degraded answers (``completeness < 1``) are never inserted — the
     same rule the sim client applies to its cell cache
     (docs/fault-model.md): a shed or partial answer must not satisfy a
-    later healthy request.
+    later healthy request.  Each entry carries the catalog generation it
+    was computed at; one from before the latest ingest is a miss.
     """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._entries: "OrderedDict[str, QueryResult]" = OrderedDict()
+        self._entries: "OrderedDict[str, tuple[int, QueryResult]]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.degraded_skipped = 0
 
-    def get(self, key: str) -> QueryResult | None:
+    def get(self, key: str, generation: int) -> QueryResult | None:
         with self._lock:
-            answer = self._entries.get(key)
-            if answer is None:
+            entry = self._entries.get(key)
+            if entry is None or entry[0] < generation:
                 self.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            return answer
+            return entry[1]
 
-    def put(self, key: str, answer: QueryResult) -> None:
+    def put(self, key: str, answer: QueryResult, generation: int) -> None:
         if answer.completeness < 1.0:
             with self._lock:
                 self.degraded_skipped += 1
             return
         with self._lock:
-            self._entries[key] = answer
+            self._entries[key] = (generation, answer)
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
@@ -574,6 +575,9 @@ class StashHttpServer:
         self.space: ResolutionSpace = getattr(
             getattr(backend, "system", None), "space", ResolutionSpace()
         )
+        #: Whose ``generation`` stamps cache entries; a socket cluster has
+        #: no live ingest, so its entries never age.
+        self._catalog = getattr(getattr(backend, "system", None), "catalog", None)
         self.default_limit = DEFAULT_LIMIT
         self.max_limit = MAX_LIMIT
         self.cache = ResponseCache(CACHE_ENTRIES)
@@ -654,7 +658,10 @@ class StashHttpServer:
         self, query: AggregationQuery
     ) -> tuple[QueryResult, str]:
         fingerprint = query_fingerprint(query)
-        cached = self.cache.get(fingerprint)
+        # Read before evaluating: an ingest racing the evaluation leaves
+        # the entry a generation behind, so the next request recomputes.
+        generation = 0 if self._catalog is None else self._catalog.generation
+        cached = self.cache.get(fingerprint, generation)
         if cached is not None:
             return cached, "hit"
         # The engine's footprint cap, checked before the engine: an
@@ -669,7 +676,7 @@ class StashHttpServer:
                 f"{query.MAX_FOOTPRINT_CELLS}; lower the resolution",
             )
         answer = self.backend.evaluate(query)
-        self.cache.put(fingerprint, answer)
+        self.cache.put(fingerprint, answer, generation)
         return answer, "miss"
 
     @staticmethod

@@ -89,6 +89,9 @@ class StorageCatalog:
         self._day_index: dict[str, list[str]] = {}
         #: The attribute schema every block shares; fixed by the first ingest.
         self._attribute_names: list[str] | None = None
+        #: Bumped by every ingest that places a record: an answer computed
+        #: at an older generation may predate data the catalog now holds.
+        self.generation = 0
 
     # -- ingest ------------------------------------------------------------
 
@@ -115,6 +118,7 @@ class StorageCatalog:
         blocks = partition_into_blocks(batch, self.block_precision)
         if blocks:
             self._attribute_names = names
+            self.generation += 1
         touched: list[BlockId] = []
         for block_id, block in blocks.items():
             node = self.partitioner.node_for(block_id.geohash)

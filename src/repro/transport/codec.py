@@ -79,21 +79,25 @@ def _lower(value: Any) -> Any:
     if isinstance(value, list):
         return [_lower(v) for v in value]
     if isinstance(value, tuple):
-        if isinstance(value, AttributeSummary):  # a NamedTuple: not a "tup"
+        # Named tuples are tagged by type: a plain tuple equal to a key
+        # must still cross as a "tup".
+        if isinstance(value, CellKey):
+            return {"__t": "cellkey", "s": str(value)}
+        if isinstance(value, AttributeSummary):
             return {"__t": "asum", "v": list(value)}
+        if isinstance(value, TimeKey):
+            return {"__t": "timekey", "c": list(value.components)}
+        if isinstance(value, BlockId):
+            return {"__t": "blockid", "g": value.geohash, "d": value.day}
+        if isinstance(value, Resolution):
+            return {"__t": "res", "s": value.spatial, "t": int(value.temporal)}
         return {"__t": "tup", "i": [_lower(v) for v in value]}
     if isinstance(value, frozenset):
         return {"__t": "fset", "i": sorted((_lower(v) for v in value), key=repr)}
     if isinstance(value, set):
         return {"__t": "set", "i": sorted((_lower(v) for v in value), key=repr)}
-    if isinstance(value, CellKey):
-        return {"__t": "cellkey", "s": str(value)}
-    if isinstance(value, TimeKey):
-        return {"__t": "timekey", "c": list(value.components)}
     if isinstance(value, TimeRange):
         return {"__t": "timerange", "s": value.start, "e": value.end}
-    if isinstance(value, BlockId):
-        return {"__t": "blockid", "g": value.geohash, "d": value.day}
     if isinstance(value, BoundingBox):
         return {
             "__t": "bbox",
@@ -101,8 +105,6 @@ def _lower(value: Any) -> Any:
         }
     if isinstance(value, Polygon):
         return {"__t": "poly", "v": [[lat, lon] for lat, lon in value.vertices]}
-    if isinstance(value, Resolution):
-        return {"__t": "res", "s": value.spatial, "t": int(value.temporal)}
     if isinstance(value, SummaryVector):
         return {
             "__t": "svec",

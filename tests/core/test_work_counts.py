@@ -14,8 +14,12 @@ cache miss scans each leg's blocks in one fused pass — one ``bin_ids``
 call and two batches per leg, not per block — and asks the calendar for
 a time key's day labels once, not once per cell per lookup.  A
 completed query costs the metrics registry one ``record`` call that
-builds nothing.
+builds nothing.  And no read, warm or cold, enters a Python-level
+``__hash__``, ``__eq__`` or ``__lt__``: the keys are tuples.
 """
+
+import collections
+import sys
 
 import numpy as np
 import pytest
@@ -144,7 +148,7 @@ class TestFreshRectangleQuery:
     def test_time_keys_are_counted_before_they_are_built(self, monkeypatch):
         """Ten years of hours over one cell column: the size is read off
         two divisions, and the cap refuses before a key exists."""
-        built = counted(monkeypatch, TimeKey, "__post_init__")
+        built = counted(monkeypatch, TimeKey, "__new__")
         decade = TimeRange(0.0, 3.2e8)
         query = AggregationQuery(
             bbox=BoundingBox(30, 45, -115, -95),
@@ -342,6 +346,61 @@ class TestColdScan:
             CellKey.parse(str(label))
             for label in bin_labels(dataset, resolution.spatial, resolution.temporal)
         }
+
+
+def identity_frames(run) -> collections.Counter:
+    """Python-level ``__hash__`` / ``__eq__`` / ``__lt__`` frames entered
+    while ``run()`` executes (C slots are ``c_call`` events, not ``call``)."""
+    entered: collections.Counter = collections.Counter()
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code.co_name in ("__hash__", "__eq__", "__lt__"):
+            entered[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
+class TestKeysHashInC:
+    """Graph, PLM, freshness and catalog probes hash, compare and order
+    keys without entering Python: ``TimeKey``, ``CellKey``, ``BlockId`` and
+    ``Resolution`` are tuples.  As frozen dataclasses a warm op entered
+    ~130 ``__hash__`` and ~60 ``__eq__`` frames, a cold one ~1 300,
+    ~150 and ~90 ``__lt__``."""
+
+    def query_op(self, cluster):
+        def run():
+            query = rectangle()
+            assert cluster.run_query(query).completeness == 1.0
+            cluster.drain()
+
+        return run
+
+    def test_a_warm_read_enters_no_identity_frame(self, dataset):
+        cluster = StashCluster(dataset, StashConfig(cluster=ClusterConfig(num_nodes=4)))
+        cluster.warm([rectangle()])
+        assert identity_frames(self.query_op(cluster)) == {}
+
+    def test_a_cold_read_enters_no_identity_frame(self, dataset):
+        cluster = StashCluster(dataset, StashConfig(cluster=ClusterConfig(num_nodes=4)))
+        cluster.warm([rectangle()])
+        cluster.flush_caches()
+        assert identity_frames(self.query_op(cluster)) == {}
+
+    def test_the_counter_sees_a_python_dunder(self):
+        """The probe must bite: a dict probe with a fresh, equal dataclass
+        key enters the generated ``__hash__`` and ``__eq__`` of the key
+        and of its time key."""
+        from tests.reference import CellKeyTwin, TimeKeyTwin
+
+        twin = CellKeyTwin("9q8", TimeKeyTwin((2013, 2, 2)))
+        probes = {twin: 1}
+        entered = identity_frames(lambda: probes[CellKeyTwin("9q8", TimeKeyTwin((2013, 2, 2)))])
+        assert entered == {"__hash__": 2, "__eq__": 2}
 
 
 class TestMetricsRegistryOnTheReadPath:

@@ -268,9 +268,9 @@ class TestOrdinalArithmetic:
 
     def test_counting_builds_no_key(self, monkeypatch):
         built = []
-        real = TimeKey.__post_init__
+        real = TimeKey.__new__
         monkeypatch.setattr(
-            TimeKey, "__post_init__", lambda key: built.append(key) or real(key)
+            TimeKey, "__new__", lambda cls, parts: built.append(parts) or real(cls, parts)
         )
         assert TimeRange(0.0, 3e9).key_count(TemporalResolution.HOUR) == 833_334
         assert TimeRange(0.0, 3e9).key_count(TemporalResolution.YEAR) == 96

@@ -36,7 +36,11 @@ keeps its oracle:
 * ``extent_overlaps_reference`` pins
   ``repro.core.graph.StashGraph.invalidate_extents`` /
   ``stale_extents`` (tests/core/test_invalidate_extents.py,
-  tests/core/test_live_ingest.py).
+  tests/core/test_live_ingest.py);
+* ``TimeKeyTwin`` / ``CellKeyTwin`` / ``BlockIdTwin`` / ``ResolutionTwin``
+  — the frozen dataclasses the four key classes were — pin their
+  named-tuple replacements' hash, equality, order, text forms and
+  validation (tests/test_key_twins.py).
 
 These are safety code: slow on purpose, simple enough to audit by eye.
 A speed-up here defeats the point — the mutation-check procedure in
@@ -47,14 +51,92 @@ from __future__ import annotations
 
 import datetime as dt
 import heapq
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.keys import CellKey
 from repro.data.statistics import AttributeSummary, SummaryVector
-from repro.errors import StatisticsError
-from repro.geo.geohash import codes_to_geohashes, encode_many
+from repro.errors import CacheError, ResolutionError, StatisticsError, TemporalError
+from repro.geo.geohash import MAX_PRECISION, codes_to_geohashes, encode_many
 from repro.geo.temporal import TemporalResolution, TimeKey, TimeRange, bin_epochs
+
+
+@dataclass(frozen=True, slots=True, order=True)
+class TimeKeyTwin:
+    """(Was ``repro.geo.temporal.TimeKey``: identity and validation.)"""
+
+    components: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        n = len(self.components)
+        if not 1 <= n <= 4:
+            raise TemporalError(f"TimeKey needs 1-4 components, got {n}")
+        year = self.components[0]
+        month = self.components[1] if n > 1 else 1
+        day = self.components[2] if n > 2 else 1
+        hour = self.components[3] if n > 3 else 0
+        try:
+            dt.datetime(year, month, day, hour)
+        except (ValueError, OverflowError) as exc:
+            raise TemporalError(f"invalid TimeKey {self.components}: {exc}") from exc
+
+    def __str__(self) -> str:
+        fmts = ("{:04d}", "{:02d}", "{:02d}", "{:02d}")
+        return "-".join(f.format(c) for f, c in zip(fmts, self.components))
+
+    @staticmethod
+    def parse(text: str) -> "TimeKeyTwin":
+        try:
+            parts = tuple(int(p) for p in text.split("-"))
+        except ValueError as exc:
+            raise TemporalError(f"cannot parse TimeKey from {text!r}") from exc
+        return TimeKeyTwin(parts)
+
+
+@dataclass(frozen=True, slots=True, order=True)
+class CellKeyTwin:
+    """(Was ``repro.core.keys.CellKey``: identity.)"""
+
+    geohash: str
+    time_key: TimeKeyTwin
+
+    def __str__(self) -> str:
+        return f"{self.geohash}@{self.time_key}"
+
+    @staticmethod
+    def parse(text: str) -> "CellKeyTwin":
+        try:
+            geohash, time_text = text.split("@", 1)
+        except ValueError:
+            raise CacheError(f"cannot parse CellKey from {text!r}") from None
+        return CellKeyTwin(geohash=geohash, time_key=TimeKeyTwin.parse(time_text))
+
+
+@dataclass(frozen=True, slots=True, order=True)
+class BlockIdTwin:
+    """(Was ``repro.data.block.BlockId``: identity.)"""
+
+    geohash: str
+    day: str
+
+    def __str__(self) -> str:
+        return f"{self.geohash}@{self.day}"
+
+
+@dataclass(frozen=True, slots=True, order=True)
+class ResolutionTwin:
+    """(Was ``repro.geo.resolution.Resolution``: identity and validation.)"""
+
+    spatial: int
+    temporal: TemporalResolution
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.spatial <= MAX_PRECISION:
+            raise ResolutionError(f"spatial precision {self.spatial} out of range")
+
+    def __str__(self) -> str:
+        return f"s{self.spatial}/{self.temporal.name.lower()}"
 
 
 def interleave_reference(

@@ -455,6 +455,45 @@ class TestCacheHeaders:
         _, _, headers = http_post(url, "/aggregate", QUERY)
         assert float(headers["X-Latency-S"]) >= 0.0
 
+    def test_an_answer_cached_before_an_ingest_is_a_miss_after_it(self):
+        """``ingest_live`` bumps ``StorageCatalog.generation``; an entry
+        stamped with an older one is recomputed, never served (it used to
+        be served until evicted)."""
+        import numpy as np
+
+        from repro.data.observation import ObservationBatch
+
+        scale = BenchScale.unit()
+        dataset = bench_dataset(scale)
+        cluster = make_system("stash", dataset, bench_config(scale))
+        with StashHttpServer(SimBackend(cluster)) as running:
+            _, before, h1 = http_post(running.url, "/aggregate", QUERY)
+            _, cached, h2 = http_post(running.url, "/aggregate", QUERY)
+            assert (h1["X-Cache"], h2["X-Cache"], cached) == ("miss", "hit", before)
+
+            n = 7
+            rng = np.random.default_rng(5)
+            generation = cluster.catalog.generation
+            cluster.ingest_live(
+                ObservationBatch(
+                    lats=rng.uniform(30.0, 45.0, n),
+                    lons=rng.uniform(-120.0, -80.0, n),
+                    epochs=rng.uniform(QUERY["time"][0], QUERY["time"][1] - 1, n),
+                    attributes={name: rng.uniform(0, 1, n) for name in dataset.attribute_names},
+                )
+            )
+            assert cluster.catalog.generation == generation + 1
+
+            _, after, h3 = http_post(running.url, "/aggregate", QUERY)
+            _, again, h4 = http_post(running.url, "/aggregate", QUERY)
+        assert (h3["X-Cache"], h4["X-Cache"]) == ("miss", "hit")
+        assert again == after
+        counts = [
+            {name: s["count"] for name, s in body["summary"].items()}
+            for body in (before, after)
+        ]
+        assert all(counts[1][name] == counts[0][name] + n for name in counts[0])
+
 
 # ---------------------------------------------------------------------------
 # the sim backend's concurrency policy: no thread of its own

@@ -80,8 +80,9 @@ trees = st.recursive(
 )
 
 #: Whole trees wrong in one way each, which the class behind the tag
-#: refuses.  (``CellKey`` checks nothing about its geohash — an empty or
-#: misspelt one lifts, and is in ``SCALARS`` for the property below.)
+#: refuses.  ``CellKey.parse`` checks the geohash — 1 to 12 characters of
+#: the geohash alphabet — so an empty, overlong or misspelt one is refused
+#: at the wire and never reaches a handler.
 NAMED = {
     "asum with 4 values": {"__t": "asum", "v": [1, 2.0, 4.0, 2.0]},
     "bbox with 5": {"__t": "bbox", "b": [0, 1, 0, 1, 2]},
@@ -94,6 +95,13 @@ NAMED = {
     "cellkey with no separator": {"__t": "cellkey", "s": "9q8-2013-02-01"},
     "cellkey that is a number": {"__t": "cellkey", "s": 7},
     "cellkey past the calendar": {"__t": "cellkey", "s": "9q8@10000-01"},
+    "cellkey with an empty geohash": {"__t": "cellkey", "s": "@2013-02-01"},
+    "cellkey with 13 characters": {"__t": "cellkey", "s": "9q8yyk8ytpxr0@2013-02-01"},
+    "cellkey with 40 characters": {"__t": "cellkey", "s": "9" * 40 + "@2013-02-01"},
+    "cellkey with an 'a'": {"__t": "cellkey", "s": "9qa@2013-02-01"},
+    "cellkey in upper case": {"__t": "cellkey", "s": "9Q8@2013-02-01"},
+    "cellkey with a space": {"__t": "cellkey", "s": " 9q8@2013-02-01"},
+    "cellkey not in ascii": {"__t": "cellkey", "s": "9qä@2013-02-01"},
     "timerange backwards": {"__t": "timerange", "s": 2, "e": 1},
     "timerange of nan": {"__t": "timerange", "s": float("nan"), "e": 1},
     "tres of nan": {"__t": "tres", "v": float("nan")},
@@ -302,3 +310,16 @@ def test_a_key_the_class_now_refuses_never_reaches_a_handler():
         9999, 12, 31, 23
     )
     assert decode(encode(CellKey("9q8", TimeKey.of(1, 1)))) == CellKey("9q8", TimeKey.of(1, 1))
+
+
+def test_cellkey_parse_takes_every_precision_of_the_alphabet_and_nothing_else():
+    """The geohash check lives in ``parse`` (the wire), not in the
+    constructor the read path calls: 1 and 12 characters lift, 0 and 13
+    do not, and a key built in-process is not checked at all."""
+    day = TimeKey.of(2013, 2, 1)
+    for geohash in ("0", "z", "0123456789bc", "defghjkmnpqr", "stuvwxyz"):
+        assert decode(wire({"__t": "cellkey", "s": f"{geohash}@{day}"})) == CellKey(geohash, day)
+    for geohash in ("", "0123456789bcd", "i", "l", "o", "9q8\n", "9q-8"):
+        with pytest.raises(CodecError, match="CacheError"):
+            decode(wire({"__t": "cellkey", "s": f"{geohash}@{day}"}))
+    assert CellKey("", day).geohash == ""
