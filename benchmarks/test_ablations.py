@@ -9,7 +9,6 @@ from conftest import run_once
 
 from repro.bench.ablations import (
     ablation_cache_capacity,
-    ablation_client_graph,
     ablation_cluster_scaling,
     ablation_dispersion,
     ablation_prefetch,
@@ -76,18 +75,6 @@ def test_ablation_cluster_scaling(benchmark, scale):
         assert stash[size] > basic[size], size
     assert stash["32 nodes"] > stash["4 nodes"]
     assert basic["32 nodes"] > basic["4 nodes"]
-
-
-def test_ablation_client_graph(benchmark, scale):
-    result = run_once(benchmark, ablation_client_graph, scale)
-    report(result)
-    queries = result.series["server_queries"]
-    latency = result.series["total_latency_s"]
-    # The client graph answers revisits locally: fewer backend queries
-    # and lower total latency (paper future-work IX-A claim).
-    assert queries["client_graph_on"] < queries["client_graph_off"]
-    assert latency["client_graph_on"] < latency["client_graph_off"]
-    assert result.series["client_hits"]["client_graph_on"] > 0
 
 
 def test_ablation_prefetch(benchmark, scale):

@@ -315,52 +315,6 @@ def ablation_cluster_scaling(scale: BenchScale) -> ExperimentResult:
     return result
 
 
-def ablation_client_graph(scale: BenchScale) -> ExperimentResult:
-    """Front-end mini STASH graph on/off over an exploration trail.
-
-    The paper's future-work item IX-A(1): "a smaller-capacity STASH
-    graph at the front-end can greatly reduce latency in case users tend
-    to browse a narrow spatiotemporal region, thus reducing the number
-    of queries needed to be evaluated at the back-end."
-    """
-    result = ExperimentResult(
-        name="ablation_client_graph",
-        description="narrow-browsing trail: client mini-graph on vs off",
-    )
-    dataset = bench_dataset(scale)
-    config = bench_config(scale)
-    base = random_query(
-        scale.rng(89),
-        QuerySize.STATE,
-        NAM_DOMAIN,
-        day=scale.day,
-        resolution=scale.resolution,
-    )
-    # A narrow-browsing trail: pans that revisit previous ground.
-    trail = ["e", "e", "w", "w", "n", "s", "e", "w"]
-    for capacity in (0, 200_000):
-        stash = make_system("stash", dataset, config)
-        session = ExplorationSession(
-            stash,
-            viewport=base.bbox,
-            day=scale.day,
-            resolution=base.resolution,
-            client_cache_cells=capacity,
-        )
-        latencies = [session.refresh().latency]
-        stash.drain()
-        for direction in trail:
-            latencies.append(session.pan(direction, 0.25).latency)
-            stash.drain()
-        label = "client_graph_on" if capacity else "client_graph_off"
-        result.add("total_latency_s", label, sum(latencies))
-        result.add("server_queries", label, float(session.stats.queries_sent))
-        result.add(
-            "client_hits", label, float(session.stats.client_cache_hits)
-        )
-    return result
-
-
 def ablation_prefetch(scale: BenchScale) -> ExperimentResult:
     """Client momentum prefetch on/off along a straight pan path."""
     result = ExperimentResult(

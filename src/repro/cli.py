@@ -41,7 +41,6 @@ def _experiment_registry() -> dict[str, Callable[[BenchScale], ExperimentResult]
         "ablation-dispersion": ablations.ablation_dispersion,
         "ablation-reroute": ablations.ablation_reroute_probability,
         "ablation-prefetch": ablations.ablation_prefetch,
-        "ablation-client-graph": ablations.ablation_client_graph,
         "ablation-scaling": ablations.ablation_cluster_scaling,
         "ablation-capacity": ablations.ablation_cache_capacity,
         "sessions": ablations.experiment_realistic_sessions,

@@ -4,8 +4,8 @@ The paper's front-end (Grafana) is interchangeable — "we can interoperate
 with any visualization framework that is capable of parsing and
 displaying summarization responses in JSON".  This package provides the
 session logic (UI gestures -> queries) and JSON / ASCII-heatmap
-renderers, plus two features from the paper's future-work section:
-a client-side mini STASH cache and momentum-based prefetching.
+renderers, plus momentum-based prefetching from the paper's future-work
+section.
 """
 
 from repro.client.session import ExplorationSession

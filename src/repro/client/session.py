@@ -5,34 +5,21 @@ time, resolution) and translates pan / dice / drill-down / roll-up /
 slice gestures into :class:`~repro.query.model.AggregationQuery` objects
 executed against any :class:`~repro.system.DistributedSystem`.
 
-Two optional extensions implement the paper's future-work section IX-A:
-
-* ``client_cache_cells`` > 0 enables a **front-end mini STASH graph** —
-  a real :class:`~repro.core.graph.StashGraph` with freshness-based
-  eviction living in the client.  Footprint cells already resident
-  (including ones recomputable by local roll-up) are served without any
-  server round trip; only the missing keys are fetched, via the
-  cluster's partial-evaluation API when available.
-* ``prefetch=True`` enables momentum prefetching: after two pans in the
-  same direction, the session fires the predicted next viewport as a
-  background query so the server cache is warm when the user gets there.
+Every gesture is one query to the cluster, whose cache is shared by all
+users: a session holds no cache of its own, so it never answers from
+before an ingest.  ``prefetch=True`` enables momentum prefetching (the
+paper's future-work section IX-A): after two pans in the same direction,
+the session fires the predicted next viewport as a background query so
+the server cache is warm when the user gets there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.config import EvictionConfig, FreshnessConfig
-from repro.core.cell import Cell
-from repro.core.eviction import EvictionPolicy
-from repro.core.freshness import FreshnessTracker
-from repro.core.graph import StashGraph
-from repro.core.keys import CellKey
-from repro.core.planner import plan_query
-from repro.data.statistics import SummaryVector
 from repro.errors import QueryError
 from repro.geo.bbox import BoundingBox
-from repro.geo.resolution import Resolution, ResolutionSpace
+from repro.geo.resolution import Resolution
 from repro.geo.temporal import TemporalResolution, TimeKey
 from repro.query.model import AggregationQuery, QueryResult
 from repro.system import DistributedSystem
@@ -49,15 +36,6 @@ class SessionStats:
     """Per-session counters."""
 
     queries_sent: int = 0
-    #: Queries answered without any server round trip.
-    client_cache_hits: int = 0
-    #: Cells served from the client graph across all queries.
-    cells_served_locally: int = 0
-    #: Cells fetched from the server across all queries.
-    cells_fetched: int = 0
-    #: Fetched keys left uncached because a degraded (completeness < 1)
-    #: reply could not say whether they are empty or just unreachable.
-    degraded_cells_skipped: int = 0
     prefetches_issued: int = 0
     history: list[AggregationQuery] = field(default_factory=list)
 
@@ -71,7 +49,6 @@ class ExplorationSession:
         viewport: BoundingBox,
         day: TimeKey,
         resolution: Resolution | None = None,
-        client_cache_cells: int = 0,
         prefetch: bool = False,
     ):
         self.system = system
@@ -80,22 +57,6 @@ class ExplorationSession:
         self.resolution = resolution or Resolution(4, TemporalResolution.DAY)
         self.prefetch = prefetch
         self.stats = SessionStats()
-        self._cache_capacity = client_cache_cells
-        if client_cache_cells > 0:
-            # The mini graph mirrors the *cluster's* resolution space so
-            # client drill/roll levels can never diverge from the server's
-            # level arithmetic; engines without a configured space (the
-            # baselines) fall back to the full default space.
-            space = getattr(system, "space", None)
-            if space is None:
-                space = ResolutionSpace(1, 8)
-            self._graph: StashGraph | None = StashGraph(space, name="client")
-            self._tracker = FreshnessTracker(FreshnessConfig())
-            self._eviction = EvictionPolicy(
-                EvictionConfig(max_cells=client_cache_cells, safe_fraction=0.8)
-            )
-        else:
-            self._graph = None
         self._last_pan: tuple[int, int] | None = None
 
     # -- current query -------------------------------------------------------
@@ -193,79 +154,8 @@ class ExplorationSession:
 
     def _execute(self, query: AggregationQuery) -> QueryResult:
         self.stats.history.append(query)
-        if self._graph is None:
-            self.stats.queries_sent += 1
-            return self.system.run_query(query)
-        return self._execute_with_client_graph(query)
-
-    def _execute_with_client_graph(self, query: AggregationQuery) -> QueryResult:
-        assert self._graph is not None
-        footprint = query.footprint()
-        plan = plan_query(
-            self._graph, footprint, self.system.attribute_names
-        )
-        # Cache client-side roll-ups: they are complete cells now.
-        for key, rollup in plan.rollup.items():
-            self._graph.upsert(Cell(key=key, summary=rollup.summary))
-        found = plan.found
-        self.stats.cells_served_locally += len(found)
-
-        if not plan.missing:
-            self.stats.client_cache_hits += 1
-            self._touch(footprint)
-            return QueryResult(
-                query=query,
-                cells={k: v for k, v in found.items() if not v.is_empty},
-                latency=0.0,
-                provenance={"client_cached": len(found)},
-            )
-
         self.stats.queries_sent += 1
-        if hasattr(self.system, "run_cells"):
-            # Partial fetch: only the keys the client graph is missing.
-            result = self.system.run_cells(query, plan.missing)
-            fetched_keys = plan.missing
-        else:
-            # Fallback for engines without the partial API.
-            result = self.system.run_query(query)
-            fetched_keys = footprint
-        self.stats.cells_fetched += len(fetched_keys)
-
-        empty = SummaryVector.empty(self.system.attribute_names)
-        merged = dict(found)
-        for key in fetched_keys:
-            vec = result.cells.get(key)
-            if vec is None:
-                if result.degraded:
-                    # A degraded reply omits cells it could not resolve;
-                    # caching them as known-empty would poison every later
-                    # client-local answer (the same rule the server's
-                    # _resolve_missing applies to its own cache).
-                    self.stats.degraded_cells_skipped += 1
-                    continue
-                vec = empty
-            merged[key] = vec
-            self._graph.upsert(Cell(key=key, summary=vec))
-        self._touch(footprint)
-        self._eviction.enforce(
-            self._graph, self._tracker, self._now()
-        )
-        provenance = dict(result.provenance)
-        provenance["client_cached"] = len(found)
-        return QueryResult(
-            query=query,
-            cells={k: v for k, v in merged.items() if not v.is_empty},
-            latency=result.latency,
-            provenance=provenance,
-            completeness=result.completeness,
-        )
-
-    def _now(self) -> float:
-        return self.system.sim.now
-
-    def _touch(self, keys: list[CellKey]) -> None:
-        assert self._graph is not None
-        self._tracker.touch_cells(self._graph, keys, self._now())
+        return self.system.run_query(query)
 
     def _maybe_prefetch(self, direction: tuple[int, int], fraction: float) -> None:
         """Momentum prediction: two same-direction pans -> prefetch a third."""

@@ -152,24 +152,6 @@ class StashCluster(DistributedSystem):
                     inserted += 1
         return inserted
 
-    # -- partial evaluation (front-end mini graphs, paper IX-A) ---------------
-
-    def submit_cells(self, query: AggregationQuery, keys: list[CellKey]):
-        """Submit a partial query for an explicit cell-key list."""
-        self.start()
-        return self.sim.process(self.client.request(query, keys))
-
-    def run_cells(self, query: AggregationQuery, keys: list[CellKey]):
-        """Resolve exactly ``keys`` (all within ``query``'s extent).
-
-        Returns a :class:`~repro.query.model.QueryResult` whose cells are
-        the non-empty members of ``keys``; requested keys absent from the
-        result are known-empty.  This is the server half of the paper's
-        future-work client-side STASH graph: the front-end fetches only
-        the cells it is missing.
-        """
-        return self.sim.run(until=self.submit_cells(query, keys))
-
     def flush_caches(self) -> int:
         """Drop every cached cell — local graphs, guest graphs, cliques.
 

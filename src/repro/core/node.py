@@ -175,7 +175,6 @@ class StashNode(StorageNode):
         self._gossip = config.gossip if config.gossip.enabled else None
 
         self.register_handler("evaluate", self._handle_evaluate)
-        self.register_handler("evaluate_cells", self._handle_evaluate_cells)
         self.register_handler("evaluate_guest", self._handle_evaluate_guest)
         self.register_handler("fetch_cells", self._handle_fetch_cells)
         self.register_handler("populate", self._handle_populate)
@@ -680,22 +679,6 @@ class StashNode(StorageNode):
         response = yield from self._evaluate_core(
             query, footprint, parent=message.span, ctx=ctx
         )
-        return self._cells_reply(response, response["cells"])
-
-    def _handle_evaluate_cells(self, message: Message) -> Generator[Event, Any, Reply]:
-        """Partial evaluation: resolve an explicit cell-key list.
-
-        Used by front-end mini STASH graphs (paper future work IX-A): a
-        client that already holds part of a viewport's footprint requests
-        exactly the missing cells, not the whole rectangle.
-        """
-        yield self.sim.timeout(self.cost.request_overhead)
-        query: AggregationQuery = message.payload["query"]
-        keys: list[CellKey] = message.payload["cells"]
-        response = yield from self._evaluate_core(
-            query, keys, parent=message.span, ctx=message.payload.get("ctx")
-        )
-        self.counters.increment("partial_evaluations")
         return self._cells_reply(response, response["cells"])
 
     def _evaluate_core(

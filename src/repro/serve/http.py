@@ -607,11 +607,16 @@ class StashHttpServer:
         return self
 
     def stop(self) -> None:
-        """Stop accepting, then return once every handler thread has exited."""
-        self._httpd.shutdown()
+        """Stop accepting, then return once every handler thread has exited.
+
+        Safe before :meth:`start` and safe twice: only an accept loop that
+        runs is shut down (``shutdown`` would wait for one that never ran).
+        """
+        thread, self._thread = self._thread, None
+        if thread is not None:
+            self._httpd.shutdown()
+            thread.join(timeout=10.0)
         self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
 
     def __enter__(self) -> "StashHttpServer":
         return self.start()

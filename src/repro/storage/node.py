@@ -42,7 +42,7 @@ Handler = Callable[[Message], Generator[Event, Any, Reply]]
 #: the service pool.  Keeping the pools separate prevents distributed
 #: deadlock: a coordinator blocked on remote scans can never starve the
 #: workers that serve those scans.
-COORDINATOR_KINDS = frozenset({"evaluate", "evaluate_guest", "evaluate_cells"})
+COORDINATOR_KINDS = frozenset({"evaluate", "evaluate_guest"})
 
 
 class StorageNode:
@@ -187,10 +187,8 @@ class StorageNode:
             error = StorageError(
                 f"node {self.node_id} has no handler for {message.kind!r}"
             )
-            if message.reply_to is not None:
-                self.network.respond_error(message, error)
-                return
-            raise error
+            self._fail(message, error)
+            return
         self.counters.increment(f"handled:{message.kind}")
         hspan: Span | None = None
         if self.tracer.enabled:
@@ -218,17 +216,24 @@ class StorageNode:
         try:
             yield self.sim.process(self._answer(handler, message))
         except Exception as exc:
-            # A failing request must not kill the worker: surface the
-            # error to the caller when a reply is expected, otherwise
-            # re-raise so the simulation fails loudly.
-            self.counters.increment(f"errors:{message.kind}")
-            if message.reply_to is not None and not message.reply_to.triggered:
-                self.network.respond_error(message, exc)
-            else:
-                raise
+            self._fail(message, exc)
         finally:
             self._inflight -= 1
             self.tracer.end(hspan)
+
+    def _fail(self, message: Message, exc: Exception) -> None:
+        """Count a failed message and surface it without killing the worker.
+
+        The caller gets the error when a reply is expected.  Otherwise it
+        fails an event nobody waits on: the simulator raises it from
+        ``step``, so a simulation still fails loudly, while a live engine
+        records it in ``unhandled`` and the worker takes the next message.
+        """
+        self.counters.increment(f"errors:{message.kind}")
+        if message.reply_to is not None and not message.reply_to.triggered:
+            self.network.respond_error(message, exc)
+        else:
+            self.sim.event().fail(exc)
 
     def _answer(
         self, handler: Handler, message: Message

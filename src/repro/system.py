@@ -1,8 +1,8 @@
 """The query client and the simulated cluster it drives.
 
 :class:`QueryClient` is the client half of the protocol — route a query
-to its coordinator, send ``evaluate`` (or ``evaluate_cells``), turn the
-reply into a :class:`~repro.query.model.QueryResult` — written, like
+to its coordinator, send ``evaluate``, turn the reply into a
+:class:`~repro.query.model.QueryResult` — written, like
 :class:`~repro.storage.node.StorageNode`, against an engine, a network
 and a membership view, so the one implementation serves the simulator
 and the socket transport alike.
@@ -24,7 +24,6 @@ from typing import Any, Generator
 import numpy as np
 
 from repro.config import DEFAULT_CONFIG, StashConfig
-from repro.core.keys import CellKey
 from repro.data.observation import ObservationBatch
 from repro.dht.partitioner import Partitioner, PrefixPartitioner, _stable_hash
 from repro.errors import QueryError
@@ -95,48 +94,35 @@ class QueryClient:
         self,
         coordinator: str,
         query: AggregationQuery,
-        cells: list[CellKey] | None,
         ctx: QueryContext | None,
         root: Span | None,
     ) -> Event:
-        """The one place ``evaluate`` / ``evaluate_cells`` are built."""
-        if cells is None:
-            kind, size = "evaluate", 512
-            payload = {"query": query, "ctx": ctx}
-        else:
-            kind, size = "evaluate_cells", 256 + 32 * len(cells)
-            payload = {"query": query, "cells": cells, "ctx": ctx}
+        """The one place ``evaluate`` is built."""
         return self.network.request(
-            CLIENT_ID, coordinator, kind, payload, size=size, parent=root
+            CLIENT_ID,
+            coordinator,
+            "evaluate",
+            {"query": query, "ctx": ctx},
+            size=512,
+            parent=root,
         )
 
-    def request(
-        self, query: AggregationQuery, cells: list[CellKey] | None = None
-    ) -> Generator[Event, Any, QueryResult]:
-        """One client request: the whole query, or exactly ``cells``.
-
-        With ``cells`` the coordinator resolves that explicit key list
-        (all within ``query``'s extent) — the partial fetch of a
-        front-end mini graph; requested keys absent from the result are
-        known-empty.
-        """
+    def request(self, query: AggregationQuery) -> Generator[Event, Any, QueryResult]:
+        """One client request for the whole query."""
         started = self.sim.now
         root = self.tracer.begin(
-            "query" if cells is None else "query:cells",
-            "compute",
-            node=CLIENT_ID,
-            query_id=query.query_id,
+            "query", "compute", node=CLIENT_ID, query_id=query.query_id
         )
         ctx = self.recorder.context(query.query_id)
         if self.config.faults.active:
             reply, ctx, coordinator = yield from self._send_with_retry(
-                query, cells, root, ctx
+                query, root, ctx
             )
         else:
             # coordinator_for is a pure routing lookup (no events, no
             # randomness), so hoisting it for the recorder is free.
             coordinator = self.coordinator_for(query)
-            reply = yield self._send(coordinator, query, cells, ctx, root)
+            reply = yield self._send(coordinator, query, ctx, root)
         latency = self.sim.now - started
         self.metrics.record("query", latency)
         failed = reply is None
@@ -185,7 +171,6 @@ class QueryClient:
     def _send_with_retry(
         self,
         query: AggregationQuery,
-        cells: list[CellKey] | None,
         root: Span | None,
         ctx: QueryContext | None,
     ) -> Generator[Event, Any, Any]:
@@ -207,7 +192,7 @@ class QueryClient:
             if ctx is not None:
                 attempt_ctx = ctx.with_(attempt=attempt)
             started = self.sim.now
-            reply_event = self._send(coordinator, query, cells, attempt_ctx, root)
+            reply_event = self._send(coordinator, query, attempt_ctx, root)
             index, value = yield self.sim.any_of(
                 [reply_event, self.sim.timeout(faults.evaluate_timeout)]
             )

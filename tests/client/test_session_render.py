@@ -2,13 +2,16 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.baselines.basic import BasicSystem
 from repro.client.render import render_ascii_heatmap, render_json
 from repro.client.session import ExplorationSession
 from repro.config import ClusterConfig, StashConfig
 from repro.core.cluster import StashCluster
 from repro.data.generator import small_test_dataset
+from repro.data.observation import ObservationBatch
 from repro.errors import QueryError
 from repro.geo.bbox import BoundingBox
 from repro.geo.resolution import Resolution
@@ -33,6 +36,23 @@ def make_session(cluster, **kwargs):
         day=TimeKey.of(2013, 2, 2),
         resolution=Resolution(3, TemporalResolution.DAY),
         **kwargs,
+    )
+
+
+def new_observations(n):
+    """``n`` observations inside the session's viewport on its day."""
+    rng = np.random.default_rng(7)
+    day = TimeKey.of(2013, 2, 2).epoch_range()
+    return ObservationBatch(
+        lats=rng.uniform(35.0, 36.0, n),
+        lons=rng.uniform(-107.0, -106.0, n),
+        epochs=rng.uniform(day.start, day.end - 1, n),
+        attributes={
+            "temperature": np.full(n, 30.0),
+            "humidity": np.full(n, 10.0),
+            "precipitation": np.zeros(n),
+            "snow_depth": np.zeros(n),
+        },
     )
 
 
@@ -132,6 +152,36 @@ class TestGestures:
         truth = ground_truth_cells(dataset, session.stats.history[-1])
         assert set(result.cells) == set(truth)
 
+    def test_pan_matches_truth(self, cluster, dataset):
+        session = make_session(cluster)
+        session.refresh()
+        cluster.drain()
+        result = session.pan("e", 0.25)
+        truth = ground_truth_cells(dataset, session.current_query())
+        assert set(result.cells) == set(truth)
+        for key, vec in result.cells.items():
+            assert vec.approx_equal(truth[key])
+
+    def test_roll_up_reuses_finer_cells(self, cluster, dataset):
+        """Zooming out after exploring a finer level rolls the cluster's
+        cached finer cells up instead of reading disk."""
+        session = make_session(cluster)
+        session.resolution = Resolution(4, TemporalResolution.DAY)
+        # Snap the viewport to the coarse cells so fine cells tile it.
+        coarse_query = session.current_query().at_resolution(
+            Resolution(3, TemporalResolution.DAY)
+        )
+        session.viewport = coarse_query.snapped_bbox()
+        session.refresh()
+        cluster.drain()
+        result = session.roll_up()
+        assert result.provenance["cells_from_rollup"] > 0
+        assert result.provenance["cells_from_disk"] == 0
+        truth = ground_truth_cells(dataset, session.current_query())
+        assert set(result.cells) == set(truth)
+        for key, vec in result.cells.items():
+            assert vec.approx_equal(truth[key])
+
     def test_history_recorded(self, cluster):
         session = make_session(cluster)
         session.refresh()
@@ -141,35 +191,52 @@ class TestGestures:
         assert session.stats.queries_sent == 3
 
 
-class TestClientCache:
-    def test_repeat_viewport_served_locally(self, cluster):
-        session = make_session(cluster, client_cache_cells=10_000)
-        first = session.refresh()
-        second = session.refresh()
-        assert session.stats.client_cache_hits == 1
-        assert session.stats.queries_sent == 1
-        assert second.latency == 0.0
-        assert set(second.cells) == set(first.cells)
+class TestSharedCache:
+    """A session holds no cache of its own: every gesture is a query to
+    the cluster, whose cache all sessions share."""
 
-    def test_cache_disabled_by_default(self, cluster):
+    def test_every_gesture_asks_the_cluster(self, cluster):
         session = make_session(cluster)
         session.refresh()
         session.refresh()
-        assert session.stats.client_cache_hits == 0
         assert session.stats.queries_sent == 2
 
-    def test_cache_eviction_by_capacity(self, cluster):
-        session = make_session(cluster, client_cache_cells=4)
-        session.refresh()  # footprint bigger than 4 cells
-        session.refresh()
-        assert session.stats.client_cache_hits == 0  # evicted before reuse
+    def test_repeat_viewport_served_from_cluster_cache(self, cluster):
+        session = make_session(cluster)
+        first = session.refresh()
+        cluster.drain()
+        second = session.refresh()
+        assert second.provenance["cells_from_disk"] == 0
+        assert second.provenance["cells_from_cache"] > 0
+        assert second.cells == first.cells
 
-    def test_cached_result_distinguishes_empty_cells(self, cluster, dataset):
-        session = make_session(cluster, client_cache_cells=10_000)
+    def test_repeat_refresh_matches_truth(self, cluster, dataset):
+        session = make_session(cluster)
         truth = ground_truth_cells(dataset, session.current_query())
         session.refresh()
-        cached = session.refresh()
-        assert set(cached.cells) == set(truth)
+        cluster.drain()
+        repeat = session.refresh()
+        assert set(repeat.cells) == set(truth)
+
+    def test_refresh_after_ingest_matches_run_query(self, cluster):
+        session = make_session(cluster)
+        before = session.refresh()
+        cluster.drain()
+        blocks, _ = cluster.ingest_live(new_observations(9))
+        assert blocks > 0
+        after = session.refresh()
+        assert after.total_count == before.total_count + 9
+        assert after.cells == cluster.run_query(session.current_query()).cells
+
+
+class TestBaselines:
+    def test_session_over_basic_system(self, dataset):
+        system = BasicSystem(dataset, StashConfig(cluster=ClusterConfig(num_nodes=4)))
+        session = make_session(system)
+        first = session.refresh()
+        assert session.refresh().cells == first.cells
+        session.pan("e", 0.25)
+        assert session.stats.queries_sent == 3
 
 
 class TestPrefetch:

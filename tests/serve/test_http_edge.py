@@ -640,3 +640,27 @@ class TestAccessLog:
         ) as running:
             http_get(running.url, "/healthz")
         assert [level for level, _ in access_lines(caplog)] == [logging.WARNING]
+
+
+# ---------------------------------------------------------------------------
+# lifecycle
+
+
+def stops_within(server, seconds: float) -> bool:
+    """Run ``server.stop()`` on a helper thread; did it return in time?"""
+    stopper = threading.Thread(target=server.stop, daemon=True)
+    stopper.start()
+    stopper.join(seconds)
+    return not stopper.is_alive()
+
+
+class TestLifecycle:
+    def test_stop_before_start_returns(self):
+        assert stops_within(make_server(), 1.0)
+
+    def test_stop_twice_after_start_returns(self):
+        server = make_server().start()
+        assert http_get(server.url, "/healthz")[0] == 200
+        assert stops_within(server, 10.0)
+        assert stops_within(server, 1.0)
+        assert handlers_gone(server)

@@ -14,10 +14,14 @@ import time
 import pytest
 from hypothesis import given, settings
 
+from repro.config import ClusterConfig, ServeConfig, StashConfig
+from repro.data.generator import DatasetSpec
 from repro.errors import StorageError
 from repro.faults.membership import RPC_FAILED
 from repro.sim.engine import Simulator
+from repro.serve.server import NodeSpec, build_node
 from repro.sim.resources import Store
+from repro.system import CLIENT_ID
 from repro.transport.asyncio_net import (
     _DRAIN_BATCH,
     AsyncioEngine,
@@ -614,6 +618,57 @@ class TestHostileFrames:
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert len(warnings) == len(self.HOSTILE)
         assert all("peer-b" in w and "127.0.0.1" in w for w in warnings)
+
+
+class TestHostileOneWayMessages:
+    """A one-way message its handler cannot serve costs only itself: the
+    node counts it, the engine records it, and the worker that ran it
+    takes the next message — more such frames than the node has workers
+    still leave it answering ``ping``."""
+
+    CONFIG = StashConfig(
+        cluster=ClusterConfig(num_nodes=1), serve=ServeConfig(time_scale=1e-6)
+    )
+
+    @pytest.mark.parametrize(
+        "kind", ["bogus", "populate"], ids=["unknown kind", "populate without cells"]
+    )
+    def test_node_outlives_more_failures_than_workers(self, kind, caplog):
+        frames = self.CONFIG.cluster.workers_per_node + 1
+        scale = self.CONFIG.serve.time_scale
+
+        async def main():
+            node_transport = AsyncioTransport("node-0", time_scale=scale)
+            client = AsyncioTransport(CLIENT_ID, time_scale=scale)
+            addresses = {
+                "node-0": await node_transport.start(),
+                CLIENT_ID: await client.start(),
+            }
+            spec = DatasetSpec(num_records=1_000, num_days=1, seed=3)
+            node = build_node(
+                NodeSpec(
+                    node_index=0, node_ids=("node-0",), dataset=spec, config=self.CONFIG
+                ),
+                node_transport,
+            )
+            node.start()
+            client.network.register(CLIENT_ID)
+            for transport in (node_transport, client):
+                transport.network.set_peers(addresses)
+            for _ in range(frames):
+                client.network.send(CLIENT_ID, "node-0", kind, {}, size=16)
+            reply = client.network.request(CLIENT_ID, "node-0", "ping", {}, size=16)
+            value = await asyncio.wait_for(client.engine.as_future(reply), timeout=10)
+            engine = node_transport.engine
+            unhandled, engine.unhandled[:] = list(engine.unhandled), []
+            await _close_all({"node": node_transport, "client": client})
+            return value, node.counters.get(f"errors:{kind}"), unhandled
+
+        with caplog.at_level(logging.CRITICAL, logger="repro.transport.asyncio_net"):
+            value, errors, unhandled = asyncio.run(main())
+        assert value == {"node": "node-0", "ok": True}
+        assert errors == frames
+        assert len(unhandled) == frames
 
 
 def _msg_frame(index):
