@@ -10,8 +10,9 @@ top-level ``KEY`` of one JSON file on both sides before comparing: the
 short list of differences a change makes on purpose.  Exit 1 with one line
 per differing file.
 
-Used by the ``determinism`` job (two hash seeds of one tree) and the
-``sim-identity`` job (one tree against its parent commit).
+Used by the ``determinism`` job (two hash seeds of one tree), the
+``sim-identity`` job (one tree against its parent commit) and the
+``committed-reports`` job (the committed reports against a fresh run).
 """
 
 import argparse

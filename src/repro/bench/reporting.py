@@ -20,18 +20,13 @@ from repro.bench.harness import ExperimentResult
 #: Default output directory, relative to the repository root.
 RESULTS_DIR = pathlib.Path(__file__).resolve().parents[3] / "benchmarks" / "results"
 
-#: Meta keys that must match for two bench reports to be comparable.
-#: Wall-clock numbers from different interpreter/numpy builds are noise,
-#: not signal — the regression sentinel refuses to compare across them.
-ENV_META_KEYS = ("python", "numpy", "seed")
-
 
 def report_meta(seed: int) -> dict:
     """Environment stamp for a committed bench report.
 
     Identifies *where* and *from what* the numbers came: interpreter and
-    numpy versions (the two things that actually move wall-clock kernel
-    timings), the RNG seed, the git revision, and the wall-clock date.
+    numpy versions, the RNG seed, the git revision, and the wall-clock
+    date.
     """
     try:
         git_rev = subprocess.run(

@@ -7,7 +7,7 @@ Examples::
         --day 2013-02-03 --spatial 4 --heatmap temperature
     python -m repro experiment fig6a
     python -m repro experiment all --scale unit
-    python -m repro bench kernels --quick
+    python -m repro bench scale --quick
 """
 
 from __future__ import annotations
@@ -167,25 +167,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     be = sub.add_parser(
-        "bench", help="wall-clock micro-benchmarks of the hot-path kernels"
+        "bench", help="simulated workload sweeps: membership churn, nodes x users"
     )
     be_sub = be.add_subparsers(dest="bench_command", required=True)
-    bk = be_sub.add_parser(
-        "kernels",
-        help="time eviction/touch/plan/aggregation kernels, write a JSON report",
-    )
-    bk.add_argument(
-        "--quick", action="store_true",
-        help="smaller sizes and dataset (the CI smoke configuration)",
-    )
-    bk.add_argument(
-        "--sizes", help="comma-separated graph sizes overriding the sweep"
-    )
-    bk.add_argument("--repeats", type=int, default=5, help="best-of-N timing")
-    bk.add_argument("--seed", type=int, default=42)
-    bk.add_argument(
-        "--output", default="BENCH_kernels.json", help="report path ('-' to skip)"
-    )
     ch = be_sub.add_parser(
         "churn",
         help="membership churn: gossip recovery with repair vs cold restart",
@@ -198,18 +182,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ch.add_argument(
         "--output", default="BENCH_churn.json", help="report path ('-' to skip)"
     )
-    bc = be_sub.add_parser(
-        "check",
-        help="regression sentinel: fresh kernel run vs a committed baseline",
-    )
-    bc.add_argument(
-        "--baseline", default="BENCH_kernels.json", help="committed report to compare to"
-    )
-    bc.add_argument(
-        "--threshold", type=float, default=None,
-        help="fresh/baseline ratio that fails (default 1.5)",
-    )
-    bc.add_argument("--json", metavar="PATH", help="also dump the verdict as JSON")
     bs = be_sub.add_parser(
         "scale",
         help="nodes x users closed-loop sweep: throughput + latency SLOs, "
@@ -430,10 +402,13 @@ def _generate_workload(workload: str, size_name: str, requests: int, seed: int):
     import numpy as np
 
     from repro.data.generator import NAM_DOMAIN
+    from repro.errors import WorkloadError
     from repro.workload.hotspot import hotspot_workload, zipf_region_workload
     from repro.workload.navigation import pan_cloud
     from repro.workload.queries import QuerySize
 
+    if requests < 1:
+        raise WorkloadError(f"--requests must be positive, got {requests}")
     rng = np.random.default_rng(seed)
     size = QuerySize(size_name)
     if workload == "pan-cloud":
@@ -510,8 +485,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 0
 
     # replay
-    queries = load_trace(args.path)
+    from repro.errors import WorkloadError
     from repro.stats import percentile
+
+    try:
+        queries = load_trace(args.path)
+    except OSError as exc:
+        print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
+        return 2
+    if not queries:
+        raise WorkloadError(f"{args.path}: the trace holds no queries")
 
     system = _build_system(args)
     results = replay_trace(system, queries, concurrent=args.concurrent)
@@ -526,14 +509,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
-    from repro.errors import FaultError
     from repro.faults.schedule import FaultSchedule
 
     try:
         schedule = FaultSchedule.load(args.path)
-    except FaultError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
         return 2
@@ -559,11 +538,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             schedule=tuple(schedule),
         ),
     )
-    try:
-        results = system.run_open_loop(queries, args.rate, seed=args.seed)
-    except FaultError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    results = system.run_open_loop(queries, args.rate, seed=args.seed)
     system.drain()
     from repro.stats import percentile
 
@@ -635,80 +610,10 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_check(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.bench.kernels import run_kernels
-    from repro.bench.regression import (
-        DEFAULT_THRESHOLD,
-        compare_reports,
-        format_check,
-    )
-
-    try:
-        with open(args.baseline, encoding="utf-8") as fh:
-            baseline = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read baseline {args.baseline}: {exc}", file=sys.stderr)
-        return 2
-    # Re-run with the baseline's own configuration so every metric
-    # lines up; run twice to measure this machine's re-run variance.
-    sizes = tuple(baseline.get("sizes", ()))
-    repeats = int(baseline.get("repeats", 5))
-    seed = int(baseline.get("seed", 42))
-    quick = bool(baseline.get("quick", False))
-    if not sizes:
-        print(f"error: baseline {args.baseline} has no sizes", file=sys.stderr)
-        return 2
-    fresh = run_kernels(sizes=sizes, repeats=repeats, seed=seed, quick=quick)
-    rerun = run_kernels(sizes=sizes, repeats=repeats, seed=seed, quick=quick)
-    threshold = DEFAULT_THRESHOLD if args.threshold is None else args.threshold
-    verdict = compare_reports(baseline, fresh, rerun=rerun, threshold=threshold)
-    print(format_check(verdict))
-    if args.json and not _write_json(verdict, args.json, "verdict"):
-        return 2
-    if verdict["status"] == "env-mismatch":
-        return 2
-    return 1 if verdict["status"] == "regression" else 0
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.bench_command == "churn":
         return _cmd_bench_churn(args)
-    if args.bench_command == "check":
-        return _cmd_bench_check(args)
-    if args.bench_command == "scale":
-        return _cmd_bench_scale(args)
-    from repro.bench.kernels import (
-        DEFAULT_SIZES,
-        QUICK_SIZES,
-        format_report,
-        run_kernels,
-    )
-
-    if args.sizes:
-        try:
-            sizes = tuple(int(v) for v in args.sizes.split(","))
-        except ValueError:
-            print(f"error: --sizes must be comma-separated ints, got {args.sizes!r}",
-                  file=sys.stderr)
-            return 2
-        if any(size <= 0 for size in sizes):
-            print("error: --sizes values must be positive", file=sys.stderr)
-            return 2
-    else:
-        sizes = QUICK_SIZES if args.quick else DEFAULT_SIZES
-    if args.repeats <= 0:
-        print(f"error: --repeats must be positive, got {args.repeats}",
-              file=sys.stderr)
-        return 2
-    report = run_kernels(
-        sizes=sizes, repeats=args.repeats, seed=args.seed, quick=args.quick
-    )
-    print(format_report(report))
-    if args.output != "-" and not _write_json(report, args.output):
-        return 2
-    return 0
+    return _cmd_bench_scale(args)
 
 
 def _cmd_bench_churn(args: argparse.Namespace) -> int:
@@ -808,7 +713,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.config import ClusterConfig, ServeConfig, StashConfig
     from repro.data.generator import DatasetSpec
-    from repro.errors import ReproError
     from repro.serve import run_serve
 
     if args.nodes <= 0 or args.requests <= 0:
@@ -836,17 +740,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.http:
         return _cmd_serve_http(args, config, spec)
     queries = _generate_workload(args.workload, args.size, args.requests, args.seed)
-    try:
-        report = run_serve(
-            queries,
-            spec,
-            config,
-            check_sim=not args.no_sim_check,
-            progress=lambda line: print(f"  {line}", flush=True),
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = run_serve(
+        queries,
+        spec,
+        config,
+        check_sim=not args.no_sim_check,
+        progress=lambda line: print(f"  {line}", flush=True),
+    )
     walls = [a["wall_latency_s"] for a in report["answers"]]
     print(
         f"served {report['queries']} queries over {report['transport']} "
@@ -873,7 +773,6 @@ def _cmd_serve_http(args: argparse.Namespace, config, spec) -> int:
     import time as _time
 
     from repro.data.generator import SyntheticNAMGenerator
-    from repro.errors import ReproError
     from repro.serve.http import SimBackend, SocketBackend, StashHttpServer
 
     launcher = None
@@ -914,9 +813,6 @@ def _cmd_serve_http(args: argparse.Namespace, config, spec) -> int:
         server.stop()
         backend.close()
         return 0
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     finally:
         if launcher is not None:
             launcher.stop()
@@ -946,31 +842,31 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMANDS: dict[str, Callable[[argparse.Namespace], int]] = {
+    "dataset": _cmd_dataset,
+    "query": _cmd_query,
+    "experiment": _cmd_experiment,
+    "trace": _cmd_trace,
+    "faults": _cmd_faults,
+    "bench": _cmd_bench,
+    "explain": _cmd_explain,
+    "slo": _cmd_slo,
+    "conform": _cmd_conform,
+    "serve": _cmd_serve,
+    "metrics": _cmd_metrics,
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command; a library error is ``error: <message>`` and exit 2."""
+    from repro.errors import ReproError
+
     args = _build_parser().parse_args(argv)
-    if args.command == "dataset":
-        return _cmd_dataset(args)
-    if args.command == "query":
-        return _cmd_query(args)
-    if args.command == "experiment":
-        return _cmd_experiment(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "faults":
-        return _cmd_faults(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "explain":
-        return _cmd_explain(args)
-    if args.command == "slo":
-        return _cmd_slo(args)
-    if args.command == "conform":
-        return _cmd_conform(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "metrics":
-        return _cmd_metrics(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    try:
+        return _COMMANDS[args.command](args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

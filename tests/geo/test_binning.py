@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.keys import CellKey
+from repro.data.statistics import SummaryFrame
 from repro.errors import TemporalError
 from repro.geo.binning import (
     TEMPORAL_CODE_BITS,
@@ -67,6 +68,11 @@ class TestPacking:
         assert np.argsort(ids, kind="stable").tolist() == np.argsort(
             labels, kind="stable"
         ).tolist()
+        # The frame grouped on these ids keeps every record: one row per
+        # distinct label, counts summing to the input.
+        frame = SummaryFrame.from_groups(ids, batch.attributes)
+        assert len(frame) == len(set(labels.tolist()))
+        assert int(frame.counts.sum()) == len(points)
 
     def test_empty_input(self):
         z = np.array([], dtype=np.float64)

@@ -268,3 +268,49 @@ class TestMetricsCommand:
         code = main(self.ARGS + ["--json", "/nonexistent/x.json"])
         assert code == 2
         assert "error: cannot write /nonexistent/x.json" in capsys.readouterr().err
+
+
+class TestBadInput:
+    """A library error reaches the user as one ``error:`` line and exit 2."""
+
+    SMALL = ["--records", "2000", "--nodes", "2"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "--day", "2013-13-01", *SMALL],
+            ["query", "--box", "41,37,-109,-102", *SMALL],
+            ["query", "--spatial", "0", *SMALL],
+            ["query", "--records", "0"],
+            ["dataset", "--records", "0"],
+            ["query", "--nodes", "0", "--records", "2000"],
+            ["faults", "run", "{schedule}", "--requests", "0"],
+            ["trace", "replay", "{empty}", *SMALL],
+            ["trace", "replay", "{missing}", *SMALL],
+            ["trace", "record", "{missing}", "--requests", "-3"],
+        ],
+        ids=[
+            "bad-day", "inverted-box", "spatial-0", "query-records-0",
+            "dataset-records-0", "nodes-0", "faults-requests-0",
+            "replay-empty", "replay-missing", "record-negative-requests",
+        ],
+    )
+    def test_exit_2_without_a_traceback(self, argv, tmp_path, capsys):
+        from repro.faults.schedule import FaultSchedule
+
+        schedule = tmp_path / "schedule.json"
+        schedule.write_text(
+            FaultSchedule.crash_restart("node-1", 5.0, 20.0).to_json()
+        )
+        (tmp_path / "empty.jsonl").write_text("")
+        paths = {
+            "schedule": str(schedule),
+            "empty": str(tmp_path / "empty.jsonl"),
+            "missing": str(tmp_path / "missing.jsonl"),
+        }
+        code = main([arg.format(**paths) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "missing.jsonl").exists()
