@@ -35,8 +35,8 @@ from repro.config import FaultConfig
 from repro.data.generator import NAM_DOMAIN
 from repro.dht.partitioner import PrefixPartitioner
 from repro.faults.schedule import FaultSchedule
-from repro.geo.geohash import encode
 from repro.query.model import AggregationQuery
+from repro.system import coordinator_for
 from repro.workload.hotspot import hotspot_workload
 
 #: Arrival rate (requests / simulated second) for the open-loop run.
@@ -76,8 +76,7 @@ def _hot_coordinator(scale: BenchScale, queries: list[AggregationQuery]) -> str:
     )
     votes: Counter[str] = Counter()
     for query in queries:
-        lat, lon = query.bbox.center
-        votes[partitioner.node_for(encode(lat, lon, partitioner.partition_precision))] += 1
+        votes[coordinator_for(partitioner, query)] += 1
     return votes.most_common(1)[0][0]
 
 

@@ -683,17 +683,7 @@ def _cmd_bench_scale(args: argparse.Namespace) -> int:
 
 def _cmd_conform(args: argparse.Namespace) -> int:
     from repro.oracle import run_campaign
-    from repro.oracle.conformance import AXES
 
-    if args.axes:
-        unknown = sorted(set(args.axes) - set(AXES) - {"metamorphic"})
-        if unknown:
-            print(
-                f"error: unknown axis {unknown}; choose from "
-                f"{sorted(AXES) + ['metamorphic']}",
-                file=sys.stderr,
-            )
-            return 2
     report = run_campaign(
         seed=args.seed,
         quick=args.quick,

@@ -4,7 +4,8 @@ A campaign replays randomized exploration workloads through a freshly
 built :class:`~repro.core.cluster.StashCluster` under every configuration
 axis that could plausibly change an answer — cold cache, warm cache,
 eviction pressure, roll-up on/off, replication on/off, hotspot rerouting,
-fault schedules — and checks every result against
+fault schedules, membership churn; one row of :data:`AXES` each, run by
+:func:`run_axis` — and checks every result against
 :class:`~repro.oracle.engine.BruteForceOracle`.
 
 The comparison policy is the correctness contract of the whole system:
@@ -24,8 +25,8 @@ spatial/temporal partitions to report a minimal failing query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -46,12 +47,12 @@ from repro.data.generator import NAM_DOMAIN, conformance_dataset
 from repro.data.observation import ObservationBatch
 from repro.data.statistics import SummaryVector
 from repro.dht.partitioner import PrefixPartitioner
+from repro.errors import ReproError
 from repro.faults.schedule import FaultEvent
 from repro.geo.bbox import BoundingBox
-from repro.geo.geohash import encode
 from repro.geo.resolution import Resolution
 from repro.geo.temporal import TemporalResolution, TimeKey, TimeRange
-from repro.oracle.engine import BruteForceOracle
+from repro.oracle.engine import DEFAULT_REL_TOL, BruteForceOracle
 from repro.oracle.metamorphic import (
     RelationFailure,
     check_eviction_independence,
@@ -61,9 +62,7 @@ from repro.oracle.metamorphic import (
     describe_query,
 )
 from repro.query.model import AggregationQuery, QueryResult
-
-#: Value tolerance: production pairwise reductions vs the oracle's fsum.
-DEFAULT_REL_TOL = 1e-9
+from repro.system import coordinator_for
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +71,7 @@ DEFAULT_REL_TOL = 1e-9
 
 
 def compare_result(
-    result: QueryResult,
-    truth: dict[CellKey, SummaryVector],
-    rel: float = DEFAULT_REL_TOL,
+    result: QueryResult, truth: dict[CellKey, SummaryVector]
 ) -> list[tuple[str, str]]:
     """Divergences of one cluster answer from the oracle's answer.
 
@@ -107,13 +104,13 @@ def compare_result(
             )
     for key, vec in result.cells.items():
         expected = truth.get(key)
-        if expected is not None and not vec.approx_equal(expected, rel=rel):
+        if expected is not None and not vec.approx_equal(expected, rel=DEFAULT_REL_TOL):
             out.append(
                 (
                     "value-mismatch",
                     f"cell {key}: got count {vec.count}, oracle says "
                     f"{expected.count} (or summary values differ beyond "
-                    f"rel={rel})",
+                    f"rel={DEFAULT_REL_TOL})",
                 )
             )
     return out
@@ -280,6 +277,9 @@ def exploration_workload(
 # configuration axes
 # ---------------------------------------------------------------------------
 
+#: Days of :func:`~repro.data.generator.conformance_dataset`.
+_DAYS = [TimeKey.of(2013, 2, day) for day in (1, 2, 3)]
+
 
 def _base_config() -> StashConfig:
     """Conformance cluster shape: small enough to simulate hundreds of
@@ -293,12 +293,161 @@ def _base_config() -> StashConfig:
     )
 
 
-def _run_serial(cluster: StashCluster, queries: list[AggregationQuery]):
-    results = []
-    for query in queries:
-        results.append(cluster.run_query(query))
-        cluster.drain()
-    return results
+#: A workload step: a query to check, or ``("warm", query)`` run only to
+#: heat the cache (serial driver).
+Step = AggregationQuery | tuple[str, AggregationQuery]
+
+
+def _exploration(rng, n, attribute_names) -> list[Step]:
+    return exploration_workload(rng, n, _DAYS, attribute_names)
+
+
+def _rollup_workload(rng, n, attribute_names) -> list[Step]:
+    """Warm fine (and hourly), query coarse: answers recomputed via roll-up."""
+    steps: list[Step] = []
+    checked = 0
+    while checked < n:
+        day = _DAYS[int(rng.integers(0, len(_DAYS)))]
+        box = _random_box(rng, NAM_DOMAIN, (8.0, 16.0))
+        fine = AggregationQuery(
+            bbox=box,
+            time_range=day.epoch_range(),
+            resolution=Resolution(4, TemporalResolution.DAY),
+        )
+        hourly = AggregationQuery(
+            bbox=_random_box(rng, box, (2.0, 4.0)),
+            time_range=day.epoch_range(),
+            resolution=Resolution(3, TemporalResolution.HOUR),
+        )
+        coarse = [
+            fine.at_resolution(Resolution(3, TemporalResolution.DAY)),
+            fine.at_resolution(Resolution(2, TemporalResolution.DAY)),
+            AggregationQuery(
+                bbox=hourly.bbox,
+                time_range=hourly.time_range,
+                resolution=Resolution(3, TemporalResolution.DAY),
+            ),
+        ][: n - checked]
+        steps += [("warm", fine), ("warm", hourly), *coarse]
+        checked += len(coarse)
+    return steps
+
+
+def _hotspot_walk(rng, n, attribute_names) -> list[Step]:
+    """Small pans around one box: every request lands on one coordinator."""
+    query = AggregationQuery(
+        bbox=_random_box(rng, NAM_DOMAIN, (4.0, 8.0)),
+        time_range=_DAYS[0].epoch_range(),
+        resolution=Resolution(4, TemporalResolution.DAY),
+    )
+    queries: list[Step] = []
+    while len(queries) < n:
+        queries.append(query)
+        query = query.panned(
+            float(rng.uniform(-0.15, 0.15)) * query.bbox.height,
+            float(rng.uniform(-0.15, 0.15)) * query.bbox.width,
+        )
+    return queries
+
+
+#: How :func:`run_axis` sends a workload.
+Driver = Literal["serial", "replay", "concurrent", "open-loop"]
+
+
+@dataclass(frozen=True)
+class Axis:
+    """One configuration axis: the base cluster plus one regime.
+
+    ``overrides`` are :meth:`StashConfig.with_` keyword arguments.  Fault
+    events in them name the roles ``coordinator`` (the node the first
+    query is sent to) and ``peer`` (the first other node); each run
+    resolves them against its own workload.  ``workload(rng, n,
+    attribute_names)`` returns the steps, and ``driver`` says how
+    :func:`run_axis` sends them.
+    """
+
+    name: str
+    description: str
+    overrides: dict = field(default_factory=dict)
+    workload: Callable[..., list[Step]] = _exploration
+    driver: Driver = "serial"
+
+
+#: Timeouts and retries shared by the fault-injecting axes.
+_RECOVERY = dict(enabled=True, rpc_timeout=0.25, evaluate_timeout=1.0, max_retries=1)
+
+#: The campaign, one row per regime, in report order.  A new regime is a
+#: new row; axes are seeded by ``[seed, row index]``, so append.
+AXES: tuple[Axis, ...] = (
+    Axis("cold-cache", "fresh cluster, serial workload"),
+    Axis("warm-cache", "same workload replayed after warm-up", driver="replay"),
+    Axis(
+        "eviction-pressure",
+        "96-cell cache, constant churn",
+        {"eviction": EvictionConfig(max_cells=96, safe_fraction=0.5)},
+    ),
+    Axis("rollup", "warm fine, query coarse (roll-up path)", workload=_rollup_workload),
+    Axis(
+        "no-rollup", "enable_rollup=False, disk on every miss", {"enable_rollup": False}
+    ),
+    Axis("no-replication", "enable_replication=False", {"enable_replication": False}),
+    # Concurrent, so queue depth crosses the lowered hotspot threshold
+    # and guest graphs serve rerouted queries.
+    Axis(
+        "replication-hotspot",
+        "forced clique handoff + reroute_probability=1",
+        {
+            "replication": ReplicationConfig(
+                hotspot_queue_threshold=3, cooldown=0.0, reroute_probability=1.0
+            )
+        },
+        _hotspot_walk,
+        "concurrent",
+    ),
+    # Shared membership, instantaneous failover: any answer produced
+    # while the coordinator is down must match the oracle or carry
+    # completeness < 1.
+    Axis(
+        "faults",
+        "coordinator crash/restart + link loss",
+        {
+            "faults": FaultConfig(
+                **_RECOVERY,
+                schedule=(
+                    FaultEvent(kind="crash", at=0.05, node="coordinator"),
+                    FaultEvent(kind="restart", at=1.5, node="coordinator"),
+                    FaultEvent(kind="drop_link", at=2.0, until=2.6, dst="peer"),
+                    FaultEvent(kind="slow_disk", at=0.0, until=4.0, node="peer", factor=3.0),
+                ),
+            )
+        },
+        driver="open-loop",
+    ),
+    # Every node keeps its own epidemic liveness view: the crash is found
+    # by heartbeat silence, misrouted legs bounce through NOT_OWNER,
+    # survivors promote guest replicas, the restarted node rejoins by
+    # handoff, and overload shedding is armed.  Tight gossip timings put
+    # suspect -> dead -> repair -> rejoin inside the workload window.
+    Axis(
+        "churn",
+        "gossip membership churn: crash/restart + anti-entropy + overload",
+        {
+            "faults": FaultConfig(
+                **_RECOVERY,
+                backoff_jitter=0.2,
+                schedule=(
+                    FaultEvent(kind="crash", at=0.3, node="coordinator"),
+                    FaultEvent(kind="restart", at=2.0, node="coordinator"),
+                ),
+            ),
+            "gossip": GossipConfig(
+                enabled=True, interval=0.05, fanout=2, suspect_after=0.2, dead_after=0.2
+            ),
+            "overload": OverloadConfig(enabled=True, queue_limit=32),
+        },
+        driver="open-loop",
+    ),
+)
 
 
 @dataclass
@@ -309,225 +458,65 @@ class AxisRun:
     pairs: list[tuple[AggregationQuery, QueryResult]]
 
 
-def _axis_cold_cache(dataset, rng, n) -> AxisRun:
-    """Every query hits a cold cluster path at least partly from disk."""
-    cluster = StashCluster(dataset, _base_config())
-    queries = exploration_workload(rng, n, _DAYS, dataset.attribute_names)
-    return AxisRun(cluster, list(zip(queries, _run_serial(cluster, queries))))
+def _axis_config(axis: Axis, first: AggregationQuery) -> StashConfig:
+    """The axis's config with schedule roles bound to node ids."""
+    config = _base_config().with_(**axis.overrides)
+    if not config.faults.schedule:
+        return config
+    node_ids = [f"node-{i}" for i in range(config.cluster.num_nodes)]
+    partitioner = PrefixPartitioner(node_ids, config.cluster.partition_precision)
+    coordinator = coordinator_for(partitioner, first)
+    peer = next(node for node in node_ids if node != coordinator)
+    roles = {"coordinator": coordinator, "peer": peer}
 
+    def bind(role: str | None) -> str | None:
+        return roles.get(role, role)
 
-def _axis_warm_cache(dataset, rng, n) -> AxisRun:
-    """Replay after a warm-up: answers must come from cache unchanged."""
-    cluster = StashCluster(dataset, _base_config())
-    queries = exploration_workload(rng, n, _DAYS, dataset.attribute_names)
-    cluster.warm(queries)
-    replays = [query.clone() for query in queries]
-    return AxisRun(cluster, list(zip(replays, _run_serial(cluster, replays))))
-
-
-def _axis_eviction_pressure(dataset, rng, n) -> AxisRun:
-    """A cache far smaller than any working set: constant churn."""
-    config = _base_config().with_(
-        eviction=EvictionConfig(max_cells=96, safe_fraction=0.5)
+    schedule = tuple(
+        replace(event, node=bind(event.node), src=bind(event.src), dst=bind(event.dst))
+        for event in config.faults.schedule
     )
-    cluster = StashCluster(dataset, config)
-    queries = exploration_workload(rng, n, _DAYS, dataset.attribute_names)
-    return AxisRun(cluster, list(zip(queries, _run_serial(cluster, queries))))
+    return config.with_(faults=replace(config.faults, schedule=schedule))
 
 
-def _axis_rollup(dataset, rng, n) -> AxisRun:
-    """Warm fine, query coarse: answers recomputed via roll-up merges."""
-    cluster = StashCluster(dataset, _base_config())
-    pairs: list[tuple[AggregationQuery, QueryResult]] = []
-    while len(pairs) < n:
-        day = _DAYS[int(rng.integers(0, len(_DAYS)))]
-        box = _random_box(rng, NAM_DOMAIN, (8.0, 16.0))
-        fine = AggregationQuery(
-            bbox=box,
-            time_range=day.epoch_range(),
-            resolution=Resolution(4, TemporalResolution.DAY),
-        )
-        cluster.warm([fine])
-        hourly = AggregationQuery(
-            bbox=_random_box(rng, box, (2.0, 4.0)),
-            time_range=day.epoch_range(),
-            resolution=Resolution(3, TemporalResolution.HOUR),
-        )
-        cluster.warm([hourly])
-        coarse = [
-            fine.at_resolution(Resolution(3, TemporalResolution.DAY)),
-            fine.at_resolution(Resolution(2, TemporalResolution.DAY)),
-            AggregationQuery(
-                bbox=hourly.bbox,
-                time_range=hourly.time_range,
-                resolution=Resolution(3, TemporalResolution.DAY),
-            ),
-        ][: n - len(pairs)]
-        pairs.extend(zip(coarse, _run_serial(cluster, coarse)))
-    return AxisRun(cluster, pairs)
+def run_axis(
+    axis: Axis, dataset: ObservationBatch, rng: np.random.Generator, n: int
+) -> AxisRun:
+    """Build the axis's cluster and drive its workload; the one place a
+    driver is chosen.
 
-
-def _axis_no_rollup(dataset, rng, n) -> AxisRun:
-    """Roll-up disabled: every miss must fall through to disk, correctly."""
-    cluster = StashCluster(dataset, _base_config().with_(enable_rollup=False))
-    queries = exploration_workload(rng, n, _DAYS, dataset.attribute_names)
-    return AxisRun(cluster, list(zip(queries, _run_serial(cluster, queries))))
-
-
-def _axis_no_replication(dataset, rng, n) -> AxisRun:
-    """Replication disabled: owners answer everything themselves."""
-    cluster = StashCluster(dataset, _base_config().with_(enable_replication=False))
-    queries = exploration_workload(rng, n, _DAYS, dataset.attribute_names)
-    return AxisRun(cluster, list(zip(queries, _run_serial(cluster, queries))))
-
-
-def _axis_replication_hotspot(dataset, rng, n) -> AxisRun:
-    """Forced clique handoff + rerouting: guest graphs serve queries."""
-    config = _base_config().with_(
-        replication=ReplicationConfig(
-            hotspot_queue_threshold=3,
-            cooldown=0.0,
-            reroute_probability=1.0,
-        )
-    )
-    cluster = StashCluster(dataset, config)
-    day = _DAYS[0]
-    base = AggregationQuery(
-        bbox=_random_box(rng, NAM_DOMAIN, (4.0, 8.0)),
-        time_range=day.epoch_range(),
-        resolution=Resolution(4, TemporalResolution.DAY),
-    )
-    queries: list[AggregationQuery] = []
-    query = base
-    while len(queries) < n:
-        queries.append(query)
-        query = query.panned(
-            float(rng.uniform(-0.15, 0.15)) * query.bbox.height,
-            float(rng.uniform(-0.15, 0.15)) * query.bbox.width,
-        )
-    # Fire concurrently so queue depth crosses the (lowered) hotspot
-    # threshold and handoffs actually happen, then drain the background
-    # replication machinery before comparing.
-    results = cluster.run_concurrent(queries)
-    cluster.drain()
-    return AxisRun(cluster, list(zip(queries, results)))
-
-
-def _axis_faults(dataset, rng, n) -> AxisRun:
-    """Crash/restart + link loss on the hot coordinator mid-campaign.
-
-    Divergence policy still applies unchanged: any answer produced while
-    the coordinator is down must either match the oracle or carry
-    ``completeness < 1`` — a silently wrong answer fails the campaign.
+    * ``serial`` — run and drain each query; ``("warm", q)`` steps only
+      heat the cache;
+    * ``replay`` — warm the whole workload, then serial over clones, so
+      answers must come from cache unchanged;
+    * ``concurrent`` — fire every query at once, then drain the
+      background machinery before comparing;
+    * ``open-loop`` — Poisson arrivals, then drain.  Serial run + drain
+      would fast-forward simulated time past every fault window after
+      the first request; arrivals spread the queries across them.
     """
-    queries = exploration_workload(rng, n, _DAYS, dataset.attribute_names)
-    base = _base_config()
-    # Resolve the coordinator of the first query exactly the way the
-    # client will (same node ids, same partitioner), without building a
-    # throwaway cluster.
-    node_ids = [f"node-{i}" for i in range(base.cluster.num_nodes)]
-    partitioner = PrefixPartitioner(node_ids, base.cluster.partition_precision)
-    lat, lon = queries[0].bbox.center
-    target = partitioner.node_for(encode(lat, lon, base.cluster.partition_precision))
-    other = next(node for node in node_ids if node != target)
-    schedule = (
-        FaultEvent(kind="crash", at=0.05, node=target),
-        FaultEvent(kind="restart", at=1.5, node=target),
-        FaultEvent(kind="drop_link", at=2.0, until=2.6, src=None, dst=other),
-        FaultEvent(kind="slow_disk", at=0.0, until=4.0, node=other, factor=3.0),
-    )
-    config = base.with_(
-        faults=FaultConfig(
-            enabled=True,
-            rpc_timeout=0.25,
-            evaluate_timeout=1.0,
-            max_retries=1,
-            schedule=schedule,
-        )
-    )
-    cluster = StashCluster(dataset, config)
-    # Open-loop arrivals, NOT serial: run_query + drain between queries
-    # would fast-forward the simulator past every fault window after the
-    # first request, silently testing a fault-free cluster.  Poisson
-    # arrivals spread the workload across crash, link-loss, and slow-disk
-    # windows so queries genuinely race the faults.
-    rate = max(16.0, len(queries) / 3.0)
-    results = cluster.run_open_loop(queries, rate=rate, seed=int(rng.integers(2**31)))
-    cluster.drain()
+    steps = axis.workload(rng, n, dataset.attribute_names)
+    queries = [step for step in steps if not isinstance(step, tuple)]
+    cluster = StashCluster(dataset, _axis_config(axis, queries[0]))
+    if axis.driver == "replay":
+        cluster.warm(queries)
+        steps = queries = [query.clone() for query in queries]
+    if axis.driver in ("serial", "replay"):
+        results = []
+        for step in steps:
+            if isinstance(step, tuple):
+                cluster.warm([step[1]])
+                continue
+            results.append(cluster.run_query(step))
+            cluster.drain()
+    elif axis.driver == "concurrent":
+        results = cluster.run_concurrent(queries)
+        cluster.drain()
+    else:  # open-loop
+        rate = max(16.0, len(queries) / 3.0)
+        results = cluster.run_open_loop(queries, rate=rate, seed=int(rng.integers(2**31)))
+        cluster.drain()
     return AxisRun(cluster, list(zip(queries, results)))
-
-
-def _axis_churn(dataset, rng, n) -> AxisRun:
-    """Membership churn under gossip: crash/restart with anti-entropy.
-
-    Unlike the ``faults`` axis (shared membership, instantaneous
-    failover), every node here keeps its *own* epidemic liveness view:
-    the crash is detected by heartbeat silence, views converge while
-    queries race the rumor, misrouted legs bounce through the NOT_OWNER
-    protocol, survivors promote guest replicas of the dead node's range,
-    and the restarted node rejoins via handoff.  Overload protection is
-    armed too, so shed-and-degrade paths face the oracle.  The policy is
-    unchanged: a degraded answer may be a *subset*, but any cell it does
-    return must match the oracle — never fabricated.
-    """
-    queries = exploration_workload(rng, n, _DAYS, dataset.attribute_names)
-    base = _base_config()
-    node_ids = [f"node-{i}" for i in range(base.cluster.num_nodes)]
-    partitioner = PrefixPartitioner(node_ids, base.cluster.partition_precision)
-    lat, lon = queries[0].bbox.center
-    target = partitioner.node_for(encode(lat, lon, base.cluster.partition_precision))
-    schedule = (
-        FaultEvent(kind="crash", at=0.3, node=target),
-        FaultEvent(kind="restart", at=2.0, node=target),
-    )
-    config = base.with_(
-        faults=FaultConfig(
-            enabled=True,
-            rpc_timeout=0.25,
-            evaluate_timeout=1.0,
-            max_retries=1,
-            backoff_jitter=0.2,
-            schedule=schedule,
-        ),
-        # Tight timings so suspect -> dead -> repair -> rejoin all land
-        # inside the workload window.
-        gossip=GossipConfig(
-            enabled=True,
-            interval=0.05,
-            fanout=2,
-            suspect_after=0.2,
-            dead_after=0.2,
-        ),
-        overload=OverloadConfig(enabled=True, queue_limit=32),
-    )
-    cluster = StashCluster(dataset, config)
-    rate = max(16.0, len(queries) / 3.0)
-    results = cluster.run_open_loop(queries, rate=rate, seed=int(rng.integers(2**31)))
-    cluster.drain()
-    return AxisRun(cluster, list(zip(queries, results)))
-
-
-#: name -> (description, runner).  Order is report order.
-AXES: dict[str, tuple[str, Callable]] = {
-    "cold-cache": ("fresh cluster, serial workload", _axis_cold_cache),
-    "warm-cache": ("same workload replayed after warm-up", _axis_warm_cache),
-    "eviction-pressure": ("96-cell cache, constant churn", _axis_eviction_pressure),
-    "rollup": ("warm fine, query coarse (roll-up path)", _axis_rollup),
-    "no-rollup": ("enable_rollup=False, disk on every miss", _axis_no_rollup),
-    "no-replication": ("enable_replication=False", _axis_no_replication),
-    "replication-hotspot": (
-        "forced clique handoff + reroute_probability=1",
-        _axis_replication_hotspot,
-    ),
-    "faults": ("coordinator crash/restart + link loss", _axis_faults),
-    "churn": (
-        "gossip membership churn: crash/restart + anti-entropy + overload",
-        _axis_churn,
-    ),
-}
-
-#: Days of :func:`~repro.data.generator.conformance_dataset`.
-_DAYS = [TimeKey.of(2013, 2, day) for day in (1, 2, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -629,26 +618,20 @@ _MAX_MINIMIZED = 2
 _MAX_RECORDED = 8
 
 
-def _check_axis(
-    name: str,
-    description: str,
-    run: AxisRun,
-    oracle: BruteForceOracle,
-    rel: float,
-) -> AxisReport:
-    report = AxisReport(axis=name, description=description)
+def _check_axis(axis: Axis, run: AxisRun, oracle: BruteForceOracle) -> AxisReport:
+    report = AxisReport(axis=axis.name, description=axis.description)
     cluster = run.cluster
 
     def diverges(query: AggregationQuery) -> bool:
         result = cluster.run_query(query)
         cluster.drain()
-        return bool(compare_result(result, oracle.answer(query), rel))
+        return bool(compare_result(result, oracle.answer(query)))
 
     for query, result in run.pairs:
         report.queries += 1
         if result.degraded:
             report.degraded += 1
-        problems = compare_result(result, oracle.answer(query), rel)
+        problems = compare_result(result, oracle.answer(query))
         if not problems:
             continue
         kind, detail = problems[0]
@@ -658,7 +641,9 @@ def _check_axis(
             if minimal.query_id == query.query_id:
                 minimal = None
         report.divergences.append(
-            Divergence(axis=name, kind=kind, query=query, detail=detail, minimal=minimal)
+            Divergence(
+                axis=axis.name, kind=kind, query=query, detail=detail, minimal=minimal
+            )
         )
         if len(report.divergences) >= _MAX_RECORDED:
             break
@@ -708,32 +693,38 @@ def run_campaign(
     seed: int = 0,
     quick: bool = False,
     queries_per_axis: int | None = None,
-    rel: float = DEFAULT_REL_TOL,
     axes: list[str] | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> CampaignReport:
     """Run the full conformance campaign and return its report.
 
-    The full profile runs enough randomized queries (>= 500 across all
-    axes) to exercise every configuration surface; ``quick`` is the CI
-    smoke shape.  Deterministic for a given seed.
+    The full profile runs enough randomized queries (608 checks at seed
+    0) to exercise every configuration surface; ``quick`` is the CI
+    smoke shape.  Deterministic for a given seed.  ``axes`` selects rows
+    of :data:`AXES` and/or ``metamorphic`` by name; an unknown name or an
+    empty selection is a :class:`ReproError`.
     """
+    valid = [axis.name for axis in AXES] + ["metamorphic"]
+    if axes is not None:
+        unknown = sorted(set(axes) - set(valid))
+        if unknown or not axes:
+            what = f"unknown axis {unknown}" if unknown else "no axis selected"
+            raise ReproError(f"{what}; choose from {valid}")
     if queries_per_axis is None:
         queries_per_axis = 8 if quick else 64
     dataset = conformance_dataset(seed=seed)
     oracle = BruteForceOracle(dataset)
-    selected = list(AXES) if axes is None else [a for a in AXES if a in set(axes)]
     report = CampaignReport(seed=seed, quick=quick)
-    axis_index = {name: i for i, name in enumerate(AXES)}
-    for name in selected:
-        description, runner = AXES[name]
+    for index, axis in enumerate(AXES):
+        if axes is not None and axis.name not in axes:
+            continue
         if progress is not None:
-            progress(f"axis {name}: {description}")
+            progress(f"axis {axis.name}: {axis.description}")
         # Seed each axis independently of which axes were selected (and of
         # PYTHONHASHSEED) so one axis's workload is reproducible in isolation.
-        rng = np.random.default_rng([seed, axis_index[name]])
-        run = runner(dataset, rng, queries_per_axis)
-        report.axes.append(_check_axis(name, description, run, oracle, rel))
+        rng = np.random.default_rng([seed, index])
+        run = run_axis(axis, dataset, rng, queries_per_axis)
+        report.axes.append(_check_axis(axis, run, oracle))
     if axes is None or "metamorphic" in axes:
         if progress is not None:
             progress("axis metamorphic: relation checks")

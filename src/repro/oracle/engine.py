@@ -24,6 +24,9 @@ from repro.geo.geohash import encode
 from repro.geo.temporal import TemporalResolution, TimeKey
 from repro.query.model import AggregationQuery
 
+#: Value tolerance: production pairwise reductions vs the oracle's fsum.
+DEFAULT_REL_TOL = 1e-9
+
 
 def _summarize(values: list[float]) -> AttributeSummary:
     """Exact scalar summary of a list of raw values.

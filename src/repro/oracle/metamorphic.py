@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.oracle.engine import reference_merge
+from repro.oracle.engine import DEFAULT_REL_TOL, reference_merge
 from repro.query.model import AggregationQuery, QueryResult
 
 
@@ -56,12 +56,12 @@ def _run(cluster, query: AggregationQuery) -> QueryResult:
     return result
 
 
-def _cells_match(a, b, rel: float) -> bool:
-    return a.approx_equal(b, rel=rel)
+def _cells_match(a, b) -> bool:
+    return a.approx_equal(b, rel=DEFAULT_REL_TOL)
 
 
 def check_parent_children(
-    cluster, query: AggregationQuery, axis: str, rel: float = 1e-9
+    cluster, query: AggregationQuery, axis: str
 ) -> list[RelationFailure]:
     """Parent cells must equal the merge of their children along ``axis``.
 
@@ -109,7 +109,7 @@ def check_parent_children(
                         f"{expected.count} observations",
                     )
                 )
-        elif not _cells_match(actual, expected, rel):
+        elif not _cells_match(actual, expected):
             failures.append(
                 RelationFailure(
                     f"parent-children:{axis}",
@@ -123,11 +123,7 @@ def check_parent_children(
 
 
 def check_pan_consistency(
-    cluster,
-    query: AggregationQuery,
-    dlat: float,
-    dlon: float,
-    rel: float = 1e-9,
+    cluster, query: AggregationQuery, dlat: float, dlon: float
 ) -> list[RelationFailure]:
     """Two overlapping pans must agree on every shared footprint cell."""
     moved = query.panned(dlat, dlon)
@@ -149,7 +145,7 @@ def check_pan_consistency(
                     f"pan but {'present' if in_second else 'absent'} after",
                 )
             )
-        elif in_first and not _cells_match(first.cells[key], second.cells[key], rel):
+        elif in_first and not _cells_match(first.cells[key], second.cells[key]):
             failures.append(
                 RelationFailure(
                     "pan-overlap", query, f"cell {key} changed value across pans"
@@ -158,9 +154,7 @@ def check_pan_consistency(
     return failures
 
 
-def check_split_additivity(
-    cluster, query: AggregationQuery, rel: float = 1e-9
-) -> list[RelationFailure]:
+def check_split_additivity(cluster, query: AggregationQuery) -> list[RelationFailure]:
     """A bbox answer must equal the union of a partition of the bbox."""
     parts = query.split_spatial() or query.split_temporal()
     if not parts:
@@ -199,7 +193,7 @@ def check_split_additivity(
         )
     else:
         for key, vec in whole.cells.items():
-            if not _cells_match(vec, combined[key], rel):
+            if not _cells_match(vec, combined[key]):
                 failures.append(
                     RelationFailure(
                         "split-additivity",
@@ -211,7 +205,7 @@ def check_split_additivity(
 
 
 def check_eviction_independence(
-    cluster, query: AggregationQuery, rel: float = 1e-9
+    cluster, query: AggregationQuery
 ) -> list[RelationFailure]:
     """Answers must be identical before and after a forced full eviction."""
     before = _run(cluster, query)
@@ -231,7 +225,7 @@ def check_eviction_independence(
         )
     else:
         for key, vec in before.cells.items():
-            if not _cells_match(vec, after.cells[key], rel):
+            if not _cells_match(vec, after.cells[key]):
                 failures.append(
                     RelationFailure(
                         "eviction-independence",

@@ -4,26 +4,34 @@ The CI ``repro conform`` job runs the full campaign; these tests keep a
 per-axis slice inside the tier-1 suite so a conformance break fails fast
 with a readable divergence report, and they pin the harness's own
 behavior: the degraded-answer policy, the fault axis actually injecting
-faults, and deterministic workloads per seed.
+faults, deterministic workloads per seed, and every cluster call each
+axis of the quick seed-0 campaign makes.
 """
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from repro.data.generator import conformance_dataset
+from repro.errors import ReproError
 from repro.oracle.conformance import (
     AXES,
-    _axis_faults,
     _check_axis,
     compare_result,
     exploration_workload,
     minimize_failing_query,
+    run_axis,
     run_campaign,
 )
 from repro.oracle.engine import BruteForceOracle
+from repro.oracle.metamorphic import describe_query
 from repro.geo.temporal import TimeKey
+from repro.system import DistributedSystem
 
 DAYS = [TimeKey.of(2013, 2, day) for day in (1, 2, 3)]
+ROWS = {axis.name: axis for axis in AXES}
 
 
 @pytest.fixture(scope="module")
@@ -41,19 +49,17 @@ def oracle(dataset):
     ["cold-cache", "warm-cache", "eviction-pressure", "rollup", "no-rollup"],
 )
 def test_axis_conforms(axis, dataset, oracle):
-    description, runner = AXES[axis]
-    rng = np.random.default_rng([11, list(AXES).index(axis)])
-    run = runner(dataset, rng, 5)
-    report = _check_axis(axis, description, run, oracle, 1e-9)
+    rng = np.random.default_rng([11, list(ROWS).index(axis)])
+    run = run_axis(ROWS[axis], dataset, rng, 5)
+    report = _check_axis(ROWS[axis], run, oracle)
     assert report.ok, "\n".join(d.format() for d in report.divergences)
     assert report.queries == 5
 
 
 def test_replication_axis_conforms(dataset, oracle):
-    description, runner = AXES["replication-hotspot"]
     rng = np.random.default_rng([11, 6])
-    run = runner(dataset, rng, 8)
-    report = _check_axis("replication-hotspot", description, run, oracle, 1e-9)
+    run = run_axis(ROWS["replication-hotspot"], dataset, rng, 8)
+    report = _check_axis(ROWS["replication-hotspot"], run, oracle)
     assert report.ok, "\n".join(d.format() for d in report.divergences)
 
 
@@ -61,7 +67,7 @@ def test_fault_axis_injects_and_conforms(dataset, oracle):
     """Faults genuinely fire mid-workload, and every answer produced under
     them either matches the oracle or is explicitly degraded."""
     rng = np.random.default_rng([11, 7])
-    run = _axis_faults(dataset, rng, 24)
+    run = run_axis(ROWS["faults"], dataset, rng, 24)
     cluster = run.cluster
     assert cluster.fault_injector is not None
     assert len(cluster.fault_injector.applied) >= 2
@@ -72,7 +78,7 @@ def test_fault_axis_injects_and_conforms(dataset, oracle):
         + sum(1 for _, r in run.pairs if r.degraded)
     )
     assert touched > 0
-    report = _check_axis("faults", "", run, oracle, 1e-9)
+    report = _check_axis(ROWS["faults"], run, oracle)
     assert report.ok, "\n".join(d.format() for d in report.divergences)
     for _, result in run.pairs:
         if result.degraded:
@@ -182,3 +188,99 @@ class TestHarnessMechanics:
         assert data["ok"] is True
         assert data["axes"][0]["axis"] == "cold-cache"
         assert "CONFORMS" in report.format()
+
+    @pytest.mark.parametrize("axes", [["nonsense"], [], ["cold-cache", "nonsense"]])
+    def test_bad_selection_raises(self, axes):
+        with pytest.raises(ReproError, match="choose from .*'churn', 'metamorphic'"):
+            run_campaign(seed=9, queries_per_axis=1, axes=axes)
+
+
+#: ``repro conform --seed 0 --quick`` per axis: (checked queries, degraded
+#: answers, digest of every cluster call the axis made).  Keyed by name so
+#: a new row leaves the pinned ones alone.
+QUICK_FINGERPRINT = {
+    "cold-cache": (8, 0, "417cca04caca0ad8"),
+    "warm-cache": (8, 0, "dfc7f8bb3d598ce1"),
+    "eviction-pressure": (8, 0, "321bcb6696b9476f"),
+    "rollup": (8, 0, "b638170fdf6e9d59"),
+    "no-rollup": (8, 0, "61b16c2ed552b090"),
+    "no-replication": (8, 0, "102dbf5527b994fc"),
+    "replication-hotspot": (8, 0, "89e53b5eed588408"),
+    "faults": (8, 1, "995daecb6d93b5d5"),
+    "churn": (8, 4, "f09ebc432f6f7c47"),
+    "metamorphic": (4, 0, "7ee3093c6a40ed6b"),
+}
+
+
+def _fingerprinted_campaign(axes=None) -> dict[str, tuple[int, int, str]]:
+    """Run the quick seed-0 campaign, recording every ``run_query`` /
+    ``run_concurrent`` / ``run_open_loop`` call per axis: each query's
+    description, completeness, (cell key, count) set and latency repr."""
+    calls: dict[str, list] = {}
+    current = [""]
+
+    def recording(method, kind):
+        def wrapper(self, queries, *args, **kwargs):
+            results = method(self, queries, *args, **kwargs)
+            pairs = (
+                [(queries, results)] if kind == "query" else zip(queries, results)
+            )
+            calls.setdefault(current[0], []).append(
+                (
+                    kind,
+                    [
+                        (
+                            describe_query(query),
+                            result.completeness,
+                            sorted((str(k), v.count) for k, v in result.cells.items()),
+                            repr(result.latency),
+                        )
+                        for query, result in pairs
+                    ],
+                )
+            )
+            return results
+
+        return wrapper
+
+    def progress(line: str) -> None:
+        current[0] = line.split()[1].rstrip(":")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name, kind in (
+            ("run_query", "query"),
+            ("run_concurrent", "concurrent"),
+            ("run_open_loop", "open"),
+        ):
+            patch.setattr(
+                DistributedSystem, name, recording(getattr(DistributedSystem, name), kind)
+            )
+        report = run_campaign(seed=0, quick=True, axes=axes, progress=progress)
+    assert report.ok, report.format()
+    return {
+        axis.axis: (
+            axis.queries,
+            axis.degraded,
+            hashlib.sha256(json.dumps(calls[axis.axis]).encode()).hexdigest()[:16],
+        )
+        for axis in report.axes
+    }
+
+
+@pytest.fixture(scope="module")
+def quick_fingerprint():
+    return _fingerprinted_campaign()
+
+
+class TestCampaignFingerprint:
+    @pytest.mark.parametrize("axis", sorted(QUICK_FINGERPRINT))
+    def test_axis_pinned(self, quick_fingerprint, axis):
+        assert quick_fingerprint[axis] == QUICK_FINGERPRINT[axis]
+
+    def test_report_order(self, quick_fingerprint):
+        pinned = [axis for axis in quick_fingerprint if axis in QUICK_FINGERPRINT]
+        assert pinned == list(QUICK_FINGERPRINT)
+
+    def test_selection_independent(self, quick_fingerprint):
+        alone = _fingerprinted_campaign(axes=["churn"])
+        assert alone == {"churn": quick_fingerprint["churn"]}
