@@ -23,86 +23,6 @@ def render_json(result: QueryResult, indent: int | None = None) -> str:
     return json.dumps(result.to_json_dict(), indent=indent, sort_keys=True)
 
 
-def heatmap_grid(
-    result: QueryResult, attribute: str, statistic: str = "mean"
-):
-    """The spatial heatmap as a 2-D float array (NaN = no data).
-
-    Rows run north to south (image convention); columns west to east.
-    Shared by the ASCII and PGM renderers.
-    """
-    import numpy as np
-
-    query = result.query
-    spatial_cells = covering_cells(query.snapped_bbox(), query.resolution.spatial)
-    if not spatial_cells:
-        raise QueryError("query has no spatial cover")
-    by_geohash: dict[str, list] = {}
-    for key, vec in result.cells.items():
-        by_geohash.setdefault(key.geohash, []).append(vec)
-    values: dict[str, float] = {}
-    for geohash, vecs in by_geohash.items():
-        merged = vecs[0]
-        for vec in vecs[1:]:
-            merged = merged.merge(vec)
-        summary = merged[attribute]
-        if summary.is_empty:
-            continue
-        if statistic == "mean":
-            values[geohash] = summary.mean
-        elif statistic == "max":
-            values[geohash] = summary.maximum
-        elif statistic == "min":
-            values[geohash] = summary.minimum
-        elif statistic == "count":
-            values[geohash] = float(summary.count)
-        else:
-            raise QueryError(f"unknown statistic {statistic!r}")
-    souths = sorted({round(geohash_bbox(c).south, 9) for c in spatial_cells})
-    nrows = len(souths)
-    ncols = len(spatial_cells) // nrows
-    grid = np.full((nrows, ncols), np.nan)
-    for index, cell in enumerate(spatial_cells):
-        row, col = divmod(index, ncols)
-        value = values.get(cell)
-        if value is not None:
-            grid[nrows - 1 - row, col] = value  # flip: north on top
-    return grid
-
-
-def render_pgm(
-    result: QueryResult,
-    attribute: str,
-    path,
-    statistic: str = "mean",
-    pixel_size: int = 8,
-) -> None:
-    """Write the heatmap as a binary PGM image (no plotting deps).
-
-    PGM is the simplest raster format every image viewer opens: one
-    grayscale byte per pixel.  Cells with no data render black; values
-    ramp linearly from dark (low) to white (high).  Each cell becomes a
-    ``pixel_size`` x ``pixel_size`` square.
-    """
-    import numpy as np
-
-    if pixel_size < 1:
-        raise QueryError("pixel_size must be >= 1")
-    grid = heatmap_grid(result, attribute, statistic)
-    finite = grid[np.isfinite(grid)]
-    lo = float(finite.min()) if finite.size else 0.0
-    hi = float(finite.max()) if finite.size else 1.0
-    span = (hi - lo) or 1.0
-    shades = np.where(
-        np.isfinite(grid), 32 + (grid - lo) / span * 223.0, 0.0
-    ).astype(np.uint8)
-    image = np.kron(shades, np.ones((pixel_size, pixel_size), dtype=np.uint8))
-    header = f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii")
-    with open(path, "wb") as handle:
-        handle.write(header)
-        handle.write(image.tobytes())
-
-
 def render_ascii_heatmap(
     result: QueryResult,
     attribute: str,

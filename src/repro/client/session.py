@@ -137,19 +137,6 @@ class ExplorationSession:
         self.day = day
         return self._execute(self.current_query())
 
-    def lasso(self, polygon) -> QueryResult:
-        """Query an arbitrary polygonal selection (freehand lasso tool).
-
-        The viewport is unchanged; the polygon is evaluated at the
-        session's current day and resolution.
-        """
-        query = AggregationQuery.for_polygon(
-            polygon,
-            time_range=self.day.epoch_range(),
-            resolution=self.resolution,
-        )
-        return self._execute(query)
-
     # -- execution ----------------------------------------------------------
 
     def _execute(self, query: AggregationQuery) -> QueryResult:

@@ -118,9 +118,6 @@ class StashGraph:
     def __len__(self) -> int:
         return sum(len(cells) for cells in self._levels.values())
 
-    def level_sizes(self) -> dict[int, int]:
-        return {level: len(cells) for level, cells in self._levels.items() if cells}
-
     def level_size(self, level: int) -> int:
         """Number of resident cells at one level."""
         return len(self._levels.get(level, ()))
@@ -150,9 +147,9 @@ class StashGraph:
     ) -> None:
         """Add a complete cell; duplicate inserts are rejected.
 
-        ``backing_blocks`` defaults to the key's computed block set at the
-        caller's partition precision being unknown here, so callers on the
-        query path pass the explicit set they scanned.
+        ``backing_blocks`` defaults to none: the graph does not know the
+        catalog's blocks, so callers on the query path pass the explicit
+        set they scanned.
         """
         level = self.level_of(cell.key)
         cells = self._levels.setdefault(level, {})
@@ -218,9 +215,6 @@ class StashGraph:
     def cells(self) -> Iterator[Cell]:
         for level_cells in self._levels.values():
             yield from level_cells.values()
-
-    def cells_at_level(self, level: int) -> Iterator[Cell]:
-        yield from self._levels.get(level, {}).values()
 
     # -- freshness column kernels ------------------------------------------
 

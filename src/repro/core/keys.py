@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from repro.data.block import BlockId
 from repro.errors import CacheError
 from repro.geo import geohash as gh
 from repro.geo.resolution import Resolution
@@ -60,28 +59,6 @@ class CellKey(namedtuple("CellKey", "geohash time_key")):
 
     # -- hierarchical edges (computed, paper section IV-B) -----------------
 
-    def spatial_parent(self) -> "CellKey | None":
-        """One step lower spatial precision, same temporal bin."""
-        if len(self.geohash) <= 1:
-            return None
-        return CellKey(gh.parent(self.geohash), self.time_key)
-
-    def temporal_parent(self) -> "CellKey | None":
-        """Same geohash, one step coarser temporal bin."""
-        if self.time_key.resolution == TemporalResolution.YEAR:
-            return None
-        return CellKey(self.geohash, self.time_key.parent())
-
-    def spatiotemporal_parent(self) -> "CellKey | None":
-        """One step lower precision on both axes."""
-        sp = self.spatial_parent()
-        return sp.temporal_parent() if sp is not None else None
-
-    def parents(self) -> list["CellKey"]:
-        """All (up to 3) hierarchical parents — the paper's 3 parent kinds."""
-        out = [self.spatial_parent(), self.temporal_parent(), self.spatiotemporal_parent()]
-        return [k for k in out if k is not None]
-
     def spatial_children(self) -> list["CellKey"]:
         """The 32 one-character geohash extensions, same temporal bin."""
         return [CellKey(child, self.time_key) for child in gh.children(self.geohash)]
@@ -124,30 +101,3 @@ class CellKey(namedtuple("CellKey", "geohash time_key")):
     def lateral_neighbors(self) -> list["CellKey"]:
         """The full lateral edge set (spatial + temporal)."""
         return self.spatial_neighbors() + self.temporal_neighbors()
-
-    # -- storage mapping (used by the PLM) --------------------------------
-
-    def backing_blocks(self, partition_precision: int) -> list[BlockId]:
-        """The storage blocks whose raw data this cell aggregates.
-
-        Blocks are (geohash prefix, day) units.  Spatially: a cell finer
-        than the partition lives in exactly one block prefix, a coarser
-        cell spans every extension of its geohash.  Temporally: the cell's
-        bin maps to the days it covers.
-        """
-        if len(self.geohash) >= partition_precision:
-            prefixes = [self.geohash[:partition_precision]]
-        else:
-            prefixes = [self.geohash]
-            while len(prefixes[0]) < partition_precision:
-                prefixes = [p + c for p in prefixes for c in gh.GEOHASH_ALPHABET]
-        key = self.time_key
-        if key.resolution in (TemporalResolution.DAY, TemporalResolution.HOUR):
-            days = [key if key.resolution == TemporalResolution.DAY else key.parent()]
-        elif key.resolution == TemporalResolution.MONTH:
-            days = key.children()
-        else:  # YEAR
-            days = [day for month in key.children() for day in month.children()]
-        return [
-            BlockId(geohash=prefix, day=str(day)) for prefix in prefixes for day in days
-        ]

@@ -61,19 +61,6 @@ class PrecisionLevelMap:
         except KeyError:
             raise CacheError(f"PLM does not track {key}") from None
 
-    def split_footprint(
-        self, level: int, footprint: list[CellKey]
-    ) -> tuple[list[CellKey], list[CellKey]]:
-        """Partition a query footprint into (cached, missing).
-
-        The planner's first step: cached ∪ missing == footprint and the
-        two are disjoint (property-tested invariant).
-        """
-        level_map = self._by_level.get(level, {})
-        cached = [key for key in footprint if key in level_map]
-        missing = [key for key in footprint if key not in level_map]
-        return cached, missing
-
     def dependents_of_block(self, block_id: BlockId) -> set[CellKey]:
         """Cells whose summaries were computed from ``block_id``.
 

@@ -1,5 +1,5 @@
 """Zero-hop DHT partitioning (Galileo-style, paper section VI-C)."""
 
-from repro.dht.partitioner import ConsistentHashPartitioner, Partitioner, PrefixPartitioner
+from repro.dht.partitioner import Partitioner, PrefixPartitioner
 
-__all__ = ["Partitioner", "PrefixPartitioner", "ConsistentHashPartitioner"]
+__all__ = ["Partitioner", "PrefixPartitioner"]

@@ -6,19 +6,13 @@ data points" (paper section VI-C).  Zero-hop means every node holds the
 complete partition map, so locating the owner of any key is a single
 local computation — the paper's O(1) discovery cost.
 
-Two implementations:
-
-* :class:`PrefixPartitioner` — hashes the geohash *prefix* at the
-  configured partition precision; all data within one coarse cell lands
-  on one node (the paper's "first 2 characters" scheme).
-* :class:`ConsistentHashPartitioner` — classic ring with virtual nodes;
-  node removal only remaps keys the removed node owned.  Provided for
-  elasticity experiments.
+:class:`PrefixPartitioner` hashes the geohash *prefix* at the
+configured partition precision; all data within one coarse cell lands on
+one node (the paper's "first 2 characters" scheme).
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 from abc import ABC, abstractmethod
 
@@ -69,8 +63,7 @@ class Partitioner(ABC):
     def without_node(self, node_id: str) -> "Partitioner":
         """A new partition map with one node removed (ring repair).
 
-        The base implementation rebuilds with the surviving nodes;
-        subclasses with better remap locality override this.
+        Rebuilt over the surviving nodes.
         """
         if node_id not in self.node_ids:
             raise StorageError(f"unknown node {node_id!r}")
@@ -98,37 +91,3 @@ class PrefixPartitioner(Partitioner):
     def node_for_partition(self, prefix: str) -> str:
         return self.node_ids[_stable_hash(prefix) % len(self.node_ids)]
 
-
-class ConsistentHashPartitioner(Partitioner):
-    """Consistent-hash ring with virtual nodes."""
-
-    def __init__(
-        self,
-        node_ids: list[str],
-        partition_precision: int,
-        virtual_nodes: int = 64,
-    ):
-        super().__init__(node_ids, partition_precision)
-        if virtual_nodes < 1:
-            raise StorageError("virtual_nodes must be >= 1")
-        self.virtual_nodes = virtual_nodes
-        self._ring: list[tuple[int, str]] = sorted(
-            (_stable_hash(f"{node}#{v}"), node)
-            for node in node_ids
-            for v in range(virtual_nodes)
-        )
-        self._points = [p for p, _ in self._ring]
-
-    def node_for_partition(self, prefix: str) -> str:
-        point = _stable_hash(prefix)
-        index = bisect.bisect_right(self._points, point) % len(self._ring)
-        return self._ring[index][1]
-
-    def without_node(self, node_id: str) -> "ConsistentHashPartitioner":
-        """A new ring with one node removed (for remap-locality tests)."""
-        if node_id not in self.node_ids:
-            raise StorageError(f"unknown node {node_id!r}")
-        remaining = [n for n in self.node_ids if n != node_id]
-        return ConsistentHashPartitioner(
-            remaining, self.partition_precision, self.virtual_nodes
-        )

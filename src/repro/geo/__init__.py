@@ -16,7 +16,6 @@ from repro.geo.geohash import (
     encode,
     encode_many,
     neighbors,
-    parent,
 )
 from repro.geo.temporal import TemporalResolution, TimeKey, TimeRange
 from repro.geo.resolution import Resolution, ResolutionSpace
@@ -33,7 +32,6 @@ __all__ = [
     "encode",
     "encode_many",
     "neighbors",
-    "parent",
     "TemporalResolution",
     "TimeKey",
     "TimeRange",

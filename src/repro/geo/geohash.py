@@ -159,13 +159,6 @@ def bbox(geohash: str) -> BoundingBox:
     )
 
 
-def parent(geohash: str) -> str:
-    """One-character-shorter prefix (the spatial parent)."""
-    if len(geohash) <= 1:
-        raise GeohashError(f"geohash {geohash!r} has no parent")
-    return geohash[:-1]
-
-
 def children(geohash: str) -> list[str]:
     """All 32 one-character extensions (the spatial children)."""
     if len(geohash) >= MAX_PRECISION:
@@ -219,16 +212,6 @@ def antipode(geohash: str) -> str:
     anti_lat = -lat
     anti_lon = lon + 180.0 if lon < 0 else lon - 180.0
     return encode(anti_lat, anti_lon, len(geohash))
-
-
-def common_prefix(a: str, b: str) -> str:
-    """Longest shared prefix — the smallest cell containing both."""
-    n = 0
-    for ca, cb in zip(a, b):
-        if ca != cb:
-            break
-        n += 1
-    return a[:n]
 
 
 def encode_many(

@@ -155,9 +155,6 @@ class BruteForceOracle:
                     for name, column in columns.items()
                 }
             )
-        if query.polygon is not None:
-            footprint = set(query.footprint())
-            out = {key: vec for key, vec in out.items() if key in footprint}
         return out
 
     def total_in(self, query: AggregationQuery) -> int:

@@ -45,7 +45,7 @@ PROVENANCE_KEYS = (
 class _Footprint:
     """What a query's extent and resolution determine, each derived once."""
 
-    #: Grid cover of the query *box* (a polygon thins ``spatial`` only).
+    #: Grid cover of the query box.
     cover: GridCover
     #: How many temporal bins the time range overlaps.
     time_key_count: int
@@ -65,11 +65,6 @@ class AggregationQuery:
     resolution: Resolution
     #: Attributes to aggregate; None means every stored attribute.
     attributes: tuple[str, ...] | None = None
-    #: Optional polygonal refinement of the area (the paper's
-    #: Query_Polygon); when set, the footprint keeps only the cells whose
-    #: centers fall inside it.  ``bbox`` must enclose the polygon — use
-    #: :meth:`for_polygon` to construct these consistently.
-    polygon: "object | None" = None
     #: Workload class of the gesture that produced this query ("pan",
     #: "zoom", "drill", or "other") — the grouping key for per-class
     #: latency histograms and SLO targets.  Excluded from equality so a
@@ -87,22 +82,6 @@ class AggregationQuery:
 
     #: Safety valve against continental covers at street precision.
     MAX_FOOTPRINT_CELLS = 2_000_000
-
-    @staticmethod
-    def for_polygon(
-        polygon,
-        time_range: TimeRange,
-        resolution: Resolution,
-        attributes: tuple[str, ...] | None = None,
-    ) -> "AggregationQuery":
-        """A query over an arbitrary simple polygon."""
-        return AggregationQuery(
-            bbox=polygon.bbox,
-            time_range=time_range,
-            resolution=resolution,
-            attributes=attributes,
-            polygon=polygon,
-        )
 
     def _derived(self) -> _Footprint:
         memo = self._footprint_cache
@@ -128,36 +107,18 @@ class AggregationQuery:
     def footprint_size(self) -> int:
         """Number of cells this query touches.
 
-        For rectangles this is pure arithmetic — no cell and no time key
-        is built, however long the time range; a polygon requires
-        materializing its cover once.
+        Pure arithmetic — no cell and no time key is built, however long
+        the time range.
         """
         memo = self._derived()
-        spatial = (
-            memo.cover.count if self.polygon is None else len(self._spatial_cover())
-        )
-        return spatial * memo.time_key_count
-
-    def _spatial_cover(self) -> list[str]:
-        memo = self._derived()
-        if memo.spatial is None:
-            if self.polygon is None:
-                memo.spatial = memo.cover.within(self.MAX_FOOTPRINT_CELLS).cells()
-            else:
-                from repro.geo.polygon import covering_cells_polygon
-
-                memo.spatial = covering_cells_polygon(
-                    self.polygon,
-                    self.resolution.spatial,
-                    max_cells=self.MAX_FOOTPRINT_CELLS,
-                )
-        return memo.spatial
+        return memo.cover.count * memo.time_key_count
 
     def box_cells(self) -> list[str]:
-        """Cells of :meth:`grid_cover`: the footprint's, unless a polygon thins it."""
-        if self.polygon is None:
-            return self._spatial_cover()
-        return self.grid_cover().cells()
+        """The geohash cells of :meth:`grid_cover`, in cover order."""
+        memo = self._derived()
+        if memo.spatial is None:
+            memo.spatial = memo.cover.within(self.MAX_FOOTPRINT_CELLS).cells()
+        return memo.spatial
 
     def footprint(self) -> list[CellKey]:
         """Every cell key the query's extent covers at its resolution.
@@ -173,21 +134,18 @@ class AggregationQuery:
         """
         memo = self._derived()
         if memo.cells is None:
-            # A rectangle's size is pure arithmetic, so it is rejected
-            # before anything is materialized; a polygon's is that of its
-            # *filtered* cover (the bbox cover wildly overestimates a thin
-            # lasso), itself capped inside covering_cells_polygon.
+            # The size is pure arithmetic, so an oversized query is
+            # rejected before anything is materialized.
             size = self.footprint_size()
             if size > self.MAX_FOOTPRINT_CELLS:
-                shape = "query" if self.polygon is None else "polygon"
                 raise QueryError(
-                    f"{shape} footprint of {size} cells exceeds "
+                    f"query footprint of {size} cells exceeds "
                     f"{self.MAX_FOOTPRINT_CELLS}; lower the resolution"
                 )
             time_keys = self.time_keys()
             memo.cells = [
                 CellKey(geohash=s, time_key=t)
-                for s in self._spatial_cover()
+                for s in self.box_cells()
                 for t in time_keys
             ]
         return memo.cells
@@ -209,13 +167,12 @@ class AggregationQuery:
     # -- navigation helpers (OLAP operators, paper section V-B) ------------
 
     def panned(self, dlat: float, dlon: float) -> "AggregationQuery":
-        """The query after a pan gesture (polygon moves with the box)."""
+        """The query after a pan gesture."""
         return AggregationQuery(
             bbox=self.bbox.translated(dlat, dlon),
             time_range=self.time_range,
             resolution=self.resolution,
             attributes=self.attributes,
-            polygon=None if self.polygon is None else self.polygon.translated(dlat, dlon),
             kind="pan",
         )
 
@@ -226,7 +183,6 @@ class AggregationQuery:
             time_range=self.time_range,
             resolution=self.resolution,
             attributes=self.attributes,
-            polygon=None if self.polygon is None else self.polygon.scaled(area_factor),
             kind="zoom",
         )
 
@@ -237,7 +193,6 @@ class AggregationQuery:
             time_range=self.time_range,
             resolution=resolution,
             attributes=self.attributes,
-            polygon=self.polygon,
             kind="drill",
         )
 
@@ -254,7 +209,6 @@ class AggregationQuery:
             time_range=self.time_range,
             resolution=self.resolution,
             attributes=self.attributes,
-            polygon=self.polygon,
             kind=self.kind,
         )
 
@@ -269,10 +223,8 @@ class AggregationQuery:
         for disjoint ``A``, ``B`` — a checkable metamorphic relation and a
         sound shrinking step for minimal-failing-query search.  Returns
         ``[]`` when the cover is a single cell column/row that cannot be
-        split, or for polygon queries (their covers are not rectangles).
+        split.
         """
-        if self.polygon is not None:
-            return []
         cover = self.grid_cover()
         if cover.lon_lo < cover.lon_hi:
             middle = cover.lon_lo + (cover.lon_hi - cover.lon_lo + 1) // 2
@@ -308,7 +260,6 @@ class AggregationQuery:
                 time_range=TimeRange.from_keys(list(half)),
                 resolution=self.resolution,
                 attributes=self.attributes,
-                polygon=self.polygon,
             )
             for half in (keys[:mid], keys[mid:])
         ]

@@ -212,34 +212,6 @@ class StorageCatalog:
             plan.setdefault(self.node_of(block_id), []).append(block_id)
         return plan
 
-    def rebalance(self, partitioner: Partitioner) -> tuple[int, int]:
-        """Re-place every block under a new partitioner (elastic resize).
-
-        Used when nodes join or leave: blocks whose owner changes are
-        moved; the rest stay put.  With a
-        :class:`~repro.dht.partitioner.ConsistentHashPartitioner` only
-        the departed/arrived nodes' keys move — the property its tests
-        verify.  Returns (blocks moved, blocks total).  Any caching layer
-        above must be rebuilt or invalidated by the caller; ownership of
-        *cells* follows the same partitioner.
-        """
-        if partitioner.partition_precision != self.partitioner.partition_precision:
-            raise StorageError("rebalance cannot change the partition precision")
-        moved = 0
-        new_by_node: dict[str, dict[BlockId, Block]] = {
-            node: {} for node in partitioner.node_ids
-        }
-        for block_id, old_node in list(self._block_index.items()):
-            block = self._by_node[old_node][block_id]
-            new_node = partitioner.node_for(block_id.geohash)
-            if new_node != old_node:
-                moved += 1
-            new_by_node[new_node][block_id] = block
-            self._block_index[block_id] = new_node
-        self._by_node = new_by_node
-        self.partitioner = partitioner
-        return moved, len(self._block_index)
-
 
 def frame_to_cells(
     frame: SummaryFrame, resolution: Resolution
@@ -344,8 +316,7 @@ def ground_truth_cells(
     cold STASH, hot STASH, rolled-up STASH, replicated STASH, the
     ElasticSearch baseline — produces identical answers.  Unlike
     :func:`scan_blocks` this sits at the *response* boundary, so it does
-    apply the query's attribute selection (and polygon footprint) to
-    what it returns.
+    apply the query's attribute selection to what it returns.
     """
     sub = batch.select(_in_snapped_extent(batch, query))
     if len(sub) == 0:
@@ -357,7 +328,4 @@ def ground_truth_cells(
     out = frame_to_cells(frame, query.resolution)
     if query.attributes is not None:
         out = {key: vec.project(list(query.attributes)) for key, vec in out.items()}
-    if query.polygon is not None:
-        footprint = set(query.footprint())
-        out = {key: vec for key, vec in out.items() if key in footprint}
     return out

@@ -518,15 +518,12 @@ class StorageNode:
     def _shape_response_cells(
         query: AggregationQuery, cells: dict[CellKey, SummaryVector]
     ) -> dict[CellKey, SummaryVector]:
-        """Polygon filter, then attribute projection, at the response boundary.
+        """Attribute projection at the response boundary.
 
-        Scans cover the polygon's bounding box and aggregate every
-        attribute (cached cells must serve any later query), so both
-        selections are applied to the answer, never to what is stored.
+        Scans aggregate every attribute (cached cells must serve any later
+        query), so the selection is applied to the answer, never to what
+        is stored.
         """
-        if query.polygon is not None:
-            wanted = set(query.footprint())
-            cells = {k: v for k, v in cells.items() if k in wanted}
         if query.attributes is not None:
             selection = list(query.attributes)
             cells = {k: v.project(selection) for k, v in cells.items()}

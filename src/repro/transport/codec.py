@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import base64
 import json
+from math import isnan
 from typing import Any
 
 import numpy as np
@@ -34,7 +35,6 @@ from repro.data.statistics import AttributeSummary, SummaryVector
 from repro.errors import ReproError
 from repro.faults.membership import _RpcSentinel
 from repro.geo.bbox import BoundingBox
-from repro.geo.polygon import Polygon
 from repro.geo.resolution import Resolution
 from repro.geo.temporal import TemporalResolution, TimeKey, TimeRange
 from repro.obs.recorder import QueryContext
@@ -103,8 +103,6 @@ def _lower(value: Any) -> Any:
             "__t": "bbox",
             "b": [value.south, value.north, value.west, value.east],
         }
-    if isinstance(value, Polygon):
-        return {"__t": "poly", "v": [[lat, lon] for lat, lon in value.vertices]}
     if isinstance(value, SummaryVector):
         return {
             "__t": "svec",
@@ -120,7 +118,6 @@ def _lower(value: Any) -> Any:
             "time": _lower(value.time_range),
             "res": _lower(value.resolution),
             "attrs": None if value.attributes is None else list(value.attributes),
-            "poly": _lower(value.polygon),
             "kind": value.kind,
             "id": value.query_id,
         }
@@ -137,6 +134,30 @@ def _lower(value: Any) -> Any:
     if isinstance(value, BaseException):
         return {"__t": "exc", "cls": type(value).__name__, "msg": str(value)}
     raise CodecError(f"cannot encode {type(value).__name__} for the wire")
+
+
+#: The fields after ``count`` of the empty summary, the monoid identity.
+_EMPTY_FIELDS = tuple(AttributeSummary.empty())[1:]
+
+
+def _lift_summary(fields: list) -> AttributeSummary:
+    """An :class:`AttributeSummary` from a peer, refusing impossible ones.
+
+    Checked here, not in the constructor: the aggregation hot path only
+    builds summaries of real data, while a peer's bytes can say anything.
+    ``count`` is an ``int`` >= 0; an empty summary is exactly the
+    identity; any other has ``total_sq >= 0``, ``minimum <= maximum`` and
+    no NaN (``isnan`` also refuses a non-number where a float is due).
+    """
+    count, total, total_sq, minimum, maximum = fields
+    if type(count) is not int or count < 0:
+        raise CodecError(f"summary count {count!r} is not a non-negative int")
+    if count:
+        if not (total_sq >= 0 and minimum <= maximum) or isnan(total) or isnan(minimum):
+            raise CodecError(f"impossible summary {fields!r}")
+    elif (total, total_sq, minimum, maximum) != _EMPTY_FIELDS:
+        raise CodecError(f"empty summary {fields!r} is not the identity")
+    return AttributeSummary(count, total, total_sq, minimum, maximum)
 
 
 def _raise_tree(node: dict) -> Any:
@@ -171,21 +192,15 @@ def _lift(node: Any) -> Any:
     if tag == "bbox":
         south, north, west, east = node["b"]
         return BoundingBox(south, north, west, east)
-    if tag == "poly":
-        return Polygon(tuple((lat, lon) for lat, lon in node["v"]))
     if tag == "tres":
         return TemporalResolution(node["v"])
     if tag == "res":
         return Resolution(node["s"], TemporalResolution(node["t"]))
     if tag == "asum":
-        count, total, total_sq, minimum, maximum = node["v"]
-        return AttributeSummary(count, total, total_sq, minimum, maximum)
+        return _lift_summary(node["v"])
     if tag == "svec":
         return SummaryVector._trusted(
-            {
-                name: AttributeSummary(v[0], v[1], v[2], v[3], v[4])
-                for name, v in node["a"]
-            }
+            {name: _lift_summary(v) for name, v in node["a"]}
         )
     if tag == "query":
         return AggregationQuery(
@@ -193,7 +208,6 @@ def _lift(node: Any) -> Any:
             time_range=_lift(node["time"]),
             resolution=_lift(node["res"]),
             attributes=None if node["attrs"] is None else tuple(node["attrs"]),
-            polygon=_lift(node["poly"]),
             kind=node["kind"],
             query_id=node["id"],
         )

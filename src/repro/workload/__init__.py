@@ -16,17 +16,13 @@ from repro.workload.hotspot import hotspot_workload, zipf_region_workload
 from repro.workload.scale import (
     ScaleWorkloadSpec,
     SessionTable,
-    open_loop_arrivals,
     run_closed_loop,
-    run_open_loop,
 )
 
 __all__ = [
     "ScaleWorkloadSpec",
     "SessionTable",
-    "open_loop_arrivals",
     "run_closed_loop",
-    "run_open_loop",
     "QUERY_SIZE_EXTENTS",
     "QuerySize",
     "random_query",

@@ -19,10 +19,10 @@ model + Arnold's Zipf-skew warning, PAPERS.md):
   geohash cells, users (and every ``jump`` gesture) pick a hotspot with
   probability ``1/rank**s``, reproducing the skewed interest the paper's
   section VII replication machinery exists for;
-* **open-loop and closed-loop drivers** — a Poisson merged arrival
-  stream (no back-pressure: the overload regime) and a think-time
-  driver (each simulated user waits for their answer, thinks, gestures
-  again: the interactive regime).
+* **a closed-loop driver** — each simulated user waits for their
+  answer, thinks, gestures again: the interactive regime.  The
+  open-loop regime (no back-pressure) is
+  :meth:`~repro.system.DistributedSystem.run_open_loop`.
 
 Everything is deterministic per seed: synthesis runs in fixed-size user
 chunks, each chunk seeded by ``SeedSequence([seed, chunk_index])``, so
@@ -455,91 +455,6 @@ def _synthesize_chunk(
         precision[:, step] = prec[:out_n].astype(np.uint8)
         day_index[:, step] = day[:out_n]
     hotspot[:] = hot_rank[:out_n]
-
-
-@dataclass(frozen=True)
-class ArrivalStream:
-    """Open-loop arrivals: a merged, time-sorted (user, step) stream."""
-
-    times: np.ndarray  # float64, sorted non-decreasing, seconds
-    users: np.ndarray  # int64
-    steps: np.ndarray  # int64
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        for array in (self.times, self.users, self.steps):
-            h.update(np.ascontiguousarray(array).tobytes())
-        return h.hexdigest()
-
-
-def open_loop_arrivals(
-    table: SessionTable, rate: float, seed: int | None = None
-) -> ArrivalStream:
-    """Poisson merged arrivals at aggregate ``rate`` requests/second.
-
-    Each user's session start is uniform over the window implied by the
-    rate and their inter-gesture gaps are exponential, so the merged
-    stream is Poisson-like in aggregate while preserving every user's
-    own gesture order (the stream a shared deployment actually sees; no
-    back-pressure — the open-loop overload regime).
-    """
-    if rate <= 0:
-        raise WorkloadError("arrival rate must be positive")
-    spec = table.spec
-    rng = np.random.default_rng(
-        [spec.seed if seed is None else seed, 0xA881]
-    )
-    users, length = table.num_users, table.session_length
-    window = table.num_queries / rate
-    # Half the window holds session starts, half the in-session gaps, so
-    # the expected last arrival lands near ``window`` and the aggregate
-    # rate comes out close to the request.
-    starts = rng.uniform(0.0, window / 2.0, users)
-    gap_mean = (window / 2.0) / max(1, length - 1)
-    gaps = rng.exponential(gap_mean, (users, length))
-    gaps[:, 0] = 0.0
-    times = starts[:, None] + np.cumsum(gaps, axis=1)
-    flat = times.ravel()
-    order = np.argsort(flat, kind="stable")
-    return ArrivalStream(
-        times=flat[order],
-        users=(order // length).astype(np.int64),
-        steps=(order % length).astype(np.int64),
-    )
-
-
-def run_open_loop(
-    system,
-    table: SessionTable,
-    rate: float,
-    max_queries: int | None = None,
-    seed: int | None = None,
-) -> list:
-    """Drive a simulated system with the open-loop arrival stream."""
-    stream = open_loop_arrivals(table, rate, seed=seed)
-    count = len(stream) if max_queries is None else min(max_queries, len(stream))
-    system.start()
-    submissions: list = []
-
-    def arrivals():
-        now = 0.0
-        for index in range(count):
-            at = float(stream.times[index])
-            if at > now:
-                yield system.sim.timeout(at - now)
-                now = at
-            submissions.append(
-                system.submit(
-                    table.query(int(stream.users[index]), int(stream.steps[index]))
-                )
-            )
-
-    system.sim.run(until=system.sim.process(arrivals()))
-    done = system.sim.all_of(submissions)
-    return system.sim.run(until=done)
 
 
 def run_closed_loop(

@@ -138,20 +138,6 @@ class TestGestures:
         assert result.provenance["cells_from_rollup"] > 0
         assert result.provenance["cells_from_disk"] == 0
 
-    def test_lasso_polygon_selection(self, cluster, dataset):
-        from repro.geo.polygon import Polygon
-        from repro.storage.backend import ground_truth_cells
-
-        session = make_session(cluster)
-        triangle = Polygon.of((30.0, -115.0), (44.0, -115.0), (30.0, -96.0))
-        result = session.lasso(triangle)
-        assert result.cells
-        for key in result.cells:
-            lat, lon = key.bbox.center
-            assert triangle.contains_point(lat, lon)
-        truth = ground_truth_cells(dataset, session.stats.history[-1])
-        assert set(result.cells) == set(truth)
-
     def test_pan_matches_truth(self, cluster, dataset):
         session = make_session(cluster)
         session.refresh()

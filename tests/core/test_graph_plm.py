@@ -114,11 +114,12 @@ class TestGraphBasics:
 
     def test_levels_separate_resolutions(self):
         graph = StashGraph(SPACE)
-        graph.insert(make_cell("9q8y7"))
-        graph.insert(make_cell("9q8y"))
-        sizes = graph.level_sizes()
-        assert len(sizes) == 2
-        assert all(v == 1 for v in sizes.values())
+        fine, coarse = make_cell("9q8y7"), make_cell("9q8y")
+        graph.insert(fine)
+        graph.insert(coarse)
+        levels = {graph.level_of(fine.key), graph.level_of(coarse.key)}
+        assert len(levels) == 2
+        assert all(graph.level_size(level) == 1 for level in levels)
 
     def test_empty_cell_is_resident(self):
         graph = StashGraph(SPACE)
@@ -136,22 +137,6 @@ class TestPLM:
         graph.insert(cell, backing_blocks=blocks)
         level = graph.level_of(cell.key)
         assert graph.plm.blocks_of(level, cell.key) == blocks
-
-    def test_split_footprint_partition(self):
-        graph = StashGraph(SPACE)
-        cached_cell = make_cell("9q8y7")
-        graph.insert(cached_cell)
-        footprint = [
-            cached_cell.key,
-            CellKey("9q8yd", DAY),
-            CellKey("9q8ye", DAY),
-        ]
-        level = graph.level_of(cached_cell.key)
-        cached, missing = graph.plm.split_footprint(level, footprint)
-        assert cached == [cached_cell.key]
-        assert set(missing) == {CellKey("9q8yd", DAY), CellKey("9q8ye", DAY)}
-        assert set(cached) | set(missing) == set(footprint)
-        assert set(cached).isdisjoint(missing)
 
     def test_invalidate_block(self):
         graph = StashGraph(SPACE)
@@ -172,20 +157,6 @@ class TestPLM:
         graph = StashGraph(SPACE)
         with pytest.raises(CacheError):
             graph.plm.remove(0, CellKey("9q8y7", DAY))
-
-    @given(st.sets(st.text(gh.GEOHASH_ALPHABET, min_size=5, max_size=5), max_size=30))
-    @settings(max_examples=25)
-    def test_footprint_split_invariant(self, cached_hashes):
-        graph = StashGraph(SPACE)
-        for code in cached_hashes:
-            graph.upsert(make_cell(code))
-        footprint = [CellKey(c, DAY) for c in gh.children("9q8y")]
-        level = SPACE.level_of(footprint[0].resolution)
-        cached, missing = graph.plm.split_footprint(level, footprint)
-        assert set(cached) | set(missing) == set(footprint)
-        assert set(cached).isdisjoint(missing)
-        assert all(graph.contains(k) for k in cached)
-        assert not any(graph.contains(k) for k in missing)
 
 
 class TestFreshness:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.keys import CellKey
-from repro.data.block import BlockId
 from repro.errors import CacheError
 from repro.geo import geohash as gh
 from repro.geo.resolution import Resolution
@@ -33,18 +32,6 @@ class TestIdentity:
 
 
 class TestHierarchicalEdges:
-    def test_three_parents(self):
-        key = CellKey("9q8y7", TimeKey.of(2015, 3))
-        parents = key.parents()
-        assert CellKey("9q8y", TimeKey.of(2015, 3)) in parents  # spatial
-        assert CellKey("9q8y7", TimeKey.of(2015)) in parents  # temporal
-        assert CellKey("9q8y", TimeKey.of(2015)) in parents  # both
-        assert len(parents) == 3
-
-    def test_parents_at_coarsest(self):
-        key = CellKey("9", TimeKey.of(2015))
-        assert key.parents() == []
-
     def test_spatial_children(self):
         key = CellKey("9q8y", TimeKey.of(2015, 3))
         kids = key.spatial_children()
@@ -74,22 +61,21 @@ class TestHierarchicalEdges:
     @given(cell_keys(min_precision=2, max_precision=5))
     @settings(max_examples=50)
     def test_parent_child_duality(self, key):
-        for parent in key.parents():
-            # The key must appear among the parent's children along the
-            # axis that was coarsened.
-            all_kids = (
-                parent.spatial_children()
-                + parent.temporal_children()
-                + parent.children("both")
-            )
-            assert key in all_kids
+        # The key appears among the children of each one-step-coarser
+        # cell, along the axis that was coarsened.
+        coarser_space = key.geohash[:-1]
+        assert key in CellKey(coarser_space, key.time_key).spatial_children()
+        if key.time_key.resolution != TemporalResolution.YEAR:
+            coarser_time = key.time_key.parent()
+            assert key in CellKey(key.geohash, coarser_time).temporal_children()
+            assert key in CellKey(coarser_space, coarser_time).children("both")
 
     @given(cell_keys())
     @settings(max_examples=50)
     def test_spatial_children_nest_in_parent(self, key):
         for child in key.spatial_children():
             assert key.bbox.contains_box(child.bbox)
-            assert child.spatial_parent() == key
+            assert (child.geohash[:-1], child.time_key) == (key.geohash, key.time_key)
 
 
 class TestLateralEdges:
@@ -114,34 +100,3 @@ class TestLateralEdges:
         for neighbor in key.lateral_neighbors():
             assert neighbor.resolution == key.resolution
 
-
-class TestBackingBlocks:
-    def test_fine_cell_single_day(self):
-        key = CellKey("9q8y7", TimeKey.of(2013, 2, 2))
-        blocks = key.backing_blocks(partition_precision=2)
-        assert blocks == [BlockId("9q", "2013-02-02")]
-
-    def test_hour_cell_maps_to_day_block(self):
-        key = CellKey("9q8y7", TimeKey.of(2013, 2, 2, 13))
-        assert key.backing_blocks(2) == [BlockId("9q", "2013-02-02")]
-
-    def test_month_cell_spans_days(self):
-        key = CellKey("9q8y", TimeKey.of(2013, 2))
-        blocks = key.backing_blocks(2)
-        assert len(blocks) == 28
-        assert all(b.geohash == "9q" for b in blocks)
-
-    def test_year_cell_spans_year(self):
-        key = CellKey("9q8y", TimeKey.of(2013))
-        assert len(key.backing_blocks(2)) == 365
-
-    def test_coarse_cell_spans_prefixes(self):
-        key = CellKey("9", TimeKey.of(2013, 2, 2))
-        blocks = key.backing_blocks(2)
-        assert len(blocks) == 32
-        assert all(b.geohash.startswith("9") for b in blocks)
-        assert all(b.day == "2013-02-02" for b in blocks)
-
-    def test_exact_partition_precision(self):
-        key = CellKey("9q", TimeKey.of(2013, 2, 2))
-        assert key.backing_blocks(2) == [BlockId("9q", "2013-02-02")]

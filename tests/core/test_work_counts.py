@@ -38,9 +38,7 @@ from repro.errors import QueryError
 from repro.geo import binning as binning_module
 from repro.geo import cover as cover_module
 from repro.geo import geohash as geohash_module
-from repro.geo import polygon as polygon_module
 from repro.geo.bbox import BoundingBox
-from repro.geo.polygon import Polygon
 from repro.geo.resolution import Resolution
 from repro.geo.temporal import TemporalResolution, TimeKey, TimeRange
 from repro.obs import registry as registry_module
@@ -178,23 +176,6 @@ class TestTouchBatch:
         mixed = footprint[:4] + coarser + footprint[4:8]
         assert graph.touch_batch(mixed, 1.0, 6.0, 0.1) == 8
         assert len(lookups) == 3
-
-
-class TestPolygonQuery:
-    def test_one_polygon_cover_per_query_object(self, monkeypatch):
-        """``serve/http.py`` calls ``footprint_size()`` then the engine
-        calls ``footprint()``: that used to filter the lasso twice."""
-        covers = counted(monkeypatch, polygon_module, "covering_cells_polygon")
-        query = AggregationQuery.for_polygon(
-            Polygon.of((28.0, -115.0), (45.0, -115.0), (28.0, -95.0)),
-            time_range=TimeKey.of(2013, 2, 2).epoch_range(),
-            resolution=Resolution(3, TemporalResolution.DAY),
-        )
-        size = query.footprint_size()
-        assert len(query.footprint()) == size == query.footprint_size()
-        assert len(covers) == 1
-        query.clone().footprint()
-        assert len(covers) == 2
 
 
 class TestLiveIngest:

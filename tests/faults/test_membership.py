@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dht.partitioner import ConsistentHashPartitioner, PrefixPartitioner
+from repro.dht.partitioner import PrefixPartitioner
 from repro.errors import FaultError, StorageError
 from repro.faults.membership import RPC_FAILED, RPC_SHED, Membership, rpc_ok
 
@@ -10,8 +10,8 @@ NODES = [f"node-{i}" for i in range(4)]
 HASHES = ["9q8y", "dr5r", "c2b2", "u4pr", "9z6m", "gcpv"]
 
 
-def make_membership(partitioner_cls=PrefixPartitioner):
-    return Membership(partitioner_cls(NODES, 2))
+def make_membership():
+    return Membership(PrefixPartitioner(NODES, 2))
 
 
 class TestRpcSentinels:
@@ -126,19 +126,6 @@ class TestMembership:
         for code in HASHES:
             assert first.node_for(code) == base.node_for(code)
             assert second.node_for(code) == base.node_for(code)
-
-    def test_consistent_hash_ring_repair_is_minimal(self):
-        membership = make_membership(ConsistentHashPartitioner)
-        base = ConsistentHashPartitioner(NODES, 2)
-        before = {code: base.node_for(code) for code in HASHES}
-        membership.declare_dead("node-3")
-        for code, owner in before.items():
-            # Keys owned by survivors keep their owner; only node-3's
-            # keys move (consistent hashing's minimal-disruption repair).
-            if owner != "node-3":
-                assert membership.node_for(code) == owner
-            else:
-                assert membership.node_for(code) != "node-3"
 
 
 class TestWithoutNode:

@@ -63,13 +63,6 @@ class TestEncodeDecode:
 
 
 class TestHierarchy:
-    def test_parent_is_prefix(self):
-        assert gh.parent("9q8y7") == "9q8y"
-
-    def test_parent_of_root_fails(self):
-        with pytest.raises(GeohashError):
-            gh.parent("9")
-
     def test_children_count_and_prefix(self):
         kids = gh.children("9q8y")
         assert len(kids) == 32
@@ -85,11 +78,6 @@ class TestHierarchy:
         for b in kid_boxes:
             assert parent_box.south <= b.south and b.north <= parent_box.north + 1e-12
             assert parent_box.west <= b.west and b.east <= parent_box.east + 1e-9
-
-    def test_common_prefix(self):
-        assert gh.common_prefix("9q8y7", "9q8yd") == "9q8y"
-        assert gh.common_prefix("9q8y7", "dq8y7") == ""
-        assert gh.common_prefix("9q8y7", "9q8y7") == "9q8y7"
 
 
 class TestNeighbors:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.keys import CellKey
 from repro.data.block import BlockId
 from repro.data.generator import small_test_dataset
 from repro.data.statistics import SummaryVector
@@ -97,6 +98,64 @@ class TestCatalog:
             for block_id in ids:
                 assert catalog.node_of(block_id) == node
 
+
+
+@pytest.fixture(scope="module")
+def calendar_catalog():
+    """Blocks at precision 2: one in each ``9?`` prefix on 2013-02-02, and
+    one in ``9q`` on every day of 2013."""
+    from repro.data.observation import ObservationBatch
+    from repro.geo import geohash as gh
+
+    points = [(gh.decode("9" + c), TimeKey.of(2013, 2, 2)) for c in gh.GEOHASH_ALPHABET]
+    points += [
+        (gh.decode("9q8y"), day)
+        for month in TimeKey.of(2013).children()
+        for day in month.children()
+    ]
+    cat = StorageCatalog(PrefixPartitioner(NODES, 2))
+    cat.ingest(
+        ObservationBatch(
+            lats=np.array([lat for (lat, _), _ in points]),
+            lons=np.array([lon for (_, lon), _ in points]),
+            epochs=np.array([day.epoch_range().start + 43_200.0 for _, day in points]),
+            attributes={"temperature": np.zeros(len(points))},
+        )
+    )
+    return cat
+
+
+class TestBlocksForCell:
+    """The PLM's block set of a cell: every existing block it aggregates."""
+
+    def test_fine_cell_single_day(self, calendar_catalog):
+        key = CellKey("9q8y7", TimeKey.of(2013, 2, 2))
+        assert calendar_catalog.blocks_for_cell(key) == [BlockId("9q", "2013-02-02")]
+
+    def test_hour_cell_maps_to_day_block(self, calendar_catalog):
+        key = CellKey("9q8y7", TimeKey.of(2013, 2, 2, 13))
+        assert calendar_catalog.blocks_for_cell(key) == [BlockId("9q", "2013-02-02")]
+
+    def test_month_cell_spans_days(self, calendar_catalog):
+        blocks = calendar_catalog.blocks_for_cell(CellKey("9q8y", TimeKey.of(2013, 2)))
+        assert len(blocks) == 28
+        assert all(b.geohash == "9q" for b in blocks)
+
+    def test_year_cell_spans_year(self, calendar_catalog):
+        key = CellKey("9q8y", TimeKey.of(2013))
+        assert len(calendar_catalog.blocks_for_cell(key)) == 365
+
+    def test_coarse_cell_spans_prefixes(self, calendar_catalog):
+        blocks = calendar_catalog.blocks_for_cell(CellKey("9", TimeKey.of(2013, 2, 2)))
+        assert len(blocks) == 32
+        assert all(b.geohash.startswith("9") for b in blocks)
+        assert all(b.day == "2013-02-02" for b in blocks)
+        # Only blocks that exist: nothing was ingested under "b".
+        assert calendar_catalog.blocks_for_cell(CellKey("b", TimeKey.of(2013, 2, 2))) == []
+
+    def test_exact_partition_precision(self, calendar_catalog):
+        key = CellKey("9q", TimeKey.of(2013, 2, 2))
+        assert calendar_catalog.blocks_for_cell(key) == [BlockId("9q", "2013-02-02")]
 
 class TestScanKernel:
     def test_scan_matches_ground_truth(self, catalog, batch):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dht import partitioner as partitioner_module
-from repro.dht.partitioner import ConsistentHashPartitioner, PrefixPartitioner
+from repro.dht.partitioner import PrefixPartitioner
 from repro.errors import StorageError
 from repro.geo.geohash import GEOHASH_ALPHABET
 
@@ -72,39 +72,9 @@ class TestPrefixPartitioner:
             assert 0.5 * expected < count < 1.6 * expected
 
 
-class TestConsistentHashPartitioner:
-    @given(geohashes)
-    def test_maps_to_known_node(self, code):
-        part = ConsistentHashPartitioner(NODES, 2)
-        assert part.node_for(code) in NODES
-
-    def test_removal_only_remaps_removed_nodes_keys(self):
-        part = ConsistentHashPartitioner(NODES, 2, virtual_nodes=128)
-        removed = NODES[3]
-        shrunk = part.without_node(removed)
-        prefixes = [a + b for a in GEOHASH_ALPHABET for b in GEOHASH_ALPHABET]
-        for prefix in prefixes:
-            before = part.node_for_partition(prefix)
-            after = shrunk.node_for_partition(prefix)
-            if before != removed:
-                assert after == before
-            else:
-                assert after != removed
-
-    def test_without_unknown_node(self):
-        part = ConsistentHashPartitioner(NODES, 2)
-        with pytest.raises(StorageError):
-            part.without_node("ghost")
-
-    def test_bad_virtual_nodes(self):
-        with pytest.raises(StorageError):
-            ConsistentHashPartitioner(NODES, 2, virtual_nodes=0)
-
-
 PARTITIONERS = [
     lambda: PrefixPartitioner(NODES, 2),
     lambda: PrefixPartitioner(NODES, 3),
-    lambda: ConsistentHashPartitioner(NODES, 2, virtual_nodes=16),
 ]
 
 

@@ -1,11 +1,14 @@
-"""Open-loop arrivals against STASH: warm caches absorb overload."""
+"""Open-loop arrivals (``DistributedSystem.run_open_loop``): the driver
+itself, on the basic baseline, and STASH's warm caches absorbing overload."""
 
 import numpy as np
 import pytest
 
+from repro.baselines.basic import BasicSystem
 from repro.config import ClusterConfig, StashConfig
 from repro.core.cluster import StashCluster
 from repro.data.generator import small_test_dataset
+from repro.errors import QueryError
 from repro.geo.bbox import BoundingBox
 from repro.geo.resolution import Resolution
 from repro.geo.temporal import TemporalResolution, TimeKey
@@ -24,6 +27,60 @@ def queries(n):
         resolution=Resolution(3, TemporalResolution.DAY),
     )
     return [base.panned(0.02 * (i % 5), 0.02 * (i % 5)) for i in range(n)]
+
+
+def make_query():
+    return AggregationQuery(
+        bbox=BoundingBox(30, 45, -115, -95),
+        time_range=TimeKey.of(2013, 2, 2).epoch_range(),
+        resolution=Resolution(3, TemporalResolution.DAY),
+    )
+
+
+class TestOpenLoopArrivals:
+    def test_all_queries_answered(self, dataset):
+        system = BasicSystem(dataset, StashConfig(cluster=ClusterConfig(num_nodes=4)))
+        queries = [make_query().panned(0.1 * i, 0) for i in range(10)]
+        results = system.run_open_loop(queries, rate=200.0, seed=1)
+        assert len(results) == 10
+        assert all(r.latency > 0 for r in results)
+
+    def test_arrivals_spread_over_time(self, dataset):
+        system = BasicSystem(dataset, StashConfig(cluster=ClusterConfig(num_nodes=4)))
+        queries = [make_query().panned(0.1 * i, 0) for i in range(20)]
+        system.run_open_loop(queries, rate=50.0, seed=2)
+        completions = system.metrics.series["query"].times
+        # Mean inter-arrival 20ms: the stream spans a real interval,
+        # unlike run_concurrent where everything lands at t~0.
+        assert completions[-1] - completions[0] > 0.1
+
+    def test_overload_builds_queueing_delay(self, dataset):
+        config = StashConfig(cluster=ClusterConfig(num_nodes=4, workers_per_node=1))
+        queries = [make_query().panned(0.05 * i, 0) for i in range(30)]
+        relaxed = BasicSystem(dataset, config)
+        relaxed.run_open_loop([q.panned(0, 0) for q in queries], rate=5.0, seed=3)
+        slammed = BasicSystem(dataset, config)
+        slammed.run_open_loop([q.panned(0, 0) for q in queries], rate=5_000.0, seed=3)
+        slammed_mean = np.mean(slammed.metrics.series["query"].values)
+        relaxed_mean = np.mean(relaxed.metrics.series["query"].values)
+        assert slammed_mean > relaxed_mean * 2
+
+    def test_bad_rate(self, dataset):
+        system = BasicSystem(dataset, StashConfig(cluster=ClusterConfig(num_nodes=4)))
+        with pytest.raises(QueryError):
+            system.run_open_loop([make_query()], rate=0.0)
+
+    def test_reproducible(self, dataset):
+        def run():
+            system = BasicSystem(
+                dataset, StashConfig(cluster=ClusterConfig(num_nodes=4))
+            )
+            queries = [make_query().panned(0.1 * i, 0) for i in range(8)]
+            return [
+                r.latency for r in system.run_open_loop(queries, rate=100.0, seed=7)
+            ]
+
+        assert run() == run()
 
 
 class TestOpenLoopStash:

@@ -11,7 +11,6 @@ from repro.data.statistics import AttributeSummary, SummaryVector
 from repro.errors import NetworkError, StorageError
 from repro.faults.membership import RPC_FAILED, RPC_SHED
 from repro.geo.bbox import BoundingBox
-from repro.geo.polygon import Polygon
 from repro.geo.resolution import Resolution
 from repro.geo.temporal import TemporalResolution, TimeKey, TimeRange
 from repro.obs.recorder import QueryContext
@@ -84,9 +83,7 @@ class TestDicts:
 class TestDomainTypes:
     def test_geometry(self):
         box = BoundingBox(30.0, 40.0, -110.0, -100.0)
-        poly = Polygon.of((30.0, -110.0), (40.0, -110.0), (30.0, -100.0))
         assert roundtrip(box) == box
-        assert roundtrip(poly) == poly
 
     def test_temporal(self):
         key = TimeKey.of(2013, 2, 3)
@@ -126,17 +123,6 @@ class TestDomainTypes:
         assert result.bbox == query.bbox
         assert result.resolution == query.resolution
         assert result.attributes == query.attributes
-        assert result.footprint() == query.footprint()
-
-    def test_polygon_query(self):
-        poly = Polygon.of((30.0, -110.0), (40.0, -110.0), (30.0, -100.0))
-        query = AggregationQuery.for_polygon(
-            poly,
-            TimeKey.of(2013, 2, 2).epoch_range(),
-            Resolution(3, TemporalResolution.DAY),
-        )
-        result = roundtrip(query)
-        assert result.polygon == poly
         assert result.footprint() == query.footprint()
 
     def test_query_context(self):

@@ -23,13 +23,10 @@ from repro.workload.scale import (
     DEFAULT_TRANSITIONS,
     GESTURE_INDEX,
     GESTURE_KIND,
-    ArrivalStream,
     ScaleWorkloadSpec,
     SessionTable,
     observed_hotspot_frequencies,
-    open_loop_arrivals,
     run_closed_loop,
-    run_open_loop,
 )
 from repro.workload.sessions import GESTURES
 
@@ -62,24 +59,15 @@ class TestDeterminism:
         assert np.array_equal(bigger.precision[:400], table.precision)
         assert np.array_equal(bigger.hotspot[:400], table.hotspot)
 
-    def test_arrival_stream_deterministic(self, table):
-        one = open_loop_arrivals(table, rate=50.0)
-        two = open_loop_arrivals(table, rate=50.0)
-        assert one.digest() == two.digest()
-        assert open_loop_arrivals(table, rate=50.0, seed=99).digest() != one.digest()
-
     def test_cross_process_identical_streams(self, table):
-        """Same seed => identical gesture AND arrival bytes in a fresh
-        interpreter (the satellite's two-process determinism check)."""
+        """Same seed => identical gesture bytes in a fresh interpreter."""
         src_root = os.path.dirname(os.path.dirname(os.path.dirname(repro.__file__)))
         program = (
-            "from repro.workload.scale import ScaleWorkloadSpec, SessionTable, "
-            "open_loop_arrivals\n"
+            "from repro.workload.scale import ScaleWorkloadSpec, SessionTable\n"
             f"table = SessionTable.synthesize(ScaleWorkloadSpec("
             f"num_users={SPEC.num_users}, session_length={SPEC.session_length}, "
             f"seed={SPEC.seed}))\n"
             "print(table.digest())\n"
-            "print(open_loop_arrivals(table, rate=50.0).digest())\n"
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(src_root, "src") + (
@@ -89,9 +77,7 @@ class TestDeterminism:
             [sys.executable, "-c", program],
             capture_output=True, text=True, timeout=120, env=env, check=True,
         )
-        table_digest, arrival_digest = out.stdout.split()
-        assert table_digest == table.digest()
-        assert arrival_digest == open_loop_arrivals(table, rate=50.0).digest()
+        assert out.stdout.split() == [table.digest()]
 
 
 # ---------------------------------------------------------------------------
@@ -247,32 +233,7 @@ class TestZipfHotspots:
 
 
 # ---------------------------------------------------------------------------
-# arrival streams and drivers
-
-
-class TestOpenLoopArrivals:
-    def test_sorted_and_complete(self, table):
-        stream = open_loop_arrivals(table, rate=80.0)
-        assert isinstance(stream, ArrivalStream)
-        assert len(stream) == table.num_queries
-        assert (np.diff(stream.times) >= 0).all()
-
-    def test_per_user_gesture_order_preserved(self, table):
-        stream = open_loop_arrivals(table, rate=80.0)
-        for user in (0, 17, 399):
-            steps = stream.steps[stream.users == user]
-            assert list(steps) == sorted(steps)
-
-    def test_aggregate_rate_roughly_honored(self, table):
-        rate = 80.0
-        stream = open_loop_arrivals(table, rate=rate)
-        window = float(stream.times[-1])
-        achieved = len(stream) / window
-        assert 0.4 * rate < achieved < 2.5 * rate
-
-    def test_nonpositive_rate_rejected(self, table):
-        with pytest.raises(WorkloadError):
-            open_loop_arrivals(table, rate=0.0)
+# drivers
 
 
 class TestSimDrivers:
@@ -303,15 +264,6 @@ class TestSimDrivers:
         system = make_system("stash", dataset, config)
         results = run_closed_loop(system, small, users=2, think_time=0.25)
         assert len(results) == 6
-
-    def test_open_loop_completes_every_arrival(self, bench):
-        dataset, config, make_system = bench
-        small = SessionTable.synthesize(
-            ScaleWorkloadSpec(num_users=5, session_length=3, seed=5)
-        )
-        system = make_system("stash", dataset, config)
-        results = run_open_loop(system, small, rate=30.0)
-        assert len(results) == 15
 
     def test_negative_think_time_rejected(self, bench):
         dataset, config, make_system = bench
