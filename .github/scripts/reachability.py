@@ -6,7 +6,7 @@
 Copies ``src/``, ``examples/``, ``benchmarks/`` and ``BENCHMARK.json`` of
 the tree (default: the checkout holding this script) into a scratch
 directory, so commands
-that write reports (``experiment all --save``, ``bench scale``, ``slo``)
+that write reports (``experiment all --save``, ``bench scale``)
 never touch the checkout.  Every entry point in :data:`ENTRY_POINTS`
 runs there with a ``sitecustomize.py`` on ``PYTHONPATH`` that installs a
 ``sys.setprofile`` + ``threading.setprofile`` hook; each process,
@@ -93,14 +93,11 @@ ENTRY_POINTS = {
     "query-elastic": REPRO + ["query", "--engine", "elastic", "--records", "5000"],
     "experiment-all-save": REPRO + ["experiment", "all", "--save"],
     "conform": REPRO + ["conform", "--seed", "0"],
-    "slo": REPRO + ["slo", "--requests", "40", "--output", "slo.json"],
     "bench-scale": REPRO + ["bench", "scale", "--quick", "--output", "scale.json"],
-    "bench-churn": REPRO + ["bench", "churn", "--quick", "--output", "churn.json"],
     "trace-record": REPRO + ["trace", "record", "trace.jsonl", "--requests", "20"],
     "trace-replay": REPRO + ["trace", "replay", "trace.jsonl", "--records", "8000"],
     "trace-replay-concurrent": REPRO
     + ["trace", "replay", "trace.jsonl", "--records", "8000", "--concurrent"],
-    "trace-export": REPRO + ["trace", "export", "trace.json", "--requests", "5", "--records", "12000"],
     "metrics": REPRO + ["metrics", "--requests", "5", "--records", "12000", "--interval", "0.01"],
     "explain": REPRO + ["explain", "--requests", "6", "--records", "12000", "--trace-out", "explain.json"],
     "faults-validate": REPRO + ["faults", "validate", "schedule.json"],

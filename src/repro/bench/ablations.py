@@ -28,6 +28,7 @@ from repro.geo.resolution import Resolution
 from repro.query.model import AggregationQuery
 from repro.workload.hotspot import hotspot_workload
 from repro.workload.queries import QuerySize, random_query
+from repro.workload.scale import ScaleWorkloadSpec, SessionTable
 
 
 def ablation_rollup(scale: BenchScale) -> ExperimentResult:
@@ -229,6 +230,32 @@ def ablation_cache_capacity(scale: BenchScale) -> ExperimentResult:
     return result
 
 
+def session_spec(scale: BenchScale) -> ScaleWorkloadSpec:
+    """The sessions experiment's users: four 12-gesture state-size walks."""
+    return ScaleWorkloadSpec(
+        num_users=4,
+        session_length=12,
+        size=QuerySize.STATE,
+        spatial_range=(2, min(4, scale.spatial_resolution)),
+        seed=scale.seed + 101,
+    )
+
+
+def session_stream(scale: BenchScale) -> list[AggregationQuery]:
+    """:func:`session_spec`'s sessions interleaved round-robin.
+
+    The table is replayed step-major, so each user keeps their own
+    gesture order and consecutive arrivals come from different users —
+    the multi-user request stream a shared STASH deployment sees.
+    """
+    table = SessionTable.synthesize(session_spec(scale))
+    return [
+        table.query(user, step)
+        for step in range(table.session_length)
+        for user in range(table.num_users)
+    ]
+
+
 def experiment_realistic_sessions(scale: BenchScale) -> ExperimentResult:
     """Mixed multi-user exploration traffic across all three engines.
 
@@ -238,24 +265,13 @@ def experiment_realistic_sessions(scale: BenchScale) -> ExperimentResult:
     """
     import numpy as np
 
-    from repro.geo.temporal import TimeKey
-    from repro.workload.sessions import interleaved_users
-
     result = ExperimentResult(
         name="experiment_sessions",
         description="multi-user gesture traffic: latency by engine",
     )
     dataset = bench_dataset(scale)
     config = bench_config(scale)
-    days = [TimeKey.of(2013, 2, 1), TimeKey.of(2013, 2, 2)]
-    stream = interleaved_users(
-        scale.rng(101),
-        NAM_DOMAIN,
-        num_users=4,
-        session_length=12,
-        days=days,
-        spatial_range=(2, min(4, scale.spatial_resolution)),
-    )
+    stream = session_stream(scale)
     for kind in ("basic", "stash", "elastic"):
         system = make_system(kind, dataset, config)
         latencies = []

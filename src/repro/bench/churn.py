@@ -59,7 +59,6 @@ from repro.faults.schedule import FaultSchedule
 #: completes well inside the outage window at ARRIVAL_RATE.
 GOSSIP = dict(
     interval=0.25,
-    fanout=2,
     suspect_after=1.0,
     dead_after=1.0,
 )
@@ -79,7 +78,7 @@ def _variant_config(scale: BenchScale, repair: bool):
     return bench_config(
         scale,
         faults=FaultConfig(enabled=True, **RECOVERY),
-        gossip=GossipConfig(enabled=True, repair=repair, handoff=repair, **GOSSIP),
+        gossip=GossipConfig(enabled=True, repair=repair, **GOSSIP),
         overload=OVERLOAD,
         replication=REPLICATION,
     )

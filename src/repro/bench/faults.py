@@ -49,7 +49,6 @@ RECOVERY = dict(
     evaluate_timeout=1.5,
     max_retries=2,
     backoff_base=0.05,
-    backoff_multiplier=2.0,
 )
 
 

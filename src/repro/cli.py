@@ -130,16 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_engine(rep)
     _add_cluster(rep)
     rep.add_argument("--concurrent", action="store_true")
-    exp = tr_sub.add_parser(
-        "export",
-        help="run a workload with tracing on; export a Chrome/Perfetto trace",
-    )
-    exp.add_argument("output", help="output trace JSON (load in ui.perfetto.dev)")
-    _add_engine(exp)
-    _add_workload(exp, requests=20)
-    _add_cluster(exp)
-    exp.add_argument("--concurrent", action="store_true")
-
     fa = sub.add_parser(
         "faults", help="validate or replay a fault-injection schedule"
     )
@@ -167,21 +157,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     be = sub.add_parser(
-        "bench", help="simulated workload sweeps: membership churn, nodes x users"
+        "bench", help="simulated workload sweeps: nodes x users"
     )
     be_sub = be.add_subparsers(dest="bench_command", required=True)
-    ch = be_sub.add_parser(
-        "churn",
-        help="membership churn: gossip recovery with repair vs cold restart",
-    )
-    ch.add_argument(
-        "--quick", action="store_true",
-        help="unit bench scale (the CI smoke configuration)",
-    )
-    ch.add_argument("--seed", type=int, default=42)
-    ch.add_argument(
-        "--output", default="BENCH_churn.json", help="report path ('-' to skip)"
-    )
     bs = be_sub.add_parser(
         "scale",
         help="nodes x users closed-loop sweep: throughput + latency SLOs, "
@@ -216,17 +194,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ep.add_argument(
         "--trace-out", metavar="PATH",
         help="also export the full run as a Chrome/Perfetto trace",
-    )
-
-    sl = sub.add_parser(
-        "slo",
-        help="run a session gesture mix; report per-class latency SLOs",
-    )
-    _add_engine(sl)
-    sl.add_argument("--requests", type=int, default=60)
-    sl.add_argument("--seed", type=int, default=42)
-    sl.add_argument(
-        "--output", default="BENCH_slo.json", help="report path ('-' to skip)"
     )
 
     cf = sub.add_parser(
@@ -455,35 +422,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"wrote {count} queries to {args.path}")
         return 0
 
-    if args.trace_command == "export":
-        from repro.config import ObservabilityConfig
-        from repro.bench.harness import attribution_fractions_of
-        from repro.obs import write_chrome_trace
-
-        queries = _generate_workload(
-            args.workload, args.size, args.requests, args.seed
-        )
-        system = _build_system(args, observability=ObservabilityConfig(trace=True))
-        results = replay_trace(system, queries, concurrent=args.concurrent)
-        system.drain()
-        try:
-            write_chrome_trace(system.tracer, args.output)
-        except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-            return 2
-        print(
-            f"traced {len(results)} queries on {args.engine}: "
-            f"{len(system.tracer)} spans -> {args.output}"
-        )
-        if system.tracer.truncated:
-            print("warning: span cap hit; trace is truncated")
-        fractions = attribution_fractions_of(results)
-        if any(fractions.values()):
-            print("critical-path latency attribution:")
-            for category, fraction in sorted(fractions.items()):
-                print(f"  {category:>9}: {fraction:7.2%}")
-        return 0
-
     # replay
     from repro.errors import WorkloadError
     from repro.stats import percentile
@@ -595,57 +533,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_slo(args: argparse.Namespace) -> int:
-    from repro.bench.slo import format_slo_report, run_slo
-
-    if args.requests <= 0:
-        print(f"error: --requests must be positive, got {args.requests}",
-              file=sys.stderr)
-        return 2
-    scale = BenchScale.unit().with_(seed=args.seed)
-    report = run_slo(engine=args.engine, scale=scale, requests=args.requests)
-    print(format_slo_report(report))
-    if args.output != "-" and not _write_json(report, args.output):
-        return 2
-    return 0
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.bench_command == "churn":
-        return _cmd_bench_churn(args)
-    return _cmd_bench_scale(args)
-
-
-def _cmd_bench_churn(args: argparse.Namespace) -> int:
-    from repro.bench.churn import churn_recovery
-    from repro.bench.reporting import ascii_chart
-
-    scale = BenchScale.unit() if args.quick else BenchScale.default()
-    scale = scale.with_(seed=args.seed)
-    result = churn_recovery(scale)
-    print(result.format_table())
-    print()
-    print(ascii_chart(result))
-    if not result.meta.get("warm_recovery_faster"):
-        print(
-            "warning: repair variant did not beat the cold restart "
-            "(recovery_hit_rate_advantage="
-            f"{result.meta.get('recovery_hit_rate_advantage')})",
-            file=sys.stderr,
-        )
-    if args.output != "-":
-        payload = {
-            "name": result.name,
-            "description": result.description,
-            "series": result.series,
-            "meta": result.meta,
-        }
-        if not _write_json(payload, args.output):
-            return 2
-    return 0
-
-
-def _cmd_bench_scale(args: argparse.Namespace) -> int:
     import dataclasses
 
     from repro.bench.scale import (
@@ -840,7 +728,6 @@ _COMMANDS: dict[str, Callable[[argparse.Namespace], int]] = {
     "faults": _cmd_faults,
     "bench": _cmd_bench,
     "explain": _cmd_explain,
-    "slo": _cmd_slo,
     "conform": _cmd_conform,
     "serve": _cmd_serve,
     "metrics": _cmd_metrics,

@@ -174,6 +174,11 @@ class ObservabilityConfig:
     slo_targets: tuple = ()
 
 
+#: Growth factor of the retry backoff: retry ``i`` waits
+#: ``backoff_base * BACKOFF_MULTIPLIER**i``.
+BACKOFF_MULTIPLIER = 2.0
+
+
 @dataclass(frozen=True)
 class FaultConfig:
     """Fault injection and failure recovery (repro.faults).
@@ -194,9 +199,8 @@ class FaultConfig:
     evaluate_timeout: float = 30.0
     #: Retries after the first attempt before declaring the peer dead.
     max_retries: int = 2
-    #: Backoff before retry ``i`` is ``backoff_base * backoff_multiplier**i``.
+    #: Backoff before the first retry (see :data:`BACKOFF_MULTIPLIER`).
     backoff_base: float = 0.5
-    backoff_multiplier: float = 2.0
     #: Fraction of the nominal backoff randomized symmetrically around it
     #: (0.2 means each delay is drawn from +/-20% of nominal).  0 keeps
     #: the historical deterministic schedule; >0 decorrelates retries so
@@ -220,7 +224,7 @@ class FaultConfig:
         ``backoff_jitter`` > 0, so jitter-free configs draw nothing and
         stay bit-identical to the pre-jitter schedule.
         """
-        delay = self.backoff_base * self.backoff_multiplier**attempt
+        delay = self.backoff_base * BACKOFF_MULTIPLIER**attempt
         if self.backoff_jitter > 0.0 and rng is not None:
             spread = self.backoff_jitter * (2.0 * float(rng.random()) - 1.0)
             delay *= 1.0 + spread
@@ -244,19 +248,16 @@ class GossipConfig:
     enabled: bool = False
     #: Seconds of simulated time between push-gossip rounds.
     interval: float = 0.25
-    #: Peers each participant pushes its digest to per round.
-    fanout: int = 2
     #: No heartbeat progress from a peer for this long -> SUSPECT.
     suspect_after: float = 1.0
     #: A SUSPECT peer with still no progress for this much longer is
     #: confirmed DEAD (total silence budget = suspect_after + dead_after).
     dead_after: float = 1.0
-    #: On a confirmed death, survivors promote / re-disperse guest
-    #: replicas covering the dead node's range (anti-entropy repair).
+    #: Anti-entropy: on a confirmed death, survivors promote /
+    #: re-disperse guest replicas covering the dead node's range, and on
+    #: a rejoin they stream the node's hot cells back (handoff) instead
+    #: of letting it cold-start.
     repair: bool = True
-    #: On a rejoin, survivors stream the rejoining node's hot cells back
-    #: (handoff) instead of letting it cold-start.
-    handoff: bool = True
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ class StashCluster(DistributedSystem):
             node.start()
             # Anti-entropy hooks: when *this node's own view* confirms a
             # death (or sees a rejoin), it repairs / hands back (the
-            # callbacks are inert unless ``gossip.repair`` / ``handoff``).
+            # callbacks are inert unless ``gossip.repair``).
             view = self.memberships[node_id]
             view.on_dead.append(node.on_peer_confirmed_dead)
             view.on_alive.append(node.on_peer_rejoined)

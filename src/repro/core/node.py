@@ -553,7 +553,7 @@ class StashNode(StorageNode):
 
     def on_peer_rejoined(self, peer: str) -> None:
         """Membership callback: a dead peer is back (new incarnation)."""
-        if self._gossip is None or not self._gossip.handoff:
+        if self._gossip is None or not self._gossip.repair:
             return
         if self._workers_stale:
             return

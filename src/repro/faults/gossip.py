@@ -29,6 +29,9 @@ from repro.sim.network import Network
 #: Serialized bytes per view entry in a gossip digest.
 WIRE_SIZE_PER_ENTRY = 32
 
+#: Peers each participant pushes its digest to per round.
+FANOUT = 2
+
 
 class GossipAgent:
     """The process side of one participant's membership.
@@ -113,7 +116,7 @@ class GossipAgent:
     def _push(self) -> None:
         if not self._peers:
             return
-        fanout = min(self.config.fanout, len(self._peers))
+        fanout = min(FANOUT, len(self._peers))
         picks = self.rng.choice(len(self._peers), size=fanout, replace=False)
         digest = self.membership.digest()
         size = len(digest) * WIRE_SIZE_PER_ENTRY

@@ -441,7 +441,7 @@ AXES: tuple[Axis, ...] = (
                 ),
             ),
             "gossip": GossipConfig(
-                enabled=True, interval=0.05, fanout=2, suspect_after=0.2, dead_after=0.2
+                enabled=True, interval=0.05, suspect_after=0.2, dead_after=0.2
             ),
             "overload": OverloadConfig(enabled=True, queue_limit=32),
         },

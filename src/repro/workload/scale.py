@@ -1,9 +1,9 @@
 """Session-scale exploration workloads: millions of users, one array walk.
 
-:mod:`repro.workload.sessions` builds gesture walks one query object at
-a time — fine for hundreds of users, hopeless for the million-user
-traffic the north star asks for.  This module synthesizes whole user
-populations *as columns*: every user's pan/zoom/drill session is a row in
+The paper's workload is users exploring by gestures — pan, dice in/out,
+drill-down, roll-up, day-slice, jump to a new region — over shared
+regions (section V-A locality).  This module synthesizes whole user
+populations *as columns*: every user's gesture session is a row in
 a set of numpy arrays, advanced one gesture step at a time with
 vectorized state updates, so a million 8-step sessions cost a few dozen
 array operations instead of eight million Python calls.
@@ -38,7 +38,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from repro.errors import WorkloadError
+from repro.errors import TemporalError, WorkloadError
 from repro.geo import geohash as gh
 from repro.geo.bbox import BoundingBox
 from repro.geo.resolution import Resolution
@@ -46,7 +46,6 @@ from repro.geo.temporal import TemporalResolution, TimeKey
 from repro.query.model import AggregationQuery
 from repro.workload.navigation import COMPASS
 from repro.workload.queries import QUERY_SIZE_EXTENTS, QuerySize
-from repro.workload.sessions import GESTURES
 
 #: Users synthesized per chunk.  Part of the determinism contract: the
 #: per-chunk RNG stream depends on this constant, so it is fixed rather
@@ -56,7 +55,10 @@ CHUNK_USERS = 65_536
 #: Bounds of the per-user area-scale random walk (dice_in/dice_out).
 _MIN_AREA_SCALE, _MAX_AREA_SCALE = 0.4, 2.5
 
-#: Gesture index lookup (shared vocabulary with repro.workload.sessions).
+#: The gesture vocabulary, in transition-matrix order.
+GESTURES = ("pan", "dice_in", "dice_out", "drill_down", "roll_up", "slice_day", "jump")
+
+#: Gesture index lookup.
 GESTURE_INDEX = {name: i for i, name in enumerate(GESTURES)}
 
 #: Query-class tag per gesture — the flight recorder's histogram key.
@@ -128,6 +130,12 @@ class ScaleWorkloadSpec:
             raise WorkloadError("spatial_range must satisfy 1 <= lo <= hi <= 8")
         if self.num_days < 1:
             raise WorkloadError("num_days must be >= 1")
+        if len(self.start_day) != 3:
+            raise WorkloadError("start_day must be (year, month, day)")
+        try:
+            TimeKey.of(*self.start_day)
+        except TemporalError as exc:
+            raise WorkloadError(f"invalid start_day: {exc}") from exc
         matrix = np.asarray(self.transitions, dtype=np.float64)
         if matrix.shape != (len(GESTURES), len(GESTURES)):
             raise WorkloadError(
@@ -145,8 +153,8 @@ class ScaleWorkloadSpec:
 
     @property
     def days(self) -> list[TimeKey]:
-        year, month, day = self.start_day
-        return [TimeKey.of(year, month, day + i) for i in range(self.num_days)]
+        first = TimeKey.of(*self.start_day)
+        return [first.step(i) for i in range(self.num_days)]
 
     def zipf_weights(self) -> np.ndarray:
         """Normalized hotspot popularity by rank (rank 1 first)."""

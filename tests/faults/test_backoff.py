@@ -2,12 +2,12 @@
 
 import numpy as np
 
-from repro.config import FaultConfig
+from repro.config import BACKOFF_MULTIPLIER, FaultConfig
 
 
 class TestBackoffDelay:
     def test_zero_jitter_is_exact_and_consumes_no_randomness(self):
-        faults = FaultConfig(backoff_base=0.1, backoff_multiplier=2.0)
+        faults = FaultConfig(backoff_base=0.1)
         rng = np.random.default_rng(7)
         state_before = rng.bit_generator.state
         for attempt in range(4):
@@ -18,12 +18,10 @@ class TestBackoffDelay:
 
     def test_no_rng_falls_back_to_nominal(self):
         faults = FaultConfig(backoff_base=0.2, backoff_jitter=0.5)
-        assert faults.backoff_delay(1) == 0.2 * faults.backoff_multiplier
+        assert faults.backoff_delay(1) == 0.2 * BACKOFF_MULTIPLIER
 
     def test_jitter_stays_within_band(self):
-        faults = FaultConfig(
-            backoff_base=0.1, backoff_multiplier=2.0, backoff_jitter=0.25
-        )
+        faults = FaultConfig(backoff_base=0.1, backoff_jitter=0.25)
         rng = np.random.default_rng(123)
         for attempt in range(3):
             nominal = 0.1 * 2.0**attempt

@@ -20,7 +20,6 @@ from repro.query.model import AggregationQuery
 FAST_GOSSIP = GossipConfig(
     enabled=True,
     interval=0.05,
-    fanout=2,
     suspect_after=0.2,
     dead_after=0.2,
 )
@@ -252,7 +251,6 @@ class TestRepairAndHandoff:
             suspect_after=0.2,
             dead_after=0.2,
             repair=False,
-            handoff=False,
         )
         queries = [base_query(i) for i in range(24)]
         probe = cluster(dataset)

@@ -222,30 +222,15 @@ class TestExplainCommand:
         assert "out of range" in capsys.readouterr().err
 
 
-class TestSloCommand:
-    def test_report_and_json_output(self, tmp_path, capsys):
-        import json
-
-        path = tmp_path / "BENCH_slo.json"
-        code = main(
-            ["slo", "--requests", "12", "--output", str(path)]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "== bench slo" in out
-        assert "outcomes:" in out
-        report = json.loads(path.read_text())
-        assert report["schema"] == "stash-bench-slo/v1"
-        assert set(report["meta"]) >= {"python", "numpy", "seed"}
-        assert report["recorder"]["queries"] == 12
-
-    def test_skip_output(self, capsys):
-        code = main(["slo", "--requests", "6", "--output", "-"])
-        assert code == 0
-        assert "wrote report" not in capsys.readouterr().out
-
+class TestBenchScaleCommand:
     def test_unwritable_output_is_exit_2(self, capsys):
-        code = main(["slo", "--requests", "6", "--output", "/nonexistent/x.json"])
+        code = main(
+            [
+                "bench", "scale", "--quick",
+                "--nodes", "2", "--users", "2",
+                "--output", "/nonexistent/x.json",
+            ]
+        )
         assert code == 2
         assert "error: cannot write /nonexistent/x.json" in capsys.readouterr().err
 

@@ -174,14 +174,15 @@ class TestMetricsSampling:
 
 
 class TestCli:
-    def test_trace_export_writes_loadable_json(self, tmp_path, capsys):
+    def test_explain_trace_out_writes_loadable_json(self, tmp_path, capsys):
         out = tmp_path / "trace.json"
         code = main(
             [
-                "trace", "export", str(out),
+                "explain",
                 "--requests", "3",
                 "--records", "5000",
                 "--nodes", "4",
+                "--trace-out", str(out),
             ]
         )
         assert code == 0
@@ -189,7 +190,7 @@ class TestCli:
         assert doc["traceEvents"]
         phases = {e["ph"] for e in doc["traceEvents"]}
         assert phases <= {"X", "M"}
-        assert "spans" in capsys.readouterr().out
+        assert f"wrote Chrome trace of the full run to {out}" in capsys.readouterr().out
 
     def test_metrics_command(self, tmp_path, capsys):
         out = tmp_path / "metrics.json"

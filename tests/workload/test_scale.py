@@ -19,16 +19,17 @@ from hypothesis import strategies as st
 import repro
 from repro.errors import WorkloadError
 from repro.workload.queries import QuerySize
+from repro.geo.temporal import TimeKey
 from repro.workload.scale import (
     DEFAULT_TRANSITIONS,
     GESTURE_INDEX,
     GESTURE_KIND,
+    GESTURES,
     ScaleWorkloadSpec,
     SessionTable,
     observed_hotspot_frequencies,
     run_closed_loop,
 )
-from repro.workload.sessions import GESTURES
 
 SPEC = ScaleWorkloadSpec(num_users=400, session_length=6, seed=13)
 
@@ -97,11 +98,26 @@ class TestSpecValidation:
             {"spatial_range": (0, 4)},
             {"spatial_range": (5, 4)},
             {"num_days": 0},
+            {"start_day": (2013, 2, 29)},
+            {"start_day": (2013, 2)},
         ],
     )
     def test_bad_knob_raises(self, overrides):
         with pytest.raises(WorkloadError):
             SPEC.with_(**overrides).validated()
+
+    def test_session_window_crosses_a_month_end(self):
+        spec = ScaleWorkloadSpec(
+            num_users=2, session_length=3, start_day=(2013, 2, 28), num_days=2
+        )
+        assert spec.days == [TimeKey.of(2013, 2, 28), TimeKey.of(2013, 3, 1)]
+        table = SessionTable.synthesize(spec)
+        starts = {day.epoch_range().start for day in spec.days}
+        for _, _, query in table.iter_queries():
+            assert query.time_range.start in starts
+
+    def test_default_window_is_unchanged(self):
+        assert SPEC.days == [TimeKey.of(2013, 2, 1), TimeKey.of(2013, 2, 2)]
 
     def test_non_stochastic_matrix_raises(self):
         bad = tuple(

@@ -1,102 +1,72 @@
-"""Tests for the multi-user session workload generator."""
+"""Tests for the multi-user session stream of the sessions experiment."""
 
-import numpy as np
 import pytest
 
-from repro.data.generator import NAM_DOMAIN
-from repro.errors import WorkloadError
-from repro.geo.temporal import TimeKey
-from repro.workload.sessions import (
-    GestureWeights,
-    interleaved_users,
-    random_session,
-)
+from repro.bench.ablations import session_spec, session_stream
+from repro.bench.harness import BenchScale
+from repro.workload.scale import SessionTable
 
-DAYS = [TimeKey.of(2013, 2, d) for d in (1, 2, 3)]
+SCALE = BenchScale.unit()
+SPEC = session_spec(SCALE)
 
 
-@pytest.fixture()
-def rng():
-    return np.random.default_rng(23)
+@pytest.fixture(scope="module")
+def stream():
+    return session_stream(SCALE)
 
 
-class TestGestureWeights:
-    def test_normalized_sums_to_one(self):
-        assert GestureWeights().normalized().sum() == pytest.approx(1.0)
-
-    def test_rejects_negative(self):
-        with pytest.raises(WorkloadError):
-            GestureWeights(pan=-1.0).normalized()
-
-    def test_rejects_all_zero(self):
-        with pytest.raises(WorkloadError):
-            GestureWeights(0, 0, 0, 0, 0, 0, 0).normalized()
+@pytest.fixture(scope="module")
+def table():
+    return SessionTable.synthesize(SPEC)
 
 
 class TestRandomSession:
-    def test_length(self, rng):
-        session = random_session(rng, NAM_DOMAIN, 20, DAYS)
-        assert len(session) == 20
+    def test_length(self, table):
+        for user in range(SPEC.num_users):
+            assert len(table.user_queries(user)) == SPEC.session_length
 
-    def test_validation(self, rng):
-        with pytest.raises(WorkloadError):
-            random_session(rng, NAM_DOMAIN, 0, DAYS)
-        with pytest.raises(WorkloadError):
-            random_session(rng, NAM_DOMAIN, 5, [])
-        with pytest.raises(WorkloadError):
-            random_session(rng, NAM_DOMAIN, 5, DAYS, spatial_range=(4, 2))
+    def test_resolutions_within_range(self, stream):
+        lo, hi = SPEC.spatial_range
+        for query in stream:
+            assert lo <= query.resolution.spatial <= hi
 
-    def test_resolutions_within_range(self, rng):
-        session = random_session(rng, NAM_DOMAIN, 40, DAYS, spatial_range=(2, 4))
-        for query in session:
-            assert 2 <= query.resolution.spatial <= 4
-
-    def test_days_from_pool(self, rng):
-        session = random_session(rng, NAM_DOMAIN, 40, DAYS)
-        allowed = {d.epoch_range().start for d in DAYS}
-        for query in session:
+    def test_days_from_pool(self, stream):
+        allowed = {d.epoch_range().start for d in SPEC.days}
+        for query in stream:
             assert query.time_range.start in allowed
 
-    def test_consecutive_queries_usually_related(self, rng):
+    def test_consecutive_queries_usually_related(self, table):
         """Most gestures keep locality: high overlap or same box."""
-        session = random_session(rng, NAM_DOMAIN, 60, DAYS)
-        related = 0
-        for a, b in zip(session, session[1:]):
-            if a.bbox.intersects(b.bbox):
-                related += 1
-        assert related / (len(session) - 1) > 0.6
+        related = total = 0
+        for user in range(SPEC.num_users):
+            session = table.user_queries(user)
+            for a, b in zip(session, session[1:]):
+                related += a.bbox.intersects(b.bbox)
+                total += 1
+        assert related / total > 0.6
 
-    def test_reproducible(self):
-        a = random_session(np.random.default_rng(9), NAM_DOMAIN, 15, DAYS)
-        b = random_session(np.random.default_rng(9), NAM_DOMAIN, 15, DAYS)
-        assert [q.bbox for q in a] == [q.bbox for q in b]
-
-    def test_pan_only_weights(self, rng):
-        weights = GestureWeights(1, 0, 0, 0, 0, 0, 0)
-        session = random_session(rng, NAM_DOMAIN, 10, DAYS, weights=weights)
-        # Pans preserve the box extent.
-        heights = {round(q.bbox.height, 6) for q in session}
-        assert len(heights) == 1
+    def test_reproducible(self, stream):
+        again = session_stream(SCALE)
+        assert [q.bbox for q in again] == [q.bbox for q in stream]
 
 
 class TestInterleaving:
-    def test_total_count(self, rng):
-        stream = interleaved_users(rng, NAM_DOMAIN, 4, 10, DAYS)
-        assert len(stream) == 40
+    def test_total_count(self, stream):
+        assert len(stream) == SPEC.num_users * SPEC.session_length
 
-    def test_per_user_order_preserved(self, rng):
-        # With one user, the stream is just that session.
-        solo = interleaved_users(np.random.default_rng(3), NAM_DOMAIN, 1, 12, DAYS)
-        session = random_session(np.random.default_rng(3), NAM_DOMAIN, 12, DAYS)
-        assert [q.bbox for q in solo] == [q.bbox for q in session]
-
-    def test_needs_users(self, rng):
-        with pytest.raises(WorkloadError):
-            interleaved_users(rng, NAM_DOMAIN, 0, 5, DAYS)
+    def test_per_user_order_preserved(self, stream, table):
+        # Every user's arrivals, in stream order, are exactly their session.
+        users = SPEC.num_users
+        for user in range(users):
+            session = table.user_queries(user)
+            assert [q.bbox for q in stream[user::users]] == [q.bbox for q in session]
+            assert [q.kind for q in stream[user::users]] == [q.kind for q in session]
+        # ... and consecutive arrivals come from different users.
+        assert stream[0].bbox != stream[1].bbox
 
 
 class TestEndToEnd:
-    def test_session_stream_runs_on_stash(self, rng):
+    def test_session_stream_runs_on_stash(self, stream):
         from repro.config import ClusterConfig, StashConfig
         from repro.core.cluster import StashCluster
         from repro.data.generator import small_test_dataset
@@ -105,12 +75,9 @@ class TestEndToEnd:
         cluster = StashCluster(
             dataset, StashConfig(cluster=ClusterConfig(num_nodes=4))
         )
-        stream = interleaved_users(
-            rng, NAM_DOMAIN, 3, 6, DAYS, spatial_range=(2, 3)
-        )
-        results = cluster.run_serial(stream)
+        results = cluster.run_serial([q.clone() for q in stream])
         cluster.drain()
-        assert len(results) == 18
+        assert len(results) == len(stream)
         counts = cluster.counters_total()
         # Locality in the stream produces real cache traffic.
         assert counts.get("cells_served_from_cache", 0) > 0
