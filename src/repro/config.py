@@ -13,8 +13,11 @@ bytes unless stated otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any
+
+from repro.errors import FaultError
 
 
 @dataclass(frozen=True)
@@ -211,6 +214,18 @@ class FaultConfig:
     #: :class:`repro.faults.schedule.FaultEvent` (typed loosely so the
     #: config module does not import repro.faults).
     schedule: tuple = ()
+
+    def __post_init__(self) -> None:
+        """Refuse values the retry loop cannot run on."""
+        for name, rule, ok in (
+            ("rpc_timeout", "finite and > 0", 0 < self.rpc_timeout < math.inf),
+            ("evaluate_timeout", "finite and > 0", 0 < self.evaluate_timeout < math.inf),
+            ("max_retries", ">= 0", self.max_retries >= 0),
+            ("backoff_base", "finite and >= 0", 0 <= self.backoff_base < math.inf),
+            ("backoff_jitter", "in [0, 1]", 0 <= self.backoff_jitter <= 1),
+        ):
+            if not ok:
+                raise FaultError(f"FaultConfig.{name} must be {rule}, got {getattr(self, name)!r}")
 
     @property
     def active(self) -> bool:

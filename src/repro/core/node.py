@@ -329,7 +329,7 @@ class StashNode(StorageNode):
                     helper,
                     "replicate",
                     {"root": clique.root, "cells": payload_cells},
-                    size=len(payload_cells) * self.cost.cell_wire_size,
+                    size=self._wire_size(payload_cells),
                 )
                 if ok is True:
                     self.routing.add(
@@ -401,12 +401,10 @@ class StashNode(StorageNode):
         if plan.missing:
             # Replica incomplete (e.g. purged between routing and arrival):
             # fall back to a normal evaluation from here.
-            self.counters.increment("guest_fallbacks")
-            self.recorder.record_event(
-                "guest_fallback", message.payload.get("ctx"), node=self.node_id
-            )
+            ctx = message.payload.get("ctx")
+            self.incident("guest_fallback", ctx, counter="guest_fallbacks")
             response = yield from self._evaluate_core(
-                query, footprint, parent=message.span, ctx=message.payload.get("ctx")
+                query, footprint, parent=message.span, ctx=ctx
             )
             response["provenance"]["rerouted"] = 1
             return self._cells_reply(response, response["cells"])
@@ -596,7 +594,7 @@ class StashNode(StorageNode):
                 owner,
                 "repair",
                 {"cells": batch},
-                size=len(batch) * self.cost.cell_wire_size,
+                size=self._wire_size(batch),
             )
             if ack is True:
                 self.counters.increment("repair_cells_shipped", len(batch))
@@ -623,7 +621,7 @@ class StashNode(StorageNode):
             peer,
             "handoff",
             {"cells": batch},
-            size=len(batch) * self.cost.cell_wire_size,
+            size=self._wire_size(batch),
         )
         if ack is True:
             for key, _, _ in batch:
@@ -658,13 +656,8 @@ class StashNode(StorageNode):
                 helper = None
             if helper is not None:
                 yield self.sim.timeout(self.cost.cell_lookup_cost)
-                self.counters.increment("queries_rerouted")
-                self.recorder.record_event(
-                    "rerouted_to_replica",
-                    ctx,
-                    node=self.node_id,
-                    detail={"helper": helper},
-                )
+                detail = {"helper": helper}
+                self.incident("rerouted_to_replica", ctx, detail, counter="queries_rerouted")
                 self.network.send(
                     self.node_id,
                     helper,
@@ -733,13 +726,8 @@ class StashNode(StorageNode):
             # disk-resolution path and answer from what the cache gave
             # us.  The holes are reported unresolved (completeness < 1),
             # never fabricated, and degraded answers are never cached.
-            self.counters.increment("breaker_degraded")
-            self.recorder.record_event(
-                "breaker_degraded",
-                ctx,
-                node=self.node_id,
-                detail={"missing": len(missing)},
-            )
+            detail = {"missing": len(missing)}
+            self.incident("breaker_degraded", ctx, detail, counter="breaker_degraded")
             unresolved = missing
         elif missing:
             new_cells, unresolved = yield from self._resolve_missing(
@@ -750,17 +738,12 @@ class StashNode(StorageNode):
         cells = self._answer_cells(query, found)
         completeness = 1.0
         if unresolved:
-            self.counters.increment("degraded_answers")
             provenance["cells_unresolved"] = len(unresolved)
             completeness = 1.0 - len(unresolved) / max(1, len(footprint))
-            self.recorder.record_event(
-                "cells_unresolved",
-                ctx,
-                node=self.node_id,
-                detail={
-                    "count": len(unresolved),
-                    "completeness": completeness,
-                },
+            self.incident(
+                "cells_unresolved", ctx,
+                {"count": len(unresolved), "completeness": completeness},
+                counter="degraded_answers",
             )
         return {
             "cells": cells,
@@ -809,12 +792,11 @@ class StashNode(StorageNode):
             if not rpc_ok(reply):
                 # Owner unreachable (or shedding): treat its whole key
                 # share as cache misses and try the disk path instead.
-                self.counters.increment("fetch_legs_failed")
-                self.recorder.record_event(
+                self.incident(
                     "fetch_leg_shed" if reply is RPC_SHED else "fetch_leg_failed",
                     payload["ctx"],
-                    node=self.node_id,
-                    detail={"owner": owner, "cells": len(payload["cells"])},
+                    {"owner": owner, "cells": len(payload["cells"])},
+                    counter="fetch_legs_failed",
                 )
                 folded["missing"].extend(payload["cells"])
                 continue
@@ -861,12 +843,7 @@ class StashNode(StorageNode):
             return response
         if depth >= MAX_REDIRECTS:
             payload = dict(payload, force=True)
-            self.recorder.record_event(
-                "force_serve",
-                ctx,
-                node=self.node_id,
-                detail={"owner": owner, "depth": depth},
-            )
+            self.incident("force_serve", ctx, {"owner": owner, "depth": depth})
         reply = yield self.request_resilient(
             owner,
             "fetch_cells",
@@ -877,13 +854,7 @@ class StashNode(StorageNode):
         )
         if not rpc_ok(reply) or "not_owner" not in reply:
             return reply
-        self.counters.increment("fetch_redirects")
-        self.recorder.record_event(
-            "redirect",
-            ctx,
-            node=self.node_id,
-            detail={"from": owner, "depth": depth},
-        )
+        self.incident("redirect", ctx, {"from": owner, "depth": depth}, counter="fetch_redirects")
         self.membership.merge(reply["not_owner"], self.sim.now)
         payloads = self._fetch_payloads(
             payload["query"], payload["cells"], payload.get("ring", []), ctx, depth + 1
@@ -947,12 +918,11 @@ class StashNode(StorageNode):
                 # Blocks on a dead node are unreadable until it restarts;
                 # an overloaded node sheds the scan outright.  Either
                 # way, every cell depending on them is degraded.
-                self.counters.increment("scan_legs_failed")
-                self.recorder.record_event(
+                self.incident(
                     "scan_leg_shed" if cells is RPC_SHED else "scan_leg_failed",
                     None if ctx is None else ctx.with_(leg=node_id),
-                    node=self.node_id,
-                    detail={"owner": node_id, "blocks": len(ids)},
+                    {"owner": node_id, "blocks": len(ids)},
+                    counter="scan_legs_failed",
                 )
                 unread_blocks.update(ids)
                 continue
@@ -987,7 +957,7 @@ class StashNode(StorageNode):
                 owner,
                 "populate",
                 {"cells": {key: new_cells[key] for key in keys}},
-                size=len(keys) * self.cost.cell_wire_size,
+                size=self._wire_size(keys),
                 parent=parent,
             )
         return new_cells, unresolved

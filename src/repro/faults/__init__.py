@@ -16,12 +16,13 @@ the discrete-event simulator:
 * :mod:`repro.faults.overload` — per-node admission control (load
   shedding) and a circuit breaker for sustained overload;
 * :mod:`repro.faults.injector` — the process that drives a schedule
-  against a running system.
+  against a running system;
+* :mod:`repro.faults.retry` — ``Participant``, the client's and every
+  node's base: one incident call and one timeout/backoff/give-up loop.
 
-Coordinator-side timeouts, bounded retry/backoff, and degraded (partial)
-answers live on the nodes themselves (:mod:`repro.storage.node`,
-:mod:`repro.core.node`); ``RPC_FAILED`` is the sentinel a fault-aware
-RPC leg returns once its target has been declared dead.
+Degraded (partial) answers live on the nodes themselves
+(:mod:`repro.core.node`); ``RPC_FAILED`` is the sentinel a fault-aware
+RPC returns once its target is hopeless.
 
 With an empty schedule and ``FaultConfig.enabled`` false the entire
 layer is inert: no extra simulation events are created, so existing

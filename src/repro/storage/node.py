@@ -11,16 +11,14 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, Sized
 
-import numpy as np
-
 from repro.config import StashConfig
 from repro.core.keys import CellKey
 from repro.data.block import Block, BlockId
 from repro.data.statistics import SummaryVector
-from repro.dht.partitioner import _stable_hash
 from repro.errors import StorageError
-from repro.faults.membership import RPC_FAILED, RPC_SHED, Membership
+from repro.faults.membership import RPC_SHED, Membership
 from repro.faults.overload import OverloadGuard
+from repro.faults.retry import Participant
 from repro.obs.recorder import QueryContext
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import Span
@@ -45,7 +43,7 @@ Handler = Callable[[Message], Generator[Event, Any, Reply]]
 COORDINATOR_KINDS = frozenset({"evaluate", "evaluate_guest"})
 
 
-class StorageNode:
+class StorageNode(Participant):
     """One simulated storage server with coordinator + service worker pools."""
 
     def __init__(
@@ -57,26 +55,16 @@ class StorageNode:
         config: StashConfig,
         membership: Membership | None = None,
     ):
-        self.sim = sim
-        self.network = network
+        # A node built on its own gets a private view over the catalog's
+        # partition map.
+        super().__init__(
+            sim, network, node_id, membership or Membership(catalog.partitioner), config
+        )
         self.catalog = catalog
-        self.node_id = node_id
-        self.config = config
         self.cost = config.cost
-        #: The liveness view this node routes through; a node built on
-        #: its own gets a private one over the catalog's partition map.
-        self.membership = membership or Membership(catalog.partitioner)
         self.overload = (
             OverloadGuard(config.overload) if config.overload.enabled else None
         )
-        #: Dedicated stream for retry-backoff jitter; consumed only when
-        #: ``faults.backoff_jitter`` > 0, so jitter-free runs draw nothing.
-        self._backoff_rng = np.random.default_rng(
-            [config.cluster.seed, 65_537, _stable_hash(node_id) % 2**31]
-        )
-        self.inbox = network.register(node_id)
-        self.tracer = network.tracer
-        self.recorder = network.recorder
         self.disk = Disk(sim, self.cost, node_id, tracer=network.tracer)
         #: Everything this node counts or gauges; ``stats`` answers with
         #: its snapshot, the system mounts the gauges as ``node-N.<name>``.
@@ -159,14 +147,13 @@ class StorageNode:
         assert self.overload is not None
         self.overload.record_shed(self.sim.now)
         self.counters.increment("requests_shed")
-        self.counters.increment(f"shed:{message.kind}")
-        if self.recorder.enabled and isinstance(message.payload, dict):
-            self.recorder.record_event(
-                f"shed:{message.kind}",
-                message.payload.get("ctx"),
-                node=self.node_id,
-                detail={"from": message.sender},
-            )
+        payload = message.payload
+        self.incident(
+            f"shed:{message.kind}",
+            payload.get("ctx") if isinstance(payload, dict) else None,
+            {"from": message.sender},
+            counter=f"shed:{message.kind}",
+        )
         if message.reply_to is not None:
             self.network.respond(message, RPC_SHED, size=16)
 
@@ -250,9 +237,13 @@ class StorageNode:
             value, size = reply
             self.network.respond(message, value, size=size)
 
+    def _wire_size(self, cells: Sized) -> int:
+        """The wire size of ``cells`` shipped between participants."""
+        return len(cells) * self.cost.cell_wire_size
+
     def _cells_reply(self, value: Any, cells: Sized) -> tuple[Any, int]:
         """A reply whose wire size is that of the cells it carries."""
-        return value, len(cells) * self.cost.cell_wire_size
+        return value, self._wire_size(cells)
 
     def register_handler(self, kind: str, handler: Handler) -> None:
         self._handlers[kind] = handler
@@ -285,106 +276,48 @@ class StorageNode:
             return self.network.request(
                 self.node_id, recipient, kind, payload, size=size, parent=parent
             )
-        return self.sim.process(
-            self._request_with_retry(recipient, kind, payload, size, parent, ctx)
-        )
 
-    def _request_with_retry(
-        self,
-        recipient: str,
-        kind: str,
-        payload: Any,
-        size: int,
-        parent: Span | None,
-        ctx: QueryContext | None = None,
-    ) -> Generator[Event, Any, Any]:
-        faults = self.config.faults
-        membership = self.membership
-        attempts = faults.max_retries + 1
-        for attempt in range(attempts):
-            if not membership.is_live(recipient):
-                # Someone already declared the peer dead: fail fast so
-                # the caller reroutes instead of burning timeouts.
-                self.counters.increment("rpc_failfast")
-                self.recorder.record_event(
-                    "rpc_failfast",
-                    ctx,
-                    node=self.node_id,
-                    detail={"to": recipient, "kind": kind},
-                )
-                return RPC_FAILED
-            started = self.sim.now
-            reply = self.network.request(
-                self.node_id, recipient, kind, payload, size=size, parent=parent
+        def resolve() -> str | None:
+            if self.membership.is_live(recipient):
+                return recipient
+            # Someone already declared the peer dead: fail fast so the
+            # caller reroutes instead of burning timeouts.
+            detail = {"to": recipient, "kind": kind}
+            self.incident("rpc_failfast", ctx, detail, counter="rpc_failfast")
+            return None
+
+        def send(target: str, _ctx: Any) -> Event:
+            return self.network.request(
+                self.node_id, target, kind, payload, size=size, parent=parent
             )
-            index, value = yield self.sim.any_of(
-                [reply, self.sim.timeout(faults.rpc_timeout)]
+
+        def reply() -> Generator[Event, Any, Any]:
+            timeout = self.config.faults.rpc_timeout
+            value, _, _ = yield from self._retrying(kind, send, resolve, timeout, ctx, parent)
+            return value
+
+        return self.sim.process(reply())
+
+    def _timed_out(self, kind: str, target: str, ctx: Any, attempt: int, span: Any) -> None:
+        detail = {"to": target, "kind": kind, "attempt": attempt}
+        self.incident("rpc_timeout", ctx, detail, counter="rpc_timeouts", span=span)
+
+    def _retry(
+        self, kind: str, target: str, ctx: Any, attempt: int, backoff: float, span: Any
+    ) -> None:
+        detail = {"to": target, "kind": kind, "attempt": attempt}
+        self.incident("rpc_retry", ctx, detail, counter="rpc_retries", span=span)
+
+    def _gave_up(self, kind: str, target: str, ctx: Any, parent: Span | None) -> None:
+        """Only after the last attempt is the recipient declared dead."""
+        if self._declare_dead(target):
+            now = self.sim.now
+            self.incident(
+                "peer_declared_dead", ctx, {"peer": target, "kind": kind},
+                counter="peers_declared_dead",
+                span=(f"failover:{target}", "network", now, now, parent, {"kind": kind}),
             )
-            if index == 0:
-                return value
-            self.counters.increment("rpc_timeouts")
-            self.recorder.record_event(
-                "rpc_timeout",
-                ctx,
-                node=self.node_id,
-                detail={"to": recipient, "kind": kind, "attempt": attempt},
-            )
-            if self.tracer.enabled:
-                self.tracer.record(
-                    f"timeout:{kind}",
-                    "network",
-                    started,
-                    self.sim.now,
-                    parent=parent,
-                    node=self.node_id,
-                    attrs={"to": recipient, "attempt": attempt},
-                )
-            if attempt + 1 < attempts:
-                backoff = faults.backoff_delay(attempt, self._backoff_rng)
-                self.counters.increment("rpc_retries")
-                self.recorder.record_event(
-                    "rpc_retry",
-                    ctx,
-                    node=self.node_id,
-                    detail={"to": recipient, "kind": kind, "attempt": attempt + 1},
-                )
-                if self.tracer.enabled:
-                    self.tracer.record(
-                        f"retry:{kind}",
-                        "queueing",
-                        self.sim.now,
-                        self.sim.now + backoff,
-                        parent=parent,
-                        node=self.node_id,
-                        attrs={"to": recipient, "attempt": attempt + 1},
-                    )
-                yield self.sim.timeout(backoff)
-        if membership.is_live(recipient) and len(membership.live_nodes()) > 1:
-            membership.declare_dead(recipient)
-            self.counters.increment("peers_declared_dead")
-            self.recorder.record_event(
-                "peer_declared_dead",
-                ctx,
-                node=self.node_id,
-                detail={"peer": recipient, "kind": kind},
-            )
-            if self.tracer.enabled:
-                self.tracer.record(
-                    f"failover:{recipient}",
-                    "network",
-                    self.sim.now,
-                    self.sim.now,
-                    parent=parent,
-                    node=self.node_id,
-                    attrs={"kind": kind},
-                )
-        self.recorder.record_event(
-            "rpc_failed",
-            ctx,
-            node=self.node_id,
-            detail={"to": recipient, "kind": kind},
-        )
-        return RPC_FAILED
+        self.incident("rpc_failed", ctx, {"to": target, "kind": kind})
 
     def _scatter(
         self,

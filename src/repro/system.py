@@ -25,10 +25,11 @@ import numpy as np
 
 from repro.config import DEFAULT_CONFIG, StashConfig
 from repro.data.observation import ObservationBatch
-from repro.dht.partitioner import Partitioner, PrefixPartitioner, _stable_hash
+from repro.dht.partitioner import Partitioner, PrefixPartitioner
 from repro.errors import QueryError
 from repro.faults.gossip import GossipAgent, suspect_count, view_divergence
-from repro.faults.membership import Membership
+from repro.faults.membership import RPC_FAILED, Membership
+from repro.faults.retry import Participant
 from repro.geo.geohash import encode
 from repro.obs.critical_path import attribute_span
 from repro.obs.recorder import FlightRecorder, QueryContext
@@ -53,38 +54,23 @@ def coordinator_for(partitioner: Partitioner, query: AggregationQuery) -> str:
     return partitioner.node_for(encode(lat, lon, partitioner.partition_precision))
 
 
-class QueryClient:
+class QueryClient(Participant):
     """The client half of the protocol, on any engine/network pair.
 
-    Owns the request's tracer root span and recorder context, the
-    timeout/retry/failover loop (when ``faults.active``) and the
-    client's registry (``metrics``: the recorder's, so its histograms,
-    the fault counters and the ``query`` series of ``(completion time,
+    Owns the request's tracer root span and recorder context, its role
+    in the retry loop (when ``faults.active``) and the client's registry
+    (``metrics``: the recorder's, so its histograms, the fault
+    ``counters`` and the ``query`` series of ``(completion time,
     latency)`` points sit side by side).  ``membership`` is the client's
     liveness view — the base partitioner verbatim until a node is
     declared dead, then the repaired ring.
     """
 
-    def __init__(
-        self,
-        sim: Any,
-        network: Any,
-        membership: Membership,
-        config: StashConfig,
-    ):
-        self.sim = sim
-        self.network = network
-        self.membership = membership
-        self.config = config
-        self.tracer: Tracer = network.tracer
-        self.recorder: FlightRecorder = network.recorder
-        network.register(CLIENT_ID)
+    def __init__(self, sim: Any, network: Any, membership: Membership, config: StashConfig):
+        super().__init__(sim, network, CLIENT_ID, membership, config)
         self.metrics = self.recorder.metrics
         #: Nothing but the client's fault counters is counted here.
-        self.fault_counters = self.metrics.counters
-        self._backoff_rng = np.random.default_rng(
-            [config.cluster.seed, 65_537, _stable_hash(CLIENT_ID) % 2**31]
-        )
+        self.counters = self.metrics.counters
 
     def coordinator_for(self, query: AggregationQuery) -> str:
         """:func:`coordinator_for` under the client's membership view."""
@@ -115,8 +101,13 @@ class QueryClient:
         )
         ctx = self.recorder.context(query.query_id)
         if self.config.faults.active:
-            reply, ctx, coordinator = yield from self._send_with_retry(
-                query, root, ctx
+            # Each attempt re-resolves the coordinator (a declared death
+            # re-routes the retry) and stamps its number on ctx, so the
+            # recorder keys the outcome to the attempt that produced it.
+            reply, ctx, coordinator = yield from self._retrying(
+                "evaluate", lambda target, ctx: self._send(target, query, ctx, root),
+                lambda: self.coordinator_for(query), self.config.faults.evaluate_timeout,
+                ctx, root, bump=True,
             )
         else:
             # coordinator_for is a pure routing lookup (no events, no
@@ -125,8 +116,8 @@ class QueryClient:
             reply = yield self._send(coordinator, query, ctx, root)
         latency = self.sim.now - started
         self.metrics.record("query", latency)
-        failed = reply is None
-        if reply is None:
+        failed = reply is RPC_FAILED
+        if failed:
             # Every coordinator attempt failed: an explicit empty answer
             # (completeness 0) beats a hung client or a crashed run.  The
             # reply still carries the full provenance vocabulary so
@@ -140,13 +131,8 @@ class QueryClient:
         if not isinstance(reply, dict) or "cells" not in reply:
             raise QueryError(f"malformed evaluate reply: {reply!r}")
         completeness = float(reply.get("completeness", 1.0))
-        if ctx is not None and completeness < 1.0 and not failed:
-            self.recorder.record_event(
-                "degraded_answer",
-                ctx,
-                node=coordinator,
-                detail={"completeness": completeness},
-            )
+        if completeness < 1.0 and not failed:
+            self.incident("degraded_answer", ctx, {"completeness": completeness}, node=coordinator)
         self.recorder.record_query(
             kind=query.kind,
             coordinator=coordinator,
@@ -168,72 +154,23 @@ class QueryClient:
             completeness=completeness,
         )
 
-    def _send_with_retry(
-        self,
-        query: AggregationQuery,
-        root: Span | None,
-        ctx: QueryContext | None,
-    ) -> Generator[Event, Any, Any]:
-        """:meth:`_send` under timeout, backoff, and re-routing.
+    def _timed_out(self, kind: str, target: str, ctx: Any, attempt: int, span: Any) -> None:
+        """The coordinator is declared dead after *each* timed-out attempt."""
+        self.incident("client_timeout", ctx, node=target, counter="client_timeouts", span=span)
+        if self._declare_dead(target):
+            self.incident(
+                "coordinator_declared_dead", ctx, node=target,
+                counter="coordinators_declared_dead",
+            )
 
-        Each attempt re-resolves the coordinator through the membership
-        view, so once a dead coordinator is declared the retry lands on
-        the repaired ring's owner.  Returns ``(reply, ctx, coordinator)``
-        for the final attempt — reply is None when every attempt timed
-        out, and ctx carries that attempt's number so the recorder keys
-        the outcome to the attempt that actually produced it.
-        """
-        faults = self.config.faults
-        attempts = faults.max_retries + 1
-        coordinator = self.coordinator_for(query)
-        attempt_ctx = ctx
-        for attempt in range(attempts):
-            coordinator = self.coordinator_for(query)
-            if ctx is not None:
-                attempt_ctx = ctx.with_(attempt=attempt)
-            started = self.sim.now
-            reply_event = self._send(coordinator, query, attempt_ctx, root)
-            index, value = yield self.sim.any_of(
-                [reply_event, self.sim.timeout(faults.evaluate_timeout)]
-            )
-            if index == 0:
-                return value, attempt_ctx, coordinator
-            self.fault_counters.increment("client_timeouts")
-            self.recorder.record_event(
-                "client_timeout", attempt_ctx, node=coordinator
-            )
-            if self.tracer.enabled:
-                self.tracer.record(
-                    "timeout:evaluate",
-                    "network",
-                    started,
-                    self.sim.now,
-                    parent=root,
-                    node=CLIENT_ID,
-                    attrs={"to": coordinator, "attempt": attempt},
-                )
-            if (
-                self.membership.is_live(coordinator)
-                and len(self.membership.live_nodes()) > 1
-            ):
-                self.membership.declare_dead(coordinator)
-                self.fault_counters.increment("coordinators_declared_dead")
-                self.recorder.record_event(
-                    "coordinator_declared_dead", attempt_ctx, node=coordinator
-                )
-            if attempt + 1 < attempts:
-                backoff = faults.backoff_delay(attempt, self._backoff_rng)
-                self.fault_counters.increment("client_retries")
-                self.recorder.record_event(
-                    "client_retry",
-                    attempt_ctx,
-                    node=coordinator,
-                    detail={"backoff_s": backoff},
-                )
-                yield self.sim.timeout(backoff)
-        self.fault_counters.increment("client_gave_up")
-        self.recorder.record_event("client_gave_up", attempt_ctx, node=coordinator)
-        return None, attempt_ctx, coordinator
+    def _retry(
+        self, kind: str, target: str, ctx: Any, attempt: int, backoff: float, span: Any
+    ) -> None:
+        detail = {"backoff_s": backoff}
+        self.incident("client_retry", ctx, detail, node=target, counter="client_retries")
+
+    def _gave_up(self, kind: str, target: str, ctx: Any, parent: Span | None) -> None:
+        self.incident("client_gave_up", ctx, node=target, counter="client_gave_up")
 
 
 class DistributedSystem(ABC):
@@ -288,7 +225,7 @@ class DistributedSystem(ABC):
         # system exposes them under its own names.
         self.coordinator_for = self.client.coordinator_for
         self.metrics = self.client.metrics
-        self.fault_counters = self.client.fault_counters
+        self.fault_counters = self.client.counters
         self.nodes: dict[str, Any] = {}
         self._nodes_started = False
 
