@@ -41,7 +41,7 @@ class CellKey(namedtuple("CellKey", "geohash time_key")):
         # strip() leaves nothing exactly when every character is in the alphabet.
         if not 1 <= len(geohash) <= gh.MAX_PRECISION or geohash.strip(gh.GEOHASH_ALPHABET):
             raise CacheError(f"malformed geohash {geohash!r} in CellKey {text!r}")
-        return CellKey(geohash=geohash, time_key=TimeKey.parse(time_text))
+        return CellKey(geohash, TimeKey.parse(time_text))
 
     # -- identity ----------------------------------------------------------
 

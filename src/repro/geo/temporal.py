@@ -90,6 +90,10 @@ def _bin_code(seconds: int, resolution: "TemporalResolution") -> int:
     return day.year - 1970
 
 
+#: A key's text by its number of components: zero-padded, dash-joined.
+_TEXT_FORMATS = ("", "%04d", "%04d-%02d", "%04d-%02d-%02d", "%04d-%02d-%02d-%02d")
+
+
 class TimeKey(namedtuple("TimeKey", "components")):
     """One bin of the temporal hierarchy.
 
@@ -153,14 +157,14 @@ class TimeKey(namedtuple("TimeKey", "components")):
         return TemporalResolution(len(self.components) - 1)
 
     def __str__(self) -> str:
-        fmts = ("{:04d}", "{:02d}", "{:02d}", "{:02d}")
-        return "-".join(f.format(c) for f, c in zip(fmts, self.components))
+        c = self.components
+        return _TEXT_FORMATS[len(c)] % tuple(c)
 
     @staticmethod
     def parse(text: str) -> "TimeKey":
         """Inverse of ``str``: '2013-03-15' -> TimeKey((2013, 3, 15))."""
         try:
-            parts = tuple(int(p) for p in text.split("-"))
+            parts = tuple(map(int, text.split("-")))
         except ValueError as exc:
             raise TemporalError(f"cannot parse TimeKey from {text!r}") from exc
         return TimeKey(parts)

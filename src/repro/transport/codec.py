@@ -12,9 +12,12 @@ Faithfulness requirements, in equivalence-suite order of importance:
 * **Floats round-trip bit-exactly** (JSON uses ``repr``; ±inf pass
   through as JSON ``Infinity``), so a :class:`SummaryVector` decoded on
   the client compares ``==`` to the simulator twin's.
-* **Dicts are order-preserving and key-faithful**: every dict is encoded
-  as an item *list*, so ``CellKey`` keys survive and iteration order —
-  which fixes float merge order downstream — is preserved.
+* **Dicts are order-preserving and key-faithful**: every dict except a
+  cells map is encoded as an item *list*, so ``CellKey`` keys survive and
+  iteration order — which fixes float merge order downstream — is
+  preserved.  A cells map (``CellKey`` -> ``SummaryVector``, one attribute
+  order, exact ``int`` counts and ``float`` fields) crosses as one
+  ``cells`` node of columns, keys still in iteration order.
 * **RPC sentinels keep identity**: ``RPC_FAILED`` decodes to the interned
   sentinel, so ``reply is RPC_FAILED`` works across the wire.
 """
@@ -23,6 +26,9 @@ from __future__ import annotations
 
 import base64
 import json
+import sys
+from array import array
+from itertools import chain
 from math import isnan
 from typing import Any
 
@@ -73,8 +79,11 @@ def _lower(value: Any) -> Any:
     if isinstance(value, bytes):
         return {"__t": "bytes", "b": base64.b64encode(value).decode("ascii")}
     if isinstance(value, dict):
-        # ALL dicts become item lists: keys may be CellKeys, and order
-        # must survive (it fixes downstream float merge order).
+        cells = _lower_cells(value)
+        if cells is not None:
+            return cells
+        # Every other dict becomes an item list: keys may be CellKeys,
+        # and order must survive (it fixes downstream float merge order).
         return {"__t": "map", "i": [[_lower(k), _lower(v)] for k, v in value.items()]}
     if isinstance(value, list):
         return [_lower(v) for v in value]
@@ -136,6 +145,46 @@ def _lower(value: Any) -> Any:
     raise CodecError(f"cannot encode {type(value).__name__} for the wire")
 
 
+#: A ``cells`` node's float buffer is little-endian whatever the host.
+_SWAP = sys.byteorder == "big"
+
+
+def _lower_cells(cells: dict) -> dict | None:
+    """A cells map as one ``cells`` node of columns (``docs/serving.md``,
+    "The wire format"): key strings in iteration order, attribute names
+    once, counts, and every total, then total_sq, minimum and maximum as
+    one base64 float64 buffer.  ``None`` — keep the item list — unless
+    every key is exactly a ``CellKey`` and every value exactly a
+    ``SummaryVector`` with one attribute order, ``int`` counts and
+    ``float`` fields: anything else would not lift back as the same type.
+    """
+    if set(map(type, cells)) != {CellKey}:
+        return None
+    vectors = list(cells.values())
+    if set(map(type, vectors)) != {SummaryVector}:
+        return None
+    names = tuple(vectors[0]._summaries)
+    if not names or any(tuple(v._summaries) != names for v in vectors):
+        return None
+    rows = [s for v in vectors for s in v._summaries.values()]
+    if set(map(type, rows)) != {AttributeSummary}:
+        return None
+    counts, *columns = zip(*rows)
+    floats = list(chain(*columns))
+    if set(map(type, counts)) != {int} or set(map(type, floats)) != {float}:
+        return None
+    packed = array("d", floats)
+    if _SWAP:
+        packed.byteswap()
+    return {
+        "__t": "cells",
+        "k": list(map(str, cells)),
+        "a": list(names),
+        "n": list(counts),
+        "f": base64.b64encode(packed.tobytes()).decode("ascii"),
+    }
+
+
 #: The fields after ``count`` of the empty summary, the monoid identity.
 _EMPTY_FIELDS = tuple(AttributeSummary.empty())[1:]
 
@@ -160,6 +209,33 @@ def _lift_summary(fields: list) -> AttributeSummary:
     return AttributeSummary(count, total, total_sq, minimum, maximum)
 
 
+def _lift_cells(keys: Any, names: Any, counts: Any, packed: Any) -> dict:
+    """Inverse of :func:`_lower_cells`: the column lengths are checked
+    before anything is built, then every key goes through
+    ``CellKey.parse`` and every summary through :func:`_lift_summary`."""
+    if not (type(keys) is type(names) is type(counts) is list):
+        raise CodecError("cells columns k, a and n must be lists")
+    width = len(names)
+    if len(counts) != len(keys) * width:
+        raise CodecError(
+            f"cells node has {len(counts)} counts for {len(keys)} keys x {width} names"
+        )
+    floats = array("d", base64.b64decode(packed, validate=True))
+    if _SWAP:
+        floats.byteswap()
+    m = len(counts)
+    if len(floats) != 4 * m:
+        raise CodecError(f"cells node has {len(floats)} floats for {m} summaries")
+    columns = (floats[i * m : (i + 1) * m] for i in range(4))
+    summaries = [_lift_summary(fields) for fields in zip(counts, *columns)]
+    return {
+        CellKey.parse(key): SummaryVector._trusted(
+            dict(zip(names, summaries[i * width : (i + 1) * width]))
+        )
+        for i, key in enumerate(keys)
+    }
+
+
 def _raise_tree(node: dict) -> Any:
     raise CodecError(f"unknown wire tag {node.get('__t')!r}")
 
@@ -171,6 +247,8 @@ def _lift(node: Any) -> Any:
     if not isinstance(node, dict):
         return node
     tag = node.get("__t")
+    if tag == "cells":
+        return _lift_cells(node["k"], node["a"], node["n"], node["f"])
     if tag == "map":
         return {_lift(k): _lift(v) for k, v in node["i"]}
     if tag == "tup":
@@ -227,12 +305,20 @@ def _lift(node: Any) -> Any:
 
 
 def encode(value: Any) -> bytes:
-    """Serialize one payload value to bytes."""
+    """Serialize one payload value to bytes.
+
+    A payload that refers to itself, or nests past the recursion limit,
+    is a :class:`CodecError`, as it is for :func:`decode`.
+    """
     # separators: canonical compact form; allow_nan lets ±inf through
-    # (AttributeSummary.empty() carries them by design).
-    return json.dumps(
-        _lower(value), separators=(",", ":"), allow_nan=True
-    ).encode("utf-8")
+    # (AttributeSummary.empty() carries them by design); _lower always
+    # builds a fresh acyclic tree, so json need not look for cycles.
+    try:
+        return json.dumps(
+            _lower(value), separators=(",", ":"), allow_nan=True, check_circular=False
+        ).encode("utf-8")
+    except RecursionError as exc:
+        raise CodecError(f"cannot encode a payload nested this deep: {exc}") from exc
 
 
 def decode(data: bytes) -> Any:

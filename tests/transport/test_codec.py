@@ -1,5 +1,6 @@
 """Wire codec: every payload type must round-trip faithfully."""
 
+import json
 import math
 
 import numpy as np
@@ -62,6 +63,12 @@ class TestScalars:
         with pytest.raises(CodecError):
             encode(object())
 
+    def test_self_referencing_payload_raises(self):
+        payload = {"cells": []}
+        payload["cells"].append(payload)
+        with pytest.raises(CodecError, match="nested"):
+            encode(payload)
+
 
 class TestDicts:
     def test_order_preserved(self):
@@ -78,6 +85,65 @@ class TestDicts:
     def test_nested(self):
         value = {"outer": {"inner": [1, (2, 3)]}}
         assert roundtrip(value) == value
+
+
+def _vector(*order, total=1.5):
+    fields = {
+        "temperature": AttributeSummary(2, total, 4.5, -0.0, 1.5),
+        "humidity": AttributeSummary.empty(),
+    }
+    return SummaryVector._trusted({name: fields[name] for name in order})
+
+
+class TestCellsMaps:
+    """A ``CellKey -> SummaryVector`` map crosses as one ``cells`` node."""
+
+    KEYS = [CellKey.parse(text) for text in ("9q9@2013-02-02", "9q8@2013-02-01", "9q@2013-02")]
+
+    def wire(self, value):
+        return json.loads(encode(value))
+
+    def test_one_node_of_columns_in_iteration_order(self):
+        value = {key: _vector("temperature", "humidity") for key in self.KEYS}
+        node = self.wire(value)
+        assert node["__t"] == "cells"
+        assert node["k"] == [str(key) for key in self.KEYS]  # not sorted
+        assert node["a"] == ["temperature", "humidity"]
+        assert node["n"] == [2, 0] * 3
+        result = roundtrip(value)
+        assert list(result) == self.KEYS
+        assert result == value
+        assert [list(v._summaries) for v in result.values()] == [["temperature", "humidity"]] * 3
+
+    def test_floats_bit_exact_through_the_buffer(self):
+        value = {self.KEYS[0]: _vector("temperature", "humidity", total=0.1 + 0.2)}
+        data = encode(value)
+        (vector,) = decode(data).values()
+        temperature, humidity = vector["temperature"], vector["humidity"]
+        assert temperature.total == 0.1 + 0.2
+        assert math.copysign(1.0, temperature.minimum) == -1.0  # -0.0 kept
+        assert humidity == AttributeSummary.empty()  # ±inf kept
+        assert encode(decode(data)) == data
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {},
+            {KEYS[0]: _vector("temperature"), KEYS[1]: _vector("humidity")},
+            {KEYS[0]: _vector("temperature", "humidity"), KEYS[1]: _vector("humidity", "temperature")},
+            {KEYS[0]: _vector("temperature", total=3)},
+            {KEYS[0]: SummaryVector._trusted({})},
+            {KEYS[0]: _vector("temperature"), "other": _vector("temperature")},
+            {KEYS[0]: 7},
+        ],
+        ids=["empty", "two-name-sets", "two-orders", "int-field", "no-names", "str-key", "not-a-vector"],
+    )
+    def test_any_other_dict_keeps_the_item_list(self, value):
+        assert self.wire(value)["__t"] == "map"
+        result = roundtrip(value)
+        assert result == value
+        assert [type(v) for v in result.values()] == [type(v) for v in value.values()]
+        assert encode(result) == encode(value)
 
 
 class TestDomainTypes:

@@ -8,8 +8,10 @@ of proportion to the bytes received — and every payload shape the
 protocol sends comes back equal, float bits included.
 """
 
+import base64
 import json
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -44,7 +46,7 @@ FIELDS = {
     "map": ("i",), "tup": ("i",), "set": ("i",), "fset": ("i",), "bytes": ("b",),
     "cellkey": ("s",), "timekey": ("c",), "timerange": ("s", "e"),
     "blockid": ("g", "d"), "bbox": ("b",), "tres": ("v",),
-    "res": ("s", "t"), "asum": ("v",), "svec": ("a",),
+    "res": ("s", "t"), "asum": ("v",), "svec": ("a",), "cells": ("k", "a", "n", "f"),
     "query": ("bbox", "time", "res", "attrs", "kind", "id"),
     "qctx": ("q", "a", "l", "r"), "rpc": ("n",), "exc": ("cls", "msg"),
 }
@@ -79,6 +81,21 @@ trees = st.recursive(
     lambda children: st.lists(children, max_size=5) | tagged(children),
     max_leaves=25,
 )
+
+
+def packed(*floats: float) -> str:
+    """A ``cells`` node's ``f`` column: little-endian float64, base64."""
+    return base64.b64encode(struct.pack(f"<{len(floats)}d", *floats)).decode("ascii")
+
+
+ONE = packed(3.0, 5.0, 1.0, 2.0)  # one summary's total, total_sq, min, max
+KEY = "9q8@2013-02-01"
+
+
+def cells(k=(KEY,), a=("t",), n=(2,), f=ONE) -> dict:
+    """A ``cells`` node, well formed unless one column is overridden."""
+    return {"__t": "cells", "k": list(k), "a": list(a), "n": list(n), "f": f}
+
 
 #: Whole trees wrong in one way each, which the class behind the tag
 #: refuses.  ``CellKey.parse`` checks the geohash — 1 to 12 characters of
@@ -127,6 +144,24 @@ NAMED = {
     "query missing its box": {"__t": "query", "time": None},
     "qctx missing a field": {"__t": "qctx", "q": 1, "a": 0, "l": None},
     "exc with no message": {"__t": "exc", "cls": "NetworkError"},
+    "cells with a count short": cells(k=(KEY, "9q9@2013-02-01")),
+    "cells with a float short": cells(f=packed(3.0, 5.0, 1.0)),
+    "cells with a float over": cells(f=packed(3.0, 5.0, 1.0, 2.0, 0.0)),
+    "cells with f not base64": cells(f="not base64!"),
+    "cells with f a number": cells(f=7),
+    "cells with f not whole floats": cells(f=base64.b64encode(b"\0" * 31).decode()),
+    "cells with a nan total": cells(f=packed(float("nan"), 5.0, 1.0, 2.0)),
+    "cells with min above max": cells(f=packed(3.0, 5.0, 2.0, 1.0)),
+    "cells with a negative count": cells(n=(-2,)),
+    "cells with a bool count": cells(n=(True,)),
+    "cells with a float count": cells(n=(2.0,)),
+    "cells with an empty summary not the identity": cells(n=(0,), f=packed(0.0, 0.0, 0.0, 0.0)),
+    "cells with a key parse refuses": cells(k=("9qa@2013-02-01",)),
+    "cells with a key past the calendar": cells(k=("9q8@10000-01",)),
+    "cells with a key that is a number": cells(k=(7,)),
+    "cells with k a string": {**cells(), "k": KEY},
+    "cells with n a string": {**cells(), "n": "2"},
+    "cells with an unhashable name": cells(a=(["t"],)),
 }
 
 
@@ -139,6 +174,11 @@ def decodes_or_refuses(data: bytes) -> None:
         decode(data)
     except CodecError:
         pass
+
+
+def test_the_cells_node_the_named_cases_bend_is_well_formed():
+    summary = AttributeSummary(2, 3.0, 5.0, 1.0, 2.0)
+    assert decode(wire(cells())) == {CellKey.parse(KEY): SummaryVector({"t": summary})}
 
 
 @pytest.mark.parametrize("name", NAMED)
@@ -191,8 +231,11 @@ ALLOCATION_SLACK = 64 * 1024
         b"[" + b"1e308," * 30_000 + b"0]",
         wire({"__t": "timekey", "c": [10**30]}),
         wire({"__t": "timerange", "s": 0, "e": 1e308}),
+        # 2 000 keys x 2 000 names claim 4 M summaries against one: the
+        # column lengths are compared before any summary is built.
+        wire(cells(k=[KEY] * 2_000, a=[f"a{i}" for i in range(2_000)])),
     ],
-    ids=["lists", "sets", "timekeys", "bytes", "floats", "huge-year", "huge-range"],
+    ids=["lists", "sets", "timekeys", "bytes", "floats", "huge-year", "huge-range", "cells"],
 )
 def test_decode_allocates_in_proportion_to_its_input(data):
     decodes_or_refuses(data)  # warm every lazy import and cache first
