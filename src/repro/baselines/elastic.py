@@ -51,6 +51,8 @@ from repro.system import DistributedSystem
 
 #: Geo tile precision used for shard chunking (ES BKD leaves, roughly).
 CHUNK_TILE_PRECISION = 2
+#: Entries in each node's exact-match (request) cache.
+REQUEST_CACHE_ENTRIES = 1_024
 
 
 def _request_key(query: AggregationQuery) -> tuple:
@@ -150,6 +152,14 @@ class ElasticNode(StorageNode):
         ``stats`` carries per-node provenance inputs: whether the request
         cache answered (``request_cache_hit``), how many chunks went to
         disk (``chunks_read``) and how many cells came back (``cells``).
+
+        The scan is per chunk on purpose, not the fused
+        :func:`~repro.storage.backend.scan_blocks`: each chunk is one
+        page-cache entry and one disk read, charged in chunk order, and
+        the CPU charge counts the records that pass the query filter,
+        which ``scan_blocks``' :class:`~repro.storage.backend.ScanStats`
+        does not report.  ``tests/baselines`` pins its cells bit for bit
+        to ``tests/reference.py``'s ``scan_blocks_reference``.
         """
         key = _request_key(query)
         cached = self._request_cache.get(key)
@@ -222,7 +232,7 @@ class ElasticNode(StorageNode):
         self.tracer.end(span)
 
         self._request_cache[key] = dict(out)
-        if len(self._request_cache) > self.config.elastic.request_cache_entries:
+        if len(self._request_cache) > REQUEST_CACHE_ENTRIES:
             self._request_cache.popitem(last=False)
         return {
             "cells": out,

@@ -21,6 +21,7 @@ from repro.bench.harness import (
     bench_dataset,
     make_system,
 )
+from repro.config import ReplicationConfig
 from repro.data.generator import NAM_DOMAIN
 from repro.dht.partitioner import _stable_hash
 from repro.query.model import AggregationQuery
@@ -171,7 +172,7 @@ def fig6d_hotspot(scale: BenchScale) -> ExperimentResult:
     dataset = bench_dataset(scale)
     config = bench_config(
         scale,
-        replication=bench_config(scale).replication.__class__(
+        replication=ReplicationConfig(
             hotspot_queue_threshold=20,
             cooldown=0.5,
             # With one dominant clique there is one helper; a 50/50 split
@@ -190,15 +191,14 @@ def fig6d_hotspot(scale: BenchScale) -> ExperimentResult:
         )
         for q in queries
     ]
-    for kind in ("stash", "stash-norepl"):
-        system = make_system(kind, dataset, config)
+    for label, enable in (("replication", True), ("no_replication", False)):
+        system = make_system("stash", dataset, config.with_(enable_replication=enable))
         # Both variants are *warm* STASH deployments: the experiment
         # isolates the queueing effect of the hotspot, as in the paper
         # (Fig. 6d compares STASH with vs without dynamic replication).
         system.warm([q.clone() for q in queries])
         hotspot_start = system.sim.now
         system.run_concurrent([q.clone() for q in queries])
-        label = "replication" if kind == "stash" else "no_replication"
         completions = np.asarray(system.metrics.series["query"].times)
         phase = completions[completions >= hotspot_start] - hotspot_start
         duration = float(phase.max())
@@ -210,7 +210,7 @@ def fig6d_hotspot(scale: BenchScale) -> ExperimentResult:
         result.meta[f"timeline_{label}"] = (
             np.cumsum(np.bincount(idx, minlength=nbins)).tolist()
         )
-        if kind == "stash":
+        if enable:
             counts = system.counters_total()
             result.meta["handoffs"] = counts.get("handoffs_completed", 0)
             result.meta["rerouted"] = counts.get("queries_rerouted", 0)

@@ -131,8 +131,6 @@ def make_system(kind: str, dataset: ObservationBatch, config: StashConfig):
         return BasicSystem(dataset, config)
     if kind == "stash":
         return StashCluster(dataset, config)
-    if kind == "stash-norepl":
-        return StashCluster(dataset, config.with_(enable_replication=False))
     if kind == "elastic":
         return ElasticSystem(dataset, config)
     raise WorkloadError(f"unknown system kind {kind!r}")

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-from repro.errors import FaultError
+from repro.errors import FaultError, NetworkError
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,9 @@ class CostModel:
 class FreshnessConfig:
     """Freshness scoring parameters (paper section V-C)."""
 
-    #: Freshness added to every cell of a directly accessed region.
-    f_inc: float = 1.0
-    #: Fraction of ``f_inc`` dispersed to each cell in the immediate
-    #: spatiotemporal neighborhood of an accessed region.
+    #: Fraction of one access's freshness increment
+    #: (:data:`repro.core.freshness.F_INC`) dispersed to each cell in the
+    #: immediate spatiotemporal neighborhood of an accessed region.
     dispersion_fraction: float = 0.35
     #: Exponential decay half-life of freshness (simulated seconds).
     half_life: float = 120.0
@@ -107,10 +106,6 @@ class ReplicationConfig:
     reroute_probability: float = 0.5
     #: Guest-graph entries unused for this long are purged (simulated s).
     guest_ttl: float = 120.0
-    #: Routing-table entries older than this are purged (simulated s).
-    routing_ttl: float = 180.0
-    #: Capacity of a helper node's guest graph (cells).
-    guest_capacity: int = 100_000
 
 
 @dataclass(frozen=True)
@@ -119,8 +114,6 @@ class ClusterConfig:
 
     #: Number of storage/STASH nodes (the paper used 120).
     num_nodes: int = 16
-    #: Worker threads per node servicing the request queue (Z420: 8 cores).
-    workers_per_node: int = 4
     #: Geohash prefix length used to partition data over the DHT
     #: (the paper partitioned on the first 2 characters).
     partition_precision: int = 2
@@ -139,8 +132,6 @@ class ElasticConfig:
 
     #: Shards per index (the paper used 600 over 120 data nodes).
     num_shards: int = 64
-    #: Entries in the exact-match (request) cache per node.
-    request_cache_entries: int = 1_024
     #: Page/block LRU cache capacity per node, in chunks.  Calibrated to
     #: the paper's regime (1.1 TB corpus vs 16 GB nodes): the cache holds
     #: only a sliver of any realistic query working set, so overlapping-
@@ -283,7 +274,9 @@ class OverloadConfig:
     (background population, then replication/cache fetches); evaluate
     requests are never shed.  Sustained shedding trips a per-node circuit
     breaker that converts overload into explicit degraded
-    (completeness < 1) answers instead of cascading timeouts.
+    (completeness < 1) answers instead of cascading timeouts.  The
+    breaker's trip count, window and cooldown are fixed constants of
+    :mod:`repro.faults.overload`.
     """
 
     #: Master switch; off leaves dispatch untouched.
@@ -292,12 +285,6 @@ class OverloadConfig:
     #: replicate, distress) is shed; priority-1 work (fetch_cells, scan)
     #: is shed above twice this depth.
     queue_limit: int = 64
-    #: Sheds within ``breaker_window`` that trip the breaker open.
-    breaker_sheds: int = 8
-    #: Sliding window for counting sheds (simulated seconds).
-    breaker_window: float = 1.0
-    #: How long the breaker stays open once tripped (simulated seconds).
-    breaker_cooldown: float = 2.0
 
 
 @dataclass(frozen=True)
@@ -323,6 +310,16 @@ class ServeConfig:
     #: facade binds ``http_host``; port 0 asks the OS for a free port.
     http_host: str = "127.0.0.1"
     http_port: int = 0
+
+    def __post_init__(self) -> None:
+        """Refuse values the engine or the launcher cannot run on."""
+        for name, rule, ok in (
+            ("time_scale", "finite and > 0", 0 < self.time_scale < math.inf),
+            ("wall_clock_budget", "finite and > 0", 0 < self.wall_clock_budget < math.inf),
+            ("http_port", "in [0, 65535]", 0 <= self.http_port <= 65535),
+        ):
+            if not ok:
+                raise NetworkError(f"ServeConfig.{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Freshness scoring and neighborhood dispersion (paper section V-C).
 
-Freshness combines frequency and recency: every access adds ``f_inc``
-after exponentially decaying the previous score, so
+Freshness combines frequency and recency: every access adds
+:data:`F_INC` after exponentially decaying the previous score, so
 ``freshness(t) = sum_i f_i * exp(-lambda * (t - t_i))`` — the product of
 access count and a time-decay function the paper describes.  When a
-region is accessed, a configurable fraction of ``f_inc`` is *dispersed*
+region is accessed, a configurable fraction of :data:`F_INC` is *dispersed*
 to the cells in its immediate spatiotemporal neighborhood (Fig. 3), so
 hot regions are evicted as connected areas rather than ragged patches.
 """
@@ -15,6 +15,11 @@ import math
 
 from repro.config import FreshnessConfig
 from repro.core.keys import CellKey
+
+#: Freshness one access adds to a cell: the unit of the paper's "access
+#: count".  Freshness is only compared with other freshness and with 0,
+#: so its scale carries no behaviour.
+F_INC = 1.0
 
 
 class FreshnessTracker:
@@ -36,20 +41,18 @@ class FreshnessTracker:
         self.decay_rate = math.log(2.0) / config.half_life
 
     def touch_cells(self, graph, keys: list[CellKey], now: float) -> int:
-        """Direct access: full ``f_inc`` to each present cell.
+        """Direct access: full :data:`F_INC` to each present cell.
 
         Returns the number of cells actually touched (absent keys are
         skipped — only resident cells carry freshness).
         """
-        return graph.touch_batch(
-            keys, self.config.f_inc, now, self.decay_rate, count_access=True
-        )
+        return graph.touch_batch(keys, F_INC, now, self.decay_rate, count_access=True)
 
     def disperse_to_neighborhood(
         self, graph, ring_keys: list[CellKey], now: float
     ) -> int:
-        """Neighborhood dispersion: fraction of ``f_inc`` to ring cells."""
-        amount = self.config.f_inc * self.config.dispersion_fraction
+        """Neighborhood dispersion: fraction of :data:`F_INC` to ring cells."""
+        amount = F_INC * self.config.dispersion_fraction
         return graph.touch_batch(ring_keys, amount, now, self.decay_rate)
 
     def score(self, cell, now: float) -> float:

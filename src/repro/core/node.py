@@ -44,6 +44,10 @@ from repro.storage.node import Reply, StorageNode
 
 #: Cap on cells one survivor promotes or ships per death/rejoin.
 MAX_REPAIR_CELLS = 5_000
+#: Capacity of a helper node's guest graph (cells).
+GUEST_CAPACITY = 100_000
+#: Routing-table entries older than this are purged (simulated seconds).
+ROUTING_TTL = 180.0
 #: NOT_OWNER re-route rounds per fetch leg before the coordinator forces
 #: the final recipient to serve (block placement is static, so a forced
 #: serve is always correct, merely non-local).
@@ -163,7 +167,7 @@ class StashNode(StorageNode):
         self.tracker = FreshnessTracker(config.freshness)
         self.eviction = EvictionPolicy(config.eviction)
         self.routing = RoutingTable(
-            ttl=config.replication.routing_ttl,
+            ttl=ROUTING_TTL,
             reroute_probability=config.replication.reroute_probability,
         )
         self.rng = np.random.default_rng(config.cluster.seed * 10_007 + node_index)
@@ -361,10 +365,9 @@ class StashNode(StorageNode):
         """Accept iff not hotspotted and the guest graph has room."""
         self._purge_guest()
         ncells = message.payload["ncells"]
-        repl = self.config.replication
         accept = (
-            self.pending_requests <= repl.hotspot_queue_threshold
-            and len(self.guest) + ncells <= repl.guest_capacity
+            self.pending_requests <= self.config.replication.hotspot_queue_threshold
+            and len(self.guest) + ncells <= GUEST_CAPACITY
         )
         yield self.sim.timeout(self.cost.cell_lookup_cost)
         return bool(accept), 16
@@ -372,7 +375,7 @@ class StashNode(StorageNode):
     def _handle_replicate(self, message: Message) -> Generator[Event, Any, Reply]:
         root: CellKey = message.payload["root"]
         cells: list[ShippedCell] = message.payload["cells"]
-        if len(self.guest) + len(cells) > self.config.replication.guest_capacity:
+        if len(self.guest) + len(cells) > GUEST_CAPACITY:
             return False, 16
         inserted = []
         for key, summary, blocks in cells:

@@ -12,14 +12,14 @@ A node under sustained load protects itself in two stages:
    the ``RPC_SHED`` sentinel (an explicit fast rejection, not a timeout,
    and never grounds for declaring the peer dead).
 
-2. **Circuit breaking**.  ``breaker_sheds`` sheds within a sliding
-   ``breaker_window`` trip the breaker open for ``breaker_cooldown``
-   seconds.  While open, a coordinator skips the expensive
-   disk-resolution path for cache misses and returns an explicitly
-   degraded (completeness < 1) answer — converting overload into an
-   honest partial result instead of a cascade of timeouts.  Degraded
-   answers are never cached, so the breaker can only omit cells, never
-   fabricate them.
+2. **Circuit breaking**.  :data:`BREAKER_SHEDS` sheds within a sliding
+   :data:`BREAKER_WINDOW` trip the breaker open for
+   :data:`BREAKER_COOLDOWN` seconds.  While open, a coordinator skips
+   the expensive disk-resolution path for cache misses and returns an
+   explicitly degraded (completeness < 1) answer — converting overload
+   into an honest partial result instead of a cascade of timeouts.
+   Degraded answers are never cached, so the breaker can only omit
+   cells, never fabricate them.
 """
 
 from __future__ import annotations
@@ -27,6 +27,13 @@ from __future__ import annotations
 from collections import deque
 
 from repro.config import OverloadConfig
+
+#: Sheds within :data:`BREAKER_WINDOW` that trip the breaker open.
+BREAKER_SHEDS = 8
+#: Sliding window for counting sheds (simulated seconds).
+BREAKER_WINDOW = 1.0
+#: How long the breaker stays open once tripped (simulated seconds).
+BREAKER_COOLDOWN = 2.0
 
 #: Message kinds that may be shed, mapped to shed priority (lower sheds
 #: first).  Anything absent — evaluate traffic, gossip, repair control —
@@ -62,16 +69,13 @@ class OverloadGuard:
     def record_shed(self, now: float) -> None:
         """Account one shed message; may trip the breaker."""
         self.shed_total += 1
-        window_start = now - self.config.breaker_window
+        window_start = now - BREAKER_WINDOW
         times = self._shed_times
         times.append(now)
         while times and times[0] < window_start:
             times.popleft()
-        if (
-            len(times) >= self.config.breaker_sheds
-            and now >= self._open_until
-        ):
-            self._open_until = now + self.config.breaker_cooldown
+        if len(times) >= BREAKER_SHEDS and now >= self._open_until:
+            self._open_until = now + BREAKER_COOLDOWN
             self.breaker_opens += 1
             times.clear()
 

@@ -41,6 +41,9 @@ Handler = Callable[[Message], Generator[Event, Any, Reply]]
 #: deadlock: a coordinator blocked on remote scans can never starve the
 #: workers that serve those scans.
 COORDINATOR_KINDS = frozenset({"evaluate", "evaluate_guest"})
+#: Workers in *each* of a node's two pools (the paper's Z420 nodes had 8
+#: cores).
+WORKERS_PER_NODE = 4
 
 
 class StorageNode(Participant):
@@ -94,7 +97,7 @@ class StorageNode(Participant):
             return
         self._started = True
         self.sim.process(self._dispatcher())
-        for _ in range(self.config.cluster.workers_per_node):
+        for _ in range(WORKERS_PER_NODE):
             self.sim.process(self._worker(self._coord_queue))
             self.sim.process(self._worker(self._service_queue))
 
@@ -117,7 +120,7 @@ class StorageNode(Participant):
     def restart(self) -> None:
         """Come back up cold: fresh worker pools on the fresh queues."""
         if self._started and self._workers_stale:
-            for _ in range(self.config.cluster.workers_per_node):
+            for _ in range(WORKERS_PER_NODE):
                 self.sim.process(self._worker(self._coord_queue))
                 self.sim.process(self._worker(self._service_queue))
         self._workers_stale = False

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import logging
+import math
 import time
 from collections import deque
 from typing import Any, Callable, Generator, Iterable
@@ -72,8 +73,8 @@ class AsyncioEngine:
         loop: asyncio.AbstractEventLoop | None = None,
         time_scale: float = 1.0,
     ):
-        if time_scale <= 0:
-            raise NetworkError(f"time_scale must be positive, got {time_scale}")
+        if not 0 < time_scale < math.inf:
+            raise NetworkError(f"time_scale must be finite and positive, got {time_scale}")
         if loop is None:
             try:
                 loop = asyncio.get_running_loop()

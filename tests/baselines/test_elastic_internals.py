@@ -86,14 +86,15 @@ class TestShardChunking:
 
 
 class TestRequestCacheLRU:
-    def test_capacity_enforced(self):
+    def test_capacity_enforced(self, monkeypatch):
         from repro.baselines.elastic import ElasticSystem
         from repro.config import ClusterConfig, ElasticConfig, StashConfig
 
+        monkeypatch.setattr("repro.baselines.elastic.REQUEST_CACHE_ENTRIES", 2)
         dataset = small_test_dataset(num_records=2_000)
         config = StashConfig(
             cluster=ClusterConfig(num_nodes=2),
-            elastic=ElasticConfig(num_shards=4, request_cache_entries=2),
+            elastic=ElasticConfig(num_shards=4),
         )
         system = ElasticSystem(dataset, config)
         boxes = [

@@ -42,13 +42,11 @@ class TestBenchDataset:
 
 
 class TestMakeSystem:
-    @pytest.mark.parametrize("kind", ["basic", "stash", "stash-norepl", "elastic"])
+    @pytest.mark.parametrize("kind", ["basic", "stash", "elastic"])
     def test_known_kinds(self, kind):
         scale = BenchScale.unit()
         system = make_system(kind, bench_dataset(scale), bench_config(scale))
         assert system is not None
-        if kind == "stash-norepl":
-            assert system.config.enable_replication is False
 
     def test_unknown_kind(self):
         scale = BenchScale.unit()

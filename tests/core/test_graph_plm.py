@@ -160,8 +160,9 @@ class TestPLM:
 
 
 class TestFreshness:
-    def test_touch_increments(self):
-        tracker = FreshnessTracker(FreshnessConfig(f_inc=2.0, half_life=100.0))
+    def test_touch_increments(self, monkeypatch):
+        monkeypatch.setattr("repro.core.freshness.F_INC", 2.0)
+        tracker = FreshnessTracker(FreshnessConfig(half_life=100.0))
         graph = StashGraph(SPACE)
         cell = make_cell("9q8y7")
         graph.insert(cell)
@@ -176,7 +177,7 @@ class TestFreshness:
         assert tracker.touch_cells(graph, [CellKey("9q8y7", DAY)], now=0.0) == 0
 
     def test_decay_halves_at_half_life(self):
-        config = FreshnessConfig(f_inc=1.0, half_life=10.0)
+        config = FreshnessConfig(half_life=10.0)
         tracker = FreshnessTracker(config)
         graph = StashGraph(SPACE)
         cell = make_cell("9q8y7")
@@ -185,7 +186,7 @@ class TestFreshness:
         assert tracker.score(cell, now=10.0) == pytest.approx(0.5)
 
     def test_repeat_access_accumulates(self):
-        config = FreshnessConfig(f_inc=1.0, half_life=1e9)
+        config = FreshnessConfig(half_life=1e9)
         tracker = FreshnessTracker(config)
         graph = StashGraph(SPACE)
         cell = make_cell("9q8y7")
@@ -195,7 +196,7 @@ class TestFreshness:
         assert cell.freshness == pytest.approx(5.0, rel=1e-6)
 
     def test_dispersion_fraction(self):
-        config = FreshnessConfig(f_inc=1.0, dispersion_fraction=0.25, half_life=1e9)
+        config = FreshnessConfig(dispersion_fraction=0.25, half_life=1e9)
         tracker = FreshnessTracker(config)
         graph = StashGraph(SPACE)
         ring_cell = make_cell("9q8yd")

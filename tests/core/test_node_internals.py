@@ -50,12 +50,10 @@ class TestGuestCliqueRegistry:
 
 
 class TestDistressProtocol:
-    def make_cluster(self, guest_capacity=100):
+    def make_cluster(self, monkeypatch, guest_capacity=100):
+        monkeypatch.setattr("repro.core.node.GUEST_CAPACITY", guest_capacity)
         dataset = small_test_dataset(num_records=3_000)
-        config = StashConfig(
-            cluster=ClusterConfig(num_nodes=4),
-            replication=ReplicationConfig(guest_capacity=guest_capacity),
-        )
+        config = StashConfig(cluster=ClusterConfig(num_nodes=4))
         cluster = StashCluster(dataset, config)
         cluster.start()
         return cluster
@@ -66,16 +64,16 @@ class TestDistressProtocol:
         )
         return cluster.sim.run(until=reply)
 
-    def test_accepts_when_idle_and_room(self):
-        cluster = self.make_cluster()
+    def test_accepts_when_idle_and_room(self, monkeypatch):
+        cluster = self.make_cluster(monkeypatch)
         assert self._distress(cluster, "node-0", 50) is True
 
-    def test_rejects_when_guest_full(self):
-        cluster = self.make_cluster(guest_capacity=10)
+    def test_rejects_when_guest_full(self, monkeypatch):
+        cluster = self.make_cluster(monkeypatch, guest_capacity=10)
         assert self._distress(cluster, "node-0", 50) is False
 
-    def test_accepts_exactly_at_capacity(self):
-        cluster = self.make_cluster(guest_capacity=50)
+    def test_accepts_exactly_at_capacity(self, monkeypatch):
+        cluster = self.make_cluster(monkeypatch, guest_capacity=50)
         assert self._distress(cluster, "node-0", 50) is True
         assert self._distress(cluster, "node-0", 51) is False
 
@@ -126,11 +124,12 @@ class TestCollectiveCaching:
 
 
 class TestGuestFallback:
-    def test_guest_fallback_still_correct(self):
+    def test_guest_fallback_still_correct(self, monkeypatch):
         """A rerouted query whose replica was purged falls back to a full
         evaluation at the helper and still answers correctly."""
         from repro.storage.backend import ground_truth_cells
 
+        monkeypatch.setattr("repro.core.node.ROUTING_TTL", 1e9)
         dataset = small_test_dataset(num_records=5_000)
         config = StashConfig(
             cluster=ClusterConfig(num_nodes=4),
@@ -139,7 +138,6 @@ class TestGuestFallback:
                 cooldown=0.1,
                 reroute_probability=1.0,
                 guest_ttl=1e9,
-                routing_ttl=1e9,
             ),
         )
         cluster = StashCluster(dataset, config)

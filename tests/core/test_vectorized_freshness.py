@@ -17,7 +17,7 @@ import pytest
 from repro.config import EvictionConfig, FreshnessConfig
 from repro.core.cell import Cell
 from repro.core.eviction import EvictionPolicy, rank_victims
-from repro.core.freshness import FreshnessTracker
+from repro.core.freshness import F_INC, FreshnessTracker
 from repro.core.graph import StashGraph
 from repro.core.keys import CellKey
 from repro.data.statistics import SummaryVector
@@ -116,7 +116,7 @@ class TestTouchBatchEquivalence:
         tracker.touch_cells(graph, batch, now)
         for key in batch:
             twin = twins[key]
-            twin.touched(tracker.config.f_inc, now, tracker.decay_rate)
+            twin.touched(F_INC, now, tracker.decay_rate)
             twin.access_count += 1
         for key in keys:
             cell = graph.get(key)
@@ -133,7 +133,7 @@ class TestTouchBatchEquivalence:
         tracker.touch_cells(graph, [key, key, key], 1.0)
         twin = Cell(key=key, summary=SUMMARY)
         for _ in range(3):
-            twin.touched(tracker.config.f_inc, 1.0, tracker.decay_rate)
+            twin.touched(F_INC, 1.0, tracker.decay_rate)
         cell = graph.get(key)
         assert cell.freshness == pytest.approx(twin.freshness, rel=1e-12)
         assert cell.access_count == 3
@@ -172,7 +172,7 @@ class TestTouchBatchEquivalence:
     def test_disperse_matches_scalar_model(self):
         graph, tracker, keys, now = make_graph()
         ring = [key for key in keys if len(key.geohash) == 5][:10]
-        amount = tracker.config.f_inc * tracker.config.dispersion_fraction
+        amount = F_INC * tracker.config.dispersion_fraction
         expected = {}
         for key in ring:
             cell = graph.get(key)

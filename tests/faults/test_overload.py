@@ -10,6 +10,7 @@ from repro.config import (
 )
 from repro.core.cluster import StashCluster
 from repro.data.generator import small_test_dataset
+from repro.faults import overload
 from repro.faults.overload import SHED_PRIORITY, OverloadGuard
 from repro.geo.bbox import BoundingBox
 from repro.geo.resolution import Resolution
@@ -49,12 +50,11 @@ class TestOverloadGuard:
         assert not guard.shed_class("gossip", 10_000)
         assert "evaluate" not in SHED_PRIORITY
 
-    def test_breaker_trips_after_sustained_shedding(self):
-        guard = OverloadGuard(
-            OverloadConfig(
-                breaker_sheds=3, breaker_window=1.0, breaker_cooldown=2.0
-            )
-        )
+    def test_breaker_trips_after_sustained_shedding(self, monkeypatch):
+        monkeypatch.setattr(overload, "BREAKER_SHEDS", 3)
+        monkeypatch.setattr(overload, "BREAKER_WINDOW", 1.0)
+        monkeypatch.setattr(overload, "BREAKER_COOLDOWN", 2.0)
+        guard = OverloadGuard(OverloadConfig())
         assert not guard.breaker_open(0.0)
         guard.record_shed(0.0)
         guard.record_shed(0.1)
@@ -66,10 +66,10 @@ class TestOverloadGuard:
         assert guard.breaker_open(2.1)
         assert not guard.breaker_open(2.3)
 
-    def test_sheds_outside_window_do_not_trip(self):
-        guard = OverloadGuard(
-            OverloadConfig(breaker_sheds=3, breaker_window=0.5)
-        )
+    def test_sheds_outside_window_do_not_trip(self, monkeypatch):
+        monkeypatch.setattr(overload, "BREAKER_SHEDS", 3)
+        monkeypatch.setattr(overload, "BREAKER_WINDOW", 0.5)
+        guard = OverloadGuard(OverloadConfig())
         guard.record_shed(0.0)
         guard.record_shed(1.0)
         guard.record_shed(2.0)
@@ -79,22 +79,19 @@ class TestOverloadGuard:
 
 
 class TestOverloadIntegration:
-    def overloaded_cluster(self, dataset, queue_limit=2):
+    def overloaded_cluster(self, dataset, monkeypatch, queue_limit=2):
+        monkeypatch.setattr(overload, "BREAKER_SHEDS", 4)
+        monkeypatch.setattr(overload, "BREAKER_WINDOW", 2.0)
+        monkeypatch.setattr(overload, "BREAKER_COOLDOWN", 1.0)
         config = StashConfig(
             cluster=ClusterConfig(num_nodes=4),
             faults=FaultConfig(enabled=True, rpc_timeout=0.5, max_retries=1),
-            overload=OverloadConfig(
-                enabled=True,
-                queue_limit=queue_limit,
-                breaker_sheds=4,
-                breaker_window=2.0,
-                breaker_cooldown=1.0,
-            ),
+            overload=OverloadConfig(enabled=True, queue_limit=queue_limit),
         )
         return StashCluster(dataset, config)
 
-    def test_flood_sheds_but_answers_stay_honest(self, dataset):
-        system = self.overloaded_cluster(dataset)
+    def test_flood_sheds_but_answers_stay_honest(self, dataset, monkeypatch):
+        system = self.overloaded_cluster(dataset, monkeypatch)
         queries = [base_query(i) for i in range(40)]
         results = system.run_open_loop(queries, rate=400.0, seed=5)
         system.drain()

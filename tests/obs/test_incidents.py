@@ -158,37 +158,39 @@ def client_gives_up(dataset):
 
 
 def breaker_flood(dataset):
-    overload = OverloadConfig(
-        enabled=True, queue_limit=2, breaker_sheds=4, breaker_window=2.0,
-        breaker_cooldown=1.0,
-    )
-    system = StashCluster(
-        dataset,
-        _config(
-            faults=FaultConfig(enabled=True, rpc_timeout=0.5, max_retries=1),
-            overload=overload,
-        ),
-    )
-    results = system.run_open_loop(_pans(30), rate=400.0, seed=5)
-    system.drain()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("repro.faults.overload.BREAKER_SHEDS", 4)
+        mp.setattr("repro.faults.overload.BREAKER_WINDOW", 2.0)
+        mp.setattr("repro.faults.overload.BREAKER_COOLDOWN", 1.0)
+        system = StashCluster(
+            dataset,
+            _config(
+                faults=FaultConfig(enabled=True, rpc_timeout=0.5, max_retries=1),
+                overload=OverloadConfig(enabled=True, queue_limit=2),
+            ),
+        )
+        results = system.run_open_loop(_pans(30), rate=400.0, seed=5)
+        system.drain()
     return system, results
 
 
 def shed_flood(dataset):
     """Two interleaved hotspots at 5 000/s: fetch legs land on deep queues."""
-    system = StashCluster(
-        dataset,
-        _config(
-            faults=FaultConfig(enabled=True, rpc_timeout=0.5, max_retries=1),
-            overload=OverloadConfig(enabled=True, queue_limit=1, breaker_sheds=10_000),
-        ),
-    )
-    queries = [
-        _query(i, EAST if i % 2 else WEST, precision=4, shift=0.02 * (i % 5))
-        for i in range(60)
-    ]
-    results = system.run_open_loop(queries, rate=5_000.0, seed=5)
-    system.drain()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("repro.faults.overload.BREAKER_SHEDS", 10_000)
+        system = StashCluster(
+            dataset,
+            _config(
+                faults=FaultConfig(enabled=True, rpc_timeout=0.5, max_retries=1),
+                overload=OverloadConfig(enabled=True, queue_limit=1),
+            ),
+        )
+        queries = [
+            _query(i, EAST if i % 2 else WEST, precision=4, shift=0.02 * (i % 5))
+            for i in range(60)
+        ]
+        results = system.run_open_loop(queries, rate=5_000.0, seed=5)
+        system.drain()
     return system, results
 
 
@@ -197,11 +199,13 @@ def hotspot_reroute(dataset):
     replication = ReplicationConfig(
         hotspot_queue_threshold=8, cooldown=0.5, clique_depth=2,
         max_replicated_cells=5_000, top_k_cliques=4, reroute_probability=0.8,
-        guest_ttl=1e6, routing_ttl=1e6,
+        guest_ttl=1e6,
     )
-    system = StashCluster(
-        dataset, _config(nodes=8, faults=_faults(), replication=replication)
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("repro.core.node.ROUTING_TTL", 1e6)
+        system = StashCluster(
+            dataset, _config(nodes=8, faults=_faults(), replication=replication)
+        )
     rng = np.random.default_rng(5)
     base = AggregationQuery(
         bbox=BoundingBox.from_center(36.0, -100.0, 1.0, 1.0),

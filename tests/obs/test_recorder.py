@@ -12,6 +12,7 @@ from repro.config import (
 )
 from repro.core.cluster import StashCluster
 from repro.data.generator import small_test_dataset
+from repro.faults import overload
 from repro.geo.bbox import BoundingBox
 from repro.geo.resolution import Resolution
 from repro.geo.temporal import TemporalResolution, TimeKey
@@ -52,41 +53,39 @@ def hotspot_query(i: int) -> AggregationQuery:
     ).panned(0.02 * (i % 5), 0.02 * (i % 5))
 
 
-def flood_config(flight_recorder: bool, queue_limit: int = 2) -> StashConfig:
+def flood_config(
+    monkeypatch, flight_recorder: bool, queue_limit: int = 2
+) -> StashConfig:
     """An overload flood: tiny queue, aggressive breaker, fault RPC."""
+    monkeypatch.setattr(overload, "BREAKER_SHEDS", 4)
+    monkeypatch.setattr(overload, "BREAKER_WINDOW", 2.0)
+    monkeypatch.setattr(overload, "BREAKER_COOLDOWN", 1.0)
     return StashConfig(
         cluster=ClusterConfig(num_nodes=4),
         faults=FaultConfig(enabled=True, rpc_timeout=0.5, max_retries=1),
-        overload=OverloadConfig(
-            enabled=True,
-            queue_limit=queue_limit,
-            breaker_sheds=4,
-            breaker_window=2.0,
-            breaker_cooldown=1.0,
-        ),
+        overload=OverloadConfig(enabled=True, queue_limit=queue_limit),
         observability=ObservabilityConfig(flight_recorder=flight_recorder),
     )
 
 
-def shed_flood_config(flight_recorder: bool) -> StashConfig:
+def shed_flood_config(monkeypatch, flight_recorder: bool) -> StashConfig:
     """Deep flood tuned so fetch legs (not just populate) get shed."""
+    monkeypatch.setattr(overload, "BREAKER_SHEDS", 10_000)
     return StashConfig(
         cluster=ClusterConfig(num_nodes=4),
         faults=FaultConfig(enabled=True, rpc_timeout=0.5, max_retries=1),
-        overload=OverloadConfig(
-            enabled=True, queue_limit=1, breaker_sheds=10_000
-        ),
+        overload=OverloadConfig(enabled=True, queue_limit=1),
         observability=ObservabilityConfig(flight_recorder=flight_recorder),
     )
 
 
 class TestPassivity:
-    def test_recorder_on_is_byte_identical_to_off(self, dataset):
+    def test_recorder_on_is_byte_identical_to_off(self, dataset, monkeypatch):
         """The tentpole invariant: observing must not change the sim."""
         queries = [base_query(i) for i in range(30)]
         runs = {}
         for enabled in (False, True):
-            system = StashCluster(dataset, flood_config(enabled))
+            system = StashCluster(dataset, flood_config(monkeypatch, enabled))
             results = system.run_open_loop(
                 [q.panned(0, 0) for q in queries], rate=400.0, seed=5
             )
@@ -134,9 +133,9 @@ class TestExactlyOnceOutcomes:
         )
         assert recorder.outcome_counts == {"degraded": 1, "ok": 1}
 
-    def test_flood_counts_exactly_one_outcome_per_attempt(self, dataset):
+    def test_flood_counts_exactly_one_outcome_per_attempt(self, dataset, monkeypatch):
         """Shed legs that are later resolved must not double-count."""
-        system = StashCluster(dataset, shed_flood_config(True))
+        system = StashCluster(dataset, shed_flood_config(monkeypatch, True))
         queries = [hotspot_query(i) for i in range(120)]
         results = system.run_open_loop(queries, rate=5_000.0, seed=5)
         system.drain()
@@ -161,8 +160,8 @@ class TestExactlyOnceOutcomes:
 
 
 class TestContextKeying:
-    def test_events_are_keyed_to_real_queries(self, dataset):
-        system = StashCluster(dataset, flood_config(True))
+    def test_events_are_keyed_to_real_queries(self, dataset, monkeypatch):
+        system = StashCluster(dataset, flood_config(monkeypatch, True))
         queries = [base_query(i) for i in range(40)]
         results = system.run_open_loop(queries, rate=400.0, seed=5)
         system.drain()

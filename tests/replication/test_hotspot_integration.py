@@ -18,6 +18,12 @@ def dataset():
     return small_test_dataset(num_records=10_000, num_days=3)
 
 
+@pytest.fixture(autouse=True)
+def long_routing_ttl(monkeypatch):
+    """Routes outlive every run, as guest replicas do (``guest_ttl=1e6``)."""
+    monkeypatch.setattr("repro.core.node.ROUTING_TTL", 1e6)
+
+
 def hotspot_config(**repl_kwargs):
     repl = dict(
         hotspot_queue_threshold=8,
@@ -27,7 +33,6 @@ def hotspot_config(**repl_kwargs):
         top_k_cliques=4,
         reroute_probability=0.8,
         guest_ttl=1e6,
-        routing_ttl=1e6,
     )
     repl.update(repl_kwargs)
     return StashConfig(

@@ -22,6 +22,7 @@ from repro.config import (
 )
 from repro.core.cluster import StashCluster
 from repro.data.generator import small_test_dataset
+from repro.faults import overload
 from repro.serve.http import SimBackend, StashHttpServer
 from repro.workload.scale import ScaleWorkloadSpec, SessionTable
 from repro.workload.trace import query_to_dict
@@ -33,18 +34,22 @@ SESSION_LENGTH = 6
 
 
 @pytest.fixture(scope="module")
-def flood():
+def aggressive_breaker():
+    """Two sheds inside 2 s open the breaker for 1 s."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(overload, "BREAKER_SHEDS", 2)
+        mp.setattr(overload, "BREAKER_WINDOW", 2.0)
+        mp.setattr(overload, "BREAKER_COOLDOWN", 1.0)
+        yield
+
+
+@pytest.fixture(scope="module")
+def flood(aggressive_breaker):
     """Run the flood once; every test inspects the same aftermath."""
     config = StashConfig(
         cluster=ClusterConfig(num_nodes=4),
         faults=FaultConfig(enabled=True, rpc_timeout=0.5, max_retries=1),
-        overload=OverloadConfig(
-            enabled=True,
-            queue_limit=1,
-            breaker_sheds=2,
-            breaker_window=2.0,
-            breaker_cooldown=1.0,
-        ),
+        overload=OverloadConfig(enabled=True, queue_limit=1),
         observability=ObservabilityConfig(flight_recorder=True),
     )
     system = StashCluster(small_test_dataset(num_records=6_000), config)

@@ -19,9 +19,10 @@ NODES = ["node-0", "node-1"]
 
 
 @pytest.fixture()
-def rig():
+def rig(monkeypatch):
+    monkeypatch.setattr("repro.storage.node.WORKERS_PER_NODE", 2)
     sim = Simulator()
-    config = StashConfig(cluster=ClusterConfig(num_nodes=2, workers_per_node=2))
+    config = StashConfig(cluster=ClusterConfig(num_nodes=2))
     partitioner = PrefixPartitioner(NODES, 2)
     catalog = StorageCatalog(partitioner, block_precision=3)
     catalog.ingest(small_test_dataset(num_records=3_000))
@@ -201,12 +202,16 @@ class TestScatter:
 
     IDS = ["node-0", "node-1", "node-2"]
 
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr("repro.storage.node.WORKERS_PER_NODE", 2)
+
     def _rig(self, faults=False):
         from repro.config import FaultConfig
 
         sim = Simulator()
         config = StashConfig(
-            cluster=ClusterConfig(num_nodes=3, workers_per_node=2),
+            cluster=ClusterConfig(num_nodes=3),
             faults=FaultConfig(enabled=faults, rpc_timeout=0.5, max_retries=0),
         )
         catalog = StorageCatalog(PrefixPartitioner(self.IDS, 2), block_precision=3)

@@ -1,15 +1,18 @@
 """Tests for configuration dataclasses and the error hierarchy."""
 
 import dataclasses
+import math
 
 import pytest
 
 from repro import errors
+from repro.cli import main
 from repro.config import (
     DEFAULT_CONFIG,
     ClusterConfig,
     CostModel,
     EvictionConfig,
+    ServeConfig,
     StashConfig,
 )
 
@@ -59,6 +62,55 @@ class TestStashConfig:
     def test_block_precision_default_geq_partition(self):
         cluster = ClusterConfig()
         assert cluster.block_precision >= cluster.partition_precision
+
+
+class TestServeConfigChecks:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("time_scale", 0.0),
+            ("time_scale", -1.0),
+            ("time_scale", math.nan),
+            ("time_scale", math.inf),
+            ("wall_clock_budget", 0.0),
+            ("wall_clock_budget", math.nan),
+            ("wall_clock_budget", math.inf),
+            ("http_port", -1),
+            ("http_port", 65_536),
+        ],
+    )
+    def test_refused_naming_the_field(self, field, value):
+        with pytest.raises(errors.NetworkError, match=rf"ServeConfig\.{field} must be"):
+            ServeConfig(**{field: value})
+
+    def test_edges_accepted(self):
+        ServeConfig(time_scale=1e-6, wall_clock_budget=1e-9, http_port=0)
+        ServeConfig(http_port=65_535)
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--time-scale", "nan"], "time_scale"),
+            (["--time-scale", "inf"], "time_scale"),
+            (["--budget", "nan"], "wall_clock_budget"),
+            (["--http", "--port", "65536"], "http_port"),
+        ],
+    )
+    def test_serve_exits_2_before_spawning(self, flags, field, monkeypatch, capsys):
+        import repro.serve
+        import repro.serve.cluster
+
+        def spawned(*args, **kwargs):
+            raise AssertionError("a node was spawned")
+
+        monkeypatch.setattr(repro.serve, "run_serve", spawned)
+        monkeypatch.setattr(repro.serve.cluster.ServeCluster, "start", spawned)
+        argv = ["serve", "--nodes", "2", "--requests", "1", "--records", "3000",
+                "--no-sim-check", *flags]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ServeConfig.{field} must be")
+        assert "Traceback" not in err
 
 
 class TestErrorHierarchy:

@@ -54,8 +54,9 @@ class TestOpenLoopArrivals:
         # unlike run_concurrent where everything lands at t~0.
         assert completions[-1] - completions[0] > 0.1
 
-    def test_overload_builds_queueing_delay(self, dataset):
-        config = StashConfig(cluster=ClusterConfig(num_nodes=4, workers_per_node=1))
+    def test_overload_builds_queueing_delay(self, dataset, monkeypatch):
+        monkeypatch.setattr("repro.storage.node.WORKERS_PER_NODE", 1)
+        config = StashConfig(cluster=ClusterConfig(num_nodes=4))
         queries = [make_query().panned(0.05 * i, 0) for i in range(30)]
         relaxed = BasicSystem(dataset, config)
         relaxed.run_open_loop([q.panned(0, 0) for q in queries], rate=5.0, seed=3)
@@ -102,10 +103,11 @@ class TestOpenLoopStash:
         # far less queueing delay.
         assert warm_mean < cold_mean * 0.5
 
-    def test_results_correct_under_overload(self, dataset):
+    def test_results_correct_under_overload(self, dataset, monkeypatch):
         from repro.storage.backend import ground_truth_cells
 
-        config = StashConfig(cluster=ClusterConfig(num_nodes=4, workers_per_node=1))
+        monkeypatch.setattr("repro.storage.node.WORKERS_PER_NODE", 1)
+        config = StashConfig(cluster=ClusterConfig(num_nodes=4))
         cluster = StashCluster(dataset, config)
         stream = queries(20)
         results = cluster.run_open_loop(stream, rate=10_000.0, seed=5)

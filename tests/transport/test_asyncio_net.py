@@ -21,6 +21,7 @@ from repro.faults.membership import RPC_FAILED
 from repro.sim.engine import Simulator
 from repro.serve.server import NodeSpec, build_node
 from repro.sim.resources import Store
+from repro.storage.node import WORKERS_PER_NODE
 from repro.system import CLIENT_ID
 from repro.transport.asyncio_net import (
     _DRAIN_BATCH,
@@ -308,8 +309,10 @@ class TestEngine:
         from repro.errors import NetworkError
 
         async def main():
-            with pytest.raises(NetworkError):
-                AsyncioEngine(time_scale=0.0)
+            # NaN and inf pass a bare ``<= 0`` test and then wedge every timer.
+            for scale in (0.0, -1.0, float("nan"), float("inf")):
+                with pytest.raises(NetworkError):
+                    AsyncioEngine(time_scale=scale)
 
         asyncio.run(main())
 
@@ -634,7 +637,7 @@ class TestHostileOneWayMessages:
         "kind", ["bogus", "populate"], ids=["unknown kind", "populate without cells"]
     )
     def test_node_outlives_more_failures_than_workers(self, kind, caplog):
-        frames = self.CONFIG.cluster.workers_per_node + 1
+        frames = WORKERS_PER_NODE + 1
         scale = self.CONFIG.serve.time_scale
 
         async def main():
