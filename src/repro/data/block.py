@@ -78,23 +78,24 @@ class Block:
             raise StorageError(f"records outside day in block {self.block_id}")
 
 
-def partition_into_blocks(
+def block_runs(
     batch: ObservationBatch, partition_precision: int
-) -> dict[BlockId, Block]:
-    """Split a batch into (geohash prefix, day) blocks, vectorized.
+) -> tuple[np.ndarray, list[tuple[BlockId, int, int]]]:
+    """Group a batch's records by (geohash prefix, day) block, vectorized.
 
     One grouped pass: compute per-record partition bin ids (packed
-    uint64, see :mod:`repro.geo.binning`), sort once, and slice
-    contiguous runs into per-block sub-batches.  Bin ids sort exactly
-    like composite ``'<prefix>@<day>'`` labels (ASCII-ascending
-    alphabet, chronological day codes), so blocks come out in
-    (geohash, day) order with per-block record order preserved.
+    uint64, see :mod:`repro.geo.binning`) and sort them once.  Returns
+    the stable sort ``order`` and, per block, ``(block_id, start, end)``:
+    the block's records are ``order[start:end]``, in batch order.  Bin
+    ids sort exactly like composite ``'<prefix>@<day>'`` labels
+    (ASCII-ascending alphabet, chronological day codes), so blocks come
+    out in (geohash, day) order.  Each distinct day is rendered once.
     """
     if partition_precision < 1:
         raise StorageError("partition_precision must be >= 1")
     n = len(batch)
     if n == 0:
-        return {}
+        return np.empty(0, dtype=np.intp), []
     ids = batch.bin_ids(partition_precision, TemporalResolution.DAY)
     order = np.argsort(ids, kind="stable")
     sorted_ids = ids[order]
@@ -106,8 +107,23 @@ def partition_into_blocks(
     pairs = decode_bin_ids(
         sorted_ids[starts], partition_precision, TemporalResolution.DAY
     )
-    out: dict[BlockId, Block] = {}
-    for (geohash, key), start, end in zip(pairs, starts, ends):
-        block_id = BlockId(geohash=geohash, day=str(key))
-        out[block_id] = Block(block_id=block_id, batch=batch.select(order[start:end]))
-    return out
+    day_of: dict[TimeKey, str] = {}
+    runs = []
+    for (geohash, key), start, end in zip(pairs, starts.tolist(), ends.tolist()):
+        day = day_of.get(key)
+        if day is None:
+            day = day_of[key] = str(key)
+        runs.append((BlockId(geohash, day), start, end))
+    return order, runs
+
+
+def partition_into_blocks(
+    batch: ObservationBatch, partition_precision: int
+) -> dict[BlockId, Block]:
+    """Split a batch into (geohash prefix, day) blocks (:func:`block_runs`),
+    each holding its own copy of its records."""
+    order, runs = block_runs(batch, partition_precision)
+    return {
+        block_id: Block(block_id=block_id, batch=batch.select(order[start:end]))
+        for block_id, start, end in runs
+    }

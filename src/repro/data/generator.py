@@ -104,17 +104,21 @@ class SyntheticNAMGenerator:
     # -- internals ------------------------------------------------------------
 
     def _make(self, n: int) -> ObservationBatch:
+        """One batch of ``n`` records, each row written straight into the
+        batch's one array (the RNG draws in a fixed order)."""
         spec, rng = self.spec, self._rng
         box = spec.domain
-        lats = rng.uniform(box.south, box.north, n)
-        lons = rng.uniform(box.west, box.east, n)
+        columns = np.empty((3 + len(OBSERVATION_ATTRIBUTES), n), dtype=np.float64)
+        lats, lons, epochs, temperature, humidity, precipitation, snow_depth = columns
+        lats[:] = rng.uniform(box.south, box.north, n)
+        lons[:] = rng.uniform(box.west, box.east, n)
 
         day_idx = rng.integers(0, spec.num_days, n)
         hours = (
             rng.integers(0, spec.observations_per_day, n)
             * (24 // spec.observations_per_day)
         )
-        epochs = (
+        epochs[:] = (
             spec.time_start
             + day_idx.astype(np.float64) * 86_400.0
             + hours.astype(np.float64) * 3_600.0
@@ -126,29 +130,18 @@ class SyntheticNAMGenerator:
         seasonal = -12.0 * np.cos(2.0 * np.pi * (day_of_year - 15) / 365.0)
         diurnal = 6.0 * np.sin(2.0 * np.pi * (hours - 9) / 24.0)
         lat_gradient = 30.0 - 0.8 * (lats - box.south)
-        temperature = lat_gradient + seasonal + diurnal + rng.normal(0.0, 3.0, n)
+        temperature[:] = lat_gradient + seasonal + diurnal + rng.normal(0.0, 3.0, n)
 
-        humidity = np.clip(
+        humidity[:] = np.clip(
             85.0 - 0.9 * (temperature - 5.0) + rng.normal(0.0, 12.0, n), 0.0, 100.0
         )
         raining = rng.random(n) < 0.18
-        precipitation = np.where(raining, rng.exponential(4.0, n), 0.0)
+        precipitation[:] = np.where(raining, rng.exponential(4.0, n), 0.0)
         freezing = temperature < 0.0
-        snow_depth = np.where(
+        snow_depth[:] = np.where(
             freezing, np.abs(rng.normal(0.0, 8.0, n)) * (-temperature) / 10.0, 0.0
         )
-
-        return ObservationBatch(
-            lats=lats,
-            lons=lons,
-            epochs=epochs,
-            attributes={
-                "temperature": temperature,
-                "humidity": humidity,
-                "precipitation": precipitation,
-                "snow_depth": snow_depth,
-            },
-        )
+        return ObservationBatch.from_columns(columns, OBSERVATION_ATTRIBUTES)
 
 
 def small_test_dataset(

@@ -1,14 +1,16 @@
-"""Observation batches: structure-of-arrays record storage.
+"""Observation batches: every record of a batch in one float64 array.
 
 Each observation has (lat, lon, epoch timestamp) plus float attributes —
 exactly the record shape the paper's NAM dataset provides (surface
-temperature, relative humidity, snow, precipitation).  Batches are
-immutable numpy SoA containers; every filter/bin operation is vectorized.
+temperature, relative humidity, snow, precipitation).  A batch is one
+read-only ``(3 + k) x n`` array, so subsetting or joining batches is one
+numpy call however many attributes they carry; every filter/bin
+operation is vectorized.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,55 +28,106 @@ OBSERVATION_ATTRIBUTES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, slots=True)
 class ObservationBatch:
-    """An immutable batch of observations in structure-of-arrays form."""
+    """An immutable batch of observations.
 
-    lats: np.ndarray
-    lons: np.ndarray
-    epochs: np.ndarray
-    attributes: dict[str, np.ndarray] = field(default_factory=dict)
+    ``columns`` is a read-only float64 array of shape ``(3 + k, n)``:
+    rows lats, lons, epochs, then the k attributes named by ``names``
+    in insertion order.  ``lats``, ``lons``, ``epochs`` and
+    ``attributes`` are views of those rows.
+    """
 
-    def __post_init__(self) -> None:
-        n = self.lats.shape
-        if self.lons.shape != n or self.epochs.shape != n:
+    columns: np.ndarray
+    names: tuple[str, ...]
+
+    def __init__(
+        self,
+        lats: np.ndarray,
+        lons: np.ndarray,
+        epochs: np.ndarray,
+        attributes: dict[str, np.ndarray] | None = None,
+    ) -> None:
+        attributes = {} if attributes is None else attributes
+        arrays = (lats, lons, epochs, *attributes.values())
+        if any(np.ndim(values) != 1 for values in arrays):
+            raise StatisticsError("batch columns must be 1-D arrays")
+        n = np.shape(lats)
+        if np.shape(lons) != n or np.shape(epochs) != n:
             raise StatisticsError("coordinate array shapes differ")
-        for name, values in self.attributes.items():
-            if values.shape != n:
+        for name, values in attributes.items():
+            if np.shape(values) != n:
                 raise StatisticsError(f"attribute {name!r} shape mismatch")
-        for arr in (self.lats, self.lons, self.epochs, *self.attributes.values()):
-            arr.setflags(write=False)
+        columns = np.stack(arrays, dtype=np.float64)
+        columns.setflags(write=False)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "names", tuple(attributes))
+
+    @classmethod
+    def from_columns(
+        cls, columns: np.ndarray, names: tuple[str, ...]
+    ) -> "ObservationBatch":
+        """Wrap a float64 ``(3 + len(names), n)`` array the caller hands
+        over (it is made read-only in place); nothing is checked or
+        copied — the constructor of every batch the library derives."""
+        columns.setflags(write=False)
+        batch = object.__new__(cls)
+        object.__setattr__(batch, "columns", columns)
+        object.__setattr__(batch, "names", names)
+        return batch
+
+    def __reduce__(self):
+        # Rebuild through ``from_columns``: unpickled arrays are writeable.
+        return ObservationBatch.from_columns, (self.columns, self.names)
 
     def __len__(self) -> int:
-        return int(self.lats.size)
+        return self.columns.shape[1]
+
+    @property
+    def lats(self) -> np.ndarray:
+        return self.columns[0]
+
+    @property
+    def lons(self) -> np.ndarray:
+        return self.columns[1]
+
+    @property
+    def epochs(self) -> np.ndarray:
+        return self.columns[2]
+
+    @property
+    def attributes(self) -> dict[str, np.ndarray]:
+        """Attribute name -> read-only row view, in insertion order."""
+        return dict(zip(self.names, self.columns[3:]))
 
     @property
     def attribute_names(self) -> list[str]:
-        return sorted(self.attributes)
+        return sorted(self.names)
 
     @property
     def nbytes(self) -> int:
-        """In-memory footprint of all arrays."""
-        arrays = (self.lats, self.lons, self.epochs, *self.attributes.values())
-        return int(sum(a.nbytes for a in arrays))
+        """In-memory footprint of the records."""
+        return int(self.columns.nbytes)
 
     @staticmethod
     def empty(attribute_names: tuple[str, ...] = OBSERVATION_ATTRIBUTES) -> "ObservationBatch":
-        z = np.array([], dtype=np.float64)
-        return ObservationBatch(
-            z, z.copy(), z.copy(), {a: np.array([], dtype=np.float64) for a in attribute_names}
-        )
+        columns = np.empty((3 + len(attribute_names), 0), dtype=np.float64)
+        return ObservationBatch.from_columns(columns, tuple(attribute_names))
+
+    def rows_in(self, names: tuple[str, ...]) -> np.ndarray:
+        """``columns`` with the attribute rows in ``names`` order (the
+        array itself when that is already its order)."""
+        if names == self.names:
+            return self.columns
+        if sorted(names) != sorted(self.names):
+            raise StatisticsError("cannot concat batches with different attributes")
+        return self.columns[[0, 1, 2, *(3 + self.names.index(n) for n in names)]]
 
     # -- filtering (all vectorized, views/masks only) ----------------------
 
     def select(self, mask: np.ndarray) -> "ObservationBatch":
         """Subset by boolean mask or index array."""
-        return ObservationBatch(
-            self.lats[mask],
-            self.lons[mask],
-            self.epochs[mask],
-            {name: v[mask] for name, v in self.attributes.items()},
-        )
+        return ObservationBatch.from_columns(self.columns[:, mask], self.names)
 
     def filter_bbox(self, box: BoundingBox) -> "ObservationBatch":
         """Observations inside the closed-open rectangle."""
@@ -96,24 +149,16 @@ class ObservationBatch:
 
     @staticmethod
     def concat_all(batches: list["ObservationBatch"]) -> "ObservationBatch":
-        """Batches end to end, in list order: one concatenate per column."""
+        """Batches end to end, in list order: one concatenate.  Attributes
+        are matched by name and come out in the first batch's order."""
         if not batches:
             return ObservationBatch.empty()
         first = batches[0]
         if len(batches) == 1:
             return first
-        names = set(first.attributes)
-        if any(set(batch.attributes) != names for batch in batches[1:]):
-            raise StatisticsError("cannot concat batches with different attributes")
-        return ObservationBatch(
-            np.concatenate([batch.lats for batch in batches]),
-            np.concatenate([batch.lons for batch in batches]),
-            np.concatenate([batch.epochs for batch in batches]),
-            {
-                name: np.concatenate([batch.attributes[name] for batch in batches])
-                for name in first.attributes
-            },
-        )
+        names = first.names
+        columns = np.concatenate([batch.rows_in(names) for batch in batches], axis=1)
+        return ObservationBatch.from_columns(columns, names)
 
     # -- binning ------------------------------------------------------------
 

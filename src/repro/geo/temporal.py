@@ -335,9 +335,12 @@ def bin_epoch_codes(
     at the given resolution (days since 1970 at DAY, hours at HOUR, …) —
     the same datetime64 truncation :func:`bin_epochs` uses, minus the
     string rendering, so code ``c`` names exactly the bin labelled
-    ``str(time_key_of_code(c, resolution))``.
+    ``str(time_key_of_code(c, resolution))``.  A NaN or infinite epoch
+    raises :class:`TemporalError`: it names no instant.
     """
     epochs = np.asarray(epochs, dtype=np.float64)
+    if not bool(np.isfinite(epochs).all()):
+        raise TemporalError("non-finite epochs in temporal binning")
     dt64 = epochs.astype("datetime64[s]")
     unit = _DT64_UNITS[resolution.name]
     return dt64.astype(f"datetime64[{unit}]").astype(np.int64)

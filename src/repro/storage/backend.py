@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.keys import CellKey
-from repro.data.block import Block, BlockId, partition_into_blocks
+from repro.data.block import Block, BlockId, block_runs
 from repro.data.observation import ObservationBatch
 from repro.data.statistics import SummaryFrame, SummaryVector
 from repro.dht.partitioner import Partitioner
@@ -27,11 +27,12 @@ from repro.geo.resolution import Resolution
 from repro.geo.temporal import TemporalResolution, TimeKey
 from repro.query.model import AggregationQuery
 
-#: Records one fused scan pass holds at once.  A leg with more is cut
-#: into consecutive block runs (:func:`scan_blocks`), which bounds the
-#: concatenated transient (~150 bytes a record across the seven columns,
-#: their filtered copy, the ids and the sort: ~10 MB) without a setting
-#: to tune — the answer does not depend on where the cuts fall.
+#: Records one fused scan pass, or one ingest's gather, holds at once.  A
+#: leg with more is cut into consecutive block runs (:func:`scan_blocks`),
+#: which bounds the concatenated transient (~150 bytes a record across the
+#: seven rows, their filtered copy, the ids and the sort: ~10 MB) without
+#: a setting to tune — the answer does not depend on where the cuts fall;
+#: :meth:`StorageCatalog.ingest` gathers a large batch run by run alike.
 SCAN_RUN_RECORDS = 1 << 16
 
 
@@ -87,8 +88,9 @@ class StorageCatalog:
         self._block_index: dict[BlockId, str] = {}
         #: day -> sorted list of block geohashes (prefix range queries).
         self._day_index: dict[str, list[str]] = {}
-        #: The attribute schema every block shares; fixed by the first ingest.
-        self._attribute_names: list[str] | None = None
+        #: The attribute rows every block holds, in order; fixed by the
+        #: first ingest.
+        self._names: tuple[str, ...] | None = None
         #: Bumped by every ingest that places a record: an answer computed
         #: at an older generation may predate data the catalog now holds.
         self.generation = 0
@@ -109,30 +111,46 @@ class StorageCatalog:
         scan that merges it, and a mismatch found half-way through the
         loop would leave blocks a caching layer was never told about.
         """
-        names = batch.attribute_names
-        if len(batch) and self._attribute_names not in (None, names):
+        known = self._names
+        if len(batch) and known is not None and sorted(known) != batch.attribute_names:
             raise StorageError(
-                f"batch attributes {names} do not match the catalog's "
-                f"{self._attribute_names}"
+                f"batch attributes {batch.attribute_names} do not match the "
+                f"catalog's {sorted(known)}"
             )
-        blocks = partition_into_blocks(batch, self.block_precision)
-        if blocks:
-            self._attribute_names = names
-            self.generation += 1
+        order, runs = block_runs(batch, self.block_precision)
+        if not runs:
+            return []
+        names = self._names = batch.names if known is None else known
+        columns = batch.rows_in(names)
+        self.generation += 1
         touched: list[BlockId] = []
-        for block_id, block in blocks.items():
-            node = self.partitioner.node_for(block_id.geohash)
-            existing = self._by_node[node].get(block_id)
-            if existing is not None:
+        sizes = [end - start for _, start, end in runs]
+        for first, last in _run_bounds(sizes):
+            # The chunk's records in block order: one gather, then one
+            # copy or concatenate per block.  Only bounded chunks are
+            # gathered (a set-up ingest is the whole dataset), and no block
+            # keeps a view of the gather.
+            offset = runs[first][1]
+            gathered = np.take(columns, order[offset : runs[last - 1][2]], axis=1)
+            for block_id, start, end in runs[first:last]:
+                records = gathered[:, start - offset : end - offset]
+                node = self.partitioner.node_for(block_id.geohash)
+                existing = self._by_node[node].get(block_id)
+                if existing is not None:
+                    records = np.concatenate(
+                        (existing.batch.columns, records), axis=1
+                    )
+                else:
+                    records = records.copy()
+                    day_list = self._day_index.setdefault(block_id.day, [])
+                    bisect.insort(day_list, block_id.geohash)
                 block = Block(
-                    block_id=block_id, batch=existing.batch.concat(block.batch)
+                    block_id=block_id,
+                    batch=ObservationBatch.from_columns(records, names),
                 )
-            else:
-                day_list = self._day_index.setdefault(block_id.day, [])
-                bisect.insort(day_list, block_id.geohash)
-            self._by_node[node][block_id] = block
-            self._block_index[block_id] = node
-            touched.append(block_id)
+                self._by_node[node][block_id] = block
+                self._block_index[block_id] = node
+                touched.append(block_id)
         return sorted(touched)
 
     # -- lookup ------------------------------------------------------------

@@ -260,7 +260,7 @@ class TestColdScan:
 
         monkeypatch.setattr(storage_node_module, "scan_blocks", scan)
         binned = counted(monkeypatch, ObservationBatch, "bin_ids")
-        batches = counted(monkeypatch, ObservationBatch, "__post_init__")
+        batches = counted(monkeypatch, ObservationBatch, "from_columns")
 
         query = rectangle()
         result = cold_cluster.run_query(query)

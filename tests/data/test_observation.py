@@ -1,5 +1,7 @@
 """Tests for observation batches."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -28,9 +30,57 @@ class TestConstruction:
                 np.zeros(3), np.zeros(3), np.zeros(3), {"t": np.zeros(2)}
             )
 
+    def test_columns_must_be_one_dimensional(self):
+        """A 2-D column used to construct and then break ``catalog.ingest``
+        with a raw numpy broadcast error."""
+        square = np.zeros((2, 2))
+        with pytest.raises(StatisticsError, match="1-D"):
+            ObservationBatch(square, square, square, {"t": square})
+        with pytest.raises(StatisticsError, match="1-D"):
+            ObservationBatch(np.zeros(4), np.zeros(4), np.zeros(4), {"t": square})
+        with pytest.raises(StatisticsError, match="1-D"):
+            ObservationBatch(np.float64(1.0), np.float64(1.0), np.float64(1.0))
+
     def test_immutability(self, batch):
         with pytest.raises(ValueError):
             batch.lats[0] = 0.0
+        with pytest.raises(ValueError):
+            batch.columns[3, 0] = 0.0
+
+    def test_one_array_of_rows(self, batch):
+        assert batch.columns.dtype == np.float64
+        assert batch.columns.shape == (3 + len(batch.names), len(batch))
+        for row, values in enumerate((batch.lats, batch.lons, batch.epochs)):
+            assert np.shares_memory(values, batch.columns)
+            assert values.tobytes() == batch.columns[row].tobytes()
+
+    def test_attributes_are_read_only_views_in_insertion_order(self):
+        attributes = {"z": np.arange(3.0), "a": np.arange(3.0) + 10, "m": np.ones(3)}
+        made = ObservationBatch(np.zeros(3), np.zeros(3), np.zeros(3), attributes)
+        assert made.names == ("z", "a", "m")
+        assert list(made.attributes) == ["z", "a", "m"]
+        assert made.attribute_names == ["a", "m", "z"]
+        for name, values in made.attributes.items():
+            assert np.shares_memory(values, made.columns)
+            assert not values.flags.writeable
+            assert values.tobytes() == attributes[name].tobytes()
+            with pytest.raises(ValueError):
+                values[0] = 1.0
+
+    def test_int64_epochs_become_exactly_equal_floats(self):
+        epochs = np.array([0, 1_359_763_200, 1_359_849_599, 2**53], dtype=np.int64)
+        made = ObservationBatch(np.zeros(4), np.zeros(4), epochs)
+        assert made.epochs.dtype == np.float64
+        assert [int(e) for e in made.epochs] == epochs.tolist()
+
+    def test_pickle_round_trip(self, batch):
+        copy = pickle.loads(pickle.dumps(batch))
+        assert copy.names == batch.names
+        assert copy.columns.tobytes() == batch.columns.tobytes()
+        assert not copy.columns.flags.writeable
+        assert copy.bin_ids(4, TemporalResolution.DAY).tobytes() == (
+            batch.bin_ids(4, TemporalResolution.DAY).tobytes()
+        )
 
     def test_empty(self):
         e = ObservationBatch.empty()
@@ -120,6 +170,21 @@ class TestConcat:
         assert not combined.lats.flags.writeable
         assert ObservationBatch.concat_all([batch]) is batch
 
+    def test_concat_all_matches_attributes_by_name(self):
+        """Two insertion orders join by name, in the first batch's order."""
+        xy = {"x": np.array([1.0, 2.0]), "y": np.array([3.0, 4.0])}
+        a = ObservationBatch(np.zeros(2), np.zeros(2), np.zeros(2), xy)
+        yx = {"y": np.array([30.0]), "x": np.array([10.0])}
+        b = ObservationBatch(np.ones(1), np.ones(1), np.ones(1), yx)
+        joined = ObservationBatch.concat_all([a, b])
+        assert joined.names == ("x", "y")
+        assert joined.attributes["x"].tolist() == [1.0, 2.0, 10.0]
+        assert joined.attributes["y"].tolist() == [3.0, 4.0, 30.0]
+        flipped = ObservationBatch.concat_all([b, a])
+        assert flipped.names == ("y", "x")
+        assert flipped.attributes["x"].tolist() == [10.0, 1.0, 2.0]
+        assert flipped.lats.tolist() == [1.0, 0.0, 0.0]
+
     def test_concat_all_attribute_mismatch(self, batch):
         odd = ObservationBatch(np.zeros(1), np.zeros(1), np.zeros(1), {"y": np.zeros(1)})
         with pytest.raises(StatisticsError, match="different attributes"):
@@ -128,9 +193,10 @@ class TestConcat:
             ObservationBatch.concat_all([odd, batch])
 
     def test_concat_all_copies_each_column_once(self, batch, monkeypatch):
-        """One ``np.concatenate`` per column however many batches: the
+        """One ``np.concatenate`` however many batches and attributes: the
         chain copied everything accumulated so far for every batch
-        (7 x (batches - 1) calls, quadratic bytes)."""
+        (7 x (batches - 1) calls, quadratic bytes), and the per-column
+        join made one call per column."""
         pieces = self.pieces(batch) * 10
         calls: list[int] = []
         real = np.concatenate
@@ -143,7 +209,7 @@ class TestConcat:
         combined = ObservationBatch.concat_all(pieces)
         monkeypatch.undo()
         assert len(combined) == 10 * len(batch)
-        assert calls == [len(pieces)] * (3 + len(batch.attributes))
+        assert calls == [len(pieces)]
 
 
 class TestBinKeys:

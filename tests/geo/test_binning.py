@@ -110,6 +110,15 @@ class TestLimits:
                 TemporalResolution.DAY,
             )
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_epoch_raises_before_the_cast(self, bad):
+        """A NaN epoch was cast to datetime64 (a numpy RuntimeWarning) and
+        reported as temporal code -9223372036854775808."""
+        epochs = np.array([TimeKey.of(2013, 2, 2).epoch_range().start, bad])
+        with pytest.raises(TemporalError, match="non-finite epochs"):
+            bin_ids(np.zeros(2), np.zeros(2), epochs, 4, TemporalResolution.DAY)
+
     def test_known_value(self):
         # 2013-02-02 is day 15738 since the epoch; geohash of (0, 0) at
         # precision 1 is 's' (alphabet index 24).

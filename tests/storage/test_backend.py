@@ -6,6 +6,7 @@ import pytest
 from repro.core.keys import CellKey
 from repro.data.block import BlockId
 from repro.data.generator import small_test_dataset
+from repro.data.observation import ObservationBatch
 from repro.data.statistics import SummaryVector
 from repro.dht.partitioner import PrefixPartitioner
 from repro.errors import StorageError, TemporalError
@@ -13,6 +14,7 @@ from repro.geo.bbox import BoundingBox
 from repro.geo.resolution import Resolution
 from repro.geo.temporal import TemporalResolution, TimeKey
 from repro.query.model import AggregationQuery
+from repro.storage import backend as backend_module
 from repro.storage.backend import StorageCatalog, ground_truth_cells, scan_blocks
 from tests.reference import scan_blocks_reference
 
@@ -57,6 +59,95 @@ class TestCatalog:
         cat.ingest(batch.select(idx[:half]))
         cat.ingest(batch.select(idx[half:]))
         assert cat.total_records == len(batch)
+
+    def test_append_is_one_concatenate_per_touched_block(self, batch, monkeypatch):
+        """A batch touching B existing blocks: B ``np.concatenate`` calls
+        and B batches built (the placed blocks'), not a sub-batch and a
+        joined batch of seven arrays per block."""
+        cat = StorageCatalog(PrefixPartitioner(NODES, 2))
+        cat.ingest(batch)
+        before = {block_id: cat.get_block(block_id).batch for block_id in self.ids(cat)}
+        update = batch.select(np.arange(0, len(batch), 7))
+        joins: list[int] = []
+        built: list[int] = []
+        real_concatenate = np.concatenate
+        real_from_columns = ObservationBatch.from_columns
+
+        def concatenate(arrays, *args, **kwargs):
+            joins.append(len(arrays))
+            return real_concatenate(arrays, *args, **kwargs)
+
+        def from_columns(columns, names):
+            built.append(columns.shape[1])
+            return real_from_columns(columns, names)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "concatenate", concatenate)
+            patch.setattr(ObservationBatch, "from_columns", from_columns)
+            patch.setattr(ObservationBatch, "__init__", None)  # never called
+            touched = cat.ingest(update)
+        assert 20 <= len(touched) <= len(before)
+        assert joins == [2] * len(touched)
+        assert len(built) == len(touched)
+        for block_id in touched:
+            old, new = before[block_id], cat.get_block(block_id).batch
+            records = batch.select(np.arange(0, len(batch), 7)).filter_bbox(
+                BoundingBox(*self.box(block_id))
+            )
+            assert new.columns.base is None  # owns its records: pins nothing
+            assert new.columns[:, : len(old)].tobytes() == old.columns.tobytes()
+            added = new.columns[:, len(old) :]
+            day = TimeKey.parse(block_id.day).epoch_range()
+            mine = records.filter_time(day).columns
+            assert added.tobytes() == mine.tobytes()
+
+    @staticmethod
+    def ids(cat):
+        return [block_id for node in NODES for block_id in cat.blocks_on(node)]
+
+    @staticmethod
+    def box(block_id):
+        from repro.geo.geohash import bbox
+
+        cell = bbox(block_id.geohash)
+        return cell.south, cell.north, cell.west, cell.east
+
+    def test_large_batch_is_gathered_run_by_run(self, batch, catalog, monkeypatch):
+        """A batch above ``SCAN_RUN_RECORDS`` places the same blocks."""
+        monkeypatch.setattr(backend_module, "SCAN_RUN_RECORDS", 300)
+        cut = StorageCatalog(PrefixPartitioner(NODES, 2))
+        cut.ingest(batch)
+        assert self.ids(cut) == self.ids(catalog)
+        for block_id in self.ids(catalog):
+            got = cut.get_block(block_id).batch
+            assert got.columns.base is None
+            assert got.columns.tobytes() == catalog.get_block(block_id).batch.columns.tobytes()
+
+    def test_append_matches_attributes_by_name(self, batch):
+        """A batch with another attribute insertion order is appended in
+        the catalog's row order."""
+        cat = StorageCatalog(PrefixPartitioner(NODES, 2))
+        cat.ingest(batch)
+        update = batch.select(np.arange(0, len(batch), 5))
+        reversed_attributes = dict(reversed(list(update.attributes.items())))
+        flipped = ObservationBatch(update.lats, update.lons, update.epochs, reversed_attributes)
+        straight = StorageCatalog(PrefixPartitioner(NODES, 2))
+        straight.ingest(batch)
+        assert cat.ingest(flipped) == straight.ingest(update)
+        for block_id in self.ids(straight):
+            got, want = cat.get_block(block_id).batch, straight.get_block(block_id).batch
+            assert got.names == want.names == batch.names
+            assert got.columns.tobytes() == want.columns.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_epoch_is_refused(self, batch):
+        cat = StorageCatalog(PrefixPartitioner(NODES, 2))
+        epochs = batch.epochs.copy()
+        epochs[17] = np.nan
+        bad = ObservationBatch(batch.lats, batch.lons, epochs, batch.attributes)
+        with pytest.raises(TemporalError, match="non-finite epochs"):
+            cat.ingest(bad)
+        assert cat.num_blocks == 0 and cat.generation == 0
 
     def test_unknown_block(self, catalog):
         with pytest.raises(StorageError):
