@@ -5,8 +5,8 @@ Besides the client API inherited from
 :class:`~repro.system.DistributedSystem`, it offers experiment utilities:
 ``warm`` (run queries only to heat the cache), ``preload_fraction``
 (directly stack a fraction of a query's cells into the graphs, as the
-paper does for the 50/75/100% zoom scenarios), and block invalidation
-(the PLM real-time-update path).
+paper does for the 50/75/100% zoom scenarios), and live ingest (the
+real-time-update path).
 """
 
 from __future__ import annotations
@@ -171,15 +171,7 @@ class StashCluster(DistributedSystem):
             node.guest_cliques.clear()
         return dropped
 
-    # -- real-time updates (PLM path, paper IV-D) ------------------------------
-
-    def invalidate_block(self, block_id: BlockId) -> int:
-        """Drop every cached cell (local and guest) derived from a block."""
-        dropped = 0
-        for node in self.nodes.values():
-            dropped += len(node.graph.invalidate_block(block_id))
-            dropped += len(node.guest.invalidate_block(block_id))
-        return dropped
+    # -- real-time updates (paper IV-D) ---------------------------------------
 
     def ingest_live(self, batch: ObservationBatch) -> tuple[int, int]:
         """Ingest new observations into the running cluster.
@@ -190,15 +182,14 @@ class StashCluster(DistributedSystem):
         can be adjusted during an update ... so that stale data summaries
         are recomputed in case of future access").
 
-        Invalidation is by *extent*, not just the PLM's reverse index: a
-        brand-new block may fall inside a cell that was cached as empty
-        (its PLM block set does not mention the block yet), and that cell
-        is stale too.  A touched block finds those cells by truncating
-        its own label (:func:`~repro.core.graph.stale_extents`), so the
-        cost is one table of ``block_precision x 3`` labels per touched
-        block, built once per ingest, plus one set probe per resident
-        cell (local and guest) — independent of how many blocks the
-        batch touched.
+        Invalidation is by *extent*: a brand-new block may fall inside a
+        cell that was cached as empty, and that cell is stale too.  A
+        touched block finds the cells that enclose it by truncating its
+        own label (:func:`~repro.core.graph.stale_extents`), so the cost
+        is one table of ``block_precision x 3`` labels per touched block,
+        built once per ingest, plus one set probe per resident cell
+        (local and guest) — independent of how many blocks the batch
+        touched.
 
         Returns (blocks touched, cached cells invalidated).
         """

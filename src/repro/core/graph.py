@@ -284,13 +284,6 @@ class StashGraph:
 
     # -- invalidation (real-time updates, paper IV-D) -----------------------
 
-    def invalidate_block(self, block_id: BlockId) -> list[CellKey]:
-        """Drop every cell computed from a now-stale block."""
-        stale = self.plm.dependents_of_block(block_id)
-        for key in stale:
-            self.remove(key)
-        return sorted(stale, key=str)
-
     def invalidate_extents(
         self, extents: set[tuple[str, tuple[int, ...]]], block_precision: int
     ) -> list[CellKey]:
@@ -299,9 +292,8 @@ class StashGraph:
         ``extents`` is :func:`stale_extents` of the touched blocks.  A
         cell and a block overlap exactly when their labels agree once
         both are cut to the shorter one, per axis, so each resident key
-        is cut to the block's lengths and probed once — by extent rather
-        than by the PLM's reverse index, because a cell cached as empty
-        has no block set to find it through.  Returns the keys removed.
+        is cut to the block's lengths and probed once, so a cell cached as
+        empty (no backing blocks) is found too.  Returns the keys removed.
         """
         stale = [
             key

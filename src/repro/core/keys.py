@@ -2,9 +2,10 @@
 
 A :class:`CellKey` pairs a geohash with a :class:`~repro.geo.temporal.TimeKey`
 (paper Table I: "spatial bounding box encoded as Geohash value and the
-chronological range").  All graph topology — the hierarchical and lateral
-edge sets — is *computed* from keys rather than stored per cell, which is
-the paper's "composable vertex discovery schemes ... instead of each Cell
+chronological range").  All graph topology is *computed* from keys rather
+than stored per cell — the hierarchical edges here, the lateral ring of a
+footprint by :func:`repro.core.freshness.query_ring` — which is the
+paper's "composable vertex discovery schemes ... instead of each Cell
 storing pointers to all its neighborhood Cells" (section IV-D).
 """
 
@@ -87,17 +88,3 @@ class CellKey(namedtuple("CellKey", "geohash time_key")):
                 for time in self.temporal_children()
             ]
         raise CacheError(f"unknown child axis {axis!r}")
-
-    # -- lateral edges (paper Fig. 1) ---------------------------------------
-
-    def spatial_neighbors(self) -> list["CellKey"]:
-        """Up to 8 adjacent same-precision cells in the same time bin."""
-        return [CellKey(nb, self.time_key) for nb in gh.neighbors(self.geohash)]
-
-    def temporal_neighbors(self) -> list["CellKey"]:
-        """The previous and next time bins for the same geohash."""
-        return [CellKey(self.geohash, tk) for tk in self.time_key.neighbors()]
-
-    def lateral_neighbors(self) -> list["CellKey"]:
-        """The full lateral edge set (spatial + temporal)."""
-        return self.spatial_neighbors() + self.temporal_neighbors()

@@ -15,7 +15,6 @@ from repro.geo.geohash import (
     decode,
     encode,
     encode_many,
-    neighbors,
 )
 from repro.geo.temporal import TemporalResolution, TimeKey, TimeRange
 from repro.geo.resolution import Resolution, ResolutionSpace
@@ -31,7 +30,6 @@ __all__ = [
     "decode",
     "encode",
     "encode_many",
-    "neighbors",
     "TemporalResolution",
     "TimeKey",
     "TimeRange",

@@ -58,65 +58,9 @@ class BoundingBox:
         return self.east - self.west
 
     @property
-    def area(self) -> float:
-        """Degree-squared area (not great-circle area)."""
-        return self.height * self.width
-
-    @property
     def center(self) -> tuple[float, float]:
         """(lat, lon) midpoint."""
         return ((self.south + self.north) / 2.0, (self.west + self.east) / 2.0)
-
-    # -- relations ----------------------------------------------------------
-
-    def contains_point(self, lat: float, lon: float) -> bool:
-        """True if (lat, lon) lies inside the closed-open rectangle."""
-        return self.south <= lat < self.north and self.west <= lon < self.east
-
-    def contains_box(self, other: "BoundingBox") -> bool:
-        """True if ``other`` is fully inside (or equal to) this box."""
-        return (
-            self.south <= other.south
-            and other.north <= self.north
-            and self.west <= other.west
-            and other.east <= self.east
-        )
-
-    def intersects(self, other: "BoundingBox") -> bool:
-        """True if the two boxes share any interior area."""
-        return (
-            self.south < other.north
-            and other.south < self.north
-            and self.west < other.east
-            and other.west < self.east
-        )
-
-    def intersection(self, other: "BoundingBox") -> "BoundingBox | None":
-        """The overlapping rectangle, or None when disjoint."""
-        if not self.intersects(other):
-            return None
-        return BoundingBox(
-            south=max(self.south, other.south),
-            north=min(self.north, other.north),
-            west=max(self.west, other.west),
-            east=min(self.east, other.east),
-        )
-
-    def union_bounds(self, other: "BoundingBox") -> "BoundingBox":
-        """Smallest box covering both."""
-        return BoundingBox(
-            south=min(self.south, other.south),
-            north=max(self.north, other.north),
-            west=min(self.west, other.west),
-            east=max(self.east, other.east),
-        )
-
-    def overlap_fraction(self, other: "BoundingBox") -> float:
-        """Fraction of *this* box's area covered by ``other``."""
-        inter = self.intersection(other)
-        if inter is None or self.area == 0.0:
-            return 0.0
-        return inter.area / self.area
 
     # -- transforms ---------------------------------------------------------
 
@@ -156,11 +100,6 @@ class BoundingBox:
             west=max(LON_MIN, clon - half_w),
             east=min(LON_MAX, clon + half_w),
         )
-
-    @staticmethod
-    def global_box() -> "BoundingBox":
-        """The whole-globe box."""
-        return BoundingBox(LAT_MIN, LAT_MAX, LON_MIN, LON_MAX)
 
     @staticmethod
     def from_center(

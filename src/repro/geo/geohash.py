@@ -7,7 +7,7 @@ a base-32 string where each added character splits the cell 32 ways
 Hot paths (binning millions of observations) use the vectorized
 :func:`encode_many` (strings) or :func:`spatial_codes` (raw interleaved
 uint64 bit-codes, the integer form the scan pipeline bins on); the
-scalar functions serve topology queries (neighbors, children, antipode)
+scalar functions serve topology queries (children, shift, antipode)
 on individual cells.  Both interleave the two bin indices through one
 byte-spread table (:data:`_SPREAD`): a byte of index becomes 16 bits of
 code in one lookup, so an axis costs one gather up to precision 3 (8
@@ -164,29 +164,6 @@ def children(geohash: str) -> list[str]:
     if len(geohash) >= MAX_PRECISION:
         raise GeohashError(f"geohash {geohash!r} is at max precision")
     return [geohash + c for c in GEOHASH_ALPHABET]
-
-
-def neighbors(geohash: str) -> list[str]:
-    """Up to 8 adjacent same-precision cells (paper Fig. 1a).
-
-    Longitude wraps around the antimeridian; rows beyond the poles are
-    omitted, so polar cells return fewer than 8 neighbors.
-    """
-    precision = len(geohash)
-    lat_idx, lon_idx = _to_indices(geohash)
-    lon_bits, lat_bits = _bit_counts(precision)
-    n_lat, n_lon = 1 << lat_bits, 1 << lon_bits
-    out: list[str] = []
-    for dlat in (1, 0, -1):
-        row = lat_idx + dlat
-        if not 0 <= row < n_lat:
-            continue
-        for dlon in (-1, 0, 1):
-            if dlat == 0 and dlon == 0:
-                continue
-            col = (lon_idx + dlon) % n_lon
-            out.append(_from_indices(row, col, precision))
-    return out
 
 
 def shift(geohash: str, dlat_cells: int, dlon_cells: int) -> str | None:

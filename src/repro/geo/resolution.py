@@ -33,8 +33,7 @@ class Resolution(namedtuple("Resolution", "spatial temporal")):
     def __str__(self) -> str:
         return f"s{self.spatial}/{self.temporal.name.lower()}"
 
-    # The three parent/child refinement axes (paper IV-B: "Each Cell can
-    # have 3 different parent precisions").
+    # One step along each refinement axis (paper IV-B).
 
     def coarser_spatial(self) -> "Resolution | None":
         if self.spatial <= 1:
@@ -47,11 +46,6 @@ class Resolution(namedtuple("Resolution", "spatial temporal")):
             return None
         return Resolution(self.spatial, coarser)
 
-    def coarser_both(self) -> "Resolution | None":
-        if self.spatial <= 1 or self.temporal.coarser is None:
-            return None
-        return Resolution(self.spatial - 1, self.temporal.coarser)
-
     def finer_spatial(self) -> "Resolution | None":
         if self.spatial >= MAX_PRECISION:
             return None
@@ -62,21 +56,6 @@ class Resolution(namedtuple("Resolution", "spatial temporal")):
         if finer is None:
             return None
         return Resolution(self.spatial, finer)
-
-    def finer_both(self) -> "Resolution | None":
-        if self.spatial >= MAX_PRECISION or self.temporal.finer is None:
-            return None
-        return Resolution(self.spatial + 1, self.temporal.finer)
-
-    def parents(self) -> list["Resolution"]:
-        """All (up to 3) one-step-coarser resolutions."""
-        out = [self.coarser_spatial(), self.coarser_temporal(), self.coarser_both()]
-        return [r for r in out if r is not None]
-
-    def children_resolutions(self) -> list["Resolution"]:
-        """All (up to 3) one-step-finer resolutions."""
-        out = [self.finer_spatial(), self.finer_temporal(), self.finer_both()]
-        return [r for r in out if r is not None]
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,18 +87,9 @@ class ResolutionSpace:
             )
 
     @property
-    def num_spatial(self) -> int:
-        """The paper's ``n_s``."""
-        return self.max_spatial - self.min_spatial + 1
-
-    @property
     def num_temporal(self) -> int:
         """The paper's ``n_t``."""
         return NUM_TEMPORAL_RESOLUTIONS
-
-    @property
-    def num_levels(self) -> int:
-        return self.num_spatial * self.num_temporal
 
     def contains(self, resolution: Resolution) -> bool:
         return self.min_spatial <= resolution.spatial <= self.max_spatial
@@ -137,26 +107,3 @@ class ResolutionSpace:
         self._check(resolution)
         spatial_idx = resolution.spatial - self.min_spatial
         return spatial_idx * self.num_temporal + int(resolution.temporal)
-
-    def resolution_at(self, level: int) -> Resolution:
-        """Inverse of :meth:`level_of`."""
-        if not 0 <= level < self.num_levels:
-            raise ResolutionError(f"level {level} out of [0, {self.num_levels})")
-        spatial_idx, temporal_idx = divmod(level, self.num_temporal)
-        return Resolution(
-            self.min_spatial + spatial_idx, TemporalResolution(temporal_idx)
-        )
-
-    def all_resolutions(self) -> list[Resolution]:
-        """Every supported resolution, in level order."""
-        return [self.resolution_at(level) for level in range(self.num_levels)]
-
-    def parents_within(self, resolution: Resolution) -> list[Resolution]:
-        """Parent resolutions that stay inside this space."""
-        self._check(resolution)
-        return [r for r in resolution.parents() if self.contains(r)]
-
-    def children_within(self, resolution: Resolution) -> list[Resolution]:
-        """Child resolutions that stay inside this space."""
-        self._check(resolution)
-        return [r for r in resolution.children_resolutions() if self.contains(r)]

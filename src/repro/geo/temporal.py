@@ -141,7 +141,7 @@ class TimeKey(namedtuple("TimeKey", "components")):
 
         Sub-second fractions are truncated (not rounded): the finest bin
         is an hour, and truncation keeps the scalar path consistent with
-        the vectorized :func:`bin_epochs` (datetime64 truncates too) even
+        the vectorized :func:`bin_epoch_codes` (datetime64 truncates too) even
         for instants a float ULP below a bin boundary.  An instant outside
         years 1 to 9999 is a :class:`TemporalError`.
         """
@@ -224,22 +224,11 @@ class TimeKey(namedtuple("TimeKey", "components")):
             return [TimeKey(c + (h,)) for h in range(24)]
         raise TemporalError(f"{self} is at the finest resolution")
 
-    def is_ancestor_of(self, other: "TimeKey") -> bool:
-        """True if this bin strictly encloses ``other``."""
-        return (
-            len(self.components) < len(other.components)
-            and other.components[: len(self.components)] == self.components
-        )
-
     # -- laterals -------------------------------------------------------------
 
     def step(self, n: int = 1) -> "TimeKey":
         """The bin ``n`` steps later (negative = earlier) at this resolution."""
         return time_key_of_code(self._code() + n, self.resolution)
-
-    def neighbors(self) -> list["TimeKey"]:
-        """The two adjacent bins (paper: temporal lateral edges)."""
-        return [self.step(-1), self.step(1)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -252,21 +241,6 @@ class TimeRange:
     def __post_init__(self) -> None:
         if not self.start < self.end:
             raise TemporalError(f"empty TimeRange [{self.start}, {self.end})")
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-    def contains(self, epoch_seconds: float) -> bool:
-        return self.start <= epoch_seconds < self.end
-
-    def intersects(self, other: "TimeRange") -> bool:
-        return self.start < other.end and other.start < self.end
-
-    def intersection(self, other: "TimeRange") -> "TimeRange | None":
-        if not self.intersects(other):
-            return None
-        return TimeRange(max(self.start, other.start), min(self.end, other.end))
 
     def _bin_codes(self, resolution: TemporalResolution) -> range:
         """Codes of the bins :meth:`covering_keys` names.
@@ -304,37 +278,14 @@ class TimeRange:
 _DT64_UNITS = {"YEAR": "Y", "MONTH": "M", "DAY": "D", "HOUR": "h"}
 
 
-def bin_epochs(
-    epochs: np.ndarray, resolution: TemporalResolution
-) -> np.ndarray:
-    """Vectorized temporal binning to string labels.
-
-    Maps an array of epoch seconds to fixed-width strings of the owning
-    :class:`TimeKey` (its ``str`` form), e.g. '2013-03-15' at DAY.  The
-    scan pipeline bins on the integer form instead
-    (:func:`bin_epoch_codes`); this string form is the human-readable
-    label.
-    """
-    epochs = np.asarray(epochs, dtype=np.float64)
-    dt64 = epochs.astype("datetime64[s]")
-    unit = _DT64_UNITS[resolution.name]
-    truncated = dt64.astype(f"datetime64[{unit}]")
-    iso = np.datetime_as_string(truncated)
-    if resolution == TemporalResolution.HOUR:
-        # 'YYYY-MM-DDThh' -> 'YYYY-MM-DD-hh'
-        iso = np.char.replace(iso, "T", "-")
-    return iso
-
-
 def bin_epoch_codes(
     epochs: np.ndarray, resolution: TemporalResolution
 ) -> np.ndarray:
     """Vectorized temporal binning to integer codes.
 
     Maps epoch seconds to int64 bin indices counted from the Unix epoch
-    at the given resolution (days since 1970 at DAY, hours at HOUR, …) —
-    the same datetime64 truncation :func:`bin_epochs` uses, minus the
-    string rendering, so code ``c`` names exactly the bin labelled
+    at the given resolution (days since 1970 at DAY, hours at HOUR, …) by
+    datetime64 truncation, so code ``c`` names exactly the bin labelled
     ``str(time_key_of_code(c, resolution))``.  A NaN or infinite epoch
     raises :class:`TemporalError`: it names no instant.
     """

@@ -13,14 +13,21 @@ import struct
 from typing import Any
 
 from repro.errors import ReproError
+from repro.query.model import AggregationQuery
 from repro.transport import codec
 
 _HEADER = struct.Struct(">I")
 
-#: Upper bound on one frame's body.  Far above any real payload (large
-#: query answers are a few MB); guards against a corrupt or hostile
-#: header committing us to a multi-GB allocation.
-MAX_FRAME_BYTES = 256 * 1024 * 1024
+#: Upper bound on one frame's body, derived from the largest legitimate
+#: message: an ``evaluate`` / ``fetch_cells`` reply or a ``populate``
+#: payload carries at most one footprint, ``MAX_FOOTPRINT_CELLS`` cells,
+#: and one node can own all of them (ownership is by partition prefix).
+#: A ``cells`` node takes 202.6 B per cell at precision 4 and 239.7 B at
+#: the longest key (precision 12, hourly, nine-digit counts; four
+#: attributes), so 256 B per cell bounds it: 512 MB.  Repair batches
+#: (``MAX_REPAIR_CELLS``) and gossip digests are far smaller.  A larger
+#: header is a corrupt or hostile stream.
+MAX_FRAME_BYTES = AggregationQuery.MAX_FOOTPRINT_CELLS * 256
 
 
 class FramingError(ReproError):

@@ -19,6 +19,7 @@ from repro.errors import CacheError
 from repro.geo import geohash as gh
 from repro.geo.resolution import ResolutionSpace
 from repro.geo.temporal import TimeKey
+from tests.reference import plm_mirrors_graph
 
 SPACE = ResolutionSpace(1, 8)
 DAY = TimeKey.of(2013, 2, 2)
@@ -54,7 +55,8 @@ class TestPlmGraphLockstep:
         graph.plm.remove(level, cell.key)
         graph.insert(cell, blocks_for("9q8y7"))
         assert graph.contains(cell.key)
-        assert len(graph.plm) == len(graph) == 1
+        plm_mirrors_graph(graph)
+        assert len(graph) == 1
 
     @given(
         ops=st.lists(st.sampled_from(CODES), min_size=1, max_size=80),
@@ -70,7 +72,7 @@ class TestPlmGraphLockstep:
             graph.upsert(make_cell(code), blocks_for(code))
             tracker.touch_cells(graph, [CellKey(code, DAY)], now=float(now))
             policy.enforce(graph, tracker, now=float(now))
-            assert len(graph.plm) == len(graph)
+            plm_mirrors_graph(graph)
             for cell in graph.cells():
                 level = graph.level_of(cell.key)
                 assert graph.plm.contains(level, cell.key)
@@ -81,11 +83,12 @@ class TestPlmGraphLockstep:
             graph.insert(make_cell(code), blocks_for(code))
         assert graph.clear() == 5
         assert len(graph) == 0
-        assert len(graph.plm) == 0
+        plm_mirrors_graph(graph)
         # Everything reinserts cleanly after the wipe (cold restart).
         for code in CODES[:5]:
             graph.insert(make_cell(code), blocks_for(code))
-        assert len(graph.plm) == len(graph) == 5
+        plm_mirrors_graph(graph)
+        assert len(graph) == 5
 
 
 class TestEvictionVictimOrder:

@@ -199,23 +199,6 @@ class TestPreload:
         assert latencies[1.0] < latencies[0.5] < latencies[0.0]
 
 
-class TestInvalidation:
-    def test_invalidate_block_forces_rescan(self, cluster, dataset):
-        query = make_query()
-        cluster.warm([query])
-        counts = cluster.counters_total()
-        assert counts["cells_populated"] > 0
-        # Invalidate one backing block; dependent cells must drop.
-        some_key = next(iter(ground_truth_cells(dataset, query)))
-        block_id = cluster.catalog.blocks_for_cell(some_key)[0]
-        dropped = cluster.invalidate_block(block_id)
-        assert dropped > 0
-        result = cluster.run_query(make_query())
-        assert result.provenance["cells_from_disk"] >= dropped - 1
-        # Results still correct after recompute.
-        assert_matches_truth(result, dataset, query)
-
-
 class TestEvictionUnderPressure:
     def test_cache_respects_capacity(self, dataset):
         config = make_config(

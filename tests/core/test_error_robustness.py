@@ -10,6 +10,7 @@ from repro.geo.bbox import BoundingBox
 from repro.geo.resolution import Resolution
 from repro.geo.temporal import TemporalResolution, TimeKey
 from repro.query.model import AggregationQuery
+from tests.reference import global_box
 
 
 @pytest.fixture()
@@ -29,7 +30,7 @@ def good_query():
 def oversized_query():
     """A footprint beyond MAX_FOOTPRINT_CELLS: global box at precision 8."""
     return AggregationQuery(
-        bbox=BoundingBox.global_box(),
+        bbox=global_box(),
         time_range=TimeKey.of(2013, 2, 2).epoch_range(),
         resolution=Resolution(8, TemporalResolution.DAY),
     )

@@ -8,7 +8,7 @@ from repro.config import EvictionConfig, FreshnessConfig
 from repro.core.cell import Cell
 from repro.core.eviction import EvictionPolicy
 from repro.core.freshness import FreshnessTracker, query_ring
-from repro.core.graph import StashGraph
+from repro.core.graph import StashGraph, stale_extents
 from repro.core.keys import CellKey
 from repro.data.block import BlockId
 from repro.data.statistics import SummaryVector
@@ -16,7 +16,7 @@ from repro.errors import CacheError, ResolutionError
 from repro.geo import geohash as gh
 from repro.geo.resolution import ResolutionSpace
 from repro.geo.temporal import TimeKey
-from tests.reference import neighborhood_ring
+from tests.reference import lateral_neighbors, neighborhood_ring, num_levels
 from tests.strategies import time_keys
 
 SPACE = ResolutionSpace(1, 8)
@@ -54,7 +54,7 @@ class TestLevelArithmetic:
             for precision in range(2, 7)
             for depth in range(1, 5)
         ]
-        assert sorted(map(graph.level_of, keys)) == list(range(self.NARROW.num_levels))
+        assert sorted(map(graph.level_of, keys)) == list(range(num_levels(self.NARROW)))
 
     @pytest.mark.parametrize("geohash", ["9", "9q8y7x2", "9q8y7x2w3", "9q8y7x2w3bcde"])
     def test_same_error_outside_the_space(self, geohash):
@@ -148,7 +148,7 @@ class TestPLM:
         graph.insert(a, frozenset({block}))
         graph.insert(b, frozenset({block}))
         graph.insert(c, frozenset({other}))
-        stale = graph.invalidate_block(block)
+        stale = graph.invalidate_extents(stale_extents([block], 2), 2)
         assert set(stale) == {a.key, b.key}
         assert not graph.contains(a.key)
         assert graph.contains(c.key)
@@ -231,7 +231,7 @@ class TestFreshness:
         # Every ring member is a lateral neighbor of some footprint cell.
         members = set(footprint)
         for key in ring:
-            assert any(n in members for n in key.lateral_neighbors())
+            assert any(n in members for n in lateral_neighbors(key))
 
 
 class TestEviction:

@@ -20,7 +20,7 @@ from repro.data.block import BlockId
 from repro.data.statistics import SummaryVector
 from repro.geo.resolution import ResolutionSpace
 from repro.geo.temporal import TimeKey
-from tests.reference import extent_overlaps_reference
+from tests.reference import extent_overlaps_reference, plm_mirrors_graph
 from tests.strategies import block_ids, boundary_time_keys, geohashes
 
 SPACE = ResolutionSpace(1, 8)
@@ -41,8 +41,8 @@ def filled_graph(resident: list[CellKey], touched: list[BlockId]) -> StashGraph:
 
 def assert_graph_holds_exactly(graph: StashGraph, survivors: set[CellKey]) -> None:
     """The level maps, the PLM and the freshness columns name the same keys."""
-    graph.plm.check_consistency()
-    assert len(graph) == len(graph.plm) == len(survivors)
+    plm_mirrors_graph(graph)
+    assert len(graph) == len(survivors)
     assert {cell.key for cell in graph.cells()} == survivors
     columns = list(graph.freshness_columns())
     assert {key for block in columns for key in block.keys} == survivors

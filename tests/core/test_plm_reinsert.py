@@ -1,13 +1,12 @@
-"""PLM bitmap bookkeeping across evict -> re-insert cycles.
+"""PLM bookkeeping across evict -> re-insert cycles.
 
 Audit target: every ``remove`` must be the exact inverse of the ``add``
-that created the entry — forward map, reverse (block -> dependents)
-index, and no dangling empty reverse entries — otherwise a cell evicted
-and later recomputed from *different* blocks would keep stale
-invalidation edges, and a real-time block update would either miss the
-cell or invalidate an innocent one.  ``PrecisionLevelMap.
-check_consistency`` asserts the mirror property; these tests drive it
-through eviction, invalidation, crash-clear, and randomized churn.
+that created the entry, otherwise a cell evicted and later recomputed
+from *different* blocks would keep its old block set, and the missing-set
+calculation would trust a stale completeness record.
+``tests.reference.plm_mirrors_graph`` asserts that a graph's PLM tracks
+exactly its resident cells; these tests drive it through eviction,
+invalidation, crash-clear, and randomized churn.
 """
 
 import numpy as np
@@ -19,7 +18,7 @@ from repro.config import EvictionConfig, FreshnessConfig
 from repro.core.cell import Cell
 from repro.core.eviction import EvictionPolicy
 from repro.core.freshness import FreshnessTracker
-from repro.core.graph import StashGraph
+from repro.core.graph import StashGraph, stale_extents
 from repro.core.keys import CellKey
 from repro.core.plm import PrecisionLevelMap
 from repro.data.block import BlockId
@@ -28,6 +27,7 @@ from repro.errors import CacheError
 from repro.geo import geohash as gh
 from repro.geo.resolution import ResolutionSpace
 from repro.geo.temporal import TimeKey
+from tests.reference import plm_mirrors_graph
 
 SPACE = ResolutionSpace(1, 8)
 DAY = TimeKey.of(2013, 2, 2)
@@ -50,26 +50,18 @@ class TestPlmReinsert:
         plm = PrecisionLevelMap()
         plm.add(0, KEY, frozenset({B1, B2}))
         plm.remove(0, KEY)
-        plm.check_consistency()
-        assert len(plm) == 0
-        assert plm.dependents_of_block(B1) == set()
+        assert not plm.contains(0, KEY)
         plm.add(0, KEY, frozenset({B1, B2}))
-        plm.check_consistency()
         assert plm.blocks_of(0, KEY) == {B1, B2}
 
     def test_readd_with_different_blocks_drops_stale_edges(self):
         """The re-insert case that motivates the audit: a cell evicted and
-        recomputed from a different block set must not keep invalidation
-        edges to its old blocks."""
+        recomputed from a different block set must not keep its old one."""
         plm = PrecisionLevelMap()
         plm.add(0, KEY, frozenset({B1, B2}))
         plm.remove(0, KEY)
         plm.add(0, KEY, frozenset({B3}))
-        plm.check_consistency()
         assert plm.blocks_of(0, KEY) == {B3}
-        assert plm.dependents_of_block(B1) == set()
-        assert plm.dependents_of_block(B2) == set()
-        assert plm.dependents_of_block(B3) == {KEY}
 
     def test_shared_block_survives_partial_removal(self):
         other = CellKey("9q8z", DAY)
@@ -77,39 +69,33 @@ class TestPlmReinsert:
         plm.add(0, KEY, frozenset({B1}))
         plm.add(0, other, frozenset({B1, B2}))
         plm.remove(0, KEY)
-        plm.check_consistency()
-        assert plm.dependents_of_block(B1) == {other}
+        assert not plm.contains(0, KEY)
+        assert plm.blocks_of(0, other) == {B1, B2}
         plm.remove(0, other)
-        plm.check_consistency()
-        # No dangling empty reverse entries after the last dependent goes.
-        assert plm.dependents_of_block(B1) == set()
-        assert plm.dependents_of_block(B2) == set()
+        assert not plm.contains(0, other)
 
     def test_duplicate_add_rejected_without_corruption(self):
         plm = PrecisionLevelMap()
         plm.add(0, KEY, frozenset({B1}))
         with pytest.raises(CacheError):
             plm.add(0, KEY, frozenset({B2}))
-        plm.check_consistency()
-        # The failed add must not have touched the reverse index.
+        # The failed add must not have touched the entry.
         assert plm.blocks_of(0, KEY) == {B1}
-        assert plm.dependents_of_block(B2) == set()
 
     def test_remove_untracked_rejected(self):
         plm = PrecisionLevelMap()
         with pytest.raises(CacheError):
             plm.remove(0, KEY)
-        plm.check_consistency()
+        assert not plm.contains(0, KEY)
 
     def test_same_key_at_two_levels_is_independent(self):
         plm = PrecisionLevelMap()
         plm.add(0, KEY, frozenset({B1}))
         plm.add(1, KEY, frozenset({B2}))
         plm.remove(0, KEY)
-        plm.check_consistency()
         assert not plm.contains(0, KEY)
         assert plm.contains(1, KEY)
-        assert plm.dependents_of_block(B2) == {KEY}
+        assert plm.blocks_of(1, KEY) == {B2}
 
     @given(
         st.lists(
@@ -122,8 +108,8 @@ class TestPlmReinsert:
     )
     @settings(max_examples=60, deadline=None)
     def test_randomized_churn_keeps_indexes_mirrored(self, ops):
-        """Interleaved add/remove against a model dict: the PLM's forward
-        and reverse indexes stay exact mirrors at every step."""
+        """Interleaved add/remove against a model dict: the PLM tracks
+        exactly the model's keys, with their block sets, at every step."""
         plm = PrecisionLevelMap()
         model: dict[CellKey, frozenset] = {}
         for geohash, blocks in ops:
@@ -134,13 +120,11 @@ class TestPlmReinsert:
             else:
                 plm.add(0, key, frozenset(blocks))
                 model[key] = frozenset(blocks)
-            plm.check_consistency()
-        assert len(plm) == len(model)
+            for geohash in ("9q8y", "9q8z", "9qby", "9qbz"):
+                probe = CellKey(geohash, DAY)
+                assert plm.contains(0, probe) == (probe in model)
         for key, blocks in model.items():
             assert plm.blocks_of(0, key) == blocks
-        for block in (B1, B2, B3):
-            expected = {k for k, blocks in model.items() if block in blocks}
-            assert plm.dependents_of_block(block) == expected
 
 
 class TestGraphEvictReinsert:
@@ -158,35 +142,33 @@ class TestGraphEvictReinsert:
         tracker = FreshnessTracker(FreshnessConfig())
         victims = policy.enforce(graph, tracker, now=10.0)
         assert victims
-        graph.plm.check_consistency()
+        plm_mirrors_graph(graph)
         level = graph.level_of(victims[0])
         for key in victims:
             assert not graph.plm.contains(level, key)
         # Recompute the evicted cells from a different block set.
         for key in victims:
             graph.insert(cell(key.geohash), frozenset({B2, B3}))
-        graph.plm.check_consistency()
+        plm_mirrors_graph(graph)
         assert graph.plm.blocks_of(level, victims[0]) == {B2, B3}
-        assert victims[0] not in graph.plm.dependents_of_block(B1)
 
     def test_invalidate_block_then_repopulate(self):
         graph = self._full_graph()
-        stale = graph.invalidate_block(B1)
+        stale = graph.invalidate_extents(stale_extents([B1], 3), 3)
         assert len(stale) == 32
-        graph.plm.check_consistency()
+        plm_mirrors_graph(graph)
         assert len(graph) == 0
         for key in stale:
             graph.insert(cell(key.geohash), frozenset({B2}))
-        graph.plm.check_consistency()
-        assert graph.plm.dependents_of_block(B1) == set()
-        assert len(graph.plm.dependents_of_block(B2)) == 32
+        plm_mirrors_graph(graph)
+        assert all(graph.plm.blocks_of(graph.level_of(key), key) == {B2} for key in stale)
 
     def test_clear_then_reinsert(self):
         graph = self._full_graph()
         assert graph.clear() == 32
-        graph.plm.check_consistency()
+        plm_mirrors_graph(graph)
         graph.insert(cell("9q8y"), frozenset({B1}))
-        graph.plm.check_consistency()
+        plm_mirrors_graph(graph)
         assert len(graph) == 1
 
     def test_graph_and_plm_membership_agree_after_churn(self):
@@ -196,4 +178,4 @@ class TestGraphEvictReinsert:
         policy.enforce(graph, tracker, now=5.0)
         for c in graph.cells():
             assert graph.plm.contains(graph.level_of(c.key), c.key)
-        assert len(graph.plm) == len(graph)
+        plm_mirrors_graph(graph)

@@ -14,8 +14,9 @@ cache miss scans each leg's blocks in one fused pass — one ``bin_ids``
 call and two batches per leg, not per block — and asks the calendar for
 a time key's day labels once, not once per cell per lookup.  A
 completed query costs the metrics registry one ``record`` call that
-builds nothing.  And no read, warm or cold, enters a Python-level
-``__hash__``, ``__eq__`` or ``__lt__``: the keys are tuples.
+builds nothing.  No read, warm or cold, enters a Python-level
+``__hash__``, ``__eq__`` or ``__lt__``: the keys are tuples.  And the
+simulator steps a pinned number of events of each kind per read.
 """
 
 import collections
@@ -43,10 +44,11 @@ from repro.geo.resolution import Resolution
 from repro.geo.temporal import TemporalResolution, TimeKey, TimeRange
 from repro.obs import registry as registry_module
 from repro.query.model import AggregationQuery
+from repro.sim.engine import Simulator
 from repro.storage import backend as backend_module
 from repro.storage import node as storage_node_module
 from repro.storage.backend import ground_truth_cells
-from tests.reference import bin_labels
+from tests.reference import bin_labels, box_contains
 
 
 def rectangle() -> AggregationQuery:
@@ -110,7 +112,7 @@ class TestFreshRectangleQuery:
         labels = counted(monkeypatch, cover_module, "label_of_code")
         query = rectangle()
         box = query.snapped_bbox()
-        assert box.contains_box(query.bbox)
+        assert box_contains(box, query.bbox)
         assert query.footprint_size() == 165 and query.snapped_time_range()
         assert interleaves == [] and labels == []
         assert len(query.footprint()) == 165 and query.snapped_bbox() == box
@@ -443,3 +445,42 @@ class TestMetricsRegistryOnTheReadPath:
         assert [n for n in twin.metrics.gauges if n.startswith("node-0.")] == [
             f"node-0.{name}" for name in twin_gauges
         ]
+
+
+class TestSimulatorEventsPerRead:
+    """Events the simulator steps for one read and its background
+    population, by kind: the exact counts, so that removing an event
+    shows up here as a change of one kind.  The warm read is an
+    ``explore_warm`` op, every cell cached; the cold one a ``scan_cold``
+    op, caches flushed first."""
+
+    def events(self, monkeypatch, cluster) -> dict[str, int]:
+        counts: collections.Counter = collections.Counter()
+        real_step = Simulator.step
+
+        def step(sim):
+            counts[type(sim._heap[0][2]).__name__] += 1
+            real_step(sim)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Simulator, "step", step)
+            assert cluster.run_query(rectangle()).completeness == 1.0
+            cluster.drain()
+        return dict(counts)
+
+    @pytest.fixture()
+    def warm_cluster(self, dataset):
+        cluster = StashCluster(dataset, StashConfig(cluster=ClusterConfig(num_nodes=4)))
+        cluster.warm([rectangle()])
+        return cluster
+
+    def test_a_warm_read(self, warm_cluster, monkeypatch):
+        expected = {"Event": 17, "Timeout": 12, "Process": 8, "AllOf": 1}
+        assert self.events(monkeypatch, warm_cluster) == expected
+        assert self.events(monkeypatch, warm_cluster) == expected
+
+    def test_a_cold_read(self, warm_cluster, monkeypatch):
+        expected = {"Event": 62, "Timeout": 40, "Process": 31, "AllOf": 2}
+        for _ in range(2):
+            warm_cluster.flush_caches()
+            assert self.events(monkeypatch, warm_cluster) == expected

@@ -116,7 +116,7 @@ class TestFiltering:
         day = TimeKey.of(2013, 2, 2).epoch_range()
         sub = batch.filter_time(day)
         assert len(sub) > 0
-        assert all(day.contains(e) for e in sub.epochs)
+        assert all(day.start <= e < day.end for e in sub.epochs)
 
     def test_filters_compose(self, batch):
         box = BoundingBox(30, 45, -110, -90)

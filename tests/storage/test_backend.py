@@ -16,7 +16,7 @@ from repro.geo.temporal import TemporalResolution, TimeKey
 from repro.query.model import AggregationQuery
 from repro.storage import backend as backend_module
 from repro.storage.backend import StorageCatalog, ground_truth_cells, scan_blocks
-from tests.reference import scan_blocks_reference
+from tests.reference import boxes_intersect, scan_blocks_reference
 
 NODES = [f"node-{i}" for i in range(6)]
 
@@ -167,7 +167,7 @@ class TestCatalog:
             assert block_id.day == "2013-02-02"
             from repro.geo.geohash import bbox as geohash_bbox
 
-            assert geohash_bbox(block_id.geohash).intersects(snapped_box)
+            assert boxes_intersect(geohash_bbox(block_id.geohash), snapped_box)
 
     def test_blocks_for_query_complete(self, catalog, batch):
         """Every record in the snapped extent lives in a selected block."""

@@ -4,7 +4,6 @@ consistency check of the whole system after realistic workloads."""
 import numpy as np
 import pytest
 
-from repro.audit import AuditError, audit_cluster
 from repro.config import ClusterConfig, EvictionConfig, ReplicationConfig, StashConfig
 from repro.core.cell import Cell
 from repro.core.cluster import StashCluster
@@ -15,6 +14,7 @@ from repro.geo.resolution import Resolution
 from repro.geo.temporal import TemporalResolution, TimeKey
 from repro.workload.hotspot import hotspot_workload
 from repro.workload.queries import QuerySize, random_query
+from tests.audit import audit_cluster
 
 
 def make_cluster(dataset=None, **config_kwargs):
@@ -42,6 +42,7 @@ def workload(n=6, seed=3):
 class TestCleanClustersPass:
     def test_fresh_cluster(self):
         cluster = make_cluster()
+        cluster.start()
         assert audit_cluster(cluster) == 0
 
     def test_after_serial_workload(self):
@@ -106,7 +107,7 @@ class TestCorruptionDetected:
         cell.summary = SummaryVector.from_arrays(
             {name: np.array([1.0]) for name in cluster.attribute_names}
         )
-        with pytest.raises(AuditError, match="drifted"):
+        with pytest.raises(AssertionError, match="drifted"):
             audit_cluster(cluster, value_sample=-1)
 
     def test_detects_misplaced_cell(self):
@@ -119,7 +120,7 @@ class TestCorruptionDetected:
             if node.membership.base.node_for(cell.key.geohash) != node.node_id
         )
         wrong.graph.insert(Cell(key=cell.key, summary=cell.summary))
-        with pytest.raises(AuditError, match="owned by"):
+        with pytest.raises(AssertionError, match="owned by"):
             audit_cluster(cluster, value_sample=0)
 
     def test_detects_plm_ghost(self):
@@ -129,7 +130,7 @@ class TestCorruptionDetected:
         level = node.graph.level_of(cell.key)
         # Remove the cell behind the PLM's back.
         del node.graph._levels[level][cell.key]
-        with pytest.raises(AuditError, match="absent"):
+        with pytest.raises(AssertionError, match="absent"):
             audit_cluster(cluster, value_sample=0)
 
     def test_detects_plm_orphan(self):
@@ -145,7 +146,7 @@ class TestCorruptionDetected:
         owner.graph._levels.setdefault(level, {})[key] = Cell(
             key=key, summary=SummaryVector.empty(cluster.attribute_names)
         )
-        with pytest.raises(AuditError, match="missing from PLM"):
+        with pytest.raises(AssertionError, match="missing from PLM"):
             audit_cluster(cluster, value_sample=0)
 
     def test_detects_overfull_node(self):
@@ -160,5 +161,5 @@ class TestCorruptionDetected:
             owner.graph.upsert(
                 Cell(key=key, summary=SummaryVector.empty(cluster.attribute_names))
             )
-        with pytest.raises(AuditError, match="exceed the"):
+        with pytest.raises(AssertionError, match="exceed the"):
             audit_cluster(cluster, value_sample=0)

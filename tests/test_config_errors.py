@@ -129,8 +129,3 @@ class TestErrorHierarchy:
             raise errors.CacheError("x")
         with pytest.raises(errors.ReproError):
             raise errors.WorkloadError("y")
-
-    def test_audit_error_in_hierarchy(self):
-        from repro.audit import AuditError
-
-        assert issubclass(AuditError, errors.ReproError)

@@ -1,11 +1,20 @@
 """Length-prefixed framing: incremental parsing over arbitrary chunking."""
 
+import itertools
 import struct
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.keys import CellKey
+from repro.data.observation import OBSERVATION_ATTRIBUTES
+from repro.data.statistics import AttributeSummary, SummaryVector
+from repro.geo.geohash import GEOHASH_ALPHABET
+from repro.geo.temporal import TimeKey
+from repro.query.model import AggregationQuery
 from repro.transport.codec import CodecError
 from repro.transport.framing import (
     MAX_FRAME_BYTES,
@@ -78,6 +87,37 @@ def test_oversized_body_rejected_on_encode(monkeypatch):
     monkeypatch.setattr(framing, "MAX_FRAME_BYTES", 8)
     with pytest.raises(FramingError, match="exceeds"):
         framing.encode_frame("a much longer payload than eight bytes")
+
+
+def widest_reply(n: int) -> dict:
+    """An ``evaluate`` reply of ``n`` cells with the longest keys a cell
+    can have (precision 12, hourly) and nine-digit counts."""
+    hour = TimeKey.of(2013, 2, 2, 7)
+    tails = itertools.product(GEOHASH_ALPHABET, repeat=4)
+    rng = np.random.default_rng(0)
+    cells = {}
+    for tail in itertools.islice(tails, n):
+        totals = rng.random(2 * len(OBSERVATION_ATTRIBUTES)).tolist()
+        cells[CellKey("9q8y7x2w" + "".join(tail), hour)] = SummaryVector(
+            {
+                name: AttributeSummary(999_999_999, totals[2 * i], totals[2 * i + 1], 0.0, 1.0)
+                for i, name in enumerate(OBSERVATION_ATTRIBUTES)
+            }
+        )
+    provenance = {"cells_from_cache": n, "cells_from_disk": 0}
+    return {"cells": cells, "provenance": provenance, "completeness": 1.0}
+
+
+def test_a_full_footprint_reply_fits_one_frame():
+    """One node may own a whole footprint, so the widest reply of
+    ``MAX_FOOTPRINT_CELLS`` cells must fit a frame.  Measured at 1 000 and
+    2 000 cells and extrapolated linearly (the ``cells`` node is columns,
+    so size is affine in the cell count)."""
+    small, large = (len(encode_frame(widest_reply(n))) for n in (1_000, 2_000))
+    per_cell = (large - small) / 1_000
+    assert 200 < per_cell < 256
+    full = small + per_cell * (AggregationQuery.MAX_FOOTPRINT_CELLS - 1_000)
+    assert full <= MAX_FRAME_BYTES
 
 
 @settings(max_examples=150, deadline=None)

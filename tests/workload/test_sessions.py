@@ -5,6 +5,7 @@ import pytest
 from repro.bench.ablations import session_spec, session_stream
 from repro.bench.harness import BenchScale
 from repro.workload.scale import SessionTable
+from tests.reference import boxes_intersect
 
 SCALE = BenchScale.unit()
 SPEC = session_spec(SCALE)
@@ -41,7 +42,7 @@ class TestRandomSession:
         for user in range(SPEC.num_users):
             session = table.user_queries(user)
             for a, b in zip(session, session[1:]):
-                related += a.bbox.intersects(b.bbox)
+                related += boxes_intersect(a.bbox, b.bbox)
                 total += 1
         assert related / total > 0.6
 
@@ -81,6 +82,6 @@ class TestEndToEnd:
         counts = cluster.counters_total()
         # Locality in the stream produces real cache traffic.
         assert counts.get("cells_served_from_cache", 0) > 0
-        from repro.audit import audit_cluster
+        from tests.audit import audit_cluster
 
         audit_cluster(cluster, value_sample=8)

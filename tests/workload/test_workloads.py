@@ -22,6 +22,7 @@ from repro.workload.queries import (
     random_box,
     random_query,
 )
+from tests.reference import box_area, box_contains, overlap_fraction
 
 
 @pytest.fixture()
@@ -45,7 +46,7 @@ class TestQuerySizes:
             box = random_box(rng, size, NAM_DOMAIN)
             assert box.height == pytest.approx(height)
             assert box.width == pytest.approx(width)
-            assert NAM_DOMAIN.contains_box(box)
+            assert box_contains(NAM_DOMAIN, box)
 
     def test_extent_exceeding_domain(self, rng):
         tiny = BoundingBox(0, 1, 0, 1)
@@ -78,10 +79,10 @@ class TestPanSequence:
     def test_overlap_decreases_with_fraction(self):
         base = base_query()
         small_overlap = min(
-            base.bbox.overlap_fraction(q.bbox) for q in pan_sequence(base, 0.25)[1:]
+            overlap_fraction(base.bbox, q.bbox) for q in pan_sequence(base, 0.25)[1:]
         )
         large_overlap = min(
-            base.bbox.overlap_fraction(q.bbox) for q in pan_sequence(base, 0.10)[1:]
+            overlap_fraction(base.bbox, q.bbox) for q in pan_sequence(base, 0.10)[1:]
         )
         assert large_overlap > small_overlap
 
@@ -95,7 +96,7 @@ class TestPanSequence:
 class TestDicingSequence:
     def test_descending_shrinks(self):
         queries = dicing_sequence(base_query(16, 32), steps=5)
-        areas = [q.bbox.area for q in queries]
+        areas = [box_area(q.bbox) for q in queries]
         assert all(a > b for a, b in zip(areas, areas[1:]))
         assert areas[-1] == pytest.approx(areas[0] * 0.8 ** 4)
 
@@ -106,7 +107,7 @@ class TestDicingSequence:
         # sqrt(0.8^4) shrink per axis: 16 * 0.8^2 = 10.24 -> ~(10.2, 20.5)
         # The paper's (5.2, 10.4) implies per-axis 0.8 reduction; verify
         # monotone 20% area reduction instead of matching their arithmetic.
-        assert final.area == pytest.approx(16 * 32 * 0.8 ** 4, rel=1e-6)
+        assert box_area(final) == pytest.approx(16 * 32 * 0.8 ** 4, rel=1e-6)
 
     def test_ascending_is_reverse(self):
         desc = dicing_sequence(base_query(), steps=4)
@@ -116,7 +117,7 @@ class TestDicingSequence:
     def test_nested(self):
         queries = dicing_sequence(base_query(), steps=4)
         for bigger, smaller in zip(queries, queries[1:]):
-            assert bigger.bbox.contains_box(smaller.bbox)
+            assert box_contains(bigger.bbox, smaller.bbox)
 
     def test_validation(self):
         with pytest.raises(WorkloadError):
@@ -149,7 +150,7 @@ class TestPanCloud:
         """Consecutive queries within one center overlap heavily."""
         queries = pan_cloud(rng, QuerySize.STATE, NAM_DOMAIN, 1, 10, 0.1)
         overlaps = [
-            a.bbox.overlap_fraction(b.bbox) for a, b in zip(queries, queries[1:])
+            overlap_fraction(a.bbox, b.bbox) for a, b in zip(queries, queries[1:])
         ]
         assert min(overlaps) > 0.7
 
