@@ -12,6 +12,11 @@ import threading
 import time
 
 import pytest
+from hypothesis import settings
+
+#: ``--hypothesis-profile=ci``: the same examples on every run, so a CI
+#: failure of a property or state-machine test replays as it was seen.
+settings.register_profile("ci", derandomize=True)
 
 _SOCKET_DIRS = {"transport", "serve"}
 #: Handler threads of an HTTP server exit just after their response.
