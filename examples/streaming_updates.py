@@ -5,7 +5,7 @@ Simulates a live sensor feed: a dashboard keeps watching one region
 while new observation batches stream into the cluster.  After each
 ingest, every cached cell whose extent nests with a touched block is
 invalidated (the paper's section IV-D update path, found by the cell's
-label rather than the PLM's block sets, so cells cached as empty go
+label rather than by a stored block set, so cells cached as empty go
 too), and the next refresh recomputes a fresh — and *correct* —
 summary; untouched regions keep their cache.
 

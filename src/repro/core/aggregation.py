@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from repro.core.cell import Cell
 from repro.core.graph import StashGraph
 from repro.core.keys import CellKey
-from repro.data.block import BlockId
 from repro.data.statistics import SummaryVector
 
 
@@ -26,7 +25,6 @@ class RollupResult:
     summary: SummaryVector
     merges: int
     axis: str
-    backing_blocks: frozenset[BlockId]
 
 
 def merge_summaries(
@@ -86,13 +84,5 @@ def try_rollup(
         if not complete:
             continue
         summary = merge_summaries([cell.summary for cell in cells], attributes)
-        blocks: set[BlockId] = set()
-        for cell in cells:
-            blocks.update(graph.plm.blocks_of(graph.level_of(cell.key), cell.key))
-        return RollupResult(
-            summary=summary,
-            merges=len(cells),
-            axis=axis,
-            backing_blocks=frozenset(blocks),
-        )
+        return RollupResult(summary=summary, merges=len(cells), axis=axis)
     return None

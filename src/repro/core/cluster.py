@@ -147,8 +147,7 @@ class StashCluster(DistributedSystem):
                 break
             for key in groups[group]:
                 node = self.owner_node(key)
-                blocks = frozenset(self.catalog.blocks_for_cell(key))
-                if node.graph.upsert(Cell(key=key, summary=cells[key]), blocks):
+                if node.graph.upsert(Cell(key=key, summary=cells[key])):
                     inserted += 1
         return inserted
 

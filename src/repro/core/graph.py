@@ -1,14 +1,18 @@
-"""The per-node STASH graph: levels of cells + PLM + eviction hooks.
+"""The per-node STASH graph: levels of cells + eviction hooks.
 
 ``G_STASH = (V, {E_H, E_L})`` — vertices are Cells grouped into levels by
 spatiotemporal resolution (paper IV-C); both edge families are computed
 from cell keys on demand (see :mod:`repro.core.keys`), so the graph
-stores only the level maps and the PLM.
+stores only the level maps.
 
-Empty cells (zero observations) are stored explicitly: presence of a key
-— empty or not — means "this bin's value is known and complete", which is
-what makes roll-up recomputation sound (a missing child might have
-unscanned data on disk; an empty child is known to have none).
+Residency is the paper's precision-level map (IV-D).  Empty cells (zero
+observations) are stored explicitly: presence of a key — empty or not —
+means "this bin's value is known and complete", which is what makes
+roll-up recomputation sound (a missing child might have unscanned data
+on disk; an empty child is known to have none).  The PLM's other half,
+a cell's backing blocks, is computed from keys like the edges:
+:meth:`~repro.storage.backend.StorageCatalog.blocks_for_cell` for a scan,
+:func:`stale_extents` for an ingest.
 
 Freshness bookkeeping is stored *in columns*: each level carries a
 :class:`FreshnessColumns` block of dense numpy arrays ``(freshness,
@@ -27,7 +31,6 @@ import numpy as np
 
 from repro.core.cell import Cell
 from repro.core.keys import CellKey
-from repro.core.plm import PrecisionLevelMap
 from repro.data.block import BlockId
 from repro.errors import CacheError, ResolutionError
 from repro.geo.resolution import ResolutionSpace
@@ -111,7 +114,6 @@ class StashGraph:
         self._levels: dict[int, dict[CellKey, Cell]] = {}
         #: level -> freshness column store, parallel to ``_levels``.
         self._columns: dict[int, FreshnessColumns] = {}
-        self.plm = PrecisionLevelMap()
 
     # -- size ------------------------------------------------------------
 
@@ -140,28 +142,12 @@ class StashGraph:
     def get(self, key: CellKey) -> Cell | None:
         return self._levels.get(self.level_of(key), {}).get(key)
 
-    def insert(
-        self,
-        cell: Cell,
-        backing_blocks: frozenset[BlockId] | None = None,
-    ) -> None:
-        """Add a complete cell; duplicate inserts are rejected.
-
-        ``backing_blocks`` defaults to none: the graph does not know the
-        catalog's blocks, so callers on the query path pass the explicit
-        set they scanned.
-        """
+    def insert(self, cell: Cell) -> None:
+        """Add a complete cell; duplicate inserts are rejected."""
         level = self.level_of(cell.key)
         cells = self._levels.setdefault(level, {})
         if cell.key in cells:
             raise CacheError(f"cell {cell.key} already cached in {self.name}")
-        if backing_blocks is None:
-            backing_blocks = frozenset()
-        # PLM first: if it rejects the key the graph stays untouched, so
-        # the two structures cannot diverge (a cell in the graph but not
-        # the PLM would wedge every later evict -> repopulate cycle on
-        # "PLM already tracks" errors).
-        self.plm.add(level, cell.key, backing_blocks)
         cells[cell.key] = cell
         columns = self._columns.get(level)
         if columns is None:
@@ -169,9 +155,7 @@ class StashGraph:
         columns.add(cell.key, cell.freshness, cell.last_touched, cell.access_count)
         cell._attach(columns)
 
-    def upsert(
-        self, cell: Cell, backing_blocks: frozenset[BlockId] | None = None
-    ) -> bool:
+    def upsert(self, cell: Cell) -> bool:
         """Insert, or silently keep the existing cell; True if inserted.
 
         Population is asynchronous (a background thread in the paper), so
@@ -180,7 +164,7 @@ class StashGraph:
         """
         if self.contains(cell.key):
             return False
-        self.insert(cell, backing_blocks)
+        self.insert(cell)
         return True
 
     def remove(self, key: CellKey) -> Cell:
@@ -189,12 +173,11 @@ class StashGraph:
         if not cells or key not in cells:
             raise CacheError(f"cell {key} not cached in {self.name}")
         cell = cells.pop(key)
-        self.plm.remove(level, key)
         cell._detach(*self._columns[level].remove(key))
         return cell
 
     def clear(self) -> int:
-        """Drop every cell and PLM entry (a crashed node loses its cache).
+        """Drop every cell (a crashed node loses its cache).
 
         Returns the number of cells dropped.
         """
@@ -207,7 +190,6 @@ class StashGraph:
                 cell._detach(*columns.remove(cell.key))
         self._levels.clear()
         self._columns.clear()
-        self.plm = PrecisionLevelMap()
         return dropped
 
     # -- iteration ---------------------------------------------------------

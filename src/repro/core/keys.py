@@ -23,7 +23,7 @@ from repro.geo.temporal import TemporalResolution, TimeKey, TimeRange
 class CellKey(namedtuple("CellKey", "geohash time_key")):
     """Identity of one STASH Cell.
 
-    A tuple, so graph, PLM and freshness probes hash and compare it in C.
+    A tuple, so graph and freshness probes hash and compare it in C.
     The constructor trusts its geohash (it is the hot path); text from
     outside the process goes through :meth:`parse`, which checks it.
     """

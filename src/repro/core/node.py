@@ -53,10 +53,6 @@ ROUTING_TTL = 180.0
 #: serve is always correct, merely non-local).
 MAX_REDIRECTS = 2
 
-#: A cell as it ships between nodes: key, summary, backing-block set (the
-#: receiver's PLM bitmaps rebuild from the latter).
-ShippedCell = tuple[CellKey, SummaryVector, frozenset[BlockId]]
-
 
 class GuestCliqueRegistry:
     """Bookkeeping for cliques replicated *onto* this node.
@@ -236,20 +232,14 @@ class StashNode(StorageNode):
     # shipping cells between nodes (handoff, repair, rejoin)
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _export_cell(graph: StashGraph, cell: Cell) -> ShippedCell:
-        """A resident cell of ``graph`` as the triple that ships it."""
-        key = cell.key
-        return key, cell.summary, graph.plm.blocks_of(graph.level_of(key), key)
-
     def _adopt_cells(
-        self, cells: list[ShippedCell], counter: str
+        self, cells: dict[CellKey, SummaryVector], counter: str
     ) -> Generator[Event, Any, None]:
         """Insert shipped cells into the local graph: charge, touch, count, evict."""
         inserted = [
             key
-            for key, summary, blocks in cells
-            if self.graph.upsert(Cell(key=key, summary=summary), blocks)
+            for key, summary in cells.items()
+            if self.graph.upsert(Cell(key=key, summary=summary))
         ]
         yield self.sim.timeout(len(inserted) * self.cost.cell_insert_cost)
         self.tracker.touch_cells(self.graph, inserted, self.sim.now)
@@ -321,12 +311,12 @@ class StashNode(StorageNode):
                 if helper is None:
                     self.counters.increment("handoffs_no_helper")
                     continue
-                payload_cells = []
+                payload_cells = {}
                 for key in clique.members:
                     cell = self.graph.get(key)
                     if cell is None:  # evicted mid-handoff
                         continue
-                    payload_cells.append(self._export_cell(self.graph, cell))
+                    payload_cells[key] = cell.summary
                 if not payload_cells:
                     continue
                 ok = yield self.request_resilient(
@@ -339,7 +329,7 @@ class StashNode(StorageNode):
                     self.routing.add(
                         clique.root,
                         helper,
-                        frozenset(key for key, _, _ in payload_cells),
+                        frozenset(payload_cells),
                         self.sim.now,
                     )
                     self.handoffs_completed += 1
@@ -374,17 +364,15 @@ class StashNode(StorageNode):
 
     def _handle_replicate(self, message: Message) -> Generator[Event, Any, Reply]:
         root: CellKey = message.payload["root"]
-        cells: list[ShippedCell] = message.payload["cells"]
+        cells: dict[CellKey, SummaryVector] = message.payload["cells"]
         if len(self.guest) + len(cells) > GUEST_CAPACITY:
             return False, 16
         inserted = []
-        for key, summary, blocks in cells:
-            if self.guest.upsert(Cell(key=key, summary=summary), blocks):
+        for key, summary in cells.items():
+            if self.guest.upsert(Cell(key=key, summary=summary)):
                 inserted.append(key)
         yield self.sim.timeout(len(cells) * self.cost.cell_insert_cost)
-        orphaned = self.guest_cliques.add(
-            root, [key for key, _, _ in cells], self.sim.now
-        )
+        orphaned = self.guest_cliques.add(root, list(cells), self.sim.now)
         # A re-replicated root replaces its member list; members dropped
         # from it (and referenced by no other clique) would otherwise
         # leak in the guest graph until capacity starves all handoffs.
@@ -466,9 +454,7 @@ class StashNode(StorageNode):
         self.tracker.disperse_to_neighborhood(self.graph, ring, now)
         # Cache successful roll-ups: they are complete cells now.
         for key, rollup in plan.rollup.items():
-            self.graph.upsert(
-                Cell(key=key, summary=rollup.summary), rollup.backing_blocks
-            )
+            self.graph.upsert(Cell(key=key, summary=rollup.summary))
         if plan.rollup:
             # Rolled-up cells were absent during the touch above, so they
             # would start at zero freshness — immediate eviction bait
@@ -516,8 +502,7 @@ class StashNode(StorageNode):
             cells = kept
         inserted = 0
         for key, summary in cells.items():
-            blocks = frozenset(self.catalog.blocks_for_cell(key))
-            if self.graph.upsert(Cell(key=key, summary=summary), blocks):
+            if self.graph.upsert(Cell(key=key, summary=summary)):
                 inserted += 1
         cpu = inserted * self.cost.cell_insert_cost
         if self.tracer.enabled and cpu > 0:
@@ -570,8 +555,8 @@ class StashNode(StorageNode):
         stay behind (the TTL purge collects them) so a lost repair never
         loses data that was replicated.
         """
-        promote: list[ShippedCell] = []
-        ship: dict[str, list[ShippedCell]] = {}
+        promote: dict[CellKey, SummaryVector] = {}
+        ship: dict[str, dict[CellKey, SummaryVector]] = {}
         count = 0
         for cell in list(self.guest.cells()):
             if count >= MAX_REPAIR_CELLS:
@@ -582,11 +567,10 @@ class StashNode(StorageNode):
             new_owner = self.membership.node_for(key.geohash)
             if new_owner == peer:
                 continue
-            entry = self._export_cell(self.guest, cell)
             if new_owner == self.node_id:
-                promote.append(entry)
+                promote[key] = cell.summary
             else:
-                ship.setdefault(new_owner, []).append(entry)
+                ship.setdefault(new_owner, {})[key] = cell.summary
             count += 1
         if promote:
             yield from self._adopt_cells(promote, "repair_cells_promoted")
@@ -607,17 +591,17 @@ class StashNode(StorageNode):
 
         Any cell in our *local* graph whose base owner is the rejoined
         peer was adopted during its outage (repair promotion or interim
-        population); ship it back — with backing-block sets so the
-        peer's PLM bitmaps rebuild consistently — then drop our copy so
-        ownership is single-homed again.
+        population); ship it back as ``key -> summary`` (residency is
+        completeness, so the peer needs nothing else), then drop our copy
+        so ownership is single-homed again.
         """
-        batch: list[ShippedCell] = []
+        batch: dict[CellKey, SummaryVector] = {}
         for cell in list(self.graph.cells()):
             if len(batch) >= MAX_REPAIR_CELLS:
                 break
             if self.membership.base.node_for(cell.key.geohash) != peer:
                 continue
-            batch.append(self._export_cell(self.graph, cell))
+            batch[cell.key] = cell.summary
         if not batch:
             return
         ack = yield self.request_resilient(
@@ -627,7 +611,7 @@ class StashNode(StorageNode):
             size=self._wire_size(batch),
         )
         if ack is True:
-            for key, _, _ in batch:
+            for key in batch:
                 if self.graph.contains(key):
                     self.graph.remove(key)
             self.counters.increment("handoff_cells_streamed", len(batch))
@@ -635,7 +619,7 @@ class StashNode(StorageNode):
     def _absorb_cells(
         self, message: Message, counter: str
     ) -> Generator[Event, Any, Reply]:
-        """``repair`` / ``handoff``: adopt the triples a peer shipped us."""
+        """``repair`` / ``handoff``: adopt the cells a peer shipped us."""
         yield self.sim.timeout(self.cost.request_overhead)
         yield from self._adopt_cells(message.payload["cells"], counter)
         return True, 16

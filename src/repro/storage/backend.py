@@ -197,7 +197,7 @@ class StorageCatalog:
         return sorted(out)
 
     def blocks_for_cell(self, key) -> list[BlockId]:
-        """Existing blocks backing one cell (the PLM's block set).
+        """Existing blocks backing one cell (the PLM's cell -> block side).
 
         A cell finer than the block precision lives in exactly one block
         per covered day; a coarser cell spans every existing block whose

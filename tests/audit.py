@@ -4,8 +4,8 @@
 structural invariants the design relies on.  It reads state only and
 raises ``AssertionError`` listing every finding:
 
-1.  per graph level, the PLM tracks exactly the resident cells
-    (:func:`tests.reference.plm_mirrors_graph`);
+1.  per graph level, the freshness slot map holds exactly the resident
+    cells (:func:`tests.reference.slot_maps_mirror_levels`);
 2.  every *local* cell is on the node the DHT assigns it;
 3.  cell summaries equal a fresh scan of their backing blocks
     (sampled, optionally exhaustive): the cache never drifts from disk;
@@ -20,7 +20,7 @@ import numpy as np
 from repro.data.statistics import SummaryVector
 from repro.query.model import AggregationQuery
 from repro.storage.backend import scan_blocks
-from tests.reference import plm_mirrors_graph
+from tests.reference import slot_maps_mirror_levels
 
 
 def _audit_placement(node, findings: list[str]) -> None:
@@ -74,8 +74,8 @@ def audit_cluster(cluster, value_sample: int = 16, seed: int = 0) -> int:
     sample = 10**9 if value_sample < 0 else value_sample
     checked = 0
     for node in cluster.nodes.values():
-        plm_mirrors_graph(node.graph)
-        plm_mirrors_graph(node.guest)
+        slot_maps_mirror_levels(node.graph)
+        slot_maps_mirror_levels(node.guest)
         _audit_placement(node, findings)
         if sample:
             for graph in (node.graph, node.guest):

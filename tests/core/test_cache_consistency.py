@@ -1,5 +1,5 @@
-"""Cache-consistency regressions: PLM/graph lockstep, eviction victim
-order, and the guest-clique inverted index."""
+"""Cache-consistency regressions: level maps and slot maps in lockstep,
+eviction victim order, and the guest-clique inverted index."""
 
 import numpy as np
 import pytest
@@ -13,13 +13,11 @@ from repro.core.freshness import FreshnessTracker
 from repro.core.graph import StashGraph
 from repro.core.keys import CellKey
 from repro.core.node import GuestCliqueRegistry
-from repro.data.block import BlockId
 from repro.data.statistics import SummaryVector
-from repro.errors import CacheError
 from repro.geo import geohash as gh
 from repro.geo.resolution import ResolutionSpace
 from repro.geo.temporal import TimeKey
-from tests.reference import plm_mirrors_graph
+from tests.reference import slot_maps_mirror_levels
 
 SPACE = ResolutionSpace(1, 8)
 DAY = TimeKey.of(2013, 2, 2)
@@ -33,30 +31,8 @@ def make_cell(code: str, value: float = 1.0) -> Cell:
     )
 
 
-def blocks_for(code: str) -> frozenset[BlockId]:
-    return frozenset({BlockId(code[:2], "2013-02-02")})
-
-
 class TestPlmGraphLockstep:
-    def test_plm_rejection_leaves_graph_untouched(self):
-        """Insert is exception-safe: a PLM failure must not strand a cell
-        in the graph, or every later evict -> repopulate cycle wedges on
-        'PLM already tracks' errors."""
-        graph = StashGraph(SPACE)
-        cell = make_cell("9q8y7")
-        level = graph.level_of(cell.key)
-        # Sabotage: PLM already tracks the key the graph is about to add.
-        graph.plm.add(level, cell.key, blocks_for("9q8y7"))
-        with pytest.raises(CacheError, match="PLM already tracks"):
-            graph.insert(cell, blocks_for("9q8y7"))
-        assert not graph.contains(cell.key)
-        assert len(graph) == 0
-        # Repair the PLM and the same key inserts cleanly again.
-        graph.plm.remove(level, cell.key)
-        graph.insert(cell, blocks_for("9q8y7"))
-        assert graph.contains(cell.key)
-        plm_mirrors_graph(graph)
-        assert len(graph) == 1
+    """Residency is the PLM: the level maps and slot maps hold one key set."""
 
     @given(
         ops=st.lists(st.sampled_from(CODES), min_size=1, max_size=80),
@@ -69,25 +45,22 @@ class TestPlmGraphLockstep:
         policy = EvictionPolicy(EvictionConfig(max_cells=max_cells))
         for now, code in enumerate(ops):
             # Repopulation of a previously evicted key must always work.
-            graph.upsert(make_cell(code), blocks_for(code))
+            graph.upsert(make_cell(code))
             tracker.touch_cells(graph, [CellKey(code, DAY)], now=float(now))
             policy.enforce(graph, tracker, now=float(now))
-            plm_mirrors_graph(graph)
-            for cell in graph.cells():
-                level = graph.level_of(cell.key)
-                assert graph.plm.contains(level, cell.key)
+            slot_maps_mirror_levels(graph)
 
     def test_clear_resets_plm(self):
         graph = StashGraph(SPACE)
         for code in CODES[:5]:
-            graph.insert(make_cell(code), blocks_for(code))
+            graph.insert(make_cell(code))
         assert graph.clear() == 5
         assert len(graph) == 0
-        plm_mirrors_graph(graph)
+        slot_maps_mirror_levels(graph)
         # Everything reinserts cleanly after the wipe (cold restart).
         for code in CODES[:5]:
-            graph.insert(make_cell(code), blocks_for(code))
-        plm_mirrors_graph(graph)
+            graph.insert(make_cell(code))
+        slot_maps_mirror_levels(graph)
         assert len(graph) == 5
 
 

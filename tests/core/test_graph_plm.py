@@ -1,4 +1,4 @@
-"""Tests for StashGraph, PrecisionLevelMap, freshness, and eviction."""
+"""Tests for StashGraph (residency is the PLM), freshness, and eviction."""
 
 import pytest
 from hypothesis import given, settings
@@ -130,24 +130,16 @@ class TestGraphBasics:
 
 
 class TestPLM:
-    def test_plm_tracks_blocks(self):
-        graph = StashGraph(SPACE)
-        cell = make_cell("9q8y7")
-        blocks = frozenset({BlockId("9q", "2013-02-02")})
-        graph.insert(cell, backing_blocks=blocks)
-        level = graph.level_of(cell.key)
-        assert graph.plm.blocks_of(level, cell.key) == blocks
+    """Residency is the PLM: a cell is complete iff it is resident."""
 
     def test_invalidate_block(self):
         graph = StashGraph(SPACE)
         block = BlockId("9q", "2013-02-02")
-        other = BlockId("9r", "2013-02-02")
         a = make_cell("9q8y7")
         b = make_cell("9q8yd")
         c = make_cell("9r8y7")
-        graph.insert(a, frozenset({block}))
-        graph.insert(b, frozenset({block}))
-        graph.insert(c, frozenset({other}))
+        for cell in (a, b, c):
+            graph.insert(cell)
         stale = graph.invalidate_extents(stale_extents([block], 2), 2)
         assert set(stale) == {a.key, b.key}
         assert not graph.contains(a.key)
@@ -156,7 +148,7 @@ class TestPLM:
     def test_plm_remove_unknown(self):
         graph = StashGraph(SPACE)
         with pytest.raises(CacheError):
-            graph.plm.remove(0, CellKey("9q8y7", DAY))
+            graph.remove(CellKey("9q8y7", DAY))
 
 
 class TestFreshness:

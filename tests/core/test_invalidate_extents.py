@@ -20,7 +20,7 @@ from repro.data.block import BlockId
 from repro.data.statistics import SummaryVector
 from repro.geo.resolution import ResolutionSpace
 from repro.geo.temporal import TimeKey
-from tests.reference import extent_overlaps_reference, plm_mirrors_graph
+from tests.reference import extent_overlaps_reference, slot_maps_mirror_levels
 from tests.strategies import block_ids, boundary_time_keys, geohashes
 
 SPACE = ResolutionSpace(1, 8)
@@ -29,19 +29,17 @@ SUMMARY = SummaryVector.from_arrays({"temperature": np.asarray([1.0])})
 NARROW = "9qd"
 
 
-def filled_graph(resident: list[CellKey], touched: list[BlockId]) -> StashGraph:
-    """A graph holding ``resident``; every other cell is cached as empty
-    (no PLM block set), the rest claim the first two touched blocks."""
+def filled_graph(resident: list[CellKey]) -> StashGraph:
+    """A graph holding ``resident``."""
     graph = StashGraph(SPACE)
-    for index, key in enumerate(resident):
-        blocks = frozenset(touched[:2]) if index % 2 else frozenset()
-        graph.insert(Cell(key=key, summary=SUMMARY), blocks)
+    for key in resident:
+        graph.insert(Cell(key=key, summary=SUMMARY))
     return graph
 
 
 def assert_graph_holds_exactly(graph: StashGraph, survivors: set[CellKey]) -> None:
-    """The level maps, the PLM and the freshness columns name the same keys."""
-    plm_mirrors_graph(graph)
+    """The level maps and the freshness columns name the same keys."""
+    slot_maps_mirror_levels(graph)
     assert len(graph) == len(survivors)
     assert {cell.key for cell in graph.cells()} == survivors
     columns = list(graph.freshness_columns())
@@ -49,8 +47,6 @@ def assert_graph_holds_exactly(graph: StashGraph, survivors: set[CellKey]) -> No
     for block in columns:
         assert block.size == len(block.keys) == len(block.slot_of)
         assert all(block.keys[slot] == key for key, slot in block.slot_of.items())
-    for key in survivors:
-        assert graph.plm.contains(graph.level_of(key), key)
 
 
 @st.composite
@@ -74,7 +70,7 @@ class TestAgainstReference:
     @given(scenarios())
     def test_removes_exactly_the_overlapping_cells(self, scenario):
         block_precision, resident, touched = scenario
-        graph = filled_graph(resident, touched)
+        graph = filled_graph(resident)
         expected = {
             key for key in resident if extent_overlaps_reference(key, touched)
         }
@@ -89,7 +85,7 @@ class TestAgainstReference:
     @given(scenarios())
     def test_second_pass_finds_nothing(self, scenario):
         block_precision, resident, touched = scenario
-        graph = filled_graph(resident, touched)
+        graph = filled_graph(resident)
         extents = stale_extents(touched, block_precision)
         graph.invalidate_extents(extents, block_precision)
         assert graph.invalidate_extents(extents, block_precision) == []
@@ -133,7 +129,7 @@ class TestBoundaries:
             assert extent_overlaps_reference(cell_key, touched)
         for cell_key in fresh:
             assert not extent_overlaps_reference(cell_key, touched)
-        graph = filled_graph(stale + fresh, touched)
+        graph = filled_graph(stale + fresh)
         removed = graph.invalidate_extents(stale_extents(touched, 3), 3)
         assert set(removed) == set(stale)
         assert_graph_holds_exactly(graph, set(fresh))
@@ -141,7 +137,7 @@ class TestBoundaries:
     def test_sibling_and_cousin_geohashes_survive(self):
         touched = [BlockId("9q8", "2013-02-02")]
         fresh = [key("9q9", 2013, 2, 2), key("9r", 2013, 2, 2), key("8", 2013), key("9q9y", 2013, 2)]
-        graph = filled_graph(fresh, touched)
+        graph = filled_graph(fresh)
         assert graph.invalidate_extents(stale_extents(touched, 3), 3) == []
         assert_graph_holds_exactly(graph, set(fresh))
 
@@ -152,13 +148,13 @@ class TestBoundaries:
         touched = [BlockId("9q8", "2013-02-01"), BlockId("dr5", "2013-02-02")]
         stale = [key("9q8", 2013, 2, 1), key("dr5", 2013, 2, 2, 7), key("9", 2013, 2)]
         fresh = [key("9q8", 2013, 2, 2), key("dr5", 2013, 2, 1)]
-        graph = filled_graph(stale + fresh, touched)
+        graph = filled_graph(stale + fresh)
         removed = graph.invalidate_extents(stale_extents(touched, 3), 3)
         assert set(removed) == set(stale)
 
     def test_empty_touched_removes_nothing(self):
         resident = [key("9q8", 2013, 2, 2), key("9", 2013)]
-        graph = filled_graph(resident, [])
+        graph = filled_graph(resident)
         assert stale_extents([], 3) == set()
         assert graph.invalidate_extents(stale_extents([], 3), 3) == []
         assert_graph_holds_exactly(graph, set(resident))

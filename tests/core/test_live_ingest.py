@@ -15,7 +15,7 @@ from repro.geo.resolution import Resolution
 from repro.geo.temporal import TemporalResolution, TimeKey, TimeRange
 from repro.query.model import AggregationQuery
 from repro.storage.backend import ground_truth_cells
-from tests.reference import extent_overlaps_reference, plm_mirrors_graph
+from tests.reference import extent_overlaps_reference, slot_maps_mirror_levels
 
 
 def make_query(box=None):
@@ -234,7 +234,7 @@ class TestEveryResolutionCase:
         assert cluster.ingest_live(batch) == (len(touched), len(stale))
         assert stale and len(helper.guest) == held - len(stale)
         assert not any(helper.guest.contains(key) for key in stale)
-        plm_mirrors_graph(helper.guest)
+        slot_maps_mirror_levels(helper.guest)
         # The replica is now incomplete: a rerouted read falls back to a
         # full evaluation and sees the new records.
         reply = cluster.network.request(

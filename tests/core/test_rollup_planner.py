@@ -84,16 +84,6 @@ class TestRollup:
         result = try_rollup(graph, CellKey("9q8y", month), ATTRS)
         assert result.axis == "spatial"
 
-    def test_rollup_collects_backing_blocks(self):
-        from repro.data.block import BlockId
-
-        graph = StashGraph(SPACE)
-        for i, child in enumerate(gh.children("9q8y")):
-            cell = cell_with(child, DAY, [1.0])
-            graph.insert(cell, frozenset({BlockId("9q", "2013-02-02")}))
-        result = try_rollup(graph, CellKey("9q8y", DAY), ATTRS)
-        assert result.backing_blocks == frozenset({BlockId("9q", "2013-02-02")})
-
     def test_empty_finer_levels_cost_no_child_keys(self, monkeypatch):
         """A just-flushed graph has no finer level at all: the miss path
         must learn that from the level sizes, not by building 32 + 24

@@ -275,8 +275,9 @@ class TestColdScan:
         assert set(result.cells) == set(ground_truth_cells(dataset, query))
 
     def test_day_labels_rendered_once_per_time_key(self, cold_cluster, monkeypatch):
-        """Coordinator (``_resolve_missing``) and owners (``_handle_populate``)
-        both look up every missing cell's blocks; the cells share one day."""
+        """The coordinator looks up every missing cell's blocks once; the
+        owners' ``_handle_populate`` looks up none (residency is
+        completeness).  The cells share one day."""
         backend_module._day_labels.cache_clear()
         rendered = counted(monkeypatch, TimeKey, "__str__")
         lookups = counted(monkeypatch, type(cold_cluster.catalog), "blocks_for_cell")
@@ -285,7 +286,7 @@ class TestColdScan:
         assert cells >= 20 and len({key.time_key for key in query.footprint()}) == 1
         cold_cluster.run_query(query)
         cold_cluster.drain()
-        assert len(lookups) >= 2 * cells
+        assert len(lookups) == cells  # was 2 * cells: populate looked again
         assert len(rendered) <= 1  # was one per lookup
 
     def test_block_sums_its_arrays_once(self, dataset, monkeypatch):

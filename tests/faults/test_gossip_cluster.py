@@ -8,6 +8,7 @@ from repro.config import (
     GossipConfig,
     StashConfig,
 )
+from repro.core.cell import Cell
 from repro.core.cluster import StashCluster
 from repro.data.generator import small_test_dataset
 from repro.faults.schedule import FaultSchedule
@@ -15,7 +16,7 @@ from repro.geo.bbox import BoundingBox
 from repro.geo.resolution import Resolution
 from repro.geo.temporal import TemporalResolution, TimeKey
 from repro.query.model import AggregationQuery
-from tests.reference import plm_mirrors_graph
+from tests.reference import slot_maps_mirror_levels
 
 #: Tight timings so detect -> suspect -> dead -> repair fits test time.
 FAST_GOSSIP = GossipConfig(
@@ -209,10 +210,10 @@ class TestRepairAndHandoff:
         system.sim.run(until=system.sim.timeout(2.0))
         counters = system.counters_total()
         assert counters.get("handoff_cells_received", 0) > 0
-        # Every node's PLM stayed consistent through absorb/remove.
+        # Every node's slot maps stayed consistent through absorb/remove.
         for node in system.nodes.values():
-            plm_mirrors_graph(node.graph)
-            plm_mirrors_graph(node.guest)
+            slot_maps_mirror_levels(node.graph)
+            slot_maps_mirror_levels(node.guest)
 
     def test_guest_cells_promoted_when_survivor_owns_range(self, dataset):
         """With two nodes, the survivor owns everything the dead peer did,
@@ -229,10 +230,7 @@ class TestRepairAndHandoff:
         donors = [c for c in system.nodes[dead].graph.cells()][:4]
         assert donors, "warm-up cached nothing on the doomed node"
         for cell in donors:
-            blocks = system.nodes[dead].graph.plm.blocks_of(
-                system.nodes[dead].graph.level_of(cell.key), cell.key
-            )
-            survivor.guest.upsert(cell, blocks)
+            survivor.guest.upsert(Cell(key=cell.key, summary=cell.summary))
         before = len(survivor.graph)
         # Actually take the peer down (injector-style) — merely rumoring
         # its death would be refuted and the promotion handed back.
@@ -243,7 +241,7 @@ class TestRepairAndHandoff:
         system.sim.run(until=system.sim.timeout(1.0))
         assert survivor.counters.get("repair_cells_promoted") == len(donors)
         assert len(survivor.graph) == before + len(donors)
-        plm_mirrors_graph(survivor.graph)
+        slot_maps_mirror_levels(survivor.graph)
 
     def test_repair_disabled_is_respected(self, dataset):
         gossip = GossipConfig(

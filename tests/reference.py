@@ -49,8 +49,9 @@ The test-only tools are helpers no entry point calls, moved out of
 ``src/`` so that ``src/`` is what production runs
 (tests/test_module_reachability.py):
 
-* ``plm_mirrors_graph`` checks that a graph's PLM tracks exactly its
-  resident cells, level by level (tests/core/test_plm_reinsert.py,
+* ``slot_maps_mirror_levels`` checks that a graph's freshness slot maps
+  hold exactly its resident cells, level by level
+  (tests/core/test_cache_state_machine.py, tests/core/test_plm_reinsert.py,
   tests/core/test_cache_consistency.py, tests/core/test_invalidate_extents.py,
   tests/core/test_live_ingest.py, tests/faults/test_gossip_cluster.py,
   tests/audit.py);
@@ -535,29 +536,30 @@ def extent_overlaps_reference(cell_key: CellKey, touched_blocks) -> bool:
     return False
 
 
-def plm_mirrors_graph(graph) -> None:
-    """Assert that, per level, the PLM tracks exactly the resident cells.
+def slot_maps_mirror_levels(graph) -> None:
+    """Assert that, per level, the freshness slot map holds exactly the
+    resident cells.
 
-    A resident's level is computed from its key, so a cell filed under
-    the wrong level shows up too.  Raises ``AssertionError`` naming every
-    key the PLM tracks without a cell ("absent") and every cell the PLM
-    does not track ("missing from PLM").  (Was
-    ``PrecisionLevelMap.check_consistency`` plus the PLM loops of the
-    cluster audit.)
+    Residency is the paper's PLM (a cell is complete iff it is resident),
+    and every resident cell owns one freshness slot.  A resident's level
+    is computed from its key, so a cell filed under the wrong level shows
+    up too.  Raises ``AssertionError`` naming every slot whose cell is
+    absent and every cell without a slot.  (Was ``plm_mirrors_graph``,
+    the PLM <-> graph check, when the PLM stored a block set per cell.)
     """
     resident: dict[int, set[CellKey]] = {}
     for cell in graph.cells():
         resident.setdefault(graph.level_of(cell.key), set()).add(cell.key)
-    tracked = {level: set(keys) for level, keys in graph.plm._by_level.items()}
+    slotted = {level: set(columns.slot_of) for level, columns in graph._columns.items()}
     findings = []
-    for level in sorted(resident.keys() | tracked.keys()):
-        cells, keys = resident.get(level, set()), tracked.get(level, set())
+    for level in sorted(resident.keys() | slotted.keys()):
+        cells, keys = resident.get(level, set()), slotted.get(level, set())
         findings += [
-            f"{graph.name}: PLM tracks {key} at level {level} but the cell is absent"
+            f"{graph.name}: slot for {key} at level {level} but the cell is absent"
             for key in sorted(keys - cells, key=str)
         ]
         findings += [
-            f"{graph.name}: cell {key} at level {level} missing from PLM"
+            f"{graph.name}: cell {key} at level {level} has no slot"
             for key in sorted(cells - keys, key=str)
         ]
     assert not findings, "\n".join(findings)

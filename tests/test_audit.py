@@ -124,11 +124,12 @@ class TestCorruptionDetected:
             audit_cluster(cluster, value_sample=0)
 
     def test_detects_plm_ghost(self):
+        """A slot without a cell: the cell leaves its level but keeps its
+        freshness slot."""
         cluster = self._warm_cluster()
         node = self._any_node_with_cells(cluster)
         cell = next(iter(node.graph.cells()))
         level = node.graph.level_of(cell.key)
-        # Remove the cell behind the PLM's back.
         del node.graph._levels[level][cell.key]
         with pytest.raises(AssertionError, match="absent"):
             audit_cluster(cluster, value_sample=0)
@@ -140,13 +141,13 @@ class TestCorruptionDetected:
             node.membership.base.partition_key("9q8y7") + "8y7"[:0] or "9q8y7",
             TimeKey.of(2013, 2, 2),
         )
-        # Insert a cell without telling the PLM.
+        # A cell without a slot: filed in its level, not in the columns.
         owner = cluster.owner_node(key)
         level = owner.graph.level_of(key)
         owner.graph._levels.setdefault(level, {})[key] = Cell(
             key=key, summary=SummaryVector.empty(cluster.attribute_names)
         )
-        with pytest.raises(AssertionError, match="missing from PLM"):
+        with pytest.raises(AssertionError, match="has no slot"):
             audit_cluster(cluster, value_sample=0)
 
     def test_detects_overfull_node(self):

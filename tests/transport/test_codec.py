@@ -115,6 +115,26 @@ class TestCellsMaps:
         assert result == value
         assert [list(v._summaries) for v in result.values()] == [["temperature", "humidity"]] * 3
 
+    def test_a_shipped_clique_is_one_cells_node(self):
+        """``replicate``, ``repair`` and ``handoff`` ship cells as the map
+        ``populate`` uses: it crosses as one ``cells`` node, keys in
+        shipping order, every float to the bit (±inf of an empty summary
+        and -0.0 included)."""
+        cells = {
+            self.KEYS[0]: _vector("temperature", "humidity", total=0.1 + 0.2),
+            self.KEYS[1]: SummaryVector.empty(["temperature", "humidity"]),
+            self.KEYS[2]: _vector("temperature", "humidity"),
+        }
+        payload = {"root": self.KEYS[2], "cells": cells}
+        _root, shipped = self.wire(payload)["i"]
+        assert shipped[0] == "cells" and shipped[1]["__t"] == "cells"
+        assert shipped[1]["k"] == [str(key) for key in cells]
+        result = roundtrip(payload)
+        assert result == payload
+        assert list(result["cells"]) == list(cells)
+        assert result["cells"][self.KEYS[1]]["humidity"] == AttributeSummary.empty()
+        assert encode(result) == encode(payload)
+
     def test_floats_bit_exact_through_the_buffer(self):
         value = {self.KEYS[0]: _vector("temperature", "humidity", total=0.1 + 0.2)}
         data = encode(value)

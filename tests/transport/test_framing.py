@@ -2,6 +2,7 @@
 
 import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 
@@ -133,6 +134,33 @@ def test_any_chunking_yields_the_same_frames(data):
         out.extend(decoder.feed(chunk))
     assert out == payloads
     assert decoder.pending_bytes == 0
+
+
+#: Peak traced allocation allowed per byte fed: the buffer, one resize's
+#: old and new copies, and ``bytearray``'s over-allocation.
+ALLOCATION_FACTOR = 4
+ALLOCATION_SLACK = 64 * 1024
+
+
+def test_a_claimed_frame_costs_the_bytes_fed_not_the_bytes_claimed():
+    """A header may claim up to ``MAX_FRAME_BYTES`` (512 MB) and then
+    trickle: the decoder holds what arrived, and reserves nothing for
+    what was promised."""
+    decoder = FrameDecoder()
+    decoder.feed(encode_frame("warm"))
+    header = struct.pack(">I", MAX_FRAME_BYTES - 1)
+    chunk = b"x" * 4096
+    tracemalloc.start()
+    try:
+        assert decoder.feed(header) == []
+        for _ in range(64):
+            assert decoder.feed(chunk) == []
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    fed = len(header) + 64 * len(chunk)
+    assert decoder.pending_bytes == fed
+    assert peak <= ALLOCATION_FACTOR * fed + ALLOCATION_SLACK
 
 
 def test_error_consumes_the_frames_before_it():
