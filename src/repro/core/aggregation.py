@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.cell import Cell
 from repro.core.graph import StashGraph
 from repro.core.keys import CellKey
 from repro.data.statistics import SummaryVector
@@ -44,17 +43,13 @@ def merge_summaries(
     return SummaryVector.merge_all(nonempty)
 
 
-def _try_axis(
-    graph: StashGraph, children: list[CellKey]
-) -> tuple[list[Cell], bool]:
-    """Fetch all child cells; complete only if every key is resident."""
-    cells = []
-    for key in children:
-        cell = graph.get(key)
-        if cell is None:
-            return [], False
-        cells.append(cell)
-    return cells, True
+def rollup_possible(graph: StashGraph, key: CellKey) -> bool:
+    """Whether a finer level of ``key`` holds any cell.
+
+    Without one no child can be resident, so :func:`try_rollup` cannot
+    succeed for ``key`` or for any key of its resolution.
+    """
+    return any(graph.level_size(level) for _axis, level in graph.finer_levels(key))
 
 
 def try_rollup(
@@ -66,23 +61,17 @@ def try_rollup(
     None when neither is completely resident or the resolutions fall
     outside the graph's space.
     """
-    space = graph.space
-    for axis in ("spatial", "temporal"):
-        finer = (
-            key.resolution.finer_spatial()
-            if axis == "spatial"
-            else key.resolution.finer_temporal()
-        )
-        if finer is None or not space.contains(finer):
-            continue
-        if not graph.level_size(space.level_of(finer)):
+    for axis, level in graph.finer_levels(key):
+        resident = graph.summaries_at(level)
+        if not resident:
             continue  # nothing resident at the finer level: no child can be
-        children = key.children(axis)
-        if not children:
-            continue
-        cells, complete = _try_axis(graph, children)
-        if not complete:
-            continue
-        summary = merge_summaries([cell.summary for cell in cells], attributes)
-        return RollupResult(summary=summary, merges=len(cells), axis=axis)
+        summaries = []
+        for child in key.children(axis):
+            summary = resident.get(child)
+            if summary is None:
+                break
+            summaries.append(summary)
+        else:
+            summary = merge_summaries(summaries, attributes)
+            return RollupResult(summary=summary, merges=len(summaries), axis=axis)
     return None

@@ -1,9 +1,14 @@
-"""The per-node STASH graph: levels of cells + eviction hooks.
+"""The per-node STASH graph: levels of cell summaries + eviction hooks.
 
 ``G_STASH = (V, {E_H, E_L})`` — vertices are Cells grouped into levels by
 spatiotemporal resolution (paper IV-C); both edge families are computed
 from cell keys on demand (see :mod:`repro.core.keys`), so the graph
 stores only the level maps.
+
+A level is ``key -> SummaryVector`` beside its :class:`FreshnessColumns`,
+with no object per resident cell; ``get`` / ``cells`` hand out detached
+:class:`~repro.core.cell.Cell` snapshots for tests and tools.  The
+per-op paths read summaries and insert batches (``insert_many``).
 
 Residency is the paper's precision-level map (IV-D).  Empty cells (zero
 observations) are stored explicitly: presence of a key — empty or not —
@@ -25,13 +30,14 @@ every resident cell.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.core.cell import Cell
 from repro.core.keys import CellKey
 from repro.data.block import BlockId
+from repro.data.statistics import SummaryVector
 from repro.errors import CacheError, ResolutionError
 from repro.geo.resolution import ResolutionSpace
 from repro.geo.temporal import NUM_TEMPORAL_RESOLUTIONS, TimeKey
@@ -60,37 +66,36 @@ class FreshnessColumns:
         self.access_count = np.zeros(_MIN_CAPACITY, dtype=np.int64)
         self.size = 0
 
-    def _grow(self) -> None:
-        capacity = max(_MIN_CAPACITY, 2 * self.freshness.shape[0])
+    def _reserve(self, size: int) -> None:
+        """Double the column capacity until ``size`` slots fit."""
+        capacity = self.freshness.shape[0]
+        if size <= capacity:
+            return
+        while capacity < size:
+            capacity *= 2
         for name in ("freshness", "last_touch", "access_count"):
             old = getattr(self, name)
             new = np.zeros(capacity, dtype=old.dtype)
             new[: self.size] = old[: self.size]
             setattr(self, name, new)
 
-    def add(
-        self, key: CellKey, freshness: float, last_touch: float, access_count: int
-    ) -> int:
-        """Assign the next dense slot to ``key``; returns the slot."""
-        if self.size == self.freshness.shape[0]:
-            self._grow()
-        slot = self.size
-        self.keys.append(key)
-        self.slot_of[key] = slot
-        self.freshness[slot] = freshness
-        self.last_touch[slot] = last_touch
-        self.access_count[slot] = access_count
-        self.size += 1
-        return slot
+    def extend(self, keys: list[CellKey]) -> int:
+        """Assign the next dense slots to ``keys``, bookkeeping all zero
+        (one slice write per column); returns the first slot."""
+        start = self.size
+        stop = start + len(keys)
+        self._reserve(stop)
+        self.keys.extend(keys)
+        self.slot_of.update(zip(keys, range(start, stop)))
+        self.freshness[start:stop] = 0.0
+        self.last_touch[start:stop] = 0.0
+        self.access_count[start:stop] = 0
+        self.size = stop
+        return start
 
-    def remove(self, key: CellKey) -> tuple[float, float, int]:
-        """Free a slot (swap-remove); returns its final column values."""
+    def remove(self, key: CellKey) -> None:
+        """Free a slot (swap-remove)."""
         slot = self.slot_of.pop(key)
-        values = (
-            float(self.freshness[slot]),
-            float(self.last_touch[slot]),
-            int(self.access_count[slot]),
-        )
         last = self.size - 1
         if slot != last:
             moved = self.keys[last]
@@ -101,7 +106,23 @@ class FreshnessColumns:
             self.access_count[slot] = self.access_count[last]
         self.keys.pop()
         self.size = last
-        return values
+
+    def touch(self, idx, increments, now: float, decay_rate: float, accesses) -> None:
+        """Decay the slots ``idx`` (index array or slice) to ``now`` and
+        add ``increments``; add ``accesses`` to their access counts unless
+        it is None."""
+        freshness = self.freshness
+        last_touch = self.last_touch
+        elapsed = np.maximum(0.0, now - last_touch[idx])
+        freshness[idx] = freshness[idx] * np.exp(-decay_rate * elapsed) + increments
+        last_touch[idx] = now
+        if accesses is not None:
+            self.access_count[idx] += accesses
+
+
+#: Keys one :meth:`StashGraph.insert_many` call gave consecutive slots:
+#: ``(level, first slot, keys)``.
+InsertedRun = tuple[int, int, list[CellKey]]
 
 
 class StashGraph:
@@ -110,8 +131,8 @@ class StashGraph:
     def __init__(self, space: ResolutionSpace, name: str = "local"):
         self.space = space
         self.name = name
-        #: level -> {cell key -> cell}
-        self._levels: dict[int, dict[CellKey, Cell]] = {}
+        #: level -> {cell key -> summary}
+        self._levels: dict[int, dict[CellKey, SummaryVector]] = {}
         #: level -> freshness column store, parallel to ``_levels``.
         self._columns: dict[int, FreshnessColumns] = {}
 
@@ -136,24 +157,62 @@ class StashGraph:
             len(key.time_key.components) - 1
         )
 
+    def finer_levels(self, key: CellKey) -> Iterator[tuple[str, int]]:
+        """``(axis, level)`` of the spatially, then the temporally, finer
+        resolution of ``key`` in the space: where its children live."""
+        low, high = self.space.min_spatial, self.space.max_spatial
+        spatial, temporal = len(key.geohash), len(key.time_key.components)
+        if low <= spatial + 1 <= high:
+            yield "spatial", (spatial + 1 - low) * NUM_TEMPORAL_RESOLUTIONS + temporal - 1
+        if temporal < NUM_TEMPORAL_RESOLUTIONS and low <= spatial <= high:
+            yield "temporal", (spatial - low) * NUM_TEMPORAL_RESOLUTIONS + temporal
+
     def contains(self, key: CellKey) -> bool:
         return key in self._levels.get(self.level_of(key), ())
 
-    def get(self, key: CellKey) -> Cell | None:
+    def summary_of(self, key: CellKey) -> SummaryVector | None:
+        """The resident summary of ``key``, or None."""
         return self._levels.get(self.level_of(key), {}).get(key)
 
+    def summaries_at(self, level: int) -> dict[CellKey, SummaryVector]:
+        """One level's ``key -> summary`` map; callers only read it."""
+        return self._levels.get(level, {})
+
+    def get(self, key: CellKey) -> Cell | None:
+        """A detached snapshot of the resident cell ``key``, or None."""
+        level = self.level_of(key)
+        summary = self._levels.get(level, {}).get(key)
+        return None if summary is None else self._snapshot(level, key, summary)
+
+    def _snapshot(self, level: int, key: CellKey, summary: SummaryVector) -> Cell:
+        columns = self._columns[level]
+        slot = columns.slot_of[key]
+        return Cell(
+            key,
+            summary,
+            float(columns.freshness[slot]),
+            float(columns.last_touch[slot]),
+            int(columns.access_count[slot]),
+        )
+
+    def _columns_of(self, level: int) -> FreshnessColumns:
+        if level not in self._columns:
+            self._columns[level] = FreshnessColumns()
+        return self._columns[level]
+
     def insert(self, cell: Cell) -> None:
-        """Add a complete cell; duplicate inserts are rejected."""
+        """Add a complete cell, copying its freshness bookkeeping into the
+        columns; duplicate inserts are rejected."""
         level = self.level_of(cell.key)
         cells = self._levels.setdefault(level, {})
         if cell.key in cells:
             raise CacheError(f"cell {cell.key} already cached in {self.name}")
-        cells[cell.key] = cell
-        columns = self._columns.get(level)
-        if columns is None:
-            columns = self._columns[level] = FreshnessColumns()
-        columns.add(cell.key, cell.freshness, cell.last_touched, cell.access_count)
-        cell._attach(columns)
+        cells[cell.key] = cell.summary
+        columns = self._columns_of(level)
+        slot = columns.extend([cell.key])
+        columns.freshness[slot] = cell.freshness
+        columns.last_touch[slot] = cell.last_touched
+        columns.access_count[slot] = cell.access_count
 
     def upsert(self, cell: Cell) -> bool:
         """Insert, or silently keep the existing cell; True if inserted.
@@ -167,14 +226,45 @@ class StashGraph:
         self.insert(cell)
         return True
 
-    def remove(self, key: CellKey) -> Cell:
+    def insert_many(
+        self, cells: dict[CellKey, SummaryVector]
+    ) -> tuple[list[InsertedRun], list[CellKey]]:
+        """:meth:`upsert` a batch at zero freshness: ``(runs, resident)``.
+
+        A batch is runs of one resolution (one footprint's scan), so the
+        level is resolved once per run and a run's new keys take
+        consecutive slots; keys already resident keep their state.
+        """
+        pending: list[tuple[int, dict[CellKey, SummaryVector]]] = []
+        resident: list[CellKey] = []
+        shape = None
+        for key, summary in cells.items():
+            key_shape = (len(key.geohash), len(key.time_key.components))
+            if key_shape != shape:
+                shape = key_shape
+                level = self.level_of(key)
+                level_cells = self._levels.get(level, {})
+                fresh: dict[CellKey, SummaryVector] = {}
+                pending.append((level, fresh))
+            if key in level_cells:
+                resident.append(key)
+            else:
+                fresh[key] = summary
+        runs: list[InsertedRun] = []
+        for level, fresh in pending:
+            if fresh:
+                self._levels.setdefault(level, {}).update(fresh)
+                keys = list(fresh)
+                runs.append((level, self._columns_of(level).extend(keys), keys))
+        return runs, resident
+
+    def remove(self, key: CellKey) -> None:
         level = self.level_of(key)
         cells = self._levels.get(level)
         if not cells or key not in cells:
             raise CacheError(f"cell {key} not cached in {self.name}")
-        cell = cells.pop(key)
-        cell._detach(*self._columns[level].remove(key))
-        return cell
+        del cells[key]
+        self._columns[level].remove(key)
 
     def clear(self) -> int:
         """Drop every cell (a crashed node loses its cache).
@@ -182,21 +272,22 @@ class StashGraph:
         Returns the number of cells dropped.
         """
         dropped = len(self)
-        for level, cells in self._levels.items():
-            columns = self._columns.get(level)
-            if columns is None:
-                continue
-            for cell in cells.values():
-                cell._detach(*columns.remove(cell.key))
         self._levels.clear()
         self._columns.clear()
         return dropped
 
     # -- iteration ---------------------------------------------------------
 
-    def cells(self) -> Iterator[Cell]:
+    def items(self) -> Iterator[tuple[CellKey, SummaryVector]]:
+        """Every resident ``(key, summary)``, level by level in insertion order."""
         for level_cells in self._levels.values():
-            yield from level_cells.values()
+            yield from level_cells.items()
+
+    def cells(self) -> Iterator[Cell]:
+        """A detached snapshot of every resident cell, in :meth:`items` order."""
+        for level, level_cells in self._levels.items():
+            for key, summary in level_cells.items():
+                yield self._snapshot(level, key, summary)
 
     # -- freshness column kernels ------------------------------------------
 
@@ -213,18 +304,35 @@ class StashGraph:
         now: float,
         decay_rate: float,
         count_access: bool = False,
+        runs: Sequence[InsertedRun] = (),
     ) -> int:
         """Apply one freshness increment to every *resident* key, batched.
 
-        Equivalent to calling ``cell.touched(amount, now, decay_rate)``
+        Equivalent to the scalar touch ``tests/reference.py::touch_cell``
         (plus an ``access_count`` bump when ``count_access``) on each
         present cell, but the decay + increment runs as one vectorized
         update per level.  Duplicate keys in one batch coalesce into a
         single decay step carrying ``k * amount`` — identical to ``k``
         scalar touches at the same ``now`` up to float associativity.
+        The keys of :meth:`insert_many`'s ``runs`` are touched too: a run
+        still in the slots it was given through one slice, one whose
+        slots a removal or a clear has moved since by key.
         Returns the number of touches applied (absent keys are skipped —
         only resident cells carry freshness).
         """
+        if not self._columns:
+            return 0  # nothing resident (a flushed or fresh graph)
+        touched = 0
+        if runs:
+            keys = list(keys)
+            for level, start, run in runs:
+                columns = self._columns.get(level)
+                if columns is not None and columns.keys[start : start + len(run)] == run:
+                    accesses = 1 if count_access else None
+                    columns.touch(slice(start, start + len(run)), amount, now, decay_rate, accesses)
+                    touched += len(run)
+                else:
+                    keys.extend(run)
         # A key list is runs of one resolution (a footprint, a ring), and
         # a key's level is its two lengths: resolve it once per run.
         slots_by_level: dict[int, list[int]] = {}
@@ -240,28 +348,19 @@ class StashGraph:
             slot = slot_of.get(key)
             if slot is not None:
                 slots.append(slot)
-        touched = 0
         for level, slots in slots_by_level.items():
             if not slots:
                 continue
             touched += len(slots)
-            columns = self._columns[level]
             idx = np.asarray(slots, dtype=np.intp)
             if len(set(slots)) < len(slots):
                 idx, counts = np.unique(idx, return_counts=True)
-                increments = amount * counts
+                increments, accesses = amount * counts, counts
             else:
-                counts = None
-                increments = amount
-            freshness = columns.freshness
-            last_touch = columns.last_touch
-            elapsed = np.maximum(0.0, now - last_touch[idx])
-            freshness[idx] = (
-                freshness[idx] * np.exp(-decay_rate * elapsed) + increments
+                increments, accesses = amount, 1
+            self._columns[level].touch(
+                idx, increments, now, decay_rate, accesses if count_access else None
             )
-            last_touch[idx] = now
-            if count_access:
-                columns.access_count[idx] += 1 if counts is None else counts
         return touched
 
     # -- invalidation (real-time updates, paper IV-D) -----------------------

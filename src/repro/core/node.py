@@ -21,7 +21,6 @@ from typing import Any, Generator, Iterable
 import numpy as np
 
 from repro.config import StashConfig
-from repro.core.cell import Cell
 from repro.core.eviction import EvictionPolicy
 from repro.core.freshness import FreshnessTracker, query_ring
 from repro.core.graph import StashGraph
@@ -236,14 +235,11 @@ class StashNode(StorageNode):
         self, cells: dict[CellKey, SummaryVector], counter: str
     ) -> Generator[Event, Any, None]:
         """Insert shipped cells into the local graph: charge, touch, count, evict."""
-        inserted = [
-            key
-            for key, summary in cells.items()
-            if self.graph.upsert(Cell(key=key, summary=summary))
-        ]
-        yield self.sim.timeout(len(inserted) * self.cost.cell_insert_cost)
-        self.tracker.touch_cells(self.graph, inserted, self.sim.now)
-        self.counters.increment(counter, len(inserted))
+        runs, resident = self.graph.insert_many(cells)
+        inserted = len(cells) - len(resident)
+        yield self.sim.timeout(inserted * self.cost.cell_insert_cost)
+        self.tracker.touch_cells(self.graph, [], self.sim.now, runs)
+        self.counters.increment(counter, inserted)
         self._enforce_capacity()
 
     def _enforce_capacity(self) -> None:
@@ -313,10 +309,10 @@ class StashNode(StorageNode):
                     continue
                 payload_cells = {}
                 for key in clique.members:
-                    cell = self.graph.get(key)
-                    if cell is None:  # evicted mid-handoff
+                    summary = self.graph.summary_of(key)
+                    if summary is None:  # evicted mid-handoff
                         continue
-                    payload_cells[key] = cell.summary
+                    payload_cells[key] = summary
                 if not payload_cells:
                     continue
                 ok = yield self.request_resilient(
@@ -367,10 +363,7 @@ class StashNode(StorageNode):
         cells: dict[CellKey, SummaryVector] = message.payload["cells"]
         if len(self.guest) + len(cells) > GUEST_CAPACITY:
             return False, 16
-        inserted = []
-        for key, summary in cells.items():
-            if self.guest.upsert(Cell(key=key, summary=summary)):
-                inserted.append(key)
+        _runs, resident = self.guest.insert_many(cells)
         yield self.sim.timeout(len(cells) * self.cost.cell_insert_cost)
         orphaned = self.guest_cliques.add(root, list(cells), self.sim.now)
         # A re-replicated root replaces its member list; members dropped
@@ -379,7 +372,7 @@ class StashNode(StorageNode):
         for key in orphaned:
             if self.guest.contains(key):
                 self.guest.remove(key)
-        self.counters.increment("guest_cells_accepted", len(inserted))
+        self.counters.increment("guest_cells_accepted", len(cells) - len(resident))
         return True, 16
 
     def _handle_evaluate_guest(self, message: Message) -> Generator[Event, Any, Reply]:
@@ -452,15 +445,16 @@ class StashNode(StorageNode):
         now = self.sim.now
         self.tracker.touch_cells(self.graph, keys, now)
         self.tracker.disperse_to_neighborhood(self.graph, ring, now)
-        # Cache successful roll-ups: they are complete cells now.
-        for key, rollup in plan.rollup.items():
-            self.graph.upsert(Cell(key=key, summary=rollup.summary))
         if plan.rollup:
-            # Rolled-up cells were absent during the touch above, so they
-            # would start at zero freshness — immediate eviction bait
-            # despite being created by this very access.  Credit them now
-            # that they are resident.
-            self.tracker.touch_cells(self.graph, list(plan.rollup), now)
+            # Cache successful roll-ups: they are complete cells now.
+            # They were absent during the touch above, so they would start
+            # at zero freshness — immediate eviction bait despite being
+            # created by this very access.  Credit them now that they are
+            # resident.
+            runs, resident = self.graph.insert_many(
+                {key: rollup.summary for key, rollup in plan.rollup.items()}
+            )
+            self.tracker.touch_cells(self.graph, resident, now, runs)
         self.counters.increment("cells_served_from_cache", len(plan.cached))
         self.counters.increment("cells_served_from_rollup", len(plan.rollup))
         return {
@@ -500,10 +494,10 @@ class StashNode(StorageNode):
                     "populate_misdirected", len(cells) - len(kept)
                 )
             cells = kept
-        inserted = 0
-        for key, summary in cells.items():
-            if self.graph.upsert(Cell(key=key, summary=summary)):
-                inserted += 1
+        # Inserted now, touched after the insert's CPU time: other
+        # handlers see the cells resident in between.
+        runs, resident = self.graph.insert_many(cells)
+        inserted = len(cells) - len(resident)
         cpu = inserted * self.cost.cell_insert_cost
         if self.tracer.enabled and cpu > 0:
             self.tracer.record(
@@ -516,7 +510,7 @@ class StashNode(StorageNode):
                 attrs={"cells": inserted},
             )
         yield self.sim.timeout(cpu)
-        self.tracker.touch_cells(self.graph, list(cells), self.sim.now)
+        self.tracker.touch_cells(self.graph, resident, self.sim.now, runs)
         self.counters.increment("cells_populated", inserted)
         self._enforce_capacity()
 
@@ -558,19 +552,18 @@ class StashNode(StorageNode):
         promote: dict[CellKey, SummaryVector] = {}
         ship: dict[str, dict[CellKey, SummaryVector]] = {}
         count = 0
-        for cell in list(self.guest.cells()):
+        for key, summary in self.guest.items():
             if count >= MAX_REPAIR_CELLS:
                 break
-            key = cell.key
             if self.membership.base.node_for(key.geohash) != peer:
                 continue
             new_owner = self.membership.node_for(key.geohash)
             if new_owner == peer:
                 continue
             if new_owner == self.node_id:
-                promote[key] = cell.summary
+                promote[key] = summary
             else:
-                ship.setdefault(new_owner, {})[key] = cell.summary
+                ship.setdefault(new_owner, {})[key] = summary
             count += 1
         if promote:
             yield from self._adopt_cells(promote, "repair_cells_promoted")
@@ -596,12 +589,12 @@ class StashNode(StorageNode):
         so ownership is single-homed again.
         """
         batch: dict[CellKey, SummaryVector] = {}
-        for cell in list(self.graph.cells()):
+        for key, summary in self.graph.items():
             if len(batch) >= MAX_REPAIR_CELLS:
                 break
-            if self.membership.base.node_for(cell.key.geohash) != peer:
+            if self.membership.base.node_for(key.geohash) != peer:
                 continue
-            batch[cell.key] = cell.summary
+            batch[key] = summary
         if not batch:
             return
         ack = yield self.request_resilient(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.aggregation import RollupResult, try_rollup
+from repro.core.aggregation import RollupResult, rollup_possible, try_rollup
 from repro.core.graph import StashGraph
 from repro.core.keys import CellKey
 from repro.data.statistics import SummaryVector
@@ -78,17 +78,25 @@ def plan_query(
     footprint exactly, with the three sets pairwise disjoint.
     """
     plan = QueryPlan()
+    shape = None
     for key in footprint:
-        plan.lookups += 1
-        cell = graph.get(key)
-        if cell is not None:
-            plan.cached[key] = cell.summary
+        key_shape = (len(key.geohash), len(key.time_key.components))
+        if key_shape != shape:
+            # A footprint is runs of one resolution: resolve the key's
+            # level, and whether any roll-up child is resident, per run.
+            shape = key_shape
+            resident = graph.summaries_at(graph.level_of(key))
+            rollup = attempt_rollup and rollup_possible(graph, key)
+        summary = resident.get(key)
+        if summary is not None:
+            plan.cached[key] = summary
             continue
-        if attempt_rollup:
+        if rollup:
             result = try_rollup(graph, key, attributes)
             if result is not None:
                 plan.rollup[key] = result
                 plan.merges += result.merges
                 continue
         plan.missing.append(key)
+    plan.lookups = len(footprint)
     return plan

@@ -434,27 +434,22 @@ class SummaryFrame:
         This is the lazy boundary: frames stay arrays through scan and
         merge; per-bin objects exist only once a response needs them.
         """
-        # Convert the columns to Python lists once — per-element ndarray
-        # indexing in the loop below would dominate otherwise.
-        counts_list = self.counts.tolist()
-        columns = {
-            name: (c[0].tolist(), c[1].tolist(), c[2].tolist(), c[3].tolist())
-            for name, c in self.columns.items()
-        }
-        out: list[SummaryVector] = []
-        for i in range(len(counts_list)):
-            summaries = {
-                name: AttributeSummary(
-                    count=counts_list[i],
-                    total=cols[0][i],
-                    total_sq=cols[1][i],
-                    minimum=cols[2][i],
-                    maximum=cols[3][i],
-                )
-                for name, cols in columns.items()
-            }
-            out.append(SummaryVector._trusted(summaries))
-        return out
+        # Python lists once, then one positional tuple build per summary:
+        # per-element ndarray indexing or keyword construction would
+        # dominate otherwise.
+        counts = self.counts.tolist()
+        names = list(self.columns)
+        per_attribute = [
+            map(
+                AttributeSummary._make,
+                zip(counts, sums.tolist(), sumsqs.tolist(), mins.tolist(), maxs.tolist()),
+            )
+            for sums, sumsqs, mins, maxs in self.columns.values()
+        ]
+        return [
+            SummaryVector._trusted(dict(zip(names, summaries)))
+            for summaries in zip(*per_attribute)
+        ]
 
     def materialize(self) -> dict:
         """``{bin id: SummaryVector}`` for every bin in the frame."""

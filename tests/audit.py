@@ -24,41 +24,41 @@ from tests.reference import slot_maps_mirror_levels
 
 
 def _audit_placement(node, findings: list[str]) -> None:
-    for cell in node.graph.cells():
-        owner = node.membership.base.node_for(cell.key.geohash)
+    for key, _summary in node.graph.items():
+        owner = node.membership.base.node_for(key.geohash)
         if owner != node.node_id:
             findings.append(
-                f"{node.graph.name}: cell {cell.key} owned by {owner}, "
+                f"{node.graph.name}: cell {key} owned by {owner}, "
                 f"cached on {node.node_id}"
             )
 
 
 def _audit_cell_values(cluster, graph, findings: list[str], sample: int, rng) -> None:
-    cells = list(graph.cells())
+    cells = list(graph.items())
     if 0 < sample < len(cells):
         cells = [cells[int(i)] for i in rng.choice(len(cells), sample, replace=False)]
-    for cell in cells:
+    for key, summary in cells:
         blocks = [
-            cluster.catalog.get_block(b) for b in cluster.catalog.blocks_for_cell(cell.key)
+            cluster.catalog.get_block(b) for b in cluster.catalog.blocks_for_cell(key)
         ]
         blocks = [b for b in blocks if b is not None]
         if not blocks:
-            if not cell.summary.is_empty:
+            if not summary.is_empty:
                 findings.append(
-                    f"{graph.name}: {cell.key} non-empty but has no backing blocks"
+                    f"{graph.name}: {key} non-empty but has no backing blocks"
                 )
             continue
         probe = AggregationQuery(
-            bbox=cell.key.bbox,
-            time_range=cell.key.time_range,
-            resolution=cell.key.resolution,
+            bbox=key.bbox,
+            time_range=key.time_range,
+            resolution=key.resolution,
         )
         fresh, _stats = scan_blocks(blocks, probe)
-        expected = fresh.get(cell.key, SummaryVector.empty(cluster.attribute_names))
-        if not cell.summary.approx_equal(expected, rel=1e-6):
+        expected = fresh.get(key, SummaryVector.empty(cluster.attribute_names))
+        if not summary.approx_equal(expected, rel=1e-6):
             findings.append(
-                f"{graph.name}: {cell.key} cached summary drifted from disk "
-                f"(cached count={cell.summary.count}, disk count={expected.count})"
+                f"{graph.name}: {key} cached summary drifted from disk "
+                f"(cached count={summary.count}, disk count={expected.count})"
             )
 
 

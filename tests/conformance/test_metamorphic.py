@@ -141,35 +141,31 @@ class TestRelationSensitivity:
         """If cached cell values drifted between reads (e.g. a cell clipped
         to whichever query populated it instead of its full extent), two
         overlapping pans would disagree on shared cells."""
-        from repro.core.cell import Cell
         from repro.core.graph import StashGraph
         from repro.data.statistics import AttributeSummary, SummaryVector
 
-        real_get = StashGraph.get
+        real_summaries_at = StashGraph.summaries_at
         reads = [0]
 
-        def drifting(self, key):
-            cell = real_get(self, key)
-            if cell is not None and not cell.summary.is_empty:
-                reads[0] += 1
-                bad = SummaryVector(
-                    {
-                        name: AttributeSummary(
-                            s.count,
-                            s.total + 0.01 * reads[0],
-                            s.total_sq,
-                            s.minimum,
-                            s.maximum,
-                        )
-                        for name, s in (
-                            (a, cell.summary[a]) for a in cell.summary.attributes
-                        )
-                    }
-                )
-                return Cell(key=cell.key, summary=bad)
-            return cell
+        def drift(summary):
+            if summary.is_empty:
+                return summary
+            return SummaryVector(
+                {
+                    name: AttributeSummary(
+                        s.count, s.total + 0.01 * reads[0], s.total_sq, s.minimum, s.maximum
+                    )
+                    for name, s in ((a, summary[a]) for a in summary.attributes)
+                }
+            )
 
-        monkeypatch.setattr(StashGraph, "get", drifting)
+        def drifting(self, level):
+            # The planner reads a level's summaries once per plan: every
+            # read sees the cached values shifted by a different amount.
+            reads[0] += 1
+            return {key: drift(s) for key, s in real_summaries_at(self, level).items()}
+
+        monkeypatch.setattr(StashGraph, "summaries_at", drifting)
         cluster = fresh_cluster()
         query = q(BOXES[0], precision=3)
         cluster.warm([query])

@@ -79,13 +79,36 @@ class TestLevelArithmetic:
         assert graph.level_size(level) == 0
 
 
+    @pytest.mark.parametrize("min_spatial, max_spatial", [(1, 8), (2, 6), (3, 3)])
+    def test_finer_levels_match_the_space(self, min_spatial, max_spatial):
+        """``finer_levels`` is ``space.level_of`` of each finer resolution
+        in the space, for keys inside it and just outside it."""
+        space = ResolutionSpace(min_spatial, max_spatial)
+        graph = StashGraph(space)
+        for precision in range(1, 11):
+            for depth in range(1, 5):
+                key = CellKey("9q8y7x2w3b"[:precision], TimeKey((2013, 2, 2, 5)[:depth]))
+                resolution = key.resolution
+                expected = [
+                    (axis, space.level_of(finer))
+                    for axis, finer in (
+                        ("spatial", resolution.finer_spatial()),
+                        ("temporal", resolution.finer_temporal()),
+                    )
+                    if finer is not None and space.contains(finer)
+                ]
+                assert list(graph.finer_levels(key)) == expected, key
+
+
 class TestGraphBasics:
     def test_insert_get_contains(self):
         graph = StashGraph(SPACE)
         cell = make_cell("9q8y7")
         graph.insert(cell)
         assert graph.contains(cell.key)
-        assert graph.get(cell.key) is cell
+        assert graph.get(cell.key) == cell  # a snapshot, equal by value
+        assert graph.get(cell.key) is not cell
+        assert graph.summary_of(cell.key) is cell.summary
         assert len(graph) == 1
 
     def test_duplicate_insert_rejected(self):
@@ -100,15 +123,15 @@ class TestGraphBasics:
         second = make_cell("9q8y7", value=99.0)
         assert graph.upsert(first)
         assert not graph.upsert(second)
-        assert graph.get(first.key) is first
+        assert graph.get(first.key) == first
 
     def test_remove(self):
         graph = StashGraph(SPACE)
         cell = make_cell("9q8y7")
         graph.insert(cell)
-        removed = graph.remove(cell.key)
-        assert removed is cell
+        graph.remove(cell.key)
         assert not graph.contains(cell.key)
+        assert graph.get(cell.key) is None and graph.summary_of(cell.key) is None
         with pytest.raises(CacheError):
             graph.remove(cell.key)
 
@@ -127,6 +150,52 @@ class TestGraphBasics:
         graph.insert(cell)
         assert graph.contains(cell.key)
         assert graph.get(cell.key).count == 0
+
+
+class TestCellIsASnapshot:
+    """A level holds summaries and the freshness lives in its columns, so a
+    ``Cell`` object belongs to no graph: one inserted into two graphs and
+    removed from one leaves the other's bookkeeping intact."""
+
+    def _twice_inserted(self):
+        tracker = FreshnessTracker(FreshnessConfig(half_life=100.0))
+        first, second = StashGraph(SPACE, "first"), StashGraph(SPACE, "second")
+        cell = make_cell("9q8y7")
+        first.insert(cell)
+        second.insert(cell)
+        tracker.touch_cells(second, [cell.key], now=10.0)
+        return first, second, cell
+
+    def _bookkeeping(self, graph, key):
+        cell = graph.get(key)
+        return cell.freshness, cell.last_touched, cell.access_count
+
+    def test_remove_from_one_graph_keeps_the_other(self):
+        first, second, cell = self._twice_inserted()
+        assert self._bookkeeping(second, cell.key) == (1.0, 10.0, 1)
+        first.remove(cell.key)
+        assert self._bookkeeping(second, cell.key) == (1.0, 10.0, 1)
+        assert [c.access_count for c in second.cells()] == [1]
+        # The inserted object itself was only ever copied.
+        assert (cell.freshness, cell.last_touched, cell.access_count) == (0.0, 0.0, 0)
+
+    def test_clear_of_one_graph_keeps_the_other(self):
+        first, second, cell = self._twice_inserted()
+        first.clear()
+        assert self._bookkeeping(second, cell.key) == (1.0, 10.0, 1)
+
+    def test_upsert_copies_the_snapshot_bookkeeping(self):
+        graph = StashGraph(SPACE)
+        cell = Cell(
+            key=CellKey("9q8y7", DAY),
+            summary=make_cell("9q8y7").summary,
+            freshness=1.5,
+            last_touched=2.0,
+            access_count=3,
+        )
+        assert graph.upsert(cell)
+        cell.freshness = 99.0  # writing to the object changes nothing inside
+        assert self._bookkeeping(graph, cell.key) == (1.5, 2.0, 3)
 
 
 class TestPLM:
@@ -160,8 +229,8 @@ class TestFreshness:
         graph.insert(cell)
         touched = tracker.touch_cells(graph, [cell.key], now=0.0)
         assert touched == 1
-        assert cell.freshness == pytest.approx(2.0)
-        assert cell.access_count == 1
+        assert graph.get(cell.key).freshness == pytest.approx(2.0)
+        assert graph.get(cell.key).access_count == 1
 
     def test_touch_absent_skipped(self):
         tracker = FreshnessTracker(FreshnessConfig())
@@ -175,7 +244,7 @@ class TestFreshness:
         cell = make_cell("9q8y7")
         graph.insert(cell)
         tracker.touch_cells(graph, [cell.key], now=0.0)
-        assert tracker.score(cell, now=10.0) == pytest.approx(0.5)
+        assert tracker.score(graph.get(cell.key), now=10.0) == pytest.approx(0.5)
 
     def test_repeat_access_accumulates(self):
         config = FreshnessConfig(half_life=1e9)
@@ -185,7 +254,7 @@ class TestFreshness:
         graph.insert(cell)
         for t in range(5):
             tracker.touch_cells(graph, [cell.key], now=float(t))
-        assert cell.freshness == pytest.approx(5.0, rel=1e-6)
+        assert graph.get(cell.key).freshness == pytest.approx(5.0, rel=1e-6)
 
     def test_dispersion_fraction(self):
         config = FreshnessConfig(dispersion_fraction=0.25, half_life=1e9)
@@ -194,7 +263,7 @@ class TestFreshness:
         ring_cell = make_cell("9q8yd")
         graph.insert(ring_cell)
         tracker.disperse_to_neighborhood(graph, [ring_cell.key], now=0.0)
-        assert ring_cell.freshness == pytest.approx(0.25)
+        assert graph.get(ring_cell.key).freshness == pytest.approx(0.25)
 
     def test_query_ring_matches_general_ring(self):
         from repro.geo.bbox import BoundingBox

@@ -1,14 +1,14 @@
 """Equivalence and integrity tests for the columnar freshness store.
 
 The graph keeps ``(freshness, last_touch, access_count)`` in dense
-per-level numpy columns; cells are views into them while resident.  These
-tests pin the two contracts that make that safe:
+per-level numpy columns; a ``Cell`` read from the graph is a snapshot of
+its slot.  These tests pin the two contracts that make that safe:
 
 * the vectorized kernels (``rank_victims``, ``touch_batch``) produce
   *bit-identical* results to the scalar per-cell model, so simulated
   experiment outputs cannot shift, and
 * column residency is invisible to callers — values survive swap-remove,
-  detach on removal, and ``clear``.
+  and a snapshot keeps its values through ``remove`` and ``clear``.
 """
 
 import numpy as np
@@ -24,7 +24,7 @@ from repro.data.statistics import SummaryVector
 from repro.geo import geohash as gh
 from repro.geo.resolution import ResolutionSpace
 from repro.geo.temporal import TimeKey
-from tests.reference import rank_victims_scalar
+from tests.reference import rank_victims_scalar, touch_cell
 
 SPACE = ResolutionSpace(1, 8)
 DAY = TimeKey.of(2013, 2, 2)
@@ -116,7 +116,7 @@ class TestTouchBatchEquivalence:
         tracker.touch_cells(graph, batch, now)
         for key in batch:
             twin = twins[key]
-            twin.touched(F_INC, now, tracker.decay_rate)
+            touch_cell(twin, F_INC, now, tracker.decay_rate)
             twin.access_count += 1
         for key in keys:
             cell = graph.get(key)
@@ -133,7 +133,7 @@ class TestTouchBatchEquivalence:
         tracker.touch_cells(graph, [key, key, key], 1.0)
         twin = Cell(key=key, summary=SUMMARY)
         for _ in range(3):
-            twin.touched(F_INC, 1.0, tracker.decay_rate)
+            touch_cell(twin, F_INC, 1.0, tracker.decay_rate)
         cell = graph.get(key)
         assert cell.freshness == pytest.approx(twin.freshness, rel=1e-12)
         assert cell.access_count == 3
@@ -183,7 +183,7 @@ class TestTouchBatchEquivalence:
                 last_touched=cell.last_touched,
                 access_count=cell.access_count,
             )
-            twin.touched(amount, now, tracker.decay_rate)
+            touch_cell(twin, amount, now, tracker.decay_rate)
             expected[key] = (twin.freshness, twin.last_touched, twin.access_count)
         tracker.disperse_to_neighborhood(graph, ring, now)
         for key in ring:
@@ -210,7 +210,7 @@ class TestColumnIntegrity:
         removed = keys[len(keys) // 2]
         cell = graph.get(removed)
         graph.remove(removed)
-        # The removed cell detaches with its values intact...
+        # A snapshot taken before the remove keeps its values...
         assert (cell.freshness, cell.last_touched, cell.access_count) == snapshot[
             removed
         ]
@@ -230,23 +230,24 @@ class TestColumnIntegrity:
         assert total == len(graph) == len(keys)
 
     def test_clear_detaches_values(self):
+        """``clear`` drops the levels and their columns; a snapshot taken
+        before keeps its values."""
         graph = StashGraph(SPACE)
         key = CellKey("9q8y", DAY)
-        graph.upsert(Cell(key=key, summary=SUMMARY))
+        graph.upsert(Cell(key=key, summary=SUMMARY, freshness=3.5, access_count=4))
         cell = graph.get(key)
-        cell.freshness = 3.5
-        cell.access_count = 4
-        graph.clear()
-        assert len(graph) == 0
-        assert cell.freshness == 3.5
-        assert cell.access_count == 4
+        assert graph.clear() == 1
+        assert len(graph) == 0 and list(graph.freshness_columns()) == []
+        assert graph.get(key) is None
+        assert (cell.freshness, cell.access_count) == (3.5, 4)
 
     def test_upsert_existing_key_keeps_freshness_state(self):
         graph = StashGraph(SPACE)
         key = CellKey("9q8y", DAY)
         graph.upsert(Cell(key=key, summary=SUMMARY))
-        graph.get(key).freshness = 2.0
+        graph.touch_batch([key], 2.0, 0.0, 0.01)
         richer = SummaryVector.from_arrays({"temperature": np.array([1.0, 2.0])})
-        assert graph.upsert(Cell(key=key, summary=richer)) is False
+        assert graph.upsert(Cell(key=key, summary=richer, freshness=9.0)) is False
         assert len(graph) == 1
         assert graph.get(key).freshness == 2.0  # first write won, state kept
+        assert graph.summary_of(key) is SUMMARY

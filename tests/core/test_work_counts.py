@@ -12,8 +12,10 @@ once per run of same-resolution keys.  A live ingest finds its stale cells
 by comparing labels, so it builds no ``TimeRange`` per cached cell.  A
 cache miss scans each leg's blocks in one fused pass — one ``bin_ids``
 call and two batches per leg, not per block — and asks the calendar for
-a time key's day labels once, not once per cell per lookup.  A
-completed query costs the metrics registry one ``record`` call that
+a time key's day labels once, not once per cell per lookup.  Its plan
+asks once per key shape whether a finer level holds any cell before it
+probes a missing key's children, and its owners populate without
+building a ``Cell``.  A completed query costs the metrics registry one ``record`` call that
 builds nothing.  No read, warm or cold, enters a Python-level
 ``__hash__``, ``__eq__`` or ``__lt__``: the keys are tuples.  And the
 simulator steps a pinned number of events of each kind per read.
@@ -27,20 +29,23 @@ import pytest
 
 from repro.config import ClusterConfig, StashConfig
 from repro.core.cluster import StashCluster
+from repro.core import planner as planner_module
+from repro.core.cell import Cell
 from repro.core.freshness import query_ring
 from repro.core.graph import StashGraph
+from repro.core.planner import plan_query
 from repro.core.keys import CellKey
 from repro.data.block import Block, BlockId
 from repro.data.generator import small_test_dataset
 from repro.data.observation import OBSERVATION_ATTRIBUTES, ObservationBatch
-from repro.data.statistics import SummaryFrame
+from repro.data.statistics import SummaryFrame, SummaryVector
 from repro.dht import partitioner as partitioner_module
 from repro.errors import QueryError
 from repro.geo import binning as binning_module
 from repro.geo import cover as cover_module
 from repro.geo import geohash as geohash_module
 from repro.geo.bbox import BoundingBox
-from repro.geo.resolution import Resolution
+from repro.geo.resolution import Resolution, ResolutionSpace
 from repro.geo.temporal import TemporalResolution, TimeKey, TimeRange
 from repro.obs import registry as registry_module
 from repro.query.model import AggregationQuery
@@ -178,6 +183,55 @@ class TestTouchBatch:
         mixed = footprint[:4] + coarser + footprint[4:8]
         assert graph.touch_batch(mixed, 1.0, 6.0, 0.1) == 8
         assert len(lookups) == 3
+
+
+class TestColdPlanAndPopulate:
+    """A cold op asks once per key shape whether a finer level holds any
+    cell before it probes a missing key's children, and its owners
+    populate the scanned summaries without building a ``Cell``."""
+
+    def test_a_flushed_cluster_enters_no_rollup(self, dataset, monkeypatch):
+        cluster = StashCluster(dataset, StashConfig(cluster=ClusterConfig(num_nodes=4)))
+        cluster.warm([rectangle()])
+        cluster.flush_caches()
+        entered = counted(monkeypatch, planner_module, "try_rollup")
+        query = rectangle()
+        result = cluster.run_query(query)
+        cluster.drain()
+        assert result.provenance["cells_from_disk"] == len(query.footprint()) == 165
+        assert entered == []  # was one per missing key
+
+    def test_one_finer_level_resident_enters_once_per_missing_key(self, monkeypatch):
+        graph = StashGraph(ResolutionSpace(1, 8))
+        day_keys = rectangle().footprint()
+        hour = TimeKey.of(2013, 2, 2, 5)
+        hour_keys = [CellKey(key.geohash, hour) for key in day_keys[:20]]
+        # One cell at p4/day: the level finer than the day keys' level.
+        # Nothing at p4/hour, the only level finer than the hour keys'.
+        finer = CellKey(day_keys[0].geohash + "0", day_keys[0].time_key)
+        graph.upsert(Cell(key=finer, summary=SummaryVector.empty(["t"])))
+        entered = counted(monkeypatch, planner_module, "try_rollup")
+        plan = plan_query(graph, day_keys + hour_keys, ["t"])
+        assert len(entered) == len(day_keys)  # was one per missing key: +20
+        assert plan.missing == day_keys + hour_keys
+        assert (plan.lookups, plan.merges) == (len(day_keys) + 20, 0)
+
+    def test_populate_builds_no_cell(self, dataset, monkeypatch):
+        cluster = StashCluster(dataset, StashConfig(cluster=ClusterConfig(num_nodes=4)))
+        cluster.warm([rectangle()])
+        cluster.flush_caches()
+        built: list[str] = []
+        real_init = Cell.__init__
+
+        def init(cell, *args, **kwargs):
+            built.append("Cell")
+            real_init(cell, *args, **kwargs)
+
+        monkeypatch.setattr(Cell, "__init__", init)
+        cluster.run_query(rectangle())
+        cluster.drain()
+        assert cluster.total_cached_cells() == 165
+        assert built == []  # was one per populated cell
 
 
 class TestLiveIngest:

@@ -2,6 +2,7 @@
 per-record Python reference (and to the frozen scalar implementation)."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -182,3 +183,82 @@ class TestFrameMerge:
         assert len(frame) == 2
         assert frame.attributes == ["x"]
         assert "bins=2" in repr(frame)
+
+
+def keyword_vectors(frame: SummaryFrame) -> list[SummaryVector]:
+    """The keyword-argument materialization ``vectors()`` replaced: one
+    ``AttributeSummary(count=..., total=..., ...)`` per bin and attribute,
+    indexed element by element."""
+    counts = frame.counts.tolist()
+    columns = {
+        name: tuple(column.tolist() for column in c) for name, c in frame.columns.items()
+    }
+    return [
+        SummaryVector._trusted(
+            {
+                name: AttributeSummary(
+                    count=counts[i],
+                    total=cols[0][i],
+                    total_sq=cols[1][i],
+                    minimum=cols[2][i],
+                    maximum=cols[3][i],
+                )
+                for name, cols in columns.items()
+            }
+        )
+        for i in range(len(counts))
+    ]
+
+
+def summary_bits(vector: SummaryVector) -> list[tuple[str, type, bytes]]:
+    """Attribute order, summary type and the exact bits of every field."""
+    return [
+        (name, type(s), struct.pack("<qdddd", *s))
+        for name, s in vector._summaries.items()
+    ]
+
+
+class TestPositionalMaterialization:
+    """``vectors()`` builds summaries positionally; it must equal the
+    keyword build bit for bit and keep the frame's attribute order (the
+    codec's ``cells`` node lowers a vector's attributes in that order)."""
+
+    @given(grouped_inputs(), st.integers(1, 6))
+    @settings(max_examples=60)
+    def test_equals_the_keyword_build(self, inputs, num_attrs):
+        keys, arrays = inputs
+        base = next(iter(arrays.values()))
+        # Names out of sorted order, so insertion order is what is checked.
+        names = [f"a{(7 * i) % num_attrs}x{i}" for i in range(num_attrs)][::-1]
+        wide = {name: base * (i + 1) for i, name in enumerate(names)}
+        frame = SummaryFrame.from_groups(keys, wide)
+        got, want = frame.vectors(), keyword_vectors(frame)
+        assert [summary_bits(v) for v in got] == [summary_bits(v) for v in want]
+        for vector in got:
+            assert list(vector._summaries) == names
+
+    def test_empty_summaries_and_negative_zero(self):
+        """A merged-in empty row keeps its ±inf extrema and a −0.0 total
+        keeps its sign."""
+        empty = SummaryFrame(
+            ids=np.array([3, 5], dtype=np.uint64),
+            counts=np.array([0, 2], dtype=np.int64),
+            columns={
+                name: (
+                    np.array([0.0, -0.0]),
+                    np.array([0.0, 0.0]),
+                    np.array([math.inf, -0.0]),
+                    np.array([-math.inf, -0.0]),
+                )
+                for name in ("z", "a", "m")
+            },
+        )
+        got, want = empty.vectors(), keyword_vectors(empty)
+        assert [summary_bits(v) for v in got] == [summary_bits(v) for v in want]
+        assert got[0]["a"] == AttributeSummary.empty() and got[0].is_empty
+        assert math.copysign(1.0, got[1]["m"].total) == -1.0
+        assert list(got[1]._summaries) == ["z", "a", "m"]
+
+    def test_no_rows(self):
+        frame = SummaryFrame.from_groups(np.array([], dtype=np.int64), {"t": np.array([])})
+        assert frame.vectors() == [] == keyword_vectors(frame)

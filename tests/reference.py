@@ -15,8 +15,9 @@ keeps its oracle:
 * ``scan_blocks_per_block`` pins the fused scan — ``scan_blocks`` with
   ``SummaryFrame.partials`` / ``merge_all`` — to the per-block scan it
   replaced, bit for bit (tests/storage/test_fused_scan.py);
-* ``rank_victims_scalar`` pins ``repro.core.eviction.rank_victims``
-  (tests/core/test_vectorized_freshness.py);
+* ``rank_victims_scalar`` pins ``repro.core.eviction.rank_victims``, and
+  ``touch_cell`` (the scalar touch, once ``Cell.touched``) pins
+  ``StashGraph.touch_batch`` (tests/core/test_vectorized_freshness.py);
 * ``neighborhood_ring`` over ``lateral_neighbors`` (``spatial_neighbors``
   + ``temporal_neighbors``, which wrap at the antimeridian) pins
   ``repro.core.freshness.query_ring`` (tests/core/test_ring_equivalence.py,
@@ -444,6 +445,14 @@ def scan_blocks_per_block(batches, query) -> dict[CellKey, SummaryVector]:
     return out
 
 
+def touch_cell(cell, amount: float, now: float, decay_rate: float) -> None:
+    """One scalar freshness touch of a ``Cell`` snapshot: decay since its
+    last touch, then add ``amount`` (``decay_rate`` = ln 2 / half-life)."""
+    elapsed = max(0.0, now - cell.last_touched)
+    cell.freshness = cell.freshness * float(np.exp(-decay_rate * elapsed)) + amount
+    cell.last_touched = now
+
+
 def rank_victims_scalar(graph, tracker, now: float, excess: int) -> list[CellKey]:
     """Reference scalar ranking via ``tracker.score`` per cell.
 
@@ -548,8 +557,8 @@ def slot_maps_mirror_levels(graph) -> None:
     the PLM <-> graph check, when the PLM stored a block set per cell.)
     """
     resident: dict[int, set[CellKey]] = {}
-    for cell in graph.cells():
-        resident.setdefault(graph.level_of(cell.key), set()).add(cell.key)
+    for key, _summary in graph.items():
+        resident.setdefault(graph.level_of(key), set()).add(key)
     slotted = {level: set(columns.slot_of) for level, columns in graph._columns.items()}
     findings = []
     for level in sorted(resident.keys() | slotted.keys()):

@@ -103,10 +103,12 @@ class TestCorruptionDetected:
     def test_detects_value_drift(self):
         cluster = self._warm_cluster()
         node = self._any_node_with_cells(cluster)
-        cell = next(c for c in node.graph.cells() if not c.summary.is_empty)
-        cell.summary = SummaryVector.from_arrays(
+        key = next(k for k, summary in node.graph.items() if not summary.is_empty)
+        drifted = SummaryVector.from_arrays(
             {name: np.array([1.0]) for name in cluster.attribute_names}
         )
+        node.graph.remove(key)
+        node.graph.insert(Cell(key=key, summary=drifted))
         with pytest.raises(AssertionError, match="drifted"):
             audit_cluster(cluster, value_sample=-1)
 
@@ -144,8 +146,8 @@ class TestCorruptionDetected:
         # A cell without a slot: filed in its level, not in the columns.
         owner = cluster.owner_node(key)
         level = owner.graph.level_of(key)
-        owner.graph._levels.setdefault(level, {})[key] = Cell(
-            key=key, summary=SummaryVector.empty(cluster.attribute_names)
+        owner.graph._levels.setdefault(level, {})[key] = SummaryVector.empty(
+            cluster.attribute_names
         )
         with pytest.raises(AssertionError, match="has no slot"):
             audit_cluster(cluster, value_sample=0)
