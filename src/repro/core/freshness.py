@@ -40,16 +40,13 @@ class FreshnessTracker:
             raise ValueError("half_life must be positive")
         self.decay_rate = math.log(2.0) / config.half_life
 
-    def touch_cells(self, graph, keys: list[CellKey], now: float, runs=()) -> int:
-        """Direct access: full :data:`F_INC` to each present cell of
-        ``keys`` and of ``insert_many``'s ``runs``.
+    def touch_cells(self, graph, keys: list[CellKey], now: float) -> int:
+        """Direct access: full :data:`F_INC` to each present cell.
 
         Returns the number of cells actually touched (absent keys are
         skipped — only resident cells carry freshness).
         """
-        return graph.touch_batch(
-            keys, F_INC, now, self.decay_rate, count_access=True, runs=runs
-        )
+        return graph.touch_batch(keys, F_INC, now, self.decay_rate, count_access=True)
 
     def disperse_to_neighborhood(
         self, graph, ring_keys: list[CellKey], now: float

@@ -30,7 +30,7 @@ every resident cell.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -106,23 +106,6 @@ class FreshnessColumns:
             self.access_count[slot] = self.access_count[last]
         self.keys.pop()
         self.size = last
-
-    def touch(self, idx, increments, now: float, decay_rate: float, accesses) -> None:
-        """Decay the slots ``idx`` (index array or slice) to ``now`` and
-        add ``increments``; add ``accesses`` to their access counts unless
-        it is None."""
-        freshness = self.freshness
-        last_touch = self.last_touch
-        elapsed = np.maximum(0.0, now - last_touch[idx])
-        freshness[idx] = freshness[idx] * np.exp(-decay_rate * elapsed) + increments
-        last_touch[idx] = now
-        if accesses is not None:
-            self.access_count[idx] += accesses
-
-
-#: Keys one :meth:`StashGraph.insert_many` call gave consecutive slots:
-#: ``(level, first slot, keys)``.
-InsertedRun = tuple[int, int, list[CellKey]]
 
 
 class StashGraph:
@@ -226,17 +209,14 @@ class StashGraph:
         self.insert(cell)
         return True
 
-    def insert_many(
-        self, cells: dict[CellKey, SummaryVector]
-    ) -> tuple[list[InsertedRun], list[CellKey]]:
-        """:meth:`upsert` a batch at zero freshness: ``(runs, resident)``.
+    def insert_many(self, cells: dict[CellKey, SummaryVector]) -> list[CellKey]:
+        """:meth:`upsert` a batch at zero freshness; returns the keys inserted.
 
         A batch is runs of one resolution (one footprint's scan), so the
         level is resolved once per run and a run's new keys take
         consecutive slots; keys already resident keep their state.
         """
         pending: list[tuple[int, dict[CellKey, SummaryVector]]] = []
-        resident: list[CellKey] = []
         shape = None
         for key, summary in cells.items():
             key_shape = (len(key.geohash), len(key.time_key.components))
@@ -246,17 +226,16 @@ class StashGraph:
                 level_cells = self._levels.get(level, {})
                 fresh: dict[CellKey, SummaryVector] = {}
                 pending.append((level, fresh))
-            if key in level_cells:
-                resident.append(key)
-            else:
+            if key not in level_cells:
                 fresh[key] = summary
-        runs: list[InsertedRun] = []
+        inserted: list[CellKey] = []
         for level, fresh in pending:
             if fresh:
                 self._levels.setdefault(level, {}).update(fresh)
                 keys = list(fresh)
-                runs.append((level, self._columns_of(level).extend(keys), keys))
-        return runs, resident
+                self._columns_of(level).extend(keys)
+                inserted.extend(keys)
+        return inserted
 
     def remove(self, key: CellKey) -> None:
         level = self.level_of(key)
@@ -304,7 +283,6 @@ class StashGraph:
         now: float,
         decay_rate: float,
         count_access: bool = False,
-        runs: Sequence[InsertedRun] = (),
     ) -> int:
         """Apply one freshness increment to every *resident* key, batched.
 
@@ -314,25 +292,9 @@ class StashGraph:
         update per level.  Duplicate keys in one batch coalesce into a
         single decay step carrying ``k * amount`` — identical to ``k``
         scalar touches at the same ``now`` up to float associativity.
-        The keys of :meth:`insert_many`'s ``runs`` are touched too: a run
-        still in the slots it was given through one slice, one whose
-        slots a removal or a clear has moved since by key.
         Returns the number of touches applied (absent keys are skipped —
         only resident cells carry freshness).
         """
-        if not self._columns:
-            return 0  # nothing resident (a flushed or fresh graph)
-        touched = 0
-        if runs:
-            keys = list(keys)
-            for level, start, run in runs:
-                columns = self._columns.get(level)
-                if columns is not None and columns.keys[start : start + len(run)] == run:
-                    accesses = 1 if count_access else None
-                    columns.touch(slice(start, start + len(run)), amount, now, decay_rate, accesses)
-                    touched += len(run)
-                else:
-                    keys.extend(run)
         # A key list is runs of one resolution (a footprint, a ring), and
         # a key's level is its two lengths: resolve it once per run.
         slots_by_level: dict[int, list[int]] = {}
@@ -348,19 +310,28 @@ class StashGraph:
             slot = slot_of.get(key)
             if slot is not None:
                 slots.append(slot)
+        touched = 0
         for level, slots in slots_by_level.items():
             if not slots:
                 continue
             touched += len(slots)
+            columns = self._columns[level]
             idx = np.asarray(slots, dtype=np.intp)
             if len(set(slots)) < len(slots):
                 idx, counts = np.unique(idx, return_counts=True)
-                increments, accesses = amount * counts, counts
+                increments = amount * counts
             else:
-                increments, accesses = amount, 1
-            self._columns[level].touch(
-                idx, increments, now, decay_rate, accesses if count_access else None
+                counts = None
+                increments = amount
+            freshness = columns.freshness
+            last_touch = columns.last_touch
+            elapsed = np.maximum(0.0, now - last_touch[idx])
+            freshness[idx] = (
+                freshness[idx] * np.exp(-decay_rate * elapsed) + increments
             )
+            last_touch[idx] = now
+            if count_access:
+                columns.access_count[idx] += 1 if counts is None else counts
         return touched
 
     # -- invalidation (real-time updates, paper IV-D) -----------------------

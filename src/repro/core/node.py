@@ -235,11 +235,10 @@ class StashNode(StorageNode):
         self, cells: dict[CellKey, SummaryVector], counter: str
     ) -> Generator[Event, Any, None]:
         """Insert shipped cells into the local graph: charge, touch, count, evict."""
-        runs, resident = self.graph.insert_many(cells)
-        inserted = len(cells) - len(resident)
-        yield self.sim.timeout(inserted * self.cost.cell_insert_cost)
-        self.tracker.touch_cells(self.graph, [], self.sim.now, runs)
-        self.counters.increment(counter, inserted)
+        inserted = self.graph.insert_many(cells)
+        yield self.sim.timeout(len(inserted) * self.cost.cell_insert_cost)
+        self.tracker.touch_cells(self.graph, inserted, self.sim.now)
+        self.counters.increment(counter, len(inserted))
         self._enforce_capacity()
 
     def _enforce_capacity(self) -> None:
@@ -363,7 +362,7 @@ class StashNode(StorageNode):
         cells: dict[CellKey, SummaryVector] = message.payload["cells"]
         if len(self.guest) + len(cells) > GUEST_CAPACITY:
             return False, 16
-        _runs, resident = self.guest.insert_many(cells)
+        inserted = self.guest.insert_many(cells)
         yield self.sim.timeout(len(cells) * self.cost.cell_insert_cost)
         orphaned = self.guest_cliques.add(root, list(cells), self.sim.now)
         # A re-replicated root replaces its member list; members dropped
@@ -372,7 +371,7 @@ class StashNode(StorageNode):
         for key in orphaned:
             if self.guest.contains(key):
                 self.guest.remove(key)
-        self.counters.increment("guest_cells_accepted", len(cells) - len(resident))
+        self.counters.increment("guest_cells_accepted", len(inserted))
         return True, 16
 
     def _handle_evaluate_guest(self, message: Message) -> Generator[Event, Any, Reply]:
@@ -445,16 +444,16 @@ class StashNode(StorageNode):
         now = self.sim.now
         self.tracker.touch_cells(self.graph, keys, now)
         self.tracker.disperse_to_neighborhood(self.graph, ring, now)
+        # Cache successful roll-ups: they are complete cells now.
+        self.graph.insert_many(
+            {key: rollup.summary for key, rollup in plan.rollup.items()}
+        )
         if plan.rollup:
-            # Cache successful roll-ups: they are complete cells now.
-            # They were absent during the touch above, so they would start
-            # at zero freshness — immediate eviction bait despite being
-            # created by this very access.  Credit them now that they are
-            # resident.
-            runs, resident = self.graph.insert_many(
-                {key: rollup.summary for key, rollup in plan.rollup.items()}
-            )
-            self.tracker.touch_cells(self.graph, resident, now, runs)
+            # Rolled-up cells were absent during the touch above, so they
+            # would start at zero freshness — immediate eviction bait
+            # despite being created by this very access.  Credit them now
+            # that they are resident.
+            self.tracker.touch_cells(self.graph, list(plan.rollup), now)
         self.counters.increment("cells_served_from_cache", len(plan.cached))
         self.counters.increment("cells_served_from_rollup", len(plan.rollup))
         return {
@@ -494,10 +493,7 @@ class StashNode(StorageNode):
                     "populate_misdirected", len(cells) - len(kept)
                 )
             cells = kept
-        # Inserted now, touched after the insert's CPU time: other
-        # handlers see the cells resident in between.
-        runs, resident = self.graph.insert_many(cells)
-        inserted = len(cells) - len(resident)
+        inserted = len(self.graph.insert_many(cells))
         cpu = inserted * self.cost.cell_insert_cost
         if self.tracer.enabled and cpu > 0:
             self.tracer.record(
@@ -510,7 +506,7 @@ class StashNode(StorageNode):
                 attrs={"cells": inserted},
             )
         yield self.sim.timeout(cpu)
-        self.tracker.touch_cells(self.graph, resident, self.sim.now, runs)
+        self.tracker.touch_cells(self.graph, list(cells), self.sim.now)
         self.counters.increment("cells_populated", inserted)
         self._enforce_capacity()
 
