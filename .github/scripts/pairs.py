@@ -1,19 +1,25 @@
 #!/usr/bin/env python3
 """Alternating parent/change pairs of the end-to-end benchmark.
 
-    pairs.py --parent DIR --change DIR --workload W --pairs N [--seed S]
+    pairs.py --parent DIR --change DIR --workload W [--workload W2 ...] --pairs N [--seed S]
 
-Runs ``benchmarks/e2e/run.py --workload W --seed S --trace 0`` from each
-checkout in turn, alternating which side goes first (pair 1: parent,
-change; pair 2: change, parent; ...), and reads the last JSON line of
-every run.  For each end-to-end metric ``BENCHMARK.json`` declares it
-prints both sides' medians, the median of the paired relative changes
-(positive = better, by the metric's ``better`` direction), the pairs the
-change won (ties count for neither side), and the parent's
-inter-quartile range relative to its median beside the metric's
-``bound``.  A gain is claimable when the change wins at least nine
-tenths of the pairs and the medians differ by more than the parent's
-IQR; a metric is unresolved when the parent's IQR exceeds its bound.
+For each workload in turn, runs ``benchmarks/e2e/run.py --workload W
+--seed S --trace 0`` from each checkout, alternating which side goes
+first (pair 1: parent, change; pair 2: change, parent; ...), and reads
+the last JSON line of every run.  For each end-to-end metric
+``BENCHMARK.json`` declares it prints both sides' medians, the median of
+the paired relative changes (positive = better, by the metric's
+``better`` direction), the pairs the change won (ties count for neither
+side), the parent's inter-quartile range relative to its median beside
+the metric's ``bound``, and a verdict:
+
+- ``unresolved`` when the parent's IQR exceeds the bound;
+- ``claimable gain`` when the change wins at least nine tenths of the
+  pairs and its median is better than the parent's by more than the
+  parent's IQR;
+- ``claimable loss`` when the parent wins at least nine tenths of the
+  pairs and its median is better by more than its IQR;
+- ``within noise`` otherwise.
 
 Every run must report ``correct`` and 0 failed ops; otherwise the
 script stops with exit 1.  It reads the parent's ``BENCHMARK.json`` and
@@ -55,10 +61,29 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def verdict(
+    sign: float, parent: list[float], change: list[float], bound: float
+) -> str:
+    """The rule of the module docstring for one metric's paired runs."""
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    q1, q3 = quartiles(parent)
+    if p_med and (q3 - q1) / p_med > bound:
+        return "unresolved"
+    needed = 0.9 * len(parent)
+    wins = sum(1 for a, b in zip(parent, change) if sign * (b - a) > 0)
+    losses = sum(1 for a, b in zip(parent, change) if sign * (b - a) < 0)
+    if wins >= needed and sign * (c_med - p_med) > q3 - q1:
+        return "claimable gain"
+    if losses >= needed and sign * (p_med - c_med) > q3 - q1:
+        return "claimable loss"
+    return "within noise"
+
+
 def report(metrics: list[dict], parent: list[dict], change: list[dict]) -> str:
     rows = [
-        "| metric | parent median | change median | paired change | wins | parent IQR | bound |",
-        "|---|---:|---:|---:|---:|---:|---:|",
+        "| metric | parent median | change median | paired change | wins "
+        "| parent IQR | bound | verdict |",
+        "|---|---:|---:|---:|---:|---:|---:|---|",
     ]
     for metric in metrics:
         name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
@@ -72,7 +97,8 @@ def report(metrics: list[dict], parent: list[dict], change: list[dict]) -> str:
         rows.append(
             f"| `{name}` ({metric['unit']}) | {p_med:.4g} | {c_med:.4g} "
             f"| {100 * statistics.median(paired):+.1f} % | {wins}/{len(p)} "
-            f"| {100 * iqr:.1f} % | {100 * metric['bound']:.0f} % |"
+            f"| {100 * iqr:.1f} % | {100 * metric['bound']:.0f} % "
+            f"| {verdict(sign, p, c, metric['bound'])} |"
         )
     return "\n".join(rows)
 
@@ -81,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=pathlib.Path, required=True)
     parser.add_argument("--change", type=pathlib.Path, required=True)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
@@ -90,23 +116,24 @@ def main(argv: list[str] | None = None) -> int:
     declared = json.loads((args.parent / "BENCHMARK.json").read_text())
     metrics = declared["end_to_end"]
 
-    parent: list[dict] = []
-    change: list[dict] = []
-    for index in range(args.pairs):
-        order = [("parent", args.parent), ("change", args.change)]
-        if index % 2:
-            order.reverse()
-        for side, tree in order:
-            values = run_once(tree, args.workload, args.seed)
-            (parent if side == "parent" else change).append(values)
-            print(
-                f"pair {index + 1} {side}: "
-                + ", ".join(f"{m['name']} {values[m['name']]:.4g}" for m in metrics),
-                file=sys.stderr,
-                flush=True,
-            )
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs")
-    print(report(metrics, parent, change))
+    for workload in args.workload:
+        parent: list[dict] = []
+        change: list[dict] = []
+        for index in range(args.pairs):
+            order = [("parent", args.parent), ("change", args.change)]
+            if index % 2:
+                order.reverse()
+            for side, tree in order:
+                values = run_once(tree, workload, args.seed)
+                (parent if side == "parent" else change).append(values)
+                print(
+                    f"{workload} pair {index + 1} {side}: "
+                    + ", ".join(f"{m['name']} {values[m['name']]:.4g}" for m in metrics),
+                    file=sys.stderr,
+                    flush=True,
+                )
+        print(f"{workload}, seed {args.seed}, {args.pairs} pairs")
+        print(report(metrics, parent, change), flush=True)
     return 0
 
 

@@ -12,6 +12,7 @@ hot regions are evicted as connected areas rather than ragged patches.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 from repro.config import FreshnessConfig
 from repro.core.keys import CellKey
@@ -60,7 +61,7 @@ class FreshnessTracker:
         return cell.decayed_freshness(now, self.decay_rate)
 
 
-def query_ring(query) -> list[CellKey]:
+def query_ring(query, owns: Callable[[str], bool] | None = None) -> list[CellKey]:
     """The neighborhood ring of a query footprint, via box geometry.
 
     Because a query footprint is (rectangular spatial cover) x
@@ -68,11 +69,16 @@ def query_ring(query) -> list[CellKey]:
     crossed with the time keys, plus the cover crossed with the two
     adjacent time bins — O(perimeter + cover) instead of touching every
     cell's 10 lateral neighbors (the per-cell form is the reference in
-    ``tests/reference.py``).
+    ``tests/reference.py``).  With ``owns``, a predicate on a geohash,
+    only the keys whose geohash it accepts, in the same order: one
+    owner's share of the ring.
     """
     time_keys = query.time_keys()
-    ring = [CellKey(g, t) for g in query.grid_cover().ring() for t in time_keys]
-    before = time_keys[0].step(-1)
-    after = time_keys[-1].step(1)
-    ring.extend(CellKey(g, t) for g in query.box_cells() for t in (before, after))
+    perimeter, adjacent = query.neighborhood()
+    box = query.box_cells()
+    if owns is not None:
+        perimeter = [g for g in perimeter if owns(g)]
+        box = [g for g in box if owns(g)]
+    ring = [CellKey(g, t) for g in perimeter for t in time_keys]
+    ring.extend(CellKey(g, t) for g in box for t in adjacent)
     return ring

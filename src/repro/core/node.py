@@ -16,7 +16,7 @@ Each node plays three roles (paper sections IV-VII):
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Generator, Iterable
+from typing import Any, Callable, Generator, Iterable
 
 import numpy as np
 
@@ -190,18 +190,15 @@ class StashNode(StorageNode):
     # fault-aware routing and lifecycle
     # ------------------------------------------------------------------
 
-    def _group_by_owner(
-        self, keys: Iterable[CellKey], owner_memo: dict[str, str]
-    ) -> dict[str, list[CellKey]]:
+    def _group_by_owner(self, keys: Iterable[CellKey]) -> dict[str, list[CellKey]]:
         """Group cell keys by owning node, resolving each geohash once.
 
         Owners are read from the current (possibly repaired) ring.
         Ownership depends only on the geohash, and a footprint is a
         (spatial cover x time keys) product, so resolving per *geohash*
-        instead of per cell cuts DHT lookups by the temporal width.  The
-        memo is shared across the footprint and ring of one evaluation
-        (ownership cannot change mid-call: there is no yield in between).
+        instead of per cell cuts DHT lookups by the temporal width.
         """
+        owner_memo: dict[str, str] = {}
         grouped: dict[str, list[CellKey]] = {}
         for key in keys:
             geohash = key.geohash
@@ -211,9 +208,19 @@ class StashNode(StorageNode):
             grouped.setdefault(owner, []).append(key)
         return grouped
 
-    def _owns_all(self, keys: list[CellKey]) -> bool:
-        """Whether this node owns every key under its own current view."""
-        return set(self._group_by_owner(keys, {})) <= {self.node_id}
+    def _owns(self) -> Callable[[str], bool]:
+        """Whether this node owns a geohash under its current view, one
+        lookup per partition prefix."""
+        view, owned = self.membership.partitioner, {}
+        cut = view.partition_precision
+
+        def owns(geohash: str) -> bool:
+            prefix = geohash[:cut]
+            if prefix not in owned:
+                owned[prefix] = view.node_for(geohash) == self.node_id
+            return owned[prefix]
+
+        return owns
 
     def _peer_live(self, node_id: str) -> bool:
         return self.membership.is_live(node_id)
@@ -419,7 +426,6 @@ class StashNode(StorageNode):
         self, payload: dict[str, Any], parent: Span | None = None
     ) -> Generator[Event, Any, dict[str, Any]]:
         keys: list[CellKey] = payload["cells"]
-        ring: list[CellKey] = payload.get("ring", [])
         plan = plan_query(
             self.graph,
             keys,
@@ -442,8 +448,13 @@ class StashNode(StorageNode):
             )
         yield self.sim.timeout(cpu)
         now = self.sim.now
-        self.tracker.touch_cells(self.graph, keys, now)
-        self.tracker.disperse_to_neighborhood(self.graph, ring, now)
+        # The keys and their ring sit at the query's level: a level holding
+        # no cell (a flushed graph) has nothing to touch or disperse to.
+        query: AggregationQuery = payload["query"]
+        if plan.cached or self.graph.level_size(self.graph.space.level_of(query.resolution)):
+            self.tracker.touch_cells(self.graph, keys, now)
+            ring = query_ring(query, self._owns())
+            self.tracker.disperse_to_neighborhood(self.graph, ring, now)
         # Cache successful roll-ups: they are complete cells now.
         self.graph.insert_many(
             {key: rollup.summary for key, rollup in plan.rollup.items()}
@@ -470,7 +481,8 @@ class StashNode(StorageNode):
             # a cold miss, answer NOT_OWNER with our view so the caller
             # can merge it and re-route (paper's zero-hop map, made
             # eventually consistent).
-            if not self._owns_all(message.payload["cells"]):
+            owns = self._owns()
+            if not all(owns(key.geohash) for key in message.payload["cells"]):
                 self.counters.increment("fetch_not_owner")
                 digest = self.membership.digest()
                 return {"not_owner": digest}, len(digest) * WIRE_SIZE_PER_ENTRY
@@ -486,7 +498,7 @@ class StashNode(StorageNode):
         if self._gossip is not None:
             # Misdirected population (diverging views): caching cells we
             # don't own would strand them where no fetch will ever look.
-            owned = self._group_by_owner(cells, {}).get(self.node_id, [])
+            owned = self._group_by_owner(cells).get(self.node_id, [])
             kept = {key: cells[key] for key in owned}
             if len(kept) != len(cells):
                 self.counters.increment(
@@ -664,7 +676,7 @@ class StashNode(StorageNode):
         blocks are unreachable are *excluded* from the answer, which then
         carries ``completeness < 1.0`` (degraded, never hung).
         """
-        payloads = self._fetch_payloads(query, footprint, query_ring(query), ctx)
+        payloads = self._fetch_payloads(query, footprint, ctx)
         if self._gossip is not None:
             replies = yield self.sim.all_of(
                 [
@@ -731,23 +743,20 @@ class StashNode(StorageNode):
         self,
         query: AggregationQuery,
         cells: list[CellKey],
-        ring: list[CellKey],
         ctx: QueryContext | None,
         depth: int = 0,
     ) -> dict[str, dict[str, Any]]:
         """Per-owner ``fetch_cells`` payloads for ``cells``, in owner order.
 
-        Each owner gets its share of the keys, its share of the dispersion
-        ``ring``, and the context of its leg (at re-route ``depth``).
+        Each owner gets the query, its share of the keys and the context
+        of its leg (at re-route ``depth``); it derives its share of the
+        dispersion ring from the query itself.
         """
-        owner_memo: dict[str, str] = {}
-        cells_by_owner = self._group_by_owner(cells, owner_memo)
-        ring_by_owner = self._group_by_owner(ring, owner_memo)
+        cells_by_owner = self._group_by_owner(cells)
         return {
             owner: {
                 "query": query,
                 "cells": cells_by_owner[owner],
-                "ring": ring_by_owner.get(owner, []),
                 "ctx": None
                 if ctx is None
                 else ctx.with_(leg=owner, redirect_depth=depth),
@@ -832,9 +841,7 @@ class StashNode(StorageNode):
             return reply
         self.incident("redirect", ctx, {"from": owner, "depth": depth}, counter="fetch_redirects")
         self.membership.merge(reply["not_owner"], self.sim.now)
-        payloads = self._fetch_payloads(
-            payload["query"], payload["cells"], payload.get("ring", []), ctx, depth + 1
-        )
+        payloads = self._fetch_payloads(payload["query"], payload["cells"], ctx, depth + 1)
         subs = yield self.sim.all_of(
             [
                 self.sim.process(self._fetch_leg(sub, sub_payload, parent, depth + 1))
@@ -927,7 +934,7 @@ class StashNode(StorageNode):
         # in the paper; here separate service-pool messages).  Unresolved
         # cells are never populated: caching an incomplete summary would
         # poison every later query with a silently wrong "complete" cell.
-        for owner, keys in sorted(self._group_by_owner(new_cells, {}).items()):
+        for owner, keys in sorted(self._group_by_owner(new_cells).items()):
             self.network.send(
                 self.node_id,
                 owner,

@@ -49,11 +49,13 @@ class _Footprint:
     cover: GridCover
     #: How many temporal bins the time range overlaps.
     time_key_count: int
-    #: Those bins, the footprint's spatial cells and the footprint, once
-    #: asked for.
+    #: Those bins, the footprint's spatial cells, the footprint, the
+    #: cover's ring and the two flanking bins, once asked for.
     time_keys: list[TimeKey] | None = None
     spatial: list[str] | None = None
     cells: list[CellKey] | None = None
+    ring: list[str] | None = None
+    adjacent: tuple[TimeKey, TimeKey] | None = None
 
 
 @dataclass(frozen=True)
@@ -119,6 +121,16 @@ class AggregationQuery:
         if memo.spatial is None:
             memo.spatial = memo.cover.within(self.MAX_FOOTPRINT_CELLS).cells()
         return memo.spatial
+
+    def neighborhood(self) -> tuple[list[str], tuple[TimeKey, TimeKey]]:
+        """The cover's ring and the bins flanking the time keys, derived
+        once for every owner that builds its share of the ring."""
+        memo = self._derived()
+        if memo.adjacent is None:
+            time_keys = self.time_keys()
+            memo.ring = memo.cover.ring()
+            memo.adjacent = (time_keys[0].step(-1), time_keys[-1].step(1))
+        return memo.ring, memo.adjacent
 
     def footprint(self) -> list[CellKey]:
         """Every cell key the query's extent covers at its resolution.

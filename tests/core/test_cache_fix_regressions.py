@@ -99,6 +99,17 @@ class TestGuestFastPath:
         assert response["completeness"] == 1.0
 
 
+def cell_query(key):
+    """A query whose footprint is the one cell ``key``."""
+    query = AggregationQuery(
+        bbox=gh.bbox(key.geohash).scaled(0.25),
+        time_range=key.time_key.epoch_range(),
+        resolution=Resolution(len(key.geohash), TemporalResolution.DAY),
+    )
+    assert query.footprint() == [key]
+    return query
+
+
 class TestRollupFreshnessCredit:
     def test_rolled_up_parent_gets_touched(self, dataset):
         cluster = make_cluster(dataset)
@@ -111,7 +122,7 @@ class TestRollupFreshnessCredit:
             "client",
             node.node_id,
             "fetch_cells",
-            {"cells": [parent], "ring": []},
+            {"query": cell_query(parent), "cells": [parent]},
             size=64,
         )
         response = cluster.sim.run(until=reply)
@@ -136,7 +147,7 @@ class TestRollupFreshnessCredit:
             "client",
             node.node_id,
             "fetch_cells",
-            {"cells": [parent], "ring": []},
+            {"query": cell_query(parent), "cells": [parent]},
             size=64,
         )
         cluster.sim.run(until=reply)

@@ -15,7 +15,9 @@ call and two batches per leg, not per block — and asks the calendar for
 a time key's day labels once, not once per cell per lookup.  Its plan
 asks once per key shape whether a finer level holds any cell before it
 probes a missing key's children, and its owners populate without
-building a ``Cell``.  A completed query costs the metrics registry one ``record`` call that
+building a ``Cell``.  No ring travels in a ``fetch_cells`` payload: each
+owner derives its own share from the query, and a flushed level derives
+none.  A completed query costs the metrics registry one ``record`` call that
 builds nothing.  No read, warm or cold, enters a Python-level
 ``__hash__``, ``__eq__`` or ``__lt__``: the keys are tuples.  And the
 simulator steps a pinned number of events of each kind per read.
@@ -31,10 +33,11 @@ from repro.config import ClusterConfig, StashConfig
 from repro.core.cluster import StashCluster
 from repro.core import planner as planner_module
 from repro.core.cell import Cell
-from repro.core.freshness import query_ring
+from repro.core.freshness import FreshnessTracker, query_ring
 from repro.core.graph import StashGraph
 from repro.core.planner import plan_query
 from repro.core.keys import CellKey
+from repro.core.node import StashNode
 from repro.data.block import Block, BlockId
 from repro.data.generator import small_test_dataset
 from repro.data.observation import OBSERVATION_ATTRIBUTES, ObservationBatch
@@ -53,7 +56,7 @@ from repro.sim.engine import Simulator
 from repro.storage import backend as backend_module
 from repro.storage import node as storage_node_module
 from repro.storage.backend import ground_truth_cells
-from tests.reference import bin_labels, box_contains
+from tests.reference import bin_labels, box_contains, ring_by_owner_reference
 
 
 def rectangle() -> AggregationQuery:
@@ -232,6 +235,78 @@ class TestColdPlanAndPopulate:
         cluster.drain()
         assert cluster.total_cached_cells() == 165
         assert built == []  # was one per populated cell
+
+
+def hours_of_a_day() -> AggregationQuery:
+    """Hour bins over one day: the ring's adjacent bins are the previous
+    day's last hour and the next day's first."""
+    return AggregationQuery(
+        bbox=BoundingBox(30, 40, -115, -100),
+        time_range=TimeKey.of(2013, 2, 2).epoch_range(),
+        resolution=Resolution(3, TemporalResolution.HOUR),
+    )
+
+
+class TestRingNeverTravels:
+    """The dispersion ring is not on the wire: each ``fetch_cells`` owner
+    derives its own share from the query, and an owner whose graph holds
+    no cell at the query's level derives none."""
+
+    def test_a_flushed_cluster_builds_no_ring(self, dataset, monkeypatch):
+        cluster = StashCluster(dataset, StashConfig(cluster=ClusterConfig(num_nodes=4)))
+        cluster.warm([rectangle()])
+        cluster.flush_caches()
+        rings = counted(monkeypatch, cover_module.GridCover, "ring")
+        result = cluster.run_query(rectangle())
+        cluster.drain()
+        assert result.provenance["cells_from_disk"] == 165
+        assert rings == []  # was 1: the coordinator built the whole ring
+
+    def test_no_fetch_payload_carries_a_ring(self, dataset, monkeypatch):
+        cluster = StashCluster(dataset, StashConfig(cluster=ClusterConfig(num_nodes=4)))
+        cluster.warm([rectangle()])
+        payloads: list[dict] = []
+        real = StashNode._fetch_cells_impl
+
+        def spy(node, payload, parent=None):
+            payloads.append(payload)
+            return real(node, payload, parent=parent)
+
+        monkeypatch.setattr(StashNode, "_fetch_cells_impl", spy)
+        result = cluster.run_query(rectangle())
+        cluster.drain()
+        assert result.provenance["cells_from_cache"] == 165
+        assert len(payloads) >= 2  # one per footprint owner, local and remote
+        assert not any("ring" in payload for payload in payloads)
+
+    @pytest.mark.parametrize("make", [rectangle, hours_of_a_day])
+    def test_each_owner_disperses_the_coordinators_share(self, dataset, monkeypatch, make):
+        cluster = StashCluster(dataset, StashConfig(cluster=ClusterConfig(num_nodes=4)))
+        cluster.warm([make()])
+        node_of_graph = {id(node.graph): node for node in cluster.nodes.values()}
+        dispersed: dict[str, list] = {}
+        real = FreshnessTracker.disperse_to_neighborhood
+
+        def spy(tracker, graph, ring, now):
+            dispersed.setdefault(node_of_graph[id(graph)].node_id, []).append(ring)
+            return real(tracker, graph, ring, now)
+
+        monkeypatch.setattr(FreshnessTracker, "disperse_to_neighborhood", spy)
+        query = make()
+        cluster.run_query(query)
+        cluster.drain()
+        shared_view = cluster.nodes["node-0"].membership
+        expected = ring_by_owner_reference(query_ring(query), shared_view.node_for)
+        owners = {shared_view.node_for(key.geohash) for key in query.footprint()}
+        assert set(dispersed) == owners and len(owners) >= 2
+        for owner, rings in dispersed.items():
+            assert rings == [expected.get(owner, [])]
+            assert query_ring(query, cluster.nodes[owner]._owns()) == rings[0]
+        if make is hours_of_a_day:
+            before, after = query.neighborhood()[1]
+            time_keys = query.time_keys()
+            assert before.components[:3] != time_keys[0].components[:3]
+            assert after.components[:3] != time_keys[-1].components[:3]
 
 
 class TestLiveIngest:

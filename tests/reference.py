@@ -24,6 +24,10 @@ keeps its oracle:
   tests/core/test_graph_plm.py) and ``repro.geo.cover.GridCover.ring``
   (tests/geo/test_cover.py); the geo and key tests check the edges
   themselves (tests/geo/test_geohash.py, tests/core/test_keys.py);
+* ``ring_by_owner_reference`` — the coordinator's grouping of the whole
+  ring by owner, which it once shipped in every ``fetch_cells`` payload —
+  pins each owner's own share, ``query_ring(query, owns)``
+  (tests/core/test_work_counts.py);
 * ``interleave_reference`` pins the byte-spread table behind
   ``repro.geo.geohash._interleave_many`` / ``_from_indices`` /
   ``_to_indices`` (tests/geo/test_geohash.py);
@@ -520,6 +524,15 @@ def neighborhood_ring(footprint: list[CellKey]) -> list[CellKey]:
             if neighbor not in members and neighbor not in ring:
                 ring[neighbor] = None
     return list(ring)
+
+
+def ring_by_owner_reference(ring: list[CellKey], node_for) -> dict[str, list[CellKey]]:
+    """The dispersion ring split by owner, one ``node_for`` call per key,
+    each share in ring order (was the coordinator's ``_fetch_payloads``)."""
+    grouped: dict[str, list[CellKey]] = {}
+    for key in ring:
+        grouped.setdefault(node_for(key.geohash), []).append(key)
+    return grouped
 
 
 def extent_overlaps_reference(cell_key: CellKey, touched_blocks) -> bool:

@@ -304,7 +304,6 @@ payloads = st.one_of(
         {
             "query": queries(),
             "cells": st.lists(cell_keys(), max_size=6),
-            "ring": st.lists(cell_keys(), max_size=6),
             "ctx": st.none() | contexts,
         }
     ),
