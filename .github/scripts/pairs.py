@@ -21,6 +21,14 @@ the metric's ``bound``, and a verdict:
   pairs and its median is better by more than its IQR;
 - ``within noise`` otherwise.
 
+Beside the verdict it prints whether the metric is ``inside bound``:
+the median paired change, either way, is smaller than the metric's
+``bound``.  The verdict says whether a difference is real, not whether
+it matters: with a parent IQR of 0 % (a metric that barely moves, such
+as peak RSS) a +0.8 % difference won on every pair is a "claimable
+loss", yet the benchmark's pipeline gates a change on the bound, so that
+loss passes.  Read the flag for the gate and the verdict for a claim.
+
 Every run must report ``correct`` and 0 failed ops; otherwise the
 script stops with exit 1.  It reads the parent's ``BENCHMARK.json`` and
 runs each checkout's own ``benchmarks/e2e/run.py``; it writes neither.
@@ -82,8 +90,8 @@ def verdict(
 def report(metrics: list[dict], parent: list[dict], change: list[dict]) -> str:
     rows = [
         "| metric | parent median | change median | paired change | wins "
-        "| parent IQR | bound | verdict |",
-        "|---|---:|---:|---:|---:|---:|---:|---|",
+        "| parent IQR | bound | inside bound | verdict |",
+        "|---|---:|---:|---:|---:|---:|---:|---|---|",
     ]
     for metric in metrics:
         name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
@@ -94,10 +102,12 @@ def report(metrics: list[dict], parent: list[dict], change: list[dict]) -> str:
         p_med, c_med = statistics.median(p), statistics.median(c)
         q1, q3 = quartiles(p)
         iqr = (q3 - q1) / p_med if p_med else 0.0
+        moved = statistics.median(paired)
+        inside = "yes" if abs(moved) < metric["bound"] else "no"
         rows.append(
             f"| `{name}` ({metric['unit']}) | {p_med:.4g} | {c_med:.4g} "
-            f"| {100 * statistics.median(paired):+.1f} % | {wins}/{len(p)} "
-            f"| {100 * iqr:.1f} % | {100 * metric['bound']:.0f} % "
+            f"| {100 * moved:+.1f} % | {wins}/{len(p)} "
+            f"| {100 * iqr:.1f} % | {100 * metric['bound']:.0f} % | {inside} "
             f"| {verdict(sign, p, c, metric['bound'])} |"
         )
     return "\n".join(rows)

@@ -22,7 +22,7 @@ a cell's backing blocks, is computed from keys like the edges:
 Freshness bookkeeping is stored *in columns*: each level carries a
 :class:`FreshnessColumns` block of dense numpy arrays ``(freshness,
 last_touch, access_count)`` aligned with a slot map, so the per-query
-freshness touch is one gather/scatter (:meth:`StashGraph.touch_batch`)
+freshness touch is one gather/scatter (:meth:`StashGraph.touch_runs`)
 and whole-graph eviction scoring is one vectorized ``exp`` per level
 (:func:`repro.core.eviction.rank_victims`) instead of a Python loop over
 every resident cell.
@@ -30,7 +30,7 @@ every resident cell.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -131,13 +131,15 @@ class StashGraph:
     # -- membership --------------------------------------------------------
 
     def level_of(self, key: CellKey) -> int:
-        """``space.level_of(key.resolution)``, read off the key's two lengths."""
+        """``space.level_of(key.resolution)``, read off the key's two lengths
+        (of a ``CellKey`` or a ``(geohash, TimeKey)`` probe pair)."""
         space = self.space
-        spatial = len(key.geohash)
+        geohash, time_key = key
+        spatial = len(geohash)
         if not space.min_spatial <= spatial <= space.max_spatial:
-            raise ResolutionError(f"{key.resolution} outside space {space}")
+            raise ResolutionError(f"{CellKey(*key).resolution} outside space {space}")
         return (spatial - space.min_spatial) * NUM_TEMPORAL_RESOLUTIONS + (
-            len(key.time_key.components) - 1
+            len(time_key.components) - 1
         )
 
     def finer_levels(self, key: CellKey) -> Iterator[tuple[str, int]]:
@@ -284,45 +286,78 @@ class StashGraph:
         decay_rate: float,
         count_access: bool = False,
     ) -> int:
-        """Apply one freshness increment to every *resident* key, batched.
+        """:meth:`touch_runs` of one run: ``amount`` to every resident key."""
+        return self.touch_runs(((keys, amount, count_access),), now, decay_rate)
 
-        Equivalent to the scalar touch ``tests/reference.py::touch_cell``
-        (plus an ``access_count`` bump when ``count_access``) on each
-        present cell, but the decay + increment runs as one vectorized
-        update per level.  Duplicate keys in one batch coalesce into a
-        single decay step carrying ``k * amount`` — identical to ``k``
-        scalar touches at the same ``now`` up to float associativity.
-        Returns the number of touches applied (absent keys are skipped —
-        only resident cells carry freshness).
+    def touch_runs(
+        self, runs: Iterable[tuple[list[CellKey], float, bool]], now: float, decay_rate: float
+    ) -> int:
+        """Freshness increments to the *resident* keys of several runs.
+
+        A run is ``(keys, amount, count_access)``: each resident key gets
+        the scalar touch ``tests/reference.py::touch_cell`` of ``amount``
+        (and, with ``count_access``, an ``access_count`` bump), all runs'
+        slots at one level in one gather/exp/scatter.  A key listed ``k`` times in a run coalesces
+        into one decay step carrying ``k * amount`` (``k`` scalar touches
+        up to float associativity); a slot in two runs sums those.  Keys
+        are ``CellKey``s or ``(geohash, TimeKey)`` pairs, which find the
+        same slots.  Returns the touches applied (absent keys are skipped).
         """
-        # A key list is runs of one resolution (a footprint, a ring), and
-        # a key's level is its two lengths: resolve it once per run.
-        slots_by_level: dict[int, list[int]] = {}
-        shape = None
-        for key in keys:
-            key_shape = (len(key.geohash), len(key.time_key.components))
-            if key_shape != shape:
-                shape = key_shape
-                level = self.level_of(key)
-                columns = self._columns.get(level)
-                slot_of = {} if columns is None else columns.slot_of
-                slots = slots_by_level.setdefault(level, [])
-            slot = slot_of.get(key)
-            if slot is not None:
-                slots.append(slot)
+        # Per level, one (run, slots, amount, count_access) segment per run.
+        # A run's keys come in stretches of one resolution, and a key's
+        # level is its two lengths: resolve it once per stretch.
+        segments_by_level: dict[int, list[tuple[int, list[int], float, bool]]] = {}
+        for run, (keys, amount, count_access) in enumerate(runs):
+            shape = None
+            for key in keys:
+                # (len(geohash), len(time_key.components)), by index: a
+                # namedtuple field read is slower than a tuple subscript.
+                key_shape = (len(key[0]), len(key[1][0]))
+                if key_shape != shape:
+                    shape = key_shape
+                    level = self.level_of(key)
+                    columns = self._columns.get(level)
+                    slot_of = {} if columns is None else columns.slot_of
+                    segments = segments_by_level.setdefault(level, [])
+                    if not segments or segments[-1][0] != run:
+                        segments.append((run, [], amount, count_access))
+                    slots = segments[-1][1]
+                slot = slot_of.get(key)
+                if slot is not None:
+                    slots.append(slot)
         touched = 0
-        for level, slots in slots_by_level.items():
-            if not slots:
-                continue
-            touched += len(slots)
-            columns = self._columns[level]
-            idx = np.asarray(slots, dtype=np.intp)
-            if len(set(slots)) < len(slots):
-                idx, counts = np.unique(idx, return_counts=True)
-                increments = amount * counts
+        for level, segments in segments_by_level.items():
+            if len(segments) == 1:
+                flat = segments[0][1]
             else:
-                counts = None
-                increments = amount
+                flat = [slot for _, slots, _, _ in segments for slot in slots]
+            if not flat:
+                continue
+            touched += len(flat)
+            columns = self._columns[level]
+            if len(set(flat)) == len(flat):
+                idx = np.asarray(flat, dtype=np.intp)
+                increments = np.empty(len(flat))
+                accessed = []
+                start = 0
+                for _, slots, amount, count_access in segments:
+                    stop = start + len(slots)
+                    increments[start:stop] = amount
+                    if count_access:
+                        accessed.append((idx[start:stop], 1))
+                    start = stop
+            else:
+                # Coalesce duplicates: ``amount * k`` per run, summed over runs.
+                uniques = [
+                    (*np.unique(np.asarray(slots, dtype=np.intp), return_counts=True), amount, count)
+                    for _, slots, amount, count in segments
+                ]
+                idx, inverse = np.unique(
+                    np.concatenate([u for u, _, _, _ in uniques]), return_inverse=True
+                )
+                increments = np.zeros(len(idx))
+                np.add.at(increments, inverse, np.concatenate([a * k for _, k, a, _ in uniques]))
+                accessed = [(u, k) for u, k, _, count in uniques if count]
             freshness = columns.freshness
             last_touch = columns.last_touch
             elapsed = np.maximum(0.0, now - last_touch[idx])
@@ -330,8 +365,8 @@ class StashGraph:
                 freshness[idx] * np.exp(-decay_rate * elapsed) + increments
             )
             last_touch[idx] = now
-            if count_access:
-                columns.access_count[idx] += 1 if counts is None else counts
+            for where, k in accessed:
+                columns.access_count[where] += k
         return touched
 
     # -- invalidation (real-time updates, paper IV-D) -----------------------

@@ -452,9 +452,8 @@ class StashNode(StorageNode):
         # no cell (a flushed graph) has nothing to touch or disperse to.
         query: AggregationQuery = payload["query"]
         if plan.cached or self.graph.level_size(self.graph.space.level_of(query.resolution)):
-            self.tracker.touch_cells(self.graph, keys, now)
             ring = query_ring(query, self._owns())
-            self.tracker.disperse_to_neighborhood(self.graph, ring, now)
+            self.tracker.touch_cells(self.graph, keys, now, ring=ring)
         # Cache successful roll-ups: they are complete cells now.
         self.graph.insert_many(
             {key: rollup.summary for key, rollup in plan.rollup.items()}

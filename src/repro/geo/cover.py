@@ -161,7 +161,3 @@ def covering_cells(
     """All geohash cells at ``precision`` overlapping ``box``, row-major."""
     return GridCover.of(box, precision).within(max_cells).cells()
 
-
-def expand_ring(box: BoundingBox, precision: int) -> list[str]:
-    """The one-cell-wide ring of cells just outside ``box``'s cover."""
-    return GridCover.of(box, precision).ring()

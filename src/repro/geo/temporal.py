@@ -242,7 +242,7 @@ class TimeRange:
         if not self.start < self.end:
             raise TemporalError(f"empty TimeRange [{self.start}, {self.end})")
 
-    def _bin_codes(self, resolution: TemporalResolution) -> range:
+    def bin_codes(self, resolution: TemporalResolution) -> range:
         """Codes of the bins :meth:`covering_keys` names.
 
         From the bin of ``start`` (truncated, as :meth:`TimeKey.from_epoch`
@@ -259,11 +259,11 @@ class TimeRange:
 
         :class:`TemporalError` if the range leaves the calendar.
         """
-        return len(self._bin_codes(resolution))
+        return len(self.bin_codes(resolution))
 
     def covering_keys(self, resolution: TemporalResolution) -> list[TimeKey]:
         """All bins at ``resolution`` overlapping this range, in order."""
-        return [time_key_of_code(code, resolution) for code in self._bin_codes(resolution)]
+        return [time_key_of_code(code, resolution) for code in self.bin_codes(resolution)]
 
     @staticmethod
     def from_keys(keys: list[TimeKey]) -> "TimeRange":
@@ -298,17 +298,24 @@ def bin_epoch_codes(
 
 
 def time_key_of_code(code: int, resolution: TemporalResolution) -> TimeKey:
-    """Inverse of :func:`bin_epoch_codes` for one integer bin code."""
-    if resolution == TemporalResolution.YEAR:
-        return TimeKey((1970 + code,))
-    if resolution == TemporalResolution.MONTH:
-        years, month = divmod(code, 12)
-        return TimeKey((1970 + years, month + 1))
-    days, hour = (code, 0) if resolution == TemporalResolution.DAY else divmod(code, 24)
-    try:
-        day = _dt.date.fromordinal(_EPOCH_ORDINAL + days)
-    except (ValueError, OverflowError) as exc:
-        raise TemporalError(
-            f"{resolution.name} bin {code} is outside the calendar: {exc}"
-        ) from exc
-    return TimeKey((day.year, day.month, day.day, hour)[: resolution + 1])
+    """Inverse of :func:`bin_epoch_codes` for one integer bin code.
+
+    The components are valid by construction once the year is in the
+    calendar (``date.fromordinal`` checks a day's), so the key is built
+    without :class:`TimeKey`'s own ``datetime`` check.
+    """
+    if resolution <= TemporalResolution.MONTH:
+        years, month = divmod(code, 12) if resolution else (code, 0)
+        components = (1970 + years, month + 1)[: resolution + 1]
+        if not _dt.MINYEAR <= components[0] <= _dt.MAXYEAR:
+            raise TemporalError(f"{resolution.name} bin {code} is outside the calendar")
+    else:
+        days, hour = (code, 0) if resolution == TemporalResolution.DAY else divmod(code, 24)
+        try:
+            day = _dt.date.fromordinal(_EPOCH_ORDINAL + days)
+        except (ValueError, OverflowError) as exc:
+            raise TemporalError(
+                f"{resolution.name} bin {code} is outside the calendar: {exc}"
+            ) from exc
+        components = (day.year, day.month, day.day, hour)[: resolution + 1]
+    return tuple.__new__(TimeKey, (components,))

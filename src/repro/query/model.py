@@ -16,11 +16,11 @@ from typing import Iterator
 
 from repro.core.keys import CellKey
 from repro.data.statistics import SummaryVector
-from repro.errors import QueryError
+from repro.errors import QueryError, TemporalError
 from repro.geo.bbox import BoundingBox
 from repro.geo.cover import GridCover
 from repro.geo.resolution import Resolution
-from repro.geo.temporal import TimeKey, TimeRange
+from repro.geo.temporal import TimeKey, TimeRange, time_key_of_code
 
 _query_ids = itertools.count()
 
@@ -47,15 +47,15 @@ class _Footprint:
 
     #: Grid cover of the query box.
     cover: GridCover
-    #: How many temporal bins the time range overlaps.
-    time_key_count: int
+    #: Codes of the temporal bins the time range overlaps.
+    time_codes: range
     #: Those bins, the footprint's spatial cells, the footprint, the
-    #: cover's ring and the two flanking bins, once asked for.
+    #: cover's ring and the bins flanking the time range, once asked for.
     time_keys: list[TimeKey] | None = None
     spatial: list[str] | None = None
     cells: list[CellKey] | None = None
     ring: list[str] | None = None
-    adjacent: tuple[TimeKey, TimeKey] | None = None
+    flanks: tuple[TimeKey, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ class AggregationQuery:
         if memo is None:
             memo = _Footprint(
                 GridCover.of(self.bbox, self.resolution.spatial),
-                self.time_range.key_count(self.resolution.temporal),
+                self.time_range.bin_codes(self.resolution.temporal),
             )
             object.__setattr__(self, "_footprint_cache", memo)
         return memo
@@ -113,7 +113,7 @@ class AggregationQuery:
         the time range.
         """
         memo = self._derived()
-        return memo.cover.count * memo.time_key_count
+        return memo.cover.count * len(memo.time_codes)
 
     def box_cells(self) -> list[str]:
         """The geohash cells of :meth:`grid_cover`, in cover order."""
@@ -122,15 +122,25 @@ class AggregationQuery:
             memo.spatial = memo.cover.within(self.MAX_FOOTPRINT_CELLS).cells()
         return memo.spatial
 
-    def neighborhood(self) -> tuple[list[str], tuple[TimeKey, TimeKey]]:
+    def neighborhood(self) -> tuple[list[str], tuple[TimeKey, ...]]:
         """The cover's ring and the bins flanking the time keys, derived
-        once for every owner that builds its share of the ring."""
+        once for every owner that builds its share of the ring.
+
+        The flanks are the bin codes either side of the range's; one past
+        either end of the calendar is left out, as no cell is there.
+        """
         memo = self._derived()
-        if memo.adjacent is None:
-            time_keys = self.time_keys()
+        if memo.flanks is None:
+            codes, temporal = memo.time_codes, self.resolution.temporal
+            flanks = []
+            for code in (codes[0] - 1, codes[-1] + 1):
+                try:
+                    flanks.append(time_key_of_code(code, temporal))
+                except TemporalError:
+                    pass
             memo.ring = memo.cover.ring()
-            memo.adjacent = (time_keys[0].step(-1), time_keys[-1].step(1))
-        return memo.ring, memo.adjacent
+            memo.flanks = tuple(flanks)
+        return memo.ring, memo.flanks
 
     def footprint(self) -> list[CellKey]:
         """Every cell key the query's extent covers at its resolution.

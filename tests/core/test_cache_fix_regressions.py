@@ -156,3 +156,23 @@ class TestRollupFreshnessCredit:
         assert node.graph.get(parent).access_count == 1
         for child in children:
             assert node.graph.get(child).access_count == 0
+
+
+CALENDAR_ENDS = [TimeKey.of(1, 1, 1), TimeKey.of(9999, 12, 31)]
+
+
+class TestCalendarEnds:
+    """A query over the calendar's first or last bin once its level is
+    warm: the owner's ring has no flank past the calendar's end (it used
+    to step there and raise out of the fetch handler)."""
+
+    @pytest.mark.parametrize("day", CALENDAR_ENDS, ids=str)
+    def test_cluster_answers_completely(self, dataset, day):
+        cluster = StashCluster(dataset, StashConfig(cluster=ClusterConfig(num_nodes=2)))
+        box = BoundingBox(30, 45, -115, -95)
+        resolution = Resolution(3, TemporalResolution.DAY)
+        cluster.warm([AggregationQuery(box, DAY.epoch_range(), resolution)])
+        result = cluster.run_query(AggregationQuery(box, day.epoch_range(), resolution))
+        cluster.drain()
+        assert result.completeness == 1.0
+        assert result.cells == {}  # no record is dated there

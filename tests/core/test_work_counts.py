@@ -8,7 +8,9 @@ and owners come from the partitioner's materialized map — so a fresh
 rectangle query spreads each row and column index of its cover and its
 ring once, labels each cell from a table (no array is built), and a
 region seen before hashes nothing.  A freshness touch resolves a level
-once per run of same-resolution keys.  A live ingest finds its stale cells
+once per run of same-resolution keys, and a warm owner leg touches its
+footprint and disperses to its ring in one kernel call, over ring probes
+that are no ``CellKey`` and need no ``TimeKey.step``.  A live ingest finds its stale cells
 by comparing labels, so it builds no ``TimeRange`` per cached cell.  A
 cache miss scans each leg's blocks in one fused pass — one ``bin_ids``
 call and two batches per leg, not per block — and asks the calendar for
@@ -28,6 +30,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import ClusterConfig, StashConfig
 from repro.core.cluster import StashCluster
@@ -56,7 +60,12 @@ from repro.sim.engine import Simulator
 from repro.storage import backend as backend_module
 from repro.storage import node as storage_node_module
 from repro.storage.backend import ground_truth_cells
-from tests.reference import bin_labels, box_contains, ring_by_owner_reference
+from tests.reference import (
+    bin_labels,
+    box_contains,
+    ring_by_owner_reference,
+    touch_batch_reference,
+)
 
 
 def rectangle() -> AggregationQuery:
@@ -285,13 +294,13 @@ class TestRingNeverTravels:
         cluster.warm([make()])
         node_of_graph = {id(node.graph): node for node in cluster.nodes.values()}
         dispersed: dict[str, list] = {}
-        real = FreshnessTracker.disperse_to_neighborhood
+        real = FreshnessTracker.touch_cells
 
-        def spy(tracker, graph, ring, now):
+        def spy(tracker, graph, keys, now, ring=()):
             dispersed.setdefault(node_of_graph[id(graph)].node_id, []).append(ring)
-            return real(tracker, graph, ring, now)
+            return real(tracker, graph, keys, now, ring=ring)
 
-        monkeypatch.setattr(FreshnessTracker, "disperse_to_neighborhood", spy)
+        monkeypatch.setattr(FreshnessTracker, "touch_cells", spy)
         query = make()
         cluster.run_query(query)
         cluster.drain()
@@ -307,6 +316,133 @@ class TestRingNeverTravels:
             time_keys = query.time_keys()
             assert before.components[:3] != time_keys[0].components[:3]
             assert after.components[:3] != time_keys[-1].components[:3]
+
+
+class TestOneTouchPerOwnerLeg:
+    """A warm owner leg touches its footprint share and disperses to its
+    ring share in one column update, and builds its ring from probe pairs:
+    no ``CellKey``, no ``TimeKey.step``."""
+
+    def test_a_warm_leg_builds_no_ring_key_and_calls_the_kernel_once(
+        self, dataset, monkeypatch
+    ):
+        cluster = StashCluster(dataset, StashConfig(cluster=ClusterConfig(num_nodes=4)))
+        cluster.warm([rectangle()])
+        query = rectangle()
+        query.footprint()  # the coordinator's keys, built before counting
+        legs = counted(monkeypatch, StashNode, "_fetch_cells_impl")
+        kernels = counted(monkeypatch, StashGraph, "touch_runs")
+        steps = counted(monkeypatch, TimeKey, "step")
+        cell_keys = counted(monkeypatch, CellKey, "__new__")
+        result = cluster.run_query(query)
+        cluster.drain()
+        assert result.provenance["cells_from_cache"] == 165
+        assert len(legs) >= 2  # one per footprint owner, local and remote
+        assert len(kernels) == len(legs)  # was two per leg
+        assert steps == []  # was two per query: the flanking bins
+        assert cell_keys == []  # was one per ring key (2 x (rows + cols) + 4 + 2 x cover)
+
+    def test_the_flanks_past_either_calendar_end_are_left_out(self):
+        for day in (TimeKey.of(1, 1, 1), TimeKey.of(9999, 12, 31)):
+            query = AggregationQuery(
+                bbox=BoundingBox(30, 31, -110, -109),
+                time_range=day.epoch_range(),
+                resolution=Resolution(3, TemporalResolution.DAY),
+            )
+            (flank,) = query.neighborhood()[1]
+            assert flank == day.step(1 if day.components[0] == 1 else -1)
+
+
+SPACE = ResolutionSpace(1, 8)
+#: Keys at four levels (two spatial precisions x two temporal
+#: resolutions); the pool's last three are never inserted.
+TOUCH_POOL = [
+    CellKey(geohash, time_key)
+    for geohash in ("9q8y", "9q8z", "dr5r", "9q8y7", "9q8yd", "dr5rs")
+    for time_key in (TimeKey.of(2013, 2, 2), TimeKey.of(2013, 2, 2, 5))
+]
+RESIDENT = TOUCH_POOL[:-3]
+
+
+def touched_graph(history: list[tuple[float, float, int]]) -> StashGraph:
+    graph = StashGraph(SPACE)
+    summary = SummaryVector.empty(("temperature",))
+    for key, (freshness, last, count) in zip(RESIDENT, history):
+        graph.insert(Cell(key, summary, freshness, last, count))
+    return graph
+
+
+def column_bits(graph: StashGraph) -> list[bytes]:
+    return [
+        array[: columns.size].tobytes()
+        for columns in graph.freshness_columns()
+        for array in (columns.freshness, columns.last_touch, columns.access_count)
+    ]
+
+
+class TestOneFreshnessUpdate:
+    """``touch_runs`` over several runs equals the sequential reference,
+    one ``touch_batch_reference`` per run, bit for bit, when no key is in
+    two runs (an owner's footprint and its ring never share one)."""
+
+    @given(
+        history=st.lists(
+            st.tuples(st.floats(0, 50), st.floats(0, 10), st.integers(0, 9)),
+            min_size=len(RESIDENT),
+            max_size=len(RESIDENT),
+        ),
+        runs=st.lists(
+            st.tuples(
+                st.lists(st.integers(0, len(TOUCH_POOL) - 1), max_size=12),
+                st.sampled_from([1.0, 0.35, 0.1, 0.0]),
+                st.booleans(),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        now=st.floats(0, 20),
+        decay_rate=st.sampled_from([0.0, 1e-3, 0.07, 2.5]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_pass_equals_sequential_touches(self, history, runs, now, decay_rate):
+        claimed: set[int] = set()
+        disjoint = []
+        for picks, amount, count_access, as_pairs in runs:
+            mine = [i for i in picks if i not in claimed]
+            claimed.update(mine)
+            keys = [TOUCH_POOL[i] for i in mine]  # duplicates kept
+            if as_pairs:
+                keys = [(key.geohash, key.time_key) for key in keys]
+            disjoint.append((keys, amount, count_access))
+        fused, sequential = touched_graph(history), touched_graph(history)
+        touched = fused.touch_runs(disjoint, now, decay_rate)
+        expected = sum(
+            touch_batch_reference(sequential, keys, amount, now, decay_rate, count)
+            for keys, amount, count in disjoint
+        )
+        assert touched == expected
+        assert column_bits(fused) == column_bits(sequential)
+
+    def test_k_duplicates_carry_k_times_the_amount(self):
+        """Ten touches of 0.1 on a cold cell carry 0.1 * 10 = 1.0, not ten
+        additions (0.9999999999999999)."""
+        history = [(0.0, 1.0, 2)] * len(RESIDENT)
+        fused, sequential = touched_graph(history), touched_graph(history)
+        runs = [([RESIDENT[0]] * 10, 0.1, True), ([RESIDENT[1]], 0.35, False)]
+        fused.touch_runs(runs, 4.0, 0.07)
+        for keys, amount, count_access in runs:
+            touch_batch_reference(sequential, keys, amount, 4.0, 0.07, count_access)
+        assert column_bits(fused) == column_bits(sequential)
+        assert fused.get(RESIDENT[0]).freshness == 1.0
+
+    def test_a_key_in_two_runs_coalesces_like_a_duplicate(self):
+        history = [(3.0, 1.0, 2)] * len(RESIDENT)
+        runs, duplicated = touched_graph(history), touched_graph(history)
+        key = RESIDENT[0]
+        runs.touch_runs([([key], 0.35, True), ([key], 0.35, True)], 4.0, 0.07)
+        duplicated.touch_batch([key, key], 0.35, 4.0, 0.07, count_access=True)
+        assert column_bits(runs) == column_bits(duplicated)
 
 
 class TestLiveIngest:

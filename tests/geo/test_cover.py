@@ -9,7 +9,7 @@ from repro.errors import GeohashError
 from repro.geo import cover as cover_module
 from repro.geo import geohash as gh
 from repro.geo.bbox import BoundingBox
-from repro.geo.cover import GridCover, covering_cells, covering_count, expand_ring
+from repro.geo.cover import GridCover, covering_cells, covering_count
 from repro.geo.temporal import TimeKey
 from tests.reference import (
     box_union,
@@ -91,23 +91,26 @@ class TestCoveringCells:
 
 
 class TestExpandRing:
+    """``GridCover.of(box, precision).ring()``: the one-cell-wide ring just
+    outside a box's cover."""
+
     def test_ring_disjoint_from_cover(self):
         box = BoundingBox(30, 34, -110, -102)
         cover = set(covering_cells(box, 3))
-        ring = set(expand_ring(box, 3))
+        ring = set(GridCover.of(box, 3).ring())
         assert cover.isdisjoint(ring)
 
     def test_ring_cells_adjacent_to_cover(self):
         box = BoundingBox(30, 34, -110, -102)
         cover = set(covering_cells(box, 3))
-        for cell in expand_ring(box, 3):
+        for cell in GridCover.of(box, 3).ring():
             assert any(nb in cover for nb in spatial_neighbors(cell))
 
     def test_ring_size_for_rectangular_cover(self):
         box = BoundingBox(30, 34, -110, -102)
         lat_lo_cells = covering_cells(box, 3)
         n = len(lat_lo_cells)
-        ring = expand_ring(box, 3)
+        ring = GridCover.of(box, 3).ring()
         # Perimeter of an a x b grid is 2a + 2b + 4.
         assert len(ring) >= 8
         assert len(ring) < n + 4 * (n ** 0.5 + 2) * 2
@@ -117,7 +120,7 @@ class TestExpandRing:
         freshness on far-side cells no query footprint can produce."""
         box = BoundingBox(30, 34, 172, 180)
         cover = set(covering_cells(box, 3))
-        for cell in expand_ring(box, 3):
+        for cell in GridCover.of(box, 3).ring():
             cell_box = gh.bbox(cell)
             # Nothing from the far (western) side of the seam.
             assert cell_box.east > 0
@@ -126,7 +129,7 @@ class TestExpandRing:
     def test_ring_clamps_at_antimeridian_west(self):
         box = BoundingBox(30, 34, -180, -172)
         cover = set(covering_cells(box, 3))
-        for cell in expand_ring(box, 3):
+        for cell in GridCover.of(box, 3).ring():
             cell_box = gh.bbox(cell)
             assert cell_box.west < 0
             assert any(nb in cover for nb in spatial_neighbors(cell))
@@ -137,7 +140,7 @@ class TestExpandRing:
         box = BoundingBox(60, 80, 160, 180)
         wider = BoundingBox(55, 85, 150, 180)
         reachable = set(covering_cells(wider, 2))
-        assert set(expand_ring(box, 2)) <= reachable
+        assert set(GridCover.of(box, 2).ring()) <= reachable
 
 
 class TestGridCover:
@@ -204,7 +207,7 @@ class TestGridCover:
         ring = cover.ring()
         assert len(ring) == len(set(ring))
         assert set(ring) == expected
-        assert ring == expand_ring(box, precision)
+        assert ring == GridCover.of(box, precision).ring()
 
     def test_ring_clamps_at_the_poles_and_the_seam(self):
         """The north-east corner of the grid: the ring is the row below

@@ -303,3 +303,45 @@ class TestOrdinalArithmetic:
                 time_key_of_code(10**12, res)
             with pytest.raises(TemporalError):
                 time_key_of_code(-(10**12), res)
+
+
+#: The first and last bin code of the calendar at each resolution.
+CALENDAR_CODES = {
+    res: (
+        TimeKey((1, 1, 1, 0)[: res + 1])._code(),
+        TimeKey((9999, 12, 31, 23)[: res + 1])._code(),
+    )
+    for res in TemporalResolution
+}
+
+
+class TestTrustedTimeKeys:
+    """``time_key_of_code`` builds its key without ``TimeKey``'s own
+    ``datetime`` check: the key must be the one that check admits."""
+
+    @given(
+        st.sampled_from(list(TemporalResolution)).flatmap(
+            lambda res: st.tuples(
+                st.integers(*CALENDAR_CODES[res])
+                | st.sampled_from(CALENDAR_CODES[res])
+                | st.integers(-2, 2),
+                st.just(res),
+            )
+        )
+    )
+    @settings(max_examples=400)
+    def test_equals_the_validated_key(self, drawn):
+        code, res = drawn
+        key = time_key_of_code(code, res)
+        validated = TimeKey(key.components)
+        assert key == validated and hash(key) == hash(validated)
+        assert type(key) is TimeKey and type(key.components) is tuple
+        assert [type(c) for c in key.components] == [int] * (res + 1)
+        assert key._code() == code
+
+    @pytest.mark.parametrize("res", list(TemporalResolution), ids=lambda r: r.name)
+    def test_every_code_just_outside_the_calendar_raises(self, res):
+        first, last = CALENDAR_CODES[res]
+        for code in (first - 1, first - 2, last + 1, last + 2):
+            with pytest.raises(TemporalError):
+                time_key_of_code(code, res)

@@ -18,6 +18,10 @@ keeps its oracle:
 * ``rank_victims_scalar`` pins ``repro.core.eviction.rank_victims``, and
   ``touch_cell`` (the scalar touch, once ``Cell.touched``) pins
   ``StashGraph.touch_batch`` (tests/core/test_vectorized_freshness.py);
+* ``touch_batch_reference`` — one key list's gather/exp/scatter, as
+  ``StashGraph.touch_batch`` applied it before an owner's footprint and
+  ring were fused — called once per run pins ``StashGraph.touch_runs``
+  (tests/core/test_work_counts.py);
 * ``neighborhood_ring`` over ``lateral_neighbors`` (``spatial_neighbors``
   + ``temporal_neighbors``, which wrap at the antimeridian) pins
   ``repro.core.freshness.query_ring`` (tests/core/test_ring_equivalence.py,
@@ -457,6 +461,32 @@ def touch_cell(cell, amount: float, now: float, decay_rate: float) -> None:
     cell.last_touched = now
 
 
+def touch_batch_reference(
+    graph, keys, amount: float, now: float, decay_rate: float, count_access: bool = False
+) -> int:
+    """One run's freshness touch, level by level: the resident keys'
+    slots gathered, decayed and incremented once, ``k * amount`` for a
+    key listed ``k`` times.  Returns the number of touches applied."""
+    slots_by_level: dict[int, list[int]] = {}
+    for key in keys:
+        level = graph.level_of(key)
+        columns = graph._columns.get(level)
+        slot = None if columns is None else columns.slot_of.get(key)
+        if slot is not None:
+            slots_by_level.setdefault(level, []).append(slot)
+    for level, slots in slots_by_level.items():
+        columns = graph._columns[level]
+        idx, counts = np.unique(np.asarray(slots, dtype=np.intp), return_counts=True)
+        elapsed = np.maximum(0.0, now - columns.last_touch[idx])
+        columns.freshness[idx] = (
+            columns.freshness[idx] * np.exp(-decay_rate * elapsed) + amount * counts
+        )
+        columns.last_touch[idx] = now
+        if count_access:
+            columns.access_count[idx] += counts
+    return sum(len(slots) for slots in slots_by_level.values())
+
+
 def rank_victims_scalar(graph, tracker, now: float, excess: int) -> list[CellKey]:
     """Reference scalar ranking via ``tracker.score`` per cell.
 
@@ -526,12 +556,14 @@ def neighborhood_ring(footprint: list[CellKey]) -> list[CellKey]:
     return list(ring)
 
 
-def ring_by_owner_reference(ring: list[CellKey], node_for) -> dict[str, list[CellKey]]:
+def ring_by_owner_reference(ring: list[tuple], node_for) -> dict[str, list[tuple]]:
     """The dispersion ring split by owner, one ``node_for`` call per key,
-    each share in ring order (was the coordinator's ``_fetch_payloads``)."""
+    each share in ring order (was the coordinator's ``_fetch_payloads``).
+    The keys are ``CellKey``s or the ``(geohash, TimeKey)`` probe pairs
+    ``query_ring`` returns."""
     grouped: dict[str, list[CellKey]] = {}
     for key in ring:
-        grouped.setdefault(node_for(key.geohash), []).append(key)
+        grouped.setdefault(node_for(key[0]), []).append(key)
     return grouped
 
 

@@ -13,6 +13,7 @@ import threading
 import pytest
 
 from repro.bench.harness import BenchScale, bench_config, bench_dataset, make_system
+from repro.geo.temporal import TimeKey
 from repro.query.model import PROVENANCE_KEYS
 from repro.serve.http import (
     MAX_BODY_BYTES,
@@ -24,7 +25,7 @@ from repro.serve.http import (
     encode_token,
 )
 
-from tests.serve._http import http_get, http_post, http_raw, raw_post
+from tests.serve._http import http_get, http_post, http_raw, make_server, raw_post
 
 #: A viewport with a few hundred result cells — enough pages to matter.
 QUERY = {
@@ -583,3 +584,24 @@ class TestSimBackendThreading:
         with pytest.raises(QueryError, match="boom"):
             backend.evaluate(parse_query(QUERY))
         assert not backend._pending and not backend._lock.locked()
+
+
+# ---------------------------------------------------------------------------
+# the calendar's first and last bins
+
+
+@pytest.mark.parametrize("day", ["0001-01-01", "9999-12-31"])
+def test_a_warm_level_answers_the_calendar_ends(day):
+    """Once the level is warm, an owner builds its dispersion ring for a
+    query over the calendar's first or last day; the flank past the end
+    is left out, not stepped to (which raised ``TemporalError``)."""
+    app = make_server()
+    try:
+        assert app.handle("POST", "/aggregate", json.dumps(QUERY).encode())[0] == 200
+        start = TimeKey.parse(day).epoch_range().start
+        edge = {**QUERY, "time": [start, start + 86_400]}
+        status, reply, _headers = app.handle("POST", "/aggregate", json.dumps(edge).encode())
+    finally:
+        app.stop()
+    assert status == 200, reply
+    assert (reply["cell_count"], reply["completeness"]) == (0, 1.0)

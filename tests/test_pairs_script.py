@@ -2,7 +2,9 @@
 
 A gain or a loss is claimable when one side wins at least nine tenths of
 the pairs and the medians differ by more than the parent's inter-quartile
-range; a metric whose parent IQR exceeds its bound is unresolved.
+range; a metric whose parent IQR exceeds its bound is unresolved.  Apart
+from the verdict, a metric is inside its bound when the median paired
+change is smaller than the bound.
 """
 
 import importlib.util
@@ -84,4 +86,30 @@ class TestVerdict:
         assert verdicts(pairs, PARENT, list(PARENT)) == {
             "throughput": "within noise",
             "latency": "within noise",
+        }
+
+
+def inside_bound(pairs, parent: list[float], change: list[float], bound: float) -> dict:
+    metrics = [dict(metric, bound=bound) for metric in METRICS]
+    rows = pairs.report(metrics, runs(parent), runs(change)).splitlines()[2:]
+    return {row.split("`")[1]: row.rsplit("|", 3)[1].strip() for row in rows}
+
+
+class TestInsideBound:
+    def test_a_zero_iqr_loss_inside_the_bound_is_flagged_inside(self, pairs):
+        """Peak RSS that reads the same on every parent run: a +0.8 % rise
+        won on every pair is a claimable loss, and inside a 5 % bound."""
+        parent = [145.2] * 10
+        change = [146.4] * 10
+        assert verdicts(pairs, parent, change, bound=0.05)["latency"] == "claimable loss"
+        assert inside_bound(pairs, parent, change, bound=0.05) == {
+            "throughput": "yes",
+            "latency": "yes",
+        }
+
+    def test_a_change_beyond_the_bound_is_flagged_outside(self, pairs):
+        change = [v * 1.08 for v in PARENT]
+        assert inside_bound(pairs, PARENT, change, bound=0.05) == {
+            "throughput": "no",
+            "latency": "no",
         }
