@@ -9,7 +9,9 @@ uses.  :mod:`repro.oracle.conformance` replays randomized exploration
 workloads through the full simulated cluster under every configuration
 axis and reports divergences; :mod:`repro.oracle.metamorphic` checks
 result-level relations (parent = merge(children), pan overlap, split
-additivity, eviction independence) that need no oracle at all.
+additivity, eviction independence) that need no oracle at all;
+:mod:`repro.oracle.explorer` is the seeded schedule explorer its
+``explore-*`` rows run on.
 """
 
 from repro.oracle.conformance import (
@@ -20,11 +22,13 @@ from repro.oracle.conformance import (
     run_campaign,
 )
 from repro.oracle.engine import BruteForceOracle, reference_merge
+from repro.oracle.explorer import ExploringSimulator
 
 __all__ = [
     "BruteForceOracle",
     "CampaignReport",
     "Divergence",
+    "ExploringSimulator",
     "compare_result",
     "minimize_failing_query",
     "reference_merge",

@@ -53,6 +53,7 @@ from repro.geo.bbox import BoundingBox
 from repro.geo.resolution import Resolution
 from repro.geo.temporal import TemporalResolution, TimeKey, TimeRange
 from repro.oracle.engine import DEFAULT_REL_TOL, BruteForceOracle
+from repro.oracle.explorer import ExploringSimulator
 from repro.oracle.metamorphic import (
     RelationFailure,
     check_eviction_independence,
@@ -352,6 +353,9 @@ def _hotspot_walk(rng, n, attribute_names) -> list[Step]:
 
 #: How :func:`run_axis` sends a workload.
 Driver = Literal["serial", "replay", "concurrent", "open-loop"]
+#: Which schedules a row runs: the canonical ``(time, seq)`` one, or one
+#: seeded :class:`~repro.oracle.explorer.ExploringSimulator` schedule.
+Schedule = Literal["canonical", "explore"]
 
 
 @dataclass(frozen=True)
@@ -363,7 +367,10 @@ class Axis:
     query is sent to) and ``peer`` (the first other node); each run
     resolves them against its own workload.  ``workload(rng, n,
     attribute_names)`` returns the steps, and ``driver`` says how
-    :func:`run_axis` sends them.
+    :func:`run_axis` sends them.  ``simulator`` picks the schedule; an
+    explored row's answers are checked against the oracle like any
+    other, and a ``serial`` one's must also be byte-identical to the
+    canonical schedule's (:meth:`QueryResult.differences`).
     """
 
     name: str
@@ -371,6 +378,7 @@ class Axis:
     overrides: dict = field(default_factory=dict)
     workload: Callable[..., list[Step]] = _exploration
     driver: Driver = "serial"
+    simulator: Schedule = "canonical"
 
 
 #: Timeouts and retries shared by the fault-injecting axes.
@@ -449,13 +457,41 @@ AXES: tuple[Axis, ...] = (
     ),
 )
 
+#: The explorer column: six of the regimes above again, each on one
+#: seeded schedule.  Serial rows (no faults, no eviction pressure) must
+#: give the canonical answers byte for byte -- the socket twin rests on
+#: it; concurrent and open-loop rows obey the subset-not-fabricate rule.
+AXES += tuple(
+    replace(
+        next(axis for axis in AXES if axis.name == base),
+        name=f"explore-{name}",
+        description=f"explored schedules, {description}",
+        driver=driver,
+        simulator="explore",
+    )
+    for name, base, driver, description in (
+        ("serial", "cold-cache", "serial", "serial: byte-identical to canonical"),
+        ("rollup", "rollup", "serial", "roll-up path: byte-identical to canonical"),
+        ("eviction", "eviction-pressure", "concurrent", "96-cell cache, concurrent clients"),
+        ("hotspot", "replication-hotspot", "concurrent", "forced clique handoff, concurrent"),
+        ("faults", "faults", "open-loop", "crash/restart + link loss"),
+        ("churn", "churn", "open-loop", "gossip churn + overload"),
+    )
+)
+
 
 @dataclass
 class AxisRun:
-    """What one axis produced: each executed query with its result."""
+    """What one axis produced: each executed query with its result.
+
+    An explored row carries its schedule's seed; a serial one also the
+    canonical run of the same steps, its ``twin``.
+    """
 
     cluster: StashCluster
     pairs: list[tuple[AggregationQuery, QueryResult]]
+    schedule: int | None = None
+    twin: "AxisRun | None" = None
 
 
 def _axis_config(axis: Axis, first: AggregationQuery) -> StashConfig:
@@ -482,8 +518,30 @@ def _axis_config(axis: Axis, first: AggregationQuery) -> StashConfig:
 def run_axis(
     axis: Axis, dataset: ObservationBatch, rng: np.random.Generator, n: int
 ) -> AxisRun:
-    """Build the axis's cluster and drive its workload; the one place a
-    driver is chosen.
+    """Build the axis's cluster and drive its workload.
+
+    An explored row draws its schedule seed from ``rng`` after the
+    workload, and a serial one runs the same steps again under the
+    canonical schedule as its twin.
+    """
+    steps = axis.workload(rng, n, dataset.attribute_names)
+    queries = [step for step in steps if not isinstance(step, tuple)]
+    config = _axis_config(axis, queries[0])
+    if axis.simulator == "canonical":
+        return _drive(axis, StashCluster(dataset, config), steps, rng)
+    schedule = int(rng.integers(2**63))
+    sim = ExploringSimulator(schedule)
+    run = _drive(axis, StashCluster(dataset, config, sim), steps, rng)
+    run.schedule = schedule
+    if axis.driver == "serial":
+        run.twin = _drive(axis, StashCluster(dataset, config), steps, rng)
+    return run
+
+
+def _drive(
+    axis: Axis, cluster: StashCluster, steps: list[Step], rng: np.random.Generator
+) -> AxisRun:
+    """Send ``steps`` to ``cluster``; the one place a driver is chosen.
 
     * ``serial`` — run and drain each query; ``("warm", q)`` steps only
       heat the cache;
@@ -495,9 +553,7 @@ def run_axis(
       would fast-forward simulated time past every fault window after
       the first request; arrivals spread the queries across them.
     """
-    steps = axis.workload(rng, n, dataset.attribute_names)
     queries = [step for step in steps if not isinstance(step, tuple)]
-    cluster = StashCluster(dataset, _axis_config(axis, queries[0]))
     if axis.driver == "replay":
         cluster.warm(queries)
         steps = queries = [query.clone() for query in queries]
@@ -620,18 +676,33 @@ _MAX_RECORDED = 8
 
 def _check_axis(axis: Axis, run: AxisRun, oracle: BruteForceOracle) -> AxisReport:
     report = AxisReport(axis=axis.name, description=axis.description)
-    cluster = run.cluster
+    twin = run.twin
+
+    def problems_of(
+        query: AggregationQuery, result: QueryResult, canonical: QueryResult | None
+    ) -> list[tuple[str, str]]:
+        problems = compare_result(result, oracle.answer(query))
+        if not problems and canonical is not None:
+            problems = [("schedule-dependent", p) for p in result.differences(canonical)]
+        if run.schedule is not None:
+            problems = [(kind, f"schedule {run.schedule}: {d}") for kind, d in problems]
+        return problems
 
     def diverges(query: AggregationQuery) -> bool:
-        result = cluster.run_query(query)
-        cluster.drain()
-        return bool(compare_result(result, oracle.answer(query)))
+        result = run.cluster.run_query(query)
+        run.cluster.drain()
+        canonical = None
+        if twin is not None:
+            canonical = twin.cluster.run_query(query)
+            twin.cluster.drain()
+        return bool(problems_of(query, result, canonical))
 
-    for query, result in run.pairs:
+    canonicals = [r for _, r in twin.pairs] if twin else [None] * len(run.pairs)
+    for (query, result), canonical in zip(run.pairs, canonicals):
         report.queries += 1
         if result.degraded:
             report.degraded += 1
-        problems = compare_result(result, oracle.answer(query))
+        problems = problems_of(query, result, canonical)
         if not problems:
             continue
         kind, detail = problems[0]

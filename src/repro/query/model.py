@@ -336,6 +336,28 @@ class QueryResult:
             for key, vec in self.cells.items()
         )
 
+    def differences(self, twin: "QueryResult") -> list[str]:
+        """Byte-identity check against ``twin``; empty means identical.
+
+        Same cell keys, bitwise-equal summaries, same completeness: what
+        the socket cluster owes its simulated twin, and what an explored
+        schedule of a serial, fault-free run owes the canonical one.
+        """
+        problems: list[str] = []
+        missing = twin.cells.keys() - self.cells.keys()
+        extra = self.cells.keys() - twin.cells.keys()
+        if missing:
+            problems.append(f"missing {len(missing)} cells (e.g. {min(missing)})")
+        if extra:
+            problems.append(f"extra {len(extra)} cells (e.g. {min(extra)})")
+        for key in sorted(twin.cells.keys() & self.cells.keys()):
+            if self.cells[key] != twin.cells[key]:
+                problems.append(f"summary mismatch at {key}")
+                break  # one example is enough; the report stays readable
+        if self.completeness != twin.completeness:
+            problems.append(f"completeness {self.completeness} != twin {twin.completeness}")
+        return problems
+
     def to_json_dict(self) -> dict:
         """JSON-serializable body for the visualization front-end."""
         out = {

@@ -225,29 +225,6 @@ def _sim_twin_answers(
     return results
 
 
-def _diff_answer(socket_result: QueryResult, sim_result: QueryResult) -> list[str]:
-    """Byte-identity check for one query; returns divergence descriptions."""
-    problems: list[str] = []
-    socket_cells = socket_result.cells
-    sim_cells = sim_result.cells
-    missing = sim_cells.keys() - socket_cells.keys()
-    extra = socket_cells.keys() - sim_cells.keys()
-    if missing:
-        problems.append(f"missing {len(missing)} cells (e.g. {min(missing)})")
-    if extra:
-        problems.append(f"extra {len(extra)} cells (e.g. {min(extra)})")
-    for key in sorted(sim_cells.keys() & socket_cells.keys()):
-        if socket_cells[key] != sim_cells[key]:
-            problems.append(f"summary mismatch at {key}")
-            break  # one example is enough; the report stays readable
-    if socket_result.completeness != sim_result.completeness:
-        problems.append(
-            f"completeness {socket_result.completeness} "
-            f"!= sim {sim_result.completeness}"
-        )
-    return problems
-
-
 def run_serve(
     queries: Sequence[AggregationQuery],
     dataset: DatasetSpec,
@@ -300,7 +277,7 @@ def run_serve(
         for index, ((_, result, _), sim_result) in enumerate(
             zip(answers, sim_results)
         ):
-            for problem in _diff_answer(result, sim_result):
+            for problem in result.differences(sim_result):
                 report["divergences"].append({"index": index, "problem": problem})
         report["ok"] = not report["divergences"]
         if progress is not None:
