@@ -196,8 +196,10 @@ class ElasticNode(StorageNode):
                 full_id = (shard.shard_id, *chunk_id)
                 if not self.page_cache.access(full_id):
                     chunks_read += 1
-                    yield self.disk.read(
-                        chunk.nbytes, parent=span if span else parent
+                    # A process of its own, not ``yield from``: inlined, it
+                    # moves the elastic rows of BENCH_scale.json.
+                    yield self.sim.process(
+                        self.disk.read(chunk.nbytes, parent=span if span else parent)
                     )
                 sub = chunk.filter_bbox(snapped_box).filter_time(snapped_time)
                 records += len(sub)
@@ -246,9 +248,7 @@ class ElasticNode(StorageNode):
     def _handle_es_scan(self, message: Message) -> Generator[Event, Any, Reply]:
         yield self.sim.timeout(self.cost.request_overhead)
         query: AggregationQuery = message.payload["query"]
-        response = yield self.sim.process(
-            self._scan_shards(query, parent=message.span)
-        )
+        response = yield from self._scan_shards(query, parent=message.span)
         return self._cells_reply(response, response["cells"])
 
     # -- coordination --------------------------------------------------------

@@ -54,10 +54,6 @@ class FreshnessTracker:
         runs = ((keys, F_INC, True), (ring, dispersed, False))
         return graph.touch_runs(runs, now, self.decay_rate)
 
-    def disperse_to_neighborhood(self, graph, ring_keys: list[tuple], now: float) -> int:
-        """:meth:`touch_cells` with no accessed cell: dispersion alone."""
-        return self.touch_cells(graph, [], now, ring=ring_keys)
-
     def score(self, cell, now: float) -> float:
         """Current decayed freshness of a cell (no mutation)."""
         return cell.decayed_freshness(now, self.decay_rate)

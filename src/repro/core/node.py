@@ -821,10 +821,7 @@ class StashNode(StorageNode):
         """
         ctx: QueryContext | None = payload.get("ctx")
         if owner == self.node_id:
-            response = yield self.sim.process(
-                self._fetch_cells_impl(payload, parent=parent)
-            )
-            return response
+            return (yield from self._fetch_cells_impl(payload, parent=parent))
         if depth >= MAX_REDIRECTS:
             payload = dict(payload, force=True)
             self.incident("force_serve", ctx, {"owner": owner, "depth": depth})

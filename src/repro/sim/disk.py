@@ -38,13 +38,14 @@ class Disk:
         self.reads = 0
         self.bytes_read = 0
 
-    def read(self, nbytes: int, parent: Span | None = None) -> "Event":
-        """Process-event that completes when the read finishes."""
-        return self.sim.process(self._read(nbytes, parent))
-
-    def _read(
+    def read(
         self, nbytes: int, parent: Span | None = None
     ) -> Generator[Event, Any, int]:
+        """Acquire a channel, charge the read, release; returns ``nbytes``.
+
+        A generator: the caller runs it inside its own process with
+        ``yield from``, or as a process of its own where it needs an event.
+        """
         queued_at = self.sim.now
         yield self._channel.acquire()
         try:

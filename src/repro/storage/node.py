@@ -394,7 +394,7 @@ class StorageNode(Participant):
         )
         blocks = self.local_blocks(block_ids)
         for block in blocks:
-            yield self.disk.read(block.nbytes, parent=span if span else parent)
+            yield from self.disk.read(block.nbytes, parent=span if span else parent)
         cells, stats = scan_blocks(blocks, query)
         cpu = stats.records_scanned * self.cost.scan_cost_per_record
         if span is not None and cpu > 0:
@@ -495,7 +495,5 @@ class StorageNode(Participant):
         yield self.sim.timeout(self.cost.request_overhead)
         query: AggregationQuery = message.payload["query"]
         block_ids: list[BlockId] = message.payload["block_ids"]
-        cells = yield self.sim.process(
-            self.scan_locally(query, block_ids, parent=message.span)
-        )
+        cells = yield from self.scan_locally(query, block_ids, parent=message.span)
         return self._cells_reply(cells, cells)

@@ -155,7 +155,7 @@ class NodeCacheMachine(RuleBasedStateMachine):
         query = region_query(*footprint)
         now = self._tick()
         graph = self.node.graph
-        self.node.tracker.disperse_to_neighborhood(graph, query_ring(query), now)
+        self.node.tracker.touch_cells(graph, [], now, ring=query_ring(query))
         graph.touch_batch(
             query.footprint(), 1.0, now, self.node.tracker.decay_rate, count_access
         )

@@ -262,7 +262,7 @@ class TestFreshness:
         graph = StashGraph(SPACE)
         ring_cell = make_cell("9q8yd")
         graph.insert(ring_cell)
-        tracker.disperse_to_neighborhood(graph, [ring_cell.key], now=0.0)
+        tracker.touch_cells(graph, [], 0.0, ring=[ring_cell.key])
         assert graph.get(ring_cell.key).freshness == pytest.approx(0.25)
 
     def test_query_ring_matches_general_ring(self):

@@ -185,7 +185,7 @@ class TestTouchBatchEquivalence:
             )
             touch_cell(twin, amount, now, tracker.decay_rate)
             expected[key] = (twin.freshness, twin.last_touched, twin.access_count)
-        tracker.disperse_to_neighborhood(graph, ring, now)
+        tracker.touch_cells(graph, [], now, ring=ring)
         for key in ring:
             cell = graph.get(key)
             # Dispersion adds freshness but never counts as an access.

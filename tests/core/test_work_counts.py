@@ -746,7 +746,12 @@ class TestSimulatorEventsPerRead:
         assert self.events(monkeypatch, warm_cluster) == expected
 
     def test_a_cold_read(self, warm_cluster, monkeypatch):
-        expected = {"Event": 62, "Timeout": 40, "Process": 31, "AllOf": 2}
+        # 111 events, down from 135: each of the 10 disk reads runs inside
+        # its scan, and each of the 2 remote scan legs inside its handler
+        # (``yield from``).  Those 12 processes no longer step a kick-off
+        # ``Event`` and a completion ``Process`` each; no ``Timeout`` or
+        # ``AllOf`` left.
+        expected = {"Event": 50, "Timeout": 40, "Process": 19, "AllOf": 2}
         for _ in range(2):
             warm_cluster.flush_caches()
             assert self.events(monkeypatch, warm_cluster) == expected

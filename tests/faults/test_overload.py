@@ -97,7 +97,12 @@ class TestOverloadIntegration:
         system.drain()
         assert len(results) == len(queries)
         counters = system.counters_total()
-        assert counters.get("requests_shed", 0) > 0
+        # Exact, not "> 0": a change that reorders same-instant events at
+        # the dispatch seam (running ``_dispatch`` or ``_answer`` inside
+        # its caller) moves these numbers -- it shed 0 and degraded none.
+        assert counters.get("requests_shed") == 5
+        assert counters.get("shed:populate") == 5
+        assert counters.get("breaker_degraded") == 8
         for result in results:
             # Degradation is explicit; completeness is never fabricated.
             assert 0.0 <= result.completeness <= 1.0

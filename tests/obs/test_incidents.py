@@ -339,15 +339,15 @@ DIGESTS: dict[str, dict[str, str]] = {
     },
     "breaker_flood": {
         "events": "8aa87a61bb2148e2",
-        "structure": "092c519683b7199c",
-        "chrome": "862de489b40245b1",
+        "structure": "8cfe320913d6bccb",
+        "chrome": "fd9bb4d2a1f0e9d6",
         "counters": "f769ffed4b1db3aa",
         "results": "7367ae31eda4dd08",
     },
     "shed_flood": {
         "events": "34d49e335ba83d25",
-        "structure": "eab26b2b7c99062d",
-        "chrome": "f76700e82b06ccef",
+        "structure": "935cf71254e5d2b6",
+        "chrome": "1feaeef6def04e29",
         "counters": "73de5c31577a97fa",
         "results": "281728fa24e89ac5",
     },

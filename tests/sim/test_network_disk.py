@@ -2,8 +2,14 @@
 
 import pytest
 
-from repro.config import CostModel
+from repro.config import ClusterConfig, CostModel, ObservabilityConfig, StashConfig
+from repro.core.cluster import StashCluster
+from repro.data.generator import small_test_dataset
 from repro.errors import NetworkError
+from repro.geo.bbox import BoundingBox
+from repro.geo.resolution import Resolution
+from repro.geo.temporal import TemporalResolution, TimeKey
+from repro.query.model import AggregationQuery
 from repro.sim.disk import Disk
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
@@ -126,7 +132,7 @@ class TestNetwork:
 class TestDisk:
     def test_read_time(self, sim, cost):
         disk = Disk(sim, cost, "n0", channels=1)
-        done = disk.read(1_000_000)
+        done = sim.process(disk.read(1_000_000))
         sim.run(until=done)
         assert sim.now == pytest.approx(cost.disk_read_time(1_000_000))
         assert disk.reads == 1
@@ -134,14 +140,14 @@ class TestDisk:
 
     def test_channel_contention_serializes(self, sim, cost):
         disk = Disk(sim, cost, "n0", channels=1)
-        done = sim.all_of([disk.read(0), disk.read(0), disk.read(0)])
+        done = sim.all_of([sim.process(disk.read(0)) for _ in range(3)])
         sim.run(until=done)
         # Three seeks back-to-back on one channel.
         assert sim.now == pytest.approx(3 * cost.disk_seek)
 
     def test_two_channels_parallel(self, sim, cost):
         disk = Disk(sim, cost, "n0", channels=2)
-        done = sim.all_of([disk.read(0), disk.read(0)])
+        done = sim.all_of([sim.process(disk.read(0)) for _ in range(2)])
         sim.run(until=done)
         assert sim.now == pytest.approx(cost.disk_seek)
 
@@ -149,3 +155,49 @@ class TestDisk:
         fast = CostModel(data_scale=1.0)
         slow = CostModel(data_scale=100.0)
         assert slow.disk_read_time(10_000) > fast.disk_read_time(10_000)
+
+
+class TestColdScanContention:
+    """Four cold queries fired at once on two nodes: three of their scans
+    reach node-1 at one instant and queue for its two disk channels.  The
+    latencies and ``disk:wait`` spans are pinned to the values of the
+    build where every disk read was a process of its own, so running a
+    read inside its scan (``yield from``) is seen not to reorder them."""
+
+    LATENCIES = ["0.0138792", "0.013885296", "0.017903093333333335", "0.009860946666666667"]
+    WAITS = [
+        ("node-1", "0.0016127040000000002", "0.005630501333333334"),
+        ("node-1", "0.0016127040000000002", "0.005636597333333334"),
+        ("node-1", "0.005630501333333334", "0.009654394666666666"),
+        ("node-1", "0.005636597333333334", "0.009660490666666667"),
+        ("node-1", "0.009654394666666666", "0.013678288"),
+    ]
+
+    @staticmethod
+    def query(i: int) -> AggregationQuery:
+        return AggregationQuery(
+            bbox=BoundingBox(33, 37, -108 + 0.5 * i, -100 + 0.5 * i),
+            time_range=TimeKey.of(2013, 2, 2).epoch_range(),
+            resolution=Resolution(3, TemporalResolution.DAY),
+        )
+
+    def test_queued_reads_keep_their_order(self):
+        config = StashConfig(
+            cluster=ClusterConfig(num_nodes=2),
+            observability=ObservabilityConfig(trace=True),
+        )
+        cluster = StashCluster(small_test_dataset(num_records=6_000), config)
+        results = cluster.run_concurrent([self.query(i) for i in range(4)])
+        cluster.drain()
+        assert all(result.completeness == 1.0 for result in results)
+        assert [repr(result.latency) for result in results] == self.LATENCIES
+        spans = cluster.tracer.spans
+        waits = [(s.node, repr(s.start), repr(s.end)) for s in spans if s.name == "disk:wait"]
+        assert waits == self.WAITS
+        # Three reads meet at one instant, one channel already busy: one
+        # takes the free channel and two queue behind it.
+        instant = self.WAITS[0][1]
+        reads = [s for s in spans if s.name == "disk:read"]
+        assert [repr(s.start) for s in reads].count(instant) == 1
+        assert [w[1] for w in waits].count(instant) == 2
+        assert {s.node for s in reads} == {"node-1"}
